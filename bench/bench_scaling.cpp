@@ -67,10 +67,6 @@ MachineConfig scaling_config() {
   MachineConfig cfg = bench::config_1989();
   cfg.topology = Topology::kHypercube;
   cfg.link_contention = LinkContention::kNone;  // the Predictor-exact tier
-  // Harness tuning for huge P: the wait-for-graph detector costs a global
-  // registry touch per blocking recv — pure overhead on a correct bench —
-  // and recv timeouts only ever fire on a full scheduler stall anyway.
-  cfg.deadlock_detection = false;
   return cfg;
 }
 

@@ -100,16 +100,17 @@ struct MachineConfig {
   std::size_t fiber_stack_bytes = 0;
 
   // --- harness behaviour (not part of the cost model) ---
-  /// Wall-clock seconds a blocking recv waits before failing.  This is the
-  /// *fallback* deadlock guard; a correct program never hits it, and with
-  /// `deadlock_detection` on (the default), neither do most incorrect ones.
+  /// Wall-clock seconds a blocking recv (or a quiesce) waits, once the
+  /// whole machine has stalled, before failing.  This is the *fallback*
+  /// deadlock guard; a correct program never hits it, and with
+  /// `deadlock_detection` on (the default), a stalled recv never does.
   double recv_timeout_wall = 60.0;
 
-  /// Wait-for-graph deadlock detection (machine/deadlock.hpp): every rank
-  /// blocking in recv publishes a wait edge, and a closed wait-for graph
-  /// with no satisfying in-flight message aborts the run instantly with a
-  /// per-rank diagnostic instead of sitting out recv_timeout_wall.  Purely
-  /// a harness feature: it never touches simulated clocks, payloads, or
+  /// Deadlock detection (machine/deadlock.hpp): at the first full
+  /// scheduler stall — every rank finished or parked — a run with a rank
+  /// parked in recv aborts with a per-rank diagnostic instead of sitting
+  /// out recv_timeout_wall.  Costs nothing until a stall.  Purely a
+  /// harness feature: it never touches simulated clocks, payloads, or
   /// stats.  Disable to fall back to the wall-clock timeout alone.
   bool deadlock_detection = true;
 

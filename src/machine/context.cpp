@@ -117,8 +117,7 @@ Message Context::recv_message(int src, int tag) {
                        "the same lane");
   }
 #endif
-  Message m = self_->mailbox().recv(src, tag, config().recv_timeout_wall,
-                                    machine_->deadlock_detector(), rank());
+  Message m = self_->mailbox().recv(src, tag, config().recv_timeout_wall);
   finish_receive(m);
   return m;
 }
@@ -274,12 +273,11 @@ void Context::complete_ops(std::vector<std::uint64_t> ids) {
     }
   }
   // Phase 1: park until every lane holds enough queued matches.  Each park
-  // is a scheduler yield point publishing its wait-for edge, exactly like
-  // a blocking recv on that lane.
+  // is a scheduler yield point publishing its wait, exactly like a
+  // blocking recv on that lane.
   for (const auto& [lane, ops] : lanes) {
     mb.await_matches(lane.first, lane.second, ops.size(),
-                     config().recv_timeout_wall, machine_->deadlock_detector(),
-                     rank());
+                     config().recv_timeout_wall);
   }
   // Phase 2: pop each lane FIFO (the j-th posted operation takes the j-th
   // queued match), then apply the receive-side cost algebra over the whole

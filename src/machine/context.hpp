@@ -78,8 +78,8 @@ class CommHandle {
   bool test();
 
   /// Park until the operation can complete, then complete it (and its lane
-  /// predecessors).  A scheduler yield point, exactly like a blocking recv:
-  /// the wait publishes its wait-for edge to the deadlock detector.
+  /// predecessors).  A scheduler yield point, exactly like a blocking recv,
+  /// and diagnosed like one if the run stalls while it waits.
   void wait();
 
  private:

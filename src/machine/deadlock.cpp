@@ -1,8 +1,7 @@
 #include "machine/deadlock.hpp"
 
+#include <algorithm>
 #include <sstream>
-
-#include "support/check.hpp"
 
 namespace kali {
 
@@ -16,8 +15,15 @@ std::string src_label(int src) {
 
 std::string describe_pending(const Mailbox& mb, int owner_rank,
                              std::uint32_t max_epoch) {
+  std::vector<PendingMessage> pending = mb.snapshot();
+  // Arrival order across senders is host interleaving; per source it is
+  // the sender's program order.  Group by source to keep only the latter.
+  std::stable_sort(pending.begin(), pending.end(),
+                   [](const PendingMessage& a, const PendingMessage& b) {
+                     return a.src < b.src;
+                   });
   std::string out;
-  for (const auto& pm : mb.snapshot()) {
+  for (const auto& pm : pending) {
     if (pm.epoch > max_epoch) {
       continue;
     }
@@ -39,135 +45,47 @@ std::size_t stale_pending(const Mailbox& mb, std::uint32_t max_epoch) {
   return n;
 }
 
-DeadlockDetector::DeadlockDetector(std::vector<Mailbox*> mailboxes)
-    : mailboxes_(std::move(mailboxes)), ranks_(mailboxes_.size()) {}
-
-void DeadlockDetector::reset() {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (auto& r : ranks_) {
-    r = RankState{};
-  }
-}
-
-void DeadlockDetector::enter_wait(int rank, int src, int tag) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto& rs = ranks_[static_cast<std::size_t>(rank)];
-  rs.state = State::kWaiting;
-  rs.want_src = src;
-  rs.want_tag = tag;
-  check_locked();
-}
-
-void DeadlockDetector::leave_wait(int rank) {
-  std::lock_guard<std::mutex> lk(mu_);
-  ranks_[static_cast<std::size_t>(rank)].state = State::kRunning;
-}
-
-void DeadlockDetector::mark_done(int rank) {
-  std::lock_guard<std::mutex> lk(mu_);
-  ranks_[static_cast<std::size_t>(rank)].state = State::kDone;
-  check_locked();
-}
-
-void DeadlockDetector::check_locked() {
-  const int n = static_cast<int>(ranks_.size());
-  // Seed the live set: running ranks can still send, and a waiter whose
-  // match is already queued will pop it and run again.  Done ranks are not
-  // live — they will never send another message.
-  std::vector<bool> live(static_cast<std::size_t>(n), false);
-  bool any_waiting = false;
-  for (int r = 0; r < n; ++r) {
-    const auto& rs = ranks_[static_cast<std::size_t>(r)];
-    if (rs.state == State::kRunning) {
-      live[static_cast<std::size_t>(r)] = true;
-    } else if (rs.state == State::kWaiting) {
-      any_waiting = true;
-      if (mailboxes_[static_cast<std::size_t>(r)]->probe(rs.want_src,
-                                                         rs.want_tag)) {
-        live[static_cast<std::size_t>(r)] = true;
-      }
-    }
-  }
-  if (!any_waiting) {
-    return;
-  }
-  // Propagate: a waiter is live if the rank it expects could still feed it
-  // (for kAnySource, if any other rank could).  A source outside [0, n) can
-  // never send, so such a waiter stays dead unless its match is queued.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (int r = 0; r < n; ++r) {
-      const auto& rs = ranks_[static_cast<std::size_t>(r)];
-      if (live[static_cast<std::size_t>(r)] || rs.state != State::kWaiting) {
-        continue;
-      }
-      bool feedable = false;
-      if (rs.want_src == kAnySource) {
-        for (int q = 0; q < n; ++q) {
-          if (q != r && live[static_cast<std::size_t>(q)]) {
-            feedable = true;
-            break;
-          }
-        }
-      } else if (rs.want_src >= 0 && rs.want_src < n) {
-        feedable = live[static_cast<std::size_t>(rs.want_src)];
-      }
-      if (feedable) {
-        live[static_cast<std::size_t>(r)] = true;
-        changed = true;
-      }
-    }
-  }
-  std::vector<bool> stuck(static_cast<std::size_t>(n), false);
-  bool any_stuck = false;
-  for (int r = 0; r < n; ++r) {
-    if (ranks_[static_cast<std::size_t>(r)].state == State::kWaiting &&
-        !live[static_cast<std::size_t>(r)]) {
-      stuck[static_cast<std::size_t>(r)] = true;
-      any_stuck = true;
-    }
-  }
-  if (any_stuck) {
-    throw Error(dump_locked(stuck));
-  }
-}
-
-std::string DeadlockDetector::dump_locked(
-    const std::vector<bool>& stuck) const {
-  std::ostringstream os;
+std::string diagnose_stall(const std::vector<const Mailbox*>& mailboxes,
+                           const std::vector<StallState>& states) {
+  std::ostringstream ranks;
   int nstuck = 0;
-  for (bool s : stuck) {
-    nstuck += s ? 1 : 0;
-  }
-  os << "deadlock detected by the wait-for-graph check: " << nstuck
-     << " rank(s) blocked in recv with no rank or in-flight message able to "
-        "satisfy them\n";
-  for (std::size_t r = 0; r < ranks_.size(); ++r) {
-    const auto& rs = ranks_[r];
-    os << "  rank " << r << ": ";
-    switch (rs.state) {
-      case State::kRunning:
-        os << "running\n";
-        continue;
-      case State::kDone:
-        os << "done (program finished; will never send again)\n";
-        continue;
-      case State::kWaiting:
-        os << (stuck[r] ? "STUCK" : "waiting") << " in recv(src="
-           << src_label(rs.want_src) << ", tag=" << rs.want_tag << " "
-           << tag_name(rs.want_tag) << ")\n";
+  for (std::size_t r = 0; r < states.size(); ++r) {
+    const Mailbox& mb = *mailboxes[r];
+    ranks << "  rank " << r << ": ";
+    bool parked = true;
+    switch (states[r]) {
+      case StallState::kFinished:
+        ranks << "done (program finished; will never send again)\n";
+        parked = false;
+        break;
+      case StallState::kQuiesce:
+        ranks << "parked in quiesce (compact_edge_ledgers; released only "
+                 "when every rank arrives)\n";
+        break;
+      case StallState::kParked:
+        if (const auto wait = mb.published_wait()) {
+          const auto [src, tag] = *wait;
+          ranks << "STUCK in recv(src=" << src_label(src) << ", tag=" << tag
+                << " " << tag_name(tag) << ")\n";
+          ++nstuck;
+        } else {
+          ranks << "parked with no published receive\n";
+        }
         break;
     }
-    const std::string pending = describe_pending(*mailboxes_[r],
-                                                 static_cast<int>(r));
-    if (pending.empty()) {
-      os << "    mailbox empty\n";
-    } else {
-      os << pending;
-    }
+    const std::string pending = describe_pending(mb, static_cast<int>(r));
+    ranks << (pending.empty() && parked ? "    mailbox empty\n" : pending);
   }
-  os << "  (the wall-clock recv timeout remains as a fallback; set "
+  if (nstuck == 0) {
+    return {};
+  }
+  std::ostringstream os;
+  os << "deadlock detected by the wait-for-graph check: " << nstuck
+     << " rank(s) blocked in recv with no rank or in-flight message able to "
+        "satisfy them (every rank is finished or parked, so nothing can "
+        "send again)\n"
+     << ranks.str()
+     << "  (the wall-clock recv timeout remains as a fallback; set "
         "MachineConfig::deadlock_detection = false to rely on it alone)";
   return os.str();
 }

@@ -1,27 +1,15 @@
-// Wait-for-graph deadlock detection for blocking matched receives.
+// Deadlock diagnosis at the scheduler's full stall, plus the pending-
+// message accounting the leak checks share.
 //
-// Every rank that blocks in Mailbox::recv publishes a wait edge
-// (waiter -> expected (src, tag)) before sleeping.  Each registration (and
-// each rank retiring via mark_done) runs a satisfiability check: a waiting
-// rank is *live* if a matching message is already queued in its mailbox, or
-// if some rank that could still produce one is live.  If any waiter ends up
-// outside the live set, the waiters form a closed wait-for graph no in-flight
-// message can break — a certain deadlock — and the detector throws a full
-// diagnostic dump (per-rank state, expected source/tag with registry names,
-// mailbox contents) the instant the set closes, instead of letting the run
-// sit out the wall-clock recv timeout (which remains the fallback for stalls
-// the graph cannot prove, e.g. a live peer that simply never sends).
-//
-// Soundness rests on two properties of the machine layer:
-//  * pushes are synchronous — Context::send_bytes deposits directly into the
-//    destination mailbox, so "in flight" means "queued in the mailbox" and
-//    Mailbox::probe sees every message that exists;
-//  * mailboxes are single-consumer — only the owning rank pops, and it is
-//    never popping while registered as waiting, so a probe observed under
-//    the detector lock cannot be invalidated by a concurrent pop.
-//
-// Lock order: detector mutex, then mailbox mutex (inside probe/snapshot).
-// Mailbox::recv never calls into the detector while holding its own lock.
+// With MachineConfig::deadlock_detection on, Machine::run installs
+// diagnose_stall as the fiber scheduler's stall handler.  A full stall —
+// no fiber ready or running, every unfinished one parked — is final:
+// pushes are synchronous (Context::send_bytes deposits straight into the
+// destination mailbox), so only a running rank can ever wake a parked
+// one, and none is left.  Every rank parked in a receive is therefore
+// provably stuck, with no fixpoint to compute, and a correct program —
+// which never stalls — pays nothing.  The wait-for edges are the ones
+// each Mailbox already publishes for its push/wake protocol.
 #pragma once
 
 #include <cstdint>
@@ -29,13 +17,15 @@
 #include <vector>
 
 #include "machine/mailbox.hpp"
+#include "machine/scheduler.hpp"
 
 namespace kali {
 
 /// One line per queued message: "src -> owner tag <name> (<bytes> B, epoch
-/// <e>)".  Messages with epoch > max_epoch are omitted (post-barrier early
-/// arrivals are not leaks of the phase being checked).  Empty string if
-/// nothing qualifies.
+/// <e>)", ordered by source rank (FIFO per source), so the text depends on
+/// the program only, never on which sender the host ran first.  Messages
+/// with epoch > max_epoch are omitted (post-barrier early arrivals are not
+/// leaks of the phase being checked).  Empty string if nothing qualifies.
 [[nodiscard]] std::string describe_pending(
     const Mailbox& mb, int owner_rank,
     std::uint32_t max_epoch = UINT32_MAX);
@@ -47,47 +37,14 @@ namespace kali {
 [[nodiscard]] std::size_t stale_pending(const Mailbox& mb,
                                         std::uint32_t max_epoch);
 
-class DeadlockDetector {
- public:
-  /// One mailbox per rank, indexed by rank.  Pointers must outlive the
-  /// detector (Machine owns both).
-  explicit DeadlockDetector(std::vector<Mailbox*> mailboxes);
-
-  /// Forget all wait state (call before each Machine::run).
-  void reset();
-
-  /// Rank `rank` is about to block waiting for (src, tag).  Runs the
-  /// wait-for-graph check; throws kali::Error with the diagnostic dump if
-  /// this registration closes a deadlocked set.
-  void enter_wait(int rank, int src, int tag);
-
-  /// Rank `rank` woke up (it will re-check its mailbox and either pop or
-  /// re-register).  Must be called before the rank pops, so a rank is never
-  /// simultaneously "waiting" and consuming.
-  void leave_wait(int rank);
-
-  /// Rank `rank` finished its program and will never send again.  Runs the
-  /// check: waiters expecting this rank may have just become unsatisfiable.
-  void mark_done(int rank);
-
- private:
-  enum class State : std::uint8_t { kRunning, kWaiting, kDone };
-
-  struct RankState {
-    State state = State::kRunning;
-    int want_src = 0;
-    int want_tag = 0;
-  };
-
-  /// Throws if the current wait-for graph contains a closed stuck set.
-  void check_locked();
-
-  [[nodiscard]] std::string dump_locked(
-      const std::vector<bool>& stuck) const;
-
-  std::vector<Mailbox*> mailboxes_;
-  std::vector<RankState> ranks_;
-  std::mutex mu_;
-};
+/// The full-stall handler (see StallHandler): given one mailbox and one
+/// StallState per rank, returns the diagnostic dump — each rank's state
+/// (finished, stuck in recv with its published (src, tag) and registry
+/// name, or parked in a quiesce) and each mailbox's unmatched queue — or
+/// "" when no rank is parked in a receive (a pure quiesce mismatch is
+/// left to the wall-clock fallback).
+[[nodiscard]] std::string diagnose_stall(
+    const std::vector<const Mailbox*>& mailboxes,
+    const std::vector<StallState>& states);
 
 }  // namespace kali

@@ -6,6 +6,7 @@
 #include <mutex>
 
 #include "machine/context.hpp"
+#include "machine/deadlock.hpp"
 #include "machine/hb.hpp"
 #include "machine/scheduler.hpp"
 #include "machine/topology.hpp"
@@ -18,14 +19,6 @@ Machine::Machine(int nprocs, MachineConfig cfg) : cfg_(cfg) {
   procs_.reserve(static_cast<std::size_t>(nprocs));
   for (int r = 0; r < nprocs; ++r) {
     procs_.push_back(std::make_unique<Processor>(r));
-  }
-  if (cfg_.deadlock_detection) {
-    std::vector<Mailbox*> mailboxes;
-    mailboxes.reserve(procs_.size());
-    for (auto& p : procs_) {
-      mailboxes.push_back(&p->mailbox());
-    }
-    detector_ = std::make_unique<DeadlockDetector>(std::move(mailboxes));
   }
 }
 
@@ -56,11 +49,8 @@ void Machine::run(const std::function<void(Context&)>& program) {
   std::exception_ptr first_error;
   std::mutex error_mu;
 
-  if (detector_) {
-    detector_->reset();
-  }
   // One fiber per rank on a fixed worker pool; an unmatched recv parks
-  // its fiber (mailbox.cpp recv_fiber) instead of blocking a host thread.
+  // its fiber (Mailbox::await_matches) instead of blocking a host thread.
   FiberScheduler sched(p, cfg_.sim_workers, cfg_.recv_timeout_wall,
                        cfg_.fiber_stack_bytes);
   if (cfg_.sim_hook != nullptr) {
@@ -71,6 +61,19 @@ void Machine::run(const std::function<void(Context&)>& program) {
   }
   if (HbLog* hb = hb_log(); hb != nullptr) {
     sched.attach_hb_log(hb);
+  }
+  if (cfg_.deadlock_detection) {
+    // At the first full stall every rank parked in a receive is provably
+    // stuck (machine/deadlock.hpp): diagnose it instead of sitting out
+    // recv_timeout_wall.
+    sched.set_stall_handler([this](const std::vector<StallState>& states) {
+      std::vector<const Mailbox*> mailboxes;
+      mailboxes.reserve(procs_.size());
+      for (const auto& q : procs_) {
+        mailboxes.push_back(&q->mailbox());
+      }
+      return diagnose_stall(mailboxes, states);
+    });
   }
   for (auto& q : procs_) {
     q->mailbox().attach_scheduler(&sched, q->rank());
@@ -99,12 +102,6 @@ void Machine::run(const std::function<void(Context&)>& program) {
           }
         }
 #endif
-        // Retire this rank in the wait-for graph: peers still waiting on
-        // it may have just become unsatisfiable, which mark_done detects
-        // (the throw lands in the catch below like any program error).
-        if (detector_) {
-          detector_->mark_done(r);
-        }
       } catch (...) {
         {
           std::lock_guard<std::mutex> lk(error_mu);
@@ -123,10 +120,10 @@ void Machine::run(const std::function<void(Context&)>& program) {
       }
     });
   } catch (...) {
-    // The scheduler itself failed (e.g. a fiber stack overflow it
-    // diagnosed at a switch-out).  Detach below, then rethrow this FIRST:
-    // ranks that died secondarily ("recv aborted") must not mask the
-    // root cause.
+    // The scheduler itself failed (a deadlock diagnosed at a full stall,
+    // or a fiber stack overflow diagnosed at a switch-out).  Detach below,
+    // then rethrow this FIRST: ranks that died secondarily ("recv
+    // aborted") must not mask the root cause.
     sched_error = std::current_exception();
   }
   active_sched_ = nullptr;

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "machine/config.hpp"
-#include "machine/deadlock.hpp"
 #include "machine/processor.hpp"
 #include "machine/stats.hpp"
 
@@ -65,13 +64,6 @@ class Machine {
   /// Zero all clocks and counters (e.g. after a warm-up phase).
   void reset_stats();
 
-  /// The wait-for-graph deadlock detector, or nullptr when
-  /// MachineConfig::deadlock_detection is off (recvs then rely on the
-  /// wall-clock timeout alone).
-  [[nodiscard]] DeadlockDetector* deadlock_detector() {
-    return detector_.get();
-  }
-
   /// Attach a message-event trace (machine/trace.hpp MessageTrace) that
   /// every send/recv of subsequent runs is recorded into, or nullptr to
   /// detach.  The trace must be sized for this machine and outlive the
@@ -95,7 +87,6 @@ class Machine {
  private:
   MachineConfig cfg_;
   std::vector<std::unique_ptr<Processor>> procs_;
-  std::unique_ptr<DeadlockDetector> detector_;
   MessageTrace* trace_ = nullptr;
   HbLog* hb_ = nullptr;
   FiberScheduler* active_sched_ = nullptr;  ///< non-null only inside run()

@@ -1,10 +1,8 @@
 #include "machine/mailbox.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 
-#include "machine/deadlock.hpp"
 #include "machine/hb.hpp"
 #include "machine/scheduler.hpp"
 #include "support/check.hpp"
@@ -13,12 +11,13 @@ namespace kali {
 
 namespace {
 
-[[noreturn]] void throw_recv_timeout(int src, int tag,
-                                     const DeadlockDetector* detector) {
+[[noreturn]] void throw_recv_timeout(int src, int tag) {
+  // With deadlock detection on, a stalled receive is diagnosed before any
+  // deadline passes (Machine::run's stall handler), so a timeout means
+  // detection is off.
   throw Error("recv timed out waiting for src=" + std::to_string(src) +
               " tag=" + std::to_string(tag) +
-              " (likely deadlock; wait-for-graph detection " +
-              (detector != nullptr ? "did not trip" : "is disabled") + ")");
+              " (likely deadlock; wait-for-graph detection is disabled)");
 }
 
 }  // namespace
@@ -48,10 +47,10 @@ void Mailbox::push(Message m) {
     peak_pending_ = std::max(peak_pending_, queue_.size());
   }
   if (wake_owner) {
-    // Outside the mailbox lock: lock order is mailbox, then scheduler.
+    // Outside the mailbox lock: the stall handler reads mailboxes under
+    // the scheduler lock, so the order is scheduler, then mailbox.
     sched_->wake(owner_rank_);
   }
-  cv_.notify_all();  // standalone (non-fiber) waiters, if any
 }
 
 std::optional<Message> Mailbox::try_pop_locked(int src, int tag) {
@@ -65,19 +64,11 @@ std::optional<Message> Mailbox::try_pop_locked(int src, int tag) {
   return std::nullopt;
 }
 
-bool Mailbox::has_match_locked(int src, int tag) const {
-  for (const auto& m : queue_) {
-    if ((src == kAnySource || m.src == src) && m.tag == tag) {
-      return true;
-    }
-  }
-  return false;
-}
-
-std::size_t Mailbox::match_count_locked(int src, int tag) const {
+std::size_t Mailbox::count_matches_locked(int src, int tag,
+                                          std::size_t limit) const {
   std::size_t n = 0;
-  for (const auto& m : queue_) {
-    if ((src == kAnySource || m.src == src) && m.tag == tag) {
+  for (auto it = queue_.begin(); it != queue_.end() && n < limit; ++it) {
+    if ((src == kAnySource || it->src == src) && it->tag == tag) {
       ++n;
     }
   }
@@ -86,7 +77,8 @@ std::size_t Mailbox::match_count_locked(int src, int tag) const {
 
 std::size_t Mailbox::match_count(int src, int tag) const {
   std::lock_guard<std::mutex> lk(mu_);
-  return match_count_locked(src, tag);
+  return count_matches_locked(src, tag,
+                              std::numeric_limits<std::size_t>::max());
 }
 
 std::optional<Message> Mailbox::try_pop(int src, int tag) {
@@ -114,14 +106,29 @@ void Mailbox::attach_scheduler(FiberScheduler* sched, int owner_rank) {
   waiting_active_ = false;
 }
 
-Message Mailbox::recv_fiber(int src, int tag, double timeout_wall_seconds,
-                            DeadlockDetector* detector, int self_rank) {
+Message Mailbox::recv(int src, int tag, double timeout_wall_seconds) {
+  for (;;) {
+    if (std::optional<Message> m = try_pop(src, tag)) {
+      return std::move(*m);
+    }
+    await_matches(src, tag, 1, timeout_wall_seconds);
+  }
+}
+
+void Mailbox::await_matches(int src, int tag, std::size_t n,
+                            double timeout_wall_seconds) {
+  if (n == 0) {
+    return;
+  }
   FiberScheduler* sched = sched_;
+  KALI_CHECK(sched != nullptr && FiberScheduler::current() == sched,
+             "Mailbox: blocking receive outside a fiber of the attached "
+             "scheduler");
   for (;;) {
     if (sched->aborted()) {
-      // Scheduler-level abort (e.g. a diagnosed stack overflow) may not
-      // have marked the mailboxes; without this check a parked recv would
-      // re-park forever against a pool that is shutting down.
+      // Scheduler-level abort (a diagnosed deadlock or stack overflow) may
+      // not have marked the mailboxes; without this check a parked recv
+      // would re-park forever against a pool that is shutting down.
       throw Error("recv aborted: the scheduler is shutting down");
     }
     {
@@ -129,19 +136,9 @@ Message Mailbox::recv_fiber(int src, int tag, double timeout_wall_seconds,
       if (aborted_) {
         throw Error("recv aborted: a peer processor failed");
       }
-      if (auto m = try_pop_locked(src, tag)) {
-        if (HbLog* hb = sched->hb_log(); hb != nullptr) {
-          hb->match(owner_rank_, m->src, m->seq);
-          hb->write(owner_rank_, HbObj::kMbox, owner_rank_);
-        }
-        return std::move(*m);
+      if (count_matches_locked(src, tag, n) >= n) {
+        return;
       }
-    }
-    // Publish the wait edge with no mailbox lock held (the detector takes
-    // its own lock first, then probes mailboxes: single fixed lock order).
-    // May throw the deadlock diagnostic if this edge closes a stuck set.
-    if (detector != nullptr) {
-      detector->enter_wait(self_rank, src, tag);
     }
     // Announce the park, then publish the wake condition under the mailbox
     // lock.  A push that lands in the window between the unlock below and
@@ -151,67 +148,8 @@ Message Mailbox::recv_fiber(int src, int tag, double timeout_wall_seconds,
     bool parked = true;
     {
       std::lock_guard<std::mutex> lk(mu_);
-      if (aborted_ || has_match_locked(src, tag)) {
+      if (aborted_ || count_matches_locked(src, tag, n) >= n) {
         parked = false;  // already satisfiable: don't suspend
-      } else {
-        waiting_src_ = src;
-        waiting_tag_ = tag;
-        waiting_active_ = true;
-      }
-    }
-    bool timed_out = false;
-    if (parked) {
-      timed_out = sched->commit_park();
-    } else {
-      sched->cancel_park();
-    }
-    // Deregister before looping back to pop: the detector's soundness
-    // argument needs "registered waiting" and "consuming" to be disjoint.
-    if (detector != nullptr) {
-      detector->leave_wait(self_rank);
-    }
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      // A timeout or abort wake may leave the publication unconsumed.
-      waiting_active_ = false;
-      if (aborted_) {
-        throw Error("recv aborted: a peer processor failed");
-      }
-      if (timed_out && !has_match_locked(src, tag)) {
-        throw_recv_timeout(src, tag, detector);
-      }
-    }
-  }
-}
-
-void Mailbox::await_matches_fiber(int src, int tag, std::size_t n,
-                                  double timeout_wall_seconds,
-                                  DeadlockDetector* detector, int self_rank) {
-  FiberScheduler* sched = sched_;
-  for (;;) {
-    if (sched->aborted()) {
-      throw Error("recv aborted: the scheduler is shutting down");
-    }
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (aborted_) {
-        throw Error("recv aborted: a peer processor failed");
-      }
-      if (match_count_locked(src, tag) >= n) {
-        return;
-      }
-    }
-    // Publish the wait edge exactly like a blocking recv: waiting for the
-    // k-th message of a lane is a genuine wait-for-graph edge on (src, tag).
-    if (detector != nullptr) {
-      detector->enter_wait(self_rank, src, tag);
-    }
-    sched->prepare_park(timeout_wall_seconds);
-    bool parked = true;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (aborted_ || match_count_locked(src, tag) >= n) {
-        parked = false;
       } else {
         // Each push consumes the publication and wakes the owner once; the
         // loop re-parks until the lane is deep enough.
@@ -226,70 +164,26 @@ void Mailbox::await_matches_fiber(int src, int tag, std::size_t n,
     } else {
       sched->cancel_park();
     }
-    if (detector != nullptr) {
-      detector->leave_wait(self_rank);
-    }
     {
       std::lock_guard<std::mutex> lk(mu_);
+      // A timeout or abort wake may leave the publication unconsumed.
       waiting_active_ = false;
       if (aborted_) {
         throw Error("recv aborted: a peer processor failed");
       }
-      if (timed_out && match_count_locked(src, tag) < n) {
-        throw_recv_timeout(src, tag, detector);
+      if (timed_out && count_matches_locked(src, tag, n) < n) {
+        throw_recv_timeout(src, tag);
       }
     }
   }
 }
 
-void Mailbox::await_matches(int src, int tag, std::size_t n,
-                            double timeout_wall_seconds,
-                            DeadlockDetector* detector, int self_rank) {
-  if (n == 0) {
-    return;
+std::optional<std::pair<int, int>> Mailbox::published_wait() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  if (!waiting_active_) {
+    return std::nullopt;
   }
-  if (sched_ != nullptr && FiberScheduler::current() == sched_) {
-    await_matches_fiber(src, tag, n, timeout_wall_seconds, detector,
-                        self_rank);
-    return;
-  }
-  // Standalone condition-variable path, mirroring recv()'s fallback.
-  // kali-lint: allow(wall-clock) — wall-clock timeout is the guard's point.
-  using WallClock = std::chrono::steady_clock;
-  const auto deadline = WallClock::now() +
-                        std::chrono::duration_cast<WallClock::duration>(
-                            std::chrono::duration<double>(timeout_wall_seconds));
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      if (aborted_) {
-        throw Error("recv aborted: a peer processor failed");
-      }
-      if (match_count_locked(src, tag) >= n) {
-        return;
-      }
-    }
-    if (detector != nullptr) {
-      detector->enter_wait(self_rank, src, tag);
-    }
-    bool timed_out = false;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      if (!aborted_ && match_count_locked(src, tag) < n) {
-        timed_out =
-            cv_.wait_until(lk, deadline) == std::cv_status::timeout;
-      }
-    }
-    if (detector != nullptr) {
-      detector->leave_wait(self_rank);
-    }
-    if (timed_out) {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (!aborted_ && match_count_locked(src, tag) < n) {
-        throw_recv_timeout(src, tag, detector);
-      }
-    }
-  }
+  return std::make_pair(waiting_src_, waiting_tag_);
 }
 
 std::uint64_t Mailbox::post_op(int src, int tag, std::byte* dest,
@@ -329,62 +223,6 @@ std::string Mailbox::describe_pending_ops(int owner) const {
   return out;
 }
 
-Message Mailbox::recv(int src, int tag, double timeout_wall_seconds,
-                      DeadlockDetector* detector, int self_rank) {
-  if (sched_ != nullptr && FiberScheduler::current() == sched_) {
-    return recv_fiber(src, tag, timeout_wall_seconds, detector, self_rank);
-  }
-  // Standalone condition-variable path (no machine / no fiber scheduler).
-  // Fallback deadlock guard on the host clock only: the deadline never
-  // feeds simulated clocks, payloads, or stats — a correct program never
-  // hits it, and with the wait-for-graph detector on, neither do most
-  // incorrect ones (provable deadlocks abort instantly via the detector;
-  // the timeout catches only open-ended stalls the graph cannot prove).
-  // kali-lint: allow(wall-clock) — wall-clock timeout is the guard's point.
-  using WallClock = std::chrono::steady_clock;
-  const auto deadline = WallClock::now() +
-                        std::chrono::duration_cast<WallClock::duration>(
-                            std::chrono::duration<double>(timeout_wall_seconds));
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      if (aborted_) {
-        throw Error("recv aborted: a peer processor failed");
-      }
-      if (auto m = try_pop_locked(src, tag)) {
-        return std::move(*m);
-      }
-    }
-    if (detector != nullptr) {
-      detector->enter_wait(self_rank, src, tag);
-    }
-    bool timed_out = false;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      // Re-check under the lock: a push between the pop attempt above and
-      // here would otherwise be slept through until the next notify.
-      if (!aborted_ && !has_match_locked(src, tag)) {
-        timed_out =
-            cv_.wait_until(lk, deadline) == std::cv_status::timeout;
-      }
-    }
-    if (detector != nullptr) {
-      detector->leave_wait(self_rank);
-    }
-    if (timed_out) {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (!aborted_ && !has_match_locked(src, tag)) {
-        throw_recv_timeout(src, tag, detector);
-      }
-    }
-  }
-}
-
-bool Mailbox::probe(int src, int tag) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return has_match_locked(src, tag);
-}
-
 std::vector<PendingMessage> Mailbox::snapshot() const {
   std::lock_guard<std::mutex> lk(mu_);
   std::vector<PendingMessage> out;
@@ -408,7 +246,6 @@ void Mailbox::abort() {
   if (wake_owner) {
     sched_->wake(owner_rank_);
   }
-  cv_.notify_all();
 }
 
 std::size_t Mailbox::pending() const {

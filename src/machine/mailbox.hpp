@@ -3,25 +3,20 @@
 // Semantics mirror MPI-1 blocking point-to-point: messages between a fixed
 // (src, dst, tag) triple are non-overtaking (FIFO); recv may use kAnySource.
 //
-// Blocking has two implementations behind one recv():
-//  * Fiber path (the machine's execution model): when a FiberScheduler is
-//    attached and the caller is one of its fibers, an unmatched recv parks
-//    the calling fiber — a yield point, not a blocked host thread — and a
-//    matching push (or abort, or the wall-clock deadline sweep) makes it
-//    runnable again.
-//  * Condition-variable path: kept for standalone Mailbox use (its own unit
-//    tests drive it from raw host threads, with no machine around).
+// Blocking runs on the fiber scheduler the mailbox is attached to: an
+// unmatched recv parks the owner's fiber — a yield point, not a blocked
+// host thread — and a matching push (or abort, or the wall-clock deadline
+// sweep) makes it runnable again.  The parked owner's wait stays published
+// (published_wait), which is all the full-stall deadlock diagnosis needs.
 #pragma once
 
-// Standalone-use fallback only; machine runs block via the fiber scheduler.
-// kali-lint: allow(raw-thread)
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "machine/message.hpp"
@@ -30,11 +25,10 @@ namespace kali {
 
 inline constexpr int kAnySource = -1;
 
-class DeadlockDetector;
 class FiberScheduler;
 
 /// Snapshot row of one queued (sent-but-not-yet-received) message, for the
-/// deadlock detector's diagnostic dump and the leak checks.
+/// deadlock diagnostic and the leak checks.
 struct PendingMessage {
   int src = -1;
   int tag = 0;
@@ -61,17 +55,10 @@ class Mailbox {
   /// Deposit a message (called from the sender's execution context).
   void push(Message m);
 
-  /// Blocking matched receive.  When `detector` is set, the wait is
-  /// published as a wait-for-graph edge for `self_rank` before blocking, so
-  /// a certain deadlock aborts instantly with a diagnostic instead of
-  /// sitting out the wall-clock timeout (which remains the fallback).
-  /// Throws kali::Error on detection, on timeout, or if the machine aborted
-  /// because a peer processor failed.
-  Message recv(int src, int tag, double timeout_wall_seconds,
-               DeadlockDetector* detector = nullptr, int self_rank = -1);
-
-  /// Non-blocking probe: true if a matching message is queued.
-  [[nodiscard]] bool probe(int src, int tag) const;
+  /// Blocking matched receive, called on the owner's fiber of the attached
+  /// scheduler.  Throws kali::Error on timeout, or if the run aborted (a
+  /// peer processor failed, or the scheduler diagnosed a deadlock).
+  Message recv(int src, int tag, double timeout_wall_seconds);
 
   /// Pop the first queued match without blocking (nullopt if none).
   /// Records the HB match edge exactly like a blocking recv's pop — this is
@@ -82,14 +69,15 @@ class Mailbox {
   [[nodiscard]] std::size_t match_count(int src, int tag) const;
 
   /// Park the calling fiber until at least `n` messages matching (src, tag)
-  /// are queued — the wait point of nonblocking completion.  Same
-  /// park/wake/detector/timeout protocol as a blocking recv, but with a
-  /// queue-depth predicate instead of a pop: nothing is consumed.  Falls
-  /// back to the condition-variable path when no fiber scheduler is
-  /// attached (standalone use).  Throws like recv().
+  /// are queued — the one park point of every blocking receive (recv and
+  /// nonblocking completion).  Nothing is consumed.  Throws like recv().
   void await_matches(int src, int tag, std::size_t n,
-                     double timeout_wall_seconds,
-                     DeadlockDetector* detector = nullptr, int self_rank = -1);
+                     double timeout_wall_seconds);
+
+  /// The (src, tag) the parked owner waits on, or nullopt when it is not
+  /// parked in recv/await_matches.  Read by the full-stall deadlock
+  /// diagnosis, when no push can race it.
+  [[nodiscard]] std::optional<std::pair<int, int>> published_wait() const;
 
   // --- nonblocking-operation table (owner fiber only; no lock) ---
 
@@ -128,8 +116,8 @@ class Mailbox {
 
   /// Bind this mailbox to its owning rank's fiber scheduler for the
   /// duration of a Machine::run (nullptr to detach).  While attached, a
-  /// recv called on one of `sched`'s fibers parks the fiber instead of
-  /// blocking the host thread, and push() wakes the parked owner.
+  /// recv on the owner's fiber parks it, and push() wakes the parked
+  /// owner.
   void attach_scheduler(FiberScheduler* sched, int owner_rank);
 
   /// Number of queued (undelivered) messages.
@@ -154,18 +142,13 @@ class Mailbox {
   void reset_peak();
 
  private:
-  Message recv_fiber(int src, int tag, double timeout_wall_seconds,
-                     DeadlockDetector* detector, int self_rank);
-  void await_matches_fiber(int src, int tag, std::size_t n,
-                           double timeout_wall_seconds,
-                           DeadlockDetector* detector, int self_rank);
   std::optional<Message> try_pop_locked(int src, int tag);
-  [[nodiscard]] bool has_match_locked(int src, int tag) const;
-  [[nodiscard]] std::size_t match_count_locked(int src, int tag) const;
+  /// Queued messages matching (src, tag), counting no further than
+  /// `limit`.
+  [[nodiscard]] std::size_t count_matches_locked(int src, int tag,
+                                                 std::size_t limit) const;
 
   mutable std::mutex mu_;
-  // kali-lint: allow(raw-thread) — standalone (schedulerless) recv path only
-  std::condition_variable cv_;
   std::deque<Message> queue_;
   std::size_t peak_pending_ = 0;
   bool aborted_ = false;

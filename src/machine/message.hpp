@@ -145,7 +145,8 @@ inline constexpr int kCollectiveTagLast = kCollectiveTagBase + 7;
   const auto with_offset = [&](const char* base_name, int base) {
     std::string s = base_name;
     if (tag != base) {
-      s += "+" + std::to_string(tag - base);
+      s += '+';
+      s += std::to_string(tag - base);
     }
     return s;
   };

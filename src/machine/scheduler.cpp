@@ -112,10 +112,15 @@ struct FiberScheduler::Impl {
   std::exception_ptr first_error;  // defensive: body should catch its own
 
   // Harness seams, all fixed before run(): dispatch hook (interleaving
-  // explorer), clock override (fake-clock tests), happens-before log.
+  // explorer), clock override (fake-clock tests), happens-before log,
+  // full-stall handler (deadlock diagnosis).
   SchedulerHook* hook = nullptr;
   double (*clock_fn)() = nullptr;
   HbLog* hb = nullptr;
+  StallHandler stall_handler;
+  // Set once the handler has seen the current stall; any dispatch ends
+  // the stall and clears it.
+  bool stall_handled = false;
   const WallClock::time_point epoch0 = WallClock::now();
 
   /// Seconds on the scheduler clock: the injected fake when set, else the
@@ -193,6 +198,20 @@ struct FiberScheduler::Impl {
     }
   }
 
+  /// Record `error` as the run's failure (the first one wins), poison
+  /// future parks and wake everything so the pool unwinds.  Caller holds
+  /// mu.
+  void abort_locked(std::exception_ptr error) {
+    if (error && !first_error) {
+      first_error = std::move(error);
+    }
+    aborted.store(true, std::memory_order_release);
+    for (auto& up : fibers) {
+      wake_locked(*up);
+    }
+    cv.notify_all();
+  }
+
   void resume(WorkerRecord& w, FiberRecord& f) {
     f.state.store(FiberState::kRunning, std::memory_order_release);
     tls_fiber = &f;
@@ -208,18 +227,11 @@ struct FiberScheduler::Impl {
       // the backstop that still diagnoses the overflow in guardless
       // (large-population) arenas, or when a big frame stepped over the
       // guard.  Abort the run with the actionable error.
-      if (!first_error) {
-        first_error = std::make_exception_ptr(Error(
-            "fiber stack overflow: rank " + std::to_string(f.rank) +
-            " overran its " + std::to_string(arena.stack_bytes()) +
-            "-byte stack (bottom canary destroyed); raise "
-            "MachineConfig::fiber_stack_bytes"));
-      }
-      aborted.store(true, std::memory_order_release);
-      for (auto& up : fibers) {
-        wake_locked(*up);
-      }
-      cv.notify_all();
+      abort_locked(std::make_exception_ptr(Error(
+          "fiber stack overflow: rank " + std::to_string(f.rank) +
+          " overran its " + std::to_string(arena.stack_bytes()) +
+          "-byte stack (bottom canary destroyed); raise "
+          "MachineConfig::fiber_stack_bytes")));
     }
     FiberState s = f.state.load(std::memory_order_acquire);
     if (s == FiberState::kFinished) {
@@ -245,11 +257,50 @@ struct FiberScheduler::Impl {
     cv.notify_one();
   }
 
+  /// First look at a full stall: if every unfinished fiber is parked,
+  /// hand their states to the stall handler, and abort the run with its
+  /// diagnostic if it returns one.  Returns true iff it aborted.
+  bool handle_stall_locked() {
+    std::vector<StallState> states(fibers.size());
+    for (std::size_t r = 0; r < fibers.size(); ++r) {
+      const FiberRecord& f = *fibers[r];
+      // The acquire pairs with the fiber's kParking release-store, so the
+      // handler sees everything the fiber wrote before it parked.
+      const FiberState s = f.state.load(std::memory_order_acquire);
+      if (s == FiberState::kFinished) {
+        states[r] = StallState::kFinished;
+      } else if (s == FiberState::kParked) {
+        states[r] = f.quiesce_park ? StallState::kQuiesce : StallState::kParked;
+      } else {
+        return false;  // a wake is in transit: not a full stall after all
+      }
+    }
+    stall_handled = true;
+    std::exception_ptr error;
+    try {
+      std::string diagnostic = stall_handler(states);
+      if (diagnostic.empty()) {
+        return false;
+      }
+      error = std::make_exception_ptr(Error(std::move(diagnostic)));
+    } catch (...) {
+      // Runs on a worker thread: a throwing handler fails the run instead
+      // of escaping the thread.
+      error = std::current_exception();
+    }
+    abort_locked(std::move(error));
+    return true;
+  }
+
   /// Full stall: nothing ready, nothing running, some fibers unfinished —
-  /// each of those is parked with a deadline.  Wait out the earliest
-  /// (ties break to the lowest rank: ascending scan, strict <) and wake
-  /// it with timed_out set; the fiber decides whether that is an error.
+  /// each of those is parked with a deadline.  The stall handler gets the
+  /// first look; failing that, wait out the earliest deadline (ties break
+  /// to the lowest rank: ascending scan, strict <) and wake that fiber
+  /// with timed_out set; the fiber decides whether that is an error.
   void stall_sweep(std::unique_lock<std::mutex>& lk) {
+    if (stall_handler && !stall_handled && handle_stall_locked()) {
+      return;
+    }
     FiberRecord* cand = nullptr;
     for (auto& up : fibers) {
       FiberRecord* f = up.get();
@@ -313,6 +364,7 @@ struct FiberScheduler::Impl {
         FiberRecord& f = fiber(ready[pick]);
         ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(pick));
         ++running;
+        stall_handled = false;
         lk.unlock();
         resume(w, f);
         lk.lock();
@@ -345,17 +397,8 @@ void fiber_entry(void* arg) {
   } catch (...) {
     // Machine::run's per-rank body catches everything itself; this is the
     // safety net for standalone scheduler use.
-    {
-      std::lock_guard<std::mutex> lk(im->mu);
-      if (!im->first_error) {
-        im->first_error = std::current_exception();
-      }
-      im->aborted = true;
-      for (auto& up : im->fibers) {
-        im->wake_locked(*up);
-      }
-      im->cv.notify_all();
-    }
+    std::lock_guard<std::mutex> lk(im->mu);
+    im->abort_locked(std::current_exception());
   }
   f->state.store(FiberState::kFinished, std::memory_order_release);
   WorkerRecord* w = tls_worker;
@@ -543,11 +586,7 @@ void FiberScheduler::wake(int rank) {
 void FiberScheduler::abort() {
   Impl& im = *impl_;
   std::lock_guard<std::mutex> lk(im.mu);
-  im.aborted = true;
-  for (auto& up : im.fibers) {
-    im.wake_locked(*up);
-  }
-  im.cv.notify_all();
+  im.abort_locked(nullptr);
 }
 
 bool FiberScheduler::aborted() const {
@@ -569,6 +608,13 @@ void FiberScheduler::set_clock(double (*now_seconds)()) {
   std::lock_guard<std::mutex> lk(im.mu);
   KALI_CHECK(!im.started, "set_clock: scheduler already started");
   im.clock_fn = now_seconds;
+}
+
+void FiberScheduler::set_stall_handler(StallHandler handler) {
+  Impl& im = *impl_;
+  std::lock_guard<std::mutex> lk(im.mu);
+  KALI_CHECK(!im.started, "set_stall_handler: scheduler already started");
+  im.stall_handler = std::move(handler);
 }
 
 void FiberScheduler::attach_hb_log(HbLog* log) {

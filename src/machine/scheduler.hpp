@@ -17,11 +17,15 @@
 // Yield points: Mailbox::recv parks the calling fiber when no match is
 // queued (prepare_park / commit_park below), and quiesce() parks all
 // fibers for machine-global maintenance (edge-ledger compaction).  A
-// parked fiber with no possible waker is first-class scheduler state:
-// with deadlock detection on it never happens (the wait-for-graph check
-// throws first), and the wall-clock fallback fires only on a *full
-// stall* — every fiber parked past its deadline — because a cooperative
-// scheduler cannot preempt a spinning fiber to deliver a timeout.
+// parked fiber with no possible waker is first-class scheduler state,
+// noticed only at a *full stall*: no fiber ready or running, every
+// unfinished one parked.  Nothing can wake anyone then, so the stall
+// handler (set_stall_handler; Machine::run installs the deadlock
+// diagnosis) runs once at the first full stall, and failing that, the
+// wall-clock fallback wakes the earliest-deadline fiber.  Both wait for
+// the full stall because a cooperative scheduler cannot preempt a
+// spinning fiber — a deadlocked cycle beside a rank that loops forever
+// without blocking is never reported by either.
 //
 // All host-threading machinery (workers, mutex, condvar, thread-locals)
 // lives in scheduler.cpp, the one machine-layer file the determinism
@@ -31,11 +35,25 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 namespace kali {
 
 class HbLog;
+
+/// What one fiber is doing at a full stall (see set_stall_handler).
+enum class StallState : unsigned char {
+  kFinished,  ///< its body returned
+  kParked,    ///< parked on a resource wait (a Mailbox receive)
+  kQuiesce,   ///< parked in a quiesce() rendezvous
+};
+
+/// Full-stall diagnosis seam: given every fiber's StallState (indexed by
+/// rank), return a diagnostic to abort the run with, or "" to fall back
+/// to the wall-clock deadline sweep.
+using StallHandler =
+    std::function<std::string(const std::vector<StallState>& states)>;
 
 /// Harness seam for systematic interleaving exploration: when installed
 /// (set_hook / MachineConfig::sim_hook), every dispatch decision a worker
@@ -133,6 +151,14 @@ class FiberScheduler {
   /// steady clock.  Never feeds simulated clocks either way.
   void set_clock(double (*now_seconds)());
 
+  /// Install a full-stall handler (see StallHandler).  It runs at most
+  /// once per stall, under the scheduler lock, after every unfinished
+  /// fiber was observed parked (acquire) — so it may read any rank's
+  /// state, but must not call back into the scheduler.  A non-empty
+  /// return becomes the error run() rethrows, and the run aborts like a
+  /// diagnosed stack overflow.  Call before run(); nullptr uninstalls.
+  void set_stall_handler(StallHandler handler);
+
   /// Attach a happens-before event log (machine/hb.hpp): park/wake pairs,
   /// quiesce rendezvous edges, and stall-sweep wakes of subsequent runs
   /// are recorded into it.  nullptr detaches.  The log must outlive the
@@ -141,8 +167,8 @@ class FiberScheduler {
   [[nodiscard]] HbLog* hb_log() const;
 
   /// Scheduler whose fiber is running on the calling thread, or nullptr
-  /// when the caller is not a fiber (Mailbox uses this to fall back to
-  /// its condition-variable path for standalone use).
+  /// when the caller is not a fiber (Mailbox checks that a blocking
+  /// receive runs on its owner's scheduler).
   [[nodiscard]] static FiberScheduler* current();
   /// Rank of the fiber running on the calling thread, or -1.
   [[nodiscard]] static int current_rank();

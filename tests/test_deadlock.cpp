@@ -1,14 +1,15 @@
-// Wait-for-graph deadlock detection (machine/deadlock.hpp): a blocked recv
-// publishes its wait edge, and the instant no rank (nor queued message) can
-// satisfy a waiter the run aborts with a full per-rank diagnostic — instead
-// of hanging until the wall-clock recv timeout, which stays as a fallback
-// for the open-ended stalls the graph check cannot prove dead.
+// Deadlock detection (machine/deadlock.hpp): a blocked recv publishes its
+// wait edge, and at the first full scheduler stall — every rank finished
+// or parked, so nothing can send again — the run aborts with a full
+// per-rank diagnostic instead of hanging until the wall-clock recv
+// timeout, which stays as the fallback when detection is off.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "machine/collectives.hpp"
 #include "machine/context.hpp"
 #include "machine/machine.hpp"
 #include "machine/message.hpp"
@@ -106,8 +107,8 @@ TEST(Deadlock, AnySourceStallDetectedWhenNoSenderRemains) {
 
 TEST(Deadlock, QueuedMatchKeepsWaiterAliveWhenSenderRetires) {
   // A sender that has already pushed the match may finish while the
-  // receiver is still blocked: the waiter is live (its pop succeeds), and
-  // mark_done must not flag it.
+  // receiver is still blocked: the push wakes the waiter, so the run never
+  // stalls and nothing is flagged.
   Machine m(2, quiet_config());
   m.run([](Context& ctx) {
     if (ctx.rank() == 0) {
@@ -121,7 +122,7 @@ TEST(Deadlock, QueuedMatchKeepsWaiterAliveWhenSenderRetires) {
 TEST(Deadlock, WaitOnNeverSentIrecvDiagnosedByGraph) {
   // A nonblocking receive whose message is never sent deadlocks at the
   // wait(), not at the post: CommHandle::wait publishes the same wait-for
-  // edge a blocking recv does, so the graph check diagnoses it instantly
+  // edge a blocking recv does, so the stall diagnoses it at once
   // (recv_timeout_wall stays a far fallback that must not be what fires).
   Machine m(2, quiet_config());
   const std::string what = run_expecting_error(m, [](Context& ctx) {
@@ -150,6 +151,64 @@ TEST(Deadlock, WaitAllCycleDiagnosedByGraph) {
   });
   EXPECT_NE(what.find("wait-for-graph"), std::string::npos) << what;
   EXPECT_NE(what.find("STUCK"), std::string::npos) << what;
+}
+
+TEST(Deadlock, LaneOneMessageShortDiagnosed) {
+  // Waiting on two irecvs of one lane needs two queued matches; one queued
+  // message must not count as "live".  Rank 1 sends once and returns.
+  Machine m(2, quiet_config());
+  const std::string what = run_expecting_error(m, [](Context& ctx) {
+    if (ctx.rank() == 0) {
+      int a = 0;
+      int b = 0;
+      CommHandle ha = ctx.irecv<int>(1, /*tag=*/5, a);
+      CommHandle hb = ctx.irecv<int>(1, /*tag=*/5, b);
+      ctx.wait(hb);  // completes the lane prefix: needs both messages
+      ctx.wait(ha);
+    } else {
+      ctx.send<int>(0, /*tag=*/5, 1);
+    }
+  });
+  EXPECT_NE(what.find("STUCK in recv(src=1, tag=5"), std::string::npos)
+      << what;
+  EXPECT_EQ(what.find("timed out"), std::string::npos) << what;
+}
+
+TEST(Deadlock, ReceiveBesideQuiesceDiagnosed) {
+  // Rank 0 waits in the machine-global quiesce for a rank that is itself
+  // blocked receiving from rank 0: a stall through both kinds of park.
+  Machine m(2, quiet_config());
+  const std::string what = run_expecting_error(m, [](Context& ctx) {
+    if (ctx.rank() == 0) {
+      compact_edge_ledgers(ctx);
+      ctx.send<int>(1, /*tag=*/5, 1);  // never reached
+    } else {
+      (void)ctx.recv<int>(0, /*tag=*/5);
+    }
+  });
+  EXPECT_NE(what.find("wait-for-graph"), std::string::npos) << what;
+  EXPECT_NE(what.find("rank 0: parked in quiesce"), std::string::npos)
+      << what;
+  EXPECT_NE(what.find("rank 1: STUCK in recv(src=0, tag=5"),
+            std::string::npos)
+      << what;
+  EXPECT_EQ(what.find("timed out"), std::string::npos) << what;
+}
+
+TEST(Deadlock, DumpIdenticalAcrossWorkerCounts) {
+  // The dump is taken at the full stall, so it is a function of the
+  // program alone, not of how the host interleaved the fibers.
+  std::vector<std::string> dumps;
+  for (const int workers : {1, 4}) {
+    MachineConfig cfg = quiet_config();
+    cfg.sim_workers = workers;
+    Machine m(4, cfg);
+    dumps.push_back(run_expecting_error(m, [](Context& ctx) {
+      (void)ctx.recv<int>((ctx.rank() + 1) % 4, /*tag=*/5);
+    }));
+  }
+  EXPECT_NE(dumps[0].find("wait-for-graph"), std::string::npos) << dumps[0];
+  EXPECT_EQ(dumps[0], dumps[1]);
 }
 
 TEST(Deadlock, DisabledDetectionFallsBackToWallClockTimeout) {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
+#include <atomic>
+#include <functional>
 
+#include "machine/scheduler.hpp"
 #include "support/check.hpp"
 
 namespace kali {
@@ -21,76 +23,117 @@ Message make(int src, int tag, std::initializer_list<int> words = {}) {
   return m;
 }
 
+/// Run body(rank) on `nfibers` fibers of a one-worker scheduler, with `mb`
+/// attached as rank 0's mailbox.  One worker dispatches FIFO from ranks
+/// ascending, so rank 0 parks in a blocking recv before rank 1 first runs.
+void on_fibers(Mailbox& mb, int nfibers, const std::function<void(int)>& body,
+               double (*clock)() = nullptr) {
+  FiberScheduler sched(nfibers, /*workers=*/1, /*park_timeout_seconds=*/5.0,
+                       /*stack_bytes=*/0);
+  sched.set_clock(clock);
+  mb.attach_scheduler(&sched, /*owner_rank=*/0);
+  sched.run(body);
+  mb.attach_scheduler(nullptr, -1);
+}
+
+std::atomic<long> g_fake_ticks{0};
+
+/// Monotone fake scheduler clock: every observation advances it, so a
+/// park deadline passes after a few stall-sweep polls, not real seconds.
+double fake_clock() {
+  return 0.01 * static_cast<double>(g_fake_ticks.fetch_add(1));
+}
+
 TEST(Mailbox, DeliversMatchingMessage) {
   Mailbox mb;
-  mb.push(make(3, 42));
-  Message m = mb.recv(3, 42, 1.0);
-  EXPECT_EQ(m.src, 3);
-  EXPECT_EQ(m.tag, 42);
+  on_fibers(mb, 1, [&](int) {
+    mb.push(make(3, 42));
+    Message m = mb.recv(3, 42, 1.0);
+    EXPECT_EQ(m.src, 3);
+    EXPECT_EQ(m.tag, 42);
+  });
 }
 
 TEST(Mailbox, MatchesOnSourceAndTag) {
   Mailbox mb;
-  mb.push(make(1, 10));
-  mb.push(make(2, 10));
-  mb.push(make(1, 20));
-  EXPECT_EQ(mb.recv(2, 10, 1.0).src, 2);
-  EXPECT_EQ(mb.recv(1, 20, 1.0).tag, 20);
-  EXPECT_EQ(mb.recv(1, 10, 1.0).src, 1);
-  EXPECT_EQ(mb.pending(), 0u);
+  on_fibers(mb, 1, [&](int) {
+    mb.push(make(1, 10));
+    mb.push(make(2, 10));
+    mb.push(make(1, 20));
+    EXPECT_EQ(mb.recv(2, 10, 1.0).src, 2);
+    EXPECT_EQ(mb.recv(1, 20, 1.0).tag, 20);
+    EXPECT_EQ(mb.recv(1, 10, 1.0).src, 1);
+    EXPECT_EQ(mb.pending(), 0u);
+  });
 }
 
 TEST(Mailbox, AnySourceMatchesFirstArrival) {
   Mailbox mb;
-  mb.push(make(5, 7));
-  mb.push(make(6, 7));
-  EXPECT_EQ(mb.recv(kAnySource, 7, 1.0).src, 5);
-  EXPECT_EQ(mb.recv(kAnySource, 7, 1.0).src, 6);
+  on_fibers(mb, 1, [&](int) {
+    mb.push(make(5, 7));
+    mb.push(make(6, 7));
+    EXPECT_EQ(mb.recv(kAnySource, 7, 1.0).src, 5);
+    EXPECT_EQ(mb.recv(kAnySource, 7, 1.0).src, 6);
+  });
 }
 
 TEST(Mailbox, FifoPerSourceAndTag) {
   Mailbox mb;
-  mb.push(make(1, 5, {100}));
-  mb.push(make(1, 5, {200}));
-  Message a = mb.recv(1, 5, 1.0);
-  Message b = mb.recv(1, 5, 1.0);
-  EXPECT_EQ(static_cast<int>(a.payload[0]), 100);
-  EXPECT_EQ(static_cast<int>(b.payload[0]), 200);
+  on_fibers(mb, 1, [&](int) {
+    mb.push(make(1, 5, {100}));
+    mb.push(make(1, 5, {200}));
+    Message a = mb.recv(1, 5, 1.0);
+    Message b = mb.recv(1, 5, 1.0);
+    EXPECT_EQ(static_cast<int>(a.payload[0]), 100);
+    EXPECT_EQ(static_cast<int>(b.payload[0]), 200);
+  });
 }
 
 TEST(Mailbox, TimeoutThrows) {
+  // No stall handler is installed (deadlock detection off), so the lone
+  // parked recv is woken by the deadline sweep on the fake clock.
+  g_fake_ticks.store(0);
   Mailbox mb;
-  EXPECT_THROW(mb.recv(0, 0, 0.05), Error);
+  on_fibers(
+      mb, 1, [&](int) { EXPECT_THROW(mb.recv(0, 0, 0.05), Error); },
+      fake_clock);
 }
 
 TEST(Mailbox, BlockingRecvWakesOnPush) {
   Mailbox mb;
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    mb.push(make(9, 1));
+  bool received = false;
+  on_fibers(mb, 2, [&](int rank) {
+    if (rank == 0) {
+      Message m = mb.recv(9, 1, 5.0);
+      EXPECT_EQ(m.src, 9);
+      received = true;
+    } else {
+      EXPECT_FALSE(received);  // rank 0 is parked, not finished
+      mb.push(make(9, 1));
+    }
   });
-  Message m = mb.recv(9, 1, 5.0);
-  EXPECT_EQ(m.src, 9);
-  producer.join();
+  EXPECT_TRUE(received);
 }
 
 TEST(Mailbox, AbortWakesWaiters) {
   Mailbox mb;
-  std::thread aborter([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    mb.abort();
+  on_fibers(mb, 2, [&](int rank) {
+    if (rank == 0) {
+      EXPECT_THROW(mb.recv(0, 0, 5.0), Error);
+    } else {
+      mb.abort();
+    }
   });
-  EXPECT_THROW(mb.recv(0, 0, 5.0), Error);
-  aborter.join();
 }
 
-TEST(Mailbox, ProbeSeesQueuedMessage) {
+TEST(Mailbox, MatchCountSeesQueuedMessages) {
   Mailbox mb;
-  EXPECT_FALSE(mb.probe(1, 2));
+  EXPECT_EQ(mb.match_count(1, 2), 0u);
   mb.push(make(1, 2));
-  EXPECT_TRUE(mb.probe(1, 2));
-  EXPECT_TRUE(mb.probe(kAnySource, 2));
-  EXPECT_FALSE(mb.probe(1, 3));
+  mb.push(make(4, 2));
+  EXPECT_EQ(mb.match_count(1, 2), 1u);
+  EXPECT_EQ(mb.match_count(kAnySource, 2), 2u);
+  EXPECT_EQ(mb.match_count(1, 3), 0u);
 }
 
 }  // namespace

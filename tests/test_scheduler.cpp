@@ -146,9 +146,9 @@ TEST(FiberScheduler, ManyMoreFibersThanWorkersCompletes) {
 }
 
 TEST(FiberScheduler, DeadlockDetectorFiresBeforeWallClockFallback) {
-  // A fiber parked forever must be diagnosed by the wait-for-graph
-  // detector the moment the graph closes — not by the wall-clock sweep,
-  // whose deadline is set far beyond what this test would tolerate.
+  // A fiber parked forever must be diagnosed by the stall handler at the
+  // first full stall — not by the wall-clock sweep, whose deadline is set
+  // far beyond what this test would tolerate.
   for (const int workers : {1, 4}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     MachineConfig cfg;
@@ -184,7 +184,7 @@ TEST(FiberScheduler, QuiesceMismatchDiagnosedNotHung) {
   g_fake_ticks.store(0);
   MachineConfig cfg;
   cfg.recv_timeout_wall = 0.3;     // fake seconds
-  cfg.deadlock_detection = false;  // the graph can't see quiesce parks
+  cfg.deadlock_detection = false;  // no recv waiter: fallback either way
   cfg.sim_workers = 2;
   cfg.sim_clock = fake_clock;
   Machine m(2, cfg);

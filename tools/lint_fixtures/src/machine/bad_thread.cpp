@@ -1,7 +1,6 @@
 // Fixture: raw host-threading primitives in machine-layer code that is
 // not the fiber scheduler — each flagged, one waived.  The <condition_variable>
-// include itself also trips the rule (the mailbox carries a waiver for its
-// standalone recv path; nothing else may).
+// include itself also trips the rule.
 #include <condition_variable>  // LINT-EXPECT: raw-thread
 #include <thread>  // LINT-EXPECT: raw-thread
 
