@@ -19,14 +19,6 @@ constexpr int kTagCarry = kTagBaselineBase;
 constexpr int kTagBack = kTagBaselineBase + 1;
 constexpr int kTagScatter = kTagBaselineBase + 2;
 
-std::vector<double> to_vector(Strided<const double> s) {
-  std::vector<double> v(static_cast<std::size_t>(s.n));
-  for (int i = 0; i < s.n; ++i) {
-    v[static_cast<std::size_t>(i)] = s[i];
-  }
-  return v;
-}
-
 void check_conforming(const DistArray1<double>& a, const DistArray1<double>& x) {
   KALI_CHECK(a.extent(0) == x.extent(0), "tridiag baseline: extent mismatch");
   KALI_CHECK(a.view() == x.view(), "tridiag baseline: view mismatch");

@@ -15,7 +15,10 @@ namespace kali {
 inline constexpr double kFftFlopsFactor = 5.0;
 
 /// In-place radix-2 FFT; n must be a power of two.  The inverse transform
-/// includes the 1/n normalization.
+/// includes the 1/n normalization.  The butterflies run in real arithmetic
+/// over per-stage twiddle tables, each filled by the w *= wl recurrence, so
+/// the output is bit-identical to the textbook std::complex loop that
+/// advances w inside every block (tests/test_fft.cpp pins it byte for byte).
 void fft_inplace(std::span<std::complex<double>> data, bool inverse = false);
 
 /// Modeled flop count for charging the cost model.

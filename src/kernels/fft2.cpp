@@ -20,13 +20,14 @@ void fft_lines(DistArray2<Complex>& a, int dim, bool inverse) {
   Context& ctx = a.context();
   std::vector<Complex> line(static_cast<std::size_t>(n));
   for (int r : a.owned(other)) {
+    const Strided<Complex> s = a.fix(other, r).local_strided();
     for (int k = 0; k < n; ++k) {
-      line[static_cast<std::size_t>(k)] = dim == 0 ? a(k, r) : a(r, k);
+      line[static_cast<std::size_t>(k)] = s[k];
     }
     fft_inplace(line, inverse);
     ctx.compute(fft_flops(n));
     for (int k = 0; k < n; ++k) {
-      (dim == 0 ? a(k, r) : a(r, k)) = line[static_cast<std::size_t>(k)];
+      s[k] = line[static_cast<std::size_t>(k)];
     }
   }
 }

@@ -10,14 +10,6 @@ namespace kali {
 
 namespace {
 
-std::vector<double> to_vector(Strided<const double> s) {
-  std::vector<double> v(static_cast<std::size_t>(s.n));
-  for (int i = 0; i < s.n; ++i) {
-    v[static_cast<std::size_t>(i)] = s[i];
-  }
-  return v;
-}
-
 struct MtriShape {
   int system_dim;
   int solve_dim;

@@ -8,14 +8,6 @@ namespace kali {
 
 namespace {
 
-std::vector<double> to_vector(Strided<const double> s) {
-  std::vector<double> v(static_cast<std::size_t>(s.n));
-  for (int i = 0; i < s.n; ++i) {
-    v[static_cast<std::size_t>(i)] = s[i];
-  }
-  return v;
-}
-
 void check_conforming(const DistArray1<double>& a, const DistArray1<double>& x) {
   KALI_CHECK(a.extent(0) == x.extent(0), "tri: extent mismatch");
   KALI_CHECK(a.view() == x.view(), "tri: arrays on different views");

@@ -12,14 +12,21 @@
 // Both return views sharing the parent's storage, so kernels called on a
 // slice ("distributed procedures") operate on the original data in place.
 //
-// Indexing is Fortran-listing-flavoured: `A(i, j)` takes *global* indices
-// and requires ownership; `A.at_halo(...)` additionally admits ghost cells.
+// Indexing is Fortran-listing-flavoured: `A(i, j)` is checked global
+// indexing — it takes *global* indices, checks range and ownership on every
+// call, and throws kali::Error on a miss; `A.at_halo(...)` additionally
+// admits ghost cells.  That suits stencil bodies and fills.  Kernels that
+// run over whole lines (FFT, Thomas) instead take each line once through
+// `A.fix(other, r).local_strided()` — a Strided window onto the local slab —
+// and move it with to_vector / plain strided loops, paying the ownership
+// check once per line rather than once per element.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstddef>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -65,6 +72,16 @@ struct Strided {
     return {data, stride, n};
   }
 };
+
+/// Contiguous copy of a strided window (the line a sequential kernel reads).
+template <class T>
+[[nodiscard]] std::vector<std::remove_const_t<T>> to_vector(Strided<T> s) {
+  std::vector<std::remove_const_t<T>> v(static_cast<std::size_t>(s.n));
+  for (int i = 0; i < s.n; ++i) {
+    v[static_cast<std::size_t>(i)] = s[i];
+  }
+  return v;
+}
 
 template <class T, int R>
 class DistArray {
@@ -118,6 +135,9 @@ class DistArray {
                           ? 0
                           : view_coord_[static_cast<std::size_t>(proc_dim_[ud])];
       lcount_[ud] = maps_[ud].count(my_coord_[ud]);
+      lower_[ud] = dists_[ud].kind == DistKind::kBlock
+                       ? maps_[ud].block_lower(my_coord_[ud])
+                       : 0;
       strides_[ud] = size;
       size *= lcount_[ud] + 2 * halo_[ud];
     }
@@ -174,10 +194,10 @@ class DistArray {
   }
 
   [[nodiscard]] T& at(Extents g) {
-    return (*store_)[static_cast<std::size_t>(flat_owned(g))];
+    return cell(flat_owned(g));
   }
   [[nodiscard]] const T& at(Extents g) const {
-    return (*store_)[static_cast<std::size_t>(flat_owned(g))];
+    return cell(flat_owned(g));
   }
 
   /// Read access admitting ghost cells on block dims (within halo width).
@@ -188,13 +208,13 @@ class DistArray {
   /// interior.  Frame cells are zero-initialized, never touched by
   /// exchange_halo (no neighbour there), and writable via frame().
   [[nodiscard]] const T& at_halo(Extents g) const {
-    return (*store_)[static_cast<std::size_t>(flat_halo(g))];
+    return cell(flat_halo(g));
   }
 
   /// Writable access to halo/frame cells (e.g. to impose inhomogeneous
   /// Dirichlet values on the boundary frame).
   [[nodiscard]] T& frame(Extents g) {
-    return (*store_)[static_cast<std::size_t>(flat_halo(g))];
+    return cell(flat_halo(g));
   }
 
   // Convenience operators taking global indices.
@@ -239,7 +259,7 @@ class DistArray {
     }
     KALI_CHECK(dists_[ud].kind == DistKind::kBlock,
                "own_lower requires block or star dist");
-    return maps_[ud].block_lower(my_coord_[ud]);
+    return lower_[ud];
   }
   [[nodiscard]] int own_upper(int d) const {
     return own_lower(d) + local_count(d) - 1;
@@ -561,6 +581,7 @@ class DistArray {
         const auto so = static_cast<std::size_t>(o);
         out.my_coord_[so] = my_coord_[sd];
         out.lcount_[so] = lcount_[sd];
+        out.lower_[so] = lower_[sd];
         out.strides_[so] = strides_[sd];
         ++o;
       }
@@ -613,6 +634,7 @@ class DistArray {
       out.view_coord_ = *vc;
       out.my_coord_[ud] = 0;
       out.lcount_[ud] = len;
+      out.lower_[ud] = 0;
       out.offset_ = offset_ + static_cast<std::ptrdiff_t>(maps_[ud].local(lo)) * strides_[ud];
     } else {
       out.store_.reset();
@@ -633,23 +655,42 @@ class DistArray {
     KALI_CHECK(member_, "operation requires view membership");
   }
 
+  /// The element at flat position f.  Takes the position already computed,
+  /// so the membership check in flat_owned/flat_halo runs before store_
+  /// (null off the view) is touched.
+  [[nodiscard]] T& cell(std::ptrdiff_t f) const {
+    return (*store_)[static_cast<std::size_t>(f)];
+  }
+
+  /// Block and star dims hold one contiguous run of global indices
+  /// starting at lower_, so ownership there is the range test
+  /// 0 <= g - lower < count (on a block dim, owner(g) == c exactly when it
+  /// holds); cyclic and block-cyclic dims go through the DimMap algebra.
+  [[nodiscard]] bool contiguous_dim(std::size_t ud) const {
+    return dists_[ud].kind == DistKind::kBlock ||
+           dists_[ud].kind == DistKind::kStar;
+  }
+
   [[nodiscard]] std::ptrdiff_t flat_halo(Extents g) const {
     require_member();
     std::ptrdiff_t f = offset_;
     for (int d = 0; d < R; ++d) {
       const auto ud = static_cast<std::size_t>(d);
-      int rel;
-      if (dists_[ud].kind == DistKind::kBlock) {
-        rel = g[ud] - maps_[ud].block_lower(my_coord_[ud]);
-        KALI_CHECK(rel >= -halo_[ud] && rel < lcount_[ud] + halo_[ud],
-                   "at_halo: outside slab+halo");
+      std::ptrdiff_t rel;
+      if (contiguous_dim(ud)) {
+        rel = static_cast<std::ptrdiff_t>(g[ud]) - lower_[ud];
+        if (rel < -halo_[ud] || rel >= lcount_[ud] + halo_[ud]) {
+          KALI_FAIL(dists_[ud].kind == DistKind::kBlock
+                        ? "at_halo: outside slab+halo"
+                        : "at_halo: not owned");
+        }
       } else {
         KALI_CHECK(g[ud] >= 0 && g[ud] < extents_[ud] &&
                        maps_[ud].owner(g[ud]) == my_coord_[ud],
                    "at_halo: not owned");
         rel = maps_[ud].local(g[ud]);
       }
-      f += static_cast<std::ptrdiff_t>(rel) * strides_[ud];
+      f += rel * strides_[ud];
     }
     return f;
   }
@@ -659,9 +700,19 @@ class DistArray {
     std::ptrdiff_t f = offset_;
     for (int d = 0; d < R; ++d) {
       const auto ud = static_cast<std::size_t>(d);
-      KALI_CHECK(g[ud] >= 0 && g[ud] < extents_[ud], "index out of range");
-      KALI_CHECK(maps_[ud].owner(g[ud]) == my_coord_[ud], "index not owned");
-      f += static_cast<std::ptrdiff_t>(maps_[ud].local(g[ud])) * strides_[ud];
+      std::ptrdiff_t rel;
+      if (contiguous_dim(ud)) {
+        rel = static_cast<std::ptrdiff_t>(g[ud]) - lower_[ud];
+        if (rel < 0 || rel >= lcount_[ud]) {
+          KALI_CHECK(g[ud] >= 0 && g[ud] < extents_[ud], "index out of range");
+          KALI_FAIL("index not owned");
+        }
+      } else {
+        KALI_CHECK(g[ud] >= 0 && g[ud] < extents_[ud], "index out of range");
+        KALI_CHECK(maps_[ud].owner(g[ud]) == my_coord_[ud], "index not owned");
+        rel = maps_[ud].local(g[ud]);
+      }
+      f += rel * strides_[ud];
     }
     return f;
   }
@@ -1107,6 +1158,7 @@ class DistArray {
   std::array<int, kMaxProcDims> view_coord_{};
   std::array<int, UR> my_coord_{};
   std::array<int, UR> lcount_{};
+  std::array<int, UR> lower_{};  ///< first owned global index (block/star dims)
   std::array<std::ptrdiff_t, UR> strides_{};
   std::ptrdiff_t offset_ = 0;
   std::shared_ptr<std::vector<T>> store_;

@@ -1,7 +1,5 @@
 #include "runtime/distribution.hpp"
 
-#include <algorithm>
-
 #include "support/check.hpp"
 
 namespace kali {
@@ -28,82 +26,6 @@ DimMap::DimMap(DimDist dist, int extent, int nprocs)
   if (dist_.kind == DistKind::kBlock) {
     block_ = (extent_ + nprocs_ - 1) / nprocs_;
   }
-}
-
-int DimMap::owner(int g) const {
-  KALI_CHECK(g >= 0 && g < extent_, "owner: index out of range");
-  switch (dist_.kind) {
-    case DistKind::kStar:
-      return 0;
-    case DistKind::kBlock:
-      return g / block_;
-    case DistKind::kCyclic:
-      return g % nprocs_;
-    case DistKind::kBlockCyclic:
-      return (g / dist_.block) % nprocs_;
-  }
-  KALI_FAIL("bad kind");
-}
-
-int DimMap::local(int g) const {
-  KALI_CHECK(g >= 0 && g < extent_, "local: index out of range");
-  switch (dist_.kind) {
-    case DistKind::kStar:
-      return g;
-    case DistKind::kBlock:
-      return g - (g / block_) * block_;
-    case DistKind::kCyclic:
-      return g / nprocs_;
-    case DistKind::kBlockCyclic: {
-      const int b = dist_.block;
-      return (g / (b * nprocs_)) * b + g % b;
-    }
-  }
-  KALI_FAIL("bad kind");
-}
-
-int DimMap::global(int c, int l) const {
-  KALI_CHECK(c >= 0 && c < nprocs_, "global: bad proc coord");
-  KALI_CHECK(l >= 0 && l < count(c), "global: bad local index");
-  switch (dist_.kind) {
-    case DistKind::kStar:
-      return l;
-    case DistKind::kBlock:
-      return c * block_ + l;
-    case DistKind::kCyclic:
-      return l * nprocs_ + c;
-    case DistKind::kBlockCyclic: {
-      const int b = dist_.block;
-      return (l / b) * b * nprocs_ + c * b + l % b;
-    }
-  }
-  KALI_FAIL("bad kind");
-}
-
-int DimMap::count(int c) const {
-  KALI_CHECK(c >= 0 && c < nprocs_, "count: bad proc coord");
-  switch (dist_.kind) {
-    case DistKind::kStar:
-      return extent_;
-    case DistKind::kBlock:
-      return std::clamp(extent_ - c * block_, 0, block_);
-    case DistKind::kCyclic: {
-      return (extent_ - c + nprocs_ - 1) / nprocs_;
-    }
-    case DistKind::kBlockCyclic: {
-      const int b = dist_.block;
-      const int full = extent_ / (b * nprocs_);
-      const int rem = extent_ - full * b * nprocs_;
-      return full * b + std::clamp(rem - c * b, 0, b);
-    }
-  }
-  KALI_FAIL("bad kind");
-}
-
-int DimMap::block_lower(int c) const {
-  KALI_CHECK(dist_.kind == DistKind::kBlock, "lower() requires block dist");
-  KALI_CHECK(c >= 0 && c < nprocs_, "lower: bad proc coord");
-  return c * block_;
 }
 
 int DimMap::block_upper(int c) const {

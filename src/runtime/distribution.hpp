@@ -12,9 +12,12 @@
 // `lower`/`upper` intrinsic functions for block distributions.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "support/check.hpp"
 
 namespace kali {
 
@@ -32,7 +35,8 @@ struct DimDist {
 
 [[nodiscard]] std::string to_string(DistKind k);
 
-/// Index algebra for one distributed dimension.
+/// Index algebra for one distributed dimension.  The per-index functions
+/// are defined inline below: they run on every global element access.
 class DimMap {
  public:
   DimMap() = default;
@@ -72,5 +76,81 @@ class DimMap {
   int nprocs_ = 1;
   int block_ = 0;  ///< ceil(extent/nprocs) for kBlock; dist_.block*nprocs period otherwise
 };
+
+inline int DimMap::owner(int g) const {
+  KALI_CHECK(g >= 0 && g < extent_, "owner: index out of range");
+  switch (dist_.kind) {
+    case DistKind::kStar:
+      return 0;
+    case DistKind::kBlock:
+      return g / block_;
+    case DistKind::kCyclic:
+      return g % nprocs_;
+    case DistKind::kBlockCyclic:
+      return (g / dist_.block) % nprocs_;
+  }
+  KALI_FAIL("bad kind");
+}
+
+inline int DimMap::local(int g) const {
+  KALI_CHECK(g >= 0 && g < extent_, "local: index out of range");
+  switch (dist_.kind) {
+    case DistKind::kStar:
+      return g;
+    case DistKind::kBlock:
+      return g - (g / block_) * block_;
+    case DistKind::kCyclic:
+      return g / nprocs_;
+    case DistKind::kBlockCyclic: {
+      const int b = dist_.block;
+      return (g / (b * nprocs_)) * b + g % b;
+    }
+  }
+  KALI_FAIL("bad kind");
+}
+
+inline int DimMap::global(int c, int l) const {
+  KALI_CHECK(c >= 0 && c < nprocs_, "global: bad proc coord");
+  KALI_CHECK(l >= 0 && l < count(c), "global: bad local index");
+  switch (dist_.kind) {
+    case DistKind::kStar:
+      return l;
+    case DistKind::kBlock:
+      return c * block_ + l;
+    case DistKind::kCyclic:
+      return l * nprocs_ + c;
+    case DistKind::kBlockCyclic: {
+      const int b = dist_.block;
+      return (l / b) * b * nprocs_ + c * b + l % b;
+    }
+  }
+  KALI_FAIL("bad kind");
+}
+
+inline int DimMap::count(int c) const {
+  KALI_CHECK(c >= 0 && c < nprocs_, "count: bad proc coord");
+  switch (dist_.kind) {
+    case DistKind::kStar:
+      return extent_;
+    case DistKind::kBlock:
+      return std::clamp(extent_ - c * block_, 0, block_);
+    case DistKind::kCyclic: {
+      return (extent_ - c + nprocs_ - 1) / nprocs_;
+    }
+    case DistKind::kBlockCyclic: {
+      const int b = dist_.block;
+      const int full = extent_ / (b * nprocs_);
+      const int rem = extent_ - full * b * nprocs_;
+      return full * b + std::clamp(rem - c * b, 0, b);
+    }
+  }
+  KALI_FAIL("bad kind");
+}
+
+inline int DimMap::block_lower(int c) const {
+  KALI_CHECK(dist_.kind == DistKind::kBlock, "lower() requires block dist");
+  KALI_CHECK(c >= 0 && c < nprocs_, "lower: bad proc coord");
+  return c * block_;
+}
 
 }  // namespace kali

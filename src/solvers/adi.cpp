@@ -119,26 +119,28 @@ void adi_iterate(const AdiOptions& opts, DistArray2<double>& u,
     std::vector<double> fline(static_cast<std::size_t>(ny));
     std::vector<double> xline(static_cast<std::size_t>(ny));
     for (int i : rrows.owned(0)) {
+      const Strided<double> row = rrows.fix(0, i).local_strided();
       for (int j = 0; j < ny; ++j) {
-        fline[static_cast<std::size_t>(j)] = rrows(i, j);
+        fline[static_cast<std::size_t>(j)] = row[j];
       }
       thomas_solve_const(oy, dy, oy, fline, xline);
       ctx.compute(kThomasFlopsPerRow * ny);
       for (int j = 0; j < ny; ++j) {
-        rrows(i, j) = xline[static_cast<std::size_t>(j)];
+        row[j] = xline[static_cast<std::size_t>(j)];
       }
     }
     redistribute(ctx, rrows, vcols, IssueOrder::kRoundSchedule, opts.overlap);
     fline.resize(static_cast<std::size_t>(nx));
     xline.resize(static_cast<std::size_t>(nx));
     for (int j : vcols.owned(1)) {
+      const Strided<double> col = vcols.fix(1, j).local_strided();
       for (int i = 0; i < nx; ++i) {
-        fline[static_cast<std::size_t>(i)] = vcols(i, j);
+        fline[static_cast<std::size_t>(i)] = col[i];
       }
       thomas_solve_const(ox, dx, ox, fline, xline);
       ctx.compute(kThomasFlopsPerRow * nx);
       for (int i = 0; i < nx; ++i) {
-        vcols(i, j) = xline[static_cast<std::size_t>(i)];
+        col[i] = xline[static_cast<std::size_t>(i)];
       }
     }
     redistribute(ctx, vcols, w, IssueOrder::kRoundSchedule, opts.overlap);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "machine/context.hpp"
 #include "runtime/io.hpp"
@@ -18,6 +19,22 @@ MachineConfig quiet_config() {
 }
 
 double tag2(int i, int j) { return 100.0 * i + j; }
+
+/// Success iff fn throws kali::Error whose message contains `what`.
+template <class Fn>
+::testing::AssertionResult throws_with(Fn fn, const std::string& what) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    if (std::string(e.what()).find(what) != std::string::npos) {
+      return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure()
+           << "threw \"" << e.what() << "\", expected \"" << what << "\"";
+  }
+  return ::testing::AssertionFailure() << "did not throw (expected \"" << what
+                                       << "\")";
+}
 double tag3(int i, int j, int k) { return 10000.0 * i + 100.0 * j + k; }
 
 TEST(DistArray, Block1DOwnershipAndAccess) {
@@ -609,6 +626,206 @@ TEST(DistArray, BoundaryFrameReadsZeroAndIsWritable) {
     }
     // Beyond the frame is still an error.
     EXPECT_THROW((void)a.at_halo({ctx.rank() == 0 ? -2 : 9}), Error);
+  });
+}
+
+// The element accessors check range and ownership on every call.  Block and
+// star dims take the cached-lower-bound range test, cyclic and block-cyclic
+// dims the DimMap algebra; both must agree with owns() index for index.
+TEST(DistArray, AccessChecksMatchOwnershipEveryDistKind) {
+  // Extent 10 on 4 ranks: block counts 3,3,3,1; cyclic 3,3,2,2;
+  // block-cyclic(2) 4,2,2,2.
+  for (const DimDist dist : {DimDist::block_dist(), DimDist::cyclic(),
+                             DimDist::block_cyclic(2)}) {
+    SCOPED_TRACE(to_string(dist.kind));
+    Machine m(4, quiet_config());
+    m.run([&](Context& ctx) {
+      ProcView pv = ProcView::grid1(4);
+      DistArray1<double> a(ctx, pv, {10}, {dist});
+      a.fill([](std::array<int, 1> g) { return 1.0 * g[0]; });
+      const DistArray1<double>& ca = a;
+      const char* halo_miss = dist.kind == DistKind::kBlock
+                                  ? "at_halo: outside slab+halo"
+                                  : "at_halo: not owned";
+      int visited = 0;
+      for (int g = -3; g < 13; ++g) {
+        if (a.owns({g})) {
+          ++visited;
+          EXPECT_DOUBLE_EQ(a.at({g}), 1.0 * g);
+          EXPECT_DOUBLE_EQ(ca.at({g}), 1.0 * g);
+          EXPECT_DOUBLE_EQ(a.at_halo({g}), 1.0 * g);
+          EXPECT_DOUBLE_EQ(a.frame({g}), 1.0 * g);
+          continue;
+        }
+        const char* miss = g < 0 || g >= 10 ? "index out of range" : "index not owned";
+        EXPECT_TRUE(throws_with([&] { (void)a.at({g}); }, miss)) << "g = " << g;
+        EXPECT_TRUE(throws_with([&] { (void)ca.at({g}); }, miss)) << "g = " << g;
+        EXPECT_TRUE(throws_with([&] { (void)a.at_halo({g}); }, halo_miss))
+            << "g = " << g;
+        EXPECT_TRUE(throws_with([&] { (void)a.frame({g}); }, halo_miss))
+            << "g = " << g;
+      }
+      EXPECT_EQ(visited, a.local_count(0));
+    });
+  }
+}
+
+TEST(DistArray, AccessChecksOnStarDim) {
+  Machine m(4, quiet_config());
+  m.run([](Context& ctx) {
+    ProcView pv = ProcView::grid1(4);
+    DistArray2<double> a(ctx, pv, {5, 8},
+                         {DimDist::star(), DimDist::block_dist()});
+    a.fill([](std::array<int, 2> g) { return tag2(g[0], g[1]); });
+    const int j = a.own_lower(1);
+    for (int i = 0; i < 5; ++i) {
+      EXPECT_DOUBLE_EQ(a(i, j), tag2(i, j));
+      EXPECT_DOUBLE_EQ(a.at_halo({i, j}), tag2(i, j));
+    }
+    for (const int i : {-1, 5, 6}) {
+      EXPECT_TRUE(throws_with([&] { (void)a(i, j); }, "index out of range"));
+      EXPECT_TRUE(throws_with([&] { (void)a.at_halo({i, j}); }, "at_halo: not owned"));
+      EXPECT_TRUE(throws_with([&] { (void)a.frame({i, j}); }, "at_halo: not owned"));
+    }
+  });
+}
+
+TEST(DistArray, AccessChecksOnRankOwningNothing) {
+  // Extent 2 on 4 ranks: blocks of 1, so ranks 2 and 3 own no elements.
+  Machine m(4, quiet_config());
+  m.run([](Context& ctx) {
+    ProcView pv = ProcView::grid1(4);
+    DistArray2<double> a(ctx, pv, {2, 3},
+                         {DimDist::block_dist(), DimDist::star()});
+    a.fill([](std::array<int, 2> g) { return tag2(g[0], g[1]); });
+    int visited = 0;
+    a.for_each_owned([&](std::array<int, 2>) { ++visited; });
+    EXPECT_EQ(visited, ctx.rank() < 2 ? 3 : 0);
+    for (int i = 0; i < 2; ++i) {
+      if (i == ctx.rank()) {
+        EXPECT_DOUBLE_EQ(a(i, 1), tag2(i, 1));
+      } else {
+        EXPECT_TRUE(throws_with([&] { (void)a(i, 1); }, "index not owned"));
+        EXPECT_TRUE(throws_with([&] { (void)a.at_halo({i, 1}); },
+                                "at_halo: outside slab+halo"));
+      }
+    }
+    if (ctx.rank() >= 2) {
+      EXPECT_EQ(a.local_count(0), 0);
+      EXPECT_TRUE(throws_with([&] { (void)a(2, 0); }, "index out of range"));
+      EXPECT_TRUE(throws_with([&] { (void)a(-1, 0); }, "index out of range"));
+    }
+  });
+}
+
+TEST(DistArray, AtHaloOnePastWidthThrows) {
+  Machine m(4, quiet_config());
+  m.run([](Context& ctx) {
+    ProcView pv = ProcView::grid2(2, 2);
+    DistArray2<double> a(ctx, pv, {8, 8},
+                         {DimDist::block_dist(), DimDist::block_dist()}, {2, 1});
+    a.fill([](std::array<int, 2> g) { return tag2(g[0], g[1]); });
+    a.exchange_halo();
+    const int lo0 = a.own_lower(0), hi0 = a.own_upper(0);
+    const int lo1 = a.own_lower(1), hi1 = a.own_upper(1);
+    const char* miss = "at_halo: outside slab+halo";
+    // Dim 0, halo width 2: the ghost planes are readable and writable ...
+    for (const int i : {lo0 - 2, lo0 - 1, hi0 + 1, hi0 + 2}) {
+      EXPECT_NO_THROW((void)a.at_halo({i, lo1}));
+      EXPECT_NO_THROW((void)a.frame({i, hi1}));
+      // ... but never through the owned-only accessor.
+      EXPECT_TRUE(throws_with([&] { (void)a(i, lo1); }, "index"));
+    }
+    // ... and one past the width on either side is not.
+    for (const int i : {lo0 - 3, hi0 + 3}) {
+      EXPECT_TRUE(throws_with([&] { (void)a.at_halo({i, lo1}); }, miss));
+      EXPECT_TRUE(throws_with([&] { (void)a.frame({i, lo1}); }, miss));
+    }
+    // Dim 1, halo width 1.
+    for (const int j : {lo1 - 1, hi1 + 1}) {
+      EXPECT_NO_THROW((void)a.at_halo({lo0, j}));
+    }
+    for (const int j : {lo1 - 2, hi1 + 2}) {
+      EXPECT_TRUE(throws_with([&] { (void)a.at_halo({lo0, j}); }, miss));
+      EXPECT_TRUE(throws_with([&] { (void)a.frame({hi0, j}); }, miss));
+    }
+    // A ghost from a real neighbour holds that neighbour's owned value.
+    if (lo0 > 0) {
+      EXPECT_DOUBLE_EQ(a.at_halo({lo0 - 2, lo1}), tag2(lo0 - 2, lo1));
+    }
+  });
+}
+
+TEST(DistArray, AccessChecksThroughFixAndLocalizeViews) {
+  Machine m(4, quiet_config());
+  m.run([](Context& ctx) {
+    {
+      ProcView pv = ProcView::grid2(2, 2);
+      DistArray2<double> a(ctx, pv, {8, 6},
+                           {DimDist::block_dist(), DimDist::block_dist()});
+      a.fill([](std::array<int, 2> g) { return tag2(g[0], g[1]); });
+      const int i = a.own_lower(0) + 1;
+      auto row = a.fix(0, i);  // 1-D, block over this processor row
+      ASSERT_TRUE(row.participating());
+      for (int j = 0; j < 6; ++j) {
+        if (j >= a.own_lower(1) && j <= a.own_upper(1)) {
+          EXPECT_DOUBLE_EQ(row(j), tag2(i, j));
+        } else {
+          EXPECT_TRUE(throws_with([&] { (void)row(j); }, "index not owned"));
+        }
+      }
+      EXPECT_TRUE(throws_with([&] { (void)row(-1); }, "index out of range"));
+      EXPECT_TRUE(throws_with([&] { (void)row(6); }, "index out of range"));
+      // A slice this rank does not own refuses every access.
+      auto other = a.fix(0, (i + 4) % 8);
+      EXPECT_FALSE(other.participating());
+      EXPECT_TRUE(throws_with([&] { (void)other(a.own_lower(1)); },
+                              "requires view membership"));
+    }
+    {
+      // (cyclic, block): fixing the block dim leaves a cyclic line.
+      ProcView pv = ProcView::grid2(2, 2);
+      DistArray2<double> a(ctx, pv, {7, 6},
+                           {DimDist::cyclic(), DimDist::block_dist()});
+      a.fill([](std::array<int, 2> g) { return tag2(g[0], g[1]); });
+      const int j = a.own_upper(1);
+      auto col = a.fix(1, j);
+      ASSERT_TRUE(col.participating());
+      for (int i = 0; i < 7; ++i) {
+        if (col.owns({i})) {
+          EXPECT_DOUBLE_EQ(col(i), tag2(i, j));
+        } else {
+          EXPECT_TRUE(throws_with([&] { (void)col(i); }, "index not owned"));
+          EXPECT_TRUE(throws_with([&] { (void)col.at_halo({i}); }, "at_halo: not owned"));
+        }
+      }
+    }
+    {
+      // Localizing this rank's block of a (block, *) array gives a star dim
+      // whose index 0 is the old global `lo`.
+      ProcView pv = ProcView::grid1(4);
+      DistArray2<double> a(ctx, pv, {12, 5},
+                           {DimDist::block_dist(), DimDist::star()});
+      a.fill([](std::array<int, 2> g) { return tag2(g[0], g[1]); });
+      const int lo = a.own_lower(0) + 1;
+      const int len = a.local_count(0) - 1;
+      auto mine = a.localize(0, lo, len);
+      ASSERT_TRUE(mine.participating());
+      for (int k = 0; k < len; ++k) {
+        EXPECT_DOUBLE_EQ(mine(k, 4), tag2(lo + k, 4));
+        EXPECT_DOUBLE_EQ(mine.at_halo({k, 4}), tag2(lo + k, 4));
+      }
+      for (const int k : {-1, len}) {
+        EXPECT_TRUE(throws_with([&] { (void)mine(k, 0); }, "index out of range"));
+        EXPECT_TRUE(throws_with([&] { (void)mine.at_halo({k, 0}); }, "at_halo: not owned"));
+      }
+      // Localizing a star dim narrows it the same way.
+      auto cols = mine.localize(1, 2, 2);
+      EXPECT_DOUBLE_EQ(cols(0, 0), tag2(lo, 2));
+      EXPECT_DOUBLE_EQ(cols(len - 1, 1), tag2(lo + len - 1, 3));
+      EXPECT_TRUE(throws_with([&] { (void)cols(0, 2); }, "index out of range"));
+      EXPECT_TRUE(throws_with([&] { (void)cols(0, -1); }, "index out of range"));
+    }
   });
 }
 

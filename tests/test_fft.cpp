@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <numbers>
 #include <vector>
 
@@ -12,6 +14,47 @@ namespace kali {
 namespace {
 
 using cd = std::complex<double>;
+
+/// The radix-2 kernel as first written: std::complex butterflies with the
+/// twiddle advanced by w *= wl inside every block.  fft_inplace must
+/// reproduce it byte for byte.
+void fft_recurrence_oracle(std::vector<cd>& data, bool inverse) {
+  const std::size_t n = data.size();
+  if (n == 1) {
+    return;
+  }
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; (j & bit) != 0; bit >>= 1) {
+      j ^= bit;
+    }
+    j ^= bit;
+    if (i < j) {
+      std::swap(data[i], data[j]);
+    }
+  }
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const double ang =
+        2.0 * std::numbers::pi / static_cast<double>(len) * (inverse ? 1.0 : -1.0);
+    const cd wl(std::cos(ang), std::sin(ang));
+    for (std::size_t i = 0; i < n; i += len) {
+      cd w(1.0, 0.0);
+      for (std::size_t k = 0; k < len / 2; ++k) {
+        const cd u = data[i + k];
+        const cd v = data[i + k + len / 2] * w;
+        data[i + k] = u + v;
+        data[i + k + len / 2] = u - v;
+        w *= wl;
+      }
+    }
+  }
+  if (inverse) {
+    const double inv_n = 1.0 / static_cast<double>(n);
+    for (auto& z : data) {
+      z *= inv_n;
+    }
+  }
+}
 
 TEST(Fft, DeltaTransformsToConstant) {
   std::vector<cd> v(8, cd(0, 0));
@@ -77,6 +120,28 @@ TEST_P(FftP, ParsevalHolds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FftP, ::testing::Values(1, 2, 4, 8, 32, 256, 1024));
+
+TEST(Fft, BitIdenticalToRecurrenceOracle) {
+  for (std::size_t n = 1; n <= 4096; n <<= 1) {
+    for (const bool inverse : {false, true}) {
+      Rng rng(7 * n + (inverse ? 1 : 0));
+      std::vector<cd> v(n);
+      for (auto& z : v) {
+        // Mixed magnitudes and signed zeros exercise rounding and -0.0.
+        const double scale = std::ldexp(1.0, rng.uniform_int(-30, 30));
+        z = cd(rng.uniform(-1, 1) * scale, rng.uniform(-1, 1) * scale);
+        if (rng.uniform() < 0.05) {
+          z = cd(-0.0, rng.uniform() < 0.5 ? 0.0 : -0.0);
+        }
+      }
+      std::vector<cd> want = v;
+      fft_recurrence_oracle(want, inverse);
+      fft_inplace(v, inverse);
+      EXPECT_EQ(std::memcmp(v.data(), want.data(), n * sizeof(cd)), 0)
+          << "n = " << n << (inverse ? " inverse" : " forward");
+    }
+  }
+}
 
 TEST(Fft, NonPowerOfTwoThrows) {
   std::vector<cd> v(6);
