@@ -23,7 +23,7 @@
 //    the message-count win).
 //
 //  * split-phase halo — face-mode exchange_halo_begin with the interior
-//    5-point stencil computed between post and wait (Overlap::kOn), gated
+//    5-point stencil computed between post and wait, gated
 //    bit-identical against its blocking oracle and required to hide a
 //    nonzero fraction of in-flight wire time (overlap_ratio > 0) at every
 //    point, including the P=1024 CI smoke step.
@@ -149,12 +149,12 @@ std::uint64_t expected_halo_msgs(int nprocs) {
 
 // --- split-phase halo: face exchange overlapped with the interior stencil
 
-/// Face-mode halo + 5-point stencil, Overlap::kOn running the exchange
+/// Face-mode halo + 5-point stencil, `split` running the exchange
 /// split-phase (exchange_halo_begin, interior ring, finish, boundary ring)
-/// and Overlap::kOff the blocking oracle.  `digests` gets one FNV-1a hash
+/// and !split the blocking oracle.  `digests` gets one FNV-1a hash
 /// of each rank's result bits, so run_point can gate bit-identity between
 /// the two forms without shipping the full fields around.
-RunStats run_overlap_halo(int nprocs, Overlap overlap,
+RunStats run_overlap_halo(int nprocs, bool split,
                           std::vector<std::uint64_t>* digests) {
   const int side = group_side(nprocs);
   const int n = 4 * side;  // 4x4 interior points per rank
@@ -175,7 +175,7 @@ RunStats run_overlap_halo(int nprocs, Overlap overlap,
                 a.at_halo({i + 1, j}) - a.at_halo({i, j - 1}) -
                 a.at_halo({i, j + 1});
     };
-    if (overlap == Overlap::kOn) {
+    if (split) {
       auto ex = a.exchange_halo_begin();
       doall2_ring(a, Range{0, n - 1}, Range{0, n - 1}, 1, Ring::kInterior,
                   body, 6.0);
@@ -229,8 +229,8 @@ struct SweepPoint {
   RunStats ag_tree;
   std::uint64_t ag_dense_msgs = 0;
   double ag_dense_predicted = 0.0;
-  RunStats overlap_halo;           ///< split-phase (Overlap::kOn)
-  RunStats overlap_halo_blocking;  ///< the blocking oracle (Overlap::kOff)
+  RunStats overlap_halo;           ///< split-phase (exchange_halo_begin)
+  RunStats overlap_halo_blocking;  ///< the blocking oracle (exchange_halo)
 };
 
 SweepPoint run_point(int nprocs) {
@@ -271,12 +271,12 @@ SweepPoint run_point(int nprocs) {
   // blocking oracle (per-rank digests), must actually hide wire time
   // (overlap_ratio > 0 — the CI smoke step's assertion at P=1024), and
   // must never be slower: the interior stencil rides inside the wire
-  // window, so the kOn makespan is bounded by the kOff one.
+  // window, so the split makespan is bounded by the blocking one.
   std::vector<std::uint64_t> dig_on;
   std::vector<std::uint64_t> dig_off;
-  pt.overlap_halo = run_overlap_halo(nprocs, Overlap::kOn, &dig_on);
+  pt.overlap_halo = run_overlap_halo(nprocs, /*split=*/true, &dig_on);
   pt.overlap_halo_blocking =
-      run_overlap_halo(nprocs, Overlap::kOff, &dig_off);
+      run_overlap_halo(nprocs, /*split=*/false, &dig_off);
   KALI_CHECK(dig_on == dig_off,
              "split-phase halo diverged from the blocking oracle");
   KALI_CHECK(pt.overlap_halo.overlap_ratio > 0.0,

@@ -43,20 +43,6 @@
 
 namespace kali {
 
-/// Whether a runtime exchange overlaps its wire time with local work.
-/// kOff is the blocking oracle every call site defaults to; kOn routes the
-/// exchange through the nonblocking machine layer (Context::isend/irecv):
-/// receives are posted up front, sends fire, local work that does not touch
-/// in-flight data runs while the wire drains, and completion happens at an
-/// explicit wait point in the canonical (send_time, src, seq) order.  The
-/// two paths move the same messages on the same tags with the same payloads
-/// — only simulated clocks (and the overlap counters) differ, so results
-/// stay bit-identical to the oracle (tests/test_async.cpp).
-enum class Overlap {
-  kOff,  ///< blocking exchange (the oracle)
-  kOn,   ///< split-phase post/compute/wait via isend/irecv
-};
-
 /// How a runtime exchange orders its per-peer messages.
 enum class IssueOrder {
   kRoundSchedule,  ///< round-structured (default; contention-safe)

@@ -434,7 +434,7 @@ class DistArray {
     }
   }
 
-  /// In-flight split-phase halo exchange (Overlap::kOn): returned by
+  /// In-flight split-phase halo exchange: returned by
   /// exchange_halo_begin() with all receives posted and all sends fired;
   /// finish() completes the receives and unpacks the ghost margins.
   /// Between the two calls the owner may freely compute on anything except

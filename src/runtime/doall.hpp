@@ -148,7 +148,7 @@ void doall3(const DistArray3<T>& A, Range ri, Range rj, Range rk, Body body,
 
 // --- split-phase ring partition ----------------------------------------
 //
-// Companions to DistArray::exchange_halo_begin(): each doall*_ring call
+// Companion to DistArray::exchange_halo_begin(): each doall2_ring call
 // visits exactly the subset of the blocking doall's iteration space named
 // by `part`, and the two parts form an exact partition — running kInterior
 // then kBoundary applies the identical body to the identical index set as
@@ -167,7 +167,7 @@ void doall3(const DistArray3<T>& A, Range ri, Range rj, Range rk, Body body,
 // `margin` owned cells between itself and every slab face that carries a
 // halo, so the body cannot touch the ghost cells still in flight.
 
-/// Which part of the ring partition a doall*_ring call visits.
+/// Which part of the ring partition a doall2_ring call visits.
 enum class Ring {
   kInterior,  ///< ≥ margin from every halo-bearing slab face; ghost-free
   kBoundary,  ///< the rest of the owned set; run after HaloExchange::finish
@@ -206,59 +206,6 @@ void doall2_ring(const DistArray2<T>& A, Range ri, Range rj, int margin,
         body(i, j);
         n += 1.0;
       }
-    }
-  }
-  A.context().compute(flops_per_iter * n);
-}
-
-/// doall3 restricted to one part of the ring partition.
-template <class T, class Body>
-void doall3_ring(const DistArray3<T>& A, Range ri, Range rj, Range rk,
-                 int margin, Ring part, Body body,
-                 double flops_per_iter = 0.0) {
-  if (!A.participating()) {
-    return;
-  }
-  const auto is = detail::owned_in_range(A.map(0), A.my_coord(0), ri);
-  const auto js = detail::owned_in_range(A.map(1), A.my_coord(1), rj);
-  const auto ks = detail::owned_in_range(A.map(2), A.my_coord(2), rk);
-  double n = 0.0;
-  for (int i : is) {
-    const bool ii = detail::ring_interior(A, 0, i, margin);
-    for (int j : js) {
-      const bool ij = ii && detail::ring_interior(A, 1, j, margin);
-      for (int k : ks) {
-        const bool interior = ij && detail::ring_interior(A, 2, k, margin);
-        if ((part == Ring::kInterior) == interior) {
-          body(i, j, k);
-          n += 1.0;
-        }
-      }
-    }
-  }
-  A.context().compute(flops_per_iter * n);
-}
-
-/// doall_slice_owner restricted to one part of the ring partition along
-/// `fixed_dim` only: a slice is interior when its index keeps `margin`
-/// owned slices on both sides.  The caller guarantees the body reads
-/// ghosts only along fixed_dim (the zebra-sweep pattern — lines within one
-/// parity are independent, so visiting interior lines first is exact).
-template <class T, int R, class Body>
-void doall_slice_ring(const DistArray<T, R>& A, int fixed_dim, Range r,
-                      int margin, Ring part, Body body,
-                      double flops_per_iter = 0.0) {
-  if (!A.participating()) {
-    return;
-  }
-  const auto is =
-      detail::owned_in_range(A.map(fixed_dim), A.my_coord(fixed_dim), r);
-  double n = 0.0;
-  for (int i : is) {
-    const bool interior = detail::ring_interior(A, fixed_dim, i, margin);
-    if ((part == Ring::kInterior) == interior) {
-      body(i);
-      n += 1.0;
     }
   }
   A.context().compute(flops_per_iter * n);

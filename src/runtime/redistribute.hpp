@@ -20,7 +20,10 @@
 //    a box computed directly from the DimMap descriptors in O(1) per dim.
 //    Peers are enumerated from per-dim owner-coordinate ranges — O(peers),
 //    independent of both the element count and the machine size — and
-//    payloads are packed as contiguous row-major slabs.
+//    payloads are packed as contiguous row-major slabs.  It is the identity
+//    case of detail::BoxCopy, whose one planner (plan_exchange) feeds both
+//    the blocking form and redistribute_begin, and which copy_strided_dim
+//    (runtime/remap.hpp) shares.
 //
 //  * Per-dim owner binning (any cyclic/block-cyclic dim): each side walks
 //    its own elements once, computing the unique opposite owner rank in
@@ -56,6 +59,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -153,19 +159,6 @@ struct Box {
   }
 };
 
-/// Componentwise intersection; empty iff the boxes are disjoint (or either
-/// input was already empty).
-template <int R>
-Box<R> intersect(const Box<R>& a, const Box<R>& b) {
-  Box<R> r;
-  for (int d = 0; d < R; ++d) {
-    const auto ud = static_cast<std::size_t>(d);
-    r.lo[ud] = std::max(a.lo[ud], b.lo[ud]);
-    r.hi[ud] = std::min(a.hi[ud], b.hi[ud]);
-  }
-  return r;
-}
-
 /// Visit every global index of a (nonempty) box in row-major order — the
 /// wire order both endpoints of a slab transfer agree on.
 template <int R, class Fn>
@@ -211,14 +204,66 @@ Box<R> owned_box(const DistArray<T, R>& A) {
   return b;
 }
 
-/// Visit every rank of box-eligible `A` whose owned box intersects `within`,
-/// passing the rank and the (nonempty) intersection box.  Runs in O(peers):
-/// per grid dimension only the owner coordinates of `within`'s bounds are
-/// enumerated, and every enumerated coordinate is a true peer (a block
-/// owner between owner(lo) and owner(hi) always owns part of [lo, hi]).
+/// Floor/ceil division for positive divisors and any-sign dividends.
+inline int floor_div(int a, int b) {
+  return a >= 0 ? a / b : -((-a + b - 1) / b);
+}
+inline int ceil_div(int a, int b) {
+  return a >= 0 ? (a + b - 1) / b : -((-a) / b);
+}
+
+/// Inclusive interval of transfer steps t; hi < lo means empty.
+struct TRange {
+  int lo = 0;
+  int hi = -1;
+
+  [[nodiscard]] bool empty() const { return hi < lo; }
+};
+
+/// Steps t with off + t * stride inside the global range [glo, ghi],
+/// clipped to [0, tmax].
+inline TRange strided_steps(int glo, int ghi, int off, int stride, int tmax) {
+  TRange r;
+  r.lo = std::max(0, ceil_div(glo - off, stride));
+  r.hi = std::min(tmax, floor_div(ghi - off, stride));
+  return r;
+}
+
+/// One box-layout exchange: along `dim`,
+///   dst[d_off + t * d_stride] = src[s_off + t * s_stride],  t = 0..count-1,
+/// identity on every other dim.  redistribute is the identity copy along
+/// dim 0; the multigrid level switches (copy_strided_dim) stride it.  With
+/// `fuse_halo` each receiver's set is its owned box expanded by dst's halo
+/// margins (clipped to the domain) and written through frame(), so ghost
+/// cells arrive in the same messages as owned cells.
+struct BoxCopy {
+  const char* what;  ///< operation name for error messages
+  int tag;
+  int dim = 0;
+  int s_stride = 1;
+  int s_off = 0;
+  int d_stride = 1;
+  int d_off = 0;
+  int count = 0;
+  bool fuse_halo = false;
+};
+
+/// Visit every rank of box-eligible `A` whose receive set intersects the
+/// transfer set (`within`'s ranges on off-dims, steps `tr` through
+/// off + t * stride along `dim`), passing the rank and the shared slab: a
+/// box whose off-dim slots are global indices and whose `dim` slot holds
+/// the shared steps.  O(peers): per grid dimension only the owner
+/// coordinates of the range bounds are enumerated; ranks whose block skips
+/// every strided step (stride larger than the block) are filtered out,
+/// identically on both endpoints.  With `expand_halo`, each rank's receive
+/// set is its owned block expanded by A's halo margins and clipped to the
+/// domain (one extra owner coordinate per side covers the expansion — the
+/// caller guarantees no halo is wider than a block); without it, exactly
+/// the owned blocks.
 template <class T, int R, class Fn>
-void for_each_intersecting_peer(const DistArray<T, R>& A, const Box<R>& within,
-                                Fn fn) {
+void strided_peer_walk(const DistArray<T, R>& A, const Box<R>& within,
+                       int dim, TRange tr, int off, int stride,
+                       bool expand_halo, Fn fn) {
   const int nd = A.view().ndims();
   std::array<int, kMaxProcDims> adim{};  // grid dim -> bound array dim
   for (int d = 0; d < R; ++d) {
@@ -231,20 +276,46 @@ void for_each_intersecting_peer(const DistArray<T, R>& A, const Box<R>& within,
   for (int pd = 0; pd < nd; ++pd) {
     const auto upd = static_cast<std::size_t>(pd);
     const int d = adim[upd];
-    clo[upd] = A.map(d).owner(within.lo[static_cast<std::size_t>(d)]);
-    chi[upd] = A.map(d).owner(within.hi[static_cast<std::size_t>(d)]);
+    if (d == dim) {
+      clo[upd] = A.map(d).owner(off + tr.lo * stride);
+      chi[upd] = A.map(d).owner(off + tr.hi * stride);
+    } else {
+      const auto ud = static_cast<std::size_t>(d);
+      clo[upd] = A.map(d).owner(within.lo[ud]);
+      chi[upd] = A.map(d).owner(within.hi[ud]);
+    }
+    if (expand_halo && A.halo(d) > 0) {  // expansion reaches one owner more
+      clo[upd] = std::max(0, clo[upd] - 1);
+      chi[upd] = std::min(A.view().extent(pd) - 1, chi[upd] + 1);
+    }
   }
+  const auto udim = static_cast<std::size_t>(dim);
   std::array<int, kMaxProcDims> c = clo;
   for (;;) {
     Box<R> b = within;  // star dims of A: peer holds the whole extent
-    for (int pd = 0; pd < nd; ++pd) {
+    b.lo[udim] = tr.lo;
+    b.hi[udim] = tr.hi;
+    bool nonempty = true;
+    for (int pd = 0; pd < nd && nonempty; ++pd) {
       const auto upd = static_cast<std::size_t>(pd);
       const int d = adim[upd];
       const auto ud = static_cast<std::size_t>(d);
-      b.lo[ud] = std::max(within.lo[ud], A.map(d).block_lower(c[upd]));
-      b.hi[ud] = std::min(within.hi[ud], A.map(d).block_upper(c[upd]));
+      const int h = expand_halo ? A.halo(d) : 0;
+      const int blo = std::max(0, A.map(d).block_lower(c[upd]) - h);
+      const int bhi =
+          std::min(A.extent(d) - 1, A.map(d).block_upper(c[upd]) + h);
+      if (d == dim) {
+        b.lo[ud] = std::max(b.lo[ud], ceil_div(blo - off, stride));
+        b.hi[ud] = std::min(b.hi[ud], floor_div(bhi - off, stride));
+      } else {
+        b.lo[ud] = std::max(within.lo[ud], blo);
+        b.hi[ud] = std::min(within.hi[ud], bhi);
+      }
+      nonempty = b.lo[ud] <= b.hi[ud];
     }
-    fn(A.view().rank_of(c), b);
+    if (nonempty) {
+      fn(A.view().rank_of(c), b);
+    }
     int pd = nd - 1;
     for (; pd >= 0; --pd) {
       const auto upd = static_cast<std::size_t>(pd);
@@ -259,35 +330,253 @@ void for_each_intersecting_peer(const DistArray<T, R>& A, const Box<R>& within,
   }
 }
 
-}  // namespace detail
+/// Visit a slab of `c` element by element in the agreed row-major wire
+/// order, passing each element's source and destination global index.  The
+/// strided mapping runs once per row of the last dim, leaving the
+/// per-element loop a plain counted one.
+template <int R, class Fn>
+void for_each_slab_element(const Box<R>& slab, const BoxCopy& c, Fn fn) {
+  constexpr auto last = static_cast<std::size_t>(R - 1);
+  const auto ud = static_cast<std::size_t>(c.dim);
+  const int n = slab.hi[last] - slab.lo[last] + 1;
+  const int s_step = ud == last ? c.s_stride : 1;
+  const int d_step = ud == last ? c.d_stride : 1;
+  Box<R> rows = slab;
+  rows.hi[last] = rows.lo[last];
+  for_each_in_box(rows, [&](GIndex<R> gs) {
+    GIndex<R> gd = gs;
+    gs[ud] = c.s_off + gs[ud] * c.s_stride;
+    gd[ud] = c.d_off + gd[ud] * c.d_stride;
+    for (int k = 0; k < n; ++k, gs[last] += s_step, gd[last] += d_step) {
+      fn(gs, gd);
+    }
+  });
+}
+
+/// Who exchanges what in one BoxCopy, derived analytically by every member
+/// from the replicated descriptors: remote slabs in each direction (no
+/// self-messages) and the self-overlap slab this rank copies locally (each
+/// peer, this rank included, shares at most one slab).  An inactive
+/// exchange (count 0, or this rank in neither view) has no members.  Slabs
+/// are in the form strided_peer_walk hands out.
+template <int R>
+struct ExchangePlan {
+  std::vector<int> members;  ///< sorted union of both views' ranks
+  std::vector<std::pair<int, Box<R>>> out;  ///< (dst rank, slab) to send
+  std::vector<std::pair<int, Box<R>>> in;   ///< (src rank, slab) to receive
+  std::optional<Box<R>> self;               ///< copied locally, never sent
+};
+
+/// The one planner behind every box exchange, blocking and split-phase.
+template <class T, int R>
+ExchangePlan<R> plan_exchange(const Context& ctx, const DistArray<T, R>& src,
+                              const DistArray<T, R>& dst, const BoxCopy& c) {
+  ExchangePlan<R> p;
+  const bool in_src = src.participating();
+  const bool in_dst = dst.participating();
+  if (c.count == 0 || (!in_src && !in_dst)) {
+    return p;
+  }
+  p.members = union_members(src.view().ranks(), dst.view().ranks());
+  const auto ud = static_cast<std::size_t>(c.dim);
+  if (in_src) {
+    const Box<R> mine = owned_box(src);
+    const TRange tm = strided_steps(mine.lo[ud], mine.hi[ud], c.s_off,
+                                    c.s_stride, c.count - 1);
+    if (!mine.empty() && !tm.empty()) {
+      strided_peer_walk(dst, mine, c.dim, tm, c.d_off, c.d_stride,
+                        c.fuse_halo, [&](int rank, const Box<R>& b) {
+                          if (rank != ctx.rank()) {
+                            p.out.emplace_back(rank, b);
+                          }
+                        });
+    }
+  }
+  if (in_dst) {
+    Box<R> mine = owned_box(dst);
+    if (c.fuse_halo) {
+      for (int d = 0; d < R; ++d) {
+        const auto sd = static_cast<std::size_t>(d);
+        mine.lo[sd] = std::max(0, mine.lo[sd] - dst.halo(d));
+        mine.hi[sd] = std::min(dst.extent(d) - 1, mine.hi[sd] + dst.halo(d));
+      }
+    }
+    const TRange tm = strided_steps(mine.lo[ud], mine.hi[ud], c.d_off,
+                                    c.d_stride, c.count - 1);
+    if (!mine.empty() && !tm.empty()) {
+      strided_peer_walk(src, mine, c.dim, tm, c.s_off, c.s_stride,
+                        /*expand_halo=*/false,
+                        [&](int rank, const Box<R>& b) {
+                          if (rank == ctx.rank()) {
+                            p.self = b;
+                          } else {
+                            p.in.emplace_back(rank, b);
+                          }
+                        });
+    }
+  }
+  return p;
+}
 
 template <class T, int R>
-[[nodiscard]] PendingExchange redistribute_begin(
-    Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst,
-    IssueOrder order = IssueOrder::kRoundSchedule);
+void pack_slab(const DistArray<T, R>& src, const BoxCopy& c,
+               const Box<R>& slab, std::vector<T>& buf) {
+  buf.clear();
+  buf.reserve(static_cast<std::size_t>(slab.volume()));
+  for_each_slab_element(slab, c, [&](const GIndex<R>& gs, const GIndex<R>&) {
+    buf.push_back(src.at(gs));
+  });
+}
+
+/// Unpack one received slab; returns the element count for the charge.
+template <class T, int R>
+double unpack_slab(DistArray<T, R>& dst, const BoxCopy& c, const Box<R>& slab,
+                   std::span<const T> vals) {
+  KALI_CHECK(vals.size() == static_cast<std::size_t>(slab.volume()),
+             std::string(c.what) + ": slab size mismatch");
+  // Owned cells through at(); a fused halo also writes ghosts via frame().
+  std::size_t k = 0;
+  if (c.fuse_halo) {
+    for_each_slab_element(slab, c, [&](const GIndex<R>&, const GIndex<R>& gd) {
+      dst.frame(gd) = vals[k++];
+    });
+  } else {
+    for_each_slab_element(slab, c, [&](const GIndex<R>&, const GIndex<R>& gd) {
+      dst.at(gd) = vals[k++];
+    });
+  }
+  return static_cast<double>(k);
+}
+
+/// Copy the plan's self-overlap locally; returns the element count, which
+/// each caller charges where its blocking clock order puts it.
+template <class T, int R>
+double copy_self(const DistArray<T, R>& src, DistArray<T, R>& dst,
+                 const BoxCopy& c, const ExchangePlan<R>& p) {
+  if (!p.self) {
+    return 0.0;
+  }
+  if (c.fuse_halo) {
+    for_each_slab_element(*p.self, c,
+                          [&](const GIndex<R>& gs, const GIndex<R>& gd) {
+                            dst.frame(gd) = src.at(gs);
+                          });
+  } else {
+    for_each_slab_element(*p.self, c,
+                          [&](const GIndex<R>& gs, const GIndex<R>& gd) {
+                            dst.at(gd) = src.at(gs);
+                          });
+  }
+  return static_cast<double>(p.self->volume());
+}
+
+/// Blocking form of a planned exchange, dispatched through issue_exchange.
+/// The self-overlap has already been copied; `unpacked` seeds the final
+/// unpack charge (the strided copies fold their self copy into it).
+template <class T, int R>
+void exchange_blocking(Context& ctx, const DistArray<T, R>& src,
+                       DistArray<T, R>& dst, const BoxCopy& c,
+                       ExchangePlan<R>& p, IssueOrder order, double unpacked) {
+  if (p.members.empty()) {
+    return;
+  }
+  std::vector<T> buf;
+  double packed = 0;
+  auto send_one = [&](int rank, const Box<R>& slab) {
+    pack_slab(src, c, slab, buf);
+    ctx.send_span<T>(rank, c.tag, std::span<const T>(buf));
+    packed += static_cast<double>(buf.size());
+  };
+  auto recv_one = [&](int rank, const Box<R>& slab) {
+    const auto vals = ctx.recv_vec<T>(rank, c.tag);
+    unpacked += unpack_slab(dst, c, slab, std::span<const T>(vals));
+  };
+  issue_exchange(
+      p.members, ctx.rank(), order, p.out, p.in, send_one, recv_one,
+      [&] { ctx.compute(packed); }, [&] { ctx.compute(unpacked); });
+}
+
+/// Split-phase form of a planned exchange: post a nonblocking receive for
+/// every incoming slab (round order, zero model cost), fire the sends the
+/// blocking form fires in the same round order, charge the pack compute,
+/// copy and charge the self-overlap inside the wire window, and return a
+/// handle whose finish() waits and unpacks.
+template <class T, int R>
+[[nodiscard]] PendingExchange exchange_begin(Context& ctx,
+                                             const DistArray<T, R>& src,
+                                             DistArray<T, R>& dst,
+                                             const BoxCopy& c,
+                                             ExchangePlan<R> p,
+                                             IssueOrder order) {
+  if (p.members.empty()) {
+    return {};
+  }
+  // shared_ptr storage: the completion closure must be copyable
+  // (std::function) and owns the staging.
+  round_sort(p.in, p.members, ctx.rank(), order);
+  auto stage = std::make_shared<std::vector<std::vector<T>>>(p.in.size());
+  auto hs = std::make_shared<std::vector<CommHandle>>();
+  hs->reserve(p.in.size());
+  for (std::size_t i = 0; i < p.in.size(); ++i) {
+    (*stage)[i].resize(static_cast<std::size_t>(p.in[i].second.volume()));
+    hs->push_back(
+        ctx.irecv_into<T>(p.in[i].first, c.tag, std::span<T>((*stage)[i])));
+  }
+
+  round_sort(p.out, p.members, ctx.rank(), order);
+  std::vector<T> buf;
+  double packed = 0;
+  for (const auto& [rank, slab] : p.out) {
+    pack_slab(src, c, slab, buf);
+    // kali-lint: allow(raw-exchange) — split-phase form: receives are already
+    // posted as irecvs above, so there is no recv_one closure to pair with.
+    ctx.send_span<T>(rank, c.tag, std::span<const T>(buf));
+    packed += static_cast<double>(buf.size());
+  }
+  ctx.compute(packed);
+  ctx.compute(copy_self(src, dst, c, p));
+
+  auto slabs =
+      std::make_shared<std::vector<std::pair<int, Box<R>>>>(std::move(p.in));
+  return PendingExchange([&ctx, &dst, stage, hs, slabs, c] {
+    ctx.wait_all(std::span<CommHandle>(*hs));
+    double unpacked = 0;
+    for (std::size_t i = 0; i < slabs->size(); ++i) {
+      unpacked += unpack_slab(dst, c, (*slabs)[i].second,
+                              std::span<const T>((*stage)[i]));
+    }
+    ctx.compute(unpacked);
+  });
+}
+
+/// The identity BoxCopy of a box-layout redistribute.
+template <class T, int R>
+BoxCopy redistribute_copy(const DistArray<T, R>& src) {
+  return BoxCopy{"redistribute", kTagRedistData, /*dim=*/0, 1, 0, 1, 0,
+                 src.extent(0), /*fuse_halo=*/false};
+}
+
+}  // namespace detail
 
 /// Copy src's contents into dst (same global extents, any distributions /
 /// views — the views may even be disjoint rank sets).  Collective over the
 /// union of both views' members.  Remote messages are issued in
 /// round-schedule order by default; kPeerOrder keeps the raw enumeration
-/// order (the naive baseline under link contention).
-///
-/// Overlap::kOn routes box-eligible layouts through the split-phase form
-/// (redistribute_begin + finish back to back): same messages, tags,
-/// payloads, and results, but the pack compute and the self-overlap copy
-/// land inside the wire window, so their time is hidden.  Callers with
-/// real work to hide call redistribute_begin()/finish() around it instead.
-/// Layouts with a cyclic dim have no split-phase form and stay blocking.
+/// order (the naive baseline under link contention).  Callers with local
+/// work to hide behind the wire use redistribute_begin()/finish() instead.
 template <class T, int R>
 void redistribute(Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst,
-                  IssueOrder order = IssueOrder::kRoundSchedule,
-                  Overlap overlap = Overlap::kOff) {
+                  IssueOrder order = IssueOrder::kRoundSchedule) {
   for (int d = 0; d < R; ++d) {
     KALI_CHECK(src.extent(d) == dst.extent(d), "redistribute: extent mismatch");
   }
-  if (overlap == Overlap::kOn && detail::box_eligible(src) &&
-      detail::box_eligible(dst)) {
-    redistribute_begin(ctx, src, dst, order).finish();
+  if (detail::box_eligible(src) && detail::box_eligible(dst)) {
+    // ---- box-intersection fast path: contiguous slab exchange -----------
+    const detail::BoxCopy c = detail::redistribute_copy(src);
+    detail::ExchangePlan<R> plan = detail::plan_exchange(ctx, src, dst, c);
+    // Self-overlap stays off the network: local copy, charged up front.
+    ctx.compute(detail::copy_self(src, dst, c, plan));
+    detail::exchange_blocking(ctx, src, dst, c, plan, order, 0.0);
     return;
   }
   const bool in_src = src.participating();
@@ -297,65 +586,6 @@ void redistribute(Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst
   }
   const std::vector<int> members =
       detail::union_members(src.view().ranks(), dst.view().ranks());
-
-  if (detail::box_eligible(src) && detail::box_eligible(dst)) {
-    // ---- box-intersection fast path: contiguous slab exchange -----------
-    if (in_src && in_dst) {
-      // Self-overlap stays off the network: direct local copy.
-      const detail::Box<R> shared =
-          detail::intersect(detail::owned_box(src), detail::owned_box(dst));
-      if (!shared.empty()) {
-        detail::for_each_in_box(shared, [&](GIndex<R> g) { dst.at(g) = src.at(g); });
-        ctx.compute(static_cast<double>(shared.volume()));
-      }
-    }
-    std::vector<std::pair<int, detail::Box<R>>> out;
-    std::vector<std::pair<int, detail::Box<R>>> in;
-    if (in_src) {
-      const detail::Box<R> mine = detail::owned_box(src);
-      if (!mine.empty()) {
-        detail::for_each_intersecting_peer(
-            dst, mine, [&](int rank, const detail::Box<R>& b) {
-              if (rank != ctx.rank()) {
-                out.emplace_back(rank, b);
-              }
-            });
-      }
-    }
-    if (in_dst) {
-      const detail::Box<R> mine = detail::owned_box(dst);
-      if (!mine.empty()) {
-        detail::for_each_intersecting_peer(
-            src, mine, [&](int rank, const detail::Box<R>& b) {
-              if (rank != ctx.rank()) {
-                in.emplace_back(rank, b);
-              }
-            });
-      }
-    }
-    std::vector<T> buf;
-    double packed = 0;
-    double unpacked = 0;
-    auto send_one = [&](int rank, const detail::Box<R>& b) {
-      buf.clear();
-      buf.reserve(static_cast<std::size_t>(b.volume()));
-      detail::for_each_in_box(b, [&](GIndex<R> g) { buf.push_back(src.at(g)); });
-      ctx.send_span<T>(rank, kTagRedistData, std::span<const T>(buf));
-      packed += static_cast<double>(buf.size());
-    };
-    auto recv_one = [&](int rank, const detail::Box<R>& b) {
-      auto vals = ctx.recv_vec<T>(rank, kTagRedistData);
-      KALI_CHECK(vals.size() == static_cast<std::size_t>(b.volume()),
-                 "redistribute: slab size mismatch");
-      std::size_t k = 0;
-      detail::for_each_in_box(b, [&](GIndex<R> g) { dst.at(g) = vals[k++]; });
-      unpacked += static_cast<double>(k);
-    };
-    detail::issue_exchange(
-        members, ctx.rank(), order, out, in, send_one, recv_one,
-        [&] { ctx.compute(packed); }, [&] { ctx.compute(unpacked); });
-    return;
-  }
 
   // ---- general path: per-dim owner binning ------------------------------
   // Sender and receiver each walk their own elements once (row-major), so
@@ -423,113 +653,26 @@ void redistribute(Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst
       [&] { ctx.compute(packed); }, [&] { ctx.compute(unpacked); });
 }
 
-/// Split-phase redistribute, the Overlap::kOn machinery: posts a
-/// nonblocking receive for every incoming slab (round order, zero model
-/// cost), fires the identical sends the blocking path fires in the same
-/// round order, charges the pack compute, and performs the self-overlap
-/// local copy inside the wire window — then returns with the receives in
-/// flight.  finish() completes them at one wait point and unpacks.  Box
-/// layouts only (block/star on every dim of both arrays); see
-/// redistribute() for the blocking oracle this is proven against.
+
+/// Split-phase redistribute (box layouts only: block/star on every dim of
+/// both arrays): the blocking form's plan, with its receives posted
+/// nonblocking, its sends fired, and the pack and self-overlap copy charged
+/// inside the wire window.  Run the work to hide, then finish().  See
+/// PendingExchange.
 template <class T, int R>
-[[nodiscard]] PendingExchange redistribute_begin(Context& ctx,
-                                                 const DistArray<T, R>& src,
-                                                 DistArray<T, R>& dst,
-                                                 IssueOrder order) {
+[[nodiscard]] PendingExchange redistribute_begin(
+    Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst,
+    IssueOrder order = IssueOrder::kRoundSchedule) {
   for (int d = 0; d < R; ++d) {
     KALI_CHECK(src.extent(d) == dst.extent(d), "redistribute: extent mismatch");
   }
   KALI_CHECK(detail::box_eligible(src) && detail::box_eligible(dst),
              "redistribute_begin: requires block/star layouts");
-  const bool in_src = src.participating();
-  const bool in_dst = dst.participating();
-  if (!in_src && !in_dst) {
-    return {};
-  }
-  const std::vector<int> members =
-      detail::union_members(src.view().ranks(), dst.view().ranks());
-
-  std::vector<std::pair<int, detail::Box<R>>> out;
-  std::vector<std::pair<int, detail::Box<R>>> in;
-  if (in_src) {
-    const detail::Box<R> mine = detail::owned_box(src);
-    if (!mine.empty()) {
-      detail::for_each_intersecting_peer(
-          dst, mine, [&](int rank, const detail::Box<R>& b) {
-            if (rank != ctx.rank()) {
-              out.emplace_back(rank, b);
-            }
-          });
-    }
-  }
-  if (in_dst) {
-    const detail::Box<R> mine = detail::owned_box(dst);
-    if (!mine.empty()) {
-      detail::for_each_intersecting_peer(
-          src, mine, [&](int rank, const detail::Box<R>& b) {
-            if (rank != ctx.rank()) {
-              in.emplace_back(rank, b);
-            }
-          });
-    }
-  }
-
-  // Post every receive before the first send: the whole wire window is
-  // eligible for hiding.  shared_ptr storage because the completion
-  // closure must be copyable (std::function) and owns the staging.
-  detail::round_sort(in, members, ctx.rank(), order);
-  auto stage = std::make_shared<std::vector<std::vector<T>>>(in.size());
-  auto hs = std::make_shared<std::vector<CommHandle>>();
-  hs->reserve(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    (*stage)[i].resize(static_cast<std::size_t>(in[i].second.volume()));
-    hs->push_back(ctx.irecv_into<T>(in[i].first, kTagRedistData,
-                                    std::span<T>((*stage)[i])));
-  }
-
-  detail::round_sort(out, members, ctx.rank(), order);
-  std::vector<T> buf;
-  double packed = 0;
-  for (auto& [rank, b] : out) {
-    buf.clear();
-    buf.reserve(static_cast<std::size_t>(b.volume()));
-    detail::for_each_in_box(b, [&](GIndex<R> g) { buf.push_back(src.at(g)); });
-    // kali-lint: allow(raw-exchange) — split-phase form: receives are already
-    // posted as irecvs above, so there is no recv_one closure to pair with.
-    ctx.send_span<T>(rank, kTagRedistData, std::span<const T>(buf));
-    packed += static_cast<double>(buf.size());
-  }
-  ctx.compute(packed);
-
-  // Self-overlap local copy, charged inside the wire window (the blocking
-  // path charges the identical element count; only its clock slot moves).
-  if (in_src && in_dst) {
-    const detail::Box<R> shared =
-        detail::intersect(detail::owned_box(src), detail::owned_box(dst));
-    if (!shared.empty()) {
-      detail::for_each_in_box(shared,
-                              [&](GIndex<R> g) { dst.at(g) = src.at(g); });
-      ctx.compute(static_cast<double>(shared.volume()));
-    }
-  }
-
-  auto slabs = std::make_shared<std::vector<std::pair<int, detail::Box<R>>>>(
-      std::move(in));
-  return PendingExchange([&ctx, &dst, stage, hs, slabs] {
-    ctx.wait_all(std::span<CommHandle>(*hs));
-    double unpacked = 0;
-    for (std::size_t i = 0; i < slabs->size(); ++i) {
-      const detail::Box<R>& b = (*slabs)[i].second;
-      const std::vector<T>& vals = (*stage)[i];
-      KALI_CHECK(vals.size() == static_cast<std::size_t>(b.volume()),
-                 "redistribute: slab size mismatch");
-      std::size_t k = 0;
-      detail::for_each_in_box(b, [&](GIndex<R> g) { dst.at(g) = vals[k++]; });
-      unpacked += static_cast<double>(k);
-    }
-    ctx.compute(unpacked);
-  });
+  const detail::BoxCopy c = detail::redistribute_copy(src);
+  return detail::exchange_begin(ctx, src, dst, c,
+                                detail::plan_exchange(ctx, src, dst, c), order);
 }
+
 
 /// The original "runtime resolution" implementation: every source member
 /// tests every owned element against every destination rank (O(local n × P))

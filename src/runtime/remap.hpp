@@ -27,6 +27,9 @@
 //    to a contiguous t-interval, and off-dims intersect as axis-aligned
 //    boxes — so peers are enumerated in O(peers) from per-dim owner ranges
 //    and payloads are contiguous slabs, with no per-element owner lookups.
+//    It is a strided detail::BoxCopy (runtime/redistribute.hpp): one
+//    planner feeds the blocking forms and the _begin split-phase forms,
+//    with or without the fused halo.
 //
 //  * Per-element owner binning (any cyclic/block-cyclic dim): each side
 //    walks its own elements once, computing the unique opposite owner in
@@ -34,6 +37,7 @@
 //    for cyclic layouts and the differential-test oracle for the box path.
 #pragma once
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -44,155 +48,7 @@ namespace kali {
 
 namespace detail {
 
-/// Floor/ceil division for positive divisors and any-sign dividends.
-inline int floor_div(int a, int b) {
-  return a >= 0 ? a / b : -((-a + b - 1) / b);
-}
-inline int ceil_div(int a, int b) {
-  return a >= 0 ? (a + b - 1) / b : -((-a) / b);
-}
-
-/// Inclusive interval of transfer steps t; hi < lo means empty.
-struct TRange {
-  int lo = 0;
-  int hi = -1;
-
-  [[nodiscard]] bool empty() const { return hi < lo; }
-};
-
-/// Steps t with off + t * stride inside the global range [glo, ghi],
-/// clipped to [0, tmax].
-inline TRange strided_steps(int glo, int ghi, int off, int stride, int tmax) {
-  TRange r;
-  r.lo = std::max(0, ceil_div(glo - off, stride));
-  r.hi = std::min(tmax, floor_div(ghi - off, stride));
-  return r;
-}
-
-/// Shared peer-enumeration walker behind for_each_strided_peer and its
-/// halo-expanded variant.  Visits every rank of box-eligible `A` whose
-/// receive set intersects the transfer set (`within`'s ranges on off-dims,
-/// steps `tr` through off + t * stride along `dim`), passing the rank, the
-/// off-dim overlap box, and the step subrange.  O(peers), like
-/// for_each_intersecting_peer; ranks whose block skips every strided step
-/// (stride larger than the block) are filtered out, identically on both
-/// endpoints.  With `expand_halo`, each rank's receive set is its owned
-/// block expanded by A's halo margins and clipped to the global domain
-/// (one extra owner coordinate per side covers the expansion — the caller
-/// guarantees no halo is wider than a block); without it, exactly the
-/// owned blocks.
-template <class T, int R, class Fn>
-void strided_peer_walk(const DistArray<T, R>& A, const Box<R>& within,
-                       int dim, TRange tr, int off, int stride,
-                       bool expand_halo, Fn fn) {
-  const int nd = A.view().ndims();
-  std::array<int, kMaxProcDims> adim{};  // grid dim -> bound array dim
-  for (int d = 0; d < R; ++d) {
-    if (A.proc_dim(d) >= 0) {
-      adim[static_cast<std::size_t>(A.proc_dim(d))] = d;
-    }
-  }
-  std::array<int, kMaxProcDims> clo{};
-  std::array<int, kMaxProcDims> chi{};
-  for (int pd = 0; pd < nd; ++pd) {
-    const auto upd = static_cast<std::size_t>(pd);
-    const int d = adim[upd];
-    if (d == dim) {
-      clo[upd] = A.map(d).owner(off + tr.lo * stride);
-      chi[upd] = A.map(d).owner(off + tr.hi * stride);
-    } else {
-      const auto ud = static_cast<std::size_t>(d);
-      clo[upd] = A.map(d).owner(within.lo[ud]);
-      chi[upd] = A.map(d).owner(within.hi[ud]);
-    }
-    if (expand_halo && A.halo(d) > 0) {  // expansion reaches one owner more
-      clo[upd] = std::max(0, clo[upd] - 1);
-      chi[upd] = std::min(A.view().extent(pd) - 1, chi[upd] + 1);
-    }
-  }
-  std::array<int, kMaxProcDims> c = clo;
-  for (;;) {
-    Box<R> b = within;  // star dims of A: peer holds the whole extent
-    TRange t = tr;
-    bool nonempty = true;
-    for (int pd = 0; pd < nd && nonempty; ++pd) {
-      const auto upd = static_cast<std::size_t>(pd);
-      const int d = adim[upd];
-      const int h = expand_halo ? A.halo(d) : 0;
-      const int blo = std::max(0, A.map(d).block_lower(c[upd]) - h);
-      const int bhi =
-          std::min(A.extent(d) - 1, A.map(d).block_upper(c[upd]) + h);
-      if (d == dim) {
-        t.lo = std::max(t.lo, ceil_div(blo - off, stride));
-        t.hi = std::min(t.hi, floor_div(bhi - off, stride));
-        nonempty = !t.empty();
-      } else {
-        const auto ud = static_cast<std::size_t>(d);
-        b.lo[ud] = std::max(within.lo[ud], blo);
-        b.hi[ud] = std::min(within.hi[ud], bhi);
-        nonempty = b.lo[ud] <= b.hi[ud];
-      }
-    }
-    if (nonempty) {
-      fn(A.view().rank_of(c), b, t);
-    }
-    int pd = nd - 1;
-    for (; pd >= 0; --pd) {
-      const auto upd = static_cast<std::size_t>(pd);
-      if (++c[upd] <= chi[upd]) {
-        break;
-      }
-      c[upd] = clo[upd];
-    }
-    if (pd < 0) {
-      return;
-    }
-  }
-}
-
-/// Peer enumeration against each rank's owned blocks (the plain
-/// copy_strided_dim paths — an existing halo on A is storage margin, not
-/// part of the transfer).
-template <class T, int R, class Fn>
-void for_each_strided_peer(const DistArray<T, R>& A, const Box<R>& within,
-                           int dim, TRange tr, int off, int stride, Fn fn) {
-  strided_peer_walk(A, within, dim, tr, off, stride, /*expand_halo=*/false,
-                    fn);
-}
-
-/// Visit the slab (off-dim box `b`, steps [t.lo, t.hi]) in row-major order
-/// — the agreed wire order — passing global indices with dimension `dim`
-/// mapped through off + t * stride.
-template <int R, class Fn>
-void for_each_strided_in_box(const Box<R>& b, TRange t, int dim, int off,
-                             int stride, Fn fn) {
-  const auto ud = static_cast<std::size_t>(dim);
-  Box<R> e = b;
-  e.lo[ud] = t.lo;
-  e.hi[ud] = t.hi;
-  if (e.empty()) {
-    return;
-  }
-  for_each_in_box(e, [&](GIndex<R> g) {
-    g[ud] = off + g[ud] * stride;
-    fn(g);
-  });
-}
-
-/// Peer enumeration against each rank's owned block *expanded by A's halo
-/// margins* (clipped to the global domain) — the halo-fused remap, where a
-/// receiver's ghost cells arrive in the same messages as its owned cells.
-/// Requires every block of a halo dim to be at least as wide as the halo
-/// (checked by the caller).
-template <class T, int R, class Fn>
-void for_each_strided_peer_halo(const DistArray<T, R>& A, const Box<R>& within,
-                                int dim, TRange tr, int off, int stride,
-                                Fn fn) {
-  strided_peer_walk(A, within, dim, tr, off, stride, /*expand_halo=*/true,
-                    fn);
-}
-
-/// Shared argument validation for both copy_strided_dim implementations.
+/// Shared argument validation for every copy_strided_dim form.
 template <class T, int R>
 void check_strided_args(const DistArray<T, R>& src, const DistArray<T, R>& dst,
                         int dim, int s_stride, int s_off, int d_stride,
@@ -213,22 +69,17 @@ void check_strided_args(const DistArray<T, R>& src, const DistArray<T, R>& dst,
              "copy_strided_dim: negative offset");
 }
 
-/// Shared machinery of copy_strided_dim_begin / copy_strided_dim_halo_begin
-/// (the Overlap::kOn split-phase forms): post every receive nonblocking in
-/// round order, fire the identical sends the blocking path fires in the
-/// same round order, charge the pack compute, copy the self-overlap inside
-/// the wire window, and hand back a PendingExchange whose finish() waits
-/// and unpacks.  `fuse_halo` selects the halo-expanded receive boxes and
-/// frame() writes of the fused variant.
+/// Validate a box-path strided copy and describe it as a BoxCopy.  The
+/// halo-fused form (`fuse_halo`) additionally needs every block of a halo
+/// dim at least as wide as the halo.
 template <class T, int R>
-[[nodiscard]] PendingExchange strided_copy_begin(
-    Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst, int dim,
-    int s_stride, int s_off, int d_stride, int d_off, int count,
-    IssueOrder order, bool fuse_halo) {
-  const auto ud = static_cast<std::size_t>(dim);
+BoxCopy strided_box_copy(const char* what, const DistArray<T, R>& src,
+                         const DistArray<T, R>& dst, int dim, int s_stride,
+                         int s_off, int d_stride, int d_off, int count,
+                         bool fuse_halo) {
   check_strided_args(src, dst, dim, s_stride, s_off, d_stride, d_off, count);
   KALI_CHECK(box_eligible(src) && box_eligible(dst),
-             "copy_strided_dim_begin: requires block/star layouts");
+             std::string(what) + ": requires block/star layouts");
   if (fuse_halo) {
     for (int d = 0; d < R; ++d) {
       const int h = dst.halo(d);
@@ -236,169 +87,16 @@ template <class T, int R>
         const int np = dst.view().extent(dst.proc_dim(d));
         for (int c = 0; c < np; ++c) {
           KALI_CHECK(dst.map(d).count(c) >= h,
-                     "copy_strided_dim_halo: halo wider than a block");
+                     std::string(what) + ": halo wider than a block");
         }
       }
     }
   }
-  const bool in_src = src.participating();
-  const bool in_dst = dst.participating();
-  if (count == 0 || (!in_src && !in_dst)) {
-    return {};
-  }
-  const std::vector<int> members =
-      union_members(src.view().ranks(), dst.view().ranks());
-
-  struct Slab {
-    Box<R> b;  ///< off-dim overlap (dim slot unused)
-    TRange t;  ///< transfer steps shared with the peer
-  };
-  std::vector<std::pair<int, Slab>> out;
-  std::vector<std::pair<int, Slab>> in;
-  std::vector<Slab> self;  // self-overlap, copied inside the wire window
-  if (in_src) {
-    const Box<R> mine = owned_box(src);
-    const TRange tm =
-        strided_steps(mine.lo[ud], mine.hi[ud], s_off, s_stride, count - 1);
-    if (!mine.empty() && !tm.empty()) {
-      strided_peer_walk(dst, mine, dim, tm, d_off, d_stride, fuse_halo,
-                        [&](int rank, const Box<R>& b, TRange t) {
-                          if (rank != ctx.rank()) {
-                            out.emplace_back(rank, Slab{b, t});
-                          }
-                        });
-    }
-  }
-  if (in_dst) {
-    Box<R> mine = owned_box(dst);
-    if (fuse_halo) {
-      // Receive region: owned box expanded by the halo margins, clipped to
-      // the domain (exactly copy_strided_dim_halo's expanded_box).
-      for (int d = 0; d < R; ++d) {
-        const auto sd = static_cast<std::size_t>(d);
-        mine.lo[sd] = std::max(0, mine.lo[sd] - dst.halo(d));
-        mine.hi[sd] = std::min(dst.extent(d) - 1, mine.hi[sd] + dst.halo(d));
-      }
-    }
-    const TRange tm =
-        strided_steps(mine.lo[ud], mine.hi[ud], d_off, d_stride, count - 1);
-    if (!mine.empty() && !tm.empty()) {
-      strided_peer_walk(src, mine, dim, tm, s_off, s_stride,
-                        /*expand_halo=*/false,
-                        [&](int rank, const Box<R>& b, TRange t) {
-                          if (rank == ctx.rank()) {
-                            self.push_back(Slab{b, t});
-                          } else {
-                            in.emplace_back(rank, Slab{b, t});
-                          }
-                        });
-    }
-  }
-
-  // Post every receive before the first send (round order, zero model
-  // cost): the whole wire window is eligible for hiding.
-  round_sort(in, members, ctx.rank(), order);
-  auto stage = std::make_shared<std::vector<std::vector<T>>>(in.size());
-  auto hs = std::make_shared<std::vector<CommHandle>>();
-  hs->reserve(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    Box<R> e = in[i].second.b;
-    e.lo[ud] = in[i].second.t.lo;
-    e.hi[ud] = in[i].second.t.hi;
-    (*stage)[i].resize(static_cast<std::size_t>(e.volume()));
-    hs->push_back(
-        ctx.irecv_into<T>(in[i].first, kTagRemap, std::span<T>((*stage)[i])));
-  }
-
-  round_sort(out, members, ctx.rank(), order);
-  std::vector<T> buf;
-  double packed = 0;
-  for (auto& [rank, slab] : out) {
-    buf.clear();
-    for_each_strided_in_box(slab.b, slab.t, dim, s_off, s_stride,
-                            [&](GIndex<R> g) { buf.push_back(src.at(g)); });
-    // kali-lint: allow(raw-exchange) — split-phase form: receives are already
-    // posted as irecvs above, so there is no recv_one closure to pair with.
-    ctx.send_span<T>(rank, kTagRemap, std::span<const T>(buf));
-    packed += static_cast<double>(buf.size());
-  }
-  ctx.compute(packed);
-
-  // Self-overlap copies, charged inside the wire window (the blocking path
-  // charges the identical element count with the unpack at the end).
-  double copied = 0;
-  for (const Slab& slab : self) {
-    for_each_strided_in_box(slab.b, slab.t, dim, 0, 1, [&](GIndex<R> g) {
-      GIndex<R> gs = g;
-      GIndex<R> gd = g;
-      gs[ud] = s_off + g[ud] * s_stride;
-      gd[ud] = d_off + g[ud] * d_stride;
-      if (fuse_halo) {
-        dst.frame(gd) = src.at(gs);
-      } else {
-        dst.at(gd) = src.at(gs);
-      }
-      copied += 1.0;
-    });
-  }
-  ctx.compute(copied);
-
-  auto slabs =
-      std::make_shared<std::vector<std::pair<int, Slab>>>(std::move(in));
-  return PendingExchange([&ctx, &dst, stage, hs, slabs, dim, ud, d_off,
-                          d_stride, fuse_halo] {
-    ctx.wait_all(std::span<CommHandle>(*hs));
-    double unpacked = 0;
-    for (std::size_t i = 0; i < slabs->size(); ++i) {
-      const Slab& slab = (*slabs)[i].second;
-      const std::vector<T>& vals = (*stage)[i];
-      Box<R> e = slab.b;  // payload size check before unpacking
-      e.lo[ud] = slab.t.lo;
-      e.hi[ud] = slab.t.hi;
-      KALI_CHECK(vals.size() == static_cast<std::size_t>(e.volume()),
-                 "copy_strided_dim: slab size mismatch");
-      std::size_t k = 0;
-      for_each_strided_in_box(slab.b, slab.t, dim, d_off, d_stride,
-                              [&](GIndex<R> g) {
-                                if (fuse_halo) {
-                                  dst.frame(g) = vals[k++];
-                                } else {
-                                  dst.at(g) = vals[k++];
-                                }
-                              });
-      unpacked += static_cast<double>(k);
-    }
-    ctx.compute(unpacked);
-  });
+  return BoxCopy{what,   kTagRemap, dim,   s_stride, s_off,
+                 d_stride, d_off,   count, fuse_halo};
 }
 
 }  // namespace detail
-
-/// Split-phase copy_strided_dim (box layouts only): sends fired, receives
-/// posted, pack and self-overlap already charged inside the wire window;
-/// run the work to hide, then finish().  See PendingExchange.
-template <class T, int R>
-[[nodiscard]] PendingExchange copy_strided_dim_begin(
-    Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst, int dim,
-    int s_stride, int s_off, int d_stride, int d_off, int count,
-    IssueOrder order = IssueOrder::kRoundSchedule) {
-  return detail::strided_copy_begin(ctx, src, dst, dim, s_stride, s_off,
-                                    d_stride, d_off, count, order,
-                                    /*fuse_halo=*/false);
-}
-
-/// Split-phase copy_strided_dim_halo: the fused remap+halo transfer with
-/// its wait point exposed — mg2/mg3 post both level-switch remaps with
-/// this and drain them together after the interleaved smoothing work.
-template <class T, int R>
-[[nodiscard]] PendingExchange copy_strided_dim_halo_begin(
-    Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst, int dim,
-    int s_stride, int s_off, int d_stride, int d_off, int count,
-    IssueOrder order = IssueOrder::kRoundSchedule) {
-  return detail::strided_copy_begin(ctx, src, dst, dim, s_stride, s_off,
-                                    d_stride, d_off, count, order,
-                                    /*fuse_halo=*/true);
-}
 
 /// The owner-binning implementation of copy_strided_dim: each side walks
 /// its own elements once, computing the unique opposite owner per element.
@@ -498,117 +196,42 @@ void copy_strided_dim_binned(Context& ctx, const DistArray<T, R>& src,
       [&] { ctx.compute(packed); }, [&] { ctx.compute(unpacked); });
 }
 
-/// Overlap::kOn routes box-eligible layouts through the split-phase form
-/// (copy_strided_dim_begin + finish back to back): identical messages and
-/// results, pack and self-overlap hidden in the wire window.  Cyclic
-/// layouts fall back to the blocking binned path either way.
+/// Blocking strided copy.  Box layouts (block/star on every dim of both
+/// arrays) take the slab path; cyclic layouts fall back to the binned path.
 template <class T, int R>
 void copy_strided_dim(Context& ctx, const DistArray<T, R>& src,
                       DistArray<T, R>& dst, int dim, int s_stride, int s_off,
                       int d_stride, int d_off, int count,
-                      IssueOrder order = IssueOrder::kRoundSchedule,
-                      Overlap overlap = Overlap::kOff) {
-  const auto ud = static_cast<std::size_t>(dim);
-  detail::check_strided_args(src, dst, dim, s_stride, s_off, d_stride, d_off,
-                             count);
-  if (count == 0) {
-    return;
-  }
-
+                      IssueOrder order = IssueOrder::kRoundSchedule) {
   if (!detail::box_eligible(src) || !detail::box_eligible(dst)) {
     copy_strided_dim_binned(ctx, src, dst, dim, s_stride, s_off, d_stride,
                             d_off, count, order);
     return;
   }
-  if (overlap == Overlap::kOn) {
-    copy_strided_dim_begin(ctx, src, dst, dim, s_stride, s_off, d_stride,
-                           d_off, count, order)
-        .finish();
-    return;
-  }
+  const detail::BoxCopy c =
+      detail::strided_box_copy("copy_strided_dim", src, dst, dim, s_stride,
+                               s_off, d_stride, d_off, count,
+                               /*fuse_halo=*/false);
+  detail::ExchangePlan<R> plan = detail::plan_exchange(ctx, src, dst, c);
+  // The self-overlap copy is charged with the final unpack.
+  const double copied = detail::copy_self(src, dst, c, plan);
+  detail::exchange_blocking(ctx, src, dst, c, plan, order, copied);
+}
 
-  // ---- box fast path: contiguous slab exchange ---------------------------
-  const bool in_src = src.participating();
-  const bool in_dst = dst.participating();
-  if (!in_src && !in_dst) {
-    return;
-  }
-  const std::vector<int> members =
-      detail::union_members(src.view().ranks(), dst.view().ranks());
-
-  struct Slab {
-    detail::Box<R> b;  ///< off-dim overlap (dim slot unused)
-    detail::TRange t;  ///< transfer steps shared with the peer
-  };
-
-  std::vector<std::pair<int, Slab>> out;
-  std::vector<std::pair<int, Slab>> in;
-  double unpacked = 0;
-  if (in_src) {
-    const detail::Box<R> mine = detail::owned_box(src);
-    const detail::TRange tm = detail::strided_steps(
-        mine.lo[ud], mine.hi[ud], s_off, s_stride, count - 1);
-    if (!mine.empty() && !tm.empty()) {
-      detail::for_each_strided_peer(
-          dst, mine, dim, tm, d_off, d_stride,
-          [&](int rank, const detail::Box<R>& b, detail::TRange t) {
-            if (rank != ctx.rank()) {  // self-overlap copied on recv side
-              out.emplace_back(rank, Slab{b, t});
-            }
-          });
-    }
-  }
-  if (in_dst) {
-    const detail::Box<R> mine = detail::owned_box(dst);
-    const detail::TRange tm = detail::strided_steps(
-        mine.lo[ud], mine.hi[ud], d_off, d_stride, count - 1);
-    if (!mine.empty() && !tm.empty()) {
-      detail::for_each_strided_peer(
-          src, mine, dim, tm, s_off, s_stride,
-          [&](int rank, const detail::Box<R>& b, detail::TRange t) {
-            if (rank == ctx.rank()) {
-              // Self-overlap: both owners are this rank — local copy.
-              detail::for_each_strided_in_box(
-                  b, t, dim, 0, 1, [&](GIndex<R> g) {
-                    GIndex<R> gs = g;
-                    GIndex<R> gd = g;
-                    gs[ud] = s_off + g[ud] * s_stride;
-                    gd[ud] = d_off + g[ud] * d_stride;
-                    dst.at(gd) = src.at(gs);
-                    unpacked += 1.0;
-                  });
-            } else {
-              in.emplace_back(rank, Slab{b, t});
-            }
-          });
-    }
-  }
-  std::vector<T> buf;
-  double packed = 0;
-  auto send_one = [&](int rank, const Slab& slab) {
-    buf.clear();
-    detail::for_each_strided_in_box(
-        slab.b, slab.t, dim, s_off, s_stride,
-        [&](GIndex<R> g) { buf.push_back(src.at(g)); });
-    ctx.send_span<T>(rank, kTagRemap, std::span<const T>(buf));
-    packed += static_cast<double>(buf.size());
-  };
-  auto recv_one = [&](int rank, const Slab& slab) {
-    auto vals = ctx.recv_vec<T>(rank, kTagRemap);
-    detail::Box<R> e = slab.b;  // payload size check before unpacking
-    e.lo[ud] = slab.t.lo;
-    e.hi[ud] = slab.t.hi;
-    KALI_CHECK(vals.size() == static_cast<std::size_t>(e.volume()),
-               "copy_strided_dim: slab size mismatch");
-    std::size_t k = 0;
-    detail::for_each_strided_in_box(
-        slab.b, slab.t, dim, d_off, d_stride,
-        [&](GIndex<R> g) { dst.at(g) = vals[k++]; });
-    unpacked += static_cast<double>(k);
-  };
-  detail::issue_exchange(
-      members, ctx.rank(), order, out, in, send_one, recv_one,
-      [&] { ctx.compute(packed); }, [&] { ctx.compute(unpacked); });
+/// Split-phase copy_strided_dim (box layouts only): sends fired, receives
+/// posted, pack and self-overlap already charged inside the wire window;
+/// run the work to hide, then finish().  See PendingExchange.
+template <class T, int R>
+[[nodiscard]] PendingExchange copy_strided_dim_begin(
+    Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst, int dim,
+    int s_stride, int s_off, int d_stride, int d_off, int count,
+    IssueOrder order = IssueOrder::kRoundSchedule) {
+  const detail::BoxCopy c =
+      detail::strided_box_copy("copy_strided_dim_begin", src, dst, dim,
+                               s_stride, s_off, d_stride, d_off, count,
+                               /*fuse_halo=*/false);
+  return detail::exchange_begin(ctx, src, dst, c,
+                                detail::plan_exchange(ctx, src, dst, c), order);
 }
 
 /// copy_strided_dim + dst.exchange_halo() fused into one scheduled exchange
@@ -630,126 +253,31 @@ template <class T, int R>
 void copy_strided_dim_halo(Context& ctx, const DistArray<T, R>& src,
                            DistArray<T, R>& dst, int dim, int s_stride,
                            int s_off, int d_stride, int d_off, int count,
-                           IssueOrder order = IssueOrder::kRoundSchedule,
-                           Overlap overlap = Overlap::kOff) {
-  if (overlap == Overlap::kOn) {
-    copy_strided_dim_halo_begin(ctx, src, dst, dim, s_stride, s_off, d_stride,
-                                d_off, count, order)
-        .finish();
-    return;
-  }
-  const auto ud = static_cast<std::size_t>(dim);
-  detail::check_strided_args(src, dst, dim, s_stride, s_off, d_stride, d_off,
-                             count);
-  KALI_CHECK(detail::box_eligible(src) && detail::box_eligible(dst),
-             "copy_strided_dim_halo: requires block/star layouts");
-  for (int d = 0; d < R; ++d) {
-    const int h = dst.halo(d);
-    if (h > 0) {
-      const int np = dst.view().extent(dst.proc_dim(d));
-      for (int c = 0; c < np; ++c) {
-        KALI_CHECK(dst.map(d).count(c) >= h,
-                   "copy_strided_dim_halo: halo wider than a block");
-      }
-    }
-  }
-  if (count == 0) {
-    return;
-  }
-  const bool in_src = src.participating();
-  const bool in_dst = dst.participating();
-  if (!in_src && !in_dst) {
-    return;
-  }
-  const std::vector<int> members =
-      detail::union_members(src.view().ranks(), dst.view().ranks());
+                           IssueOrder order = IssueOrder::kRoundSchedule) {
+  const detail::BoxCopy c =
+      detail::strided_box_copy("copy_strided_dim_halo", src, dst, dim,
+                               s_stride, s_off, d_stride, d_off, count,
+                               /*fuse_halo=*/true);
+  detail::ExchangePlan<R> plan = detail::plan_exchange(ctx, src, dst, c);
+  // The self-overlap copy (ghost targets included) is charged with the
+  // final unpack.
+  const double copied = detail::copy_self(src, dst, c, plan);
+  detail::exchange_blocking(ctx, src, dst, c, plan, order, copied);
+}
 
-  // dst's receive region: owned box expanded by the halo margins, clipped
-  // to the domain (frame cells are never exchanged).
-  auto expanded_box = [&](const DistArray<T, R>& A) {
-    detail::Box<R> b = detail::owned_box(A);
-    for (int d = 0; d < R; ++d) {
-      const auto sd = static_cast<std::size_t>(d);
-      b.lo[sd] = std::max(0, b.lo[sd] - A.halo(d));
-      b.hi[sd] = std::min(A.extent(d) - 1, b.hi[sd] + A.halo(d));
-    }
-    return b;
-  };
-
-  struct Slab {
-    detail::Box<R> b;  ///< off-dim overlap (dim slot unused)
-    detail::TRange t;  ///< transfer steps shared with the peer
-  };
-
-  std::vector<std::pair<int, Slab>> out;
-  std::vector<std::pair<int, Slab>> in;
-  double unpacked = 0;
-  if (in_src) {
-    const detail::Box<R> mine = detail::owned_box(src);
-    const detail::TRange tm = detail::strided_steps(
-        mine.lo[ud], mine.hi[ud], s_off, s_stride, count - 1);
-    if (!mine.empty() && !tm.empty()) {
-      detail::for_each_strided_peer_halo(
-          dst, mine, dim, tm, d_off, d_stride,
-          [&](int rank, const detail::Box<R>& b, detail::TRange t) {
-            if (rank != ctx.rank()) {  // self-overlap copied on recv side
-              out.emplace_back(rank, Slab{b, t});
-            }
-          });
-    }
-  }
-  if (in_dst) {
-    const detail::Box<R> mine = expanded_box(dst);
-    const detail::TRange tm = detail::strided_steps(
-        mine.lo[ud], mine.hi[ud], d_off, d_stride, count - 1);
-    if (!mine.empty() && !tm.empty()) {
-      detail::for_each_strided_peer(
-          src, mine, dim, tm, s_off, s_stride,
-          [&](int rank, const detail::Box<R>& b, detail::TRange t) {
-            if (rank == ctx.rank()) {
-              // Self-overlap: both owners are this rank — local copy
-              // (ghost targets included, written through frame()).
-              detail::for_each_strided_in_box(
-                  b, t, dim, 0, 1, [&](GIndex<R> g) {
-                    GIndex<R> gs = g;
-                    GIndex<R> gd = g;
-                    gs[ud] = s_off + g[ud] * s_stride;
-                    gd[ud] = d_off + g[ud] * d_stride;
-                    dst.frame(gd) = src.at(gs);
-                    unpacked += 1.0;
-                  });
-            } else {
-              in.emplace_back(rank, Slab{b, t});
-            }
-          });
-    }
-  }
-  std::vector<T> buf;
-  double packed = 0;
-  auto send_one = [&](int rank, const Slab& slab) {
-    buf.clear();
-    detail::for_each_strided_in_box(
-        slab.b, slab.t, dim, s_off, s_stride,
-        [&](GIndex<R> g) { buf.push_back(src.at(g)); });
-    ctx.send_span<T>(rank, kTagRemap, std::span<const T>(buf));
-    packed += static_cast<double>(buf.size());
-  };
-  auto recv_one = [&](int rank, const Slab& slab) {
-    auto vals = ctx.recv_vec<T>(rank, kTagRemap);
-    detail::Box<R> e = slab.b;  // payload size check before unpacking
-    e.lo[ud] = slab.t.lo;
-    e.hi[ud] = slab.t.hi;
-    KALI_CHECK(vals.size() == static_cast<std::size_t>(e.volume()),
-               "copy_strided_dim_halo: slab size mismatch");
-    std::size_t k = 0;
-    detail::for_each_strided_in_box(
-        slab.b, slab.t, dim, d_off, d_stride,
-        [&](GIndex<R> g) { dst.frame(g) = vals[k++]; });
-    unpacked += static_cast<double>(k);
-  };
-  detail::issue_exchange(
-      members, ctx.rank(), order, out, in, send_one, recv_one,
-      [&] { ctx.compute(packed); }, [&] { ctx.compute(unpacked); });
+/// Split-phase copy_strided_dim_halo: the fused remap+halo transfer with
+/// its wait point exposed.
+template <class T, int R>
+[[nodiscard]] PendingExchange copy_strided_dim_halo_begin(
+    Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst, int dim,
+    int s_stride, int s_off, int d_stride, int d_off, int count,
+    IssueOrder order = IssueOrder::kRoundSchedule) {
+  const detail::BoxCopy c =
+      detail::strided_box_copy("copy_strided_dim_halo_begin", src, dst, dim,
+                               s_stride, s_off, d_stride, d_off, count,
+                               /*fuse_halo=*/true);
+  return detail::exchange_begin(ctx, src, dst, c,
+                                detail::plan_exchange(ctx, src, dst, c), order);
 }
 
 }  // namespace kali

@@ -16,12 +16,9 @@ namespace {
 
 /// r = tau * (L u - f): the pseudo-time defect of u_t = L u - f, whose
 /// steady state is L u = f.  (L is negative definite, so the increment
-/// carries this sign; see the header comment.)  Does u's copy-in itself:
-/// with Overlap::kOn the halo exchange runs split-phase, the interior
-/// stencil rows hiding the wire, with the boundary ring after the wait.
+/// carries this sign; see the header comment.)  Does u's copy-in itself.
 void residual_scaled(const Op2& op, double tau, const DistArray2<double>& u,
-                     const DistArray2<double>& f, DistArray2<double>& r,
-                     Overlap overlap) {
+                     const DistArray2<double>& f, DistArray2<double>& r) {
   const int nx = f.extent(0), ny = f.extent(1);
   const double cx = op.cx(), cy = op.cy(), dg = op.diag();
   auto uin = u.clone();
@@ -31,17 +28,8 @@ void residual_scaled(const Op2& op, double tau, const DistArray2<double>& u,
                       dg * uin.at_halo({i, j});
     r(i, j) = tau * (lu - f(i, j));
   };
-  if (overlap == Overlap::kOn) {
-    auto ex = uin.exchange_halo_begin();
-    doall2_ring(uin, Range{0, nx - 1}, Range{0, ny - 1}, 1, Ring::kInterior,
-                body, 10.0);
-    ex.finish();
-    doall2_ring(uin, Range{0, nx - 1}, Range{0, ny - 1}, 1, Ring::kBoundary,
-                body, 10.0);
-  } else {
-    uin.exchange_halo();
-    doall2(r, Range{0, nx - 1}, Range{0, ny - 1}, body, 10.0);
-  }
+  uin.exchange_halo();
+  doall2(r, Range{0, nx - 1}, Range{0, ny - 1}, body, 10.0);
 }
 
 /// The view's members as a 1-D line view (transpose mode redistributes
@@ -92,7 +80,7 @@ void adi_iterate(const AdiOptions& opts, DistArray2<double>& u,
   D2 r(ctx, u.view(), {nx, ny}, dists);
   D2 w(ctx, u.view(), {nx, ny}, dists);
 
-  residual_scaled(op, tau, u, f, r, opts.overlap);
+  residual_scaled(op, tau, u, f, r);
 
   // Tridiagonal coefficients of (I - tau L2) and (I - tau L1).
   const double oy = -tau * op.cy();
@@ -115,7 +103,7 @@ void adi_iterate(const AdiOptions& opts, DistArray2<double>& u,
 
     // Each line is fully read into fline before its solution is written, so
     // both sweeps can land in place — two transposed temporaries suffice.
-    redistribute(ctx, r, rrows, IssueOrder::kRoundSchedule, opts.overlap);
+    redistribute(ctx, r, rrows);
     std::vector<double> fline(static_cast<std::size_t>(ny));
     std::vector<double> xline(static_cast<std::size_t>(ny));
     for (int i : rrows.owned(0)) {
@@ -129,7 +117,7 @@ void adi_iterate(const AdiOptions& opts, DistArray2<double>& u,
         row[j] = xline[static_cast<std::size_t>(j)];
       }
     }
-    redistribute(ctx, rrows, vcols, IssueOrder::kRoundSchedule, opts.overlap);
+    redistribute(ctx, rrows, vcols);
     fline.resize(static_cast<std::size_t>(nx));
     xline.resize(static_cast<std::size_t>(nx));
     for (int j : vcols.owned(1)) {
@@ -143,7 +131,7 @@ void adi_iterate(const AdiOptions& opts, DistArray2<double>& u,
         col[i] = xline[static_cast<std::size_t>(i)];
       }
     }
-    redistribute(ctx, vcols, w, IssueOrder::kRoundSchedule, opts.overlap);
+    redistribute(ctx, vcols, w);
   } else if (!opts.pipelined) {
     // Listing 7: perform tridiagonal solves in the y direction ...
     D2 v(ctx, u.view(), {nx, ny}, dists);

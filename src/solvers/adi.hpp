@@ -44,13 +44,6 @@ struct AdiOptions {
                            ///< (block, *) / (*, block) so every line solve is
                            ///< local (overrides `pipelined`); requires the
                            ///< view to be a contiguous rank range
-  /// kOn overlaps communication with compute: the residual's halo exchange
-  /// runs split-phase (interior stencil between post and wait, boundary
-  /// ring after), and in transpose mode the three redistributions hide
-  /// their pack and self-overlap copies inside the wire window.  Results
-  /// are bit-identical to kOff — same messages, same values; only clocks
-  /// and the overlap counters move (tests/test_async.cpp).
-  Overlap overlap = Overlap::kOff;
 };
 
 /// One ADI iteration; u and f are (block, block) over a 2-D view with

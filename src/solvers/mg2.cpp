@@ -18,8 +18,7 @@ bool coarsenable(int npts, int nprocs) {
 }  // namespace detail
 
 void mg2_zebra_sweep(const Op2& op, DistArray2<double>& u,
-                     const DistArray2<double>& f, int parity,
-                     Overlap overlap) {
+                     const DistArray2<double>& f, int parity) {
   if (!u.participating()) {
     return;
   }
@@ -46,25 +45,16 @@ void mg2_zebra_sweep(const Op2& op, DistArray2<double>& u,
   };
   // Lines of the other colour feed the right-hand side; this colour's
   // lines never read each other, so the solve order is free.
-  if (overlap == Overlap::kOn) {
-    auto ex = u.exchange_halo_begin();
-    doall_slice_ring(u, 1, lines, 1, Ring::kInterior, solve_line);
-    ex.finish();
-    doall_slice_ring(u, 1, lines, 1, Ring::kBoundary, solve_line);
-  } else {
-    u.exchange_halo();
-    doall_slice_owner(u, 1, lines, solve_line);
-  }
+  u.exchange_halo();
+  doall_slice_owner(u, 1, lines, solve_line);
 }
 
 namespace {
 
 /// r = f - A u on interior points (r's boundary stays zero).  Does u's
-/// copy-in itself; Overlap::kOn runs the halo split-phase with the interior
-/// stencil between post and wait.
+/// copy-in itself.
 void resid2(const Op2& op, const DistArray2<double>& u,
-            const DistArray2<double>& f, DistArray2<double>& r,
-            Overlap overlap) {
+            const DistArray2<double>& f, DistArray2<double>& r) {
   const int nx = f.extent(0) - 1, ny = f.extent(1) - 1;
   const double cx = op.cx(), cy = op.cy(), dg = op.diag();
   auto uin = u.clone();
@@ -74,17 +64,8 @@ void resid2(const Op2& op, const DistArray2<double>& u,
                       dg * uin.at_halo({i, j});
     r(i, j) = f(i, j) - au;
   };
-  if (overlap == Overlap::kOn) {
-    auto ex = uin.exchange_halo_begin();
-    doall2_ring(uin, Range{1, nx - 1}, Range{1, ny - 1}, 1, Ring::kInterior,
-                body, 10.0);
-    ex.finish();
-    doall2_ring(uin, Range{1, nx - 1}, Range{1, ny - 1}, 1, Ring::kBoundary,
-                body, 10.0);
-  } else {
-    uin.exchange_halo();
-    doall2(r, Range{1, nx - 1}, Range{1, ny - 1}, body, 10.0);
-  }
+  uin.exchange_halo();
+  doall2(r, Range{1, nx - 1}, Range{1, ny - 1}, body, 10.0);
 }
 
 }  // namespace
@@ -110,23 +91,25 @@ double mg2_residual_norm(const Op2& op, const DistArray2<double>& u,
 
 void mg2_cycle(const Op2& op, DistArray2<double>& u, const DistArray2<double>& f,
                const Mg2Options& opts) {
+  const int ny = u.extent(1) - 1;  // the coarsened extent
+  KALI_CHECK(ny >= 1 && (ny & (ny - 1)) == 0,
+             "mg2_cycle: ny must be a power of two");
   if (!u.participating()) {
     return;
   }
   Context& ctx = u.context();
   const ProcView& pv = u.view();
   const int nx = u.extent(0) - 1;
-  const int ny = u.extent(1) - 1;
 
   // perform zebra relaxation on even lines, then odd lines
-  mg2_zebra_sweep(op, u, f, 0, opts.overlap);
-  mg2_zebra_sweep(op, u, f, 1, opts.overlap);
+  mg2_zebra_sweep(op, u, f, 0);
+  mg2_zebra_sweep(op, u, f, 1);
 
   if (ny <= 2) {
     // Coarsest grid: the zebra sweep solves the single interior line
     // exactly; a few extra sweeps polish the x-y coupling.
     for (int s = 0; s < opts.coarsest_sweeps; ++s) {
-      mg2_zebra_sweep(op, u, f, 1, opts.overlap);
+      mg2_zebra_sweep(op, u, f, 1);
     }
     return;
   }
@@ -140,17 +123,17 @@ void mg2_cycle(const Op2& op, DistArray2<double>& u, const DistArray2<double>& f
     // the correction problem A v = r onto one processor and run the
     // remaining levels there (standard practice on distributed memory).
     D2 r(ctx, pv, {nx + 1, ny + 1}, dists, {0, 1});
-    resid2(op, u, f, r, opts.overlap);
+    resid2(op, u, f, r);
     ProcView pv1 = ProcView::grid1(1, pv.rank_of1(0));
     const typename D2::Dists dists1{DimDist::star(), DimDist::block_dist()};
     D2 r1(ctx, pv1, {nx + 1, ny + 1}, dists1);
-    redistribute(ctx, r, r1, opts.remap_order, opts.overlap);
+    redistribute(ctx, r, r1);
     D2 v1(ctx, pv1, {nx + 1, ny + 1}, dists1, {0, 1});
     if (v1.participating()) {
       mg2_cycle(op, v1, r1, opts);
     }
     D2 v(ctx, pv, {nx + 1, ny + 1}, dists);
-    redistribute(ctx, v1, v, opts.remap_order, opts.overlap);
+    redistribute(ctx, v1, v);
     doall2(
         u, Range{1, nx - 1}, Range{1, ny - 1},
         [&](int i, int j) { u(i, j) += v(i, j); }, 1.0);
@@ -158,42 +141,23 @@ void mg2_cycle(const Op2& op, DistArray2<double>& u, const DistArray2<double>& f
   }
 
   D2 r(ctx, pv, {nx + 1, ny + 1}, dists, {0, 1});
-  resid2(op, u, f, r, opts.overlap);
+  resid2(op, u, f, r);
 
   // rest2: full weighting in y at even fine lines, injected to coarse.
+  // Split the fine residual by line parity onto the coarse layout first,
+  // then weight on the coarse side: re(K) = r(2K) and ro(K) = r(2K+1).  The
+  // weighting stencil needs ro at K-1 and K, so ro travels through
+  // copy_strided_dim_halo, which delivers those ghosts inside the remap
+  // messages — no fine-grid halo exchange of r and no full-size temporary.
+  // g(i,K) = 0.25 r(2K-1) + 0.5 r(2K) + 0.25 r(2K+1).
   D2 g(ctx, pv, {nx + 1, nyc + 1}, dists);
-  if (opts.fused_level_remap) {
-    // Fused path (mirror of the interpolation side below): split the fine
-    // residual by line parity onto the coarse layout first, then weight on
-    // the coarse side.  re(K) = r(2K) and ro(K) = r(2K+1); the weighting
-    // stencil needs ro at K-1 and K, so ro travels through
-    // copy_strided_dim_halo, which delivers those ghosts inside the remap
-    // messages — no fine-grid halo exchange of r and no full-size gtmp.
-    // g(i,K) = 0.25 r(2K-1) + 0.5 r(2K) + 0.25 r(2K+1) in the same
-    // operation order as the unfused path, so the solution is bit-identical.
+  {
     D2 re(ctx, pv, {nx + 1, nyc + 1}, dists);
     D2 ro(ctx, pv, {nx + 1, nyc + 1}, dists, {0, 1});
-    if (opts.overlap == Overlap::kOn) {
-      // Pipeline the two level remaps: post re's receives and sends, then
-      // ro's — re's wire drains while ro packs and both self-overlaps
-      // copy — and drain them back to back.  Per (src, dst) lane the
-      // kTagRemap messages still travel and match in re-then-ro order.
-      auto ex_re =
-          copy_strided_dim_begin(ctx, r, re, 1, /*s_stride=*/2, /*s_off=*/0,
-                                 /*d_stride=*/1, /*d_off=*/0, nyc + 1,
-                                 opts.remap_order);
-      auto ex_ro = copy_strided_dim_halo_begin(
-          ctx, r, ro, 1, /*s_stride=*/2, /*s_off=*/1,
-          /*d_stride=*/1, /*d_off=*/0, nyc, opts.remap_order);
-      ex_re.finish();
-      ex_ro.finish();
-    } else {
-      copy_strided_dim(ctx, r, re, 1, /*s_stride=*/2, /*s_off=*/0,
-                       /*d_stride=*/1, /*d_off=*/0, nyc + 1, opts.remap_order);
-      copy_strided_dim_halo(ctx, r, ro, 1, /*s_stride=*/2, /*s_off=*/1,
-                            /*d_stride=*/1, /*d_off=*/0, nyc,
-                            opts.remap_order);
-    }
+    copy_strided_dim(ctx, r, re, 1, /*s_stride=*/2, /*s_off=*/0,
+                     /*d_stride=*/1, /*d_off=*/0, nyc + 1);
+    copy_strided_dim_halo(ctx, r, ro, 1, /*s_stride=*/2, /*s_off=*/1,
+                          /*d_stride=*/1, /*d_off=*/0, nyc);
     doall2(
         g, Range{1, nx - 1}, Range{1, nyc - 1},
         [&](int i, int K) {
@@ -201,18 +165,6 @@ void mg2_cycle(const Op2& op, DistArray2<double>& u, const DistArray2<double>& f
                     0.25 * ro.at_halo({i, K});
         },
         4.0);
-  } else {
-    r.exchange_halo();
-    D2 gtmp(ctx, pv, {nx + 1, ny + 1}, dists);
-    doall2(
-        gtmp, Range{1, nx - 1}, Range{2, ny - 2, 2},
-        [&](int i, int j) {
-          gtmp(i, j) = 0.25 * r.at_halo({i, j - 1}) + 0.5 * r.at_halo({i, j}) +
-                       0.25 * r.at_halo({i, j + 1});
-        },
-        4.0);
-    copy_strided_dim(ctx, gtmp, g, 1, /*s_stride=*/2, /*s_off=*/0,
-                     /*d_stride=*/1, /*d_off=*/0, nyc + 1, opts.remap_order);
   }
 
   D2 v(ctx, pv, {nx + 1, nyc + 1}, dists, {0, 1});
@@ -221,31 +173,15 @@ void mg2_cycle(const Op2& op, DistArray2<double>& u, const DistArray2<double>& f
   mg2_cycle(coarse, v, g, opts);
 
   // intrp2: linear interpolation in y (Listing 10's 2-D analogue).  The
-  // fused path delivers vtmp's even-line ghosts in the remap messages
-  // themselves — one redistribution per level switch instead of a remap
-  // round plus a halo round.
+  // remap delivers vtmp's even-line ghosts in its own messages — one
+  // redistribution per level switch instead of a remap round plus a halo
+  // round.
   D2 vtmp(ctx, pv, {nx + 1, ny + 1}, dists, {0, 1});
-  auto even_update = [&](int i, int j) { u(i, j) += vtmp(i, j); };
-  if (opts.fused_level_remap) {
-    copy_strided_dim_halo(ctx, v, vtmp, 1, /*s_stride=*/1, /*s_off=*/0,
-                          /*d_stride=*/2, /*d_off=*/0, nyc + 1,
-                          opts.remap_order, opts.overlap);
-    doall2(u, Range{1, nx - 1}, Range{2, ny - 2, 2}, even_update, 1.0);
-  } else if (opts.overlap == Overlap::kOn) {
-    // The even-line correction reads only vtmp's owned cells, so it rides
-    // inside the separate halo exchange's wire window.
-    copy_strided_dim(ctx, v, vtmp, 1, /*s_stride=*/1, /*s_off=*/0,
-                     /*d_stride=*/2, /*d_off=*/0, nyc + 1, opts.remap_order,
-                     opts.overlap);
-    auto ex = vtmp.exchange_halo_begin();
-    doall2(u, Range{1, nx - 1}, Range{2, ny - 2, 2}, even_update, 1.0);
-    ex.finish();
-  } else {
-    copy_strided_dim(ctx, v, vtmp, 1, /*s_stride=*/1, /*s_off=*/0,
-                     /*d_stride=*/2, /*d_off=*/0, nyc + 1, opts.remap_order);
-    vtmp.exchange_halo();
-    doall2(u, Range{1, nx - 1}, Range{2, ny - 2, 2}, even_update, 1.0);
-  }
+  copy_strided_dim_halo(ctx, v, vtmp, 1, /*s_stride=*/1, /*s_off=*/0,
+                        /*d_stride=*/2, /*d_off=*/0, nyc + 1);
+  doall2(
+      u, Range{1, nx - 1}, Range{2, ny - 2, 2},
+      [&](int i, int j) { u(i, j) += vtmp(i, j); }, 1.0);
   doall2(
       u, Range{1, nx - 1}, Range{1, ny - 1, 2},
       [&](int i, int j) {

@@ -4,14 +4,18 @@
 //
 // Arrays are boundary-inclusive, u(0:nx, 0:ny), dist (*, block) over a 1-D
 // processor view with halo 1 on the y dimension; boundary values are held
-// at zero (homogeneous Dirichlet).  nx and ny must be powers of two.
+// at zero (homogeneous Dirichlet).  ny must be a power of two (checked:
+// the y-semicoarsening halves it at every level); nx is not coarsened and
+// may be any size.
 //
 // One cycle =
 //   zebra relaxation on even lines   (tridiagonal solves along x: seqtri)
 //   zebra relaxation on odd lines
 //   coarse grid correction on the y-semicoarsened grid (recursive), via
 //     rest2 (full weighting in y) and intrp2 (linear interpolation in y,
-//     Listing 10's 2-D analogue)
+//     Listing 10's 2-D analogue); each level switch is one scheduled
+//     redistribution that also delivers the ghosts the stencil needs
+//     (copy_strided_dim_halo)
 // Recursion stops when the coarse grid would leave a processor without
 // rows; the coarsest level compensates with extra zebra sweeps.
 #pragma once
@@ -23,29 +27,11 @@ namespace kali {
 
 struct Mg2Options {
   int coarsest_sweeps = 4;  ///< extra zebra sweeps when recursion stops
-  /// Batch each level switch's interpolation remap and the following halo
-  /// exchange into one scheduled redistribution (copy_strided_dim_halo),
-  /// roughly halving the level-switch message count.  Off reproduces the
-  /// separate remap + halo rounds — bit-identical results either way (kept
-  /// for differential tests and benching).
-  bool fused_level_remap = true;
-  /// Issue order for level-switch remap/redistribute messages (all level
-  /// switches go through the CommSchedule rounds; kLockstep additionally
-  /// caps resident mailbox memory at depth).
-  IssueOrder remap_order = IssueOrder::kRoundSchedule;
-  /// kOn overlaps communication with compute: the zebra sweeps run their
-  /// halo exchange split-phase (interior lines solved between post and
-  /// wait, boundary lines after), the residual does the same, the fused
-  /// restriction posts both level-switch remaps before draining either,
-  /// and the interpolation remap hides its pack and self-overlap copies
-  /// inside the wire window.  Results are bit-identical to kOff — same
-  /// messages, same values; only clocks and the overlap counters move
-  /// (tests/test_async.cpp).
-  Overlap overlap = Overlap::kOff;
 };
 
 /// One V-cycle on A u = f for the operator `op` (hx, hy are this level's
-/// spacings).  Collective over u's view.
+/// spacings).  Collective over u's view.  Throws kali::Error unless ny is
+/// a power of two.
 void mg2_cycle(const Op2& op, DistArray2<double>& u, const DistArray2<double>& f,
                const Mg2Options& opts = {});
 
@@ -54,12 +40,9 @@ double mg2_residual_norm(const Op2& op, const DistArray2<double>& u,
                          const DistArray2<double>& f);
 
 /// One zebra half-sweep (parity 0: even lines, 1: odd lines).  Lines of
-/// one parity are mutually independent (each reads only the other colour),
-/// so Overlap::kOn solves the interior lines while the halo drains and the
-/// two boundary lines after the wait — bit-identical to the blocking sweep.
+/// one parity are mutually independent (each reads only the other colour).
 void mg2_zebra_sweep(const Op2& op, DistArray2<double>& u,
-                     const DistArray2<double>& f, int parity,
-                     Overlap overlap = Overlap::kOff);
+                     const DistArray2<double>& f, int parity);
 
 namespace detail {
 /// True if a block distribution of `npts` points over `nprocs` leaves every

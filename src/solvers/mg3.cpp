@@ -12,12 +12,9 @@ namespace kali {
 namespace {
 
 /// r = f - A u on interior points; r's boundary planes stay zero.  Does u's
-/// copy-in itself: with Overlap::kOn the halo exchange runs split-phase, the
-/// interior stencil cells hiding the wire, with the boundary ring after the
-/// wait.
+/// copy-in itself.
 void resid3(const Op3& op, const DistArray3<double>& u,
-            const DistArray3<double>& f, DistArray3<double>& r,
-            Overlap overlap) {
+            const DistArray3<double>& f, DistArray3<double>& r) {
   const int nx = f.extent(0) - 1, ny = f.extent(1) - 1, nz = f.extent(2) - 1;
   const double cx = op.cx(), cy = op.cy(), cz = op.cz(), dg = op.diag();
   auto uin = u.clone();
@@ -29,17 +26,8 @@ void resid3(const Op3& op, const DistArray3<double>& u,
         dg * uin.at_halo({i, j, k});
     r(i, j, k) = f(i, j, k) - au;
   };
-  if (overlap == Overlap::kOn) {
-    auto ex = uin.exchange_halo_begin();
-    doall3_ring(uin, Range{1, nx - 1}, Range{1, ny - 1}, Range{1, nz - 1}, 1,
-                Ring::kInterior, body, 14.0);
-    ex.finish();
-    doall3_ring(uin, Range{1, nx - 1}, Range{1, ny - 1}, Range{1, nz - 1}, 1,
-                Ring::kBoundary, body, 14.0);
-  } else {
-    uin.exchange_halo();
-    doall3(r, Range{1, nx - 1}, Range{1, ny - 1}, Range{1, nz - 1}, body, 14.0);
-  }
+  uin.exchange_halo();
+  doall3(r, Range{1, nx - 1}, Range{1, ny - 1}, Range{1, nz - 1}, body, 14.0);
 }
 
 }  // namespace
@@ -60,7 +48,7 @@ void mg3_zebra_sweep(const Op3& op, DistArray3<double>& u,
   const typename D3::Dists dists3{DimDist::star(), DimDist::block_dist(),
                                   DimDist::block_dist()};
   D3 r(ctx, u.view(), {nx + 1, ny + 1, nz + 1}, dists3, {0, 1, 0});
-  resid3(op, u, f, r, opts.overlap);
+  resid3(op, u, f, r);
 
   const Op2 pop = op.plane_op();
   const int first = parity == 0 ? 2 : 1;
@@ -107,12 +95,15 @@ double mg3_residual_norm(const Op3& op, const DistArray3<double>& u,
 
 void mg3_cycle(const Op3& op, DistArray3<double>& u, const DistArray3<double>& f,
                const Mg3Options& opts) {
+  const int nz = u.extent(2) - 1;  // the coarsened extent
+  KALI_CHECK(nz >= 1 && (nz & (nz - 1)) == 0,
+             "mg3_cycle: nz must be a power of two");
   if (!u.participating()) {
     return;
   }
   Context& ctx = u.context();
   const ProcView& pv = u.view();
-  const int nx = u.extent(0) - 1, ny = u.extent(1) - 1, nz = u.extent(2) - 1;
+  const int nx = u.extent(0) - 1, ny = u.extent(1) - 1;
 
   // perform zebra relaxation on even planes, then odd planes
   mg3_zebra_sweep(op, u, f, 0, opts);
@@ -132,10 +123,10 @@ void mg3_cycle(const Op3& op, DistArray3<double>& u, const DistArray3<double>& f
     // Agglomerate the correction problem onto the first processor column
     // (z becomes single-owner; y stays distributed) and continue there.
     D3 r(ctx, pv, {nx + 1, ny + 1, nz + 1}, dists3);
-    resid3(op, u, f, r, opts.overlap);
+    resid3(op, u, f, r);
     ProcView pvz = pv.sub(1, 0, 1);
     D3 r1(ctx, pvz, {nx + 1, ny + 1, nz + 1}, dists3);
-    redistribute(ctx, r, r1, opts.remap_order, opts.overlap);
+    redistribute(ctx, r, r1);
     D3 v1(ctx, pvz, {nx + 1, ny + 1, nz + 1}, dists3, {0, 1, 1});
     if (v1.participating()) {
       for (int c = 0; c < opts.gamma; ++c) {
@@ -143,45 +134,29 @@ void mg3_cycle(const Op3& op, DistArray3<double>& u, const DistArray3<double>& f
       }
     }
     D3 v(ctx, pv, {nx + 1, ny + 1, nz + 1}, dists3);
-    redistribute(ctx, v1, v, opts.remap_order, opts.overlap);
+    redistribute(ctx, v1, v);
     doall3(
         u, Range{1, nx - 1}, Range{1, ny - 1}, Range{1, nz - 1},
         [&](int i, int j, int k) { u(i, j, k) += v(i, j, k); }, 1.0);
     return;
   }
   D3 r(ctx, pv, {nx + 1, ny + 1, nz + 1}, dists3, {0, 0, 1});
-  resid3(op, u, f, r, opts.overlap);
+  resid3(op, u, f, r);
 
   // rest3: full weighting in z at even fine planes, injected to coarse.
+  // Split the fine residual by plane parity onto the coarse layout, then
+  // weight on the coarse side (mirror of intrp3 below): re(K) = r(2K),
+  // ro(K) = r(2K+1); ro rides copy_strided_dim_halo so the stencil's K-1/K
+  // ghosts arrive inside the remap messages — no fine-grid halo exchange of
+  // r and no full-size temporary.
   D3 g(ctx, pv, {nx + 1, ny + 1, nzc + 1}, dists3);
-  if (opts.fused_level_remap) {
-    // Fused path (mirror of intrp3 below): split the fine residual by plane
-    // parity onto the coarse layout, then weight on the coarse side.
-    // re(K) = r(2K), ro(K) = r(2K+1); ro rides copy_strided_dim_halo so the
-    // stencil's K-1/K ghosts arrive inside the remap messages — no fine-grid
-    // halo exchange of r and no full-size gtmp.  The weighting runs in the
-    // unfused path's operation order, so the solution is bit-identical.
+  {
     D3 re(ctx, pv, {nx + 1, ny + 1, nzc + 1}, dists3);
     D3 ro(ctx, pv, {nx + 1, ny + 1, nzc + 1}, dists3, {0, 0, 1});
-    if (opts.overlap == Overlap::kOn) {
-      // Pipeline the two level remaps: post re's then ro's messages before
-      // draining either.  Lane FIFO keeps each (src, dst, kTagRemap) lane's
-      // re slab ahead of its ro slab, matching the blocking order.
-      auto ex_re =
-          copy_strided_dim_begin(ctx, r, re, 2, /*s_stride=*/2, /*s_off=*/0,
-                                 /*d_stride=*/1, /*d_off=*/0, nzc + 1,
-                                 opts.remap_order);
-      auto ex_ro = copy_strided_dim_halo_begin(
-          ctx, r, ro, 2, /*s_stride=*/2, /*s_off=*/1,
-          /*d_stride=*/1, /*d_off=*/0, nzc, opts.remap_order);
-      ex_re.finish();
-      ex_ro.finish();
-    } else {
-      copy_strided_dim(ctx, r, re, 2, /*s_stride=*/2, /*s_off=*/0,
-                       /*d_stride=*/1, /*d_off=*/0, nzc + 1, opts.remap_order);
-      copy_strided_dim_halo(ctx, r, ro, 2, /*s_stride=*/2, /*s_off=*/1,
-                            /*d_stride=*/1, /*d_off=*/0, nzc, opts.remap_order);
-    }
+    copy_strided_dim(ctx, r, re, 2, /*s_stride=*/2, /*s_off=*/0,
+                     /*d_stride=*/1, /*d_off=*/0, nzc + 1);
+    copy_strided_dim_halo(ctx, r, ro, 2, /*s_stride=*/2, /*s_off=*/1,
+                          /*d_stride=*/1, /*d_off=*/0, nzc);
     doall3(
         g, Range{1, nx - 1}, Range{1, ny - 1}, Range{1, nzc - 1},
         [&](int i, int j, int K) {
@@ -189,19 +164,6 @@ void mg3_cycle(const Op3& op, DistArray3<double>& u, const DistArray3<double>& f
                        0.25 * ro.at_halo({i, j, K});
         },
         4.0);
-  } else {
-    r.exchange_halo();
-    D3 gtmp(ctx, pv, {nx + 1, ny + 1, nz + 1}, dists3);
-    doall3(
-        gtmp, Range{1, nx - 1}, Range{1, ny - 1}, Range{2, nz - 2, 2},
-        [&](int i, int j, int k) {
-          gtmp(i, j, k) = 0.25 * r.at_halo({i, j, k - 1}) +
-                          0.5 * r.at_halo({i, j, k}) +
-                          0.25 * r.at_halo({i, j, k + 1});
-        },
-        4.0);
-    copy_strided_dim(ctx, gtmp, g, 2, /*s_stride=*/2, /*s_off=*/0,
-                     /*d_stride=*/1, /*d_off=*/0, nzc + 1, opts.remap_order);
   }
 
   D3 v(ctx, pv, {nx + 1, ny + 1, nzc + 1}, dists3, {0, 1, 1});
@@ -211,35 +173,15 @@ void mg3_cycle(const Op3& op, DistArray3<double>& u, const DistArray3<double>& f
     mg3_cycle(coarse, v, g, opts);
   }
 
-  // intrp3 (Listing 10): modify even planes, then odd planes.  The fused
-  // path delivers vtmp's even-plane ghosts in the remap messages — one
+  // intrp3 (Listing 10): modify even planes, then odd planes.  The remap
+  // delivers vtmp's even-plane ghosts in its own messages — one
   // redistribution per level switch instead of remap + halo rounds.
   D3 vtmp(ctx, pv, {nx + 1, ny + 1, nz + 1}, dists3, {0, 0, 1});
-  auto even_update = [&](int i, int j, int k) { u(i, j, k) += vtmp(i, j, k); };
-  if (opts.fused_level_remap) {
-    copy_strided_dim_halo(ctx, v, vtmp, 2, /*s_stride=*/1, /*s_off=*/0,
-                          /*d_stride=*/2, /*d_off=*/0, nzc + 1,
-                          opts.remap_order, opts.overlap);
-    doall3(u, Range{1, nx - 1}, Range{1, ny - 1}, Range{2, nz - 2, 2},
-           even_update, 1.0);
-  } else if (opts.overlap == Overlap::kOn) {
-    copy_strided_dim(ctx, v, vtmp, 2, /*s_stride=*/1, /*s_off=*/0,
-                     /*d_stride=*/2, /*d_off=*/0, nzc + 1, opts.remap_order,
-                     opts.overlap);
-    // The even-plane correction reads only owned vtmp cells, so it can run
-    // while the z-halo is in flight; the odd planes (which read the ghosts)
-    // follow the wait.
-    auto ex = vtmp.exchange_halo_begin();
-    doall3(u, Range{1, nx - 1}, Range{1, ny - 1}, Range{2, nz - 2, 2},
-           even_update, 1.0);
-    ex.finish();
-  } else {
-    copy_strided_dim(ctx, v, vtmp, 2, /*s_stride=*/1, /*s_off=*/0,
-                     /*d_stride=*/2, /*d_off=*/0, nzc + 1, opts.remap_order);
-    vtmp.exchange_halo();
-    doall3(u, Range{1, nx - 1}, Range{1, ny - 1}, Range{2, nz - 2, 2},
-           even_update, 1.0);
-  }
+  copy_strided_dim_halo(ctx, v, vtmp, 2, /*s_stride=*/1, /*s_off=*/0,
+                        /*d_stride=*/2, /*d_off=*/0, nzc + 1);
+  doall3(
+      u, Range{1, nx - 1}, Range{1, ny - 1}, Range{2, nz - 2, 2},
+      [&](int i, int j, int k) { u(i, j, k) += vtmp(i, j, k); }, 1.0);
   doall3(
       u, Range{1, nx - 1}, Range{1, ny - 1}, Range{1, nz - 1, 2},
       [&](int i, int j, int k) {

@@ -3,8 +3,12 @@
 // and rest3/resid3.
 //
 // Arrays are boundary-inclusive, u(0:nx, 0:ny, 0:nz), dist (*, block, block)
-// over procs(px, py) with halo (0, 1, 1).  The zebra relaxation visits even
-// z-planes then odd z-planes; each plane solve is itself a tensor product
+// over procs(px, py) with halo (0, 1, 1).  nz must be a power of two (the
+// z-semicoarsening halves it at every level) and so must ny (the inner mg2
+// coarsens the planes in y); both are checked, nx may be any size.  The
+// zebra relaxation visits even z-planes then odd z-planes, and each z-level
+// switch is one scheduled redistribution that also delivers the stencil's
+// ghosts (copy_strided_dim_halo).  Each plane solve is itself a tensor product
 // multigrid algorithm: a call to mg2 on the plane slice u(*, *, k), which
 // inherits the one-dimensional processor view procs(*, kp) — exactly the
 // composition the paper's section 5 is about.
@@ -21,22 +25,11 @@ struct Mg3Options {
   int gamma = 1;           ///< coarse-grid visits per cycle (1 = V, 2 = W)
   bool post_zebra = true;  ///< zebra sweep after the coarse correction
   Mg2Options plane_mg2{};  ///< settings for the inner mg2
-  /// Batch each z-level switch's interpolation remap and the following halo
-  /// exchange into one scheduled redistribution (see Mg2Options).
-  bool fused_level_remap = true;
-  /// Issue order for level-switch remap/redistribute messages.
-  IssueOrder remap_order = IssueOrder::kRoundSchedule;
-  /// kOn overlaps communication with compute (see Mg2Options::overlap): the
-  /// residuals run their halo exchange split-phase with the interior
-  /// stencil planes between post and wait, the fused restriction posts both
-  /// z-level remaps before draining either, and the interpolation remap
-  /// hides pack and self-overlap inside the wire window.  Results are
-  /// bit-identical to kOff.  The inner plane solver's overlap is set
-  /// separately via plane_mg2.overlap.
-  Overlap overlap = Overlap::kOff;
 };
 
-/// One V-cycle on A u = f.  Collective over u's 2-D view.
+/// One V-cycle on A u = f.  Collective over u's 2-D view.  Throws
+/// kali::Error unless nz is a power of two (and, through the plane solves'
+/// mg2_cycle, ny).
 void mg3_cycle(const Op3& op, DistArray3<double>& u, const DistArray3<double>& f,
                const Mg3Options& opts = {});
 

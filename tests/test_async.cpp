@@ -1,11 +1,13 @@
 // Differential tests for the nonblocking layer (Context::isend/irecv +
-// CommHandle) and the Overlap::kOn split-phase paths built on it.  The
-// contract under test is the one docs/machine-model.md states: overlapping
-// communication with compute changes *when* wire time is paid, never *what*
-// is computed or sent — so every kOn path must produce byte-identical
-// solutions, identical per-tag message ledgers, and (being built from the
-// same deterministic completion algebra) traces that are bit-identical
-// across host worker counts and all three link-contention tiers.
+// CommHandle) and the split-phase runtime exchanges built on it
+// (exchange_halo_begin, redistribute_begin, copy_strided_dim_begin,
+// copy_strided_dim_halo_begin).  The contract under test is the one
+// docs/machine-model.md states: overlapping communication with compute
+// changes *when* wire time is paid, never *what* is computed or sent — so
+// every split-phase form must produce byte-identical results, identical
+// per-tag message ledgers, and (being built from the same deterministic
+// completion algebra) traces that are bit-identical across host worker
+// counts and all three link-contention tiers.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,9 +22,8 @@
 #include "machine/trace.hpp"
 #include "runtime/dist_array.hpp"
 #include "runtime/doall.hpp"
-#include "solvers/adi.hpp"
-#include "solvers/mg2.hpp"
-#include "solvers/mg3.hpp"
+#include "runtime/redistribute.hpp"
+#include "runtime/remap.hpp"
 
 namespace kali {
 namespace {
@@ -62,10 +63,10 @@ struct RunResult {
   std::string trace;
 };
 
-/// Run `prog(ctx, overlap, out)` on `nprocs` ranks; out collects this
-/// rank's result values (each rank writes its own slot — no host race).
+/// Run `prog(ctx, split, out)` on `nprocs` ranks; out collects this rank's
+/// result values (each rank writes its own slot — no host race).
 template <class Prog>
-RunResult run_case(int nprocs, LinkContention lc, int workers, Overlap ov,
+RunResult run_case(int nprocs, LinkContention lc, int workers, bool split,
                    Prog&& prog) {
   Machine m(nprocs, make_config(lc, workers));
   MessageTrace trace(m.size());
@@ -73,7 +74,7 @@ RunResult run_case(int nprocs, LinkContention lc, int workers, Overlap ov,
   std::vector<std::vector<double>> per_rank(
       static_cast<std::size_t>(nprocs));
   m.run([&](Context& ctx) {
-    prog(ctx, ov, per_rank[static_cast<std::size_t>(ctx.rank())]);
+    prog(ctx, split, per_rank[static_cast<std::size_t>(ctx.rank())]);
   });
   RunResult r;
   for (const auto& v : per_rank) {
@@ -118,26 +119,23 @@ void expect_ledgers_identical(const RunResult& a, const RunResult& b) {
 }
 
 /// The full differential matrix for one workload: for every contention
-/// tier, the kOn run must match the blocking oracle's solution bytes and
-/// ledgers, and kOn traces/ledgers must be bit-identical across host
-/// worker counts.
+/// tier, the split-phase run must match the blocking oracle's result bytes
+/// and ledgers, and split-phase traces/ledgers must be bit-identical across
+/// host worker counts.
 template <class Prog>
-void run_differential_matrix(int nprocs, Prog&& prog,
-                             bool expect_overlap = true) {
+void run_differential_matrix(int nprocs, Prog&& prog) {
   for (LinkContention lc : kTiers) {
     SCOPED_TRACE(std::string("tier=") + tier_name(lc));
-    const RunResult oracle = run_case(nprocs, lc, 1, Overlap::kOff, prog);
+    const RunResult oracle = run_case(nprocs, lc, 1, /*split=*/false, prog);
     EXPECT_EQ(oracle.stats.overlap_wire_time(), 0.0);
     RunResult first_on;
     bool have_first = false;
     for (int workers : worker_counts()) {
       SCOPED_TRACE("workers=" + std::to_string(workers));
-      RunResult on = run_case(nprocs, lc, workers, Overlap::kOn, prog);
+      RunResult on = run_case(nprocs, lc, workers, /*split=*/true, prog);
       expect_values_byte_identical(on, oracle);
       expect_ledgers_identical(on, oracle);
-      if (expect_overlap) {
-        EXPECT_GT(on.stats.overlap_wire_time(), 0.0);
-      }
+      EXPECT_GT(on.stats.overlap_wire_time(), 0.0);
       if (!have_first) {
         first_on = std::move(on);
         have_first = true;
@@ -153,7 +151,7 @@ void run_differential_matrix(int nprocs, Prog&& prog,
 
 /// Raw split-phase halo: a 5-point stencil over a (block, block) array,
 /// interior ring between post and wait, boundary ring after.
-void halo_prog(Context& ctx, Overlap ov, std::vector<double>& out) {
+void halo_prog(Context& ctx, bool split, std::vector<double>& out) {
   const int n = 24;
   ProcView pv = ProcView::grid2(2, 2);
   using D2 = DistArray2<double>;
@@ -168,7 +166,7 @@ void halo_prog(Context& ctx, Overlap ov, std::vector<double>& out) {
               u.at_halo({i + 1, j}) - u.at_halo({i, j - 1}) -
               u.at_halo({i, j + 1});
   };
-  if (ov == Overlap::kOn) {
+  if (split) {
     auto ex = u.exchange_halo_begin();
     doall2_ring(u, Range{0, n - 1}, Range{0, n - 1}, 1, Ring::kInterior, body,
                 6.0);
@@ -182,86 +180,127 @@ void halo_prog(Context& ctx, Overlap ov, std::vector<double>& out) {
   r.for_each_owned([&](std::array<int, 2> g) { out.push_back(r.at(g)); });
 }
 
-/// mg2 V-cycles: split-phase zebra sweeps and residuals, pipelined fused
-/// restriction, overlapped interpolation remap.
-void mg2_prog(Context& ctx, Overlap ov, std::vector<double>& out) {
-  const int nx = 32, ny = 32;
-  ProcView pv = ProcView::grid1(ctx.nprocs());
-  using D2 = DistArray2<double>;
-  const typename D2::Dists dists{DimDist::star(), DimDist::block_dist()};
-  D2 u(ctx, pv, {nx + 1, ny + 1}, dists, {0, 1});
-  D2 f(ctx, pv, {nx + 1, ny + 1}, dists);
-  Op2 op;
-  op.axx = op.ayy = 1.0;
-  op.sigma = 0.0;
-  op.hx = 1.0 / nx;
-  op.hy = 1.0 / ny;
-  f.fill([&](std::array<int, 2> g) {
-    return rhs2(op, g[0] * op.hx, g[1] * op.hy);
+/// Owned-cell work run between begin and finish (or after the blocking
+/// call): reads only `a`'s owned cells, never anything in flight.
+template <class T, int R>
+void owned_work(const DistArray<T, R>& a, std::vector<double>& out) {
+  double n = 0.0;
+  a.for_each_owned([&](const typename DistArray<T, R>::Extents& g) {
+    out.push_back(std::sqrt(1.0 + a.at(g) * a.at(g)));
+    n += 1.0;
   });
-  Mg2Options opts;
-  opts.overlap = ov;
-  for (int cyc = 0; cyc < 3; ++cyc) {
-    mg2_cycle(op, u, f, opts);
-  }
-  u.for_each_owned([&](std::array<int, 2> g) { out.push_back(u.at(g)); });
+  a.context().compute(4.0 * n);
 }
 
-/// ADI in transpose mode: split-phase residual plus three overlapped
-/// redistributions per iteration.
-void adi_prog(Context& ctx, Overlap ov, std::vector<double>& out) {
-  const int n = 32;
-  ProcView pv = ProcView::grid2(2, 2);
+/// The ADI transpose chain: (block, block) -> (block, *) -> (*, block),
+/// each redistribution split-phase with owned-cell work in its window.
+void transpose_prog(Context& ctx, bool split, std::vector<double>& out) {
+  const int n = 24;
   using D2 = DistArray2<double>;
-  const typename D2::Dists dists{DimDist::block_dist(), DimDist::block_dist()};
-  D2 u(ctx, pv, {n, n}, dists, {1, 1});
-  D2 f(ctx, pv, {n, n}, dists);
-  Op2 op;
-  op.axx = op.ayy = 1.0;
-  op.sigma = 0.0;
-  op.hx = op.hy = 1.0 / (n + 1);
-  const double h = 1.0 / (n + 1);
-  f.fill([&](std::array<int, 2> g) {
-    return rhs2(op, (g[0] + 1) * h, (g[1] + 1) * h);
-  });
-  AdiOptions opts;
-  opts.op = op;
-  opts.tau = adi_default_tau(op, n);
-  opts.transpose = true;
-  opts.overlap = ov;
-  for (int it = 0; it < 3; ++it) {
-    adi_iterate(opts, u, f);
+  const ProcView grid = ProcView::grid2(2, 2);
+  const ProcView line = ProcView::grid1(4);
+  D2 a(ctx, grid, {n, n}, {DimDist::block_dist(), DimDist::block_dist()});
+  D2 rows(ctx, line, {n, n}, {DimDist::block_dist(), DimDist::star()});
+  D2 cols(ctx, line, {n, n}, {DimDist::star(), DimDist::block_dist()});
+  a.fill([](std::array<int, 2> g) { return 0.5 * g[0] - std::cos(0.2 * g[1]); });
+  std::vector<double> work;
+  if (split) {
+    auto ex = redistribute_begin(ctx, a, rows);
+    owned_work(a, work);
+    ex.finish();
+    auto ex2 = redistribute_begin(ctx, rows, cols);
+    owned_work(rows, work);
+    ex2.finish();
+  } else {
+    redistribute(ctx, a, rows);
+    owned_work(a, work);
+    redistribute(ctx, rows, cols);
+    owned_work(rows, work);
   }
-  u.for_each_owned([&](std::array<int, 2> g) { out.push_back(u.at(g)); });
+  cols.for_each_owned([&](std::array<int, 2> g) { out.push_back(cols.at(g)); });
+  out.insert(out.end(), work.begin(), work.end());
 }
 
-/// mg3 V-cycles (with the inner plane solver overlapped too): 3-D
-/// split-phase residuals, pipelined z-level remaps, plus everything the
-/// mg2 plane solves exercise.
-void mg3_prog(Context& ctx, Overlap ov, std::vector<double>& out) {
-  const int nx = 8, ny = 8, nz = 8;
-  ProcView pv = ProcView::grid2(2, 2);
-  using D3 = DistArray3<double>;
-  const typename D3::Dists dists{DimDist::star(), DimDist::block_dist(),
-                                 DimDist::block_dist()};
-  D3 u(ctx, pv, {nx + 1, ny + 1, nz + 1}, dists, {0, 1, 1});
-  D3 f(ctx, pv, {nx + 1, ny + 1, nz + 1}, dists);
-  Op3 op;
-  op.axx = op.ayy = op.azz = 1.0;
-  op.sigma = 0.0;
-  op.hx = 1.0 / nx;
-  op.hy = 1.0 / ny;
-  op.hz = 1.0 / nz;
-  f.fill([&](std::array<int, 3> g) {
-    return rhs3(op, g[0] * op.hx, g[1] * op.hy, g[2] * op.hz);
-  });
-  Mg3Options opts;
-  opts.overlap = ov;
-  opts.plane_mg2.overlap = ov;
-  for (int cyc = 0; cyc < 2; ++cyc) {
-    mg3_cycle(op, u, f, opts);
+using Mg2Dists = DistArray2<double>::Dists;
+const Mg2Dists kMg2Dists{DimDist::star(), DimDist::block_dist()};
+
+/// mg2's restriction level switch: the fine residual split by line parity
+/// onto the coarse layout, re by stride-2 copy_strided_dim and ro by
+/// copy_strided_dim_halo (ghosts fused in), both posted before either is
+/// drained, then the full-weighting stencil over re and ro's ghosts.
+void restriction_prog(Context& ctx, bool split, std::vector<double>& out) {
+  const int nx = 16, ny = 32, nyc = ny / 2;
+  using D2 = DistArray2<double>;
+  const ProcView pv = ProcView::grid1(ctx.nprocs());
+  D2 r(ctx, pv, {nx + 1, ny + 1}, kMg2Dists, {0, 1});
+  D2 re(ctx, pv, {nx + 1, nyc + 1}, kMg2Dists);
+  D2 ro(ctx, pv, {nx + 1, nyc + 1}, kMg2Dists, {0, 1});
+  D2 g(ctx, pv, {nx + 1, nyc + 1}, kMg2Dists);
+  r.fill([](std::array<int, 2> x) { return std::sin(0.4 * x[0] + 0.7 * x[1]); });
+  std::vector<double> work;
+  if (split) {
+    auto ex_re = copy_strided_dim_begin(ctx, r, re, 1, /*s_stride=*/2,
+                                        /*s_off=*/0, /*d_stride=*/1,
+                                        /*d_off=*/0, nyc + 1);
+    auto ex_ro = copy_strided_dim_halo_begin(ctx, r, ro, 1, /*s_stride=*/2,
+                                             /*s_off=*/1, /*d_stride=*/1,
+                                             /*d_off=*/0, nyc);
+    owned_work(r, work);
+    ex_re.finish();
+    ex_ro.finish();
+  } else {
+    copy_strided_dim(ctx, r, re, 1, /*s_stride=*/2, /*s_off=*/0,
+                     /*d_stride=*/1, /*d_off=*/0, nyc + 1);
+    copy_strided_dim_halo(ctx, r, ro, 1, /*s_stride=*/2, /*s_off=*/1,
+                          /*d_stride=*/1, /*d_off=*/0, nyc);
+    owned_work(r, work);
   }
-  u.for_each_owned([&](std::array<int, 3> g) { out.push_back(u.at(g)); });
+  doall2(
+      g, Range{1, nx - 1}, Range{1, nyc - 1},
+      [&](int i, int K) {
+        g(i, K) = 0.25 * ro.at_halo({i, K - 1}) + 0.5 * re(i, K) +
+                  0.25 * ro.at_halo({i, K});
+      },
+      4.0);
+  g.for_each_owned([&](std::array<int, 2> x) { out.push_back(g.at(x)); });
+  out.insert(out.end(), work.begin(), work.end());
+}
+
+/// mg2's interpolation level switch: the coarse correction spread onto the
+/// fine even lines with its ghosts fused in, then the odd lines averaged
+/// from those ghosts.
+void interpolation_prog(Context& ctx, bool split, std::vector<double>& out) {
+  const int nx = 16, ny = 32, nyc = ny / 2;
+  using D2 = DistArray2<double>;
+  const ProcView pv = ProcView::grid1(ctx.nprocs());
+  D2 v(ctx, pv, {nx + 1, nyc + 1}, kMg2Dists, {0, 1});
+  D2 vtmp(ctx, pv, {nx + 1, ny + 1}, kMg2Dists, {0, 1});
+  D2 u(ctx, pv, {nx + 1, ny + 1}, kMg2Dists, {0, 1});
+  v.fill([](std::array<int, 2> x) { return 1.0 + 0.1 * x[0] * x[1]; });
+  u.fill([](std::array<int, 2> x) { return std::cos(0.3 * x[0] - 0.5 * x[1]); });
+  std::vector<double> work;
+  if (split) {
+    auto ex = copy_strided_dim_halo_begin(ctx, v, vtmp, 1, /*s_stride=*/1,
+                                          /*s_off=*/0, /*d_stride=*/2,
+                                          /*d_off=*/0, nyc + 1);
+    owned_work(u, work);
+    ex.finish();
+  } else {
+    copy_strided_dim_halo(ctx, v, vtmp, 1, /*s_stride=*/1, /*s_off=*/0,
+                          /*d_stride=*/2, /*d_off=*/0, nyc + 1);
+    owned_work(u, work);
+  }
+  doall2(
+      u, Range{1, nx - 1}, Range{2, ny - 2, 2},
+      [&](int i, int j) { u(i, j) += vtmp(i, j); }, 1.0);
+  doall2(
+      u, Range{1, nx - 1}, Range{1, ny - 1, 2},
+      [&](int i, int j) {
+        u(i, j) += 0.5 * (vtmp.at_halo({i, j - 1}) + vtmp.at_halo({i, j + 1}));
+      },
+      3.0);
+  u.for_each_owned([&](std::array<int, 2> x) { out.push_back(u.at(x)); });
+  out.insert(out.end(), work.begin(), work.end());
 }
 
 // --- the differential matrix ----------------------------------------------
@@ -270,16 +309,16 @@ TEST(AsyncDifferential, SplitPhaseHaloMatchesBlocking) {
   run_differential_matrix(4, halo_prog);
 }
 
-TEST(AsyncDifferential, Mg2OverlapMatchesBlocking) {
-  run_differential_matrix(4, mg2_prog);
+TEST(AsyncDifferential, TransposeRedistributeMatchesBlocking) {
+  run_differential_matrix(4, transpose_prog);
 }
 
-TEST(AsyncDifferential, AdiTransposeOverlapMatchesBlocking) {
-  run_differential_matrix(4, adi_prog);
+TEST(AsyncDifferential, RestrictionRemapPairMatchesBlocking) {
+  run_differential_matrix(4, restriction_prog);
 }
 
-TEST(AsyncDifferential, Mg3OverlapMatchesBlocking) {
-  run_differential_matrix(4, mg3_prog);
+TEST(AsyncDifferential, InterpolationRemapMatchesBlocking) {
+  run_differential_matrix(4, interpolation_prog);
 }
 
 // --- handle semantics ------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "machine/context.hpp"
+#include "oracles/mg_unfused.hpp"
 
 namespace kali {
 namespace {
@@ -171,7 +172,9 @@ TEST(Mg2, HelmholtzShiftConverges) {
 TEST(Mg2, FusedLevelSwitchBitIdenticalWithFewerMessages) {
   // The batched level switch (one scheduled redistribution per switch,
   // copy_strided_dim_halo) must reproduce the separate remap + halo rounds
-  // bit for bit while cutting the cycle's message count.
+  // of the unfused oracle bit for bit while cutting the cycle's message
+  // count.  At p = 4 the second level switch agglomerates, so the oracle's
+  // redistribute path is exercised too.
   const int nx = 32, ny = 32, p = 4;
   auto run = [&](bool fused) {
     Machine m(p, quiet_config());
@@ -180,10 +183,12 @@ TEST(Mg2, FusedLevelSwitchBitIdenticalWithFewerMessages) {
       ProcView pv = ProcView::grid1(p);
       Op2 op = model_op(nx, ny);
       auto [u, f] = make_problem(ctx, pv, op, nx, ny);
-      Mg2Options opts;
-      opts.fused_level_remap = fused;
       for (int cyc = 0; cyc < 3; ++cyc) {
-        mg2_cycle(op, u, f, opts);
+        if (fused) {
+          mg2_cycle(op, u, f);
+        } else {
+          oracles::mg2_cycle_unfused(op, u, f);
+        }
       }
       u.for_each_owned([&](std::array<int, 2> g) {
         sol[static_cast<std::size_t>(ctx.rank())].push_back(u.at(g));
@@ -197,20 +202,29 @@ TEST(Mg2, FusedLevelSwitchBitIdenticalWithFewerMessages) {
   EXPECT_LT(msgs_fused, msgs_sep);   // batched switches send fewer messages
 }
 
-TEST(Mg2, LockstepLevelSwitchesConverge) {
-  // ROADMAP follow-up: level switches driven through IssueOrder::kLockstep
-  // (bounded mailbox depth) must converge identically.
-  const int nx = 16, ny = 16, p = 2;
-  Machine m(p, quiet_config());
-  m.run([&](Context& ctx) {
-    ProcView pv = ProcView::grid1(p);
-    Op2 op = model_op(nx, ny);
-    auto [u, f] = make_problem(ctx, pv, op, nx, ny);
-    Mg2Options opts;
-    opts.remap_order = IssueOrder::kLockstep;
+TEST(Mg2, RejectsNonPowerOfTwoNy) {
+  // y-semicoarsening halves ny at every level, so ny = 20 reaches an odd
+  // extent (5) whose coarse grid no longer lines up with the fine one.
+  // Such a cycle used to run and converge far more slowly without any
+  // report; it is refused at entry instead.  nx is never coarsened.
+  for (int p : {1, 2}) {
+    Machine m(p, quiet_config());
+    EXPECT_THROW(m.run([&](Context& ctx) {
+      ProcView pv = ProcView::grid1(p);
+      Op2 op = model_op(16, 20);
+      auto [u, f] = make_problem(ctx, pv, op, 16, 20);
+      mg2_cycle(op, u, f);
+    }),
+                 Error);
+  }
+  Machine m(2, quiet_config());
+  m.run([&](Context& ctx) {  // any nx is fine
+    ProcView pv = ProcView::grid1(2);
+    Op2 op = model_op(12, 16);
+    auto [u, f] = make_problem(ctx, pv, op, 12, 16);
     const double r0 = mg2_residual_norm(op, u, f);
-    for (int cyc = 0; cyc < 6; ++cyc) {
-      mg2_cycle(op, u, f, opts);
+    for (int cyc = 0; cyc < 8; ++cyc) {
+      mg2_cycle(op, u, f);
     }
     EXPECT_LT(mg2_residual_norm(op, u, f), 1e-6 * r0);
   });

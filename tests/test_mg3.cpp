@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
 #include "machine/context.hpp"
+#include "oracles/mg_unfused.hpp"
 
 namespace kali {
 namespace {
@@ -149,9 +151,9 @@ TEST(Mg3, AnisotropicZDominantConverges) {
 
 TEST(Mg3, FusedLevelSwitchBitIdenticalWithFewerMessages) {
   // The batched z-level switch (one scheduled redistribution instead of a
-  // remap round plus a halo round) must reproduce the separate rounds bit
-  // for bit while cutting the cycle's message count.  The inner mg2 plane
-  // solver batches its own y-level switches through the same option.
+  // remap round plus a halo round) must reproduce the unfused oracle's
+  // separate rounds bit for bit while cutting the cycle's message count.
+  // Both sides run the same (fused) mg2 plane solves.
   const int n = 8, p = 4;
   auto run = [&](bool fused) {
     Machine m(p, quiet_config());
@@ -160,11 +162,12 @@ TEST(Mg3, FusedLevelSwitchBitIdenticalWithFewerMessages) {
       ProcView pv = ProcView::grid2(2, 2);
       Op3 op = model_op(n, n, n);
       auto [u, f] = make_problem(ctx, pv, op, n, n, n);
-      Mg3Options opts;
-      opts.fused_level_remap = fused;
-      opts.plane_mg2.fused_level_remap = fused;
       for (int cyc = 0; cyc < 2; ++cyc) {
-        mg3_cycle(op, u, f, opts);
+        if (fused) {
+          mg3_cycle(op, u, f);
+        } else {
+          oracles::mg3_cycle_unfused(op, u, f);
+        }
       }
       u.for_each_owned([&](std::array<int, 3> g) {
         sol[static_cast<std::size_t>(ctx.rank())].push_back(u.at(g));
@@ -176,6 +179,22 @@ TEST(Mg3, FusedLevelSwitchBitIdenticalWithFewerMessages) {
   const auto [sol_fused, msgs_fused] = run(true);
   EXPECT_EQ(sol_fused, sol_sep);    // bit-identical solutions
   EXPECT_LT(msgs_fused, msgs_sep);  // batched switches send fewer messages
+}
+
+TEST(Mg3, RejectsNonPowerOfTwoNzOrNy) {
+  // nz is halved by the z-semicoarsening and ny by the plane solves' mg2:
+  // both must be powers of two, and either violation is refused.
+  for (const std::array<int, 2> yz : {std::array{8, 12}, std::array{12, 8}}) {
+    const int ny = yz[0], nz = yz[1];
+    Machine m(4, quiet_config());
+    EXPECT_THROW(m.run([&](Context& ctx) {
+      ProcView pv = ProcView::grid2(2, 2);
+      Op3 op = model_op(8, ny, nz);
+      auto [u, f] = make_problem(ctx, pv, op, 8, ny, nz);
+      mg3_cycle(op, u, f);
+    }),
+                 Error);
+  }
 }
 
 TEST(Mg3, PlaneSolvesRunOnPlaneOwnersOnly) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -494,6 +495,44 @@ TEST(Redistribute, LockstepMatchesScheduledAndBoundsMailbox) {
   EXPECT_EQ(gsched, glock);
   EXPECT_EQ(gst_sched.totals().msgs_sent, gst_lock.totals().msgs_sent);
   EXPECT_LE(gst_lock.max_mailbox_depth(), 4u);
+}
+
+/// Per-rank clocks after running `prog` on 2 ranks.
+template <class Prog>
+std::vector<double> clocks_after(Prog&& prog) {
+  Machine m(2, quiet_config());
+  std::vector<double> clocks(2);
+  m.run([&](Context& ctx) {
+    prog(ctx);
+    clocks[static_cast<std::size_t>(ctx.rank())] = ctx.clock();
+  });
+  return clocks;
+}
+
+TEST(Redistribute, BlockingChargesSelfCopyBeforeSends) {
+  // (block, *) -> (*, block) on 2 ranks, 4x4: each rank keeps a 2x2
+  // self-overlap and trades a 2x2 slab with its peer.  The blocking box
+  // path charges the self copy, sends, charges the pack, receives, then
+  // charges the unpack; the modeled clocks pin that order exactly.
+  const auto got = clocks_after([](Context& ctx) {
+    ProcView pv = ProcView::grid1(2);
+    DistArray2<double> rows(ctx, pv, {4, 4},
+                            {DimDist::block_dist(), DimDist::star()});
+    DistArray2<double> cols(ctx, pv, {4, 4},
+                            {DimDist::star(), DimDist::block_dist()});
+    rows.fill([](std::array<int, 2> g) { return tag2(g[0], g[1]); });
+    redistribute(ctx, rows, cols);
+  });
+  const auto want = clocks_after([](Context& ctx) {
+    const int peer = 1 - ctx.rank();
+    const std::vector<double> slab(4, 1.0);
+    ctx.compute(4.0);  // self copy
+    ctx.send_span<double>(peer, kTagRedistData, std::span<const double>(slab));
+    ctx.compute(4.0);  // pack
+    (void)ctx.recv_vec<double>(peer, kTagRedistData);
+    ctx.compute(4.0);  // unpack
+  });
+  EXPECT_EQ(got, want);
 }
 
 TEST(Redistribute, ExtentMismatchThrows) {

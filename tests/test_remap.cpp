@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -409,6 +410,39 @@ TEST(Remap, ZeroStrideThrows) {
     copy_strided_dim_binned(ctx, a, b, 0, 0, 0, 1, 0, 4);
   }),
                Error);
+}
+
+TEST(Remap, BlockingFoldsSelfCopyIntoUnpackCharge) {
+  // The redistribute shape of BlockingChargesSelfCopyBeforeSends as an
+  // identity strided copy: the blocking strided copies charge the pack
+  // after the sends and the self copy together with the unpack.
+  auto clocks_after = [](auto prog) {
+    Machine m(2, quiet_config());
+    std::vector<double> clocks(2);
+    m.run([&](Context& ctx) {
+      prog(ctx);
+      clocks[static_cast<std::size_t>(ctx.rank())] = ctx.clock();
+    });
+    return clocks;
+  };
+  const auto got = clocks_after([](Context& ctx) {
+    ProcView pv = ProcView::grid1(2);
+    DistArray2<double> rows(ctx, pv, {4, 4},
+                            {DimDist::block_dist(), DimDist::star()});
+    DistArray2<double> cols(ctx, pv, {4, 4},
+                            {DimDist::star(), DimDist::block_dist()});
+    rows.fill([](std::array<int, 2> g) { return tag2(g[0], g[1]); });
+    copy_strided_dim(ctx, rows, cols, 0, 1, 0, 1, 0, 4);
+  });
+  const auto want = clocks_after([](Context& ctx) {
+    const int peer = 1 - ctx.rank();
+    const std::vector<double> slab(4, 1.0);
+    ctx.send_span<double>(peer, kTagRemap, std::span<const double>(slab));
+    ctx.compute(4.0);  // pack
+    (void)ctx.recv_vec<double>(peer, kTagRemap);
+    ctx.compute(8.0);  // self copy + unpack
+  });
+  EXPECT_EQ(got, want);
 }
 
 TEST(Remap, ExtentMismatchOffDimThrows) {
