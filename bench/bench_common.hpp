@@ -16,9 +16,7 @@
 namespace kali::bench {
 
 inline MachineConfig config_1989() {
-  MachineConfig cfg;  // defaults are the 1989 machine
-  cfg.recv_timeout_wall = 120.0;
-  return cfg;
+  return {};  // defaults are the 1989 machine
 }
 
 /// A low-latency variant (balanced machine), for sensitivity sweeps.

@@ -100,18 +100,13 @@ struct MachineConfig {
   std::size_t fiber_stack_bytes = 0;
 
   // --- harness behaviour (not part of the cost model) ---
-  /// Wall-clock seconds a blocking recv (or a quiesce) waits, once the
-  /// whole machine has stalled, before failing.  This is the *fallback*
-  /// deadlock guard; a correct program never hits it, and with
-  /// `deadlock_detection` on (the default), a stalled recv never does.
-  double recv_timeout_wall = 60.0;
-
-  /// Deadlock detection (machine/deadlock.hpp): at the first full
-  /// scheduler stall — every rank finished or parked — a run with a rank
-  /// parked in recv aborts with a per-rank diagnostic instead of sitting
-  /// out recv_timeout_wall.  Costs nothing until a stall.  Purely a
-  /// harness feature: it never touches simulated clocks, payloads, or
-  /// stats.  Disable to fall back to the wall-clock timeout alone.
+  /// A full scheduler stall — every rank finished or parked, so nothing
+  /// can ever wake a parked one — aborts the run at once, whatever this
+  /// says.  On, the error is the per-rank deadlock dump
+  /// (machine/deadlock.hpp): each rank's state and unmatched mailbox
+  /// queue.  Off, it is the scheduler's one-line "full stall" error.
+  /// Costs nothing until a stall, and never touches simulated clocks,
+  /// payloads, or stats.
   bool deadlock_detection = true;
 
   /// Scheduler dispatch hook (machine/scheduler.hpp, SchedulerHook): when
@@ -120,19 +115,6 @@ struct MachineConfig {
   /// Machine::run.  Harness-only: a correct program's results are
   /// bit-identical under any hook.
   SchedulerHook* sim_hook = nullptr;
-
-  /// Replacement wall-clock source for the scheduler's park deadlines and
-  /// stall sweep (seconds, monotone non-decreasing).  Lets tests drive the
-  /// recv/quiesce timeout paths with a fake clock instead of sitting out
-  /// real seconds.  Never feeds simulated clocks.  nullptr = real steady
-  /// clock.
-  double (*sim_clock)() = nullptr;
-
-  /// Record happens-before events (machine/hb.hpp) into a log attached via
-  /// Machine::attach_hb_log.  On by default — with no log attached the
-  /// cost is one null check per event site; turn off to silence recording
-  /// even with a log attached.
-  bool hb_instrumentation = true;
 };
 
 }  // namespace kali

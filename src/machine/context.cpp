@@ -117,7 +117,7 @@ Message Context::recv_message(int src, int tag) {
                        "the same lane");
   }
 #endif
-  Message m = self_->mailbox().recv(src, tag, config().recv_timeout_wall);
+  Message m = self_->mailbox().recv(src, tag);
   finish_receive(m);
   return m;
 }
@@ -276,8 +276,7 @@ void Context::complete_ops(std::vector<std::uint64_t> ids) {
   // is a scheduler yield point publishing its wait, exactly like a
   // blocking recv on that lane.
   for (const auto& [lane, ops] : lanes) {
-    mb.await_matches(lane.first, lane.second, ops.size(),
-                     config().recv_timeout_wall);
+    mb.await_matches(lane.first, lane.second, ops.size());
   }
   // Phase 2: pop each lane FIFO (the j-th posted operation takes the j-th
   // queued match), then apply the receive-side cost algebra over the whole

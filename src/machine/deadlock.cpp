@@ -49,6 +49,7 @@ std::string diagnose_stall(const std::vector<const Mailbox*>& mailboxes,
                            const std::vector<StallState>& states) {
   std::ostringstream ranks;
   int nstuck = 0;
+  int nquiesce = 0;
   for (std::size_t r = 0; r < states.size(); ++r) {
     const Mailbox& mb = *mailboxes[r];
     ranks << "  rank " << r << ": ";
@@ -61,6 +62,7 @@ std::string diagnose_stall(const std::vector<const Mailbox*>& mailboxes,
       case StallState::kQuiesce:
         ranks << "parked in quiesce (compact_edge_ledgers; released only "
                  "when every rank arrives)\n";
+        ++nquiesce;
         break;
       case StallState::kParked:
         if (const auto wait = mb.published_wait()) {
@@ -76,18 +78,21 @@ std::string diagnose_stall(const std::vector<const Mailbox*>& mailboxes,
     const std::string pending = describe_pending(mb, static_cast<int>(r));
     ranks << (pending.empty() && parked ? "    mailbox empty\n" : pending);
   }
-  if (nstuck == 0) {
-    return {};
-  }
   std::ostringstream os;
-  os << "deadlock detected by the wait-for-graph check: " << nstuck
-     << " rank(s) blocked in recv with no rank or in-flight message able to "
-        "satisfy them (every rank is finished or parked, so nothing can "
-        "send again)\n"
-     << ranks.str()
-     << "  (the wall-clock recv timeout remains as a fallback; set "
-        "MachineConfig::deadlock_detection = false to rely on it alone)";
-  return os.str();
+  if (nstuck > 0) {
+    os << "deadlock detected by the wait-for-graph check: " << nstuck
+       << " rank(s) blocked in recv with no rank or in-flight message able "
+          "to satisfy them (every rank is finished or parked, so nothing "
+          "can send again)\n";
+  } else {
+    os << "collective mismatch: " << nquiesce
+       << " rank(s) parked in a machine-global quiesce that not every rank "
+          "entered (every rank is finished or parked, so none can "
+          "arrive)\n";
+  }
+  std::string out = os.str() + ranks.str();
+  out.pop_back();  // the last rank line's newline
+  return out;
 }
 
 }  // namespace kali

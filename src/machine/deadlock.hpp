@@ -1,15 +1,16 @@
 // Deadlock diagnosis at the scheduler's full stall, plus the pending-
 // message accounting the leak checks share.
 //
-// With MachineConfig::deadlock_detection on, Machine::run installs
-// diagnose_stall as the fiber scheduler's stall handler.  A full stall —
-// no fiber ready or running, every unfinished one parked — is final:
-// pushes are synchronous (Context::send_bytes deposits straight into the
-// destination mailbox), so only a running rank can ever wake a parked
-// one, and none is left.  Every rank parked in a receive is therefore
-// provably stuck, with no fixpoint to compute, and a correct program —
-// which never stalls — pays nothing.  The wait-for edges are the ones
-// each Mailbox already publishes for its push/wake protocol.
+// A full stall — no fiber ready or running, every unfinished one parked —
+// is final: pushes are synchronous (Context::send_bytes deposits straight
+// into the destination mailbox), so only a running rank can ever wake a
+// parked one, and none is left.  The scheduler aborts the run there and
+// then.  With MachineConfig::deadlock_detection on, Machine::run installs
+// diagnose_stall as the stall handler, so the error is a per-rank dump:
+// every rank parked in a receive is provably stuck, with no fixpoint to
+// compute, and a correct program — which never stalls — pays nothing.
+// The wait-for edges are the ones each Mailbox already publishes for its
+// push/wake protocol.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +41,10 @@ namespace kali {
 /// The full-stall handler (see StallHandler): given one mailbox and one
 /// StallState per rank, returns the diagnostic dump — each rank's state
 /// (finished, stuck in recv with its published (src, tag) and registry
-/// name, or parked in a quiesce) and each mailbox's unmatched queue — or
-/// "" when no rank is parked in a receive (a pure quiesce mismatch is
-/// left to the wall-clock fallback).
+/// name, or parked in a quiesce) and each mailbox's unmatched queue —
+/// headed as a deadlock when some rank is stuck in a receive, else as a
+/// collective mismatch (ranks parked in a quiesce some rank never
+/// entered).
 [[nodiscard]] std::string diagnose_stall(
     const std::vector<const Mailbox*>& mailboxes,
     const std::vector<StallState>& states);

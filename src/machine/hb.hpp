@@ -17,14 +17,13 @@
 // writer.  Shards 0..nprocs-1 belong to the rank fibers (a rank's events
 // are recorded only from its own fiber, wherever that fiber is scheduled);
 // shard nprocs belongs to the scheduler's machine context (actor -1: the
-// stall sweep and other non-fiber actors), whose events are only ever
+// full-stall abort and other non-fiber actors), whose events are only ever
 // recorded under the scheduler mutex.  An event's position in its shard is
 // its actor-local sequence number — program order per actor comes free.
 //
-// Recording is enabled by attaching a log (Machine::attach_hb_log) and
-// gated by MachineConfig::hb_instrumentation; detached runs pay one
-// pointer-null check per site.  The log is harness observability only: it
-// never feeds clocks, payloads, or stats.
+// Recording is enabled by attaching a log (Machine::attach_hb_log);
+// detached runs pay one pointer-null check per site.  The log is harness
+// observability only: it never feeds clocks, payloads, or stats.
 #pragma once
 
 #include <cstddef>
@@ -51,7 +50,7 @@ enum class HbObj : unsigned char {
 
 class HbLog {
  public:
-  /// Actor id of the scheduler's machine context (stall sweep wakes).
+  /// Actor id of the scheduler's machine context (full-stall abort wakes).
   static constexpr int kMachineActor = -1;
 
   explicit HbLog(int nprocs);

@@ -51,21 +51,16 @@ void Machine::run(const std::function<void(Context&)>& program) {
 
   // One fiber per rank on a fixed worker pool; an unmatched recv parks
   // its fiber (Mailbox::await_matches) instead of blocking a host thread.
-  FiberScheduler sched(p, cfg_.sim_workers, cfg_.recv_timeout_wall,
-                       cfg_.fiber_stack_bytes);
+  FiberScheduler sched(p, cfg_.sim_workers, cfg_.fiber_stack_bytes);
   if (cfg_.sim_hook != nullptr) {
     sched.set_hook(cfg_.sim_hook);
-  }
-  if (cfg_.sim_clock != nullptr) {
-    sched.set_clock(cfg_.sim_clock);
   }
   if (HbLog* hb = hb_log(); hb != nullptr) {
     sched.attach_hb_log(hb);
   }
   if (cfg_.deadlock_detection) {
-    // At the first full stall every rank parked in a receive is provably
-    // stuck (machine/deadlock.hpp): diagnose it instead of sitting out
-    // recv_timeout_wall.
+    // A full stall aborts the run either way; this makes its error the
+    // per-rank dump of every rank's state (machine/deadlock.hpp).
     sched.set_stall_handler([this](const std::vector<StallState>& states) {
       std::vector<const Mailbox*> mailboxes;
       mailboxes.reserve(procs_.size());

@@ -74,15 +74,10 @@ class Machine {
   /// Attach a happens-before event log (machine/hb.hpp HbLog) that
   /// subsequent runs record synchronization and shared-state access events
   /// into, or nullptr to detach.  Sized for at least this machine; must
-  /// outlive the runs.  Recording additionally requires
-  /// MachineConfig::hb_instrumentation (on by default).  Harness-side
-  /// observability only — never feeds clocks, payloads, or stats.
+  /// outlive the runs.  Harness-side observability only — never feeds
+  /// clocks, payloads, or stats.
   void attach_hb_log(HbLog* log) { hb_ = log; }
-  /// The log runs will record into: the attached log when instrumentation
-  /// is enabled, else nullptr.
-  [[nodiscard]] HbLog* hb_log() const {
-    return cfg_.hb_instrumentation ? hb_ : nullptr;
-  }
+  [[nodiscard]] HbLog* hb_log() const { return hb_; }
 
  private:
   MachineConfig cfg_;

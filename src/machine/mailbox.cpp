@@ -9,19 +9,6 @@
 
 namespace kali {
 
-namespace {
-
-[[noreturn]] void throw_recv_timeout(int src, int tag) {
-  // With deadlock detection on, a stalled receive is diagnosed before any
-  // deadline passes (Machine::run's stall handler), so a timeout means
-  // detection is off.
-  throw Error("recv timed out waiting for src=" + std::to_string(src) +
-              " tag=" + std::to_string(tag) +
-              " (likely deadlock; wait-for-graph detection is disabled)");
-}
-
-}  // namespace
-
 void Mailbox::push(Message m) {
   if (sched_ != nullptr) {
     if (HbLog* hb = sched_->hb_log(); hb != nullptr) {
@@ -106,17 +93,13 @@ void Mailbox::attach_scheduler(FiberScheduler* sched, int owner_rank) {
   waiting_active_ = false;
 }
 
-Message Mailbox::recv(int src, int tag, double timeout_wall_seconds) {
-  for (;;) {
-    if (std::optional<Message> m = try_pop(src, tag)) {
-      return std::move(*m);
-    }
-    await_matches(src, tag, 1, timeout_wall_seconds);
-  }
+Message Mailbox::recv(int src, int tag) {
+  await_matches(src, tag, 1);
+  // Only the owner fiber consumes this queue, so the match is still there.
+  return std::move(*try_pop(src, tag));
 }
 
-void Mailbox::await_matches(int src, int tag, std::size_t n,
-                            double timeout_wall_seconds) {
+void Mailbox::await_matches(int src, int tag, std::size_t n) {
   if (n == 0) {
     return;
   }
@@ -144,7 +127,7 @@ void Mailbox::await_matches(int src, int tag, std::size_t n,
     // lock.  A push that lands in the window between the unlock below and
     // the suspension finds the fiber kParking and flags it — the scheduler
     // requeues it right after the switch, so the wake is never lost.
-    sched->prepare_park(timeout_wall_seconds);
+    sched->prepare_park();
     bool parked = true;
     {
       std::lock_guard<std::mutex> lk(mu_);
@@ -158,21 +141,17 @@ void Mailbox::await_matches(int src, int tag, std::size_t n,
         waiting_active_ = true;
       }
     }
-    bool timed_out = false;
     if (parked) {
-      timed_out = sched->commit_park();
+      sched->commit_park();
     } else {
       sched->cancel_park();
     }
     {
       std::lock_guard<std::mutex> lk(mu_);
-      // A timeout or abort wake may leave the publication unconsumed.
+      // An abort wake may leave the publication unconsumed.
       waiting_active_ = false;
       if (aborted_) {
         throw Error("recv aborted: a peer processor failed");
-      }
-      if (timed_out && count_matches_locked(src, tag, n) < n) {
-        throw_recv_timeout(src, tag);
       }
     }
   }

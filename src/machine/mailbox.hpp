@@ -5,8 +5,9 @@
 //
 // Blocking runs on the fiber scheduler the mailbox is attached to: an
 // unmatched recv parks the owner's fiber — a yield point, not a blocked
-// host thread — and a matching push (or abort, or the wall-clock deadline
-// sweep) makes it runnable again.  The parked owner's wait stays published
+// host thread — and a matching push (or an abort) makes it runnable again.
+// A receive nothing can satisfy ends in the scheduler's full stall, which
+// aborts the run.  The parked owner's wait stays published
 // (published_wait), which is all the full-stall deadlock diagnosis needs.
 #pragma once
 
@@ -56,9 +57,9 @@ class Mailbox {
   void push(Message m);
 
   /// Blocking matched receive, called on the owner's fiber of the attached
-  /// scheduler.  Throws kali::Error on timeout, or if the run aborted (a
-  /// peer processor failed, or the scheduler diagnosed a deadlock).
-  Message recv(int src, int tag, double timeout_wall_seconds);
+  /// scheduler.  Throws kali::Error if the run aborted (a peer processor
+  /// failed, or the scheduler hit a full stall).
+  Message recv(int src, int tag);
 
   /// Pop the first queued match without blocking (nullopt if none).
   /// Records the HB match edge exactly like a blocking recv's pop — this is
@@ -71,8 +72,7 @@ class Mailbox {
   /// Park the calling fiber until at least `n` messages matching (src, tag)
   /// are queued — the one park point of every blocking receive (recv and
   /// nonblocking completion).  Nothing is consumed.  Throws like recv().
-  void await_matches(int src, int tag, std::size_t n,
-                     double timeout_wall_seconds);
+  void await_matches(int src, int tag, std::size_t n);
 
   /// The (src, tag) the parked owner waits on, or nullopt when it is not
   /// parked in recv/await_matches.  Read by the full-stall deadlock

@@ -6,7 +6,6 @@
 #include "machine/scheduler.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -22,17 +21,12 @@ namespace kali {
 
 namespace {
 
-// Harness-side deadlines only (recv fallback timeout, quiesce mismatch
-// guard); never feeds a simulated clock.
-// kali-lint: allow(wall-clock)
-using WallClock = std::chrono::steady_clock;
-
 /// Park/wake state machine.  Transitions:
 ///   kReady --worker picks--> kRunning
 ///   kRunning --prepare_park--> kParking (--cancel_park--> kRunning)
 ///   kParking --worker, post-switch--> kParked
 ///   kParking --waker--> kWakeRequested --worker, post-switch--> kReady
-///   kParked --waker / deadline sweep--> kReady (+ ready-queue push)
+///   kParked --waker / quiesce release--> kReady (+ ready-queue push)
 ///   kRunning --entry returns--> kFinished
 enum class FiberState : unsigned char {
   kReady,
@@ -48,15 +42,6 @@ struct FiberRecord {
   std::atomic<FiberState> state{FiberState::kReady};
   FiberScheduler::Impl* impl = nullptr;
   int rank = 0;
-  /// Written by the owning fiber before its kParking release-store; read
-  /// by the deadline sweep only after observing kParked under the
-  /// scheduler mutex, so no lock is needed on the write side.  Seconds on
-  /// the scheduler clock (Impl::now_s — real steady clock or the
-  /// injected fake).
-  double deadline = 0.0;
-  /// Set by the deadline sweep (under the mutex, before the ready push);
-  /// consumed by the fiber right after it resumes.
-  bool timed_out = false;
   /// Park counter: bumped by prepare_park before the kParking
   /// release-store, so (rank, park_seq) names one specific park — the
   /// happens-before log pairs each wake with the park it released by it.
@@ -96,7 +81,6 @@ void fiber_entry(void* arg);
 struct FiberScheduler::Impl {
   int nfibers;
   int nworkers;
-  double park_timeout;
   FiberStackArena arena;
   std::vector<std::unique_ptr<FiberRecord>> fibers;
 
@@ -112,25 +96,11 @@ struct FiberScheduler::Impl {
   std::exception_ptr first_error;  // defensive: body should catch its own
 
   // Harness seams, all fixed before run(): dispatch hook (interleaving
-  // explorer), clock override (fake-clock tests), happens-before log,
-  // full-stall handler (deadlock diagnosis).
+  // explorer), happens-before log, full-stall handler (deadlock
+  // diagnosis).
   SchedulerHook* hook = nullptr;
-  double (*clock_fn)() = nullptr;
   HbLog* hb = nullptr;
   StallHandler stall_handler;
-  // Set once the handler has seen the current stall; any dispatch ends
-  // the stall and clears it.
-  bool stall_handled = false;
-  const WallClock::time_point epoch0 = WallClock::now();
-
-  /// Seconds on the scheduler clock: the injected fake when set, else the
-  /// real steady clock relative to construction.
-  [[nodiscard]] double now_s() const {
-    if (clock_fn != nullptr) {
-      return clock_fn();
-    }
-    return std::chrono::duration<double>(WallClock::now() - epoch0).count();
-  }
 
   /// Actor id for happens-before events recorded from the calling
   /// context: the running fiber's rank, or the machine context (always
@@ -147,10 +117,9 @@ struct FiberScheduler::Impl {
 
   const std::function<void(int)>* body = nullptr;
 
-  Impl(int nf, int nw, double timeout, std::size_t stack_bytes)
+  Impl(int nf, int nw, std::size_t stack_bytes)
       : nfibers(nf),
         nworkers(nw > 0 ? nw : default_workers()),
-        park_timeout(timeout),
         arena(nf, stack_bytes != 0 ? stack_bytes : default_stack_bytes()) {
     fibers.reserve(static_cast<std::size_t>(nf));
     for (int r = 0; r < nf; ++r) {
@@ -257,11 +226,13 @@ struct FiberScheduler::Impl {
     cv.notify_one();
   }
 
-  /// First look at a full stall: if every unfinished fiber is parked,
-  /// hand their states to the stall handler, and abort the run with its
-  /// diagnostic if it returns one.  Returns true iff it aborted.
-  bool handle_stall_locked() {
+  /// Full stall: nothing ready, nothing running, some fibers unfinished.
+  /// If every unfinished fiber is parked, nothing can ever wake one: abort
+  /// the run with the stall handler's diagnostic, or the built-in one.
+  void stall_locked(std::unique_lock<std::mutex>& lk) {
     std::vector<StallState> states(fibers.size());
+    int parked = 0;
+    int in_quiesce = 0;
     for (std::size_t r = 0; r < fibers.size(); ++r) {
       const FiberRecord& f = *fibers[r];
       // The acquire pairs with the fiber's kParking release-store, so the
@@ -271,74 +242,28 @@ struct FiberScheduler::Impl {
         states[r] = StallState::kFinished;
       } else if (s == FiberState::kParked) {
         states[r] = f.quiesce_park ? StallState::kQuiesce : StallState::kParked;
+        ++parked;
+        in_quiesce += f.quiesce_park ? 1 : 0;
       } else {
-        return false;  // a wake is in transit: not a full stall after all
+        cv.wait(lk);  // a wake is in transit: not a full stall after all
+        return;
       }
     }
-    stall_handled = true;
     std::exception_ptr error;
-    try {
-      std::string diagnostic = stall_handler(states);
-      if (diagnostic.empty()) {
-        return false;
+    if (!stall_handler) {
+      error = std::make_exception_ptr(Error(
+          "full stall: " + std::to_string(parked) + " rank(s) parked (" +
+          std::to_string(in_quiesce) + " in quiesce), none can be woken"));
+    } else {
+      try {
+        error = std::make_exception_ptr(Error(stall_handler(states)));
+      } catch (...) {
+        // Runs on a worker thread: a throwing handler fails the run instead
+        // of escaping the thread.
+        error = std::current_exception();
       }
-      error = std::make_exception_ptr(Error(std::move(diagnostic)));
-    } catch (...) {
-      // Runs on a worker thread: a throwing handler fails the run instead
-      // of escaping the thread.
-      error = std::current_exception();
     }
     abort_locked(std::move(error));
-    return true;
-  }
-
-  /// Full stall: nothing ready, nothing running, some fibers unfinished —
-  /// each of those is parked with a deadline.  The stall handler gets the
-  /// first look; failing that, wait out the earliest deadline (ties break
-  /// to the lowest rank: ascending scan, strict <) and wake that fiber
-  /// with timed_out set; the fiber decides whether that is an error.
-  void stall_sweep(std::unique_lock<std::mutex>& lk) {
-    if (stall_handler && !stall_handled && handle_stall_locked()) {
-      return;
-    }
-    FiberRecord* cand = nullptr;
-    for (auto& up : fibers) {
-      FiberRecord* f = up.get();
-      if (f->state.load(std::memory_order_acquire) != FiberState::kParked) {
-        continue;
-      }
-      if (cand == nullptr || f->deadline < cand->deadline) {
-        cand = f;
-      }
-    }
-    if (cand == nullptr) {
-      // A woken fiber is between its state CAS and its ready push.
-      cv.wait(lk);
-      return;
-    }
-    const double now = now_s();
-    if (now < cand->deadline) {
-      if (clock_fn != nullptr) {
-        // Injected clock: no condvar deadline maps onto it, so poll —
-        // the clock only advances when some fiber advances it, and every
-        // fiber transition notifies cv anyway.  The tiny wait bounds the
-        // spin if the clock is advanced from outside the scheduler.
-        cv.wait_for(lk, std::chrono::milliseconds(1));
-      } else {
-        cv.wait_for(lk, std::chrono::duration<double>(cand->deadline - now));
-      }
-      return;
-    }
-    FiberState expect = FiberState::kParked;
-    if (cand->state.compare_exchange_strong(expect, FiberState::kReady,
-                                            std::memory_order_acq_rel)) {
-      if (hb != nullptr) {
-        hb->wake(HbLog::kMachineActor, cand->rank, cand->park_seq);
-      }
-      cand->timed_out = true;
-      ready.push_back(cand->rank);
-      cv.notify_all();
-    }
   }
 
   void worker_main(FiberScheduler* self) {
@@ -364,7 +289,6 @@ struct FiberScheduler::Impl {
         FiberRecord& f = fiber(ready[pick]);
         ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(pick));
         ++running;
-        stall_handled = false;
         lk.unlock();
         resume(w, f);
         lk.lock();
@@ -378,7 +302,7 @@ struct FiberScheduler::Impl {
         cv.wait(lk);
         continue;
       }
-      stall_sweep(lk);
+      stall_locked(lk);
     }
     lk.unlock();
     cv.notify_all();
@@ -410,11 +334,9 @@ void fiber_entry(void* arg) {
 }  // namespace
 
 FiberScheduler::FiberScheduler(int nfibers, int workers,
-                               double park_timeout_seconds,
                                std::size_t stack_bytes) {
   KALI_CHECK(nfibers >= 1, "scheduler needs at least one fiber");
-  impl_ = std::make_unique<Impl>(nfibers, workers, park_timeout_seconds,
-                                 stack_bytes);
+  impl_ = std::make_unique<Impl>(nfibers, workers, stack_bytes);
 }
 
 FiberScheduler::~FiberScheduler() = default;
@@ -445,13 +367,11 @@ void FiberScheduler::run(const std::function<void(int)>& body) {
   }
 }
 
-void FiberScheduler::prepare_park(double timeout_seconds) {
+void FiberScheduler::prepare_park() {
   FiberRecord* f = tls_fiber;
   KALI_CHECK(f != nullptr && f->impl == impl_.get(),
              "prepare_park outside a fiber of this scheduler");
   Impl& im = *impl_;
-  f->deadline = im.now_s() + timeout_seconds;
-  f->timed_out = false;
   ++f->park_seq;
   if (im.hb != nullptr) {
     im.hb->park(f->rank, f->park_seq);
@@ -459,7 +379,7 @@ void FiberScheduler::prepare_park(double timeout_seconds) {
   f->state.store(FiberState::kParking, std::memory_order_release);
 }
 
-bool FiberScheduler::commit_park() {
+void FiberScheduler::commit_park() {
   FiberRecord* f = tls_fiber;
   WorkerRecord* w = tls_worker;
   KALI_CHECK(f != nullptr && w != nullptr, "commit_park outside a fiber");
@@ -472,7 +392,6 @@ bool FiberScheduler::commit_park() {
     // a wake; recording `woken` for them would dangle.
     im.hb->woken(f->rank, f->park_seq);
   }
-  return f->timed_out;
 }
 
 bool FiberScheduler::cancel_park() {
@@ -510,23 +429,18 @@ void FiberScheduler::quiesce(const std::function<void()>& on_last) {
     im.q_parked.push_back(f->rank);
     lk.unlock();
     f->quiesce_park = true;
-    prepare_park(im.park_timeout);
-    const bool timed_out = commit_park();
+    prepare_park();
+    commit_park();
     f->quiesce_park = false;
     lk.lock();
     if (im.aborted) {
       throw Error("quiesce aborted: a peer processor failed");
     }
-    if (im.q_gen != gen) {
-      if (im.hb != nullptr) {
-        im.hb->quiesce_leave(f->rank, gen);
-      }
-      return;  // released (a racing late timeout wake is benign)
+    KALI_CHECK(im.q_gen != gen, "quiesce fiber woke without release");
+    if (im.hb != nullptr) {
+      im.hb->quiesce_leave(f->rank, gen);
     }
-    KALI_CHECK(timed_out, "quiesce fiber woke without release or timeout");
-    throw Error(
-        "quiesce timed out: a machine-global quiesce (edge-ledger "
-        "compaction) was not entered by every rank — collective mismatch");
+    return;
   }
   // Last arrival: wait until every peer is observably suspended.  The
   // kParking release-store / kParked CAS / acquire-load chain makes each
@@ -601,13 +515,6 @@ void FiberScheduler::set_hook(SchedulerHook* hook) {
   std::lock_guard<std::mutex> lk(im.mu);
   KALI_CHECK(!im.started, "set_hook: scheduler already started");
   im.hook = hook;
-}
-
-void FiberScheduler::set_clock(double (*now_seconds)()) {
-  Impl& im = *impl_;
-  std::lock_guard<std::mutex> lk(im.mu);
-  KALI_CHECK(!im.started, "set_clock: scheduler already started");
-  im.clock_fn = now_seconds;
 }
 
 void FiberScheduler::set_stall_handler(StallHandler handler) {

@@ -19,13 +19,12 @@
 // fibers for machine-global maintenance (edge-ledger compaction).  A
 // parked fiber with no possible waker is first-class scheduler state,
 // noticed only at a *full stall*: no fiber ready or running, every
-// unfinished one parked.  Nothing can wake anyone then, so the stall
-// handler (set_stall_handler; Machine::run installs the deadlock
-// diagnosis) runs once at the first full stall, and failing that, the
-// wall-clock fallback wakes the earliest-deadline fiber.  Both wait for
-// the full stall because a cooperative scheduler cannot preempt a
-// spinning fiber — a deadlocked cycle beside a rank that loops forever
-// without blocking is never reported by either.
+// unfinished one parked.  Nothing can wake anyone then, so the run aborts
+// at once, with the stall handler's diagnostic (set_stall_handler;
+// Machine::run installs the deadlock diagnosis) or a built-in one-liner.
+// Nothing waits on a wall clock.  A cooperative scheduler cannot preempt
+// a spinning fiber, so a deadlocked cycle beside a rank that loops
+// forever without blocking is never reported.
 //
 // All host-threading machinery (workers, mutex, condvar, thread-locals)
 // lives in scheduler.cpp, the one machine-layer file the determinism
@@ -50,8 +49,7 @@ enum class StallState : unsigned char {
 };
 
 /// Full-stall diagnosis seam: given every fiber's StallState (indexed by
-/// rank), return a diagnostic to abort the run with, or "" to fall back
-/// to the wall-clock deadline sweep.
+/// rank), return the diagnostic the run aborts with.
 using StallHandler =
     std::function<std::string(const std::vector<StallState>& states)>;
 
@@ -78,12 +76,9 @@ class FiberScheduler {
  public:
   /// `nfibers` simulated ranks multiplexed onto `workers` host threads
   /// (0 = one per hardware thread, resolved here so callers never touch
-  /// std::thread).  `park_timeout_seconds` bounds every quiesce park (the
-  /// collective-mismatch guard); recv parks carry their own timeout.
-  /// `stack_bytes` = 0 picks the build default (256 KiB; 1 MiB under a
-  /// sanitizer, whose instrumented frames are fatter).
-  FiberScheduler(int nfibers, int workers, double park_timeout_seconds,
-                 std::size_t stack_bytes);
+  /// std::thread).  `stack_bytes` = 0 picks the build default (256 KiB;
+  /// 1 MiB under a sanitizer, whose instrumented frames are fatter).
+  FiberScheduler(int nfibers, int workers, std::size_t stack_bytes);
   ~FiberScheduler();
   FiberScheduler(const FiberScheduler&) = delete;
   FiberScheduler& operator=(const FiberScheduler&) = delete;
@@ -107,13 +102,12 @@ class FiberScheduler {
   // worker requeues it immediately after the switch — the wake is never
   // lost, whichever side of the swapcontext it lands on.
 
-  /// Arm a park with a wall-clock deadline `timeout_seconds` from now.
-  void prepare_park(double timeout_seconds);
+  /// Announce a park.
+  void prepare_park();
 
-  /// Suspend until wake()/abort()/deadline.  Returns true iff the
-  /// deadline sweep woke us (the caller re-checks its condition and
-  /// decides whether that is an error).
-  bool commit_park();
+  /// Suspend until wake() or abort() (a full stall aborts).  The caller
+  /// re-checks its condition.
+  void commit_park();
 
   /// Abandon a prepared park (the condition was already satisfied).
   /// Returns true iff a wake had already landed in the announce window
@@ -123,8 +117,8 @@ class FiberScheduler {
   /// Park until all nfibers ranks arrive; the last arrival alone runs
   /// `on_last` while every peer is provably suspended (their rank-sharded
   /// state is safe to read and rewrite), then releases everyone.  Throws
-  /// kali::Error on abort or timeout (a collective not entered by every
-  /// rank).
+  /// kali::Error on abort; a collective not entered by every rank ends in
+  /// a full stall, which aborts.
   void quiesce(const std::function<void()>& on_last);
 
   // --- valid from any thread ---
@@ -144,24 +138,18 @@ class FiberScheduler {
   /// nullptr restores FIFO dispatch.
   void set_hook(SchedulerHook* hook);
 
-  /// Replace the wall-clock source behind park deadlines and the stall
-  /// sweep with `now_seconds` (monotone non-decreasing, fake-clock seam
-  /// for tests/explorer — MachineConfig::sim_clock plumbs it through
-  /// Machine::run).  Call before run(); nullptr restores the real
-  /// steady clock.  Never feeds simulated clocks either way.
-  void set_clock(double (*now_seconds)());
-
-  /// Install a full-stall handler (see StallHandler).  It runs at most
-  /// once per stall, under the scheduler lock, after every unfinished
+  /// Install a full-stall handler (see StallHandler).  It runs once, at
+  /// the full stall, under the scheduler lock, after every unfinished
   /// fiber was observed parked (acquire) — so it may read any rank's
-  /// state, but must not call back into the scheduler.  A non-empty
-  /// return becomes the error run() rethrows, and the run aborts like a
-  /// diagnosed stack overflow.  Call before run(); nullptr uninstalls.
+  /// state, but must not call back into the scheduler.  Its return
+  /// becomes the error run() rethrows, and the run aborts like a
+  /// diagnosed stack overflow.  Call before run(); nullptr uninstalls,
+  /// leaving the built-in "full stall: ..." error.
   void set_stall_handler(StallHandler handler);
 
   /// Attach a happens-before event log (machine/hb.hpp): park/wake pairs,
-  /// quiesce rendezvous edges, and stall-sweep wakes of subsequent runs
-  /// are recorded into it.  nullptr detaches.  The log must outlive the
+  /// quiesce rendezvous edges, and abort wakes of subsequent runs are
+  /// recorded into it.  nullptr detaches.  The log must outlive the
   /// run; Machine::run attaches its own machine-level log here.
   void attach_hb_log(HbLog* log);
   [[nodiscard]] HbLog* hb_log() const;

@@ -10,12 +10,6 @@
 namespace kali {
 namespace {
 
-MachineConfig quiet_config() {
-  MachineConfig cfg;
-  cfg.recv_timeout_wall = 30.0;
-  return cfg;
-}
-
 struct Setup {
   DistArray2<double> u;
   DistArray2<double> f;
@@ -47,7 +41,7 @@ class AdiP : public ::testing::TestWithParam<std::tuple<int, int, bool>> {};
 TEST_P(AdiP, ResidualDropsMonotonicallyAndSubstantially) {
   const auto [px, py, pipelined] = GetParam();
   const int n = 32;
-  Machine m(px * py, quiet_config());
+  Machine m(px * py);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid2(px, py);
     Op2 op = model_op(n);
@@ -82,7 +76,7 @@ TEST(Adi, PipelinedMatchesPlainNumerically) {
   // the schedule differs, so iterates agree to machine precision.
   const int n = 32, px = 2, py = 2, iters = 8;
   auto run = [&](bool pipelined) {
-    Machine m(px * py, quiet_config());
+    Machine m(px * py);
     std::vector<double> probe;  // one processor's values
     m.run([&](Context& ctx) {
       ProcView pv = ProcView::grid2(px, py);
@@ -116,7 +110,7 @@ TEST(Adi, TransposeMatchesPlainNumerically) {
   // substructured solve — iterates agree to solver roundoff.
   const int n = 32, px = 2, py = 2, iters = 8;
   auto run = [&](bool transpose) {
-    Machine m(px * py, quiet_config());
+    Machine m(px * py);
     std::vector<double> probe;  // one processor's values
     m.run([&](Context& ctx) {
       ProcView pv = ProcView::grid2(px, py);
@@ -148,7 +142,7 @@ TEST(Adi, TransposeConverges) {
   // Residual contraction with the redistribution-based direction switch,
   // on a non-square grid to exercise uneven slab intersections.
   const int n = 24, px = 4, py = 2;
-  Machine m(px * py, quiet_config());
+  Machine m(px * py);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid2(px, py);
     Op2 op = model_op(n);
@@ -167,7 +161,7 @@ TEST(Adi, TransposeConverges) {
 
 TEST(Adi, ConvergesToManufacturedSolution) {
   const int n = 32, px = 2, py = 2;
-  Machine m(px * py, quiet_config());
+  Machine m(px * py);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid2(px, py);
     Op2 op = model_op(n);
@@ -192,7 +186,7 @@ TEST(Adi, PipelinedIsFasterInSimulatedTime) {
   // Paper §4: "One can get better speed-ups with the pipelined version."
   const int n = 64, px = 4, py = 4, iters = 4;
   auto sim_time = [&](bool pipelined) {
-    Machine m(px * py, quiet_config());
+    Machine m(px * py);
     double makespan = 0.0;
     m.run([&](Context& ctx) {
       ProcView pv = ProcView::grid2(px, py);
@@ -224,7 +218,7 @@ TEST(Adi, TransposeBitIdenticalUnderLinkContention) {
   // iteration must generate zero self-messages.
   const int n = 16, px = 2, py = 2, iters = 4;
   auto run = [&](LinkContention contention) {
-    MachineConfig cfg = quiet_config();
+    MachineConfig cfg;
     cfg.link_contention = contention;
     Machine m(px * py, cfg);
     std::vector<double> probe;
@@ -261,7 +255,7 @@ TEST(Adi, TransposeBitIdenticalUnderLinkContention) {
 }
 
 TEST(Adi, RequiresHalo) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   EXPECT_THROW(m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid2(2, 2);
     using D2 = DistArray2<double>;

@@ -11,12 +11,6 @@
 namespace kali {
 namespace {
 
-MachineConfig quiet_config() {
-  MachineConfig cfg;
-  cfg.recv_timeout_wall = 30.0;
-  return cfg;
-}
-
 // Manufactured problem: u* = sin(pi x) sin(pi y) under
 // a(x,y) u_xx + b(x,y) u_yy + c(x,y) u = F with smooth positive a, b.
 double coef_a(double x, double /*y*/) { return 1.0 + 0.5 * x; }
@@ -65,7 +59,7 @@ class AdiVarP : public ::testing::TestWithParam<std::tuple<int, int, bool>> {};
 TEST_P(AdiVarP, ConvergesOnVariableCoefficients) {
   const auto [px, py, pipelined] = GetParam();
   const int n = 32;
-  Machine m(px * py, quiet_config());
+  Machine m(px * py);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid2(px, py);
     auto [u, f] = make_problem(ctx, pv, n);
@@ -90,7 +84,7 @@ INSTANTIATE_TEST_SUITE_P(Grids, AdiVarP,
 
 TEST(AdiVar, SolutionMatchesManufactured) {
   const int n = 32, px = 2, py = 2;
-  Machine m(px * py, quiet_config());
+  Machine m(px * py);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid2(px, py);
     auto [u, f] = make_problem(ctx, pv, n);
@@ -114,7 +108,7 @@ TEST(AdiVar, SolutionMatchesManufactured) {
 TEST(AdiVar, PipelinedMatchesPlainNumerically) {
   const int n = 16, px = 2, py = 2, iters = 6;
   auto run = [&](bool pipelined) {
-    Machine m(px * py, quiet_config());
+    Machine m(px * py);
     std::vector<double> probe;
     m.run([&](Context& ctx) {
       ProcView pv = ProcView::grid2(px, py);
@@ -143,7 +137,7 @@ TEST(AdiVar, ConstantCoefficientsReduceToPlainAdi) {
   // With a = b = 1, c = 0 the variable-coefficient path must agree with
   // the constant-coefficient operator's residual definition.
   const int n = 16;
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid2(2, 2);
     auto [u, f] = make_problem(ctx, pv, n);

@@ -30,7 +30,6 @@ namespace {
 
 MachineConfig make_config(LinkContention lc, int workers) {
   MachineConfig cfg;
-  cfg.recv_timeout_wall = 30.0;
   cfg.link_contention = lc;
   cfg.sim_workers = workers;
   return cfg;

@@ -10,12 +10,6 @@
 namespace kali {
 namespace {
 
-MachineConfig quiet_config() {
-  MachineConfig cfg;
-  cfg.recv_timeout_wall = 20.0;
-  return cfg;
-}
-
 struct System {
   std::vector<double> b, a, c, f, x;
 };
@@ -61,7 +55,7 @@ class BaselineP
 TEST_P(BaselineP, MatchesSequentialThomas) {
   const auto [which, p, n] = GetParam();
   System s = random_system(31u + static_cast<std::uint64_t>(which * 100 + p), n);
-  Machine m(p, quiet_config());
+  Machine m(p);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(p);
     DistArray1<double> b(ctx, pv, {n}, {DimDist::block_dist()});
@@ -90,7 +84,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Baselines, NonPowerOfTwoProcessorCountsWork) {
   // Unlike the substructured tri, the baselines have no 2^k restriction.
   System s = random_system(3, 30);
-  Machine m(3, quiet_config());
+  Machine m(3);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(3);
     DistArray1<double> b(ctx, pv, {30}, {DimDist::block_dist()});
@@ -116,7 +110,7 @@ TEST(Baselines, CyclicReductionCommunicatesMoreThanPipelined) {
   const int p = 8, n = 256;
   System s = random_system(17, n);
   auto msgs = [&](Solver solver) {
-    Machine m(p, quiet_config());
+    Machine m(p);
     std::uint64_t count = 0;
     m.run([&](Context& ctx) {
       ProcView pv = ProcView::grid1(p);

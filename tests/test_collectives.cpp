@@ -10,12 +10,6 @@
 namespace kali {
 namespace {
 
-MachineConfig quiet_config() {
-  MachineConfig cfg;
-  cfg.recv_timeout_wall = 10.0;
-  return cfg;
-}
-
 Group whole_machine(Context& ctx) {
   std::vector<int> ranks(static_cast<std::size_t>(ctx.nprocs()));
   std::iota(ranks.begin(), ranks.end(), 0);
@@ -26,7 +20,7 @@ class CollectivesP : public ::testing::TestWithParam<int> {};
 
 TEST_P(CollectivesP, BroadcastReachesAllMembers) {
   const int p = GetParam();
-  Machine m(p, quiet_config());
+  Machine m(p);
   m.run([&](Context& ctx) {
     Group g = whole_machine(ctx);
     std::vector<double> data(5, ctx.rank() == 2 % p ? 3.5 : 0.0);
@@ -39,7 +33,7 @@ TEST_P(CollectivesP, BroadcastReachesAllMembers) {
 
 TEST_P(CollectivesP, AllreduceSumMatchesClosedForm) {
   const int p = GetParam();
-  Machine m(p, quiet_config());
+  Machine m(p);
   m.run([&](Context& ctx) {
     const int total = allreduce_sum(ctx, whole_machine(ctx), ctx.rank() + 1);
     EXPECT_EQ(total, p * (p + 1) / 2);
@@ -48,7 +42,7 @@ TEST_P(CollectivesP, AllreduceSumMatchesClosedForm) {
 
 TEST_P(CollectivesP, AllreduceMax) {
   const int p = GetParam();
-  Machine m(p, quiet_config());
+  Machine m(p);
   m.run([&](Context& ctx) {
     const double v = allreduce_max(ctx, whole_machine(ctx),
                                    static_cast<double>(ctx.rank()));
@@ -58,7 +52,7 @@ TEST_P(CollectivesP, AllreduceMax) {
 
 TEST_P(CollectivesP, ReduceOnlyRootHoldsResult) {
   const int p = GetParam();
-  Machine m(p, quiet_config());
+  Machine m(p);
   m.run([&](Context& ctx) {
     Group g = whole_machine(ctx);
     std::vector<int> data{ctx.rank(), 1};
@@ -72,7 +66,7 @@ TEST_P(CollectivesP, ReduceOnlyRootHoldsResult) {
 
 TEST_P(CollectivesP, GatherConcatenatesInGroupOrder) {
   const int p = GetParam();
-  Machine m(p, quiet_config());
+  Machine m(p);
   m.run([&](Context& ctx) {
     Group g = whole_machine(ctx);
     // Member i contributes i+1 copies of its rank.
@@ -92,7 +86,7 @@ TEST_P(CollectivesP, GatherConcatenatesInGroupOrder) {
 
 TEST_P(CollectivesP, AllGatherConcatenatesEverywhere) {
   const int p = GetParam();
-  MachineConfig cfg = quiet_config();
+  MachineConfig cfg;
   cfg.allgather_tree_max_bytes = 0;  // pin the dense pairwise algorithm
   Machine m(p, cfg);
   m.run([&](Context& ctx) {
@@ -119,7 +113,7 @@ TEST(Collectives, AllGatherIssueOrdersAgree) {
   for (IssueOrder order : {IssueOrder::kRoundSchedule, IssueOrder::kPeerOrder,
                            IssueOrder::kLockstep}) {
     SCOPED_TRACE(static_cast<int>(order));
-    MachineConfig cfg = quiet_config();
+    MachineConfig cfg;
     cfg.link_contention = LinkContention::kPorts;
     cfg.allgather_tree_max_bytes = 0;  // the orders govern the dense path
     Machine m(6, cfg);
@@ -141,7 +135,7 @@ TEST(Collectives, AllGatherOverStridedColumnViews) {
   // Independent all_gathers on the strided column slices of a 2-D grid,
   // running concurrently (the schedule communicator is the sorted member
   // set, not a dense rank prefix).
-  Machine m(6, quiet_config());
+  Machine m(6);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid2(3, 2);  // columns {0,2,4} and {1,3,5}
     const auto coord = *pv.coord_of(ctx.rank());
@@ -163,7 +157,7 @@ TEST(Collectives, HybridAllGatherTreeMatchesDenseForTinyPayloads) {
   // for quadratically less network load.)
   const int p = 8;
   auto run = [&](std::size_t cutoff, std::uint64_t* msgs, double* overhead) {
-    MachineConfig cfg = quiet_config();
+    MachineConfig cfg;
     cfg.allgather_tree_max_bytes = cutoff;
     Machine m(p, cfg);
     std::vector<int> result;
@@ -195,7 +189,7 @@ TEST(Collectives, HybridAllGatherKeepsDensePathForLargePayloads) {
   // Above the crossover the dense pairwise exchange must run: p(p-1)
   // payload messages, plus the size-agreement allreduce's 2(p-1) scalars.
   const int p = 8;
-  MachineConfig cfg = quiet_config();  // default crossover (1024 bytes)
+  MachineConfig cfg;  // default crossover (1024 bytes)
   Machine m(p, cfg);
   m.run([&](Context& ctx) {
     Group g = whole_machine(ctx);
@@ -215,7 +209,7 @@ TEST(Collectives, HybridAllGatherKeepsDensePathForLargePayloads) {
 
 TEST_P(CollectivesP, BarrierCompletes) {
   const int p = GetParam();
-  Machine m(p, quiet_config());
+  Machine m(p);
   m.run([&](Context& ctx) {
     Group g = whole_machine(ctx);
     for (int round = 0; round < 3; ++round) {
@@ -227,7 +221,7 @@ TEST_P(CollectivesP, BarrierCompletes) {
 
 TEST_P(CollectivesP, SyncClocksAlignsToMax) {
   const int p = GetParam();
-  Machine m(p, quiet_config());
+  Machine m(p);
   m.run([&](Context& ctx) {
     ctx.compute(1000.0 * (ctx.rank() + 1));
     const double t = sync_clocks(ctx, whole_machine(ctx));
@@ -244,7 +238,7 @@ INSTANTIATE_TEST_SUITE_P(GroupSizes, CollectivesP,
                          ::testing::Values(1, 2, 3, 4, 7, 8, 16));
 
 TEST(Collectives, SubgroupDoesNotDisturbOutsiders) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     if (ctx.rank() < 2) {
       Group g({0, 1}, ctx.rank());
@@ -257,7 +251,7 @@ TEST(Collectives, SubgroupDoesNotDisturbOutsiders) {
 TEST(Collectives, WorkOverStridedColumnViews) {
   // The ADI/mg3 pattern: independent collectives on the strided column
   // slices procs(*, jp) of a 2-D grid, running concurrently.
-  Machine m(6, quiet_config());
+  Machine m(6);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid2(3, 2);  // columns {0,2,4} and {1,3,5}
     const auto coord = *pv.coord_of(ctx.rank());
@@ -279,7 +273,7 @@ TEST(Collectives, NonMemberConstructionThrows) {
 
 TEST(Collectives, GatherWorksForEveryRoot) {
   const int p = 7;
-  Machine m(p, quiet_config());
+  Machine m(p);
   m.run([&](Context& ctx) {
     Group g = whole_machine(ctx);
     for (int root = 0; root < p; ++root) {
@@ -305,7 +299,7 @@ TEST(Collectives, GatherDrainsChildrenThroughTree) {
   // counts message and one payload message, so the root receives at most
   // two message pairs however large the group.
   const int p = 16;
-  Machine m(p, quiet_config());
+  Machine m(p);
   m.run([&](Context& ctx) {
     Group g = whole_machine(ctx);
     std::vector<double> mine(4, 1.0 * ctx.rank());
@@ -326,7 +320,6 @@ TEST(Collectives, SyncClocksDoesNotLeakLinkStateAcrossPhases) {
     SCOPED_TRACE(static_cast<int>(mode));
     auto measured_phase = [&](bool noisy_prelude) {
       MachineConfig cfg;
-      cfg.recv_timeout_wall = 10.0;
       cfg.topology = Topology::kHypercube;
       cfg.link_contention = mode;
       Machine m(8, cfg);
@@ -389,7 +382,6 @@ TEST(Collectives, SyncClocksChargesNoPhantomWaitToStraddlingMessages) {
        {LinkContention::kPorts, LinkContention::kStoreForward}) {
     SCOPED_TRACE(static_cast<int>(mode));
     MachineConfig cfg;
-    cfg.recv_timeout_wall = 10.0;
     cfg.link_contention = mode;
     Machine m(4, cfg);
     m.run([](Context& ctx) {
@@ -410,7 +402,7 @@ TEST(Collectives, SyncClocksChargesNoPhantomWaitToStraddlingMessages) {
 }
 
 TEST(Collectives, DisjointSubgroupsRunConcurrently) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     const bool low = ctx.rank() < 2;
     Group g(low ? std::vector<int>{0, 1} : std::vector<int>{2, 3}, ctx.rank());

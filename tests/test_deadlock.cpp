@@ -1,8 +1,8 @@
 // Deadlock detection (machine/deadlock.hpp): a blocked recv publishes its
 // wait edge, and at the first full scheduler stall — every rank finished
-// or parked, so nothing can send again — the run aborts with a full
-// per-rank diagnostic instead of hanging until the wall-clock recv
-// timeout, which stays as the fallback when detection is off.
+// or parked, so nothing can send again — the run aborts at once with a
+// full per-rank diagnostic.  With detection off it aborts just as soon,
+// with the scheduler's one-line error instead of the dump.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -18,12 +18,6 @@
 namespace kali {
 namespace {
 
-MachineConfig quiet_config() {
-  MachineConfig cfg;
-  cfg.recv_timeout_wall = 10.0;  // far fallback; detection must beat it
-  return cfg;
-}
-
 std::string run_expecting_error(Machine& m,
                                 const std::function<void(Context&)>& prog) {
   try {
@@ -36,7 +30,7 @@ std::string run_expecting_error(Machine& m,
 }
 
 TEST(Deadlock, TwoRankCycleDetectedInstantly) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   const std::string what = run_expecting_error(m, [](Context& ctx) {
     // 0 waits on 1 and 1 waits on 0; neither ever sends.
     (void)ctx.recv<int>(1 - ctx.rank(), /*tag=*/5);
@@ -46,7 +40,7 @@ TEST(Deadlock, TwoRankCycleDetectedInstantly) {
 }
 
 TEST(Deadlock, FourRankCycleNamesEveryBlockedRank) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   const std::string what = run_expecting_error(m, [](Context& ctx) {
     (void)ctx.recv<int>((ctx.rank() + 1) % 4, /*tag=*/5);
   });
@@ -61,7 +55,7 @@ TEST(Deadlock, FourRankCycleNamesEveryBlockedRank) {
 }
 
 TEST(Deadlock, TagMismatchCaughtWhenSenderRetires) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   const std::string what = run_expecting_error(m, [](Context& ctx) {
     if (ctx.rank() == 0) {
       ctx.send(1, /*tag=*/5, 42);  // wrong tag, then rank 0 finishes
@@ -76,7 +70,7 @@ TEST(Deadlock, TagMismatchCaughtWhenSenderRetires) {
 }
 
 TEST(Deadlock, PartialGroupStallDetectedWhileOthersWork) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   const std::string what = run_expecting_error(m, [](Context& ctx) {
     if (ctx.rank() < 2) {
       // Ranks 0 and 1 are healthy: a clean exchange, then done.
@@ -96,7 +90,7 @@ TEST(Deadlock, PartialGroupStallDetectedWhileOthersWork) {
 }
 
 TEST(Deadlock, AnySourceStallDetectedWhenNoSenderRemains) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   const std::string what = run_expecting_error(m, [](Context& ctx) {
     // Everyone waits on "anyone" — nobody will ever send.
     (void)ctx.recv<int>(kAnySource, /*tag=*/5);
@@ -109,7 +103,7 @@ TEST(Deadlock, QueuedMatchKeepsWaiterAliveWhenSenderRetires) {
   // A sender that has already pushed the match may finish while the
   // receiver is still blocked: the push wakes the waiter, so the run never
   // stalls and nothing is flagged.
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([](Context& ctx) {
     if (ctx.rank() == 0) {
       ctx.send(1, /*tag=*/5, 99);
@@ -122,9 +116,8 @@ TEST(Deadlock, QueuedMatchKeepsWaiterAliveWhenSenderRetires) {
 TEST(Deadlock, WaitOnNeverSentIrecvDiagnosedByGraph) {
   // A nonblocking receive whose message is never sent deadlocks at the
   // wait(), not at the post: CommHandle::wait publishes the same wait-for
-  // edge a blocking recv does, so the stall diagnoses it at once
-  // (recv_timeout_wall stays a far fallback that must not be what fires).
-  Machine m(2, quiet_config());
+  // edge a blocking recv does, so the stall diagnoses it at once.
+  Machine m(2);
   const std::string what = run_expecting_error(m, [](Context& ctx) {
     if (ctx.rank() == 0) {
       int got = 0;
@@ -142,7 +135,7 @@ TEST(Deadlock, WaitOnNeverSentIrecvDiagnosedByGraph) {
 TEST(Deadlock, WaitAllCycleDiagnosedByGraph) {
   // Both ranks post irecvs for each other and wait before either sends —
   // the async version of the classic two-rank cycle.
-  Machine m(2, quiet_config());
+  Machine m(2);
   const std::string what = run_expecting_error(m, [](Context& ctx) {
     int got = 0;
     CommHandle h = ctx.irecv<int>(1 - ctx.rank(), /*tag=*/6, got);
@@ -156,7 +149,7 @@ TEST(Deadlock, WaitAllCycleDiagnosedByGraph) {
 TEST(Deadlock, LaneOneMessageShortDiagnosed) {
   // Waiting on two irecvs of one lane needs two queued matches; one queued
   // message must not count as "live".  Rank 1 sends once and returns.
-  Machine m(2, quiet_config());
+  Machine m(2);
   const std::string what = run_expecting_error(m, [](Context& ctx) {
     if (ctx.rank() == 0) {
       int a = 0;
@@ -177,7 +170,7 @@ TEST(Deadlock, LaneOneMessageShortDiagnosed) {
 TEST(Deadlock, ReceiveBesideQuiesceDiagnosed) {
   // Rank 0 waits in the machine-global quiesce for a rank that is itself
   // blocked receiving from rank 0: a stall through both kinds of park.
-  Machine m(2, quiet_config());
+  Machine m(2);
   const std::string what = run_expecting_error(m, [](Context& ctx) {
     if (ctx.rank() == 0) {
       compact_edge_ledgers(ctx);
@@ -200,7 +193,7 @@ TEST(Deadlock, DumpIdenticalAcrossWorkerCounts) {
   // program alone, not of how the host interleaved the fibers.
   std::vector<std::string> dumps;
   for (const int workers : {1, 4}) {
-    MachineConfig cfg = quiet_config();
+    MachineConfig cfg;
     cfg.sim_workers = workers;
     Machine m(4, cfg);
     dumps.push_back(run_expecting_error(m, [](Context& ctx) {
@@ -211,16 +204,39 @@ TEST(Deadlock, DumpIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(dumps[0], dumps[1]);
 }
 
-TEST(Deadlock, DisabledDetectionFallsBackToWallClockTimeout) {
+TEST(Deadlock, QuiesceMismatchDiagnosedAtOnce) {
+  // Rank 0 enters the machine-global quiesce, rank 1 returns without it:
+  // a collective mismatch.  The full stall reports it at once with the
+  // per-rank lines, as a function of the program alone.
+  std::vector<std::string> dumps;
+  for (const int workers : {1, 4}) {
+    MachineConfig cfg;
+    cfg.sim_workers = workers;
+    Machine m(2, cfg);
+    dumps.push_back(run_expecting_error(m, [](Context& ctx) {
+      if (ctx.rank() == 0) {
+        compact_edge_ledgers(ctx);
+      }
+    }));
+  }
+  const std::string& what = dumps[0];
+  EXPECT_NE(what.find("collective mismatch"), std::string::npos) << what;
+  EXPECT_NE(what.find("rank 0: parked in quiesce"), std::string::npos)
+      << what;
+  EXPECT_NE(what.find("rank 1: done"), std::string::npos) << what;
+  EXPECT_EQ(what.find("timed out"), std::string::npos) << what;
+  EXPECT_EQ(dumps[0], dumps[1]);
+}
+
+TEST(Deadlock, DisabledDetectionFailsAtOnceWithoutDump) {
   MachineConfig cfg;
   cfg.deadlock_detection = false;
-  cfg.recv_timeout_wall = 0.2;  // keep the test fast
   Machine m(2, cfg);
   const std::string what = run_expecting_error(m, [](Context& ctx) {
     (void)ctx.recv<int>(1 - ctx.rank(), /*tag=*/5);
   });
-  EXPECT_NE(what.find("timed out"), std::string::npos) << what;
-  EXPECT_NE(what.find("detection is disabled"), std::string::npos) << what;
+  EXPECT_EQ(what,
+            "full stall: 2 rank(s) parked (0 in quiesce), none can be woken");
 }
 
 }  // namespace

@@ -12,12 +12,6 @@
 namespace kali {
 namespace {
 
-MachineConfig quiet_config() {
-  MachineConfig cfg;
-  cfg.recv_timeout_wall = 10.0;
-  return cfg;
-}
-
 double tag2(int i, int j) { return 100.0 * i + j; }
 
 /// Success iff fn throws kali::Error whose message contains `what`.
@@ -38,7 +32,7 @@ template <class Fn>
 double tag3(int i, int j, int k) { return 10000.0 * i + 100.0 * j + k; }
 
 TEST(DistArray, Block1DOwnershipAndAccess) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(4);
     DistArray1<double> a(ctx, pv, {16}, {DimDist::block_dist()});
@@ -56,7 +50,7 @@ TEST(DistArray, Block1DOwnershipAndAccess) {
 }
 
 TEST(DistArray, NonOwnedAccessThrows) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   EXPECT_THROW(m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(2);
     DistArray1<double> a(ctx, pv, {8}, {DimDist::block_dist()});
@@ -67,7 +61,7 @@ TEST(DistArray, NonOwnedAccessThrows) {
 }
 
 TEST(DistArray, DistributedDimsMustMatchViewRank) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   EXPECT_THROW(m.run([](Context& ctx) {
     ProcView pv = ProcView::grid2(2, 2);
     // Only one distributed dim over a 2-D view: illegal (paper rule).
@@ -78,7 +72,7 @@ TEST(DistArray, DistributedDimsMustMatchViewRank) {
 }
 
 TEST(DistArray, StarDimReplicatesExtent) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(2);
     DistArray2<double> a(ctx, pv, {3, 8},
@@ -95,7 +89,7 @@ TEST(DistArray, StarDimReplicatesExtent) {
 }
 
 TEST(DistArray, FillAndGatherGlobalRoundTrip) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid2(2, 2);
     DistArray2<double> a(ctx, pv, {6, 8},
@@ -116,7 +110,7 @@ TEST(DistArray, FillAndGatherGlobalRoundTrip) {
 }
 
 TEST(DistArray, GatherAllReplicatesEverywhere) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(4);
     DistArray1<double> a(ctx, pv, {12}, {DimDist::block_dist()});
@@ -130,7 +124,7 @@ TEST(DistArray, GatherAllReplicatesEverywhere) {
 }
 
 TEST(DistArray, BlockCyclic2DRoundTrip) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid2(2, 2);
     DistArray2<double> a(ctx, pv, {10, 12},
@@ -149,7 +143,7 @@ TEST(DistArray, BlockCyclic2DRoundTrip) {
 }
 
 TEST(DistArray, CyclicDistributionGather) {
-  Machine m(3, quiet_config());
+  Machine m(3);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(3);
     DistArray1<int> a(ctx, pv, {10}, {DimDist::cyclic()});
@@ -164,7 +158,7 @@ TEST(DistArray, CyclicDistributionGather) {
 }
 
 TEST(DistArray, HaloExchange1D) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(4);
     DistArray1<double> a(ctx, pv, {16}, {DimDist::block_dist()}, {2});
@@ -184,7 +178,7 @@ TEST(DistArray, HaloExchange1D) {
 }
 
 TEST(DistArray, HaloExchange2DIncludesCorners) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid2(2, 2);
     DistArray2<double> a(ctx, pv, {8, 8},
@@ -204,7 +198,7 @@ TEST(DistArray, HaloExchange2DIncludesCorners) {
 }
 
 TEST(DistArray, HaloExchangeStarModeFillsEdgesInOneRound) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid2(2, 2);
     DistArray2<double> a(ctx, pv, {8, 8},
@@ -252,7 +246,7 @@ TEST(DistArray, CornerHaloMatchesDirectionOracle) {
   // sentinel where no source exists — exactly what the old serialized
   // per-dim wide rounds produced.
   const int n0 = 13, n1 = 11;
-  Machine m(9, quiet_config());
+  Machine m(9);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid2(3, 3);
     DistArray2<double> a(ctx, pv, {n0, n1},
@@ -308,7 +302,7 @@ TEST(DistArray, CornerHalo3DDiagonalGhostsValid) {
   // two distributed dims, star dim replicated — must be valid after one
   // scheduled exchange.
   const int n = 8;
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid2(2, 2);
     DistArray3<double> a(
@@ -334,7 +328,7 @@ TEST(DistArray, CornerHaloNoSelfMessagesAnyOrder) {
   for (IssueOrder order : {IssueOrder::kRoundSchedule, IssueOrder::kPeerOrder,
                            IssueOrder::kLockstep}) {
     SCOPED_TRACE(static_cast<int>(order));
-    Machine m(9, quiet_config());
+    Machine m(9);
     m.run([&](Context& ctx) {
       ProcView pv = ProcView::grid2(3, 3);
       DistArray2<double> a(ctx, pv, {12, 12},
@@ -370,7 +364,7 @@ TEST(DistArray, CornerHaloCoalescedMatchesPerDirectionOracle) {
   // sentinels — while sending strictly fewer messages.
   const int n0 = 13, n1 = 11;
   auto run_once = [&](HaloWire wire) {
-    Machine m(9, quiet_config());
+    Machine m(9);
     std::vector<std::vector<double>> slabs(9);
     m.run([&](Context& ctx) {
       ProcView pv = ProcView::grid2(3, 3);
@@ -425,7 +419,7 @@ TEST(DistArray, CornerHaloBitIdenticalUnderStoreForwardContention) {
   // and bit-identical cell contents (the scheduled exchange inherits the
   // machine model's determinism design).
   auto run_once = [&]() {
-    MachineConfig cfg = quiet_config();
+    MachineConfig cfg;
     cfg.topology = Topology::kMesh2D;
     cfg.link_contention = LinkContention::kStoreForward;
     Machine m(16, cfg);
@@ -455,7 +449,7 @@ TEST(DistArray, CornerHaloBitIdenticalUnderStoreForwardContention) {
 }
 
 TEST(DistArray, CopyInSnapshotsOldValues) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(2);
     DistArray1<double> a(ctx, pv, {8}, {DimDist::block_dist()}, {1});
@@ -474,7 +468,7 @@ TEST(DistArray, CopyInSnapshotsOldValues) {
 }
 
 TEST(DistArray, FixDistributedDimSlicesViewToOwners) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid2(2, 2);
     DistArray2<double> a(ctx, pv, {8, 6},
@@ -498,7 +492,7 @@ TEST(DistArray, FixDistributedDimSlicesViewToOwners) {
 }
 
 TEST(DistArray, FixStarDimKeepsWholeView) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(2);
     DistArray2<double> a(ctx, pv, {5, 8},
@@ -516,7 +510,7 @@ TEST(DistArray, FixStarDimKeepsWholeView) {
 TEST(DistArray, Fix3DPlaneMatchesPaperMg3Slicing) {
   // u(0:nx, 0:ny, 0:nz) dist (*, block, block) over procs(px, py);
   // u(*, *, k) must be a 2-D array dist (*, block) over procs(*, kp).
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid2(2, 2);
     DistArray3<double> u(
@@ -549,7 +543,7 @@ TEST(DistArray, Fix3DPlaneMatchesPaperMg3Slicing) {
 
 TEST(DistArray, LocalizeBlockRangeBecomesStar) {
   // Listing 8: v(lo:hi, *) where lo:hi is one processor row's block.
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid2(2, 2);
     DistArray2<double> v(ctx, pv, {8, 6},
@@ -572,7 +566,7 @@ TEST(DistArray, LocalizeBlockRangeBecomesStar) {
 }
 
 TEST(DistArray, LocalizeAcrossOwnersThrows) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   EXPECT_THROW(m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(2);
     DistArray1<double> a(ctx, pv, {8}, {DimDist::block_dist()});
@@ -582,7 +576,7 @@ TEST(DistArray, LocalizeAcrossOwnersThrows) {
 }
 
 TEST(DistArray, StridedLocalSpanOfRowSlice) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(2);
     DistArray2<double> a(ctx, pv, {4, 8},
@@ -600,7 +594,7 @@ TEST(DistArray, StridedLocalSpanOfRowSlice) {
 }
 
 TEST(DistArray, HaloRequiresBlockDim) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   EXPECT_THROW(m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(2);
     DistArray1<double> a(ctx, pv, {8}, {DimDist::cyclic()}, {1});
@@ -611,7 +605,7 @@ TEST(DistArray, HaloRequiresBlockDim) {
 TEST(DistArray, BoundaryFrameReadsZeroAndIsWritable) {
   // Listing 2 semantics: the ghost frame extends past the global domain at
   // physical boundaries, carrying Dirichlet data (zero by default).
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(2);
     DistArray1<double> a(ctx, pv, {8}, {DimDist::block_dist()}, {1});
@@ -638,7 +632,7 @@ TEST(DistArray, AccessChecksMatchOwnershipEveryDistKind) {
   for (const DimDist dist : {DimDist::block_dist(), DimDist::cyclic(),
                              DimDist::block_cyclic(2)}) {
     SCOPED_TRACE(to_string(dist.kind));
-    Machine m(4, quiet_config());
+    Machine m(4);
     m.run([&](Context& ctx) {
       ProcView pv = ProcView::grid1(4);
       DistArray1<double> a(ctx, pv, {10}, {dist});
@@ -671,7 +665,7 @@ TEST(DistArray, AccessChecksMatchOwnershipEveryDistKind) {
 }
 
 TEST(DistArray, AccessChecksOnStarDim) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(4);
     DistArray2<double> a(ctx, pv, {5, 8},
@@ -692,7 +686,7 @@ TEST(DistArray, AccessChecksOnStarDim) {
 
 TEST(DistArray, AccessChecksOnRankOwningNothing) {
   // Extent 2 on 4 ranks: blocks of 1, so ranks 2 and 3 own no elements.
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(4);
     DistArray2<double> a(ctx, pv, {2, 3},
@@ -719,7 +713,7 @@ TEST(DistArray, AccessChecksOnRankOwningNothing) {
 }
 
 TEST(DistArray, AtHaloOnePastWidthThrows) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid2(2, 2);
     DistArray2<double> a(ctx, pv, {8, 8},
@@ -757,7 +751,7 @@ TEST(DistArray, AtHaloOnePastWidthThrows) {
 }
 
 TEST(DistArray, AccessChecksThroughFixAndLocalizeViews) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     {
       ProcView pv = ProcView::grid2(2, 2);

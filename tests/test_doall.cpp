@@ -11,16 +11,10 @@
 namespace kali {
 namespace {
 
-MachineConfig quiet_config() {
-  MachineConfig cfg;
-  cfg.recv_timeout_wall = 10.0;
-  return cfg;
-}
-
 double tag(int i, int j) { return 10.0 * i + j; }
 
 TEST(Doall, CoversRangeExactlyOnce1D) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   std::mutex mu;
   std::multiset<int> executed;
   m.run([&](Context& ctx) {
@@ -56,7 +50,7 @@ TEST(Doall, NonPositiveStrideFailsLoudlyEverywhere) {
 
 TEST(Doall, RespectsStride) {
   // The zebra loops: doall k = 2, nz-2, 2.
-  Machine m(2, quiet_config());
+  Machine m(2);
   std::mutex mu;
   std::multiset<int> executed;
   m.run([&](Context& ctx) {
@@ -74,7 +68,7 @@ TEST(Doall, RespectsStride) {
 }
 
 TEST(Doall, InvocationRunsOnOwner) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(4);
     DistArray1<double> a(ctx, pv, {16}, {DimDist::block_dist()});
@@ -83,7 +77,7 @@ TEST(Doall, InvocationRunsOnOwner) {
 }
 
 TEST(Doall, CyclicStripMining) {
-  Machine m(3, quiet_config());
+  Machine m(3);
   std::mutex mu;
   std::multiset<int> executed;
   m.run([&](Context& ctx) {
@@ -99,7 +93,7 @@ TEST(Doall, CyclicStripMining) {
 }
 
 TEST(Doall, BlockCyclicStripMining) {
-  Machine m(3, quiet_config());
+  Machine m(3);
   std::mutex mu;
   std::multiset<int> executed;
   m.run([&](Context& ctx) {
@@ -120,7 +114,7 @@ TEST(Doall, BlockCyclicStripMining) {
 TEST(Doall, JacobiUpdateMatchesSequential) {
   // The Listing 3 doall: updates use copy-in values, not freshly written.
   constexpr int n = 8;
-  Machine m(4, quiet_config());
+  Machine m(4);
   std::vector<double> parallel_result;
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid2(2, 2);
@@ -169,7 +163,7 @@ TEST(Doall, JacobiUpdateMatchesSequential) {
 TEST(Doall, SliceOwnerExecutesOnWholeProcessorRow) {
   // Listing 7: doall i ... on owner(r(i, *)) — every processor in the
   // owning row executes invocation i.
-  Machine m(4, quiet_config());
+  Machine m(4);
   std::mutex mu;
   std::multiset<std::pair<int, int>> exec;  // (i, rank)
   m.run([&](Context& ctx) {
@@ -192,7 +186,7 @@ TEST(Doall, SliceOwnerExecutesOnWholeProcessorRow) {
 }
 
 TEST(Doall, ProcsLoopRunsOncePerMember) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   std::mutex mu;
   std::multiset<int> ips;
   m.run([&](Context& ctx) {
@@ -207,7 +201,7 @@ TEST(Doall, ProcsLoopRunsOncePerMember) {
 }
 
 TEST(Doall, ProcsLoopSkipsNonMembers) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   std::mutex mu;
   int count = 0;
   m.run([&](Context& ctx) {
@@ -221,7 +215,7 @@ TEST(Doall, ProcsLoopSkipsNonMembers) {
 }
 
 TEST(Doall, SumReductionReplicatesResult) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid2(2, 2);
     DistArray2<double> a(ctx, pv, {8, 8},
@@ -234,7 +228,7 @@ TEST(Doall, SumReductionReplicatesResult) {
 }
 
 TEST(Doall, ChargesModeledFlops) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(2);
     DistArray1<double> a(ctx, pv, {8}, {DimDist::block_dist()});
@@ -245,7 +239,7 @@ TEST(Doall, ChargesModeledFlops) {
 }
 
 TEST(Doall, EmptyRangeExecutesNothing) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(2);
     DistArray1<double> a(ctx, pv, {8}, {DimDist::block_dist()});

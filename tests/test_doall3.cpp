@@ -12,12 +12,6 @@
 namespace kali {
 namespace {
 
-MachineConfig quiet_config() {
-  MachineConfig cfg;
-  cfg.recv_timeout_wall = 10.0;
-  return cfg;
-}
-
 double tag3(int i, int j, int k) { return 10000.0 * i + 100.0 * j + k; }
 
 using D3 = DistArray3<double>;
@@ -25,7 +19,7 @@ const typename D3::Dists kDists{DimDist::star(), DimDist::block_dist(),
                                 DimDist::block_dist()};
 
 TEST(Doall3, CoversRangeProductExactlyOnce) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   std::mutex mu;
   std::multiset<std::tuple<int, int, int>> exec;
   m.run([&](Context& ctx) {
@@ -48,7 +42,7 @@ TEST(Doall3, CoversRangeProductExactlyOnce) {
 }
 
 TEST(Doall3, ChargesPerExecutedInvocation) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid2(1, 2);
     D3 a(ctx, pv, {2, 4, 8}, kDists);
@@ -58,7 +52,7 @@ TEST(Doall3, ChargesPerExecutedInvocation) {
 }
 
 TEST(Doall3, HaloExchange3DFacesValid) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid2(2, 2);
     D3 a(ctx, pv, {3, 8, 8}, kDists, {0, 1, 1});
@@ -88,7 +82,7 @@ TEST(Doall3, HaloExchange3DFacesValid) {
 }
 
 TEST(Doall3, CloneOfPlaneSliceIsIndependent) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid2(2, 2);
     D3 a(ctx, pv, {3, 8, 8}, kDists, {0, 1, 0});
@@ -107,7 +101,7 @@ TEST(Doall3, CloneOfPlaneSliceIsIndependent) {
 }
 
 TEST(Doall3, GatherGlobal3D) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid2(2, 2);
     D3 a(ctx, pv, {2, 4, 4}, kDists);
@@ -128,7 +122,7 @@ TEST(Doall3, GatherGlobal3D) {
 }
 
 TEST(Doall3, BodyExceptionPropagatesAndAbortsRun) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   EXPECT_THROW(m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid2(2, 2);
     D3 a(ctx, pv, {2, 4, 4}, kDists);

@@ -13,12 +13,6 @@
 namespace kali {
 namespace {
 
-MachineConfig quiet_config() {
-  MachineConfig cfg;
-  cfg.recv_timeout_wall = 20.0;
-  return cfg;
-}
-
 struct Layouts {
   DistArray2<Complex> rows;
   DistArray2<Complex> cols;
@@ -35,7 +29,7 @@ class Fft2P : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(Fft2P, RoundTripRecoversInput) {
   const auto [p, n] = GetParam();
-  Machine m(p, quiet_config());
+  Machine m(p);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(p);
     auto [rows, cols] = make(ctx, pv, n);
@@ -64,7 +58,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, Fft2P,
 
 TEST(Fft2, PlaneWaveConcentratesInOneBin) {
   const int p = 4, n = 16, fx = 3, fy = 5;
-  Machine m(p, quiet_config());
+  Machine m(p);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(p);
     auto [rows, cols] = make(ctx, pv, n);
@@ -87,7 +81,7 @@ TEST(Fft2, PlaneWaveConcentratesInOneBin) {
 
 TEST(Fft2, MatchesSequentialTransform) {
   const int p = 2, n = 8;
-  Machine m(p, quiet_config());
+  Machine m(p);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(p);
     auto [rows, cols] = make(ctx, pv, n);
@@ -130,7 +124,7 @@ TEST(Fft2, BitIdenticalUnderEveryContentionTier) {
   // spectrum is bit-identical with ports or store-and-forward queueing on.
   const int p = 4, n = 16;
   auto run = [&](LinkContention mode) {
-    MachineConfig cfg = quiet_config();
+    MachineConfig cfg;
     cfg.topology = Topology::kMesh2D;
     cfg.link_contention = mode;
     Machine m(p, cfg);
@@ -164,7 +158,7 @@ TEST(Fft2, BitIdenticalUnderEveryContentionTier) {
 }
 
 TEST(Fft2, RejectsDistributedTransformDim) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   EXPECT_THROW(m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(2);
     DistArray2<Complex> a(ctx, pv, {8, 8},

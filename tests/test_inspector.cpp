@@ -11,14 +11,8 @@
 namespace kali {
 namespace {
 
-MachineConfig quiet_config() {
-  MachineConfig cfg;
-  cfg.recv_timeout_wall = 10.0;
-  return cfg;
-}
-
 TEST(Inspector, GathersRemoteValues) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(4);
     DistArray1<double> a(ctx, pv, {16}, {DimDist::block_dist()});
@@ -38,7 +32,7 @@ TEST(Inspector, GathersRemoteValues) {
 }
 
 TEST(Inspector, SelfGatherUsesNoMessages) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(2);
     DistArray1<double> a(ctx, pv, {8}, {DimDist::block_dist()});
@@ -69,7 +63,7 @@ TEST(Inspector, EmptyPairsAreSkippedNotSentEmpty) {
   // of the 6 ordered remote pairs only 3 carry traffic.  The skip must
   // drop exactly the empty pairs' request and data messages — proven by
   // the per-tag send ledgers — while the fetched values stay correct.
-  Machine m(3, quiet_config());
+  Machine m(3);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(3);
     DistArray1<double> a(ctx, pv, {12}, {DimDist::block_dist()});
@@ -95,7 +89,7 @@ TEST(Inspector, EmptyPairsAreSkippedNotSentEmpty) {
 }
 
 TEST(Inspector, PlanIsReusableAcrossValueChanges) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(2);
     DistArray1<double> a(ctx, pv, {8}, {DimDist::block_dist()});
@@ -113,7 +107,7 @@ TEST(Inspector, PlanIsReusableAcrossValueChanges) {
 }
 
 TEST(Inspector, DuplicateAndPermutedWantsHandled) {
-  Machine m(3, quiet_config());
+  Machine m(3);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(3);
     DistArray1<int> a(ctx, pv, {9}, {DimDist::cyclic()});
@@ -132,7 +126,7 @@ TEST(Inspector, DuplicateAndPermutedWantsHandled) {
 }
 
 TEST(Inspector, OutOfRangeWantThrows) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   EXPECT_THROW(m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(2);
     DistArray1<double> a(ctx, pv, {8}, {DimDist::block_dist()});

@@ -33,12 +33,6 @@ constexpr bool kInvariantsOn = false;
     }                                                               \
   } while (0)
 
-MachineConfig quiet_config() {
-  MachineConfig cfg;
-  cfg.recv_timeout_wall = 10.0;
-  return cfg;
-}
-
 Group whole_machine(Context& ctx) {
   std::vector<int> ranks(static_cast<std::size_t>(ctx.nprocs()));
   for (int r = 0; r < ctx.nprocs(); ++r) {
@@ -100,7 +94,7 @@ TEST(Invariants, EdgeLedgerRejectsDuplicateKeys) {
 
 TEST(Invariants, SendRejectsUnregisteredRuntimeBandTag) {
   SKIP_WITHOUT_INVARIANTS();
-  Machine m(2, quiet_config());
+  Machine m(2);
   EXPECT_THROW(m.run([&](Context& ctx) {
                  if (ctx.rank() == 0) {
                    // Inside the runtime band but in no registered slot.
@@ -112,7 +106,7 @@ TEST(Invariants, SendRejectsUnregisteredRuntimeBandTag) {
 
 TEST(Invariants, SendRejectsUnregisteredCollectiveBandTag) {
   SKIP_WITHOUT_INVARIANTS();
-  Machine m(2, quiet_config());
+  Machine m(2);
   EXPECT_THROW(m.run([&](Context& ctx) {
                  if (ctx.rank() == 0) {
                    // The collectives band registers base+1..base+7 only.
@@ -125,7 +119,7 @@ TEST(Invariants, SendRejectsUnregisteredCollectiveBandTag) {
 TEST(Invariants, SendAcceptsRegisteredTagsInEveryBand) {
   // Regression guard in both build modes: legal traffic never trips the
   // tag check.  One tag per band: user, runtime, kernel.
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([&](Context& ctx) {
     for (int tag : {42, kTagHaloBase + 2, kTagRedistData, kTagTriBase + 4}) {
       if (ctx.rank() == 0) {
@@ -141,7 +135,7 @@ TEST(Invariants, SendAcceptsRegisteredTagsInEveryBand) {
 
 TEST(Invariants, RecvRejectsMessageStraddlingSyncClocks) {
   SKIP_WITHOUT_INVARIANTS();
-  Machine m(2, quiet_config());
+  Machine m(2);
   try {
     m.run([&](Context& ctx) {
       if (ctx.rank() == 0) {
@@ -166,7 +160,7 @@ TEST(Invariants, RecvRejectsMessageStraddlingSyncClocks) {
 
 TEST(Invariants, SyncClocksRejectsLeakedMessage) {
   SKIP_WITHOUT_INVARIANTS();
-  Machine m(2, quiet_config());
+  Machine m(2);
   try {
     m.run([&](Context& ctx) {
       Group g = whole_machine(ctx);
@@ -194,7 +188,7 @@ TEST(Invariants, SubgroupSyncClocksSkipsLeakCheck) {
   // about rank 2's traffic, so the leak check must stay quiet; the late
   // recv then trips the (orthogonal) straddle invariant, which is the
   // error this test expects to see *instead* of a leak report.
-  Machine m(3, quiet_config());
+  Machine m(3);
   try {
     m.run([&](Context& ctx) {
       if (ctx.rank() == 2) {
@@ -222,7 +216,7 @@ TEST(Invariants, SubgroupSyncClocksSkipsLeakCheck) {
 
 TEST(Invariants, TeardownRejectsLeakedMessage) {
   SKIP_WITHOUT_INVARIANTS();
-  Machine m(2, quiet_config());
+  Machine m(2);
   try {
     m.run([&](Context& ctx) {
       if (ctx.rank() == 0) {
@@ -242,7 +236,7 @@ TEST(Invariants, BalancedTrafficPassesBothLeakChecks) {
   // Regression guard in both build modes: matched send/recv traffic stays
   // silent through sync_clocks and teardown, and the per-tag ledgers
   // balance exactly.
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([&](Context& ctx) {
     Group g = whole_machine(ctx);
     if (ctx.rank() == 0) {
@@ -261,7 +255,7 @@ TEST(Invariants, DroppedIrecvHandleDiagnosedAtReturn) {
   // and the completion algebra never ran.  The invariant names the pending
   // operation when the rank program returns.
   SKIP_WITHOUT_INVARIANTS();
-  Machine m(2, quiet_config());
+  Machine m(2);
   try {
     m.run([&](Context& ctx) {
       if (ctx.rank() == 0) {
@@ -285,7 +279,7 @@ TEST(Invariants, DroppedIrecvHandleDiagnosedAtReturn) {
 TEST(Invariants, WaitedHandlePassesTheLeakCheck) {
   // Regression guard in both build modes: a properly waited irecv leaves no
   // pending-operation residue for the teardown check to trip on.
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([&](Context& ctx) {
     if (ctx.rank() == 0) {
       ctx.send(1, /*tag=*/5, 3.0);
@@ -302,7 +296,7 @@ TEST(Invariants, WaitedHandlePassesTheLeakCheck) {
 TEST(Invariants, BarrierSeparatedPhasesPassTheStraddleCheck) {
   // Regression guard: a well-phased program (all traffic quiesced before
   // each sync_clocks, fresh traffic after) is legal in both build modes.
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([&](Context& ctx) {
     Group g = whole_machine(ctx);
     for (int phase = 0; phase < 3; ++phase) {

@@ -12,18 +12,12 @@
 namespace kali {
 namespace {
 
-MachineConfig quiet_config() {
-  MachineConfig cfg;
-  cfg.recv_timeout_wall = 20.0;
-  return cfg;
-}
-
 double rhs_fn(int i, int j) {
   return 0.001 * std::sin(0.7 * i + 0.3 * j);
 }
 
 std::vector<double> run_seq(int n, int iters) {
-  Machine m(1, quiet_config());
+  Machine m(1);
   std::vector<double> out;
   m.run([&](Context& ctx) { out = jacobi_seq(ctx, n, rhs_fn, iters); });
   return out;
@@ -35,7 +29,7 @@ TEST_P(JacobiP, MessagePassingMatchesSequential) {
   const int p = GetParam();
   const int n = 16, iters = 7;
   auto ref = run_seq(n, iters);
-  Machine m(p * p, quiet_config());
+  Machine m(p * p);
   std::vector<double> mp;
   m.run([&](Context& ctx) {
     auto out = jacobi_mp(ctx, ProcView::grid2(p, p), n, rhs_fn, iters);
@@ -53,7 +47,7 @@ TEST_P(JacobiP, Kf1MatchesSequential) {
   const int p = GetParam();
   const int n = 16, iters = 7;
   auto ref = run_seq(n, iters);
-  Machine m(p * p, quiet_config());
+  Machine m(p * p);
   std::vector<double> kf1;
   m.run([&](Context& ctx) {
     auto out = jacobi_kf1(ctx, ProcView::grid2(p, p), n, rhs_fn, iters);
@@ -75,7 +69,7 @@ TEST(Jacobi, Kf1AndMpSendTheSameMessageCount) {
   // iteration, minus physical boundaries.
   const int p = 2, n = 16, iters = 3;
   auto run_and_count = [&](bool kf1) {
-    Machine m(p * p, quiet_config());
+    Machine m(p * p);
     m.run([&](Context& ctx) {
       // Count only the iteration traffic, not the final gather.
       if (kf1) {
@@ -100,7 +94,7 @@ TEST(Jacobi, Kf1SimulatedTimeWithinTenPercentOfHandMp) {
   // language".  The runtime adds only the ghost-frame copy overhead.
   const int p = 2, n = 64, iters = 10;
   auto sim_time = [&](bool kf1) {
-    Machine m(p * p, quiet_config());
+    Machine m(p * p);
     m.run([&](Context& ctx) {
       if (kf1) {
         (void)jacobi_kf1(ctx, ProcView::grid2(p, p), n, rhs_fn, iters,
@@ -124,7 +118,7 @@ TEST(Jacobi, ParallelSpeedupInSimulatedTime) {
   // funneling into one node costs real wire time on 2.5 MB/s links).
   const int n = 64, iters = 5;
   auto sim_time = [&](int p) {
-    Machine m(p * p, quiet_config());
+    Machine m(p * p);
     m.run([&](Context& ctx) {
       if (p == 1) {
         (void)jacobi_seq(ctx, n, rhs_fn, iters);
@@ -141,7 +135,7 @@ TEST(Jacobi, ParallelSpeedupInSimulatedTime) {
 }
 
 TEST(Jacobi, RejectsIndivisibleSize) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   EXPECT_THROW(m.run([&](Context& ctx) {
     (void)jacobi_mp(ctx, ProcView::grid2(2, 2), 15, rhs_fn, 1);
   }),

@@ -19,7 +19,6 @@ constexpr int kCompactEvery = 10;
 
 MachineConfig sf_ring_config() {
   MachineConfig cfg;
-  cfg.recv_timeout_wall = 20.0;
   cfg.link_contention = LinkContention::kStoreForward;
   cfg.topology = Topology::kRing;
   return cfg;

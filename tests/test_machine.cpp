@@ -11,21 +11,15 @@
 namespace kali {
 namespace {
 
-MachineConfig quiet_config() {
-  MachineConfig cfg;
-  cfg.recv_timeout_wall = 10.0;
-  return cfg;
-}
-
 TEST(Machine, RunsProgramOnEveryProcessor) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   std::vector<int> hits(4, 0);
   m.run([&](Context& ctx) { hits[static_cast<std::size_t>(ctx.rank())] = 1; });
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 4);
 }
 
 TEST(Machine, PingPongTransfersData) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([](Context& ctx) {
     if (ctx.rank() == 0) {
       ctx.send<int>(1, 7, 12345);
@@ -38,7 +32,7 @@ TEST(Machine, PingPongTransfersData) {
 }
 
 TEST(Machine, SpanRoundTrip) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([](Context& ctx) {
     std::vector<double> v{1.0, 2.5, -3.0};
     if (ctx.rank() == 0) {
@@ -52,7 +46,7 @@ TEST(Machine, SpanRoundTrip) {
 }
 
 TEST(Machine, ComputeAdvancesClockDeterministically) {
-  Machine m(1, quiet_config());
+  Machine m(1);
   m.run([](Context& ctx) { ctx.compute(1000.0); });
   const double expected = 1000.0 * m.config().flop_time;
   EXPECT_DOUBLE_EQ(m.stats().clocks[0], expected);
@@ -61,7 +55,7 @@ TEST(Machine, ComputeAdvancesClockDeterministically) {
 
 TEST(Machine, RecvClockRespectsCausality) {
   // Receiver is "early": its clock must jump to send_time + wire + bytes.
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([](Context& ctx) {
     if (ctx.rank() == 0) {
       ctx.compute(1.0e6);  // sender is busy 0.1 s first
@@ -79,7 +73,7 @@ TEST(Machine, RecvClockRespectsCausality) {
 }
 
 TEST(Machine, LateReceiverDoesNotWait) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([](Context& ctx) {
     if (ctx.rank() == 0) {
       ctx.send<int>(1, 1, 1);
@@ -93,7 +87,7 @@ TEST(Machine, LateReceiverDoesNotWait) {
 
 TEST(Machine, SimulatedTimeIsReproducible) {
   auto run_once = [] {
-    Machine m(4, quiet_config());
+    Machine m(4);
     m.run([](Context& ctx) {
       // Ring shift: deterministic communication pattern.
       const int next = (ctx.rank() + 1) % ctx.nprocs();
@@ -110,7 +104,7 @@ TEST(Machine, SimulatedTimeIsReproducible) {
 }
 
 TEST(Machine, CountsMessagesAndBytes) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([](Context& ctx) {
     if (ctx.rank() == 0) {
       std::vector<double> v(10, 1.0);
@@ -127,7 +121,7 @@ TEST(Machine, CountsMessagesAndBytes) {
 }
 
 TEST(Machine, ExceptionInOneProcessorAbortsRun) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   EXPECT_THROW(m.run([](Context& ctx) {
     if (ctx.rank() == 0) {
       throw Error("boom");
@@ -139,7 +133,7 @@ TEST(Machine, ExceptionInOneProcessorAbortsRun) {
 }
 
 TEST(Machine, ResetStatsClearsClocksAndCounters) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([](Context& ctx) { ctx.compute(10.0); });
   m.reset_stats();
   EXPECT_DOUBLE_EQ(m.stats().max_clock(), 0.0);
@@ -147,7 +141,7 @@ TEST(Machine, ResetStatsClearsClocksAndCounters) {
 }
 
 TEST(Machine, TypedRecvSizeMismatchThrows) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   EXPECT_THROW(m.run([](Context& ctx) {
     if (ctx.rank() == 0) {
       ctx.send<int>(1, 1, 5);
@@ -159,7 +153,7 @@ TEST(Machine, TypedRecvSizeMismatchThrows) {
 }
 
 TEST(MachineStats, UtilizationIsBoundedByOne) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) { ctx.compute(1000.0 * (1 + ctx.rank())); });
   const double u = m.stats().compute_utilization();
   EXPECT_GT(u, 0.0);
@@ -224,7 +218,7 @@ TEST(Machine, RingTopologyChargesCyclicDistance) {
 }
 
 TEST(Machine, SelfMessagesAreCountedByTag) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([](Context& ctx) {
     if (ctx.rank() == 0) {
       ctx.send<int>(0, 42, 7);  // self round-trip: legal but counted
@@ -244,7 +238,6 @@ TEST(Machine, ContentionSerializesEjectionLink) {
   constexpr int kBytes = 1000 * 8;
   auto run = [](bool contention) {
     MachineConfig cfg;
-    cfg.recv_timeout_wall = 10.0;
     cfg.topology = Topology::kComplete;
     cfg.link_contention =
         contention ? LinkContention::kPorts : LinkContention::kNone;
@@ -283,7 +276,6 @@ TEST(Machine, ContentionSerializesInjectionLink) {
   // until the first clears the sender's injection link.
   auto send_times = [](bool contention) {
     MachineConfig cfg;
-    cfg.recv_timeout_wall = 10.0;
     cfg.topology = Topology::kComplete;
     cfg.link_contention =
         contention ? LinkContention::kPorts : LinkContention::kNone;
@@ -316,7 +308,6 @@ TEST(Machine, ContentionOffMatchesLegacyCostModel) {
   // exactly — clocks included, not just results.
   auto makespan = [](bool contention) {
     MachineConfig cfg;
-    cfg.recv_timeout_wall = 10.0;
     cfg.link_contention =
         contention ? LinkContention::kPorts : LinkContention::kNone;
     Machine m(4, cfg);
@@ -336,7 +327,6 @@ TEST(Machine, ContentionOffMatchesLegacyCostModel) {
 
 TEST(Machine, ResetStatsClearsLinkClocks) {
   MachineConfig cfg;
-  cfg.recv_timeout_wall = 10.0;
   cfg.link_contention = LinkContention::kPorts;
   Machine m(2, cfg);
   m.run([](Context& ctx) {
@@ -371,7 +361,6 @@ TEST(Machine, StoreForwardChargesWirePerHop) {
   constexpr int kDoubles = 500;
   auto clock_of = [](LinkContention mode) {
     MachineConfig cfg;
-    cfg.recv_timeout_wall = 10.0;
     cfg.topology = Topology::kRing;
     cfg.link_contention = mode;
     Machine m(4, cfg);
@@ -402,7 +391,6 @@ TEST(Machine, StoreForwardSerializesSharedInteriorEdge) {
   constexpr int kDoubles = 1000;
   auto run = [](LinkContention mode) {
     MachineConfig cfg;
-    cfg.recv_timeout_wall = 10.0;
     cfg.topology = Topology::kHypercube;
     cfg.link_contention = mode;
     Machine m(8, cfg);
@@ -437,7 +425,6 @@ TEST(Machine, StoreForwardSerializesSharedInteriorEdge) {
 
 TEST(Machine, StoreForwardSelfSendStaysSoftware) {
   MachineConfig cfg;
-  cfg.recv_timeout_wall = 10.0;
   cfg.link_contention = LinkContention::kStoreForward;
   Machine m(2, cfg);
   m.run([](Context& ctx) {
@@ -456,7 +443,6 @@ TEST(Machine, StoreForwardSelfSendStaysSoftware) {
 
 TEST(Machine, ResetStatsClearsEdgeState) {
   MachineConfig cfg;
-  cfg.recv_timeout_wall = 10.0;
   cfg.topology = Topology::kHypercube;
   cfg.link_contention = LinkContention::kStoreForward;
   Machine m(8, cfg);
@@ -481,7 +467,7 @@ TEST(Machine, ResetStatsClearsEdgeState) {
 }
 
 TEST(Machine, MailboxPeakDepthIsTracked) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([](Context& ctx) {
     if (ctx.rank() == 0) {
       for (int k = 0; k < 5; ++k) {
@@ -505,8 +491,7 @@ TEST(Machine, MailboxPeakDepthIsTracked) {
 TEST(Machine, CausalityNoArrivalBeforeSendPlusWire) {
   // Random traffic pattern; every receiver's clock after a recv must be at
   // least the matching send time plus the wire terms.
-  MachineConfig cfg;
-  cfg.recv_timeout_wall = 10.0;
+  const MachineConfig cfg;
   Machine m(4, cfg);
   m.run([&](Context& ctx) {
     const int me = ctx.rank();

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <functional>
+#include <string>
 
 #include "machine/scheduler.hpp"
 #include "support/check.hpp"
@@ -26,29 +26,19 @@ Message make(int src, int tag, std::initializer_list<int> words = {}) {
 /// Run body(rank) on `nfibers` fibers of a one-worker scheduler, with `mb`
 /// attached as rank 0's mailbox.  One worker dispatches FIFO from ranks
 /// ascending, so rank 0 parks in a blocking recv before rank 1 first runs.
-void on_fibers(Mailbox& mb, int nfibers, const std::function<void(int)>& body,
-               double (*clock)() = nullptr) {
-  FiberScheduler sched(nfibers, /*workers=*/1, /*park_timeout_seconds=*/5.0,
-                       /*stack_bytes=*/0);
-  sched.set_clock(clock);
+void on_fibers(Mailbox& mb, int nfibers,
+               const std::function<void(int)>& body) {
+  FiberScheduler sched(nfibers, /*workers=*/1, /*stack_bytes=*/0);
   mb.attach_scheduler(&sched, /*owner_rank=*/0);
   sched.run(body);
   mb.attach_scheduler(nullptr, -1);
-}
-
-std::atomic<long> g_fake_ticks{0};
-
-/// Monotone fake scheduler clock: every observation advances it, so a
-/// park deadline passes after a few stall-sweep polls, not real seconds.
-double fake_clock() {
-  return 0.01 * static_cast<double>(g_fake_ticks.fetch_add(1));
 }
 
 TEST(Mailbox, DeliversMatchingMessage) {
   Mailbox mb;
   on_fibers(mb, 1, [&](int) {
     mb.push(make(3, 42));
-    Message m = mb.recv(3, 42, 1.0);
+    Message m = mb.recv(3, 42);
     EXPECT_EQ(m.src, 3);
     EXPECT_EQ(m.tag, 42);
   });
@@ -60,9 +50,9 @@ TEST(Mailbox, MatchesOnSourceAndTag) {
     mb.push(make(1, 10));
     mb.push(make(2, 10));
     mb.push(make(1, 20));
-    EXPECT_EQ(mb.recv(2, 10, 1.0).src, 2);
-    EXPECT_EQ(mb.recv(1, 20, 1.0).tag, 20);
-    EXPECT_EQ(mb.recv(1, 10, 1.0).src, 1);
+    EXPECT_EQ(mb.recv(2, 10).src, 2);
+    EXPECT_EQ(mb.recv(1, 20).tag, 20);
+    EXPECT_EQ(mb.recv(1, 10).src, 1);
     EXPECT_EQ(mb.pending(), 0u);
   });
 }
@@ -72,8 +62,8 @@ TEST(Mailbox, AnySourceMatchesFirstArrival) {
   on_fibers(mb, 1, [&](int) {
     mb.push(make(5, 7));
     mb.push(make(6, 7));
-    EXPECT_EQ(mb.recv(kAnySource, 7, 1.0).src, 5);
-    EXPECT_EQ(mb.recv(kAnySource, 7, 1.0).src, 6);
+    EXPECT_EQ(mb.recv(kAnySource, 7).src, 5);
+    EXPECT_EQ(mb.recv(kAnySource, 7).src, 6);
   });
 }
 
@@ -82,21 +72,29 @@ TEST(Mailbox, FifoPerSourceAndTag) {
   on_fibers(mb, 1, [&](int) {
     mb.push(make(1, 5, {100}));
     mb.push(make(1, 5, {200}));
-    Message a = mb.recv(1, 5, 1.0);
-    Message b = mb.recv(1, 5, 1.0);
+    Message a = mb.recv(1, 5);
+    Message b = mb.recv(1, 5);
     EXPECT_EQ(static_cast<int>(a.payload[0]), 100);
     EXPECT_EQ(static_cast<int>(b.payload[0]), 200);
   });
 }
 
-TEST(Mailbox, TimeoutThrows) {
-  // No stall handler is installed (deadlock detection off), so the lone
-  // parked recv is woken by the deadline sweep on the fake clock.
-  g_fake_ticks.store(0);
+TEST(Mailbox, LoneParkedRecvFailsAtFullStall) {
+  // No stall handler is installed, so the lone parked recv is a full stall
+  // the scheduler fails at once with its built-in error; the woken recv
+  // itself throws on the abort.
   Mailbox mb;
-  on_fibers(
-      mb, 1, [&](int) { EXPECT_THROW(mb.recv(0, 0, 0.05), Error); },
-      fake_clock);
+  FiberScheduler sched(1, /*workers=*/1, /*stack_bytes=*/0);
+  mb.attach_scheduler(&sched, /*owner_rank=*/0);
+  std::string what;
+  try {
+    sched.run([&](int) { EXPECT_THROW(mb.recv(0, 0), Error); });
+  } catch (const Error& e) {
+    what = e.what();
+  }
+  mb.attach_scheduler(nullptr, -1);
+  EXPECT_EQ(what,
+            "full stall: 1 rank(s) parked (0 in quiesce), none can be woken");
 }
 
 TEST(Mailbox, BlockingRecvWakesOnPush) {
@@ -104,7 +102,7 @@ TEST(Mailbox, BlockingRecvWakesOnPush) {
   bool received = false;
   on_fibers(mb, 2, [&](int rank) {
     if (rank == 0) {
-      Message m = mb.recv(9, 1, 5.0);
+      Message m = mb.recv(9, 1);
       EXPECT_EQ(m.src, 9);
       received = true;
     } else {
@@ -119,7 +117,7 @@ TEST(Mailbox, AbortWakesWaiters) {
   Mailbox mb;
   on_fibers(mb, 2, [&](int rank) {
     if (rank == 0) {
-      EXPECT_THROW(mb.recv(0, 0, 5.0), Error);
+      EXPECT_THROW(mb.recv(0, 0), Error);
     } else {
       mb.abort();
     }

@@ -7,12 +7,6 @@
 namespace kali {
 namespace {
 
-MachineConfig quiet_config() {
-  MachineConfig cfg;
-  cfg.recv_timeout_wall = 10.0;
-  return cfg;
-}
-
 Group whole(Context& ctx) {
   std::vector<int> ranks(static_cast<std::size_t>(ctx.nprocs()));
   for (int i = 0; i < ctx.nprocs(); ++i) {
@@ -22,7 +16,7 @@ Group whole(Context& ctx) {
 }
 
 TEST(PhaseTimer, MeasuresComputeMakespan) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([&](Context& ctx) {
     ctx.compute(500.0 * (ctx.rank() + 1));  // pre-phase skew
     PhaseTimer timer(ctx, whole(ctx));
@@ -35,7 +29,7 @@ TEST(PhaseTimer, MeasuresComputeMakespan) {
 }
 
 TEST(PhaseTimer, MakespanIsSlowestMember) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([&](Context& ctx) {
     PhaseTimer timer(ctx, whole(ctx));
     ctx.compute(100.0 * (ctx.rank() + 1));  // rank 3 does 400
@@ -46,7 +40,7 @@ TEST(PhaseTimer, MakespanIsSlowestMember) {
 }
 
 TEST(PhaseTimer, CountsOnlyPhaseTraffic) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([&](Context& ctx) {
     // Pre-phase message (must not be counted).
     if (ctx.rank() == 0) {
@@ -68,7 +62,7 @@ TEST(PhaseTimer, CountsOnlyPhaseTraffic) {
 }
 
 TEST(PhaseTimer, NestedPhasesCompose) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([&](Context& ctx) {
     PhaseTimer outer(ctx, whole(ctx));
     double inner_total = 0.0;
@@ -85,7 +79,7 @@ TEST(PhaseTimer, NestedPhasesCompose) {
 }
 
 TEST(SyncClocks, AlignsExactly) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([&](Context& ctx) {
     ctx.compute(250.0 * ctx.rank());
     const double t = sync_clocks(ctx, whole(ctx));

@@ -10,12 +10,6 @@
 namespace kali {
 namespace {
 
-MachineConfig quiet_config() {
-  MachineConfig cfg;
-  cfg.recv_timeout_wall = 30.0;
-  return cfg;
-}
-
 Op2 model_op(int nx, int ny, double sigma = 0.0) {
   Op2 op;
   op.axx = op.ayy = 1.0;
@@ -48,7 +42,7 @@ TEST(Mg2, ZebraSweepReducesError) {
   // half-sweeps.  (The L2 *residual* may transiently rise: zebra removes
   // y-oscillatory error, reshaping the residual for the coarse grid.)
   const int nx = 16, ny = 16, p = 2;
-  Machine m(p, quiet_config());
+  Machine m(p);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(p);
     Op2 op = model_op(nx, ny);
@@ -81,7 +75,7 @@ TEST(Mg2, ZebraLinesSolveExactlyOnTheirColour) {
   // After an even half-sweep, every even interior line satisfies its line
   // equation exactly (that is what a zebra line solve means).
   const int nx = 8, ny = 8, p = 2;
-  Machine m(p, quiet_config());
+  Machine m(p);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(p);
     Op2 op = model_op(nx, ny);
@@ -106,7 +100,7 @@ class Mg2P : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
 TEST_P(Mg2P, VCyclesConvergeFast) {
   const auto [p, nx, ny] = GetParam();
-  Machine m(p, quiet_config());
+  Machine m(p);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(p);
     Op2 op = model_op(nx, ny);
@@ -136,7 +130,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, Mg2P,
 
 TEST(Mg2, SolutionMatchesManufactured) {
   const int nx = 32, ny = 32, p = 4;
-  Machine m(p, quiet_config());
+  Machine m(p);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(p);
     Op2 op = model_op(nx, ny);
@@ -156,7 +150,7 @@ TEST(Mg2, SolutionMatchesManufactured) {
 TEST(Mg2, HelmholtzShiftConverges) {
   // The shifted plane operator mg3 hands to mg2 (sigma < 0).
   const int nx = 16, ny = 16, p = 2;
-  Machine m(p, quiet_config());
+  Machine m(p);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(p);
     Op2 op = model_op(nx, ny, /*sigma=*/-200.0);
@@ -177,7 +171,7 @@ TEST(Mg2, FusedLevelSwitchBitIdenticalWithFewerMessages) {
   // redistribute path is exercised too.
   const int nx = 32, ny = 32, p = 4;
   auto run = [&](bool fused) {
-    Machine m(p, quiet_config());
+    Machine m(p);
     std::vector<std::vector<double>> sol(static_cast<std::size_t>(p));
     m.run([&](Context& ctx) {
       ProcView pv = ProcView::grid1(p);
@@ -208,7 +202,7 @@ TEST(Mg2, RejectsNonPowerOfTwoNy) {
   // Such a cycle used to run and converge far more slowly without any
   // report; it is refused at entry instead.  nx is never coarsened.
   for (int p : {1, 2}) {
-    Machine m(p, quiet_config());
+    Machine m(p);
     EXPECT_THROW(m.run([&](Context& ctx) {
       ProcView pv = ProcView::grid1(p);
       Op2 op = model_op(16, 20);
@@ -217,7 +211,7 @@ TEST(Mg2, RejectsNonPowerOfTwoNy) {
     }),
                  Error);
   }
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([&](Context& ctx) {  // any nx is fine
     ProcView pv = ProcView::grid1(2);
     Op2 op = model_op(12, 16);

@@ -11,12 +11,6 @@
 namespace kali {
 namespace {
 
-MachineConfig quiet_config() {
-  MachineConfig cfg;
-  cfg.recv_timeout_wall = 60.0;
-  return cfg;
-}
-
 Op3 model_op(int nx, int ny, int nz) {
   Op3 op;
   op.axx = op.ayy = op.azz = 1.0;
@@ -51,7 +45,7 @@ TEST(Mg3, ZebraPlaneSweepNearlySolvesItsColour) {
   // though the global L2 residual may transiently grow (the z-oscillatory
   // error it removes is exactly what the coarse grid cannot see).
   const int n = 8;
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid2(2, 2);
     Op3 op = model_op(n, n, n);
@@ -85,7 +79,7 @@ class Mg3P : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
 TEST_P(Mg3P, VCyclesConverge) {
   const auto [px, py, n] = GetParam();
-  Machine m(px * py, quiet_config());
+  Machine m(px * py);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid2(px, py);
     Op3 op = model_op(n, n, n);
@@ -112,7 +106,7 @@ INSTANTIATE_TEST_SUITE_P(Grids, Mg3P,
 
 TEST(Mg3, SolutionMatchesManufactured) {
   const int n = 16;
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid2(2, 2);
     Op3 op = model_op(n, n, n);
@@ -135,7 +129,7 @@ TEST(Mg3, AnisotropicZDominantConverges) {
   // this: strong coupling inside planes handled by mg2, z handled by the
   // grid hierarchy.
   const int n = 8;
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid2(2, 2);
     Op3 op = model_op(n, n, n);
@@ -156,7 +150,7 @@ TEST(Mg3, FusedLevelSwitchBitIdenticalWithFewerMessages) {
   // Both sides run the same (fused) mg2 plane solves.
   const int n = 8, p = 4;
   auto run = [&](bool fused) {
-    Machine m(p, quiet_config());
+    Machine m(p);
     std::vector<std::vector<double>> sol(static_cast<std::size_t>(p));
     m.run([&](Context& ctx) {
       ProcView pv = ProcView::grid2(2, 2);
@@ -186,7 +180,7 @@ TEST(Mg3, RejectsNonPowerOfTwoNzOrNy) {
   // both must be powers of two, and either violation is refused.
   for (const std::array<int, 2> yz : {std::array{8, 12}, std::array{12, 8}}) {
     const int ny = yz[0], nz = yz[1];
-    Machine m(4, quiet_config());
+    Machine m(4);
     EXPECT_THROW(m.run([&](Context& ctx) {
       ProcView pv = ProcView::grid2(2, 2);
       Op3 op = model_op(8, ny, nz);
@@ -204,7 +198,7 @@ TEST(Mg3, PlaneSolvesRunOnPlaneOwnersOnly) {
   // check work distribution: with 1x2 columns, each column only relaxes
   // its own planes (flops split roughly in half).
   const int n = 8;
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid2(1, 2);
     Op3 op = model_op(n, n, n);

@@ -13,12 +13,6 @@
 namespace kali {
 namespace {
 
-MachineConfig quiet_config() {
-  MachineConfig cfg;
-  cfg.recv_timeout_wall = 20.0;
-  return cfg;
-}
-
 // Per-system coefficients derived deterministically from (j, i).
 double coef_b(int j, int i) { return i == 0 ? 0.0 : -0.4 - 0.01 * ((i + j) % 7); }
 double coef_c(int j, int i, int n) {
@@ -48,7 +42,7 @@ class MtriP : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
 TEST_P(MtriP, MatchesPerSystemThomas) {
   const auto [p, nsys, n] = GetParam();
-  Machine m(p, quiet_config());
+  Machine m(p);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(p);
     using D2 = DistArray2<double>;
@@ -83,7 +77,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, MtriP,
 TEST(Mtri, SystemsAlongDim1) {
   // Systems stacked along dim 1 (the paper's mtriyc orientation).
   const int p = 4, nsys = 6, n = 32;
-  Machine m(p, quiet_config());
+  Machine m(p);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(p);
     using D2 = DistArray2<double>;
@@ -112,7 +106,7 @@ TEST(Mtri, PipelineBeatsSerialTriCalls) {
   // reduces the simulated makespan versus m sequential tri calls.
   const int p = 8, nsys = 16, n = 128;
   auto run = [&](bool pipelined) {
-    Machine m(p, quiet_config());
+    Machine m(p);
     double makespan = 0.0;
     m.run([&](Context& ctx) {
       ProcView pv = ProcView::grid1(p);
@@ -147,7 +141,7 @@ TEST(Mtri, SteadyStateKeepsEveryProcessorActive) {
   // global steps have all p processors active.
   const int p = 8, nsys = 10, n = 64;
   ActivityTrace trace(mtri_trace_steps(nsys, p), p);
-  Machine m(p, quiet_config());
+  Machine m(p);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(p);
     using D2 = DistArray2<double>;
@@ -172,7 +166,7 @@ TEST(Mtri, TraceStepsFormula) {
 }
 
 TEST(Mtri, RejectsDistributedSystemDim) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   EXPECT_THROW(m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(4);
     using D2 = DistArray2<double>;

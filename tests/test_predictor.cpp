@@ -16,14 +16,8 @@
 namespace kali {
 namespace {
 
-MachineConfig quiet_config() {
-  MachineConfig cfg;
-  cfg.recv_timeout_wall = 20.0;
-  return cfg;
-}
-
 double sim_tri(int n, int p) {
-  Machine m(p, quiet_config());
+  Machine m(p);
   double out = 0.0;
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(p);
@@ -41,7 +35,7 @@ double sim_tri(int n, int p) {
 }
 
 double sim_jacobi(int n, int p_side) {
-  Machine m(p_side * p_side, quiet_config());
+  Machine m(p_side * p_side);
   double out = 0.0;
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid2(p_side, p_side);
@@ -57,7 +51,7 @@ double sim_jacobi(int n, int p_side) {
 }
 
 TEST(Predictor, MessageTimeMatchesCostModel) {
-  MachineConfig cfg = quiet_config();
+  MachineConfig cfg;
   Predictor pr(cfg, 2);
   Machine m(2, cfg);
   m.run([&](Context& ctx) {
@@ -77,7 +71,7 @@ class PredictTriP : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(PredictTriP, WithinThirtyPercentOfSimulation) {
   const auto [n, p] = GetParam();
-  Predictor pr(quiet_config(), p);
+  Predictor pr(MachineConfig{}, p);
   const double pred = pr.tri_solve(n, p);
   const double sim = sim_tri(n, p);
   EXPECT_LT(std::abs(pred - sim) / sim, 0.30)
@@ -92,7 +86,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, PredictTriP,
 
 TEST(Predictor, JacobiWithinThirtyPercent) {
   for (int p : {2, 4}) {
-    Predictor pr(quiet_config(), p * p);
+    Predictor pr(MachineConfig{}, p * p);
     const double pred = pr.jacobi_iteration(64, p);
     const double sim = sim_jacobi(64, p);
     EXPECT_LT(std::abs(pred - sim) / sim, 0.30)
@@ -103,7 +97,7 @@ TEST(Predictor, JacobiWithinThirtyPercent) {
 TEST(Predictor, RanksProcessorGridShapesLikeSimulation) {
   // The E8 ablation, decided from the closed form alone: square beats
   // both degenerate shapes for ADI.
-  Predictor pr(quiet_config(), 16);
+  Predictor pr(MachineConfig{}, 16);
   const double square = pr.adi_iteration(64, 4, 4, false);
   const double wide = pr.adi_iteration(64, 16, 1, false);
   const double tall = pr.adi_iteration(64, 1, 16, false);
@@ -112,19 +106,19 @@ TEST(Predictor, RanksProcessorGridShapesLikeSimulation) {
 }
 
 TEST(Predictor, PipeliningPredictedFaster) {
-  Predictor pr(quiet_config(), 16);
+  Predictor pr(MachineConfig{}, 16);
   EXPECT_LT(pr.adi_iteration(64, 4, 4, true), pr.adi_iteration(64, 4, 4, false));
   EXPECT_LT(pr.mtri_solve(16, 1024, 8), 16.0 * pr.tri_solve(1024, 8));
 }
 
 TEST(Predictor, ScalesWithProblemSize) {
-  Predictor pr(quiet_config(), 8);
+  Predictor pr(MachineConfig{}, 8);
   EXPECT_GT(pr.tri_solve(8192, 8), pr.tri_solve(1024, 8));
   EXPECT_GT(pr.jacobi_iteration(128, 2), pr.jacobi_iteration(32, 2));
 }
 
 TEST(Predictor, NonPowerOfTwoProcsThrows) {
-  Predictor pr(quiet_config(), 6);
+  Predictor pr(MachineConfig{}, 6);
   EXPECT_THROW((void)pr.tri_solve(128, 6), Error);
 }
 
@@ -132,7 +126,7 @@ TEST(Predictor, NonPowerOfTwoProcsThrows) {
 // rank pair exchanges one slab) on p ranks, n x n doubles.
 double sim_transpose(int n, int p, LinkContention contention,
                      IssueOrder order) {
-  MachineConfig cfg = quiet_config();
+  MachineConfig cfg;
   cfg.link_contention = contention;
   Machine m(p, cfg);
   m.run([&](Context& ctx) {
@@ -153,7 +147,7 @@ TEST(Predictor, ScheduledAllToAllTracksSimulator) {
   // covers wire + overheads; pack/unpack compute (two flops per element)
   // is added here, as the header prescribes.
   const int n = 256, p = 8;
-  MachineConfig cfg = quiet_config();
+  MachineConfig cfg;
   Predictor pr(cfg, p);
   const double slab_bytes = 8.0 * (n / p) * (n / p);
   const double packing =
@@ -172,7 +166,7 @@ TEST(Predictor, ScheduledAllToAllTracksSimulator) {
 
 TEST(Predictor, NaiveAllToAllTracksSimulatorUnderContention) {
   const int n = 256, p = 8;
-  MachineConfig cfg = quiet_config();
+  MachineConfig cfg;
   Predictor pr(cfg, p);
   const double slab_bytes = 8.0 * (n / p) * (n / p);
   const double packing =
@@ -186,7 +180,7 @@ TEST(Predictor, NaiveAllToAllTracksSimulatorUnderContention) {
 
 TEST(Predictor, MessageStoreForwardMatchesCostModel) {
   // Uncontended store-and-forward delivery is exact: wire once per hop.
-  MachineConfig cfg = quiet_config();
+  MachineConfig cfg;
   cfg.topology = Topology::kRing;
   cfg.link_contention = LinkContention::kStoreForward;
   Predictor pr(cfg, 6);
@@ -208,7 +202,7 @@ TEST(Predictor, MessageStoreForwardMatchesCostModel) {
 // on an explicit topology (the SF sweep runs on meshes as well as the
 // default hypercube).
 double sim_transpose_topo(int n, int p, Topology topo, IssueOrder order) {
-  MachineConfig cfg = quiet_config();
+  MachineConfig cfg;
   cfg.topology = topo;
   cfg.link_contention = LinkContention::kStoreForward;
   Machine m(p, cfg);
@@ -232,7 +226,7 @@ TEST(Predictor, StoreForwardAllToAllTracksSimulator) {
   for (auto [topo, p] : {std::pair{Topology::kHypercube, 8},
                          std::pair{Topology::kMesh2D, 16}}) {
     SCOPED_TRACE(topo == Topology::kMesh2D ? "mesh" : "hypercube");
-    MachineConfig cfg = quiet_config();
+    MachineConfig cfg;
     cfg.topology = topo;
     Predictor pr(cfg, p);
     const double slab_bytes = 8.0 * (n / p) * (n / p);
@@ -263,7 +257,7 @@ TEST(Predictor, LockstepAllToAllTracksSimulator) {
   // summed exactly from the topology) must track the simulator within 30%
   // in all three contention tiers.
   const int n = 256, p = 8;
-  MachineConfig cfg = quiet_config();
+  MachineConfig cfg;
   Predictor pr(cfg, p);
   const double slab_bytes = 8.0 * (n / p) * (n / p);
   const double packing =
@@ -291,7 +285,7 @@ TEST(Predictor, LockstepAllToAllTracksSimulator) {
 // contribute `count` doubles over the whole machine.
 double sim_all_gather(int count, int p, LinkContention contention,
                       Topology topo) {
-  MachineConfig cfg = quiet_config();
+  MachineConfig cfg;
   cfg.link_contention = contention;
   cfg.topology = topo;
   Machine m(p, cfg);
@@ -313,7 +307,7 @@ TEST(Predictor, AllGatherTracksSimulatorInAllTiers) {
   // gathered element on every member) is added here, as the header
   // prescribes.
   const int count = 8192, p = 8;
-  MachineConfig cfg = quiet_config();
+  MachineConfig cfg;
   Predictor pr(cfg, p);
   const double bytes = 8.0 * count;
   const double merge = static_cast<double>(p) * count * cfg.flop_time;
@@ -333,7 +327,7 @@ TEST(Predictor, RanksScheduleAgainstNaiveLikeSimulation) {
   // round schedule beats naive issue order, and by roughly the simulated
   // margin; without contention the schedule is free.
   const int n = 256, p = 8;
-  Predictor pr(quiet_config(), p);
+  Predictor pr(MachineConfig{}, p);
   const double slab_bytes = 8.0 * (n / p) * (n / p);
   const double pred_sched = pr.all_to_all(p, slab_bytes, LinkContention::kPorts);
   const double pred_naive = pr.all_to_all_naive(p, slab_bytes);

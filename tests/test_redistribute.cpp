@@ -13,16 +13,10 @@
 namespace kali {
 namespace {
 
-MachineConfig quiet_config() {
-  MachineConfig cfg;
-  cfg.recv_timeout_wall = 10.0;
-  return cfg;
-}
-
 double tag2(int i, int j) { return 100.0 * i + j; }
 
 TEST(Redistribute, BlockToCyclic1D) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(4);
     DistArray1<double> src(ctx, pv, {16}, {DimDist::block_dist()});
@@ -38,7 +32,7 @@ TEST(Redistribute, BlockToCyclic1D) {
 TEST(Redistribute, TransposeDistribution2D) {
   // (block, *) -> (*, block): the transpose communication of a distributed
   // 2-D FFT or of switching ADI sweep direction.
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(4);
     DistArray2<double> rows(ctx, pv, {8, 8},
@@ -54,7 +48,7 @@ TEST(Redistribute, TransposeDistribution2D) {
 }
 
 TEST(Redistribute, DifferentGridShapes) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     DistArray2<double> a(ctx, ProcView::grid2(2, 2), {8, 8},
                          {DimDist::block_dist(), DimDist::block_dist()});
@@ -69,7 +63,7 @@ TEST(Redistribute, DifferentGridShapes) {
 }
 
 TEST(Redistribute, RoundTripPreservesContents) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(4);
     DistArray1<double> a(ctx, pv, {13}, {DimDist::block_dist()});
@@ -86,7 +80,7 @@ TEST(Redistribute, RoundTripPreservesContents) {
 
 TEST(Redistribute, ReplicatesIntoStarDims) {
   // dst (*, block): every processor must receive the rows it replicates.
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(2);
     DistArray2<double> src(ctx, pv, {4, 4},
@@ -106,7 +100,7 @@ TEST(Redistribute, ReplicatesIntoStarDims) {
 TEST(Redistribute, CyclicBlockCyclicRoundTrip) {
   // General (owner-binning) path in both directions, odd extent so counts
   // differ across ranks.
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(4);
     DistArray1<double> a(ctx, pv, {19}, {DimDist::cyclic()});
@@ -127,7 +121,7 @@ TEST(Redistribute, CyclicBlockCyclicRoundTrip) {
 TEST(Redistribute, StarFanOutFromBlockGrid) {
   // (block, block) on a 2x2 grid -> (block, *) on a 1-D view: every dst
   // rank's replicated row span is assembled from two source quadrants.
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     DistArray2<double> src(ctx, ProcView::grid2(2, 2), {8, 8},
                            {DimDist::block_dist(), DimDist::block_dist()});
@@ -146,7 +140,7 @@ TEST(Redistribute, StarFanOutFromBlockGrid) {
 TEST(Redistribute, DisjointSrcDstViews) {
   // Producer/consumer hand-off: src lives on ranks {0, 1}, dst on {2, 3}.
   // Exercises both the box path and the general path across disjoint views.
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     ProcView spv = ProcView::grid1(2, /*base=*/0);
     ProcView dpv = ProcView::grid1(2, /*base=*/2);
@@ -174,7 +168,7 @@ TEST(Redistribute, DisjointSrcDstViews) {
 TEST(Redistribute, OvershootRanksOwnNothing) {
   // extent < nprocs: with block ceil-division, rank 3 owns zero elements on
   // both sides; it must neither send nor be expected to send.
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(4);
     DistArray1<double> a(ctx, pv, {3}, {DimDist::block_dist()});
@@ -194,7 +188,7 @@ TEST(Redistribute, BoxPathSendsOnlyIntersectingPairs) {
   // only intersecting pair per rank is itself, and self-overlaps are local
   // copies — zero messages, where the reference path still floods all 12
   // non-self pairs (its own self round-trips are also eliminated).
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid2(2, 2);
     DistArray2<double> a(ctx, pv, {8, 8},
@@ -209,7 +203,7 @@ TEST(Redistribute, BoxPathSendsOnlyIntersectingPairs) {
   });
   EXPECT_EQ(m.stats().totals().msgs_sent, 0u);
 
-  Machine ref(4, quiet_config());
+  Machine ref(4);
   ref.run([](Context& ctx) {
     ProcView pv = ProcView::grid2(2, 2);
     DistArray2<double> a(ctx, pv, {8, 8},
@@ -228,7 +222,7 @@ TEST(Redistribute, BoxPathSendsOnlyIntersectingPairs) {
 TEST(Redistribute, NoSelfMessagesOnAnyPath) {
   // The headline bugfix: no path may push a rank's self-overlap through
   // the mailbox — box, general (binning), and reference alike.
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(4);
     {  // box path, transpose: self slab on the diagonal
@@ -267,7 +261,7 @@ TEST(Redistribute, ScheduledAndPeerOrderProduceIdenticalContents) {
     SCOPED_TRACE(c.name);
     for (int p : {3, 4, 5, 8}) {
       SCOPED_TRACE("p=" + std::to_string(p));
-      Machine m(p, quiet_config());
+      Machine m(p);
       m.run([&](Context& ctx) {
         ProcView pv = ProcView::grid1(p);
         DistArray1<double> src(ctx, pv, {29}, {c.sd});
@@ -290,7 +284,7 @@ TEST(Redistribute, ContentionOnlyChangesClocks) {
   // message counts, and wire bytes — only clocks (and the link-wait
   // counters) move, and never backwards.
   auto run_transpose = [](bool contention, IssueOrder order) {
-    MachineConfig cfg = quiet_config();
+    MachineConfig cfg;
     cfg.link_contention =
         contention ? LinkContention::kPorts : LinkContention::kNone;
     Machine m(8, cfg);
@@ -344,7 +338,7 @@ TEST(Redistribute, PropertyMatchesReferenceAcrossDistributions1D) {
   for (const auto& [sname, sk] : kinds) {
     for (const auto& [dname, dk] : kinds) {
       SCOPED_TRACE(sname + " -> " + dname);
-      Machine m(4, quiet_config());
+      Machine m(4);
       m.run([sk = sk, dk = dk](Context& ctx) {
         ProcView pv = ProcView::grid1(4);
         DistArray1<double> src(ctx, pv, {23}, {sk});
@@ -381,7 +375,7 @@ TEST(Redistribute, PropertyBoxPathMatchesReference2D) {
   for (const auto& s : layouts) {
     for (const auto& d : layouts) {
       SCOPED_TRACE(s.name + " -> " + d.name);
-      Machine m(4, quiet_config());
+      Machine m(4);
       m.run([&](Context& ctx) {
         DistArray2<double> src(ctx, s.pv, {9, 7}, s.dists);
         DistArray2<double> fast(ctx, d.pv, {9, 7}, d.dists);
@@ -404,7 +398,7 @@ TEST(Redistribute, StoreForwardDeterministicAcrossRuns) {
   // produce bit-identical per-rank clocks and wait counters — contention
   // resolution never depends on host scheduling.
   auto run_once = [] {
-    MachineConfig cfg = quiet_config();
+    MachineConfig cfg;
     cfg.topology = Topology::kMesh2D;
     cfg.link_contention = LinkContention::kStoreForward;
     Machine m(16, cfg);
@@ -448,7 +442,7 @@ TEST(Redistribute, LockstepMatchesScheduledAndBoundsMailbox) {
   // orders allow.
   const int p = 8;
   auto run_box = [&](IssueOrder order) {
-    Machine m(p, quiet_config());
+    Machine m(p);
     std::vector<double> probe;
     m.run([&](Context& ctx) {
       ProcView pv = ProcView::grid1(p);
@@ -475,7 +469,7 @@ TEST(Redistribute, LockstepMatchesScheduledAndBoundsMailbox) {
   EXPECT_LE(st_lock.max_mailbox_depth(), 4u);
 
   auto run_general = [&](IssueOrder order) {
-    Machine m(p, quiet_config());
+    Machine m(p);
     std::vector<double> probe;
     m.run([&](Context& ctx) {
       ProcView pv = ProcView::grid1(p);
@@ -500,7 +494,7 @@ TEST(Redistribute, LockstepMatchesScheduledAndBoundsMailbox) {
 /// Per-rank clocks after running `prog` on 2 ranks.
 template <class Prog>
 std::vector<double> clocks_after(Prog&& prog) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   std::vector<double> clocks(2);
   m.run([&](Context& ctx) {
     prog(ctx);
@@ -536,7 +530,7 @@ TEST(Redistribute, BlockingChargesSelfCopyBeforeSends) {
 }
 
 TEST(Redistribute, ExtentMismatchThrows) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   EXPECT_THROW(m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(2);
     DistArray1<double> a(ctx, pv, {8}, {DimDist::block_dist()});

@@ -11,17 +11,11 @@
 namespace kali {
 namespace {
 
-MachineConfig quiet_config() {
-  MachineConfig cfg;
-  cfg.recv_timeout_wall = 10.0;
-  return cfg;
-}
-
 double tag2(int i, int j) { return 100.0 * i + j; }
 
 TEST(Remap, InjectEvenIndicesToCoarse) {
   // Restriction-style: coarse[K] = fine[2K], misaligned block boundaries.
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(4);
     DistArray1<double> fine(ctx, pv, {17}, {DimDist::block_dist()});
@@ -37,7 +31,7 @@ TEST(Remap, InjectEvenIndicesToCoarse) {
 
 TEST(Remap, SpreadCoarseToEvenFine) {
   // Interpolation-style: fine[2K] = coarse[K]; odd entries untouched.
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(2);
     DistArray1<double> coarse(ctx, pv, {5}, {DimDist::block_dist()});
@@ -56,7 +50,7 @@ TEST(Remap, SpreadCoarseToEvenFine) {
 }
 
 TEST(Remap, OffsetsAndCount) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(2);
     DistArray1<double> src(ctx, pv, {12}, {DimDist::block_dist()});
@@ -78,7 +72,7 @@ TEST(Remap, OffsetsAndCount) {
 
 TEST(Remap, MultidimensionalIdentityOffDim) {
   // 2-D: coarsen dim 1, dim 0 carried through unchanged.
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(4);
     using D2 = DistArray2<double>;
@@ -96,7 +90,7 @@ TEST(Remap, MultidimensionalIdentityOffDim) {
 TEST(Remap, CrossDistributionTransfer) {
   // Source distributed over the full view, destination over a single
   // processor sub-view (the multigrid agglomeration pattern).
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(4);
     ProcView pv1 = ProcView::grid1(1, pv.rank_of1(0));
@@ -131,7 +125,7 @@ TEST(Remap, PropertyBoxPathMatchesBinnedOracle1D) {
     for (std::size_t si = 0; si < shapes.size(); ++si) {
       const Shape& s = shapes[si];
       SCOPED_TRACE("p=" + std::to_string(p) + " shape=" + std::to_string(si));
-      Machine m(p, quiet_config());
+      Machine m(p);
       m.run([&](Context& ctx) {
         ProcView pv = ProcView::grid1(p);
         DistArray1<double> src(ctx, pv, {s.ns}, {DimDist::block_dist()});
@@ -167,7 +161,7 @@ TEST(Remap, PropertyBoxPathMatchesBinnedOracle2D) {
   for (const auto& sl : layouts) {
     for (const auto& dl : layouts) {
       SCOPED_TRACE(sl.name + " -> " + dl.name);
-      Machine m(4, quiet_config());
+      Machine m(4);
       m.run([&](Context& ctx) {
         ProcView pv = ProcView::grid1(4);
         DistArray2<double> src(ctx, pv, {5, 17}, sl.dists);
@@ -191,7 +185,7 @@ TEST(Remap, PropertyBoxPathMatchesBinnedOracle2D) {
 TEST(Remap, CyclicLayoutsFallBackToBinning) {
   // Any cyclic dim routes through the binning path; results must still be
   // exact and free of self-messages.
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(4);
     DistArray1<double> src(ctx, pv, {21}, {DimDist::cyclic()});
@@ -208,7 +202,7 @@ TEST(Remap, CyclicLayoutsFallBackToBinning) {
 TEST(Remap, AlignedIdentityCopySendsNoMessages) {
   // Identical layout, stride 1, offset 0: every element's source and
   // destination owner coincide — the whole copy must stay off the network.
-  Machine m(4, quiet_config());
+  Machine m(4);
   m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(4);
     DistArray1<double> src(ctx, pv, {16}, {DimDist::block_dist()});
@@ -225,7 +219,7 @@ TEST(Remap, AlignedIdentityCopySendsNoMessages) {
 TEST(Remap, ScheduledAndPeerOrderProduceIdenticalContents) {
   for (int p : {3, 4, 5}) {
     SCOPED_TRACE("p=" + std::to_string(p));
-    Machine m(p, quiet_config());
+    Machine m(p);
     m.run([&](Context& ctx) {
       ProcView pv = ProcView::grid1(p);
       DistArray1<double> src(ctx, pv, {23}, {DimDist::block_dist()});
@@ -251,7 +245,7 @@ TEST(Remap, LockstepMatchesScheduledOnBothPaths) {
   // depth.
   const int p = 8;
   auto run = [&](IssueOrder order, bool cyclic) {
-    Machine m(p, quiet_config());
+    Machine m(p);
     std::vector<double> probe;
     m.run([&](Context& ctx) {
       ProcView pv = ProcView::grid1(p);
@@ -297,7 +291,7 @@ TEST(Remap, HaloFusedMatchesSeparateRemapPlusExchange) {
       const Shape& s = shapes[si];
       SCOPED_TRACE("p=" + std::to_string(p) + " shape=" + std::to_string(si));
       auto run = [&](bool fused) {
-        Machine m(p, quiet_config());
+        Machine m(p);
         std::vector<std::vector<double>> slabs(static_cast<std::size_t>(p));
         m.run([&](Context& ctx) {
           ProcView pv = ProcView::grid1(p);
@@ -337,7 +331,7 @@ TEST(Remap, HaloFusedMatchesSeparateRemapPlusExchange) {
       if (si == 0) {
         EXPECT_LT(msgs_fused, msgs_sep);
       }
-      Machine m(p, quiet_config());  // and no self messages on the tag
+      Machine m(p);  // and no self messages on the tag
       m.run([&](Context& ctx) {
         ProcView pv = ProcView::grid1(p);
         using D2 = DistArray2<double>;
@@ -356,7 +350,7 @@ TEST(Remap, HaloFusedMatchesSeparateRemapPlusExchange) {
 TEST(Remap, HaloFusedIssueOrdersAgree) {
   const int p = 4;
   auto run = [&](IssueOrder order) {
-    Machine m(p, quiet_config());
+    Machine m(p);
     std::vector<double> probe;
     m.run([&](Context& ctx) {
       ProcView pv = ProcView::grid1(p);
@@ -382,7 +376,7 @@ TEST(Remap, HaloFusedIssueOrdersAgree) {
 }
 
 TEST(Remap, HaloFusedCyclicLayoutThrows) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   EXPECT_THROW(m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(2);
     DistArray1<double> a(ctx, pv, {8}, {DimDist::cyclic()});
@@ -394,7 +388,7 @@ TEST(Remap, HaloFusedCyclicLayoutThrows) {
 
 TEST(Remap, ZeroStrideThrows) {
   // Both entry points validate arguments — the binned oracle included.
-  Machine m(2, quiet_config());
+  Machine m(2);
   EXPECT_THROW(m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(2);
     DistArray1<double> a(ctx, pv, {8}, {DimDist::block_dist()});
@@ -402,7 +396,7 @@ TEST(Remap, ZeroStrideThrows) {
     copy_strided_dim(ctx, a, b, 0, 0, 0, 1, 0, 4);
   }),
                Error);
-  Machine m2(2, quiet_config());
+  Machine m2(2);
   EXPECT_THROW(m2.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(2);
     DistArray1<double> a(ctx, pv, {8}, {DimDist::block_dist()});
@@ -417,7 +411,7 @@ TEST(Remap, BlockingFoldsSelfCopyIntoUnpackCharge) {
   // identity strided copy: the blocking strided copies charge the pack
   // after the sends and the self copy together with the unpack.
   auto clocks_after = [](auto prog) {
-    Machine m(2, quiet_config());
+    Machine m(2);
     std::vector<double> clocks(2);
     m.run([&](Context& ctx) {
       prog(ctx);
@@ -446,7 +440,7 @@ TEST(Remap, BlockingFoldsSelfCopyIntoUnpackCharge) {
 }
 
 TEST(Remap, ExtentMismatchOffDimThrows) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   EXPECT_THROW(m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(2);
     using D2 = DistArray2<double>;
@@ -459,7 +453,7 @@ TEST(Remap, ExtentMismatchOffDimThrows) {
 }
 
 TEST(Remap, RangeOverflowThrows) {
-  Machine m(2, quiet_config());
+  Machine m(2);
   EXPECT_THROW(m.run([](Context& ctx) {
     ProcView pv = ProcView::grid1(2);
     DistArray1<double> a(ctx, pv, {8}, {DimDist::block_dist()});

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -65,7 +64,6 @@ struct RunResult {
 
 RunResult run_workload(int workers) {
   MachineConfig cfg;
-  cfg.recv_timeout_wall = 20.0;
   cfg.link_contention = LinkContention::kStoreForward;
   cfg.topology = Topology::kHypercube;
   cfg.sim_workers = workers;
@@ -131,7 +129,6 @@ TEST(FiberScheduler, RepeatedRunsIdenticalAtFixedWorkerCount) {
 TEST(FiberScheduler, ManyMoreFibersThanWorkersCompletes) {
   // The point of the refactor: P far beyond any sane host thread count.
   MachineConfig cfg;
-  cfg.recv_timeout_wall = 60.0;
   cfg.sim_workers = 4;
   cfg.fiber_stack_bytes = 128 * 1024;
   Machine m(512, cfg);
@@ -145,14 +142,12 @@ TEST(FiberScheduler, ManyMoreFibersThanWorkersCompletes) {
   EXPECT_EQ(m.stats().totals().msgs_sent, 512u);
 }
 
-TEST(FiberScheduler, DeadlockDetectorFiresBeforeWallClockFallback) {
+TEST(FiberScheduler, DeadlockDetectorFiresAtFirstStall) {
   // A fiber parked forever must be diagnosed by the stall handler at the
-  // first full stall — not by the wall-clock sweep, whose deadline is set
-  // far beyond what this test would tolerate.
+  // first full stall; nothing waits for anything after it.
   for (const int workers : {1, 4}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     MachineConfig cfg;
-    cfg.recv_timeout_wall = 3600.0;  // fallback would hang the suite
     cfg.sim_workers = workers;
     Machine m(4, cfg);
     try {
@@ -168,25 +163,13 @@ TEST(FiberScheduler, DeadlockDetectorFiresBeforeWallClockFallback) {
   }
 }
 
-std::atomic<long> g_fake_ticks{0};
-
-/// Monotone fake clock (MachineConfig::sim_clock): each observation
-/// advances fake time, so the quiesce-park deadline below passes after a
-/// handful of scheduler sweep polls instead of 0.3 real seconds.
-double fake_clock() {
-  return 0.01 * static_cast<double>(g_fake_ticks.fetch_add(1));
-}
-
 TEST(FiberScheduler, QuiesceMismatchDiagnosedNotHung) {
-  // One rank skips the collective quiesce: the arrived ranks' park times
-  // out with a collective-mismatch diagnostic instead of hanging.  The
-  // timeout runs on the injected fake clock — no real waiting.
-  g_fake_ticks.store(0);
+  // One rank skips the collective quiesce: the arrived rank's park is a
+  // full stall, which fails at once.  Without the deadlock dump the error
+  // is the scheduler's own one-liner, which still counts the quiesce park.
   MachineConfig cfg;
-  cfg.recv_timeout_wall = 0.3;     // fake seconds
-  cfg.deadlock_detection = false;  // no recv waiter: fallback either way
+  cfg.deadlock_detection = false;
   cfg.sim_workers = 2;
-  cfg.sim_clock = fake_clock;
   Machine m(2, cfg);
   try {
     m.run([](Context& ctx) {
@@ -196,8 +179,9 @@ TEST(FiberScheduler, QuiesceMismatchDiagnosedNotHung) {
     });
     FAIL() << "quiesce mismatch not diagnosed";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("quiesce"), std::string::npos)
-        << e.what();
+    EXPECT_EQ(std::string(e.what()),
+              "full stall: 1 rank(s) parked (1 in quiesce), none can be "
+              "woken");
   }
 }
 

@@ -1,10 +1,9 @@
 // Scheduler seams introduced for the interleaving explorer: the dispatch
-// hook (MachineConfig::sim_hook), the injectable wall clock (sim_clock),
-// and the fiber-stack canary.  Plus the scheduler edge cases those seams
-// make cheap to pin down: more workers than ranks, single-worker quiesce,
-// park/wake under adversarial dispatch orderings, and the stack-overflow
-// diagnostics (guard-page fault for small populations, canary abort for
-// guardless large ones).
+// hook (MachineConfig::sim_hook) and the fiber-stack canary.  Plus the
+// scheduler edge cases those seams make cheap to pin down: more workers
+// than ranks, single-worker quiesce, park/wake under adversarial dispatch
+// orderings, and the stack-overflow diagnostics (guard-page fault for
+// small populations, canary abort for guardless large ones).
 #include "machine/scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -78,7 +77,6 @@ struct RunResult {
 
 RunResult run_workload(int nprocs, int workers, SchedulerHook* hook) {
   MachineConfig cfg;
-  cfg.recv_timeout_wall = 20.0;
   cfg.link_contention = LinkContention::kStoreForward;
   cfg.topology = Topology::kRing;
   cfg.sim_workers = workers;
@@ -135,39 +133,6 @@ TEST(SchedulerHooks, SingleWorkerQuiesce) {
   cfg.sim_workers = 1;
   Machine m(4, cfg);
   m.run([](Context& ctx) { compact_edge_ledgers(ctx); });
-}
-
-// --- injectable wall clock --------------------------------------------------
-
-std::atomic<long> g_fake_ticks{0};
-
-/// Monotone fake clock: every observation advances time 10 fake
-/// milliseconds, so any park deadline passes after a bounded number of
-/// sweep polls — no real seconds are ever slept.
-double fake_clock() {
-  return 0.01 * static_cast<double>(g_fake_ticks.fetch_add(1));
-}
-
-TEST(SchedulerHooks, FakeClockDrivesRecvTimeout) {
-  g_fake_ticks.store(0);
-  MachineConfig cfg;
-  cfg.recv_timeout_wall = 0.5;     // fake seconds, not real ones
-  cfg.deadlock_detection = false;  // force the timeout path
-  cfg.sim_workers = 2;
-  cfg.sim_clock = fake_clock;
-  Machine m(2, cfg);
-  try {
-    m.run([](Context& ctx) {
-      if (ctx.rank() == 0) {
-        (void)ctx.recv<int>(1, 5);  // never sent
-      }
-    });
-    FAIL() << "recv did not time out";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("recv timed out"),
-              std::string::npos)
-        << e.what();
-  }
 }
 
 // --- stack canary and overflow diagnostics ----------------------------------

@@ -13,12 +13,6 @@
 namespace kali {
 namespace {
 
-MachineConfig quiet_config() {
-  MachineConfig cfg;
-  cfg.recv_timeout_wall = 20.0;
-  return cfg;
-}
-
 /// Random sparse matrix (diagonally dominant) as dense reference + row fn.
 struct RandomMatrix {
   int n;
@@ -109,7 +103,7 @@ TEST_P(SparseP, MultiplyMatchesDenseReference) {
   const int p = GetParam();
   const int n = 24;
   RandomMatrix mat(n, 99);
-  Machine m(p, quiet_config());
+  Machine m(p);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(p);
     DistArray1<double> x(ctx, pv, {n}, {DimDist::block_dist()});
@@ -134,7 +128,7 @@ INSTANTIATE_TEST_SUITE_P(Procs, SparseP, ::testing::Values(1, 2, 3, 4));
 TEST(Sparse, JacobiReducesResidual) {
   const int p = 4, n = 32;
   RandomMatrix mat(n, 5);
-  Machine m(p, quiet_config());
+  Machine m(p);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(p);
     DistArray1<double> x(ctx, pv, {n}, {DimDist::block_dist()});
@@ -151,7 +145,7 @@ TEST(Sparse, CgSolvesPermutedLaplacian) {
   const int p = 4, side = 8;
   PermutedLaplacian lap(side, 7);
   const int n = lap.n;
-  Machine m(p, quiet_config());
+  Machine m(p);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(p);
     DistArray1<double> x(ctx, pv, {n}, {DimDist::block_dist()});
@@ -181,7 +175,7 @@ TEST(Sparse, SolutionIndependentOfProcessorCount) {
   PermutedLaplacian lap(side, 11);
   const int n = lap.n;
   auto solve = [&](int p) {
-    Machine m(p, quiet_config());
+    Machine m(p);
     std::vector<double> out;
     m.run([&](Context& ctx) {
       ProcView pv = ProcView::grid1(p);
@@ -211,7 +205,7 @@ TEST(Sparse, ScheduleIsReusedAcrossMultiplies) {
   const int p = 4, side = 8;
   PermutedLaplacian lap(side, 3);
   const int n = lap.n;
-  Machine m(p, quiet_config());
+  Machine m(p);
   std::uint64_t first = 0, second = 0;
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(p);

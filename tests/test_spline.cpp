@@ -10,12 +10,6 @@
 namespace kali {
 namespace {
 
-MachineConfig quiet_config() {
-  MachineConfig cfg;
-  cfg.recv_timeout_wall = 20.0;
-  return cfg;
-}
-
 TEST(Spline, InterpolatesKnotsExactly) {
   std::vector<double> y{1.0, -2.0, 0.5, 4.0, 3.0, -1.0};
   auto m = spline_moments(y, 0.5);
@@ -75,7 +69,7 @@ TEST_P(SplineDistP, DistributedFitMatchesSequential) {
     y[static_cast<std::size_t>(i)] = std::cos(0.3 * i) + 0.01 * i * i;
   }
   auto ref = spline_moments(y, h);
-  Machine m(p, quiet_config());
+  Machine m(p);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(p);
     DistArray1<double> yd(ctx, pv, {n}, {DimDist::block_dist()});

@@ -71,9 +71,7 @@ TEST(MessageTrace, WriteEmitsVerifierFormat) {
 }
 
 TEST(MessageTrace, MachineRunRecordsMatchedTraffic) {
-  MachineConfig cfg;
-  cfg.recv_timeout_wall = 10.0;
-  Machine m(2, cfg);
+  Machine m(2);
   MessageTrace tr(2);
   m.attach_message_trace(&tr);
   m.run([](Context& ctx) {
@@ -98,9 +96,7 @@ TEST(MessageTrace, MachineRunRecordsMatchedTraffic) {
 }
 
 TEST(MessageTrace, LedgersCountPerTagAcrossRanks) {
-  MachineConfig cfg;
-  cfg.recv_timeout_wall = 10.0;
-  Machine m(4, cfg);
+  Machine m(4);
   m.run([](Context& ctx) {
     // Ring: everyone sends 2 messages on tag 5 and 1 on tag 6.
     const int right = (ctx.rank() + 1) % 4;
@@ -127,9 +123,7 @@ TEST(MessageTrace, UnmatchedByTagFlagsTheLeakedTagOnly) {
 #if defined(KALI_CHECK_INVARIANTS)
   GTEST_SKIP() << "teardown leak check (correctly) rejects this program";
 #else
-  MachineConfig cfg;
-  cfg.recv_timeout_wall = 10.0;
-  Machine m(2, cfg);
+  Machine m(2);
   m.run([](Context& ctx) {
     if (ctx.rank() == 0) {
       ctx.send(1, /*tag=*/5, 1);  // matched below

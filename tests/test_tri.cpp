@@ -13,12 +13,6 @@
 namespace kali {
 namespace {
 
-MachineConfig quiet_config() {
-  MachineConfig cfg;
-  cfg.recv_timeout_wall = 20.0;
-  return cfg;
-}
-
 struct System {
   std::vector<double> b, a, c, f, x;
 };
@@ -47,7 +41,7 @@ class TriP : public ::testing::TestWithParam<std::tuple<int, int>> {};
 TEST_P(TriP, MatchesSequentialThomas) {
   const auto [p, n] = GetParam();
   System s = random_system(1000u + static_cast<std::uint64_t>(p * 7 + n), n);
-  Machine m(p, quiet_config());
+  Machine m(p);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(p);
     DistArray1<double> b(ctx, pv, {n}, {DimDist::block_dist()});
@@ -76,7 +70,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, TriP,
 
 TEST(Tri, ConstCoefficientVariantMatchesGeneral) {
   const int p = 4, n = 32;
-  Machine m(p, quiet_config());
+  Machine m(p);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(p);
     DistArray1<double> b(ctx, pv, {n}, {DimDist::block_dist()});
@@ -101,7 +95,7 @@ TEST(Tri, WorksOnViewSlice) {
   // A tridiagonal solve on a row of a 2-D array over a processor-row slice:
   // the composition used by ADI (Listing 7).
   const int p = 4, n = 16;
-  Machine m(p, quiet_config());
+  Machine m(p);
   System s = random_system(5, n);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid2(2, 2);
@@ -135,7 +129,7 @@ TEST(Tri, ActivityTraceMatchesFigure3) {
   // them (paper Figure 3).
   const int p = 8, n = 64;
   System s = random_system(11, n);
-  Machine m(p, quiet_config());
+  Machine m(p);
   ActivityTrace trace(tri_trace_steps(p), p);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(p);
@@ -170,7 +164,7 @@ TEST(Tri, SimulatedTimeBeatsGatherForLargeN) {
   const int p = 8, n = 4096;
   System s = random_system(2, n);
   auto run = [&](bool substructured) {
-    Machine m(p, quiet_config());
+    Machine m(p);
     double makespan = 0.0;
     m.run([&](Context& ctx) {
       ProcView pv = ProcView::grid1(p);
@@ -214,7 +208,7 @@ TEST(Tri, SimulatedTimeIsBitReproducible) {
   const int p = 8, n = 512;
   System s = random_system(21, n);
   auto once = [&]() {
-    Machine m(p, quiet_config());
+    Machine m(p);
     double makespan = 0.0;
     m.run([&](Context& ctx) {
       ProcView pv = ProcView::grid1(p);
@@ -244,7 +238,7 @@ TEST(Tri, SimulatedTimeIsBitReproducible) {
 }
 
 TEST(Tri, RejectsNonPowerOfTwoViews) {
-  Machine m(3, quiet_config());
+  Machine m(3);
   EXPECT_THROW(m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(3);
     DistArray1<double> a(ctx, pv, {12}, {DimDist::block_dist()});
@@ -256,7 +250,7 @@ TEST(Tri, RejectsNonPowerOfTwoViews) {
 }
 
 TEST(Tri, RejectsTooFewRowsPerProcessor) {
-  Machine m(4, quiet_config());
+  Machine m(4);
   EXPECT_THROW(m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(4);
     DistArray1<double> a(ctx, pv, {5}, {DimDist::block_dist()});

@@ -52,7 +52,7 @@ compiler never checks.  This linter enforces the written rules:
 A finding can be waived in place with a reasoned pragma on the same line
 or the line above:
 
-    // kali-lint: allow(wall-clock) — deadlock guard, never feeds clocks
+    // kali-lint: allow(raw-exchange) — bounded-degree neighbor send
 
 Modes:
     lint_kali.py [--root DIR]      lint DIR/src (default: repo root)
