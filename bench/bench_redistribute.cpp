@@ -3,12 +3,13 @@
 // round-structured schedule vs naive per-peer issue order.
 //
 // Measures, on the modeled 1989 machine, the message count, wire bytes, and
-// simulated makespan of redistribute() against redistribute_reference() for
-// transpose-style and reshape-style redistributions (the communication of
-// the distributed FFT and the ADI direction switch) plus a general-path
-// cyclic case.  Each case is then re-run under contention, once issuing
-// through the round schedule and once in naive peer order — the
-// modeled-time gap is what the schedule buys on serialized links.  Two
+// simulated makespan of redistribute() against the packet-flood oracle
+// (tests/oracles/redistribute_reference.hpp) for transpose-style and
+// reshape-style redistributions (the communication of the distributed FFT
+// and the ADI direction switch) plus a general-path cyclic case.  Each case
+// is then re-run under contention, once issuing through the round schedule
+// and once in naive peer order — the modeled-time gap is what the schedule
+// buys on serialized links.  Two
 // contention sweeps are recorded: the single-port model
 // (LinkContention::kPorts, hypercube) and the per-hop store-and-forward
 // model (LinkContention::kStoreForward) on a 2-D mesh, where naive issue
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "oracles/redistribute_reference.hpp"
 #include "runtime/redistribute.hpp"
 
 namespace kali {
@@ -91,7 +93,7 @@ RunStats run2(int nprocs, int n, const ProcView& spv, Dists2 sd,
       return static_cast<float>(g[0] * n + g[1]);
     });
     if (mode.proto == Proto::kReference) {
-      redistribute_reference(ctx, src, dst);
+      oracles::redistribute_reference(ctx, src, dst);
     } else {
       redistribute(ctx, src, dst, mode.order);
     }
@@ -107,7 +109,7 @@ RunStats run1(int nprocs, int n, Dists1 sd, Dists1 dd, const RunMode& mode) {
     DistArray1<float> dst(ctx, pv, {n}, dd);
     src.fill([](std::array<int, 1> g) { return static_cast<float>(g[0]); });
     if (mode.proto == Proto::kReference) {
-      redistribute_reference(ctx, src, dst);
+      oracles::redistribute_reference(ctx, src, dst);
     } else {
       redistribute(ctx, src, dst, mode.order);
     }

@@ -266,9 +266,9 @@ std::vector<T> all_gather_tree(Context& ctx, const Group& g,
 /// tree's deeper critical path.  Setting the crossover to 0 pins the
 /// dense path and skips the agreement round entirely.
 /// `order` selects the dense path's issue order (kPeerOrder is the naive
-/// rank-order baseline; kLockstep bounds in-flight mailbox memory to O(1)
-/// per port).  No counts travel on the wire (messages are self-sizing) and
-/// no member ever sends to itself, whichever algorithm runs.
+/// rank-order baseline).  No counts travel on the wire (messages are
+/// self-sizing) and no member ever sends to itself, whichever algorithm
+/// runs.
 template <class T>
 std::vector<T> all_gather(Context& ctx, const Group& g, std::span<const T> mine,
                           IssueOrder order = IssueOrder::kRoundSchedule) {
@@ -311,8 +311,9 @@ std::vector<T> all_gather(Context& ctx, const Group& g, std::span<const T> mine,
     merged += static_cast<double>(seg.size());
   };
   detail::issue_exchange(
-      members, ctx.rank(), order, out, in, send_one, recv_one, [] {},
-      [&] { ctx.compute(merged); });  // concatenation copy cost
+      members, ctx.rank(), out, in, send_one, recv_one, [] {},
+      [&] { ctx.compute(merged); },  // concatenation copy cost
+      order);
   segs[static_cast<std::size_t>(g.index())].assign(mine.begin(), mine.end());
   std::vector<T> result;
   std::size_t total = 0;

@@ -130,12 +130,10 @@ class Mailbox {
   [[nodiscard]] double min_pending_send_time() const;
 
   /// High-water mark of pending(): the peak in-flight buffering this
-  /// mailbox ever held.  Lockstep round execution (IssueOrder::kLockstep)
-  /// exists to bound this by a small constant instead of O(P) for dense
-  /// pairwise exchanges (see the kLockstep doc for the funnel-shaped
-  /// caveat).  The peak depends on host scheduling of the fibers (unlike
-  /// the simulated clocks), so tests may only assert bounds on it, never
-  /// exact values.
+  /// mailbox ever held: up to O(P) posted slabs for a dense exchange,
+  /// which sends everything before it receives.  The peak depends on host
+  /// scheduling of the fibers (unlike the simulated clocks), so tests may
+  /// only assert bounds on it, never exact values.
   [[nodiscard]] std::size_t max_pending() const;
 
   /// Reset the high-water mark (used by Machine::reset_stats between runs).

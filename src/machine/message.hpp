@@ -51,16 +51,9 @@ inline constexpr int kTagRedistData = kRuntimeTagBase + 16;
 /// variant copy_strided_dim_halo().
 inline constexpr int kTagRemap = kRuntimeTagBase + 17;
 
-/// Halo exchange, corner mode (HaloCorners::kYes): the single scheduled
-/// exchange tags each message with its direction vector delta in
-/// {-1, 0, +1}^R, indexed as sum over dims of (delta_d + 1) * 3^d — occupies
-/// [base, base + 27) for ranks up to 3.
-inline constexpr int kTagHaloCornerBase = kRuntimeTagBase + 32;
-
-/// Halo exchange, corner mode, coalesced wire format (HaloWire::kCoalesced):
-/// all direction pieces bound for one peer travel as a single packed
-/// message, concatenated in ascending direction-code order.  The
-/// per-direction tags above remain the oracle path (HaloWire::kPerDirection).
+/// Halo exchange, corner mode (HaloCorners::kYes): all direction pieces
+/// bound for one peer travel as a single packed message, concatenated in
+/// ascending direction-code order.
 inline constexpr int kTagHaloCornerPack = kRuntimeTagBase + 60;
 
 /// Inspector/executor gather (runtime/inspector.hpp): request-index lists.
@@ -80,9 +73,8 @@ inline constexpr int kTagInspData = kRuntimeTagBase + 65;
   X(kTagHaloBase, 12)              \
   X(kTagRedistData, 1)             \
   X(kTagRemap, 1)                  \
-  X(kTagHaloCornerBase, 27)       \
-  X(kTagHaloCornerPack, 1)        \
-  X(kTagInspReq, 1)               \
+  X(kTagHaloCornerPack, 1)         \
+  X(kTagInspReq, 1)                \
   X(kTagInspData, 1)
 
 // Kernel band allocations --------------------------------------------------

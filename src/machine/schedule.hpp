@@ -28,10 +28,11 @@
 // of the ~2(n-1) that naive per-peer issue order costs under contention
 // (every member hammering the same low-ranked ejection ports first).
 //
-// redistribute() / copy_strided_dim() collect their per-peer messages and
-// pass them through round_sort() before issuing; IssueOrder::kPeerOrder
-// preserves the raw enumeration order (the pre-scheduling behaviour, kept
-// for benchmarking the difference).
+// Every dense exchange (redistribute, copy_strided_dim, the corner-mode
+// halo exchange, all_gather, the inspector) collects its per-peer messages
+// and issues them through issue_exchange(), which puts them in round order.
+// IssueOrder::kPeerOrder keeps the raw enumeration order instead: the naive
+// baseline bench_redistribute measures the schedule against.
 #pragma once
 
 #include <algorithm>
@@ -47,20 +48,6 @@ namespace kali {
 enum class IssueOrder {
   kRoundSchedule,  ///< round-structured (default; contention-safe)
   kPeerOrder,      ///< raw peer-enumeration order (naive baseline)
-  /// Round-structured *and barriered by data flow*: each member sends to
-  /// and then receives from its round partner before advancing, instead of
-  /// posting every send up front.  Same messages, same payloads, same
-  /// results — and in a dense pairwise exchange (every member both sends
-  /// and receives most rounds, e.g. a transpose) the per-round receive
-  /// keeps members within a round or two of each other, so in-flight
-  /// mailbox memory stays a small constant per port rather than O(P)
-  /// slabs (see Mailbox::max_pending).  The bound is a property of the
-  /// exchange shape, not a hard flow control: a member with nothing to
-  /// receive (a pure source in a funnel-shaped redistribution) never
-  /// blocks and degenerates to posting its sends up front.  Deadlock-free
-  /// by induction over rounds: every round is a perfect matching and both
-  /// partners send (non-blocking) before they receive.
-  kLockstep,
 };
 
 /// Round/partner algebra of an n-member all-to-all schedule.  Members are
@@ -162,7 +149,8 @@ inline int member_index(std::span<const int> members, int rank) {
 /// off into local copies before this point.
 template <class Payload>
 void round_sort(std::vector<std::pair<int, Payload>>& msgs,
-                std::span<const int> members, int self_rank, IssueOrder order) {
+                std::span<const int> members, int self_rank,
+                IssueOrder order = IssueOrder::kRoundSchedule) {
   if (order == IssueOrder::kPeerOrder || msgs.size() < 2) {
     return;
   }
@@ -175,64 +163,21 @@ void round_sort(std::vector<std::pair<int, Payload>>& msgs,
                    });
 }
 
-/// Drive an exchange in lockstep round order (IssueOrder::kLockstep): walk
-/// the schedule's rounds and, for each, send this member's outgoing payload
-/// to its round partner (if any) and then receive the partner's incoming
-/// one (if any) before moving on.  `out` and `in` hold (machine rank,
-/// payload) entries, self-messages already peeled off; `send_one(rank,
-/// payload)` must issue the message and `recv_one(rank, payload)` must
-/// block until it is consumed.  Every ordered pair of members meets in
-/// exactly one round, so the sorted union communicator gives both endpoints
-/// the same round for each transfer without any extra synchronization.
-template <class Out, class In, class SendFn, class RecvFn>
-void lockstep_rounds(std::span<const int> members, int self_rank,
-                     std::vector<std::pair<int, Out>>& out,
-                     std::vector<std::pair<int, In>>& in, SendFn&& send_one,
-                     RecvFn&& recv_one) {
-  const CommSchedule sched(static_cast<int>(members.size()));
-  const int me = member_index(members, self_rank);
-  for (int r = 0; r < sched.rounds(); ++r) {
-    const int p = sched.partner(r, me);
-    if (p == me) {
-      continue;
-    }
-    const int prank = members[static_cast<std::size_t>(p)];
-    for (auto& [rank, payload] : out) {
-      if (rank == prank) {
-        send_one(rank, payload);
-      }
-    }
-    for (auto& [rank, payload] : in) {
-      if (rank == prank) {
-        recv_one(rank, payload);
-      }
-    }
-  }
-}
-
 /// The one issue-order dispatch shared by every dense exchange
 /// (redistribute box/general, copy_strided_dim box/binned/halo-fused,
-/// corner-mode halo exchange, collectives all_gather).  One-shot
-/// orders sort and fire all sends, charge the pack compute, then drain all
-/// receives and charge the unpack compute — the exact operation sequence
-/// of the pre-lockstep implementations, so their clocks stay
-/// bit-compatible.  Lockstep interleaves per round and charges both
-/// computes at the end.  `charge_sends`/`charge_recvs` are thunks so each
-/// caller keeps its own accounting; on a member with nothing to send or
-/// receive the corresponding steps are no-ops (compute(0) included).
+/// corner-mode halo exchange, collectives all_gather, the inspector): sort
+/// and fire all sends, charge the pack compute, then drain all receives and
+/// charge the unpack compute.  `charge_sends`/`charge_recvs` are thunks so
+/// each caller keeps its own accounting; on a member with nothing to send
+/// or receive the corresponding steps are no-ops (compute(0) included).
 template <class Out, class In, class SendFn, class RecvFn, class ChargeS,
           class ChargeR>
 void issue_exchange(std::span<const int> members, int self_rank,
-                    IssueOrder order, std::vector<std::pair<int, Out>>& out,
+                    std::vector<std::pair<int, Out>>& out,
                     std::vector<std::pair<int, In>>& in, SendFn&& send_one,
                     RecvFn&& recv_one, ChargeS&& charge_sends,
-                    ChargeR&& charge_recvs) {
-  if (order == IssueOrder::kLockstep) {
-    lockstep_rounds(members, self_rank, out, in, send_one, recv_one);
-    charge_sends();
-    charge_recvs();
-    return;
-  }
+                    ChargeR&& charge_recvs,
+                    IssueOrder order = IssueOrder::kRoundSchedule) {
   round_sort(out, members, self_rank, order);
   for (auto& [rank, payload] : out) {
     send_one(rank, payload);

@@ -109,16 +109,16 @@ class Predictor {
       int p, double bytes,
       LinkContention model = LinkContention::kPorts) const;
 
-  /// The same exchange issued in lockstep round order
-  /// (IssueOrder::kLockstep): each member sends to and then receives from
-  /// its round partner before advancing, so the per-round message latency
-  /// is *not* hidden behind the next round's sends — the price of the O(1)
-  /// mailbox bound.  The hop terms are exact: the busiest member pays the
-  /// sum of its hop counts to every peer (computed from the topology), one
-  /// wire time per message under kNone/kPorts and one per hop under
-  /// kStoreForward.  Valid for all three contention tiers (lockstep rounds
-  /// never queue: by the time a member reuses a port or edge, its clock has
-  /// already advanced past the busy window).
+  /// The same exchange written as a lockstep round loop (bench_scaling's
+  /// pencil transpose): each member sends to and then receives from its
+  /// round partner before advancing, so the per-round message latency is
+  /// *not* hidden behind the next round's sends — the price of keeping one
+  /// slab per pair in flight.  The hop terms are exact: the busiest member
+  /// pays the sum of its hop counts to every peer (computed from the
+  /// topology), one wire time per message under kNone/kPorts and one per
+  /// hop under kStoreForward.  Valid for all three contention tiers
+  /// (lockstep rounds never queue: by the time a member reuses a port or
+  /// edge, its clock has already advanced past the busy window).
   [[nodiscard]] double all_to_all_lockstep(int p, double bytes,
                                            LinkContention model) const;
 

@@ -42,15 +42,6 @@ namespace kali {
 /// Whether a halo exchange must also fill diagonal corner ghosts.
 enum class HaloCorners { kNo, kYes };
 
-/// How corner-mode halo traffic is packed onto the wire.  kCoalesced (the
-/// default) concatenates every direction piece bound for the same peer
-/// into one kTagHaloCornerPack message, so a rank sends one message per
-/// neighbouring peer instead of up to 3^R - 1.  kPerDirection keeps the
-/// historical one-message-per-direction-code wire format (tag
-/// kTagHaloCornerBase + code); it is the oracle the coalesced path is
-/// tested bit-identical against.  Cell contents are identical either way.
-enum class HaloWire { kCoalesced, kPerDirection };
-
 /// Index/extent tuple for a rank-R array.  R is signed (Fortran-flavoured)
 /// throughout the API; the cast keeps instantiation sites clean under
 /// -Wsign-conversion.
@@ -399,15 +390,11 @@ class DistArray {
   /// into the out-of-domain corners).  Cell contents are bit-identical to
   /// the former per-dim implementation, but the messages now issue through
   /// the round-structured CommSchedule (machine/schedule.hpp) in one round
-  /// trip instead of R serialized rounds — `order` selects the issue order
-  /// under link contention (kPeerOrder is the naive baseline, kLockstep
-  /// bounds mailbox depth).  `wire` selects the corner-mode packing: one
-  /// coalesced kTagHaloCornerPack message per peer (default) or the
-  /// per-direction-code oracle.  `order` and `wire` are ignored in face
-  /// mode.
+  /// trip instead of R serialized rounds, one kTagHaloCornerPack message
+  /// per peer.  `order` selects the issue order under link contention
+  /// (kPeerOrder is the naive baseline); it is ignored in face mode.
   void exchange_halo(HaloCorners corners = HaloCorners::kNo,
-                     IssueOrder order = IssueOrder::kRoundSchedule,
-                     HaloWire wire = HaloWire::kCoalesced) {
+                     IssueOrder order = IssueOrder::kRoundSchedule) {
     if (!member_) {
       return;
     }
@@ -419,7 +406,7 @@ class DistArray {
       }
     }
     if (corners == HaloCorners::kYes) {
-      exchange_halo_corners(order, wire);
+      exchange_halo_corners(order);
     } else {
       for (int d = 0; d < R; ++d) {
         if (halo_[static_cast<std::size_t>(d)] > 0) {
@@ -938,16 +925,13 @@ class DistArray {
   /// a receiver.  Both ends enumerate delta codes ascending and issue
   /// through detail::issue_exchange, so the whole exchange is one
   /// round-scheduled trip instead of R serialized dimension rounds, and no
-  /// member ever messages itself.  HaloWire::kPerDirection tags each piece
-  /// with delta's base-3 code (kTagHaloCornerBase + code);
-  /// HaloWire::kCoalesced concatenates a peer's pieces — in that shared
-  /// ascending-code order, so no per-piece header is needed — into one
-  /// kTagHaloCornerPack message per peer.
-  void exchange_halo_corners(IssueOrder order, HaloWire wire) {
+  /// member ever messages itself.  A peer's pieces travel concatenated — in
+  /// that shared ascending-code order, so no per-piece header is needed —
+  /// as one kTagHaloCornerPack message per peer.
+  void exchange_halo_corners(IssueOrder order) {
     struct Piece {
       GIndex<R> lo{};  ///< slab-relative box, hi exclusive
       GIndex<R> hi{};
-      int tag = 0;
     };
     std::vector<std::pair<int, Piece>> out;
     std::vector<std::pair<int, Piece>> in;
@@ -977,15 +961,12 @@ class DistArray {
       if (!eligible || nnz == 0) {
         continue;
       }
-      const int tag = kTagHaloCornerBase + code;
-
       // Receive side: source = coord + delta along E dims.
       {
         auto coord = view_coord_;
         bool any_e = false;
         bool empty = false;
         Piece p;
-        p.tag = tag;
         for (int d = 0; d < R; ++d) {
           const auto ud = static_cast<std::size_t>(d);
           if (delta[ud] == 0) {
@@ -1015,7 +996,6 @@ class DistArray {
         bool any_e = false;
         bool empty = false;
         Piece p;
-        p.tag = tag;
         for (int d = 0; d < R; ++d) {
           const auto ud = static_cast<std::size_t>(d);
           if (delta[ud] == 0) {
@@ -1049,57 +1029,11 @@ class DistArray {
       }
     }
 
-    std::vector<int> members = view_.ranks();
-    std::sort(members.begin(), members.end());
-    std::vector<T> buf;
-    double packed = 0;
-    double unpacked = 0;
-    auto pack_piece = [&](const Piece& p) {
-      visit_rel_box(p.lo, p.hi, [&](const GIndex<R>& rel) {
-        buf.push_back((*store_)[static_cast<std::size_t>(rel_flat(rel))]);
-      });
-    };
-    auto piece_volume = [](const Piece& p) {
-      std::size_t volume = 1;
-      for (int d = 0; d < R; ++d) {
-        const auto ud = static_cast<std::size_t>(d);
-        volume *= static_cast<std::size_t>(p.hi[ud] - p.lo[ud]);
-      }
-      return volume;
-    };
-    auto unpack_piece = [&](const Piece& p, const std::vector<T>& vals,
-                            std::size_t& k) {
-      visit_rel_box(p.lo, p.hi, [&](const GIndex<R>& rel) {
-        (*store_)[static_cast<std::size_t>(rel_flat(rel))] = vals[k++];
-      });
-    };
-
-    if (wire == HaloWire::kPerDirection) {
-      auto send_one = [&](int rank, const Piece& p) {
-        buf.clear();
-        pack_piece(p);
-        ctx_->send_span<T>(rank, p.tag, std::span<const T>(buf));
-        packed += static_cast<double>(buf.size());
-      };
-      auto recv_one = [&](int rank, const Piece& p) {
-        auto vals = ctx_->recv_vec<T>(rank, p.tag);
-        KALI_CHECK(vals.size() == piece_volume(p),
-                   "corner halo size mismatch");
-        std::size_t k = 0;
-        unpack_piece(p, vals, k);
-        unpacked += static_cast<double>(k);
-      };
-      detail::issue_exchange(
-          members, ctx_->rank(), order, out, in, send_one, recv_one,
-          [&] { ctx_->compute(packed); }, [&] { ctx_->compute(unpacked); });
-      return;
-    }
-
-    // Coalesced wire: group each endpoint's pieces by peer, preserving the
-    // ascending-code build order above.  A pair exchanges at most one piece
-    // per code (distinct masks name distinct receiver coordinates), so both
-    // sides agree on the concatenation order and the receiver can split the
-    // pack by its known piece volumes alone.
+    // Group each endpoint's pieces by peer, preserving the ascending-code
+    // build order above.  A pair exchanges at most one piece per code
+    // (distinct masks name distinct receiver coordinates), so both sides
+    // agree on the concatenation order and the receiver can split the pack
+    // by its known piece volumes alone.
     std::vector<std::pair<int, std::vector<Piece>>> gout;
     std::vector<std::pair<int, std::vector<Piece>>> gin;
     auto group = [](const std::vector<std::pair<int, Piece>>& flat,
@@ -1121,10 +1055,18 @@ class DistArray {
     };
     group(out, gout);
     group(in, gin);
+
+    std::vector<int> members = view_.ranks();
+    std::sort(members.begin(), members.end());
+    std::vector<T> buf;
+    double packed = 0;
+    double unpacked = 0;
     auto send_one = [&](int rank, const std::vector<Piece>& pieces) {
       buf.clear();
       for (const Piece& p : pieces) {
-        pack_piece(p);
+        visit_rel_box(p.lo, p.hi, [&](const GIndex<R>& rel) {
+          buf.push_back((*store_)[static_cast<std::size_t>(rel_flat(rel))]);
+        });
       }
       ctx_->send_span<T>(rank, kTagHaloCornerPack, std::span<const T>(buf));
       packed += static_cast<double>(buf.size());
@@ -1133,18 +1075,26 @@ class DistArray {
       auto vals = ctx_->recv_vec<T>(rank, kTagHaloCornerPack);
       std::size_t total = 0;
       for (const Piece& p : pieces) {
-        total += piece_volume(p);
+        std::size_t volume = 1;
+        for (int d = 0; d < R; ++d) {
+          const auto ud = static_cast<std::size_t>(d);
+          volume *= static_cast<std::size_t>(p.hi[ud] - p.lo[ud]);
+        }
+        total += volume;
       }
       KALI_CHECK(vals.size() == total, "corner halo pack size mismatch");
       std::size_t k = 0;
       for (const Piece& p : pieces) {
-        unpack_piece(p, vals, k);
+        visit_rel_box(p.lo, p.hi, [&](const GIndex<R>& rel) {
+          (*store_)[static_cast<std::size_t>(rel_flat(rel))] = vals[k++];
+        });
       }
       unpacked += static_cast<double>(k);
     };
     detail::issue_exchange(
-        members, ctx_->rank(), order, gout, gin, send_one, recv_one,
-        [&] { ctx_->compute(packed); }, [&] { ctx_->compute(unpacked); });
+        members, ctx_->rank(), gout, gin, send_one, recv_one,
+        [&] { ctx_->compute(packed); }, [&] { ctx_->compute(unpacked); },
+        order);
   }
 
   Context* ctx_ = nullptr;

@@ -7,9 +7,9 @@
 // which global indices each processor wants, builds a reusable
 // communication schedule, and the *executor* replays it cheaply every
 // iteration.  Both passes are pairwise exchanges over the view's ranks,
-// issued through detail::issue_exchange like every other dense exchange in
-// the runtime (round-structured by default); their tags are registered in
-// the runtime band of machine/message.hpp.
+// issued in round order through detail::issue_exchange like every other
+// dense exchange in the runtime; their tags are registered in the runtime
+// band of machine/message.hpp.
 //
 // Pairs with nothing to say are skipped entirely: the inspector
 // all_gathers a tiny presence matrix (one byte per peer pair) so both
@@ -38,8 +38,7 @@ class GatherPlan {
   /// Inspector: collective over A's view.  `wants` lists the global indices
   /// this member will read (duplicates allowed, any order).
   template <class T>
-  static GatherPlan build(const DistArray1<T>& A, std::span<const int> wants,
-                          IssueOrder order = IssueOrder::kRoundSchedule) {
+  static GatherPlan build(const DistArray1<T>& A, std::span<const int> wants) {
     GatherPlan plan;
     if (!A.participating()) {
       return plan;
@@ -57,7 +56,7 @@ class GatherPlan {
       KALI_CHECK(g >= 0 && g < A.extent(0), "gather index out of range");
       const int owner_coord = A.map(0).owner(g);
       const int owner = A.view().rank_of({owner_coord, 0, 0});
-      const std::size_t pi = plan.peer_index(owner);
+      const auto pi = static_cast<std::size_t>(A.view().linear_index_of(owner));
       requests[pi].push_back(g);
       slots[pi].push_back(w);
     }
@@ -76,7 +75,7 @@ class GatherPlan {
     }
     const Group g(plan.peers_, plan.self_rank_);
     const std::vector<std::uint8_t> matrix = all_gather(
-        ctx, g, std::span<const std::uint8_t>(presence), order);
+        ctx, g, std::span<const std::uint8_t>(presence));
     const std::size_t my_pi = static_cast<std::size_t>(g.index());
 
     // Exchange the non-empty request lists pairwise (self handled locally),
@@ -104,9 +103,8 @@ class GatherPlan {
     auto recv_one = [&](int rank, std::size_t pi) {
       plan.send_indices_[pi] = ctx.recv_vec<int>(rank, kTagInspReq);
     };
-    detail::issue_exchange(
-        members, plan.self_rank_, order, out, in, send_one, recv_one, [] {},
-        [] {});
+    detail::issue_exchange(members, plan.self_rank_, out, in, send_one,
+                           recv_one, [] {}, [] {});
     plan.recv_slots_ = std::move(slots);
     return plan;
   }
@@ -115,8 +113,7 @@ class GatherPlan {
   /// to wants[i] of the inspector call.  Reusable across iterations as long
   /// as A's distribution is unchanged (values may change freely).
   template <class T>
-  std::vector<T> execute(const DistArray1<T>& A,
-                         IssueOrder order = IssueOrder::kRoundSchedule) const {
+  std::vector<T> execute(const DistArray1<T>& A) const {
     std::vector<T> result(n_wants_);
     if (!A.participating()) {
       return result;
@@ -175,7 +172,7 @@ class GatherPlan {
       unpacked += static_cast<double>(spots.size());
     };
     detail::issue_exchange(
-        members, self_rank_, order, out, in, send_one, recv_one,
+        members, self_rank_, out, in, send_one, recv_one,
         [&] { ctx.compute(packed); }, [&] { ctx.compute(unpacked); });
     return result;
   }
@@ -194,15 +191,6 @@ class GatherPlan {
   }
 
  private:
-  [[nodiscard]] std::size_t peer_index(int rank) const {
-    for (std::size_t i = 0; i < peers_.size(); ++i) {
-      if (peers_[i] == rank) {
-        return i;
-      }
-    }
-    KALI_FAIL("rank not in view");
-  }
-
   int self_rank_ = -1;
   std::size_t n_wants_ = 0;
   std::vector<int> peers_;

@@ -9,26 +9,6 @@
 
 namespace kali {
 
-namespace detail {
-template <class T>
-struct IdxVal {
-  std::int64_t idx;
-  T val;
-};
-
-/// Inverse of linearize() for a given extent tuple (row-major).
-template <int R>
-GIndex<R> delinearize(std::int64_t f, const GIndex<R>& ext) {
-  GIndex<R> g{};
-  for (int d = R - 1; d >= 0; --d) {
-    const auto ud = static_cast<std::size_t>(d);
-    g[ud] = static_cast<int>(f % ext[ud]);
-    f /= ext[ud];
-  }
-  return g;
-}
-}  // namespace detail
-
 /// Row-major linearization of a global index.
 template <class T, int R>
 std::int64_t linearize(const DistArray<T, R>& A,
@@ -41,6 +21,12 @@ std::int64_t linearize(const DistArray<T, R>& A,
 }
 
 namespace detail {
+
+template <class T>
+struct IdxVal {
+  std::int64_t idx;
+  T val;
+};
 
 /// This member's owned elements as (linear index, value) packets — the
 /// contribution both collection helpers send.
@@ -98,16 +84,15 @@ std::vector<T> gather_global(const DistArray<T, R>& A) {
 /// never a serialization hot spot and, under link contention, every round
 /// is a perfect matching.
 template <class T, int R>
-std::vector<T> gather_all(const DistArray<T, R>& A,
-                          IssueOrder order = IssueOrder::kRoundSchedule) {
+std::vector<T> gather_all(const DistArray<T, R>& A) {
   if (!A.participating()) {
     return {};
   }
   Context& ctx = A.context();
   const std::vector<detail::IdxVal<T>> mine = detail::pack_owned(A);
   Group grp = A.group();
-  const auto all = all_gather(
-      ctx, grp, std::span<const detail::IdxVal<T>>(mine), order);
+  const auto all =
+      all_gather(ctx, grp, std::span<const detail::IdxVal<T>>(mine));
   return detail::scatter_idxval(A, all);
 }
 

@@ -29,7 +29,10 @@
 //    its own elements once, computing the unique opposite owner rank in
 //    O(R) per element (owner() per dim + one rank_of), and bins values by
 //    peer.  O(local n + peers) — never the O(local n × P) all-pairs
-//    ownership scan of the original implementation.
+//    ownership scan of the original implementation, which survives only as
+//    the test oracle tests/oracles/redistribute_reference.hpp.  It is the
+//    identity case of detail::exchange_binned, the one cyclic binner that
+//    copy_strided_dim shares too.
 //
 // A rank's overlap with *itself* never touches the network: all paths peel
 // the self-intersection off into a direct local copy (one op per element)
@@ -43,16 +46,9 @@
 // communicators, latin-square ordering otherwise), so each round is a
 // perfect matching over the union of the two views and, with
 // MachineConfig::link_contention, no injection or ejection link is
-// oversubscribed.  IssueOrder::kPeerOrder preserves the raw enumeration
-// order as the naive baseline bench_redistribute compares against;
-// IssueOrder::kLockstep walks the same rounds but completes each round's
-// send/recv pair before advancing, bounding in-flight mailbox memory to a
-// small constant per port instead of O(P) posted slabs.
-//
-// The original implementation (per-element {index, value} packets, full
-// P_src × P_dst message flood including empty messages) is retained as
-// redistribute_reference(): it is the oracle for differential tests and the
-// baseline bench_redistribute measures the new protocol against.
+// oversubscribed.  The blocking redistribute() also takes
+// IssueOrder::kPeerOrder, which keeps the raw enumeration order: the naive
+// baseline bench_redistribute compares the schedule against.
 #pragma once
 
 #include <algorithm>
@@ -66,9 +62,8 @@
 #include <vector>
 
 #include "machine/message.hpp"  // kTagRedistData (reserved-tag registry)
-#include "runtime/dist_array.hpp"
-#include "runtime/io.hpp"  // linearize / delinearize
 #include "machine/schedule.hpp"
+#include "runtime/dist_array.hpp"
 
 namespace kali {
 
@@ -476,7 +471,8 @@ double copy_self(const DistArray<T, R>& src, DistArray<T, R>& dst,
 template <class T, int R>
 void exchange_blocking(Context& ctx, const DistArray<T, R>& src,
                        DistArray<T, R>& dst, const BoxCopy& c,
-                       ExchangePlan<R>& p, IssueOrder order, double unpacked) {
+                       ExchangePlan<R>& p, double unpacked,
+                       IssueOrder order = IssueOrder::kRoundSchedule) {
   if (p.members.empty()) {
     return;
   }
@@ -492,8 +488,8 @@ void exchange_blocking(Context& ctx, const DistArray<T, R>& src,
     unpacked += unpack_slab(dst, c, slab, std::span<const T>(vals));
   };
   issue_exchange(
-      p.members, ctx.rank(), order, p.out, p.in, send_one, recv_one,
-      [&] { ctx.compute(packed); }, [&] { ctx.compute(unpacked); });
+      p.members, ctx.rank(), p.out, p.in, send_one, recv_one,
+      [&] { ctx.compute(packed); }, [&] { ctx.compute(unpacked); }, order);
 }
 
 /// Split-phase form of a planned exchange: post a nonblocking receive for
@@ -506,14 +502,13 @@ template <class T, int R>
                                              const DistArray<T, R>& src,
                                              DistArray<T, R>& dst,
                                              const BoxCopy& c,
-                                             ExchangePlan<R> p,
-                                             IssueOrder order) {
+                                             ExchangePlan<R> p) {
   if (p.members.empty()) {
     return {};
   }
   // shared_ptr storage: the completion closure must be copyable
   // (std::function) and owns the staging.
-  round_sort(p.in, p.members, ctx.rank(), order);
+  round_sort(p.in, p.members, ctx.rank());
   auto stage = std::make_shared<std::vector<std::vector<T>>>(p.in.size());
   auto hs = std::make_shared<std::vector<CommHandle>>();
   hs->reserve(p.in.size());
@@ -523,7 +518,7 @@ template <class T, int R>
         ctx.irecv_into<T>(p.in[i].first, c.tag, std::span<T>((*stage)[i])));
   }
 
-  round_sort(p.out, p.members, ctx.rank(), order);
+  round_sort(p.out, p.members, ctx.rank());
   std::vector<T> buf;
   double packed = 0;
   for (const auto& [rank, slab] : p.out) {
@@ -549,7 +544,110 @@ template <class T, int R>
   });
 }
 
-/// The identity BoxCopy of a box-layout redistribute.
+/// The cyclic binner behind every exchange with a cyclic or block-cyclic
+/// dim: the BoxCopy's transfer on any layouts.  Each side walks its own
+/// elements once in row-major order, keeps those inside the strided
+/// transfer set and bins them by the unique opposite owner (O(R) per
+/// element), so the per-peer value sequences agree element for element
+/// without index metadata or a count exchange.  Elements whose source and
+/// destination owner are both this rank are copied locally and charged
+/// with the final unpack.
+template <class T, int R>
+void exchange_binned(Context& ctx, const DistArray<T, R>& src,
+                     DistArray<T, R>& dst, const BoxCopy& c,
+                     IssueOrder order = IssueOrder::kRoundSchedule) {
+  const bool in_src = src.participating();
+  const bool in_dst = dst.participating();
+  if (c.count == 0 || (!in_src && !in_dst)) {
+    return;
+  }
+  const auto ud = static_cast<std::size_t>(c.dim);
+  // Step t of a global index along dim under (off, stride), or -1 when the
+  // index lies outside the transfer set.
+  auto step_of = [&](int g, int off, int stride) {
+    const int rel = g - off;
+    return rel < 0 || rel % stride != 0 || rel / stride >= c.count
+               ? -1
+               : rel / stride;
+  };
+
+  std::vector<std::pair<int, std::vector<T>>> out;
+  std::vector<std::pair<int, std::vector<GIndex<R>>>> in;
+  double unpacked = 0;
+  if (in_src) {
+    const std::vector<int> dst_ranks = dst.view().ranks();
+    const std::size_t self_di =
+        in_dst ? static_cast<std::size_t>(dst.view().linear_index_of(ctx.rank()))
+               : dst_ranks.size();  // sentinel: matches no bin
+    std::vector<std::vector<T>> bins(dst_ranks.size());
+    src.for_each_owned([&](GIndex<R> g) {
+      const int t = step_of(g[ud], c.s_off, c.s_stride);
+      if (t < 0) {
+        return;
+      }
+      GIndex<R> gd = g;
+      gd[ud] = c.d_off + t * c.d_stride;
+      const std::size_t di = owner_index(dst, gd);
+      if (di != self_di) {
+        bins[di].push_back(src.at(g));
+      }
+    });
+    for (std::size_t pi = 0; pi < bins.size(); ++pi) {
+      if (!bins[pi].empty()) {
+        out.emplace_back(dst_ranks[pi], std::move(bins[pi]));
+      }
+    }
+  }
+  if (in_dst) {
+    const std::vector<int> src_ranks = src.view().ranks();
+    std::vector<std::vector<GIndex<R>>> expect(src_ranks.size());
+    dst.for_each_owned([&](GIndex<R> g) {
+      const int t = step_of(g[ud], c.d_off, c.d_stride);
+      if (t < 0) {
+        return;
+      }
+      GIndex<R> gs = g;
+      gs[ud] = c.s_off + t * c.s_stride;
+      expect[owner_index(src, gs)].push_back(g);
+    });
+    for (std::size_t pi = 0; pi < expect.size(); ++pi) {
+      if (expect[pi].empty()) {
+        continue;
+      }
+      if (src_ranks[pi] == ctx.rank()) {
+        // Self-overlap: both owners are this rank — local copy.
+        for (const GIndex<R>& g : expect[pi]) {
+          GIndex<R> gs = g;
+          gs[ud] = c.s_off + step_of(g[ud], c.d_off, c.d_stride) * c.s_stride;
+          dst.at(g) = src.at(gs);
+        }
+        unpacked += static_cast<double>(expect[pi].size());
+        continue;
+      }
+      in.emplace_back(src_ranks[pi], std::move(expect[pi]));
+    }
+  }
+  double packed = 0;
+  auto send_one = [&](int rank, const std::vector<T>& vals) {
+    ctx.send_span<T>(rank, c.tag, std::span<const T>(vals));
+    packed += static_cast<double>(vals.size());
+  };
+  auto recv_one = [&](int rank, const std::vector<GIndex<R>>& idxs) {
+    auto vals = ctx.recv_vec<T>(rank, c.tag);
+    KALI_CHECK(vals.size() == idxs.size(),
+               std::string(c.what) + ": bin size mismatch");
+    for (std::size_t k = 0; k < vals.size(); ++k) {
+      dst.at(idxs[k]) = vals[k];
+    }
+    unpacked += static_cast<double>(vals.size());
+  };
+  issue_exchange(
+      union_members(src.view().ranks(), dst.view().ranks()), ctx.rank(), out,
+      in, send_one, recv_one, [&] { ctx.compute(packed); },
+      [&] { ctx.compute(unpacked); }, order);
+}
+
+/// The identity BoxCopy of a redistribute.
 template <class T, int R>
 BoxCopy redistribute_copy(const DistArray<T, R>& src) {
   return BoxCopy{"redistribute", kTagRedistData, /*dim=*/0, 1, 0, 1, 0,
@@ -570,89 +668,16 @@ void redistribute(Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst
   for (int d = 0; d < R; ++d) {
     KALI_CHECK(src.extent(d) == dst.extent(d), "redistribute: extent mismatch");
   }
-  if (detail::box_eligible(src) && detail::box_eligible(dst)) {
-    // ---- box-intersection fast path: contiguous slab exchange -----------
-    const detail::BoxCopy c = detail::redistribute_copy(src);
-    detail::ExchangePlan<R> plan = detail::plan_exchange(ctx, src, dst, c);
-    // Self-overlap stays off the network: local copy, charged up front.
-    ctx.compute(detail::copy_self(src, dst, c, plan));
-    detail::exchange_blocking(ctx, src, dst, c, plan, order, 0.0);
+  const detail::BoxCopy c = detail::redistribute_copy(src);
+  if (!detail::box_eligible(src) || !detail::box_eligible(dst)) {
+    detail::exchange_binned(ctx, src, dst, c, order);
     return;
   }
-  const bool in_src = src.participating();
-  const bool in_dst = dst.participating();
-  if (!in_src && !in_dst) {
-    return;
-  }
-  const std::vector<int> members =
-      detail::union_members(src.view().ranks(), dst.view().ranks());
-
-  // ---- general path: per-dim owner binning ------------------------------
-  // Sender and receiver each walk their own elements once (row-major), so
-  // the per-peer value sequences agree element-for-element without any
-  // index metadata or count exchange.  Elements whose destination owner is
-  // the sender itself are never binned: the receiver side copies them
-  // straight from the local source slab.
-  std::vector<std::pair<int, std::vector<T>>> out;
-  std::vector<std::pair<int, std::vector<GIndex<R>>>> in;
-  double unpacked = 0;
-  if (in_src) {
-    const std::vector<int> dst_ranks = dst.view().ranks();
-    const std::size_t self_di =
-        in_dst ? static_cast<std::size_t>(dst.view().linear_index_of(ctx.rank()))
-               : dst_ranks.size();  // sentinel: matches no bin
-    std::vector<std::vector<T>> bins(dst_ranks.size());
-    src.for_each_owned([&](GIndex<R> g) {
-      const std::size_t di = detail::owner_index(dst, g);
-      if (di != self_di) {
-        bins[di].push_back(src.at(g));
-      }
-    });
-    for (std::size_t pi = 0; pi < bins.size(); ++pi) {
-      if (!bins[pi].empty()) {
-        out.emplace_back(dst_ranks[pi], std::move(bins[pi]));
-      }
-    }
-  }
-  if (in_dst) {
-    const std::vector<int> src_ranks = src.view().ranks();
-    std::vector<std::vector<GIndex<R>>> expect(src_ranks.size());
-    dst.for_each_owned([&](GIndex<R> g) {
-      expect[detail::owner_index(src, g)].push_back(g);
-    });
-    for (std::size_t pi = 0; pi < expect.size(); ++pi) {
-      if (expect[pi].empty()) {
-        continue;
-      }
-      if (src_ranks[pi] == ctx.rank()) {
-        // Self-overlap: both owners are this rank — local copy.
-        for (const GIndex<R>& g : expect[pi]) {
-          dst.at(g) = src.at(g);
-        }
-        unpacked += static_cast<double>(expect[pi].size());
-        continue;
-      }
-      in.emplace_back(src_ranks[pi], std::move(expect[pi]));
-    }
-  }
-  double packed = 0;
-  auto send_one = [&](int rank, const std::vector<T>& vals) {
-    ctx.send_span<T>(rank, kTagRedistData, std::span<const T>(vals));
-    packed += static_cast<double>(vals.size());
-  };
-  auto recv_one = [&](int rank, const std::vector<GIndex<R>>& idxs) {
-    auto vals = ctx.recv_vec<T>(rank, kTagRedistData);
-    KALI_CHECK(vals.size() == idxs.size(), "redistribute: bin size mismatch");
-    for (std::size_t k = 0; k < vals.size(); ++k) {
-      dst.at(idxs[k]) = vals[k];
-    }
-    unpacked += static_cast<double>(vals.size());
-  };
-  detail::issue_exchange(
-      members, ctx.rank(), order, out, in, send_one, recv_one,
-      [&] { ctx.compute(packed); }, [&] { ctx.compute(unpacked); });
+  detail::ExchangePlan<R> plan = detail::plan_exchange(ctx, src, dst, c);
+  // Self-overlap stays off the network: local copy, charged up front.
+  ctx.compute(detail::copy_self(src, dst, c, plan));
+  detail::exchange_blocking(ctx, src, dst, c, plan, 0.0, order);
 }
-
 
 /// Split-phase redistribute (box layouts only: block/star on every dim of
 /// both arrays): the blocking form's plan, with its receives posted
@@ -660,9 +685,9 @@ void redistribute(Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst
 /// inside the wire window.  Run the work to hide, then finish().  See
 /// PendingExchange.
 template <class T, int R>
-[[nodiscard]] PendingExchange redistribute_begin(
-    Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst,
-    IssueOrder order = IssueOrder::kRoundSchedule) {
+[[nodiscard]] PendingExchange redistribute_begin(Context& ctx,
+                                                 const DistArray<T, R>& src,
+                                                 DistArray<T, R>& dst) {
   for (int d = 0; d < R; ++d) {
     KALI_CHECK(src.extent(d) == dst.extent(d), "redistribute: extent mismatch");
   }
@@ -670,94 +695,7 @@ template <class T, int R>
              "redistribute_begin: requires block/star layouts");
   const detail::BoxCopy c = detail::redistribute_copy(src);
   return detail::exchange_begin(ctx, src, dst, c,
-                                detail::plan_exchange(ctx, src, dst, c), order);
-}
-
-
-/// The original "runtime resolution" implementation: every source member
-/// tests every owned element against every destination rank (O(local n × P))
-/// and sends per-element {index, value} packets to *all* destination ranks,
-/// empty lists included.  Kept, unoptimized, as the oracle for differential
-/// tests and as the baseline of bench_redistribute — do not use in new code.
-/// The one fix it shares with redistribute(): a rank's packets to *itself*
-/// are applied locally instead of round-tripping through the mailbox.
-template <class T, int R>
-void redistribute_reference(Context& ctx, const DistArray<T, R>& src,
-                            DistArray<T, R>& dst) {
-  GIndex<R> ext{};
-  for (int d = 0; d < R; ++d) {
-    KALI_CHECK(src.extent(d) == dst.extent(d), "redistribute: extent mismatch");
-    ext[static_cast<std::size_t>(d)] = src.extent(d);
-  }
-  const bool in_src = src.participating();
-  const bool in_dst = dst.participating();
-  if (!in_src && !in_dst) {
-    return;
-  }
-
-  struct Packet {
-    std::int64_t idx;
-    T val;
-  };
-  std::vector<int> peers = dst.view().ranks();
-  std::vector<std::vector<Packet>> outgoing;
-  std::vector<Packet> self_pkts;
-  if (in_src) {
-    outgoing.assign(peers.size(), {});
-    src.for_each_owned([&](GIndex<R> g) {
-      const std::int64_t f = linearize(src, g);
-      for (std::size_t pi = 0; pi < peers.size(); ++pi) {
-        const auto coord = dst.view().coord_of(peers[pi]);
-        bool owns = true;
-        for (int d = 0; d < R && owns; ++d) {
-          const int pd = dst.proc_dim(d);
-          if (pd >= 0 &&
-              dst.map(d).owner(g[static_cast<std::size_t>(d)]) !=
-                  (*coord)[static_cast<std::size_t>(pd)]) {
-            owns = false;
-          }
-        }
-        if (owns) {
-          outgoing[pi].push_back({f, src.at(g)});
-        }
-      }
-    });
-    for (std::size_t pi = 0; pi < peers.size(); ++pi) {
-      if (peers[pi] == ctx.rank()) {
-        self_pkts = std::move(outgoing[pi]);
-        continue;
-      }
-      // kali-lint: allow(raw-exchange) — redistribute_reference is the
-      // deliberately-naive all-pairs oracle/baseline; scheduling it would
-      // destroy the very behaviour the differential tests benchmark.
-      ctx.send_span<Packet>(peers[pi], kTagRedistData,
-                            std::span<const Packet>(outgoing[pi]));
-    }
-    ctx.compute(static_cast<double>([&] {
-      std::size_t n = self_pkts.size();
-      for (const auto& v : outgoing) {
-        n += v.size();
-      }
-      return n;
-    }()));
-  }
-  if (in_dst) {
-    for (int srank : src.view().ranks()) {
-      if (srank == ctx.rank()) {
-        for (const auto& p : self_pkts) {
-          dst.at(detail::delinearize<R>(p.idx, ext)) = p.val;
-        }
-        ctx.compute(static_cast<double>(self_pkts.size()));
-        continue;
-      }
-      // kali-lint: allow(raw-exchange) — reference-oracle receive (above).
-      auto pkts = ctx.recv_vec<Packet>(srank, kTagRedistData);
-      for (const auto& p : pkts) {
-        dst.at(detail::delinearize<R>(p.idx, ext)) = p.val;
-      }
-      ctx.compute(static_cast<double>(pkts.size()));
-    }
-  }
+                                detail::plan_exchange(ctx, src, dst, c));
 }
 
 }  // namespace kali

@@ -33,13 +33,12 @@
 //
 //  * Per-element owner binning (any cyclic/block-cyclic dim): each side
 //    walks its own elements once, computing the unique opposite owner in
-//    O(R) per element.  Exposed as copy_strided_dim_binned(): the fallback
-//    for cyclic layouts and the differential-test oracle for the box path.
+//    O(R) per element — detail::exchange_binned, the binner redistribute()
+//    shares.  Exposed as copy_strided_dim_binned(): the fallback for cyclic
+//    layouts and the differential-test oracle for the box path.
 #pragma once
 
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "machine/message.hpp"  // kTagRemap (reserved-tag registry)
 #include "runtime/redistribute.hpp"
@@ -48,11 +47,12 @@ namespace kali {
 
 namespace detail {
 
-/// Shared argument validation for every copy_strided_dim form.
+/// Validate a strided copy's arguments and describe it as a BoxCopy.
 template <class T, int R>
-void check_strided_args(const DistArray<T, R>& src, const DistArray<T, R>& dst,
-                        int dim, int s_stride, int s_off, int d_stride,
-                        int d_off, int count) {
+BoxCopy strided_copy(const char* what, const DistArray<T, R>& src,
+                     const DistArray<T, R>& dst, int dim, int s_stride,
+                     int s_off, int d_stride, int d_off, int count,
+                     bool fuse_halo = false) {
   for (int d = 0; d < R; ++d) {
     if (d != dim) {
       KALI_CHECK(src.extent(d) == dst.extent(d),
@@ -67,6 +67,8 @@ void check_strided_args(const DistArray<T, R>& src, const DistArray<T, R>& dst,
              "copy_strided_dim: range out of bounds");
   KALI_CHECK(count == 0 || (s_off >= 0 && d_off >= 0),
              "copy_strided_dim: negative offset");
+  return BoxCopy{what,   kTagRemap, dim,   s_stride, s_off,
+                 d_stride, d_off,   count, fuse_halo};
 }
 
 /// Validate a box-path strided copy and describe it as a BoxCopy.  The
@@ -77,7 +79,8 @@ BoxCopy strided_box_copy(const char* what, const DistArray<T, R>& src,
                          const DistArray<T, R>& dst, int dim, int s_stride,
                          int s_off, int d_stride, int d_off, int count,
                          bool fuse_halo) {
-  check_strided_args(src, dst, dim, s_stride, s_off, d_stride, d_off, count);
+  const BoxCopy c = strided_copy(what, src, dst, dim, s_stride, s_off,
+                                 d_stride, d_off, count, fuse_halo);
   KALI_CHECK(box_eligible(src) && box_eligible(dst),
              std::string(what) + ": requires block/star layouts");
   if (fuse_halo) {
@@ -85,15 +88,14 @@ BoxCopy strided_box_copy(const char* what, const DistArray<T, R>& src,
       const int h = dst.halo(d);
       if (h > 0) {
         const int np = dst.view().extent(dst.proc_dim(d));
-        for (int c = 0; c < np; ++c) {
-          KALI_CHECK(dst.map(d).count(c) >= h,
+        for (int k = 0; k < np; ++k) {
+          KALI_CHECK(dst.map(d).count(k) >= h,
                      std::string(what) + ": halo wider than a block");
         }
       }
     }
   }
-  return BoxCopy{what,   kTagRemap, dim,   s_stride, s_off,
-                 d_stride, d_off,   count, fuse_halo};
+  return c;
 }
 
 }  // namespace detail
@@ -106,94 +108,11 @@ BoxCopy strided_box_copy(const char* what, const DistArray<T, R>& src,
 template <class T, int R>
 void copy_strided_dim_binned(Context& ctx, const DistArray<T, R>& src,
                              DistArray<T, R>& dst, int dim, int s_stride,
-                             int s_off, int d_stride, int d_off, int count,
-                             IssueOrder order = IssueOrder::kRoundSchedule) {
-  detail::check_strided_args(src, dst, dim, s_stride, s_off, d_stride, d_off,
-                             count);
-  const auto ud = static_cast<std::size_t>(dim);
-  const bool in_src = src.participating();
-  const bool in_dst = dst.participating();
-  if ((!in_src && !in_dst) || count == 0) {
-    return;
-  }
-  const std::vector<int> members =
-      detail::union_members(src.view().ranks(), dst.view().ranks());
-
-  std::vector<std::pair<int, std::vector<T>>> out;
-  std::vector<std::pair<int, std::vector<GIndex<R>>>> in;
-  double unpacked = 0;
-  if (in_src) {
-    const std::vector<int> dst_ranks = dst.view().ranks();
-    const std::size_t self_di =
-        in_dst ? static_cast<std::size_t>(dst.view().linear_index_of(ctx.rank()))
-               : dst_ranks.size();  // sentinel: matches no bin
-    std::vector<std::vector<T>> bins(dst_ranks.size());
-    src.for_each_owned([&](GIndex<R> g) {
-      const int rel = g[ud] - s_off;
-      if (rel < 0 || rel % s_stride != 0 || rel / s_stride >= count) {
-        return;
-      }
-      GIndex<R> gd = g;
-      gd[ud] = d_off + (rel / s_stride) * d_stride;
-      const std::size_t di = detail::owner_index(dst, gd);
-      if (di != self_di) {
-        bins[di].push_back(src.at(g));
-      }
-    });
-    for (std::size_t pi = 0; pi < bins.size(); ++pi) {
-      if (!bins[pi].empty()) {
-        out.emplace_back(dst_ranks[pi], std::move(bins[pi]));
-      }
-    }
-  }
-  if (in_dst) {
-    // Expected elements per source rank, derived from my own slab in the
-    // same row-major order the sender packs.
-    const std::vector<int> src_ranks = src.view().ranks();
-    std::vector<std::vector<GIndex<R>>> expect(src_ranks.size());
-    dst.for_each_owned([&](GIndex<R> g) {
-      const int rel = g[ud] - d_off;
-      if (rel < 0 || rel % d_stride != 0 || rel / d_stride >= count) {
-        return;
-      }
-      GIndex<R> gs = g;
-      gs[ud] = s_off + (rel / d_stride) * s_stride;
-      expect[detail::owner_index(src, gs)].push_back(g);
-    });
-    for (std::size_t pi = 0; pi < expect.size(); ++pi) {
-      if (expect[pi].empty()) {
-        continue;
-      }
-      if (src_ranks[pi] == ctx.rank()) {
-        // Self-overlap: both owners are this rank — local copy.
-        for (const GIndex<R>& g : expect[pi]) {
-          GIndex<R> gs = g;
-          gs[ud] = s_off + ((g[ud] - d_off) / d_stride) * s_stride;
-          dst.at(g) = src.at(gs);
-        }
-        unpacked += static_cast<double>(expect[pi].size());
-        continue;
-      }
-      in.emplace_back(src_ranks[pi], std::move(expect[pi]));
-    }
-  }
-  double packed = 0;
-  auto send_one = [&](int rank, const std::vector<T>& vals) {
-    ctx.send_span<T>(rank, kTagRemap, std::span<const T>(vals));
-    packed += static_cast<double>(vals.size());
-  };
-  auto recv_one = [&](int rank, const std::vector<GIndex<R>>& idxs) {
-    auto vals = ctx.recv_vec<T>(rank, kTagRemap);
-    KALI_CHECK(vals.size() == idxs.size(),
-               "copy_strided_dim: bin size mismatch");
-    for (std::size_t k = 0; k < vals.size(); ++k) {
-      dst.at(idxs[k]) = vals[k];
-    }
-    unpacked += static_cast<double>(vals.size());
-  };
-  detail::issue_exchange(
-      members, ctx.rank(), order, out, in, send_one, recv_one,
-      [&] { ctx.compute(packed); }, [&] { ctx.compute(unpacked); });
+                             int s_off, int d_stride, int d_off, int count) {
+  detail::exchange_binned(
+      ctx, src, dst,
+      detail::strided_copy("copy_strided_dim", src, dst, dim, s_stride, s_off,
+                           d_stride, d_off, count));
 }
 
 /// Blocking strided copy.  Box layouts (block/star on every dim of both
@@ -201,11 +120,10 @@ void copy_strided_dim_binned(Context& ctx, const DistArray<T, R>& src,
 template <class T, int R>
 void copy_strided_dim(Context& ctx, const DistArray<T, R>& src,
                       DistArray<T, R>& dst, int dim, int s_stride, int s_off,
-                      int d_stride, int d_off, int count,
-                      IssueOrder order = IssueOrder::kRoundSchedule) {
+                      int d_stride, int d_off, int count) {
   if (!detail::box_eligible(src) || !detail::box_eligible(dst)) {
     copy_strided_dim_binned(ctx, src, dst, dim, s_stride, s_off, d_stride,
-                            d_off, count, order);
+                            d_off, count);
     return;
   }
   const detail::BoxCopy c =
@@ -215,7 +133,7 @@ void copy_strided_dim(Context& ctx, const DistArray<T, R>& src,
   detail::ExchangePlan<R> plan = detail::plan_exchange(ctx, src, dst, c);
   // The self-overlap copy is charged with the final unpack.
   const double copied = detail::copy_self(src, dst, c, plan);
-  detail::exchange_blocking(ctx, src, dst, c, plan, order, copied);
+  detail::exchange_blocking(ctx, src, dst, c, plan, copied);
 }
 
 /// Split-phase copy_strided_dim (box layouts only): sends fired, receives
@@ -224,14 +142,13 @@ void copy_strided_dim(Context& ctx, const DistArray<T, R>& src,
 template <class T, int R>
 [[nodiscard]] PendingExchange copy_strided_dim_begin(
     Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst, int dim,
-    int s_stride, int s_off, int d_stride, int d_off, int count,
-    IssueOrder order = IssueOrder::kRoundSchedule) {
+    int s_stride, int s_off, int d_stride, int d_off, int count) {
   const detail::BoxCopy c =
       detail::strided_box_copy("copy_strided_dim_begin", src, dst, dim,
                                s_stride, s_off, d_stride, d_off, count,
                                /*fuse_halo=*/false);
   return detail::exchange_begin(ctx, src, dst, c,
-                                detail::plan_exchange(ctx, src, dst, c), order);
+                                detail::plan_exchange(ctx, src, dst, c));
 }
 
 /// copy_strided_dim + dst.exchange_halo() fused into one scheduled exchange
@@ -252,8 +169,7 @@ template <class T, int R>
 template <class T, int R>
 void copy_strided_dim_halo(Context& ctx, const DistArray<T, R>& src,
                            DistArray<T, R>& dst, int dim, int s_stride,
-                           int s_off, int d_stride, int d_off, int count,
-                           IssueOrder order = IssueOrder::kRoundSchedule) {
+                           int s_off, int d_stride, int d_off, int count) {
   const detail::BoxCopy c =
       detail::strided_box_copy("copy_strided_dim_halo", src, dst, dim,
                                s_stride, s_off, d_stride, d_off, count,
@@ -262,7 +178,7 @@ void copy_strided_dim_halo(Context& ctx, const DistArray<T, R>& src,
   // The self-overlap copy (ghost targets included) is charged with the
   // final unpack.
   const double copied = detail::copy_self(src, dst, c, plan);
-  detail::exchange_blocking(ctx, src, dst, c, plan, order, copied);
+  detail::exchange_blocking(ctx, src, dst, c, plan, copied);
 }
 
 /// Split-phase copy_strided_dim_halo: the fused remap+halo transfer with
@@ -270,14 +186,13 @@ void copy_strided_dim_halo(Context& ctx, const DistArray<T, R>& src,
 template <class T, int R>
 [[nodiscard]] PendingExchange copy_strided_dim_halo_begin(
     Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst, int dim,
-    int s_stride, int s_off, int d_stride, int d_off, int count,
-    IssueOrder order = IssueOrder::kRoundSchedule) {
+    int s_stride, int s_off, int d_stride, int d_off, int count) {
   const detail::BoxCopy c =
       detail::strided_box_copy("copy_strided_dim_halo_begin", src, dst, dim,
                                s_stride, s_off, d_stride, d_off, count,
                                /*fuse_halo=*/true);
   return detail::exchange_begin(ctx, src, dst, c,
-                                detail::plan_exchange(ctx, src, dst, c), order);
+                                detail::plan_exchange(ctx, src, dst, c));
 }
 
 }  // namespace kali

@@ -108,10 +108,10 @@ TEST_P(CollectivesP, AllGatherConcatenatesEverywhere) {
 }
 
 TEST(Collectives, AllGatherIssueOrdersAgree) {
-  // Round schedule, naive peer order, and lockstep move the same payloads:
-  // identical results (only clocks may differ under contention).
-  for (IssueOrder order : {IssueOrder::kRoundSchedule, IssueOrder::kPeerOrder,
-                           IssueOrder::kLockstep}) {
+  // Round schedule and naive peer order move the same payloads: identical
+  // results (only clocks may differ under contention).
+  for (IssueOrder order :
+       {IssueOrder::kRoundSchedule, IssueOrder::kPeerOrder}) {
     SCOPED_TRACE(static_cast<int>(order));
     MachineConfig cfg;
     cfg.link_contention = LinkContention::kPorts;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "machine/context.hpp"
+#include "oracles/redistribute_reference.hpp"
 #include "runtime/io.hpp"
 
 namespace kali {
@@ -211,7 +212,7 @@ TEST(Redistribute, BoxPathSendsOnlyIntersectingPairs) {
     DistArray2<double> b(ctx, pv, {8, 8},
                          {DimDist::block_dist(), DimDist::block_dist()});
     a.fill([](std::array<int, 2> g) { return tag2(g[0], g[1]); });
-    redistribute_reference(ctx, a, b);
+    oracles::redistribute_reference(ctx, a, b);
     b.for_each_owned([&](std::array<int, 2> g) {
       EXPECT_DOUBLE_EQ(b.at(g), tag2(g[0], g[1]));
     });
@@ -239,7 +240,7 @@ TEST(Redistribute, NoSelfMessagesOnAnyPath) {
       a.fill([](std::array<int, 1> g) { return 1.0 * g[0]; });
       redistribute(ctx, a, b);
       DistArray1<double> c(ctx, pv, {32}, {DimDist::cyclic()});
-      redistribute_reference(ctx, b, c);
+      oracles::redistribute_reference(ctx, b, c);
     }
   });
   EXPECT_EQ(m.stats().self_msgs(kTagRedistData), 0u);
@@ -346,7 +347,7 @@ TEST(Redistribute, PropertyMatchesReferenceAcrossDistributions1D) {
         DistArray1<double> ref(ctx, pv, {23}, {dk});
         src.fill([](std::array<int, 1> g) { return 0.5 * g[0] * g[0] - 3.0; });
         redistribute(ctx, src, fast);
-        redistribute_reference(ctx, src, ref);
+        oracles::redistribute_reference(ctx, src, ref);
         fast.for_each_owned([&](std::array<int, 1> g) {
           EXPECT_DOUBLE_EQ(fast.at(g), ref.at(g));
           EXPECT_DOUBLE_EQ(fast.at(g), 0.5 * g[0] * g[0] - 3.0);
@@ -382,7 +383,7 @@ TEST(Redistribute, PropertyBoxPathMatchesReference2D) {
         DistArray2<double> ref(ctx, d.pv, {9, 7}, d.dists);
         src.fill([](std::array<int, 2> g) { return tag2(g[0], g[1]); });
         redistribute(ctx, src, fast);
-        redistribute_reference(ctx, src, ref);
+        oracles::redistribute_reference(ctx, src, ref);
         fast.for_each_owned([&](std::array<int, 2> g) {
           EXPECT_DOUBLE_EQ(fast.at(g), ref.at(g));
           EXPECT_DOUBLE_EQ(fast.at(g), tag2(g[0], g[1]));
@@ -434,63 +435,6 @@ TEST(Redistribute, StoreForwardDeterministicAcrossRuns) {
   }
 }
 
-TEST(Redistribute, LockstepMatchesScheduledAndBoundsMailbox) {
-  // Lockstep round execution moves the same slabs as the scheduled order
-  // (identical results on both the box and the general path) while a
-  // member never runs more than a round or two ahead — so peak mailbox
-  // depth stays O(1) instead of the O(P) posted slabs the one-shot issue
-  // orders allow.
-  const int p = 8;
-  auto run_box = [&](IssueOrder order) {
-    Machine m(p);
-    std::vector<double> probe;
-    m.run([&](Context& ctx) {
-      ProcView pv = ProcView::grid1(p);
-      DistArray2<double> rows(ctx, pv, {16, 16},
-                              {DimDist::block_dist(), DimDist::star()});
-      DistArray2<double> cols(ctx, pv, {16, 16},
-                              {DimDist::star(), DimDist::block_dist()});
-      rows.fill([](std::array<int, 2> g) { return tag2(g[0], g[1]); });
-      redistribute(ctx, rows, cols, order);
-      if (ctx.rank() == 0) {
-        cols.for_each_owned(
-            [&](std::array<int, 2> g) { probe.push_back(cols.at(g)); });
-      }
-    });
-    return std::pair{probe, m.stats()};
-  };
-  const auto [sched, st_sched] = run_box(IssueOrder::kRoundSchedule);
-  const auto [lock, st_lock] = run_box(IssueOrder::kLockstep);
-  EXPECT_EQ(sched, lock);
-  EXPECT_EQ(st_sched.totals().msgs_sent, st_lock.totals().msgs_sent);
-  EXPECT_EQ(st_sched.totals().bytes_sent, st_lock.totals().bytes_sent);
-  // One partner slab per round, plus bounded lookahead from partners that
-  // finished their round early — never the full p - 1 fan-in.
-  EXPECT_LE(st_lock.max_mailbox_depth(), 4u);
-
-  auto run_general = [&](IssueOrder order) {
-    Machine m(p);
-    std::vector<double> probe;
-    m.run([&](Context& ctx) {
-      ProcView pv = ProcView::grid1(p);
-      DistArray1<double> src(ctx, pv, {61}, {DimDist::cyclic()});
-      DistArray1<double> dst(ctx, pv, {61}, {DimDist::block_cyclic(3)});
-      src.fill([](std::array<int, 1> g) { return 0.5 * g[0] - 7.0; });
-      redistribute(ctx, src, dst, order);
-      if (ctx.rank() == 2) {
-        dst.for_each_owned(
-            [&](std::array<int, 1> g) { probe.push_back(dst.at(g)); });
-      }
-    });
-    return std::pair{probe, m.stats()};
-  };
-  const auto [gsched, gst_sched] = run_general(IssueOrder::kRoundSchedule);
-  const auto [glock, gst_lock] = run_general(IssueOrder::kLockstep);
-  EXPECT_EQ(gsched, glock);
-  EXPECT_EQ(gst_sched.totals().msgs_sent, gst_lock.totals().msgs_sent);
-  EXPECT_LE(gst_lock.max_mailbox_depth(), 4u);
-}
-
 /// Per-rank clocks after running `prog` on 2 ranks.
 template <class Prog>
 std::vector<double> clocks_after(Prog&& prog) {
@@ -527,6 +471,75 @@ TEST(Redistribute, BlockingChargesSelfCopyBeforeSends) {
     ctx.compute(4.0);  // unpack
   });
   EXPECT_EQ(got, want);
+}
+
+TEST(Redistribute, GeneralPathChargesLikeHandWrittenProgram) {
+  // cyclic -> block_cyclic(3) on 8 ranks under port contention takes the
+  // cyclic binner.  Its clocks and per-tag ledgers must equal this
+  // hand-written program: bin by destination owner, send the non-empty
+  // bins in round order, charge the pack, receive in round order, then
+  // charge the unpack with the self copy included.
+  const int p = 8;
+  const int n = 61;
+  auto run = [&](auto prog) {
+    MachineConfig cfg;
+    cfg.link_contention = LinkContention::kPorts;
+    Machine m(p, cfg);
+    m.run(prog);
+    return m.stats();
+  };
+  const MachineStats got = run([&](Context& ctx) {
+    ProcView pv = ProcView::grid1(p);
+    DistArray1<double> src(ctx, pv, {n}, {DimDist::cyclic()});
+    DistArray1<double> dst(ctx, pv, {n}, {DimDist::block_cyclic(3)});
+    src.fill([](std::array<int, 1> g) { return 0.5 * g[0]; });
+    redistribute(ctx, src, dst);
+    dst.for_each_owned([&](std::array<int, 1> g) {
+      EXPECT_DOUBLE_EQ(dst.at(g), 0.5 * g[0]);
+    });
+  });
+  const MachineStats want = run([&](Context& ctx) {
+    const int me = ctx.rank();
+    std::vector<std::vector<double>> bins(p);  // values to send, by dst rank
+    std::vector<std::size_t> expect(p);        // values to receive, by src
+    for (int g = 0; g < n; ++g) {
+      const auto src_owner = static_cast<std::size_t>(g % p);
+      const auto dst_owner = static_cast<std::size_t>((g / 3) % p);
+      if (src_owner == static_cast<std::size_t>(me)) {
+        bins[dst_owner].push_back(0.5 * g);
+      }
+      if (dst_owner == static_cast<std::size_t>(me)) {
+        ++expect[src_owner];
+      }
+    }
+    const std::vector<int> peers = round_order(CommSchedule(p), me);
+    double packed = 0;
+    for (int q : peers) {
+      const auto& bin = bins[static_cast<std::size_t>(q)];
+      if (!bin.empty()) {
+        ctx.send_span<double>(q, kTagRedistData, std::span<const double>(bin));
+        packed += static_cast<double>(bin.size());
+      }
+    }
+    ctx.compute(packed);
+    double unpacked =
+        static_cast<double>(expect[static_cast<std::size_t>(me)]);
+    for (int q : peers) {
+      if (expect[static_cast<std::size_t>(q)] > 0) {
+        unpacked += static_cast<double>(
+            ctx.recv_vec<double>(q, kTagRedistData).size());
+      }
+    }
+    ctx.compute(unpacked);
+  });
+  EXPECT_EQ(got.clocks, want.clocks);
+  for (std::size_t r = 0; r < got.per_proc.size(); ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    EXPECT_EQ(got.per_proc[r].sent_by_tag, want.per_proc[r].sent_by_tag);
+    EXPECT_EQ(got.per_proc[r].recv_by_tag, want.per_proc[r].recv_by_tag);
+    EXPECT_EQ(got.per_proc[r].bytes_sent, want.per_proc[r].bytes_sent);
+  }
+  EXPECT_GT(got.sent_msgs(kTagRedistData), 0u);
 }
 
 TEST(Redistribute, ExtentMismatchThrows) {

@@ -216,64 +216,6 @@ TEST(Remap, AlignedIdentityCopySendsNoMessages) {
   EXPECT_EQ(m.stats().totals().msgs_sent, 0u);
 }
 
-TEST(Remap, ScheduledAndPeerOrderProduceIdenticalContents) {
-  for (int p : {3, 4, 5}) {
-    SCOPED_TRACE("p=" + std::to_string(p));
-    Machine m(p);
-    m.run([&](Context& ctx) {
-      ProcView pv = ProcView::grid1(p);
-      DistArray1<double> src(ctx, pv, {23}, {DimDist::block_dist()});
-      DistArray1<double> sched(ctx, pv, {23}, {DimDist::block_dist()});
-      DistArray1<double> naive(ctx, pv, {23}, {DimDist::block_dist()});
-      src.fill([](std::array<int, 1> g) { return 1.5 * g[0]; });
-      sched.fill_value(0.0);
-      naive.fill_value(0.0);
-      copy_strided_dim(ctx, src, sched, 0, 2, 1, 2, 0, 11,
-                       IssueOrder::kRoundSchedule);
-      copy_strided_dim(ctx, src, naive, 0, 2, 1, 2, 0, 11,
-                       IssueOrder::kPeerOrder);
-      sched.for_each_owned([&](std::array<int, 1> g) {
-        EXPECT_DOUBLE_EQ(sched.at(g), naive.at(g));
-      });
-    });
-  }
-}
-
-TEST(Remap, LockstepMatchesScheduledOnBothPaths) {
-  // Lockstep rounds must reproduce the scheduled results exactly on the
-  // box fast path and the cyclic (binned) fallback, with bounded mailbox
-  // depth.
-  const int p = 8;
-  auto run = [&](IssueOrder order, bool cyclic) {
-    Machine m(p);
-    std::vector<double> probe;
-    m.run([&](Context& ctx) {
-      ProcView pv = ProcView::grid1(p);
-      DistArray1<double> fine(ctx, pv, {65},
-                              {cyclic ? DimDist::cyclic()
-                                      : DimDist::block_dist()});
-      DistArray1<double> coarse(ctx, pv, {33}, {DimDist::block_dist()});
-      fine.fill([](std::array<int, 1> g) { return 3.0 * g[0] + 1.0; });
-      copy_strided_dim(ctx, fine, coarse, 0, /*s_stride=*/2, /*s_off=*/0,
-                       /*d_stride=*/1, /*d_off=*/0, 33, order);
-      if (ctx.rank() == 1) {
-        coarse.for_each_owned(
-            [&](std::array<int, 1> g) { probe.push_back(coarse.at(g)); });
-      }
-    });
-    return std::pair{probe, m.stats()};
-  };
-  for (bool cyclic : {false, true}) {
-    SCOPED_TRACE(cyclic ? "binned path" : "box path");
-    const auto [sched, st_sched] = run(IssueOrder::kRoundSchedule, cyclic);
-    const auto [lock, st_lock] = run(IssueOrder::kLockstep, cyclic);
-    EXPECT_EQ(sched, lock);
-    EXPECT_EQ(st_sched.totals().msgs_sent, st_lock.totals().msgs_sent);
-    EXPECT_EQ(st_sched.totals().bytes_sent, st_lock.totals().bytes_sent);
-    EXPECT_LE(st_lock.max_mailbox_depth(), 4u);
-  }
-}
-
 TEST(Remap, HaloFusedMatchesSeparateRemapPlusExchange) {
   // The batched level switch: copy_strided_dim_halo on a fresh destination
   // must leave the *entire slab* (owned + ghost margins) bit-identical to
@@ -345,34 +287,6 @@ TEST(Remap, HaloFusedMatchesSeparateRemapPlusExchange) {
       EXPECT_EQ(m.stats().self_msgs(kTagRemap), 0u);
     }
   }
-}
-
-TEST(Remap, HaloFusedIssueOrdersAgree) {
-  const int p = 4;
-  auto run = [&](IssueOrder order) {
-    Machine m(p);
-    std::vector<double> probe;
-    m.run([&](Context& ctx) {
-      ProcView pv = ProcView::grid1(p);
-      using D2 = DistArray2<double>;
-      const typename D2::Dists dists{DimDist::star(), DimDist::block_dist()};
-      D2 src(ctx, pv, {3, 9}, dists);
-      D2 dst(ctx, pv, {3, 17}, dists, {0, 1});
-      src.fill([](std::array<int, 2> g) { return tag2(g[0], g[1]); });
-      copy_strided_dim_halo(ctx, src, dst, 1, 1, 0, 2, 0, 9, order);
-      if (ctx.rank() == 2) {
-        for (int i = 0; i < 3; ++i) {
-          for (int j = dst.own_lower(1) - 1; j <= dst.own_upper(1) + 1; ++j) {
-            probe.push_back(dst.at_halo({i, j}));
-          }
-        }
-      }
-    });
-    return probe;
-  };
-  const auto sched = run(IssueOrder::kRoundSchedule);
-  EXPECT_EQ(run(IssueOrder::kPeerOrder), sched);
-  EXPECT_EQ(run(IssueOrder::kLockstep), sched);
 }
 
 TEST(Remap, HaloFusedCyclicLayoutThrows) {

@@ -122,40 +122,6 @@ TEST(Schedule, RoundSortOrdersMessagesByRound) {
   EXPECT_EQ(naive[0].first, 13);  // peer order: untouched
 }
 
-TEST(Schedule, LockstepRoundsVisitsEveryTransferInRoundOrder) {
-  // lockstep_rounds must hand every out entry to send_one and every in
-  // entry to recv_one exactly once, with send-before-recv within a round
-  // and rounds in schedule order — for both the XOR (pow2) and the
-  // latin-square constructions.
-  for (int n : {4, 5, 8}) {
-    SCOPED_TRACE("n=" + std::to_string(n));
-    std::vector<int> members(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      members[static_cast<std::size_t>(i)] = 10 * i;  // sparse machine ranks
-    }
-    const int self = 0;  // member index 0
-    std::vector<std::pair<int, int>> out;
-    std::vector<std::pair<int, int>> in;
-    for (int i = 1; i < n; ++i) {
-      out.emplace_back(10 * i, i);
-      in.emplace_back(10 * i, -i);
-    }
-    std::vector<std::pair<char, int>> events;
-    detail::lockstep_rounds(
-        members, self, out, in,
-        [&](int rank, int) { events.emplace_back('s', rank); },
-        [&](int rank, int) { events.emplace_back('r', rank); });
-    ASSERT_EQ(events.size(), 2 * out.size());
-    const CommSchedule sched(n);
-    const std::vector<int> order = round_order(sched, 0);
-    for (std::size_t k = 0; k < order.size(); ++k) {
-      // Each round: send to the partner, then receive from it.
-      EXPECT_EQ(events[2 * k], (std::pair<char, int>{'s', 10 * order[k]}));
-      EXPECT_EQ(events[2 * k + 1], (std::pair<char, int>{'r', 10 * order[k]}));
-    }
-  }
-}
-
 TEST(Schedule, MemberIndexRejectsNonMembers) {
   const std::vector<int> members{2, 4, 6};
   EXPECT_EQ(detail::member_index(members, 4), 1);
