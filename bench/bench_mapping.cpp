@@ -18,17 +18,17 @@ namespace kali {
 namespace {
 
 void single_system(int p, int n) {
-  ActivityTrace trace(tri_trace_steps(p), p);
+  EventLog log(p);
   Machine m(p, bench::config_1989());
+  m.attach_event_log(&log);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(p);
     DistArray1<double> f(ctx, pv, {n}, {DimDist::block_dist()});
     DistArray1<double> x(ctx, pv, {n}, {DimDist::block_dist()});
     f.fill([](std::array<int, 1> g) { return 1.0 + 0.01 * g[0]; });
-    TriOptions opts;
-    opts.trace = &trace;
-    tric(-1.0, 4.0, -1.0, f, x, opts);
+    tric(-1.0, 4.0, -1.0, f, x);
   });
+  const ActivityTrace trace = log.activity(tri_trace_steps(p), p);
   std::vector<std::string> labels;
   const int k = (trace.nsteps() - 1) / 2;
   for (int q = 0; q < trace.nsteps(); ++q) {
@@ -48,18 +48,18 @@ void single_system(int p, int n) {
 }
 
 void pipelined_systems(int p, int nsys, int n) {
-  ActivityTrace trace(mtri_trace_steps(nsys, p), p);
+  EventLog log(p);
   Machine m(p, bench::config_1989());
+  m.attach_event_log(&log);
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(p);
     using D2 = DistArray2<double>;
     const typename D2::Dists dists{DimDist::star(), DimDist::block_dist()};
     D2 F(ctx, pv, {nsys, n}, dists), X(ctx, pv, {nsys, n}, dists);
     F.fill([](std::array<int, 2> g) { return 1.0 + 0.01 * g[1] + 0.1 * g[0]; });
-    MtriOptions opts;
-    opts.trace = &trace;
-    mtri_const(-1.0, 4.0, -1.0, F, X, 0, opts);
+    mtri_const(-1.0, 4.0, -1.0, F, X, 0);
   });
+  const ActivityTrace trace = log.activity(mtri_trace_steps(nsys, p), p);
   std::vector<std::string> labels;
   for (int q = 0; q < trace.nsteps(); ++q) {
     labels.push_back("global step " + std::to_string(q));

@@ -37,8 +37,9 @@ System random_system(int n) {
   return s;
 }
 
-double solve_time(const System& s, int n, int p, ActivityTrace* trace) {
+double solve_time(const System& s, int n, int p, EventLog* log) {
   Machine m(p, bench::config_1989());
+  m.attach_event_log(log);
   double makespan = 0.0;
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(p);
@@ -52,9 +53,7 @@ double solve_time(const System& s, int n, int p, ActivityTrace* trace) {
     c.fill([&](std::array<int, 1> g) { return s.c[static_cast<std::size_t>(g[0])]; });
     f.fill([&](std::array<int, 1> g) { return s.f[static_cast<std::size_t>(g[0])]; });
     PhaseTimer timer(ctx, pv.group(ctx.rank()));
-    TriOptions opts;
-    opts.trace = trace;
-    tri(b, a, c, f, x, opts);
+    tri(b, a, c, f, x);
     const double t = timer.finish().makespan;
     if (ctx.rank() == 0) {
       makespan = t;
@@ -74,9 +73,10 @@ int main() {
   // --- Figure 3: active processors per step, p = 8 ------------------------
   {
     const int p = 8, n = 512;
-    ActivityTrace trace(tri_trace_steps(p), p);
+    EventLog log(p);
     System s = random_system(n);
-    (void)solve_time(s, n, p, &trace);
+    (void)solve_time(s, n, p, &log);
+    const ActivityTrace trace = log.activity(tri_trace_steps(p), p);
     Table t({"step", "phase", "active procs"});
     const char* phases[] = {"local reduction", "merge (4-row reduce)",
                             "root Thomas solve", "substitution",

@@ -1,7 +1,8 @@
 // Message-trace demo: run a mixed communication workload — corner-mode
 // halo exchange, redistribution, an inspector/executor gather, an
-// all_gather, and sync_clocks barriers — on 8 ranks with a MessageTrace
-// attached, then serialize the trace for the offline protocol verifier:
+// all_gather, split-phase and nonblocking messaging, one mg3 V-cycle, and
+// sync_clocks barriers — on 8 ranks with an EventLog attached, then write
+// its message trace for the offline protocol verifier:
 //
 //   build/comm_trace /tmp/run.trace
 //   tools/check_trace.py /tmp/run.trace
@@ -22,11 +23,10 @@
 #include <ostream>
 
 #include "machine/context.hpp"
-#include "machine/hb.hpp"
-#include "machine/trace.hpp"
 #include "runtime/doall.hpp"
 #include "runtime/inspector.hpp"
 #include "runtime/redistribute.hpp"
+#include "solvers/mg3.hpp"
 
 int main(int argc, char** argv) {
   using namespace kali;
@@ -34,10 +34,8 @@ int main(int argc, char** argv) {
   constexpr int kN = 24;
 
   Machine machine(kProcs);
-  MessageTrace trace(kProcs);
-  machine.attach_message_trace(&trace);
-  HbLog hb(kProcs);
-  machine.attach_hb_log(&hb);
+  EventLog log(kProcs);
+  machine.attach_event_log(&log);
 
   machine.run([&](Context& ctx) {
     ProcView row = ProcView::grid1(kProcs);
@@ -114,6 +112,23 @@ int main(int argc, char** argv) {
     (void)a0;
     (void)a1;
     sync_clocks(ctx, everyone);
+
+    // Phase 6: one small mg3 V-cycle on the 4x2 grid — the solver path of
+    // the benchmark's mg3 workload: halo exchanges, the z-level switches
+    // (copy_strided_dim_halo) and the plane mg2 solves on sliced views.
+    constexpr int kMg = 16;
+    using D3 = DistArray3<double>;
+    const typename D3::Dists dists3{DimDist::star(), DimDist::block_dist(),
+                                    DimDist::block_dist()};
+    Op3 op;
+    op.hx = op.hy = op.hz = 1.0 / kMg;
+    D3 u3(ctx, grid, {kMg + 1, kMg + 1, kMg + 1}, dists3, {0, 1, 1});
+    D3 f3(ctx, grid, {kMg + 1, kMg + 1, kMg + 1}, dists3);
+    f3.fill([&](std::array<int, 3> g) {
+      return rhs3(op, g[0] * op.hx, g[1] * op.hy, g[2] * op.hz);
+    });
+    mg3_cycle(op, u3, f3);
+    sync_clocks(ctx, everyone);
   });
 
   if (argc > 1) {
@@ -122,9 +137,9 @@ int main(int argc, char** argv) {
       std::cerr << "comm_trace: cannot open " << argv[1] << "\n";
       return 1;
     }
-    trace.write(os);
+    log.write_trace(os);
   } else {
-    trace.write(std::cout);
+    log.write_trace(std::cout);
   }
   if (argc > 2) {
     std::ofstream os(argv[2]);
@@ -132,9 +147,9 @@ int main(int argc, char** argv) {
       std::cerr << "comm_trace: cannot open " << argv[2] << "\n";
       return 1;
     }
-    hb.write_log(os);
+    log.write_hb(os);
   }
-  std::cerr << "comm_trace: " << trace.total_events() << " trace events, "
-            << hb.total_events() << " hb events on " << kProcs << " ranks\n";
+  std::cerr << "comm_trace: " << log.total_events() << " events on "
+            << kProcs << " ranks\n";
   return 0;
 }

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Happens-before determinism gate: proves the analyzer itself (self-test
 # over tools/hb_fixtures/), analyzes the real happens-before log the
-# comm_trace workload emits (must be clean), then seeds the known
-# determinism race via the interleaving explorer and requires BOTH
-# detectors to catch it: the explorer by divergent result digests, the
-# analyzer by flagging the log of the racy run.  Same entry points as the
-# ctest targets `hb_selftest` / `hb_check` and the CI step.
+# comm_trace workload (runtime exchanges plus one mg3 V-cycle) emits
+# (must be clean), then seeds the known determinism race via the
+# interleaving explorer and requires BOTH detectors to catch it: the
+# explorer by divergent result digests, the analyzer by flagging the log
+# of the racy run.  Same entry points as the ctest targets
+# `hb_selftest` / `hb_check` and the CI step.
 #
 # Usage: scripts/check_hb.sh [build-dir]   (default: build)
 set -euo pipefail

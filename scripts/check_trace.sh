@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Trace-verifier gate: proves the verifier itself (self-test over
-# tools/trace_fixtures/), then runs the comm_trace example and verifies
-# the real trace it emits.  Same entry points as the ctest targets
-# `trace_selftest` / `trace_check` and the CI step.
+# tools/trace_fixtures/), then runs the comm_trace example (runtime
+# exchanges plus one mg3 V-cycle) and verifies the real trace it emits.
+# Same entry points as the ctest targets `trace_selftest` /
+# `trace_check` and the CI step.
 #
 # Usage: scripts/check_trace.sh [build-dir]   (default: build)
 set -euo pipefail

@@ -33,21 +33,18 @@ MtriShape check_shape(const DistArray2<double>& F, const DistArray2<double>& X,
 /// Shared pipelined driver.  `load(j)` returns the four local coefficient
 /// vectors (b, a, c, f) for system j.
 template <class Load>
-void run_pipelined(DistArray2<double>& X, const MtriShape& shape,
-                   const MtriOptions& opts, Load load) {
+void run_pipelined(DistArray2<double>& X, const MtriShape& shape, Load load) {
   if (!X.participating()) {
     return;
   }
   Context& ctx = X.context();
   const ProcView& pv = X.view();
-  const int p = pv.count();
   const int nsys = shape.nsys;
 
   std::vector<std::optional<detail::TriPipeline>> pipes(
       static_cast<std::size_t>(nsys));
   const int depth = detail::TriPipeline(ctx, pv, 0).positions();
   const int steps = nsys + depth - 1;
-  (void)p;
 
   for (int t = 0; t < steps; ++t) {
     // Systems enter in order; each runs position t - j this step.
@@ -55,12 +52,12 @@ void run_pipelined(DistArray2<double>& X, const MtriShape& shape,
       const auto uj = static_cast<std::size_t>(j);
       const int q = t - j;
       if (q == 0) {
-        pipes[uj].emplace(ctx, pv, /*sys_tag=*/j);
+        pipes[uj].emplace(ctx, pv, /*sys=*/j);
         auto [b, a, c, f] = load(j);
         pipes[uj]->set_local(std::move(b), std::move(a), std::move(c),
                              std::move(f));
       }
-      pipes[uj]->run_position(q, opts.trace, t);
+      pipes[uj]->run_position(q);
       if (q == depth - 1) {
         // Drain: write the solution and free the state.
         auto x = X.fix(shape.system_dim, j);
@@ -86,9 +83,9 @@ int mtri_trace_steps(int nsys, int p) {
 
 void mtri(const DistArray2<double>& B, const DistArray2<double>& A,
           const DistArray2<double>& C, const DistArray2<double>& F,
-          DistArray2<double>& X, int system_dim, const MtriOptions& opts) {
+          DistArray2<double>& X, int system_dim) {
   const MtriShape shape = check_shape(F, X, system_dim);
-  run_pipelined(X, shape, opts, [&](int j) {
+  run_pipelined(X, shape, [&](int j) {
     return std::tuple{to_vector(B.fix(system_dim, j).local_strided()),
                       to_vector(A.fix(system_dim, j).local_strided()),
                       to_vector(C.fix(system_dim, j).local_strided()),
@@ -97,10 +94,9 @@ void mtri(const DistArray2<double>& B, const DistArray2<double>& A,
 }
 
 void mtri_const(double lo, double diag, double up, const DistArray2<double>& F,
-                DistArray2<double>& X, int system_dim,
-                const MtriOptions& opts) {
+                DistArray2<double>& X, int system_dim) {
   const MtriShape shape = check_shape(F, X, system_dim);
-  run_pipelined(X, shape, opts, [&](int j) {
+  run_pipelined(X, shape, [&](int j) {
     auto f = to_vector(F.fix(system_dim, j).local_strided());
     const std::size_t m = f.size();
     return std::tuple{std::vector<double>(m, lo), std::vector<double>(m, diag),

@@ -9,17 +9,12 @@
 // of the processors are kept busy" (paper §3).
 #pragma once
 
-#include "machine/trace.hpp"
 #include "runtime/dist_array.hpp"
 
 namespace kali {
 
-struct MtriOptions {
-  /// Optional activity recording, pre-sized to (mtri_trace_steps, p).
-  ActivityTrace* trace = nullptr;
-};
-
-/// Number of global pipeline steps for `nsys` systems on p processors.
+/// Number of global pipeline steps for `nsys` systems on p processors: the
+/// rows of its Figure 5 matrix (EventLog::activity).
 int mtri_trace_steps(int nsys, int p);
 
 /// Solve the `nsys` tridiagonal systems stacked along dimension
@@ -28,12 +23,11 @@ int mtri_trace_steps(int nsys, int p);
 /// view shared by all five arrays.  Writes X.
 void mtri(const DistArray2<double>& B, const DistArray2<double>& A,
           const DistArray2<double>& C, const DistArray2<double>& F,
-          DistArray2<double>& X, int system_dim, const MtriOptions& opts = {});
+          DistArray2<double>& X, int system_dim);
 
 /// Constant-coefficient variant (`mtrixc`/`mtriyc` of the paper — one name
 /// suffices here because `system_dim` selects the orientation).
 void mtri_const(double lo, double diag, double up, const DistArray2<double>& F,
-                DistArray2<double>& X, int system_dim,
-                const MtriOptions& opts = {});
+                DistArray2<double>& X, int system_dim);
 
 }  // namespace kali

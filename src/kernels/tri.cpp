@@ -16,13 +16,12 @@ void check_conforming(const DistArray1<double>& a, const DistArray1<double>& x) 
 }
 
 void run_pipeline_to_completion(detail::TriPipeline& pipe,
-                                const TriOptions& opts,
                                 DistArray1<double>& x) {
   if (!pipe.member()) {
     return;
   }
   for (int q = 0; q < pipe.positions(); ++q) {
-    pipe.run_position(q, opts.trace, q);
+    pipe.run_position(q);
   }
   const auto& sol = pipe.solution();
   auto xs = x.local_strided();
@@ -43,7 +42,7 @@ int tri_trace_steps(int p) {
 
 void tri(const DistArray1<double>& b, const DistArray1<double>& a,
          const DistArray1<double>& c, const DistArray1<double>& f,
-         DistArray1<double>& x, const TriOptions& opts) {
+         DistArray1<double>& x) {
   check_conforming(a, x);
   check_conforming(b, x);
   check_conforming(c, x);
@@ -52,24 +51,24 @@ void tri(const DistArray1<double>& b, const DistArray1<double>& a,
     return;
   }
   Context& ctx = x.context();
-  detail::TriPipeline pipe(ctx, x.view(), /*sys_tag=*/0);
+  detail::TriPipeline pipe(ctx, x.view(), /*sys=*/0);
   pipe.set_local(to_vector(b.local_strided()), to_vector(a.local_strided()),
                  to_vector(c.local_strided()), to_vector(f.local_strided()));
-  run_pipeline_to_completion(pipe, opts, x);
+  run_pipeline_to_completion(pipe, x);
 }
 
 void tric(double lo, double diag, double up, const DistArray1<double>& f,
-          DistArray1<double>& x, const TriOptions& opts) {
+          DistArray1<double>& x) {
   check_conforming(f, x);
   if (!x.participating()) {
     return;
   }
   Context& ctx = x.context();
   const auto m = static_cast<std::size_t>(f.local_count(0));
-  detail::TriPipeline pipe(ctx, x.view(), /*sys_tag=*/0);
+  detail::TriPipeline pipe(ctx, x.view(), /*sys=*/0);
   pipe.set_local(std::vector<double>(m, lo), std::vector<double>(m, diag),
                  std::vector<double>(m, up), to_vector(f.local_strided()));
-  run_pipeline_to_completion(pipe, opts, x);
+  run_pipeline_to_completion(pipe, x);
 }
 
 }  // namespace kali

@@ -2,18 +2,12 @@
 // (Listing 4) with the unshuffle communication of Listing 5 / Figure 5.
 #pragma once
 
-#include "machine/trace.hpp"
 #include "runtime/dist_array.hpp"
 
 namespace kali {
 
-struct TriOptions {
-  /// Optional Figure 3/5 activity recording; must be pre-sized to
-  /// (tri_trace_steps(p), p) by the caller.
-  ActivityTrace* trace = nullptr;
-};
-
-/// Number of activity-trace steps `tri` produces on p = 2^k processors.
+/// Number of activity-trace steps `tri` produces on p = 2^k processors: the
+/// rows of its Figure 3 matrix (EventLog::activity).
 int tri_trace_steps(int p);
 
 /// Solve A x = f where row i of A is (b[i], a[i], c[i]); all five arrays are
@@ -23,11 +17,11 @@ int tri_trace_steps(int p);
 /// pivoting (paper assumption), e.g. diagonal dominance.
 void tri(const DistArray1<double>& b, const DistArray1<double>& a,
          const DistArray1<double>& c, const DistArray1<double>& f,
-         DistArray1<double>& x, const TriOptions& opts = {});
+         DistArray1<double>& x);
 
 /// Constant-coefficient variant (the paper's `tric`, used by ADI):
 /// lo x[i-1] + diag x[i] + up x[i+1] = f[i].
 void tric(double lo, double diag, double up, const DistArray1<double>& f,
-          DistArray1<double>& x, const TriOptions& opts = {});
+          DistArray1<double>& x);
 
 }  // namespace kali

@@ -14,11 +14,12 @@ int checked_log2(int p) {
   return k;
 }
 
-TriPipeline::TriPipeline(Context& ctx, const ProcView& pv, int sys_tag)
+TriPipeline::TriPipeline(Context& ctx, const ProcView& pv, int sys)
     : ctx_(&ctx),
       pv_(pv),
-      tag_pair_(kTagTriBase + 2 * sys_tag),
-      tag_sol_(kTagTriBase + 2 * sys_tag + 1) {
+      sys_(sys),
+      tag_pair_(kTagTriBase + 2 * sys),
+      tag_sol_(kTagTriBase + 2 * sys + 1) {
   KALI_CHECK(pv.ndims() == 1, "tri: view must be one-dimensional");
   p_ = pv.count();
   k_ = checked_log2(p_);
@@ -64,13 +65,11 @@ std::array<double, 2> TriPipeline::recv_sol(int peer_index) {
   return ctx_->recv<std::array<double, 2>>(pv_.rank_of1(peer_index), tag_sol_);
 }
 
-void TriPipeline::mark(ActivityTrace* trace, int step, char symbol) const {
-  if (trace != nullptr) {
-    trace->mark(step, me_, symbol);
-  }
+void TriPipeline::mark(int q, char symbol) const {
+  ctx_->mark(sys_ + q, me_, symbol);
 }
 
-void TriPipeline::run_position(int q, ActivityTrace* trace, int trace_step) {
+void TriPipeline::run_position(int q) {
   if (!member_) {
     return;
   }
@@ -79,7 +78,7 @@ void TriPipeline::run_position(int q, ActivityTrace* trace, int trace_step) {
   if (p_ == 1) {  // degenerate: plain sequential solve
     thomas_solve(b_, a_, c_, f_, x_);
     ctx_->compute(kThomasFlopsPerRow * mloc_);
-    mark(trace, trace_step, 'T');
+    mark(q, 'T');
     return;
   }
 
@@ -93,7 +92,7 @@ void TriPipeline::run_position(int q, ActivityTrace* trace, int trace_step) {
     if (me_ % 2 == 1) {
       send_pair(me_ - 1);
     }
-    mark(trace, trace_step, 'R');
+    mark(q, 'R');
     return;
   }
 
@@ -124,7 +123,7 @@ void TriPipeline::run_position(int q, ActivityTrace* trace, int trace_step) {
     if (me_ % (2 * stride) != 0) {
       send_pair(me_ - stride);
     }
-    mark(trace, trace_step, 'r');
+    mark(q, 'r');
     return;
   }
 
@@ -146,7 +145,7 @@ void TriPipeline::run_position(int q, ActivityTrace* trace, int trace_step) {
     xl_ = x4[0];
     xu_ = x4[1];
     send_sol(half, x4[2], x4[3]);
-    mark(trace, trace_step, 'T');
+    mark(q, 'T');
     return;
   }
 
@@ -174,7 +173,7 @@ void TriPipeline::run_position(int q, ActivityTrace* trace, int trace_step) {
     // Left child keeps (xl, x4[1]); right child gets (x4[2], xu).
     send_sol(me_ + half, x4[2], xu_);
     xu_ = x4[1];
-    mark(trace, trace_step, 'b');
+    mark(q, 'b');
     return;
   }
 
@@ -187,7 +186,7 @@ void TriPipeline::run_position(int q, ActivityTrace* trace, int trace_step) {
   }
   back_substitute_block(b_, a_, c_, f_, xl_, xu_, x_);
   ctx_->compute(kSubstFlopsPerRow * static_cast<double>(mloc_));
-  mark(trace, trace_step, 'B');
+  mark(q, 'B');
 }
 
 }  // namespace kali::detail

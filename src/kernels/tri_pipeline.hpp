@@ -18,7 +18,10 @@
 //
 // Every position consumes only messages sent at the previous position, so
 // any interleaving of positions across systems (the Listing 6 pipeline) is
-// deadlock-free.
+// deadlock-free.  System s enters the pipeline at global step s, so its
+// position q runs at step s + q; each position marks that step's activity
+// symbol (above) in the member's view-index column through Context::mark,
+// which is what the Figure 3/5 renderings read back from the event log.
 #pragma once
 
 #include <array>
@@ -27,12 +30,11 @@
 #include "kernels/reduce_block.hpp"
 #include "kernels/thomas.hpp"
 #include "machine/message.hpp"  // kKernelTagBase (reserved-tag registry)
-#include "machine/trace.hpp"
 #include "runtime/proc_view.hpp"
 
 namespace kali::detail {
 
-// Per-system tags are kTagTriBase + 2 * sys_tag (+1); the base itself is
+// Per-system tags are kTagTriBase + 2 * sys (+1); the base itself is
 // registered in the kernel band of machine/message.hpp.
 static_assert(kTagTriBase >= kKernelTagBase && kTagTriBase < kCollectiveTagBase);
 inline constexpr double kSubstFlopsPerRow = 5.0;
@@ -42,8 +44,9 @@ int checked_log2(int p);
 
 class TriPipeline {
  public:
-  /// `sys_tag` must be unique per in-flight system (message namespace).
-  TriPipeline(Context& ctx, const ProcView& pv, int sys_tag);
+  /// `sys` is the system's index: unique per in-flight system, it names
+  /// the system's messages and its entry step.
+  TriPipeline(Context& ctx, const ProcView& pv, int sys);
 
   /// Load this member's rows (consumed).  Call before running position 0.
   void set_local(std::vector<double> b, std::vector<double> a,
@@ -54,8 +57,7 @@ class TriPipeline {
 
   /// Execute pipeline position q (0-based).  Collective in the staggered
   /// sense: every member must eventually run every position in order.
-  /// If `trace` is non-null, activity is marked at row `trace_step`.
-  void run_position(int q, ActivityTrace* trace = nullptr, int trace_step = 0);
+  void run_position(int q);
 
   /// Local solution values (valid after the final position).
   [[nodiscard]] const std::vector<double>& solution() const { return x_; }
@@ -71,13 +73,15 @@ class TriPipeline {
   Pair recv_pair(int peer_index);
   void send_sol(int peer_index, double lo, double hi);
   std::array<double, 2> recv_sol(int peer_index);
-  void mark(ActivityTrace* trace, int step, char symbol) const;
+  /// Mark position q's activity at global step sys_ + q.
+  void mark(int q, char symbol) const;
 
   Context* ctx_;
   ProcView pv_;
   int p_ = 1;
   int me_ = 0;  // linear index within the view
   int k_ = 0;
+  int sys_;
   int tag_pair_;
   int tag_sol_;
   bool member_ = false;

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "machine/deadlock.hpp"
-#include "machine/hb.hpp"
+#include "machine/event_log.hpp"
 #include "support/check.hpp"
 
 namespace kali {
@@ -41,15 +41,15 @@ double sync_clocks(Context& ctx, const Group& g) {
   const double aligned = allreduce_max(ctx, g, ctx.clock());
   ctx.proc().realign_clock(aligned);  // sanctioned pull-back: see Processor
   ctx.proc().clear_link_state();
-  if (HbLog* hb = ctx.machine().hb_log(); hb != nullptr) {
+  if (EventLog* log = ctx.machine().event_log(); log != nullptr) {
     // Own-shard state the barrier rewrote: the pulled-back clock, the
     // cleared port clocks, and the emptied edge ledgers.  (The leak probe
     // below reads this member's own mailbox concurrently with possible
     // next-phase pushes from faster peers — benign by the epoch filter —
     // so that read is deliberately not recorded.)
-    hb->write(ctx.rank(), HbObj::kClock, ctx.rank());
-    hb->write(ctx.rank(), HbObj::kLink, ctx.rank());
-    hb->write(ctx.rank(), HbObj::kLedger, ctx.rank());
+    log->write(ctx.rank(), HbObj::kClock, ctx.rank());
+    log->write(ctx.rank(), HbObj::kLink, ctx.rank());
+    log->write(ctx.rank(), HbObj::kLedger, ctx.rank());
   }
   // Message-leak check: when the group spans the machine, the allreduce is
   // a full synchronization, so every message of the ending phase addressed
@@ -70,8 +70,8 @@ double sync_clocks(Context& ctx, const Group& g) {
   // it is caught at the recv (see Message::epoch).  Bumped last, after the
   // barrier's own allreduce traffic has fully drained on this member.
   ctx.proc().bump_barrier_epoch();
-  if (HbLog* hb = ctx.machine().hb_log(); hb != nullptr) {
-    hb->write(ctx.rank(), HbObj::kEpoch, ctx.rank());
+  if (EventLog* log = ctx.machine().event_log(); log != nullptr) {
+    log->write(ctx.rank(), HbObj::kEpoch, ctx.rank());
   }
   return aligned;
 }

@@ -4,9 +4,7 @@
 #include <map>
 #include <utility>
 
-#include "machine/hb.hpp"
 #include "machine/topology.hpp"
-#include "machine/trace.hpp"
 
 namespace kali {
 
@@ -88,19 +86,17 @@ void Context::send_bytes(int dst, int tag, std::span<const std::byte> data) {
   if (dst == rank()) {
     cnt.self_msgs_by_tag[tag] += 1;
   }
-  if (HbLog* hb = machine_->hb_log(); hb != nullptr) {
+  if (EventLog* log = machine_->event_log(); log != nullptr) {
     // Rank-sharded cost-model state this send mutated, recorded before the
-    // push's send edge so the analyzer orders them against the receiver.
-    hb->write(rank(), HbObj::kClock, rank());
-    hb->write(rank(), HbObj::kCtr, rank());
+    // send edge so the analyzer orders them against the receiver.
+    log->write(rank(), HbObj::kClock, rank());
+    log->write(rank(), HbObj::kCtr, rank());
     if (config().link_contention == LinkContention::kPorts ||
         (config().link_contention == LinkContention::kStoreForward &&
          dst != rank())) {
-      hb->write(rank(), HbObj::kLink, rank());
+      log->write(rank(), HbObj::kLink, rank());
     }
-  }
-  if (MessageTrace* t = machine_->message_trace()) {
-    t->record_send(rank(), dst, tag, m.seq, m.payload.size(), m.epoch);
+    log->send(rank(), dst, m);
   }
   machine_->proc(dst).mailbox().push(std::move(m));
 }
@@ -123,12 +119,11 @@ Message Context::recv_message(int src, int tag) {
 }
 
 double Context::finish_receive(Message& m) {
-  // The trace logs the *receiver's* epoch (not the message's stamp), so the
-  // offline verifier can flag barrier straddling by comparing the matched
-  // send/recv pair's epochs.
-  if (MessageTrace* t = machine_->message_trace()) {
-    t->record_recv(rank(), m.src, m.tag, m.seq, m.size_bytes(),
-                   self_->barrier_epoch());
+  // The log records the *receiver's* epoch (not the message's stamp), so
+  // the offline verifier can flag barrier straddling by comparing the
+  // matched send/recv pair's epochs.
+  if (EventLog* log = machine_->event_log(); log != nullptr) {
+    log->recv(rank(), m, self_->barrier_epoch());
   }
   // A message sent before a sync_clocks barrier but received after it
   // carries a pre-barrier timestamp into a phase whose clocks were aligned
@@ -202,18 +197,18 @@ double Context::finish_receive(Message& m) {
   cnt.msgs_recv += 1;
   cnt.bytes_recv += m.size_bytes();
   cnt.recv_by_tag[m.tag] += 1;
-  if (HbLog* hb = machine_->hb_log(); hb != nullptr) {
-    // After the match edge recorded in Mailbox::recv: the receive-side
+  if (EventLog* log = machine_->event_log(); log != nullptr) {
+    // After the match edge recorded in Mailbox::try_pop: the receive-side
     // clock/counter advance, plus the contention state it resolved
     // against (ejection port under kPorts, interior-edge ledger under
     // store-and-forward with hops > 1).
-    hb->write(rank(), HbObj::kClock, rank());
-    hb->write(rank(), HbObj::kCtr, rank());
+    log->write(rank(), HbObj::kClock, rank());
+    log->write(rank(), HbObj::kCtr, rank());
     if (config().link_contention == LinkContention::kPorts) {
-      hb->write(rank(), HbObj::kLink, rank());
+      log->write(rank(), HbObj::kLink, rank());
     } else if (config().link_contention == LinkContention::kStoreForward &&
                machine_->hops(m.src, rank()) > 1) {
-      hb->write(rank(), HbObj::kLedger, rank());
+      log->write(rank(), HbObj::kLedger, rank());
     }
   }
   return arrival;
@@ -228,8 +223,8 @@ CommHandle Context::irecv_bytes(int src, int tag, std::span<std::byte> out) {
   // receive's whole cost is charged at the completing wait point.
   const std::uint64_t id = self_->mailbox().post_op(
       src, tag, out.data(), out.size(), self_->clock());
-  if (HbLog* hb = machine_->hb_log(); hb != nullptr) {
-    hb->post(rank(), id);
+  if (EventLog* log = machine_->event_log(); log != nullptr) {
+    log->post(rank(), id);
   }
   return CommHandle(this, id);
 }
@@ -327,12 +322,12 @@ void Context::complete_ops(std::vector<std::uint64_t> ids) {
         std::clamp(std::min(before, arrival) - c.op.post_clock, 0.0, window);
     cnt.overlap_wire_time += window;
     cnt.overlap_hidden_time += hidden;
-    if (HbLog* hb = machine_->hb_log(); hb != nullptr) {
+    if (EventLog* log = machine_->event_log(); log != nullptr) {
       // The completion's memcpy is the machine's write into the posted
       // buffer; foreign accesses between ipost and icomp are the in-flight
       // races the analyzer flags.
-      hb->write(rank(), HbObj::kBuf, rank());
-      hb->complete(rank(), c.op.id);
+      log->write(rank(), HbObj::kBuf, rank());
+      log->complete(rank(), c.op.id);
     }
   }
 }
@@ -344,34 +339,6 @@ void Context::wait(CommHandle& h) {
     complete_ops(with_lane_predecessors(h.op_));
     h.op_ = 0;
   }
-}
-
-bool Context::test(CommHandle& h) {
-  KALI_CHECK(h.ctx_ == nullptr || h.ctx_ == this,
-             "test: handle belongs to another rank's context");
-  if (h.op_ == 0) {
-    return true;
-  }
-  std::vector<std::uint64_t> ids = with_lane_predecessors(h.op_);
-  if (ids.empty()) {  // erased from the table: already completed elsewhere
-    h.op_ = 0;
-    return true;
-  }
-  const PendingOp* target = nullptr;
-  for (const auto& op : self_->mailbox().pending_ops()) {
-    if (op.id == h.op_) {
-      target = &op;
-      break;
-    }
-  }
-  KALI_CHECK(target != nullptr, "test: operation vanished from the table");
-  // Opportunistic: complete only if the whole lane prefix can complete now.
-  if (self_->mailbox().match_count(target->src, target->tag) < ids.size()) {
-    return false;
-  }
-  complete_ops(std::move(ids));
-  h.op_ = 0;
-  return true;
 }
 
 void Context::wait_all(std::span<CommHandle> hs) {

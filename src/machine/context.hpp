@@ -45,6 +45,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "machine/event_log.hpp"
 #include "machine/machine.hpp"
 #include "support/check.hpp"
 
@@ -63,19 +64,15 @@ class Context;
 ///
 /// Handles are freely copyable: completion is recorded in the mailbox's
 /// operation table, not the handle, and operation ids are never reused, so
-/// every copy agrees — test()/wait() on an already-completed operation are
-/// cheap no-ops.
+/// every copy agrees — wait() on an already-completed operation is a cheap
+/// no-op.  Only a wait point completes an operation: there is no progress
+/// engine, so a matched message sits queued until then.
 class CommHandle {
  public:
   CommHandle() = default;  ///< born complete (no pending operation)
 
   /// True once the operation has completed (never blocks, never completes).
   [[nodiscard]] bool done() const;
-
-  /// Try to complete without blocking: true iff the operation (and every
-  /// operation posted earlier on its (src, tag) lane — FIFO non-overtaking)
-  /// has a matched message queued, in which case all of them complete now.
-  bool test();
 
   /// Park until the operation can complete, then complete it (and its lane
   /// predecessors).  A scheduler yield point, exactly like a blocking recv,
@@ -107,6 +104,14 @@ class Context {
 
   /// Charge raw modeled seconds of computation (non-flop work).
   void charge_seconds(double seconds);
+
+  /// Record Figure 3/5 activity: this rank did `symbol`'s work at `step`,
+  /// in column `column` of its view.  One null check without a log.
+  void mark(int step, int column, char symbol) {
+    if (EventLog* log = machine_->event_log(); log != nullptr) {
+      log->mark(rank(), step, column, symbol);
+    }
+  }
 
   // --- raw messaging ---
   void send_bytes(int dst, int tag, std::span<const std::byte> data);
@@ -225,19 +230,17 @@ class Context {
   /// Complete `h` (see CommHandle::wait).  No-op on a completed handle.
   void wait(CommHandle& h);
 
-  /// Try to complete `h` without blocking (see CommHandle::test).
-  bool test(CommHandle& h);
-
   /// Complete every handle in `hs`: parks until all of them (plus lane
   /// predecessors) have matched messages queued, then completes the whole
   /// batch in ascending (send_time, src, seq) order.
   void wait_all(std::span<CommHandle> hs);
 
  private:
-  /// Everything a receive does after its message leaves the queue: trace,
-  /// epoch invariant, arrival resolution under the configured contention
-  /// tier, clock/wait/overhead accounting, counters, HB writes.  Returns
-  /// the modeled arrival time (for the overlap ledger).
+  /// Everything a receive does after its message leaves the queue: its
+  /// event-log record, epoch invariant, arrival resolution under the
+  /// configured contention tier, clock/wait/overhead accounting, counters,
+  /// and the state writes it logs.  Returns the modeled arrival time (for
+  /// the overlap ledger).
   double finish_receive(Message& m);
 
   /// Complete the pending operations named by `ids` (they must all be
@@ -254,14 +257,6 @@ class Context {
 
 inline bool CommHandle::done() const {
   return op_ == 0 || !ctx_->proc().mailbox().op_pending(op_);
-}
-
-inline bool CommHandle::test() {
-  if (op_ == 0 || ctx_->test(*this)) {
-    op_ = 0;
-    return true;
-  }
-  return false;
 }
 
 inline void CommHandle::wait() {

@@ -7,7 +7,7 @@
 
 #include "machine/context.hpp"
 #include "machine/deadlock.hpp"
-#include "machine/hb.hpp"
+#include "machine/event_log.hpp"
 #include "machine/scheduler.hpp"
 #include "machine/topology.hpp"
 #include "support/check.hpp"
@@ -20,6 +20,14 @@ Machine::Machine(int nprocs, MachineConfig cfg) : cfg_(cfg) {
   for (int r = 0; r < nprocs; ++r) {
     procs_.push_back(std::make_unique<Processor>(r));
   }
+}
+
+void Machine::attach_event_log(EventLog* log) {
+  KALI_CHECK(log == nullptr || log->nprocs() >= size(),
+             "attach_event_log: log sized for " +
+                 std::to_string(log == nullptr ? 0 : log->nprocs()) +
+                 " ranks on a machine of " + std::to_string(size()));
+  log_ = log;
 }
 
 Processor& Machine::proc(int rank) {
@@ -55,9 +63,7 @@ void Machine::run(const std::function<void(Context&)>& program) {
   if (cfg_.sim_hook != nullptr) {
     sched.set_hook(cfg_.sim_hook);
   }
-  if (HbLog* hb = hb_log(); hb != nullptr) {
-    sched.attach_hb_log(hb);
-  }
+  sched.attach_event_log(log_);
   if (cfg_.deadlock_detection) {
     // A full stall aborts the run either way; this makes its error the
     // per-rank dump of every rank's state (machine/deadlock.hpp).
@@ -180,23 +186,22 @@ void Machine::quiesce_compact() {
     // the sender's clock (clocks never move backwards inside a phase, and
     // sync_clocks realigns upward), and a queued message's future receive
     // replays its recorded send_time.
-    HbLog* hb = hb_log();
     const int actor = FiberScheduler::current_rank();
     double floor = std::numeric_limits<double>::infinity();
     for (const auto& q : procs_) {
-      if (hb != nullptr) {
+      if (log_ != nullptr) {
         // Cross-rank reads, sanctioned by the quiesce: they sit between
         // the leader's qrun and qrel events, so the analyzer sees them
         // ordered against every peer's own accesses.
-        hb->read(actor, HbObj::kClock, q->rank());
-        hb->read(actor, HbObj::kMbox, q->rank());
+        log_->read(actor, HbObj::kClock, q->rank());
+        log_->read(actor, HbObj::kMbox, q->rank());
       }
       floor = std::min(floor, q->clock());
       floor = std::min(floor, q->mailbox().min_pending_send_time());
     }
     for (auto& q : procs_) {
-      if (hb != nullptr) {
-        hb->write(actor, HbObj::kLedger, q->rank());
+      if (log_ != nullptr) {
+        log_->write(actor, HbObj::kLedger, q->rank());
       }
       q->compact_edge_ledgers(floor);
     }

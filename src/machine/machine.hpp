@@ -21,9 +21,8 @@
 namespace kali {
 
 class Context;
+class EventLog;
 class FiberScheduler;
-class HbLog;
-class MessageTrace;
 
 class Machine {
  public:
@@ -64,26 +63,18 @@ class Machine {
   /// Zero all clocks and counters (e.g. after a warm-up phase).
   void reset_stats();
 
-  /// Attach a message-event trace (machine/trace.hpp MessageTrace) that
-  /// every send/recv of subsequent runs is recorded into, or nullptr to
-  /// detach.  The trace must be sized for this machine and outlive the
-  /// runs; it is harness-side observability only (never feeds clocks).
-  void attach_message_trace(MessageTrace* t) { trace_ = t; }
-  [[nodiscard]] MessageTrace* message_trace() const { return trace_; }
-
-  /// Attach a happens-before event log (machine/hb.hpp HbLog) that
-  /// subsequent runs record synchronization and shared-state access events
-  /// into, or nullptr to detach.  Sized for at least this machine; must
-  /// outlive the runs.  Harness-side observability only — never feeds
-  /// clocks, payloads, or stats.
-  void attach_hb_log(HbLog* log) { hb_ = log; }
-  [[nodiscard]] HbLog* hb_log() const { return hb_; }
+  /// Attach the event log (machine/event_log.hpp) that subsequent runs
+  /// record every send, receive, synchronization, shared-state access and
+  /// kernel activity mark into, or nullptr to detach.  The log must be
+  /// sized for at least this machine's ranks and outlive the runs.
+  /// Observability only: it never feeds clocks, payloads, or stats.
+  void attach_event_log(EventLog* log);
+  [[nodiscard]] EventLog* event_log() const { return log_; }
 
  private:
   MachineConfig cfg_;
   std::vector<std::unique_ptr<Processor>> procs_;
-  MessageTrace* trace_ = nullptr;
-  HbLog* hb_ = nullptr;
+  EventLog* log_ = nullptr;
   FiberScheduler* active_sched_ = nullptr;  ///< non-null only inside run()
 };
 

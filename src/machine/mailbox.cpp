@@ -3,23 +3,13 @@
 #include <algorithm>
 #include <limits>
 
-#include "machine/hb.hpp"
+#include "machine/event_log.hpp"
 #include "machine/scheduler.hpp"
 #include "support/check.hpp"
 
 namespace kali {
 
 void Mailbox::push(Message m) {
-  if (sched_ != nullptr) {
-    if (HbLog* hb = sched_->hb_log(); hb != nullptr) {
-      // Recorded from the sending fiber (actor m.src) into its own shard.
-      // The push is both the synchronization edge to the matching recv and
-      // a write to the destination's mailbox object (cross-sender inserts
-      // commute — see HbObj::kMbox).
-      hb->send(m.src, owner_rank_, m.seq);
-      hb->write(m.src, HbObj::kMbox, owner_rank_);
-    }
-  }
   bool wake_owner = false;
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -62,12 +52,6 @@ std::size_t Mailbox::count_matches_locked(int src, int tag,
   return n;
 }
 
-std::size_t Mailbox::match_count(int src, int tag) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return count_matches_locked(src, tag,
-                              std::numeric_limits<std::size_t>::max());
-}
-
 std::optional<Message> Mailbox::try_pop(int src, int tag) {
   std::optional<Message> m;
   {
@@ -78,9 +62,8 @@ std::optional<Message> Mailbox::try_pop(int src, int tag) {
     m = try_pop_locked(src, tag);
   }
   if (m.has_value() && sched_ != nullptr) {
-    if (HbLog* hb = sched_->hb_log(); hb != nullptr) {
-      hb->match(owner_rank_, m->src, m->seq);
-      hb->write(owner_rank_, HbObj::kMbox, owner_rank_);
+    if (EventLog* log = sched_->event_log(); log != nullptr) {
+      log->match(owner_rank_, m->src, m->seq);
     }
   }
   return m;

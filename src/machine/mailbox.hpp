@@ -40,7 +40,7 @@ struct PendingMessage {
 /// One posted-but-incomplete nonblocking receive (Context::irecv).  The
 /// operation table lives in the mailbox because completion consumes its
 /// queue, but unlike the queue it is touched only by the owner rank's fiber
-/// — posting, testing, waiting and completing all run on that fiber — so it
+/// — posting, waiting and completing all run on that fiber — so it
 /// needs no lock (see Mailbox's fiber-integration comment).
 struct PendingOp {
   std::uint64_t id = 0;        ///< rank-local operation id (1-based, never reused)
@@ -61,13 +61,10 @@ class Mailbox {
   /// failed, or the scheduler hit a full stall).
   Message recv(int src, int tag);
 
-  /// Pop the first queued match without blocking (nullopt if none).
-  /// Records the HB match edge exactly like a blocking recv's pop — this is
-  /// the consuming half of a nonblocking completion (Context::wait).
+  /// Pop the first queued match without blocking (nullopt if none), and
+  /// record its match in the attached event log.  The consuming half of
+  /// every receive: blocking recv and nonblocking completion alike.
   std::optional<Message> try_pop(int src, int tag);
-
-  /// Number of queued messages matching (src, tag).
-  [[nodiscard]] std::size_t match_count(int src, int tag) const;
 
   /// Park the calling fiber until at least `n` messages matching (src, tag)
   /// are queued — the one park point of every blocking receive (recv and

@@ -80,7 +80,7 @@ inline constexpr int kTagInspData = kRuntimeTagBase + 65;
 // Kernel band allocations --------------------------------------------------
 
 /// Pipelined tridiagonal solver (kernels/tri_pipeline.hpp): per-system
-/// pair/solution tags kTagTriBase + 2 * sys_tag (+1).
+/// pair/solution tags kTagTriBase + 2 * sys (+1), sys the system index.
 inline constexpr int kTagTriBase = 1 << 23;
 
 /// Baseline kernels (kernels/baselines.cpp): carry/back/scatter tags —

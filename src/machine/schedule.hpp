@@ -39,7 +39,7 @@
 #include <span>
 #include <vector>
 
-#include "machine/trace.hpp"
+#include "machine/event_log.hpp"
 #include "support/check.hpp"
 
 namespace kali {
@@ -108,12 +108,11 @@ inline std::vector<int> round_order(const CommSchedule& s, int i) {
   return peers;
 }
 
-/// Fill `t` with the schedule as a (round x member) activity matrix: 'x'
-/// where a member exchanges that round, '.' where it idles — Figure-5-style
-/// rendering of the matchings, and the form tests assert on.  (ActivityTrace
-/// owns a mutex, so it is filled in place rather than returned.)
-inline void schedule_trace(const CommSchedule& s, ActivityTrace& t) {
-  t.resize(s.rounds(), s.nranks());
+/// The schedule as a (round x member) activity matrix: 'x' where a member
+/// exchanges that round, '.' where it idles — Figure-5-style rendering of
+/// the matchings, and the form tests assert on.
+inline ActivityTrace schedule_trace(const CommSchedule& s) {
+  ActivityTrace t(s.rounds(), s.nranks());
   for (int r = 0; r < s.rounds(); ++r) {
     for (int i = 0; i < s.nranks(); ++i) {
       if (s.partner(r, i) != i) {
@@ -121,6 +120,7 @@ inline void schedule_trace(const CommSchedule& s, ActivityTrace& t) {
       }
     }
   }
+  return t;
 }
 
 namespace detail {

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "machine/fiber.hpp"
-#include "machine/hb.hpp"
+#include "machine/event_log.hpp"
 #include "support/check.hpp"
 
 namespace kali {
@@ -96,17 +96,16 @@ struct FiberScheduler::Impl {
   std::exception_ptr first_error;  // defensive: body should catch its own
 
   // Harness seams, all fixed before run(): dispatch hook (interleaving
-  // explorer), happens-before log, full-stall handler (deadlock
-  // diagnosis).
+  // explorer), event log, full-stall handler (deadlock diagnosis).
   SchedulerHook* hook = nullptr;
-  HbLog* hb = nullptr;
+  EventLog* log = nullptr;
   StallHandler stall_handler;
 
-  /// Actor id for happens-before events recorded from the calling
-  /// context: the running fiber's rank, or the machine context (always
-  /// under mu) when no fiber is on this thread.
-  [[nodiscard]] static int hb_actor() {
-    return tls_fiber != nullptr ? tls_fiber->rank : HbLog::kMachineActor;
+  /// Actor id for events recorded from the calling context: the running
+  /// fiber's rank, or the machine context (always under mu) when no fiber
+  /// is on this thread.
+  [[nodiscard]] static int log_actor() {
+    return tls_fiber != nullptr ? tls_fiber->rank : EventLog::kMachineActor;
   }
 
   // Quiesce rendezvous: arrivals park until the generation advances; the
@@ -144,8 +143,8 @@ struct FiberScheduler::Impl {
       if (s == FiberState::kParked) {
         if (f.state.compare_exchange_weak(s, FiberState::kReady,
                                           std::memory_order_acq_rel)) {
-          if (hb != nullptr) {
-            hb->wake(hb_actor(), f.rank, f.park_seq);
+          if (log != nullptr) {
+            log->wake(log_actor(), f.rank, f.park_seq);
           }
           ready.push_back(f.rank);
           cv.notify_one();
@@ -156,8 +155,8 @@ struct FiberScheduler::Impl {
         // it and its worker requeues it right after the swap.
         if (f.state.compare_exchange_weak(s, FiberState::kWakeRequested,
                                           std::memory_order_acq_rel)) {
-          if (hb != nullptr) {
-            hb->wake(hb_actor(), f.rank, f.park_seq);
+          if (log != nullptr) {
+            log->wake(log_actor(), f.rank, f.park_seq);
           }
           return;
         }
@@ -373,8 +372,8 @@ void FiberScheduler::prepare_park() {
              "prepare_park outside a fiber of this scheduler");
   Impl& im = *impl_;
   ++f->park_seq;
-  if (im.hb != nullptr) {
-    im.hb->park(f->rank, f->park_seq);
+  if (im.log != nullptr) {
+    im.log->park(f->rank, f->park_seq);
   }
   f->state.store(FiberState::kParking, std::memory_order_release);
 }
@@ -387,10 +386,10 @@ void FiberScheduler::commit_park() {
   fiber_switch(f->ctx, w->ctx);
   // Resumed — possibly on a different worker thread (tls_worker moved on).
   Impl& im = *impl_;
-  if (im.hb != nullptr && !f->quiesce_park) {
+  if (im.log != nullptr && !f->quiesce_park) {
     // Quiesce parks are ordered by the release edge (qrel -> qleave), not
     // a wake; recording `woken` for them would dangle.
-    im.hb->woken(f->rank, f->park_seq);
+    im.log->woken(f->rank, f->park_seq);
   }
 }
 
@@ -404,10 +403,10 @@ bool FiberScheduler::cancel_park() {
       f->state.exchange(FiberState::kRunning, std::memory_order_acq_rel);
   const bool consumed = prev == FiberState::kWakeRequested;
   Impl& im = *impl_;
-  if (consumed && im.hb != nullptr) {
+  if (consumed && im.log != nullptr) {
     // The waker already logged `wake (rank, park_seq)`; consume it here so
     // the edge pairs up even though no suspension happened.
-    im.hb->woken(f->rank, f->park_seq);
+    im.log->woken(f->rank, f->park_seq);
   }
   return consumed;
 }
@@ -421,8 +420,8 @@ void FiberScheduler::quiesce(const std::function<void()>& on_last) {
     throw Error("quiesce aborted: a peer processor failed");
   }
   const unsigned long long gen = im.q_gen;
-  if (im.hb != nullptr) {
-    im.hb->quiesce_enter(f->rank, gen);
+  if (im.log != nullptr) {
+    im.log->quiesce_enter(f->rank, gen);
   }
   ++im.q_arrived;
   if (im.q_arrived < im.nfibers) {
@@ -437,8 +436,8 @@ void FiberScheduler::quiesce(const std::function<void()>& on_last) {
       throw Error("quiesce aborted: a peer processor failed");
     }
     KALI_CHECK(im.q_gen != gen, "quiesce fiber woke without release");
-    if (im.hb != nullptr) {
-      im.hb->quiesce_leave(f->rank, gen);
+    if (im.log != nullptr) {
+      im.log->quiesce_leave(f->rank, gen);
     }
     return;
   }
@@ -460,18 +459,18 @@ void FiberScheduler::quiesce(const std::function<void()>& on_last) {
   if (im.aborted) {
     throw Error("quiesce aborted: a peer processor failed");
   }
-  if (im.hb != nullptr) {
+  if (im.log != nullptr) {
     // qenter(gen) of every actor happens-before qrun(gen): the leader saw
     // each peer kParked (acquire) after its qenter.
-    im.hb->quiesce_run(f->rank, gen);
+    im.log->quiesce_run(f->rank, gen);
   }
   lk.unlock();
   on_last();  // peers suspended: cross-rank state is safe to touch
   lk.lock();
-  if (im.hb != nullptr) {
+  if (im.log != nullptr) {
     // qrel(gen) happens-before every qleave(gen): peers resume only after
     // the release CAS below.
-    im.hb->quiesce_release(f->rank, gen);
+    im.log->quiesce_release(f->rank, gen);
   }
   ++im.q_gen;
   im.q_arrived = 0;
@@ -484,8 +483,8 @@ void FiberScheduler::quiesce(const std::function<void()>& on_last) {
     im.ready.push_back(r);
   }
   im.q_parked.clear();
-  if (im.hb != nullptr) {
-    im.hb->quiesce_leave(f->rank, gen);
+  if (im.log != nullptr) {
+    im.log->quiesce_leave(f->rank, gen);
   }
   im.cv.notify_all();
 }
@@ -524,18 +523,14 @@ void FiberScheduler::set_stall_handler(StallHandler handler) {
   im.stall_handler = std::move(handler);
 }
 
-void FiberScheduler::attach_hb_log(HbLog* log) {
+void FiberScheduler::attach_event_log(EventLog* log) {
   Impl& im = *impl_;
   std::lock_guard<std::mutex> lk(im.mu);
-  KALI_CHECK(!im.started, "attach_hb_log: scheduler already started");
-  if (log != nullptr) {
-    KALI_CHECK(log->nprocs() >= im.nfibers,
-               "attach_hb_log: log sized for fewer ranks than fibers");
-  }
-  im.hb = log;
+  KALI_CHECK(!im.started, "attach_event_log: scheduler already started");
+  im.log = log;
 }
 
-HbLog* FiberScheduler::hb_log() const { return impl_->hb; }
+EventLog* FiberScheduler::event_log() const { return impl_->log; }
 
 FiberScheduler* FiberScheduler::current() {
   return tls_fiber != nullptr ? tls_sched : nullptr;

@@ -6,7 +6,7 @@
 // Determinism contract: the machine layer's results (clocks, counters,
 // traces) are bit-identical for ANY host interleaving because all
 // simulated state is sharded per rank — a rank's processor, ledgers, and
-// trace shard are touched only by that rank's own execution context
+// event-log shard are touched only by that rank's own execution context
 // (docs/machine-model.md, "Execution model").  The scheduler therefore
 // does not need — and does not promise — a deterministic interleaving;
 // it promises only a deterministic *seed order* (ranks enter the run
@@ -39,7 +39,7 @@
 
 namespace kali {
 
-class HbLog;
+class EventLog;
 
 /// What one fiber is doing at a full stall (see set_stall_handler).
 enum class StallState : unsigned char {
@@ -147,12 +147,11 @@ class FiberScheduler {
   /// leaving the built-in "full stall: ..." error.
   void set_stall_handler(StallHandler handler);
 
-  /// Attach a happens-before event log (machine/hb.hpp): park/wake pairs,
-  /// quiesce rendezvous edges, and abort wakes of subsequent runs are
-  /// recorded into it.  nullptr detaches.  The log must outlive the
-  /// run; Machine::run attaches its own machine-level log here.
-  void attach_hb_log(HbLog* log);
-  [[nodiscard]] HbLog* hb_log() const;
+  /// Record park/wake pairs, quiesce rendezvous edges, and abort wakes
+  /// of the coming run into `log` (machine/event_log.hpp); nullptr
+  /// records nothing.  Machine::run passes its attached log here.
+  void attach_event_log(EventLog* log);
+  [[nodiscard]] EventLog* event_log() const;
 
   /// Scheduler whose fiber is running on the calling thread, or nullptr
   /// when the caller is not a fiber (Mailbox checks that a blocking

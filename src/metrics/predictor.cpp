@@ -81,31 +81,6 @@ double Predictor::halo_exchange2(int nx, int ny, int px, int py) const {
   return pack + overheads + wire;
 }
 
-double Predictor::halo_exchange2_split(int nx, int ny, int px, int py,
-                                       double hidden_flops) const {
-  // Same decomposition as halo_exchange2, but the wire round races the
-  // interior compute placed between post and wait.
-  const int mx = nx / std::max(px, 1);
-  const int my = ny / std::max(py, 1);
-  const double pack = 2.0 * (mx + my) * 2.0 * ft();
-  const double overheads = 4.0 * (cfg_.send_overhead + cfg_.recv_overhead);
-  const double wire = cfg_.latency + cfg_.per_hop +
-                      8.0 * std::max(mx, my) * cfg_.byte_time;
-  return pack + overheads + std::max(hidden_flops * ft(), wire);
-}
-
-double Predictor::halo_overlap_ratio2(int nx, int ny, int px, int py,
-                                      double hidden_flops) const {
-  const int mx = nx / std::max(px, 1);
-  const int my = ny / std::max(py, 1);
-  const double wire = cfg_.latency + cfg_.per_hop +
-                      8.0 * std::max(mx, my) * cfg_.byte_time;
-  if (wire <= 0.0) {
-    return 0.0;
-  }
-  return std::min(hidden_flops * ft(), wire) / wire;
-}
-
 double Predictor::jacobi_iteration(int n, int p_side) const {
   const int m = n / std::max(p_side, 1);
   const double compute =
@@ -115,20 +90,6 @@ double Predictor::jacobi_iteration(int n, int p_side) const {
     return ft() * (static_cast<double>(n) * n + 6.0 * n * n);
   }
   return compute + halo_exchange2(n, n, p_side, p_side);
-}
-
-double Predictor::jacobi_iteration_split(int n, int p_side) const {
-  const int m = n / std::max(p_side, 1);
-  if (p_side <= 1) {
-    return jacobi_iteration(n, p_side);
-  }
-  // Copy-in and the boundary ring stay exposed; the interior rows (the
-  // (m-2)^2 block at least one cell from every owned edge) hide the wire.
-  const double interior = 6.0 * std::max(m - 2, 0) * std::max(m - 2, 0);
-  const double boundary = 6.0 * (static_cast<double>(m) * m) - interior;
-  const double exposed =
-      ft() * (static_cast<double>(m + 2) * (m + 2) + boundary);
-  return exposed + halo_exchange2_split(n, n, p_side, p_side, interior);
 }
 
 double Predictor::tri_solve(int n, int p) const {

@@ -43,29 +43,8 @@ class Predictor {
   /// nx x ny array (star-mode faces, one latency round).
   [[nodiscard]] double halo_exchange2(int nx, int ny, int px, int py) const;
 
-  /// The same halo exchange run split-phase (exchange_halo_begin /
-  /// finish) with `hidden_flops` of interior compute between post and
-  /// wait: returns the time of the combined exchange-plus-interior phase,
-  /// where only whichever of interior compute and wire time is larger
-  /// shows.  Pack/unpack and the per-message software overheads stay
-  /// exposed — they execute on the rank's own clock, inside the window.
-  /// Compare against halo_exchange2 + hidden_flops * flop_time for the
-  /// blocking form of the same phase.
-  [[nodiscard]] double halo_exchange2_split(int nx, int ny, int px, int py,
-                                            double hidden_flops) const;
-
-  /// Fraction of the split-phase exchange's wire time hidden behind the
-  /// interior compute — the model-side counterpart of
-  /// MachineStats::overlap_ratio() for a single halo phase.
-  [[nodiscard]] double halo_overlap_ratio2(int nx, int ny, int px, int py,
-                                           double hidden_flops) const;
-
   /// One Jacobi iteration (copy-in + exchange + stencil), Listing 2/3.
   [[nodiscard]] double jacobi_iteration(int n, int p_side) const;
-
-  /// The same iteration with the exchange split-phase and the interior
-  /// stencil rows (all but the boundary ring) hiding the wire.
-  [[nodiscard]] double jacobi_iteration_split(int n, int p_side) const;
 
   /// One substructured tridiagonal solve of size n on p = 2^k processors.
   [[nodiscard]] double tri_solve(int n, int p) const;

@@ -18,8 +18,8 @@
 #include <vector>
 
 #include "machine/context.hpp"
+#include "machine/event_log.hpp"
 #include "machine/machine.hpp"
-#include "machine/trace.hpp"
 #include "runtime/dist_array.hpp"
 #include "runtime/doall.hpp"
 #include "runtime/redistribute.hpp"
@@ -68,8 +68,8 @@ template <class Prog>
 RunResult run_case(int nprocs, LinkContention lc, int workers, bool split,
                    Prog&& prog) {
   Machine m(nprocs, make_config(lc, workers));
-  MessageTrace trace(m.size());
-  m.attach_message_trace(&trace);
+  EventLog log(m.size());
+  m.attach_event_log(&log);
   std::vector<std::vector<double>> per_rank(
       static_cast<std::size_t>(nprocs));
   m.run([&](Context& ctx) {
@@ -81,7 +81,7 @@ RunResult run_case(int nprocs, LinkContention lc, int workers, bool split,
   }
   r.stats = m.stats();
   std::ostringstream os;
-  trace.write(os);
+  log.write_trace(os);
   r.trace = os.str();
   return r;
 }
@@ -328,7 +328,7 @@ TEST(AsyncHandles, IsendHandleIsBornComplete) {
     if (ctx.rank() == 0) {
       CommHandle h = ctx.isend<int>(1, /*tag=*/9, 42);
       EXPECT_TRUE(h.done());
-      EXPECT_TRUE(h.test());  // and test() on a complete handle stays true
+      h.wait();  // no-op on a complete handle
     } else {
       EXPECT_EQ(ctx.recv<int>(0, 9), 42);
     }
@@ -341,7 +341,6 @@ TEST(AsyncHandles, DefaultHandleIsComplete) {
     CommHandle h;
     EXPECT_TRUE(h.done());
     ctx.wait(h);  // no-op, no throw
-    EXPECT_TRUE(ctx.test(h));
   });
 }
 
@@ -360,21 +359,23 @@ TEST(AsyncHandles, IrecvWaitRoundtrip) {
   });
 }
 
-TEST(AsyncHandles, TestIsFalseWhileSenderProvablyIdle) {
-  // Rank 0 sends only after receiving rank 1's trigger, so rank 1's first
-  // test() observes a provably-empty lane — deterministically false under
-  // any host interleaving.
+TEST(AsyncHandles, QueuedMatchCompletesOnlyAtAWaitPoint) {
+  // There is no progress engine: rank 1's matching message is provably
+  // queued (rank 0 sent it before the tag-15 message rank 1 has received),
+  // yet the operation stays pending until the wait completes it.
   Machine m(2, make_config(LinkContention::kNone, 1));
   m.run([](Context& ctx) {
     if (ctx.rank() == 0) {
-      (void)ctx.recv<int>(1, 13);
       ctx.send<int>(1, 14, 7);
+      ctx.send<int>(1, 15, 0);
     } else {
       int got = 0;
       CommHandle h = ctx.irecv<int>(0, 14, got);
-      EXPECT_FALSE(ctx.test(h));  // trigger not yet sent: lane empty
-      ctx.send<int>(0, 13, 1);
+      (void)ctx.recv<int>(0, 15);
+      EXPECT_FALSE(h.done());
+      EXPECT_EQ(got, 0);
       ctx.wait(h);
+      EXPECT_TRUE(h.done());
       EXPECT_EQ(got, 7);
     }
   });

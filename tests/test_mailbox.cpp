@@ -124,14 +124,17 @@ TEST(Mailbox, AbortWakesWaiters) {
   });
 }
 
-TEST(Mailbox, MatchCountSeesQueuedMessages) {
+TEST(Mailbox, TryPopTakesTheFirstMatchOnly) {
   Mailbox mb;
-  EXPECT_EQ(mb.match_count(1, 2), 0u);
+  EXPECT_FALSE(mb.try_pop(1, 2).has_value());
   mb.push(make(1, 2));
   mb.push(make(4, 2));
-  EXPECT_EQ(mb.match_count(1, 2), 1u);
-  EXPECT_EQ(mb.match_count(kAnySource, 2), 2u);
-  EXPECT_EQ(mb.match_count(1, 3), 0u);
+  EXPECT_FALSE(mb.try_pop(1, 3).has_value());
+  const auto first = mb.try_pop(kAnySource, 2);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->src, 1);
+  EXPECT_FALSE(mb.try_pop(1, 2).has_value());
+  EXPECT_EQ(mb.pending(), 1u);
 }
 
 }  // namespace

@@ -140,21 +140,26 @@ TEST(Mtri, SteadyStateKeepsEveryProcessorActive) {
   // Figure 5's point: with systems staggered one step apart, interior
   // global steps have all p processors active.
   const int p = 8, nsys = 10, n = 64;
-  ActivityTrace trace(mtri_trace_steps(nsys, p), p);
-  Machine m(p);
-  m.run([&](Context& ctx) {
-    ProcView pv = ProcView::grid1(p);
-    using D2 = DistArray2<double>;
-    const typename D2::Dists dists{DimDist::star(), DimDist::block_dist()};
-    D2 F(ctx, pv, {nsys, n}, dists), X(ctx, pv, {nsys, n}, dists);
-    F.fill([&](std::array<int, 2> g) { return coef_f(g[0], g[1]); });
-    MtriOptions opts;
-    opts.trace = &trace;
-    mtri_const(-1.0, 4.0, -1.0, F, X, 0, opts);
-  });
-  const int depth = mtri_trace_steps(1, p);  // 2k+1
-  for (int t = depth - 1; t < nsys; ++t) {
-    EXPECT_EQ(trace.active_count(t), p) << "step " << t;
+  for (int workers : {1, 4}) {
+    MachineConfig cfg;
+    cfg.sim_workers = workers;
+    Machine m(p, cfg);
+    EventLog log(p);
+    m.attach_event_log(&log);
+    m.run([&](Context& ctx) {
+      ProcView pv = ProcView::grid1(p);
+      using D2 = DistArray2<double>;
+      const typename D2::Dists dists{DimDist::star(), DimDist::block_dist()};
+      D2 F(ctx, pv, {nsys, n}, dists), X(ctx, pv, {nsys, n}, dists);
+      F.fill([&](std::array<int, 2> g) { return coef_f(g[0], g[1]); });
+      mtri_const(-1.0, 4.0, -1.0, F, X, 0);
+    });
+    const ActivityTrace trace = log.activity(mtri_trace_steps(nsys, p), p);
+    const int depth = mtri_trace_steps(1, p);  // 2k+1
+    for (int t = depth - 1; t < nsys; ++t) {
+      EXPECT_EQ(trace.active_count(t), p)
+          << "step " << t << ", " << workers << " workers";
+    }
   }
 }
 

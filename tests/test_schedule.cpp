@@ -91,15 +91,14 @@ TEST(Schedule, RoundOrderIsPermutationOfPeers) {
 
 TEST(Schedule, TraceShowsMatchingsPerRound) {
   const CommSchedule s(5);  // odd: one member idles per latin-square round
-  ActivityTrace t;
-  schedule_trace(s, t);
+  ActivityTrace t = schedule_trace(s);
   EXPECT_EQ(t.nsteps(), s.rounds());
   EXPECT_EQ(t.nprocs(), 5);
   for (int r = 0; r < t.nsteps(); ++r) {
     EXPECT_EQ(t.count(r, 'x'), 4);  // two pairs exchange, one member idles
   }
   const CommSchedule s8(8);
-  schedule_trace(s8, t);
+  t = schedule_trace(s8);
   for (int r = 0; r < t.nsteps(); ++r) {
     EXPECT_EQ(t.count(r, 'x'), 8);  // pairwise exchange: nobody idles
   }

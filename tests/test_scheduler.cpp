@@ -15,8 +15,8 @@
 
 #include "machine/collectives.hpp"
 #include "machine/context.hpp"
+#include "machine/event_log.hpp"
 #include "machine/machine.hpp"
-#include "machine/trace.hpp"
 #include "support/check.hpp"
 
 namespace kali {
@@ -68,11 +68,11 @@ RunResult run_workload(int workers) {
   cfg.topology = Topology::kHypercube;
   cfg.sim_workers = workers;
   Machine m(8, cfg);
-  MessageTrace trace(m.size());
-  m.attach_message_trace(&trace);
+  EventLog log(m.size());
+  m.attach_event_log(&log);
   m.run(workload);
   std::ostringstream os;
-  trace.write(os);
+  log.write_trace(os);
   return {m.stats(), os.str()};
 }
 

@@ -17,9 +17,9 @@
 
 #include "machine/collectives.hpp"
 #include "machine/context.hpp"
+#include "machine/event_log.hpp"
 #include "machine/fiber.hpp"
 #include "machine/machine.hpp"
-#include "machine/trace.hpp"
 #include "support/check.hpp"
 
 namespace kali {
@@ -82,11 +82,11 @@ RunResult run_workload(int nprocs, int workers, SchedulerHook* hook) {
   cfg.sim_workers = workers;
   cfg.sim_hook = hook;
   Machine m(nprocs, cfg);
-  MessageTrace trace(m.size());
-  m.attach_message_trace(&trace);
+  EventLog log(m.size());
+  m.attach_event_log(&log);
   m.run(workload);
   std::ostringstream os;
-  trace.write(os);
+  log.write_trace(os);
   return {m.stats(), os.str()};
 }
 

@@ -126,35 +126,41 @@ TEST(Tri, WorksOnViewSlice) {
 
 TEST(Tri, ActivityTraceMatchesFigure3) {
   // Reduction halves the active processors each step; substitution doubles
-  // them (paper Figure 3).
+  // them (paper Figure 3).  Rendered from the event log after the run, so
+  // the host worker count cannot move a mark.
   const int p = 8, n = 64;
   System s = random_system(11, n);
-  Machine m(p);
-  ActivityTrace trace(tri_trace_steps(p), p);
-  m.run([&](Context& ctx) {
-    ProcView pv = ProcView::grid1(p);
-    DistArray1<double> b(ctx, pv, {n}, {DimDist::block_dist()});
-    DistArray1<double> a(ctx, pv, {n}, {DimDist::block_dist()});
-    DistArray1<double> c(ctx, pv, {n}, {DimDist::block_dist()});
-    DistArray1<double> f(ctx, pv, {n}, {DimDist::block_dist()});
-    DistArray1<double> x(ctx, pv, {n}, {DimDist::block_dist()});
-    b.fill([&](std::array<int, 1> g) { return s.b[static_cast<std::size_t>(g[0])]; });
-    a.fill([&](std::array<int, 1> g) { return s.a[static_cast<std::size_t>(g[0])]; });
-    c.fill([&](std::array<int, 1> g) { return s.c[static_cast<std::size_t>(g[0])]; });
-    f.fill([&](std::array<int, 1> g) { return s.f[static_cast<std::size_t>(g[0])]; });
-    TriOptions opts;
-    opts.trace = &trace;
-    tri(b, a, c, f, x, opts);
-  });
-  // p = 8, k = 3: steps actives = 8, 4, 2, 1, 2, 4, 8.
-  ASSERT_EQ(trace.nsteps(), 7);
-  const int expected[] = {8, 4, 2, 1, 2, 4, 8};
-  for (int sstep = 0; sstep < 7; ++sstep) {
-    EXPECT_EQ(trace.active_count(sstep), expected[sstep]) << "step " << sstep;
+  for (int workers : {1, 4}) {
+    MachineConfig cfg;
+    cfg.sim_workers = workers;
+    Machine m(p, cfg);
+    EventLog log(p);
+    m.attach_event_log(&log);
+    m.run([&](Context& ctx) {
+      ProcView pv = ProcView::grid1(p);
+      DistArray1<double> b(ctx, pv, {n}, {DimDist::block_dist()});
+      DistArray1<double> a(ctx, pv, {n}, {DimDist::block_dist()});
+      DistArray1<double> c(ctx, pv, {n}, {DimDist::block_dist()});
+      DistArray1<double> f(ctx, pv, {n}, {DimDist::block_dist()});
+      DistArray1<double> x(ctx, pv, {n}, {DimDist::block_dist()});
+      b.fill([&](std::array<int, 1> g) { return s.b[static_cast<std::size_t>(g[0])]; });
+      a.fill([&](std::array<int, 1> g) { return s.a[static_cast<std::size_t>(g[0])]; });
+      c.fill([&](std::array<int, 1> g) { return s.c[static_cast<std::size_t>(g[0])]; });
+      f.fill([&](std::array<int, 1> g) { return s.f[static_cast<std::size_t>(g[0])]; });
+      tri(b, a, c, f, x);
+    });
+    const ActivityTrace trace = log.activity(tri_trace_steps(p), p);
+    // p = 8, k = 3: steps actives = 8, 4, 2, 1, 2, 4, 8.
+    ASSERT_EQ(trace.nsteps(), 7);
+    const int expected[] = {8, 4, 2, 1, 2, 4, 8};
+    for (int sstep = 0; sstep < 7; ++sstep) {
+      EXPECT_EQ(trace.active_count(sstep), expected[sstep])
+          << "step " << sstep << ", " << workers << " workers";
+    }
+    EXPECT_EQ(trace.count(0, 'R'), 8);
+    EXPECT_EQ(trace.count(3, 'T'), 1);
+    EXPECT_EQ(trace.count(6, 'B'), 8);
   }
-  EXPECT_EQ(trace.count(0, 'R'), 8);
-  EXPECT_EQ(trace.count(3, 'T'), 1);
-  EXPECT_EQ(trace.count(6, 'B'), 8);
 }
 
 TEST(Tri, SimulatedTimeBeatsGatherForLargeN) {

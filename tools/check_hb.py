@@ -11,10 +11,10 @@ a mutex orders two accesses physically without fixing their logical
 order, so a determinism race -- results that depend on which fiber the
 host happened to run first -- is invisible to it.
 
-This tool replays a `kali-hb` event log (machine/hb.hpp HbLog), rebuilds
-the happens-before partial order with vector clocks, and flags
-conflicting accesses to shared simulator state that the partial order
-does not cover.
+This tool replays a `kali-hb` event log (machine/event_log.hpp
+write_hb), rebuilds the happens-before partial order with vector clocks,
+and flags conflicting accesses to shared simulator state that the
+partial order does not cover.
 
 Event grammar (one event per line, after a `kali-hb 1 <nprocs>` header;
 <actor> is a rank or -1 for the scheduler's machine context, <aseq> is
@@ -44,8 +44,8 @@ Happens-before edges:
     peer suspended before running the critical section);
   - qrel(gen) -> every qleave(gen) (peers resume only after release);
   - ipost (actor, opid) -> icomp (actor, opid): a nonblocking
-    operation's in-flight window (machine/hb.hpp post/complete).  An
-    ipost with no matching icomp is a leaked handle (the runtime
+    operation's in-flight window (machine/event_log.hpp post/complete).
+    An ipost with no matching icomp is a leaked handle (the runtime
     diagnoses the same condition at rank return under
     KALI_CHECK_INVARIANTS); duplicates of either end are dangling-edge
     findings.  The completion's buffer fill is a `w buf:<rank>` access,

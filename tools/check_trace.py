@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Offline communication-trace verifier for the kali machine layer.
 
-Consumes the MessageTrace serialization (src/machine/trace.hpp write()):
+Consumes the EventLog message trace (src/machine/event_log.hpp write_trace()):
 
     kali-trace 1 <nprocs>
     S <rank> <peer> <tag> <seq> <bytes> <epoch>

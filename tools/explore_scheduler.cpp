@@ -42,9 +42,7 @@
 
 #include "machine/collectives.hpp"
 #include "machine/context.hpp"
-#include "machine/hb.hpp"
 #include "machine/scheduler.hpp"
-#include "machine/trace.hpp"
 
 namespace {
 
@@ -98,7 +96,7 @@ class ReplayHook final : public SchedulerHook {
 /// Doubles print as hexfloat so bit-level drift can't hide in rounding;
 /// mailbox_peaks is deliberately excluded (documented host-interleaving
 /// diagnostic, stats.hpp).
-std::string digest_of(const MachineStats& st, const MessageTrace& trace) {
+std::string digest_of(const MachineStats& st, const EventLog& log) {
   std::ostringstream os;
   os << std::hexfloat;
   for (double c : st.clocks) {
@@ -121,7 +119,7 @@ std::string digest_of(const MachineStats& st, const MessageTrace& trace) {
       os << "  edge " << edge << ' ' << n << '\n';
     }
   }
-  trace.write(os);
+  log.write_trace(os);
   return os.str();
 }
 
@@ -236,7 +234,7 @@ std::vector<Program> make_programs() {
 /// contract (and the shared-state lint rule) exists to prevent.  Whether
 /// the poke lands before or after rank 0's send depends on dispatch
 /// order, so digests diverge; and the poke's happens-before record (a
-/// manual HbLog::write, standing in for what instrumented runtime code
+/// manual EventLog::write, standing in for what instrumented runtime code
 /// would emit) is unordered against rank 0's own clock writes in every
 /// schedule, so tools/check_hb.py flags it too.
 Program make_seed_bug_program() {
@@ -251,8 +249,8 @@ Program make_seed_bug_program() {
     } else {
       Machine& m = ctx.machine();
       m.proc(0).realign_clock(0.5);  // the bug: non-owner clock write
-      if (HbLog* hb = m.hb_log()) {
-        hb->write(1, HbObj::kClock, 0);
+      if (EventLog* log = m.event_log()) {
+        log->write(1, HbObj::kClock, 0);
       }
       (void)ctx.recv<double>(0, kTagA);
     }
@@ -267,26 +265,27 @@ struct RunResult {
   std::string digest;
 };
 
+/// One run along `prefix`; with `hb_out`, also writes its happens-before
+/// log there.
 RunResult run_once(const Program& p, const std::vector<std::size_t>& prefix,
-                   HbLog* hb) {
+                   std::ostream* hb_out) {
   ReplayHook hook;
   hook.arm(prefix);
   MachineConfig cfg = p.cfg;
   cfg.sim_workers = 1;  // one decision stream: the hook sees every dispatch
   cfg.sim_hook = &hook;
   Machine machine(p.nprocs, cfg);
-  MessageTrace trace(p.nprocs);
-  machine.attach_message_trace(&trace);
-  if (hb != nullptr) {
-    hb->clear();
-    machine.attach_hb_log(hb);
-  }
+  EventLog log(p.nprocs);
+  machine.attach_event_log(&log);
   machine.run(p.body);
   if (hook.infidelity()) {
     throw Error("explore: replay diverged from parent run on program '" +
                 p.name + "' — the scheduler is not deterministic");
   }
-  return RunResult{hook.steps(), digest_of(machine.stats(), trace)};
+  if (hb_out != nullptr) {
+    log.write_hb(*hb_out);
+  }
+  return RunResult{hook.steps(), digest_of(machine.stats(), log)};
 }
 
 bool ranks_dependent(const Program& p, int a, int b) {
@@ -456,14 +455,12 @@ int main(int argc, char** argv) {
   for (const Program& p : programs) {
     // The FIFO run doubles as the happens-before specimen for --hb.
     if (!hb_path.empty() && !hb_written) {
-      HbLog hb(p.nprocs);
-      (void)run_once(p, {}, &hb);
       std::ofstream os(hb_path);
       if (!os) {
         std::cerr << "explore_scheduler: cannot open " << hb_path << '\n';
         return 2;
       }
-      hb.write_log(os);
+      (void)run_once(p, {}, &os);
       hb_written = true;
     }
 
