@@ -76,11 +76,4 @@ double sync_clocks(Context& ctx, const Group& g) {
   return aligned;
 }
 
-void compact_edge_ledgers(Context& ctx) {
-  // Host-side rendezvous, not a model barrier: the fiber scheduler parks
-  // every rank, the last arriver computes the machine-wide floor and prunes
-  // all ledgers, then everyone resumes with clocks untouched.
-  ctx.machine().quiesce_compact();
-}
-
 }  // namespace kali

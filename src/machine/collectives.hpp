@@ -331,15 +331,4 @@ std::vector<T> all_gather(Context& ctx, const Group& g, std::span<const T> mine,
 /// model time).  Returns the aligned clock value.
 double sync_clocks(Context& ctx, const Group& g);
 
-/// Compact every processor's store-and-forward edge ledgers without a
-/// barrier in *model* time: a machine-global host-side quiesce (every rank
-/// must call this, like a collective over the whole machine — subgroups are
-/// not supported) during which the prefix of each ledger that can no longer
-/// affect any future reservation is collapsed to a scalar (see EdgeLedger).
-/// Zero simulated cost: clocks, stats, traces, and results are bit-identical
-/// with or without it.  Call it periodically inside long phases that never
-/// sync_clocks (whose barrier already clears ledgers outright) to keep
-/// ledger memory bounded instead of O(messages).
-void compact_edge_ledgers(Context& ctx);
-
 }  // namespace kali

@@ -59,8 +59,8 @@ class Context;
 /// (the payload is copied and deposited at send time), so there is nothing
 /// left to wait for and dropping the handle is legal.  An irecv's handle is
 /// pending until a wait point completes it; dropping a pending handle leaks
-/// the operation, which the KALI_CHECK_INVARIANTS build diagnoses when the
-/// rank's program returns (Machine::run).
+/// the operation, which every build diagnoses when the rank's program
+/// returns (Machine::run).
 ///
 /// Handles are freely copyable: completion is recorded in the mailbox's
 /// operation table, not the handle, and operation ids are never reused, so
@@ -182,9 +182,6 @@ class Context {
   // matched messages — the same canonical serialization key the
   // store-and-forward edge ledgers use — never in host arrival order.
   // On a single lane that key order coincides with FIFO post order.
-  //
-  // kAnySource is not allowed on irecv: a wildcard's match would depend on
-  // push arrival order, which host scheduling decides.
 
   /// Nonblocking send.  Identical cost and semantics to send_bytes; the
   /// returned handle is already complete.

@@ -5,14 +5,6 @@
 
 namespace kali {
 
-namespace {
-
-std::string src_label(int src) {
-  return src == kAnySource ? std::string("any") : std::to_string(src);
-}
-
-}  // namespace
-
 std::string describe_pending(const Mailbox& mb, int owner_rank,
                              std::uint32_t max_epoch) {
   std::vector<PendingMessage> pending = mb.snapshot();
@@ -49,7 +41,6 @@ std::string diagnose_stall(const std::vector<const Mailbox*>& mailboxes,
                            const std::vector<StallState>& states) {
   std::ostringstream ranks;
   int nstuck = 0;
-  int nquiesce = 0;
   for (std::size_t r = 0; r < states.size(); ++r) {
     const Mailbox& mb = *mailboxes[r];
     ranks << "  rank " << r << ": ";
@@ -59,15 +50,10 @@ std::string diagnose_stall(const std::vector<const Mailbox*>& mailboxes,
         ranks << "done (program finished; will never send again)\n";
         parked = false;
         break;
-      case StallState::kQuiesce:
-        ranks << "parked in quiesce (compact_edge_ledgers; released only "
-                 "when every rank arrives)\n";
-        ++nquiesce;
-        break;
       case StallState::kParked:
         if (const auto wait = mb.published_wait()) {
           const auto [src, tag] = *wait;
-          ranks << "STUCK in recv(src=" << src_label(src) << ", tag=" << tag
+          ranks << "STUCK in recv(src=" << src << ", tag=" << tag
                 << " " << tag_name(tag) << ")\n";
           ++nstuck;
         } else {
@@ -79,17 +65,10 @@ std::string diagnose_stall(const std::vector<const Mailbox*>& mailboxes,
     ranks << (pending.empty() && parked ? "    mailbox empty\n" : pending);
   }
   std::ostringstream os;
-  if (nstuck > 0) {
-    os << "deadlock detected by the wait-for-graph check: " << nstuck
-       << " rank(s) blocked in recv with no rank or in-flight message able "
-          "to satisfy them (every rank is finished or parked, so nothing "
-          "can send again)\n";
-  } else {
-    os << "collective mismatch: " << nquiesce
-       << " rank(s) parked in a machine-global quiesce that not every rank "
-          "entered (every rank is finished or parked, so none can "
-          "arrive)\n";
-  }
+  os << "deadlock detected by the wait-for-graph check: " << nstuck
+     << " rank(s) blocked in recv with no rank or in-flight message able "
+        "to satisfy them (every rank is finished or parked, so nothing "
+        "can send again)\n";
   std::string out = os.str() + ranks.str();
   out.pop_back();  // the last rank line's newline
   return out;

@@ -39,12 +39,11 @@ namespace kali {
                                         std::uint32_t max_epoch);
 
 /// The full-stall handler (see StallHandler): given one mailbox and one
-/// StallState per rank, returns the diagnostic dump — each rank's state
-/// (finished, stuck in recv with its published (src, tag) and registry
-/// name, or parked in a quiesce) and each mailbox's unmatched queue —
-/// headed as a deadlock when some rank is stuck in a receive, else as a
-/// collective mismatch (ranks parked in a quiesce some rank never
-/// entered).
+/// StallState per rank, returns the diagnostic dump, headed as a
+/// deadlock: each rank's state (finished, or stuck in recv with its
+/// published (src, tag) and registry name) and each mailbox's unmatched
+/// queue.  Every park is a receive, so at a full stall every unfinished
+/// rank is stuck in one.
 [[nodiscard]] std::string diagnose_stall(
     const std::vector<const Mailbox*>& mailboxes,
     const std::vector<StallState>& states);

@@ -12,9 +12,9 @@ namespace {
 
 // write_hb's line names, indexed by Kind; trace-only and activity records
 // (kRecv, kMark) have none.
-constexpr std::array<const char*, 15> kHbNames = {
-    "send",  "recv", nullptr,  "park", "wake", "woken", "ipost", "icomp",
-    "qenter", "qrun", "qrel", "qleave", "r",   "w",     nullptr};
+constexpr std::array<const char*, 11> kHbNames = {
+    "send", "recv", nullptr, "park", "wake", "woken",
+    "ipost", "icomp", "r", "w", nullptr};
 static_assert(kHbNames.size() ==
               static_cast<std::size_t>(EventLog::Kind::kMark) + 1);
 
@@ -128,22 +128,6 @@ void EventLog::complete(int actor, std::uint64_t opid) {
   push(actor, {.kind = Kind::kIComp, .n = opid});
 }
 
-void EventLog::quiesce_enter(int actor, std::uint64_t gen) {
-  push(actor, {.kind = Kind::kQEnter, .n = gen});
-}
-
-void EventLog::quiesce_run(int actor, std::uint64_t gen) {
-  push(actor, {.kind = Kind::kQRun, .n = gen});
-}
-
-void EventLog::quiesce_release(int actor, std::uint64_t gen) {
-  push(actor, {.kind = Kind::kQRelease, .n = gen});
-}
-
-void EventLog::quiesce_leave(int actor, std::uint64_t gen) {
-  push(actor, {.kind = Kind::kQLeave, .n = gen});
-}
-
 void EventLog::read(int actor, HbObj obj, int owner) {
   push(actor, {.kind = Kind::kRead, .obj = obj, .peer = owner});
 }
@@ -196,7 +180,7 @@ void EventLog::write_hb(std::ostream& os) const {
           os << ' ' << kObjNames[static_cast<std::size_t>(e.obj)] << ':'
              << e.peer;
           break;
-        default:  // park, woken, ipost, icomp, quiesce: one counter
+        default:  // park, woken, ipost, icomp: one counter
           os << ' ' << e.n;
           break;
       }

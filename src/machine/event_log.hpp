@@ -12,8 +12,7 @@
 // Why a happens-before log: the determinism contract says every piece of
 // simulated state is rank-sharded and every cross-rank effect flows
 // through a synchronization event the model fixes the order of (a message
-// send matched by a recv, a park released by a wake, a quiesce
-// rendezvous).  TSan cannot check that contract: a mutex orders two
+// send matched by a recv, a park released by a wake).  TSan cannot check that contract: a mutex orders two
 // accesses *physically* without fixing their *logical* order, so a
 // determinism race — results that depend on which fiber the host happened
 // to run first — is invisible to it.  The log records the synchronization
@@ -105,10 +104,6 @@ class EventLog {
     kWoken,
     kIPost,
     kIComp,
-    kQEnter,
-    kQRun,
-    kQRelease,
-    kQLeave,
     kRead,
     kWrite,
     kMark,  ///< Figure 3/5 activity
@@ -121,7 +116,7 @@ class EventLog {
     int peer = 0;    ///< dst/src, wake target, access owner, mark column
     int tag = 0;     ///< kSend/kRecv: message tag; kMark: the step
     std::uint32_t epoch = 0;  ///< kSend/kRecv: the recorder's barrier epoch
-    std::uint64_t n = 0;      ///< message seq, park seq, quiesce gen, op id
+    std::uint64_t n = 0;      ///< message seq, park seq, op id
     std::uint64_t bytes = 0;  ///< kSend/kRecv: payload size
   };
 
@@ -157,13 +152,6 @@ class EventLog {
   /// in-flight races the analyzer exists to catch (HbObj::kBuf).
   void post(int actor, std::uint64_t opid);
   void complete(int actor, std::uint64_t opid);
-
-  /// Quiesce rendezvous, generation `gen`: every enter(gen) happens-before
-  /// run(gen); release(gen) happens-before every leave(gen).
-  void quiesce_enter(int actor, std::uint64_t gen);
-  void quiesce_run(int actor, std::uint64_t gen);
-  void quiesce_release(int actor, std::uint64_t gen);
-  void quiesce_leave(int actor, std::uint64_t gen);
 
   // --- shared-state accesses ---
   void read(int actor, HbObj obj, int owner);

@@ -5,7 +5,7 @@
 // This file provides mechanics only — stack allocation, context creation,
 // and the annotated switch primitive (ASan fake-stack handoff and TSan
 // fiber handoff, compiled in only under the matching sanitizer).  All
-// scheduling policy (run queue, parking, full-stall abort, quiesce)
+// scheduling policy (run queue, parking, full-stall abort)
 // lives in FiberScheduler; nothing here ever feeds a simulated clock.
 #pragma once
 

@@ -1,8 +1,6 @@
 #include "machine/machine.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <limits>
 #include <mutex>
 
 #include "machine/context.hpp"
@@ -79,30 +77,18 @@ void Machine::run(const std::function<void(Context&)>& program) {
   for (auto& q : procs_) {
     q->mailbox().attach_scheduler(&sched, q->rank());
   }
-  active_sched_ = &sched;
   std::exception_ptr sched_error;
   try {
     sched.run([&](int r) {
       Context ctx(*this, *procs_[static_cast<std::size_t>(r)]);
       try {
         program(ctx);
-#if defined(KALI_CHECK_INVARIANTS)
-        // Dropped-handle leak check: a nonblocking receive posted and never
+        // Dropped-handle check: a nonblocking receive posted and never
         // completed when the rank program returns means a handle went out
         // of scope without wait() — its matched message (if any) would rot
-        // in the queue and its buffer was never filled.
-        {
-          const std::string leaked =
-              procs_[static_cast<std::size_t>(r)]->mailbox().describe_pending_ops(r);
-          if (!leaked.empty()) {
-            throw Error(
-                "nonblocking operation never completed: the rank program "
-                "returned with pending handles (every irecv handle must be "
-                "waited):\n" +
-                leaked);
-          }
-        }
-#endif
+        // in the queue and its buffer was never filled.  Out of line, so
+        // this frame, the base of every fiber stack, holds no message text.
+        ctx.proc().mailbox().check_no_pending_ops(r);
       } catch (...) {
         {
           std::lock_guard<std::mutex> lk(error_mu);
@@ -112,8 +98,8 @@ void Machine::run(const std::function<void(Context&)>& program) {
         }
         failed.store(true);
         // Wake every blocked peer so the whole run unwinds promptly —
-        // mailboxes first (parked recvs), then the scheduler (quiesce
-        // parks and any park still in flight).
+        // mailboxes first (parked recvs), then the scheduler (any park
+        // still in flight).
         for (auto& q : procs_) {
           q->mailbox().abort();
         }
@@ -127,11 +113,10 @@ void Machine::run(const std::function<void(Context&)>& program) {
     // aborted") must not mask the root cause.
     sched_error = std::current_exception();
   }
-  active_sched_ = nullptr;
   for (auto& q : procs_) {
     q->mailbox().attach_scheduler(nullptr, -1);
-    // A failed or non-invariant run may leave incomplete nonblocking
-    // operations behind; drop them so they cannot poison a later run.
+    // A failed run may leave incomplete nonblocking operations behind;
+    // drop them so they cannot poison a later run.
     q->mailbox().clear_pending_ops();
   }
   if (sched_error) {
@@ -174,38 +159,6 @@ void Machine::reset_stats() {
   for (auto& p : procs_) {
     p->reset();
   }
-}
-
-void Machine::quiesce_compact() {
-  KALI_CHECK(active_sched_ != nullptr,
-             "compact_edge_ledgers: no machine run in progress");
-  active_sched_->quiesce([this] {
-    // Every fiber but this one is suspended, so all rank-sharded state is
-    // safe to read.  Floor F: no future edge reservation anywhere can
-    // carry a key with send_time < F — new sends are stamped at or above
-    // the sender's clock (clocks never move backwards inside a phase, and
-    // sync_clocks realigns upward), and a queued message's future receive
-    // replays its recorded send_time.
-    const int actor = FiberScheduler::current_rank();
-    double floor = std::numeric_limits<double>::infinity();
-    for (const auto& q : procs_) {
-      if (log_ != nullptr) {
-        // Cross-rank reads, sanctioned by the quiesce: they sit between
-        // the leader's qrun and qrel events, so the analyzer sees them
-        // ordered against every peer's own accesses.
-        log_->read(actor, HbObj::kClock, q->rank());
-        log_->read(actor, HbObj::kMbox, q->rank());
-      }
-      floor = std::min(floor, q->clock());
-      floor = std::min(floor, q->mailbox().min_pending_send_time());
-    }
-    for (auto& q : procs_) {
-      if (log_ != nullptr) {
-        log_->write(actor, HbObj::kLedger, q->rank());
-      }
-      q->compact_edge_ledgers(floor);
-    }
-  });
 }
 
 }  // namespace kali

@@ -22,7 +22,6 @@ namespace kali {
 
 class Context;
 class EventLog;
-class FiberScheduler;
 
 class Machine {
  public:
@@ -36,12 +35,6 @@ class Machine {
   /// If any processor throws, all others are aborted and the first
   /// exception is rethrown on the caller's thread.
   void run(const std::function<void(Context&)>& program);
-
-  /// Machine-global edge-ledger compaction (the between-barriers pruning
-  /// of store-and-forward ledgers).  Collective: every rank must call it,
-  /// from inside a run; use the compact_edge_ledgers(Context&) wrapper in
-  /// machine/collectives.hpp.  Zero simulated cost.
-  void quiesce_compact();
 
   /// Hop count between two ranks under the configured topology.
   [[nodiscard]] int hops(int a, int b) const;
@@ -75,7 +68,6 @@ class Machine {
   MachineConfig cfg_;
   std::vector<std::unique_ptr<Processor>> procs_;
   EventLog* log_ = nullptr;
-  FiberScheduler* active_sched_ = nullptr;  ///< non-null only inside run()
 };
 
 }  // namespace kali

@@ -1,7 +1,6 @@
 #include "machine/mailbox.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "machine/event_log.hpp"
 #include "machine/scheduler.hpp"
@@ -15,8 +14,7 @@ void Mailbox::push(Message m) {
     std::lock_guard<std::mutex> lk(mu_);
     // Does this message satisfy the owner fiber's published wait?  Consume
     // the publication under the lock so exactly one push wakes one park.
-    if (waiting_active_ && m.tag == waiting_tag_ &&
-        (waiting_src_ == kAnySource || m.src == waiting_src_)) {
+    if (waiting_active_ && m.tag == waiting_tag_ && m.src == waiting_src_) {
       waiting_active_ = false;
       wake_owner = true;
     }
@@ -32,7 +30,7 @@ void Mailbox::push(Message m) {
 
 std::optional<Message> Mailbox::try_pop_locked(int src, int tag) {
   for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if ((src == kAnySource || it->src == src) && it->tag == tag) {
+    if (it->src == src && it->tag == tag) {
       Message m = std::move(*it);
       queue_.erase(it);
       return m;
@@ -45,7 +43,7 @@ std::size_t Mailbox::count_matches_locked(int src, int tag,
                                           std::size_t limit) const {
   std::size_t n = 0;
   for (auto it = queue_.begin(); it != queue_.end() && n < limit; ++it) {
-    if ((src == kAnySource || it->src == src) && it->tag == tag) {
+    if (it->src == src && it->tag == tag) {
       ++n;
     }
   }
@@ -174,15 +172,20 @@ bool Mailbox::op_pending(std::uint64_t id) const {
   return false;
 }
 
-std::string Mailbox::describe_pending_ops(int owner) const {
-  std::string out;
+void Mailbox::check_no_pending_ops(int owner) const {
+  if (pending_ops_.empty()) {
+    return;
+  }
+  std::string out =
+      "nonblocking operation never completed: the rank program returned "
+      "with pending handles (every irecv handle must be waited):\n";
   for (const auto& op : pending_ops_) {
     out += "  rank " + std::to_string(owner) + ": irecv(src=" +
            std::to_string(op.src) + ", tag=" + std::to_string(op.tag) + ", " +
            std::to_string(op.bytes) +
            " bytes) posted and never completed (dropped handle?)\n";
   }
-  return out;
+  throw Error(out);
 }
 
 std::vector<PendingMessage> Mailbox::snapshot() const {
@@ -213,15 +216,6 @@ void Mailbox::abort() {
 std::size_t Mailbox::pending() const {
   std::lock_guard<std::mutex> lk(mu_);
   return queue_.size();
-}
-
-double Mailbox::min_pending_send_time() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  double t = std::numeric_limits<double>::infinity();
-  for (const auto& m : queue_) {
-    t = std::min(t, m.send_time);
-  }
-  return t;
 }
 
 std::size_t Mailbox::max_pending() const {

@@ -1,7 +1,9 @@
 // Per-processor mailbox: blocking matched receive over (source, tag).
 //
 // Semantics mirror MPI-1 blocking point-to-point: messages between a fixed
-// (src, dst, tag) triple are non-overtaking (FIFO); recv may use kAnySource.
+// (src, dst, tag) triple are non-overtaking (FIFO).  Every receive names
+// its source rank: there is no wildcard, so which message a receive takes
+// never depends on the host order in which senders ran.
 //
 // Blocking runs on the fiber scheduler the mailbox is attached to: an
 // unmatched recv parks the owner's fiber — a yield point, not a blocked
@@ -24,8 +26,6 @@
 
 namespace kali {
 
-inline constexpr int kAnySource = -1;
-
 class FiberScheduler;
 
 /// Snapshot row of one queued (sent-but-not-yet-received) message, for the
@@ -44,7 +44,7 @@ struct PendingMessage {
 /// needs no lock (see Mailbox's fiber-integration comment).
 struct PendingOp {
   std::uint64_t id = 0;        ///< rank-local operation id (1-based, never reused)
-  int src = -1;                ///< matched source rank (kAnySource not allowed)
+  int src = -1;                ///< matched source rank
   int tag = 0;
   std::byte* dest = nullptr;   ///< caller-owned destination buffer
   std::size_t bytes = 0;       ///< expected payload size
@@ -95,10 +95,10 @@ class Mailbox {
   /// means "already complete".
   [[nodiscard]] bool op_pending(std::uint64_t id) const;
 
-  /// Diagnostic dump of the incomplete operations ("rank R: irecv(src=S,
-  /// tag=T, N bytes) posted and never completed" lines), for the
-  /// dropped-handle leak check at end of program (Machine::run).
-  [[nodiscard]] std::string describe_pending_ops(int owner) const;
+  /// The dropped-handle check at the end of a rank program (Machine::run):
+  /// if any operation is incomplete, throws kali::Error listing each one
+  /// ("rank R: irecv(src=S, tag=T, N bytes) posted and never completed").
+  void check_no_pending_ops(int owner) const;
 
   /// Drop all pending operations (Machine::run teardown: a failed run must
   /// not poison the table for the next one).
@@ -119,12 +119,6 @@ class Mailbox {
 
   /// Number of queued (undelivered) messages.
   [[nodiscard]] std::size_t pending() const;
-
-  /// Smallest simulated send_time among the queued messages (+inf when
-  /// empty).  Feeds the edge-ledger compaction floor: a queued message's
-  /// future receive replays route edges keyed by this send_time
-  /// (machine/collectives.hpp compact_edge_ledgers).
-  [[nodiscard]] double min_pending_send_time() const;
 
   /// High-water mark of pending(): the peak in-flight buffering this
   /// mailbox ever held: up to O(P) posted slabs for a dense exchange,

@@ -116,25 +116,6 @@ struct EdgeReservation {
   }
 };
 
-/// The per-edge reservation ledger, compactable between barriers.  A
-/// machine-global quiesce (Machine::quiesce_compact) establishes a floor F
-/// such that no future reservation anywhere can carry send_time < F; every
-/// entry below the floor then sorts strictly before all future keys, so the
-/// whole prefix collapses into one scalar — its prefix_max — and the entry
-/// storage stops growing O(messages) across long unbarriered phases.
-struct EdgeLedger {
-  /// prefix_max of the collapsed (pruned) prefix: the busy-until bound a
-  /// reservation at the front of `entries` queues behind.  0 until the
-  /// first compaction, exactly like an empty ledger.
-  double collapsed_busy = 0.0;
-  /// Compaction floor: every retained or future entry has send_time >= this.
-  /// Reservations below it would sort into the collapsed prefix, which no
-  /// longer exists — reserve_edge rejects them (KALI_CHECK_INVARIANTS).
-  double floor = 0.0;
-  /// Live reservations, sorted by (send_time, src, seq).
-  std::vector<EdgeReservation> entries;
-};
-
 /// One virtual processor.  Owned by Machine; user code touches it only
 /// through Context.  Not copyable (it holds a live mailbox).
 class Processor {
@@ -213,10 +194,15 @@ class Processor {
   // so when a canonically earlier message happens to be resolved second,
   // the pair simply does not contend.  Both directions are deterministic —
   // program order, never host scheduling, decides.
+  //
+  // A ledger holds one entry per interior-edge resolution since the last
+  // sync_clocks, whose clear_link_state empties it: its memory is bounded
+  // by the phase's traffic, not by the run's.
   [[nodiscard]] std::map<std::int64_t, double>& out_edge_free() {
     return out_edge_free_;
   }
-  [[nodiscard]] std::map<std::int64_t, EdgeLedger>& edge_ledger() {
+  [[nodiscard]] std::map<std::int64_t, std::vector<EdgeReservation>>&
+  edge_ledger() {
     return edge_ledger_;
   }
 
@@ -229,14 +215,7 @@ class Processor {
   /// maxima of the tail it displaces.
   double reserve_edge(std::int64_t edge, double send_time, int src,
                       std::uint64_t seq, double t_in, double wire) {
-    EdgeLedger& led = edge_ledger_[edge];
-    // A key below the compaction floor would sort into the collapsed
-    // prefix, whose individual entries no longer exist to queue behind —
-    // the floor proof (Machine::quiesce_compact) says this cannot happen.
-    KALI_INVARIANT(send_time >= led.floor,
-                   "edge reservation keyed before the compaction floor: "
-                   "quiesce_compact's floor bound was violated");
-    std::vector<EdgeReservation>& ledger = led.entries;
+    std::vector<EdgeReservation>& ledger = edge_ledger_[edge];
     auto pos = std::lower_bound(
         ledger.begin(), ledger.end(), 0,
         [&](const EdgeReservation& e, int) {
@@ -252,7 +231,7 @@ class Processor {
                    "edge ledger key (send_time, src, seq) not strictly "
                    "ordered: duplicate reservation");
     const double busy_until =
-        pos == ledger.begin() ? led.collapsed_busy : std::prev(pos)->prefix_max;
+        pos == ledger.begin() ? 0.0 : std::prev(pos)->prefix_max;
     const double start = std::max(t_in, busy_until);
     pos = ledger.insert(pos, {send_time, src, seq, start + wire, 0.0});
     double run = busy_until;
@@ -261,36 +240,6 @@ class Processor {
       it->prefix_max = run;
     }
     return start - t_in;
-  }
-
-  /// Collapse every ledger prefix keyed strictly below `floor` into its
-  /// scalar prefix_max (see EdgeLedger).  Called only from inside a
-  /// machine-global quiesce, where the floor bound is established; clocks
-  /// computed after compaction are bit-identical to the uncompacted run
-  /// because a collapsed entry's only downstream influence was its
-  /// contribution to the prefix maxima, which collapsed_busy preserves.
-  void compact_edge_ledgers(double floor) {
-    for (auto& [edge, led] : edge_ledger_) {
-      auto cut = std::lower_bound(
-          led.entries.begin(), led.entries.end(), floor,
-          [](const EdgeReservation& e, double f) { return e.send_time < f; });
-      if (cut != led.entries.begin()) {
-        led.collapsed_busy =
-            std::max(led.collapsed_busy, std::prev(cut)->prefix_max);
-        led.entries.erase(led.entries.begin(), cut);
-      }
-      led.floor = std::max(led.floor, floor);
-    }
-  }
-
-  /// Total live (uncollapsed) edge-ledger entries across all edges — the
-  /// quantity compaction bounds; regression-tested against O(M) growth.
-  [[nodiscard]] std::size_t edge_ledger_entries() const {
-    std::size_t n = 0;
-    for (const auto& [edge, led] : edge_ledger_) {
-      n += led.entries.size();
-    }
-    return n;
   }
 
   /// Forget all link/edge occupancy — the barrier semantics of
@@ -327,7 +276,7 @@ class Processor {
   double out_link_free_ = 0.0;  // injection link busy-until (own fiber only)
   double in_link_free_ = 0.0;   // ejection link busy-until (own fiber only)
   std::map<std::int64_t, double> out_edge_free_;  // own fiber only
-  std::map<std::int64_t, EdgeLedger> edge_ledger_;  // ditto
+  std::map<std::int64_t, std::vector<EdgeReservation>> edge_ledger_;  // ditto
   ProcCounters counters_;
   Mailbox mailbox_;
 };

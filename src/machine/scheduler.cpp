@@ -26,7 +26,7 @@ namespace {
 ///   kRunning --prepare_park--> kParking (--cancel_park--> kRunning)
 ///   kParking --worker, post-switch--> kParked
 ///   kParking --waker--> kWakeRequested --worker, post-switch--> kReady
-///   kParked --waker / quiesce release--> kReady (+ ready-queue push)
+///   kParked --waker--> kReady (+ ready-queue push)
 ///   kRunning --entry returns--> kFinished
 enum class FiberState : unsigned char {
   kReady,
@@ -47,10 +47,6 @@ struct FiberRecord {
   /// happens-before log pairs each wake with the park it released by it.
   /// Readable by wakers after an acquire-load of `state`.
   std::uint64_t park_seq = 0;
-  /// True while the current park is a quiesce-rendezvous park: its resume
-  /// is ordered by the quiesce release edge, not a wake event, so
-  /// commit_park must not record a `woken` event for it.
-  bool quiesce_park = false;
 };
 
 struct WorkerRecord {
@@ -107,12 +103,6 @@ struct FiberScheduler::Impl {
   [[nodiscard]] static int log_actor() {
     return tls_fiber != nullptr ? tls_fiber->rank : EventLog::kMachineActor;
   }
-
-  // Quiesce rendezvous: arrivals park until the generation advances; the
-  // last arrival releases everyone after running the critical section.
-  int q_arrived = 0;
-  unsigned long long q_gen = 0;
-  std::vector<int> q_parked;
 
   const std::function<void(int)>* body = nullptr;
 
@@ -213,9 +203,6 @@ struct FiberScheduler::Impl {
     FiberState expect = FiberState::kParking;
     if (f.state.compare_exchange_strong(expect, FiberState::kParked,
                                         std::memory_order_acq_rel)) {
-      if (q_arrived > 0) {
-        cv.notify_all();  // a quiesce leader may be counting parked peers
-      }
       return;
     }
     KALI_CHECK(expect == FiberState::kWakeRequested,
@@ -231,7 +218,6 @@ struct FiberScheduler::Impl {
   void stall_locked(std::unique_lock<std::mutex>& lk) {
     std::vector<StallState> states(fibers.size());
     int parked = 0;
-    int in_quiesce = 0;
     for (std::size_t r = 0; r < fibers.size(); ++r) {
       const FiberRecord& f = *fibers[r];
       // The acquire pairs with the fiber's kParking release-store, so the
@@ -240,9 +226,8 @@ struct FiberScheduler::Impl {
       if (s == FiberState::kFinished) {
         states[r] = StallState::kFinished;
       } else if (s == FiberState::kParked) {
-        states[r] = f.quiesce_park ? StallState::kQuiesce : StallState::kParked;
+        states[r] = StallState::kParked;
         ++parked;
-        in_quiesce += f.quiesce_park ? 1 : 0;
       } else {
         cv.wait(lk);  // a wake is in transit: not a full stall after all
         return;
@@ -251,8 +236,8 @@ struct FiberScheduler::Impl {
     std::exception_ptr error;
     if (!stall_handler) {
       error = std::make_exception_ptr(Error(
-          "full stall: " + std::to_string(parked) + " rank(s) parked (" +
-          std::to_string(in_quiesce) + " in quiesce), none can be woken"));
+          "full stall: " + std::to_string(parked) +
+          " rank(s) parked, none can be woken"));
     } else {
       try {
         error = std::make_exception_ptr(Error(stall_handler(states)));
@@ -386,9 +371,7 @@ void FiberScheduler::commit_park() {
   fiber_switch(f->ctx, w->ctx);
   // Resumed — possibly on a different worker thread (tls_worker moved on).
   Impl& im = *impl_;
-  if (im.log != nullptr && !f->quiesce_park) {
-    // Quiesce parks are ordered by the release edge (qrel -> qleave), not
-    // a wake; recording `woken` for them would dangle.
+  if (im.log != nullptr) {
     im.log->woken(f->rank, f->park_seq);
   }
 }
@@ -409,84 +392,6 @@ bool FiberScheduler::cancel_park() {
     im.log->woken(f->rank, f->park_seq);
   }
   return consumed;
-}
-
-void FiberScheduler::quiesce(const std::function<void()>& on_last) {
-  Impl& im = *impl_;
-  FiberRecord* f = tls_fiber;
-  KALI_CHECK(f != nullptr && f->impl == &im, "quiesce outside a fiber");
-  std::unique_lock<std::mutex> lk(im.mu);
-  if (im.aborted) {
-    throw Error("quiesce aborted: a peer processor failed");
-  }
-  const unsigned long long gen = im.q_gen;
-  if (im.log != nullptr) {
-    im.log->quiesce_enter(f->rank, gen);
-  }
-  ++im.q_arrived;
-  if (im.q_arrived < im.nfibers) {
-    im.q_parked.push_back(f->rank);
-    lk.unlock();
-    f->quiesce_park = true;
-    prepare_park();
-    commit_park();
-    f->quiesce_park = false;
-    lk.lock();
-    if (im.aborted) {
-      throw Error("quiesce aborted: a peer processor failed");
-    }
-    KALI_CHECK(im.q_gen != gen, "quiesce fiber woke without release");
-    if (im.log != nullptr) {
-      im.log->quiesce_leave(f->rank, gen);
-    }
-    return;
-  }
-  // Last arrival: wait until every peer is observably suspended.  The
-  // kParking release-store / kParked CAS / acquire-load chain makes each
-  // peer's rank-sharded writes visible before on_last reads them.
-  im.cv.wait(lk, [&] {
-    if (im.aborted) {
-      return true;
-    }
-    for (int r : im.q_parked) {
-      if (im.fiber(r).state.load(std::memory_order_acquire) !=
-          FiberState::kParked) {
-        return false;
-      }
-    }
-    return true;
-  });
-  if (im.aborted) {
-    throw Error("quiesce aborted: a peer processor failed");
-  }
-  if (im.log != nullptr) {
-    // qenter(gen) of every actor happens-before qrun(gen): the leader saw
-    // each peer kParked (acquire) after its qenter.
-    im.log->quiesce_run(f->rank, gen);
-  }
-  lk.unlock();
-  on_last();  // peers suspended: cross-rank state is safe to touch
-  lk.lock();
-  if (im.log != nullptr) {
-    // qrel(gen) happens-before every qleave(gen): peers resume only after
-    // the release CAS below.
-    im.log->quiesce_release(f->rank, gen);
-  }
-  ++im.q_gen;
-  im.q_arrived = 0;
-  for (int r : im.q_parked) {
-    FiberRecord& pf = im.fiber(r);
-    FiberState expect = FiberState::kParked;
-    const bool ok = pf.state.compare_exchange_strong(
-        expect, FiberState::kReady, std::memory_order_acq_rel);
-    KALI_CHECK(ok, "quiesce peer disappeared before release");
-    im.ready.push_back(r);
-  }
-  im.q_parked.clear();
-  if (im.log != nullptr) {
-    im.log->quiesce_leave(f->rank, gen);
-  }
-  im.cv.notify_all();
 }
 
 void FiberScheduler::wake(int rank) {

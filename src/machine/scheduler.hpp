@@ -14,9 +14,10 @@
 // fully reproducible step sequences, a property the differential tests
 // exploit.
 //
-// Yield points: Mailbox::recv parks the calling fiber when no match is
-// queued (prepare_park / commit_park below), and quiesce() parks all
-// fibers for machine-global maintenance (edge-ledger compaction).  A
+// Yield point: Mailbox::recv parks the calling fiber when no message on
+// its named (src, tag) lane is queued (prepare_park / commit_park below).
+// That receive is the only kind of park, and since every receive names
+// its source, which message it takes never depends on host order.  A
 // parked fiber with no possible waker is first-class scheduler state,
 // noticed only at a *full stall*: no fiber ready or running, every
 // unfinished one parked.  Nothing can wake anyone then, so the run aborts
@@ -44,8 +45,7 @@ class EventLog;
 /// What one fiber is doing at a full stall (see set_stall_handler).
 enum class StallState : unsigned char {
   kFinished,  ///< its body returned
-  kParked,    ///< parked on a resource wait (a Mailbox receive)
-  kQuiesce,   ///< parked in a quiesce() rendezvous
+  kParked,    ///< parked in a Mailbox receive
 };
 
 /// Full-stall diagnosis seam: given every fiber's StallState (indexed by
@@ -114,20 +114,12 @@ class FiberScheduler {
   /// (its happens-before edge is consumed here instead of at a resume).
   bool cancel_park();
 
-  /// Park until all nfibers ranks arrive; the last arrival alone runs
-  /// `on_last` while every peer is provably suspended (their rank-sharded
-  /// state is safe to read and rewrite), then releases everyone.  Throws
-  /// kali::Error on abort; a collective not entered by every rank ends in
-  /// a full stall, which aborts.
-  void quiesce(const std::function<void()>& on_last);
-
   // --- valid from any thread ---
 
   /// Make `rank` runnable if parked (or parking).  No-op otherwise.
   void wake(int rank);
 
-  /// Wake everything and poison future parks/quiesces; parked quiesce
-  /// waiters throw.  Used by Machine::run's error path so a failing rank
+  /// Wake everything and poison future parks.  Used by Machine::run's error path so a failing rank
   /// unwinds the whole pool promptly.
   void abort();
 
@@ -147,8 +139,7 @@ class FiberScheduler {
   /// leaving the built-in "full stall: ..." error.
   void set_stall_handler(StallHandler handler);
 
-  /// Record park/wake pairs, quiesce rendezvous edges, and abort wakes
-  /// of the coming run into `log` (machine/event_log.hpp); nullptr
+  /// Record park/wake pairs and abort wakes of the coming run into `log` (machine/event_log.hpp); nullptr
   /// records nothing.  Machine::run passes its attached log here.
   void attach_event_log(EventLog* log);
   [[nodiscard]] EventLog* event_log() const;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "machine/context.hpp"
@@ -189,16 +190,37 @@ TEST(Machine, HopsAffectSimulatedTime) {
   EXPECT_GT(one_message_time(7), one_message_time(1));
 }
 
-TEST(Machine, AnySourceReceivesFromEither) {
-  Machine m(3, MachineConfig{});
-  m.run([](Context& ctx) {
-    if (ctx.rank() == 0) {
-      int got = ctx.recv<int>(kAnySource, 9) + ctx.recv<int>(kAnySource, 9);
-      EXPECT_EQ(got, 30);  // 10 + 20 in either order
-    } else {
-      ctx.send<int>(0, 9, 10 * ctx.rank());
+TEST(Machine, RecvRejectsBadSourceRank) {
+  // Every receive names its source: a negative rank (no wildcard) or one
+  // past the machine fails at once with a clean error, not a stall.
+  for (const bool blocking : {true, false}) {
+    for (const int src : {-1, 3}) {
+      SCOPED_TRACE((blocking ? "recv from " : "irecv from ") +
+                   std::to_string(src));
+      Machine m(3, MachineConfig{});
+      try {
+        m.run([=](Context& ctx) {
+          if (ctx.rank() != 0) {
+            return;
+          }
+          int got = 0;
+          if (blocking) {
+            got = ctx.recv<int>(src, 9);
+          } else {
+            CommHandle h = ctx.irecv<int>(src, 9, got);
+            ctx.wait(h);
+          }
+        });
+        ADD_FAILURE() << "bad source rank accepted";
+      } catch (const Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("recv: bad source rank " + std::to_string(src)),
+                  std::string::npos)
+            << what;
+        EXPECT_EQ(what.find("full stall"), std::string::npos) << what;
+      }
     }
-  });
+  }
 }
 
 TEST(Machine, ChargeSecondsAdvancesClockWithoutFlops) {

@@ -31,8 +31,8 @@ Group whole_machine(Context& ctx) {
 /// A communication-heavy SPMD workload exercising every yield point: ring
 /// shifts (parked recvs), rank-skewed compute (fibers park in different
 /// orders under different worker counts), an all_gather (collective tree +
-/// dense paths), a mid-phase ledger compaction (quiesce), and a sync_clocks
-/// barrier, under store-and-forward contention.
+/// dense paths) and a sync_clocks barrier, under store-and-forward
+/// contention.
 void workload(Context& ctx) {
   const int p = ctx.nprocs();
   const int me = ctx.rank();
@@ -46,9 +46,6 @@ void workload(Context& ctx) {
     ctx.send_span<double>(next, 7, payload);
     const auto got = ctx.recv_vec<double>(prev, 7);
     acc += got.at(0);
-    if (iter == 3) {
-      compact_edge_ledgers(ctx);  // machine-global quiesce, zero model cost
-    }
   }
   const auto all = all_gather(ctx, g, std::span<const double>(&acc, 1));
   KALI_CHECK(static_cast<int>(all.size()) == p, "bad all_gather size");
@@ -160,28 +157,6 @@ TEST(FiberScheduler, DeadlockDetectorFiresAtFirstStall) {
       EXPECT_NE(std::string(e.what()).find("STUCK"), std::string::npos)
           << e.what();
     }
-  }
-}
-
-TEST(FiberScheduler, QuiesceMismatchDiagnosedNotHung) {
-  // One rank skips the collective quiesce: the arrived rank's park is a
-  // full stall, which fails at once.  Without the deadlock dump the error
-  // is the scheduler's own one-liner, which still counts the quiesce park.
-  MachineConfig cfg;
-  cfg.deadlock_detection = false;
-  cfg.sim_workers = 2;
-  Machine m(2, cfg);
-  try {
-    m.run([](Context& ctx) {
-      if (ctx.rank() == 0) {
-        compact_edge_ledgers(ctx);
-      }
-    });
-    FAIL() << "quiesce mismatch not diagnosed";
-  } catch (const Error& e) {
-    EXPECT_EQ(std::string(e.what()),
-              "full stall: 1 rank(s) parked (1 in quiesce), none can be "
-              "woken");
   }
 }
 

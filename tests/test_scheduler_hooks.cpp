@@ -1,9 +1,9 @@
 // Scheduler seams introduced for the interleaving explorer: the dispatch
 // hook (MachineConfig::sim_hook) and the fiber-stack canary.  Plus the
 // scheduler edge cases those seams make cheap to pin down: more workers
-// than ranks, single-worker quiesce, park/wake under adversarial dispatch
-// orderings, and the stack-overflow diagnostics (guard-page fault for
-// small populations, canary abort for guardless large ones).
+// than ranks, park/wake under adversarial dispatch orderings, and the
+// stack-overflow diagnostics (guard-page fault for small populations,
+// canary abort for guardless large ones).
 #include "machine/scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "machine/collectives.hpp"
 #include "machine/context.hpp"
 #include "machine/event_log.hpp"
 #include "machine/fiber.hpp"
@@ -50,8 +49,8 @@ class RotatingHook final : public SchedulerHook {
 
 // --- a park-heavy workload --------------------------------------------------
 
-/// Ring shifts (parked recvs) + skewed compute + a mid-phase quiesce: every
-/// park/wake path, under whatever dispatch order the hook imposes.
+/// Ring shifts (parked recvs) + skewed compute: every park/wake path,
+/// under whatever dispatch order the hook imposes.
 void workload(Context& ctx) {
   const int p = ctx.nprocs();
   const int me = ctx.rank();
@@ -62,9 +61,6 @@ void workload(Context& ctx) {
     ctx.compute(100.0 * (1 + (me + iter) % 3));
     ctx.send<double>(next, 7, static_cast<double>(me * 10 + iter));
     acc += ctx.recv<double>(prev, 7);
-    if (iter == 2) {
-      compact_edge_ledgers(ctx);
-    }
   }
   ctx.send<double>(next, 8, acc);
   (void)ctx.recv<double>(prev, 8);
@@ -119,20 +115,6 @@ TEST(SchedulerHooks, MoreWorkersThanRanksBitIdentical) {
   // Workers beyond the rank count spin down gracefully and change nothing.
   const RunResult base = run_workload(3, 1, nullptr);
   expect_identical(base, run_workload(3, 8, nullptr));
-}
-
-TEST(SchedulerHooks, SingleWorkerQuiesce) {
-  // The rendezvous must work when one worker hosts every fiber: the last
-  // arriver runs the callback on the only worker while all peers are
-  // parked on it.  (workload() quiesces mid-phase.)
-  const RunResult one = run_workload(4, 1, nullptr);
-  EXPECT_EQ(one.stats.totals().msgs_sent, 4u * 5u);
-  // And a quiesce entered simultaneously-ish by every rank with zero
-  // pending messages — nothing to wake anyone but the release path.
-  MachineConfig cfg;
-  cfg.sim_workers = 1;
-  Machine m(4, cfg);
-  m.run([](Context& ctx) { compact_edge_ledgers(ctx); });
 }
 
 // --- stack canary and overflow diagnostics ----------------------------------

@@ -146,8 +146,7 @@ TEST(EventLog, MachineRunRecordsMatchedTraffic) {
 
 TEST(EventLog, DetachedRunRecordsNothing) {
   // A log that was attached and then detached sees none of the later
-  // run's sends, receives, parks, nonblocking windows, barriers, quiesces
-  // or marks.
+  // run's sends, receives, parks, nonblocking windows, barriers or marks.
   MachineConfig cfg;
   cfg.link_contention = LinkContention::kStoreForward;
   Machine m(4, cfg);
@@ -167,7 +166,6 @@ TEST(EventLog, DetachedRunRecordsNothing) {
     EXPECT_EQ(got, left);
     ctx.mark(0, ctx.rank(), 'x');
     sync_clocks(ctx, Group({0, 1, 2, 3}, ctx.rank()));
-    compact_edge_ledgers(ctx);
   });
   EXPECT_EQ(log.total_events(), 0u);
   EXPECT_EQ(m.stats().sent_msgs(6), 4u);

@@ -6,7 +6,7 @@ model") promises bit-identical clocks, counters, and traces across host
 interleavings because all simulated state is rank-sharded and every
 cross-rank effect flows through a synchronization event whose order the
 *model* fixes (a mailbox push matched by a recv, a park released by a
-wake, a quiesce rendezvous).  ThreadSanitizer cannot check that promise:
+wake).  ThreadSanitizer cannot check that promise:
 a mutex orders two accesses physically without fixing their logical
 order, so a determinism race -- results that depend on which fiber the
 host happened to run first -- is invisible to it.
@@ -25,10 +25,6 @@ the actor-local sequence number, dense from 0 per actor):
     park   <actor> <aseq> <parkseq>
     wake   <actor> <aseq> <target> <parkseq>
     woken  <actor> <aseq> <parkseq>
-    qenter <actor> <aseq> <gen>
-    qrun   <actor> <aseq> <gen>
-    qrel   <actor> <aseq> <gen>
-    qleave <actor> <aseq> <gen>
     ipost  <actor> <aseq> <opid>
     icomp  <actor> <aseq> <opid>
     r      <actor> <aseq> <obj>:<owner>
@@ -40,14 +36,10 @@ Happens-before edges:
   - program order within each actor (aseq ascending);
   - send (src, mseq) -> recv (src, mseq) on the receiver;
   - wake (target, parkseq) -> woken (target, parkseq) on the target;
-  - every qenter(gen) -> the qrun(gen) (the quiesce leader saw every
-    peer suspended before running the critical section);
-  - qrel(gen) -> every qleave(gen) (peers resume only after release);
   - ipost (actor, opid) -> icomp (actor, opid): a nonblocking
     operation's in-flight window (machine/event_log.hpp post/complete).
     An ipost with no matching icomp is a leaked handle (the runtime
-    diagnoses the same condition at rank return under
-    KALI_CHECK_INVARIANTS); duplicates of either end are dangling-edge
+    diagnoses the same condition at rank return); duplicates of either end are dangling-edge
     findings.  The completion's buffer fill is a `w buf:<rank>` access,
     so compute reading an in-flight irecv buffer without an ordering
     edge to the completion is an unordered-read-write.
@@ -57,13 +49,13 @@ this table, docs/static-analysis.md embeds it):
 
   hb-format            malformed header/event lines, unknown object
                        classes, non-dense actor sequence numbers
-  dangling-edge        a consumer event (recv / woken / qrun / qleave)
-                       with no matching producer, or duplicate producers
-                       for one edge key
-  foreign-access       an actor touching another actor's clock / link /
-                       ledger / ctr / epoch outside a quiesce critical
-                       section (between qrun and qrel) -- the sharding
-                       contract forbids it outright, conflict or not
+  dangling-edge        a consumer event (recv / woken / icomp) with no
+                       matching producer, duplicate producers for one
+                       edge key, or an ipost never completed
+  foreign-access       an actor touching another actor's non-mailbox
+                       state (clock / link / ledger / ctr / epoch / buf)
+                       -- the sharding contract forbids it outright,
+                       conflict or not
   unordered-write      two writes to the same object not ordered by
                        happens-before (skipped for mbox: cross-sender
                        mailbox inserts commute by design)
@@ -83,10 +75,11 @@ from pathlib import Path
 RULES = {
     "hb-format": "malformed header or event line, unknown object, "
                  "or non-dense actor sequence numbers",
-    "dangling-edge": "edge consumer (recv/woken/qrun/qleave) without a "
-                     "matching producer, or duplicate producers",
-    "foreign-access": "non-owner access to clock/link/ledger/ctr/epoch "
-                      "outside a quiesce critical section",
+    "dangling-edge": "edge consumer (recv/woken/icomp) without a "
+                     "matching producer, duplicate producers, or an "
+                     "ipost never completed",
+    "foreign-access": "non-owner access to non-mailbox state "
+                      "(clock/link/ledger/ctr/epoch/buf)",
     "unordered-write": "two writes to one object unordered by "
                        "happens-before (mbox exempt: inserts commute)",
     "unordered-read-write": "read and write of one object unordered by "
@@ -98,7 +91,6 @@ OBJS = {"clock", "link", "ledger", "ctr", "epoch", "mbox", "buf"}
 # kind -> number of argument fields after "<kind> <actor> <aseq>"
 ARITY = {
     "send": 2, "recv": 2, "park": 1, "wake": 2, "woken": 1,
-    "qenter": 1, "qrun": 1, "qrel": 1, "qleave": 1,
     "ipost": 1, "icomp": 1, "r": 1, "w": 1,
 }
 
@@ -221,9 +213,6 @@ def build_edges(path: Path, actors, findings: list[Finding]):
     findings for consumers with no producer and duplicated producers."""
     sends: dict[tuple[int, int], Event] = {}
     wakes: dict[tuple[int, int], Event] = {}
-    qenters: dict[int, list[Event]] = {}
-    qruns: dict[int, Event] = {}
-    qrels: dict[int, Event] = {}
     iposts: dict[tuple[int, int], Event] = {}
     icomps: set[tuple[int, int]] = set()
 
@@ -244,12 +233,6 @@ def build_edges(path: Path, actors, findings: list[Finding]):
             elif ev.kind == "wake":
                 put_unique(wakes, (int(ev.args[0]), int(ev.args[1])), ev,
                            "wake producer")
-            elif ev.kind == "qenter":
-                qenters.setdefault(int(ev.args[0]), []).append(ev)
-            elif ev.kind == "qrun":
-                put_unique(qruns, int(ev.args[0]), ev, "qrun")
-            elif ev.kind == "qrel":
-                put_unique(qrels, int(ev.args[0]), ev, "qrel")
             elif ev.kind == "ipost":
                 put_unique(iposts, (ev.actor, int(ev.args[0])), ev,
                            "ipost producer")
@@ -277,24 +260,6 @@ def build_edges(path: Path, actors, findings: list[Finding]):
                         f"with no matching wake"))
                 else:
                     edges.append((src, ev))
-            elif ev.kind == "qrun":
-                gen = int(ev.args[0])
-                ents = qenters.get(gen, [])
-                if not ents:
-                    findings.append(Finding(
-                        "dangling-edge", f"{path}:{ev.line}",
-                        f"qrun(gen={gen}) with no qenter"))
-                for e in ents:
-                    edges.append((e, ev))
-            elif ev.kind == "qleave":
-                gen = int(ev.args[0])
-                rel = qrels.get(gen)
-                if rel is None:
-                    findings.append(Finding(
-                        "dangling-edge", f"{path}:{ev.line}",
-                        f"qleave(gen={gen}) with no qrel"))
-                else:
-                    edges.append((rel, ev))
             elif ev.kind == "icomp":
                 key = (ev.actor, int(ev.args[0]))
                 src = iposts.get(key)
@@ -369,23 +334,6 @@ def ordered(e1: Event, e2: Event) -> bool:
 
 
 def check_accesses(path: Path, actors, findings: list[Finding]) -> None:
-    # foreign-access: pre-compute each actor's quiesce windows as aseq
-    # intervals [qrun.aseq, qrel.aseq].
-    windows: dict[int, list[tuple[int, int]]] = {}
-    for a, evs in actors.items():
-        run_at = None
-        for ev in evs:
-            if ev.kind == "qrun":
-                run_at = ev.aseq
-            elif ev.kind == "qrel" and run_at is not None:
-                windows.setdefault(a, []).append((run_at, ev.aseq))
-                run_at = None
-        if run_at is not None:  # qrun with no qrel: open to end of shard
-            windows.setdefault(a, []).append((run_at, len(evs)))
-
-    def in_quiesce(ev: Event) -> bool:
-        return any(lo <= ev.aseq <= hi for lo, hi in windows.get(ev.actor, []))
-
     # Per (object, owner) key, split accesses per actor (a single actor's
     # accesses are totally ordered by program order, so conflicts only
     # arise across actors).
@@ -396,11 +344,11 @@ def check_accesses(path: Path, actors, findings: list[Finding]) -> None:
             if ev.kind not in ("r", "w"):
                 continue
             obj, owner = ev.args[0], int(ev.args[1])
-            if obj != "mbox" and ev.actor != owner and not in_quiesce(ev):
+            if obj != "mbox" and ev.actor != owner:
                 findings.append(Finding(
                     "foreign-access", f"{path}:{ev.line}",
-                    f"actor {ev.actor} accesses {obj}:{owner} outside a "
-                    f"quiesce critical section (rank-sharding violation)"))
+                    f"actor {ev.actor} accesses {obj}:{owner} "
+                    f"(rank-sharding violation)"))
             table = writes if ev.kind == "w" else reads
             table.setdefault((obj, owner), {}).setdefault(
                 ev.actor, []).append(ev)

@@ -18,7 +18,7 @@
 // prefix and deviating at that step.  Sleep sets [Godefroid] prune
 // schedules that only permute dispatches of ranks with no static
 // communication dependence (rank-level dependence: message peers, or
-// everything when the program quiesces) — the DPOR-style reduction that
+// everything for the seeded race) — the DPOR-style reduction that
 // keeps the ring program's schedule count tractable without losing
 // coverage of any conflicting pair's orderings.
 //
@@ -131,8 +131,8 @@ struct Program {
   MachineConfig cfg;  ///< sim_workers/sim_hook overwritten by the runner
   std::function<void(Context&)> body;
   /// Static rank-level dependence for sleep-set pruning: communicating
-  /// pairs, or all-dependent when the program quiesces (edge-ledger
-  /// compaction reads and rewrites every rank's state).
+  /// pairs, or all-dependent when the program touches state outside the
+  /// message protocol (the seeded race).
   bool all_dependent = false;
   std::vector<std::pair<int, int>> peers;
 };
@@ -208,18 +208,20 @@ std::vector<Program> make_programs() {
 
   {
     Program p;
-    p.name = "quiesce-compact";
+    // Store-and-forward ring: every receive resolves its route's edges
+    // against the receiver's ledger, so this enumerates interleavings of
+    // ledger resolution.
+    p.name = "sf-ring-ledger";
     p.nprocs = 3;
     p.cfg.topology = Topology::kRing;
     p.cfg.link_contention = LinkContention::kStoreForward;
-    p.all_dependent = true;  // quiesce rendezvous couples every rank
+    p.peers = {{0, 1}, {1, 2}, {2, 0}};
     p.body = [](Context& ctx) {
       const int n = ctx.nprocs();
       const int right = (ctx.rank() + 1) % n;
       const int left = (ctx.rank() + n - 1) % n;
       ctx.send(right, kTagA, static_cast<double>(ctx.rank()));
       (void)ctx.recv<double>(left, kTagA);
-      compact_edge_ledgers(ctx);  // machine-global quiesce
       ctx.send(left, kTagB, ctx.clock());
       (void)ctx.recv<double>(right, kTagB);
     };

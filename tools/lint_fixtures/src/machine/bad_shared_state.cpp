@@ -1,5 +1,5 @@
 // Fixture: Processor cost-model mutators invoked outside the sanctioned
-// files (context.cpp / collectives.cpp / machine.cpp / processor.hpp) --
+// files (context.cpp / collectives.cpp / processor.hpp) --
 // ad-hoc pokes at rank-sharded simulator state break the determinism
 // contract the happens-before analyzer checks at run time.
 #include "machine/processor.hpp"

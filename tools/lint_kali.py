@@ -39,10 +39,10 @@ compiler never checks.  This linter enforces the written rules:
                  this catches it at lint time).
   shared-state   Processor cost-model mutators and ledger accessors
                  (set_clock/realign_clock/set_*_link_free/reserve_edge/
-                 compact_edge_ledgers/clear_link_state/bump_barrier_epoch/
-                 out_edge_free/edge_ledger) may be called only from the
-                 sanctioned machine-layer files (context.cpp,
-                 collectives.cpp, machine.cpp, processor.hpp): anywhere
+                 clear_link_state/bump_barrier_epoch/out_edge_free/
+                 edge_ledger) may be called only from the sanctioned
+                 machine-layer files (context.cpp, collectives.cpp,
+                 processor.hpp): anywhere
                  else, a rank mutating simulator state -- possibly a
                  *peer's* -- bypasses the rank-sharding contract the
                  happens-before analyzer (tools/check_hb.py) checks at
@@ -125,15 +125,13 @@ CONDITIONAL_RE = re.compile(r"\b(?:if|while|for|switch)\s*\(")
 # rank-sharded cost-model state.
 SHARED_STATE_RE = re.compile(
     r"(?:\.|->)\s*(?:set_clock|realign_clock|set_out_link_free|"
-    r"set_in_link_free|reserve_edge|compact_edge_ledgers|clear_link_state|"
+    r"set_in_link_free|reserve_edge|clear_link_state|"
     r"bump_barrier_epoch|out_edge_free|edge_ledger)\s*\(")
 # The files the machine model sanctions to touch that state: the cost
-# model itself, the sync_clocks barrier, the quiesce compaction leader,
-# and the Processor definition.
+# model itself, the sync_clocks barrier, and the Processor definition.
 SHARED_STATE_SANCTIONED = {
     "src/machine/context.cpp",
     "src/machine/collectives.cpp",
-    "src/machine/machine.cpp",
     "src/machine/processor.hpp",
 }
 # Tokens that make a conditional rank-dependent: the SPMD rank, a group
