@@ -52,8 +52,8 @@ struct RunStats {
   std::uint64_t bytes = 0;
   double seconds = 0.0;
   /// Hidden / total in-flight wire time (MachineStats::overlap_ratio):
-  /// zero for every blocking pattern, positive only where nonblocking
-  /// completions hid wire time behind compute.
+  /// zero for every blocking pattern, positive only where split-phase
+  /// receives hid wire time behind compute.
   double overlap_ratio = 0.0;
 };
 

@@ -1,7 +1,7 @@
 #include "machine/context.hpp"
 
 #include <algorithm>
-#include <map>
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -15,6 +15,13 @@ namespace {
 // blocking receive is the deepest call chain on most fiber stacks.
 [[noreturn, gnu::noinline]] void bad_source_rank(const char* op, int src) {
   KALI_FAIL(std::string(op) + ": bad source rank " + std::to_string(src));
+}
+
+[[noreturn, gnu::noinline]] void lane_held_open(int src, int tag) {
+  KALI_FAIL("recv(src=" + std::to_string(src) + ", tag=" +
+            std::to_string(tag) +
+            ") would take a message an open split-phase exchange expects; "
+            "finish() the exchange first");
 }
 
 }  // namespace
@@ -116,28 +123,21 @@ Message Context::recv_message(int src, int tag) {
   if (src < 0 || src >= nprocs()) {
     bad_source_rank("recv", src);
   }
-#if defined(KALI_CHECK_INVARIANTS)
-  // A blocking recv matching a lane with a posted-but-incomplete irecv
-  // would steal that operation's message — overtaking it in FIFO order.
-  for (const auto& op : self_->mailbox().pending_ops()) {
-    KALI_INVARIANT(op.tag != tag || op.src != src,
-                   "recv: blocking receive on (src=" + std::to_string(src) +
-                       ", tag=" + std::to_string(tag) +
-                       ") would overtake a pending nonblocking receive on "
-                       "the same lane");
+  if (std::any_of(open_lanes_.begin(), open_lanes_.end(),
+                  [&](const RecvLane& l) { return l.src == src && l.tag == tag; })) {
+    lane_held_open(src, tag);
   }
-#endif
   Message m = self_->mailbox().recv(src, tag);
-  finish_receive(m);
+  finish_receive(m, m.size_bytes());
   return m;
 }
 
-double Context::finish_receive(Message& m) {
+double Context::finish_receive(const Message& m, std::size_t bytes) {
   // The log records the *receiver's* epoch (not the message's stamp), so
   // the offline verifier can flag barrier straddling by comparing the
   // matched send/recv pair's epochs.
   if (EventLog* log = machine_->event_log(); log != nullptr) {
-    log->recv(rank(), m, self_->barrier_epoch());
+    log->recv(rank(), m, bytes, self_->barrier_epoch());
   }
   // A message sent before a sync_clocks barrier but received after it
   // carries a pre-barrier timestamp into a phase whose clocks were aligned
@@ -149,8 +149,7 @@ double Context::finish_receive(Message& m) {
                      "epoch " + std::to_string(m.epoch) + ", received at " +
                      std::to_string(self_->barrier_epoch()) + ")");
   auto& cnt = self_->counters();
-  const double wire =
-      static_cast<double>(m.size_bytes()) * config().byte_time;
+  const double wire = static_cast<double>(bytes) * config().byte_time;
   double arrival;
   switch (config().link_contention) {
     case LinkContention::kNone:
@@ -209,7 +208,7 @@ double Context::finish_receive(Message& m) {
   cnt.overhead_time += config().recv_overhead;
   self_->set_clock(ready + config().recv_overhead);
   cnt.msgs_recv += 1;
-  cnt.bytes_recv += m.size_bytes();
+  cnt.bytes_recv += bytes;
   cnt.recv_by_tag[m.tag] += 1;
   if (EventLog* log = machine_->event_log(); log != nullptr) {
     // After the match edge recorded in Mailbox::try_pop: the receive-side
@@ -228,145 +227,59 @@ double Context::finish_receive(Message& m) {
   return arrival;
 }
 
-CommHandle Context::irecv_bytes(int src, int tag, std::span<std::byte> out) {
-  if (src < 0 || src >= nprocs()) {
-    bad_source_rank("irecv", src);
-  }
-  // Posting is free in the model (like handing a buffer to the NIC); the
-  // receive's whole cost is charged at the completing wait point.
-  const std::uint64_t id = self_->mailbox().post_op(
-      src, tag, out.data(), out.size(), self_->clock());
-  if (EventLog* log = machine_->event_log(); log != nullptr) {
-    log->post(rank(), id);
-  }
-  return CommHandle(this, id);
-}
-
-std::vector<std::uint64_t> Context::with_lane_predecessors(
-    std::uint64_t id) const {
-  const auto& ops = self_->mailbox().pending_ops();
-  const PendingOp* target = nullptr;
-  for (const auto& op : ops) {
-    if (op.id == id) {
-      target = &op;
-      break;
+void Context::recv_batch(std::span<const RecvLane> lanes, double window_start,
+                         const std::function<void(std::size_t, Message)>& take) {
+  std::vector<std::pair<int, int>> keys;
+  keys.reserve(lanes.size());
+  for (const RecvLane& l : lanes) {
+    if (l.src < 0 || l.src >= nprocs()) {
+      bad_source_rank("recv_batch", l.src);
     }
+    keys.emplace_back(l.src, l.tag);
   }
-  if (target == nullptr) {
-    return {};  // already complete
+  std::sort(keys.begin(), keys.end());
+  KALI_CHECK(std::adjacent_find(keys.begin(), keys.end()) == keys.end(),
+             "recv_batch: a (src, tag) lane appears twice");
+  // Each lane's wait is a park like a blocking recv's, publishing its
+  // (src, tag); its message goes to the caller before the next lane's
+  // wait, and only its header stays behind for the charge.
+  std::vector<Message> msgs(lanes.size());
+  std::vector<std::size_t> bytes(lanes.size());
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    Message m = self_->mailbox().recv(lanes[i].src, lanes[i].tag);
+    msgs[i] = {m.src, m.tag, m.send_time, m.seq, m.epoch, {}};
+    bytes[i] = m.size_bytes();
+    take(i, std::move(m));
   }
-  std::vector<std::uint64_t> ids;
-  for (const auto& op : ops) {
-    if (op.src == target->src && op.tag == target->tag && op.id <= id) {
-      ids.push_back(op.id);
+  // Charge the batch in ascending (send_time, src, seq) — the edge
+  // ledgers' canonical serialization key — so the clocks are a pure
+  // function of the program, never of host arrival order.
+  std::vector<std::size_t> order(msgs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const Message& x = msgs[a];
+    const Message& y = msgs[b];
+    if (x.send_time != y.send_time) {
+      return x.send_time < y.send_time;
     }
-  }
-  return ids;
-}
-
-void Context::complete_ops(std::vector<std::uint64_t> ids) {
-  if (ids.empty()) {
-    return;
-  }
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  Mailbox& mb = self_->mailbox();
-  // Group the operations by (src, tag) lane, preserving post order within
-  // each lane (the table is id-ordered).  std::map keeps the lane iteration
-  // order a pure function of the program.
-  std::map<std::pair<int, int>, std::vector<PendingOp>> lanes;
-  for (const auto& op : mb.pending_ops()) {
-    if (std::binary_search(ids.begin(), ids.end(), op.id)) {
-      lanes[{op.src, op.tag}].push_back(op);
+    if (x.src != y.src) {
+      return x.src < y.src;
     }
-  }
-  // Phase 1: park until every lane holds enough queued matches.  Each park
-  // is a scheduler yield point publishing its wait, exactly like a
-  // blocking recv on that lane.
-  for (const auto& [lane, ops] : lanes) {
-    mb.await_matches(lane.first, lane.second, ops.size());
-  }
-  // Phase 2: pop each lane FIFO (the j-th posted operation takes the j-th
-  // queued match), then apply the receive-side cost algebra over the whole
-  // batch in ascending (send_time, src, seq) of the matched messages — the
-  // edge ledgers' canonical serialization key — so completion order is a
-  // pure function of the program, never of host arrival order.
-  struct Completion {
-    PendingOp op;
-    Message msg;
-  };
-  std::vector<Completion> batch;
-  for (const auto& [lane, ops] : lanes) {
-    for (const auto& op : ops) {
-      auto m = mb.try_pop(lane.first, lane.second);
-      KALI_CHECK(m.has_value(),
-                 "nonblocking completion lost its matched message");
-      batch.push_back({op, std::move(*m)});
-      mb.erase_op(op.id);
-    }
-  }
-  std::sort(batch.begin(), batch.end(),
-            [](const Completion& a, const Completion& b) {
-              if (a.msg.send_time != b.msg.send_time) {
-                return a.msg.send_time < b.msg.send_time;
-              }
-              if (a.msg.src != b.msg.src) {
-                return a.msg.src < b.msg.src;
-              }
-              return a.msg.seq < b.msg.seq;
-            });
-  for (auto& c : batch) {
-    KALI_CHECK(c.msg.size_bytes() == c.op.bytes,
-               "irecv size mismatch: posted " + std::to_string(c.op.bytes) +
-                   " bytes, message carries " +
-                   std::to_string(c.msg.size_bytes()));
+    return x.seq < y.seq;
+  });
+  auto& cnt = self_->counters();
+  for (const std::size_t i : order) {
     const double before = self_->clock();
-    const double arrival = finish_receive(c.msg);
-    if (c.op.bytes > 0) {
-      std::memcpy(c.op.dest, c.msg.payload.data(), c.op.bytes);
-    }
-    // Overlap ledger: the in-flight window ran from the post to the
-    // modeled arrival; whatever of it this rank's clock had already
-    // covered when the completion ran was spent on other work — wire time
+    const double arrival = finish_receive(msgs[i], bytes[i]);
+    // Overlap ledger: the in-flight window ran from the exchange's start
+    // to the modeled arrival; whatever of it this rank's clock had already
+    // covered when the receive ran was spent on other work — wire time
     // hidden behind local progress instead of sat out in wait_time.
-    auto& cnt = self_->counters();
-    const double window = std::max(0.0, arrival - c.op.post_clock);
+    const double window = std::max(0.0, arrival - window_start);
     const double hidden =
-        std::clamp(std::min(before, arrival) - c.op.post_clock, 0.0, window);
+        std::clamp(std::min(before, arrival) - window_start, 0.0, window);
     cnt.overlap_wire_time += window;
     cnt.overlap_hidden_time += hidden;
-    if (EventLog* log = machine_->event_log(); log != nullptr) {
-      // The completion's memcpy is the machine's write into the posted
-      // buffer; foreign accesses between ipost and icomp are the in-flight
-      // races the analyzer flags.
-      log->write(rank(), HbObj::kBuf, rank());
-      log->complete(rank(), c.op.id);
-    }
-  }
-}
-
-void Context::wait(CommHandle& h) {
-  KALI_CHECK(h.ctx_ == nullptr || h.ctx_ == this,
-             "wait: handle belongs to another rank's context");
-  if (h.op_ != 0) {
-    complete_ops(with_lane_predecessors(h.op_));
-    h.op_ = 0;
-  }
-}
-
-void Context::wait_all(std::span<CommHandle> hs) {
-  std::vector<std::uint64_t> ids;
-  for (CommHandle& h : hs) {
-    KALI_CHECK(h.ctx_ == nullptr || h.ctx_ == this,
-               "wait_all: handle belongs to another rank's context");
-    if (h.op_ != 0) {
-      auto lane = with_lane_predecessors(h.op_);
-      ids.insert(ids.end(), lane.begin(), lane.end());
-    }
-  }
-  complete_ops(std::move(ids));
-  for (CommHandle& h : hs) {
-    h.op_ = 0;
   }
 }
 

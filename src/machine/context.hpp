@@ -40,7 +40,10 @@
 // move.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <cstring>
+#include <functional>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -51,44 +54,34 @@
 
 namespace kali {
 
-class Context;
-
-/// Completion handle of a nonblocking operation (Context::isend/irecv).
-///
-/// An isend's handle is born complete: the model's send is fire-and-forget
-/// (the payload is copied and deposited at send time), so there is nothing
-/// left to wait for and dropping the handle is legal.  An irecv's handle is
-/// pending until a wait point completes it; dropping a pending handle leaks
-/// the operation, which every build diagnoses when the rank's program
-/// returns (Machine::run).
-///
-/// Handles are freely copyable: completion is recorded in the mailbox's
-/// operation table, not the handle, and operation ids are never reused, so
-/// every copy agrees — wait() on an already-completed operation is a cheap
-/// no-op.  Only a wait point completes an operation: there is no progress
-/// engine, so a matched message sits queued until then.
-class CommHandle {
- public:
-  CommHandle() = default;  ///< born complete (no pending operation)
-
-  /// True once the operation has completed (never blocks, never completes).
-  [[nodiscard]] bool done() const;
-
-  /// Park until the operation can complete, then complete it (and its lane
-  /// predecessors).  A scheduler yield point, exactly like a blocking recv,
-  /// and diagnosed like one if the run stalls while it waits.
-  void wait();
-
- private:
-  friend class Context;
-  CommHandle(Context* ctx, std::uint64_t op) : ctx_(ctx), op_(op) {}
-  Context* ctx_ = nullptr;
-  std::uint64_t op_ = 0;  ///< 0 = complete; else pending operation id
+/// One (source, tag) lane of a batched receive (Context::recv_batch).
+struct RecvLane {
+  int src = -1;
+  int tag = 0;
 };
+
+/// The payload of `m` as trivially copyable T's.  Takes the message by
+/// value, so the payload is released on return, before the caller uses the
+/// copy: the sender-allocated buffer goes back to the allocator as early
+/// as a blocking receive's does.
+template <class T>
+std::vector<T> payload_values(Message m) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  KALI_CHECK(m.size_bytes() % sizeof(T) == 0, "span recv size mismatch");
+  std::vector<T> out(m.size_bytes() / sizeof(T));
+  if (!out.empty()) {  // empty payloads are legal; memcpy(null, ..) is not
+    std::memcpy(out.data(), m.payload.data(), m.size_bytes());
+  }
+  return out;
+}
 
 class Context {
  public:
   Context(Machine& m, Processor& p) : machine_(&m), self_(&p) {}
+  // One Context per rank and run (Machine::run): it holds the rank's
+  // split-phase exchange state, which a copy would split.
+  Context(const Context&) = delete;
+  Context& operator=(const Context&) = delete;
 
   [[nodiscard]] int rank() const { return self_->rank(); }
   [[nodiscard]] int nprocs() const { return machine_->size(); }
@@ -145,14 +138,7 @@ class Context {
 
   template <class T>
   std::vector<T> recv_vec(int src, int tag) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    Message m = recv_message(src, tag);
-    KALI_CHECK(m.size_bytes() % sizeof(T) == 0, "span recv size mismatch");
-    std::vector<T> out(m.size_bytes() / sizeof(T));
-    if (!out.empty()) {  // empty payloads are legal; memcpy(null, ..) is not
-      std::memcpy(out.data(), m.payload.data(), m.size_bytes());
-    }
-    return out;
+    return payload_values<T>(recv_message(src, tag));
   }
 
   template <class T>
@@ -165,102 +151,67 @@ class Context {
     }
   }
 
-  // --- nonblocking messaging -------------------------------------------
+  // --- batched receive: the wait point of a split-phase exchange ---------
   //
-  // isend is a send that also returns a handle; it pays the identical cost
-  // and moves the identical message, so blocking and nonblocking senders
-  // may interleave freely on one (src, dst, tag) lane without perturbing
-  // ledgers, traces, or FIFO order.  irecv registers a pending operation
-  // (destination buffer + expected size) in the mailbox's operation table
-  // at zero model cost; the receive's full cost — arrival resolution,
-  // wait, recv_overhead — is charged at the wait point that completes it.
+  // A split-phase exchange (DistArray::exchange_halo_begin and the _begin
+  // forms of runtime/redistribute.hpp and runtime/remap.hpp) fires its
+  // sends, runs the caller's work, and finishes with one recv_batch over
+  // the lanes it expects.  Posting a receive costs nothing in the model, so
+  // receiving at the wait point is the whole receive.
+
+  /// Take one message from every lane in `lanes` (each (src, tag) at most
+  /// once), in lane order: park until the lane has a queued match, pop it,
+  /// and hand it to `take(i, m)` for lane i.  The caller unpacks there
+  /// (payload_values), before the next lane's wait — so a batch holds no
+  /// more payload than a blocking receive loop.  Then charge the receives
+  /// in ascending (send_time, src, seq) of the messages — the edge ledgers'
+  /// canonical key — never in host arrival order.  Each receive also
+  /// enters the overlap ledger: its in-flight window runs from
+  /// `window_start` (the clock at which the exchange began) to its modeled
+  /// arrival.
+  void recv_batch(std::span<const RecvLane> lanes, double window_start,
+                  const std::function<void(std::size_t, Message)>& take);
+
+  // --- split-phase exchange state (PendingExchange) ---------------------
   //
-  // Completion ordering is deterministic by construction: messages match
-  // pending operations per (src, tag) lane in FIFO order, and when one
-  // wait point completes several operations at once it applies their
-  // receive-side cost algebra in ascending (send_time, src, seq) of the
-  // matched messages — the same canonical serialization key the
-  // store-and-forward edge ledgers use — never in host arrival order.
-  // On a single lane that key order coincides with FIFO post order.
+  // Receives match FIFO per (src, tag) lane, and open exchanges may share
+  // lanes (every redistribute_begin uses kTagRedistData), so the exchanges
+  // must finish in the order they began, and no other receive may take a
+  // lane an open one expects — either would hand one exchange another's
+  // messages.  Both are checked in every build, and so is the dropped
+  // exchange: Machine::run fails a rank that returns with one still open.
 
-  /// Nonblocking send.  Identical cost and semantics to send_bytes; the
-  /// returned handle is already complete.
-  CommHandle isend_bytes(int dst, int tag, std::span<const std::byte> data) {
-    send_bytes(dst, tag, data);
-    return CommHandle{};
+  /// Open an exchange that will receive on `lanes`; returns its begin stamp.
+  std::uint32_t begin_exchange(std::span<const RecvLane> lanes) {
+    open_lanes_.insert(open_lanes_.end(), lanes.begin(), lanes.end());
+    return exchanges_begun_++;
   }
-
-  template <class T>
-  CommHandle isend(int dst, int tag, const T& value) {
-    send(dst, tag, value);
-    return CommHandle{};
+  /// Close the exchange stamped `stamp`, which opened `nlanes` lanes.
+  void finish_exchange(std::uint32_t stamp, std::size_t nlanes) {
+    KALI_CHECK(stamp == exchanges_finished_,
+               "split-phase exchanges must finish in the order they began");
+    ++exchanges_finished_;
+    open_lanes_.erase(open_lanes_.begin(),
+                      open_lanes_.begin() + static_cast<std::ptrdiff_t>(nlanes));
   }
-
-  template <class T>
-  CommHandle isend_span(int dst, int tag, std::span<const T> values) {
-    send_span(dst, tag, values);
-    return CommHandle{};
+  [[nodiscard]] std::uint32_t unfinished_exchanges() const {
+    return exchanges_begun_ - exchanges_finished_;
   }
-
-  /// Post a nonblocking receive into `out` (caller-owned; must stay alive
-  /// and untouched until the handle completes).  The matching message's
-  /// payload must be exactly out.size() bytes.
-  CommHandle irecv_bytes(int src, int tag, std::span<std::byte> out);
-
-  template <class T>
-  CommHandle irecv_into(int src, int tag, std::span<T> out) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    return irecv_bytes(
-        src, tag,
-        std::span<std::byte>(reinterpret_cast<std::byte*>(out.data()),
-                             out.size_bytes()));
-  }
-
-  template <class T>
-  CommHandle irecv(int src, int tag, T& out) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    return irecv_bytes(
-        src, tag,
-        std::span<std::byte>(reinterpret_cast<std::byte*>(&out), sizeof(T)));
-  }
-
-  /// Complete `h` (see CommHandle::wait).  No-op on a completed handle.
-  void wait(CommHandle& h);
-
-  /// Complete every handle in `hs`: parks until all of them (plus lane
-  /// predecessors) have matched messages queued, then completes the whole
-  /// batch in ascending (send_time, src, seq) order.
-  void wait_all(std::span<CommHandle> hs);
 
  private:
   /// Everything a receive does after its message leaves the queue: its
   /// event-log record, epoch invariant, arrival resolution under the
   /// configured contention tier, clock/wait/overhead accounting, counters,
-  /// and the state writes it logs.  Returns the modeled arrival time (for
-  /// the overlap ledger).
-  double finish_receive(Message& m);
-
-  /// Complete the pending operations named by `ids` (they must all be
-  /// pending): park until satisfiable, then pop + apply in key order.
-  void complete_ops(std::vector<std::uint64_t> ids);
-
-  /// `id`'s operation plus every earlier pending operation on its lane.
-  [[nodiscard]] std::vector<std::uint64_t> with_lane_predecessors(
-      std::uint64_t id) const;
+  /// and the state writes it logs.  `bytes` is the payload size (a batched
+  /// receive has handed the payload to its caller by then).  Returns the
+  /// modeled arrival time (for the overlap ledger).
+  double finish_receive(const Message& m, std::size_t bytes);
 
   Machine* machine_;
   Processor* self_;
+  std::uint32_t exchanges_begun_ = 0;
+  std::uint32_t exchanges_finished_ = 0;
+  std::vector<RecvLane> open_lanes_;  // of the open exchanges, oldest first
 };
-
-inline bool CommHandle::done() const {
-  return op_ == 0 || !ctx_->proc().mailbox().op_pending(op_);
-}
-
-inline void CommHandle::wait() {
-  if (op_ != 0) {
-    ctx_->wait(*this);
-    op_ = 0;
-  }
-}
 
 }  // namespace kali

@@ -12,16 +12,15 @@ namespace {
 
 // write_hb's line names, indexed by Kind; trace-only and activity records
 // (kRecv, kMark) have none.
-constexpr std::array<const char*, 11> kHbNames = {
-    "send", "recv", nullptr, "park", "wake", "woken",
-    "ipost", "icomp", "r", "w", nullptr};
+constexpr std::array<const char*, 9> kHbNames = {
+    "send", "recv", nullptr, "park", "wake", "woken", "r", "w", nullptr};
 static_assert(kHbNames.size() ==
               static_cast<std::size_t>(EventLog::Kind::kMark) + 1);
 
 // Access-object names, indexed by HbObj.
-constexpr std::array<const char*, 7> kObjNames = {
-    "clock", "link", "ledger", "ctr", "epoch", "mbox", "buf"};
-static_assert(kObjNames.size() == static_cast<std::size_t>(HbObj::kBuf) + 1);
+constexpr std::array<const char*, 6> kObjNames = {
+    "clock", "link", "ledger", "ctr", "epoch", "mbox"};
+static_assert(kObjNames.size() == static_cast<std::size_t>(HbObj::kMbox) + 1);
 
 }  // namespace
 
@@ -103,9 +102,10 @@ void EventLog::match(int actor, int src, std::uint64_t seq) {
   push(actor, {.kind = Kind::kMatch, .peer = src, .n = seq});
 }
 
-void EventLog::recv(int actor, const Message& m, std::uint32_t epoch) {
+void EventLog::recv(int actor, const Message& m, std::size_t bytes,
+                    std::uint32_t epoch) {
   push(actor, {.kind = Kind::kRecv, .peer = m.src, .tag = m.tag,
-               .epoch = epoch, .n = m.seq, .bytes = m.size_bytes()});
+               .epoch = epoch, .n = m.seq, .bytes = bytes});
 }
 
 void EventLog::park(int actor, std::uint64_t park_seq) {
@@ -118,14 +118,6 @@ void EventLog::wake(int actor, int target, std::uint64_t park_seq) {
 
 void EventLog::woken(int actor, std::uint64_t park_seq) {
   push(actor, {.kind = Kind::kWoken, .n = park_seq});
-}
-
-void EventLog::post(int actor, std::uint64_t opid) {
-  push(actor, {.kind = Kind::kIPost, .n = opid});
-}
-
-void EventLog::complete(int actor, std::uint64_t opid) {
-  push(actor, {.kind = Kind::kIComp, .n = opid});
 }
 
 void EventLog::read(int actor, HbObj obj, int owner) {
@@ -180,7 +172,7 @@ void EventLog::write_hb(std::ostream& os) const {
           os << ' ' << kObjNames[static_cast<std::size_t>(e.obj)] << ':'
              << e.peer;
           break;
-        default:  // park, woken, ipost, icomp: one counter
+        default:  // park, woken: one counter
           os << ' ' << e.n;
           break;
       }

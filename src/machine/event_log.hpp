@@ -57,7 +57,6 @@ enum class HbObj : unsigned char {
   kCtr,     ///< ProcCounters
   kEpoch,   ///< sync_clocks barrier epoch
   kMbox,    ///< mailbox queue contents
-  kBuf,     ///< a nonblocking receive's destination buffer (in-flight window)
 };
 
 /// A (step x processor) character matrix, '.' meaning idle.  Rendered from
@@ -102,8 +101,6 @@ class EventLog {
     kPark,
     kWake,
     kWoken,
-    kIPost,
-    kIComp,
     kRead,
     kWrite,
     kMark,  ///< Figure 3/5 activity
@@ -116,7 +113,7 @@ class EventLog {
     int peer = 0;    ///< dst/src, wake target, access owner, mark column
     int tag = 0;     ///< kSend/kRecv: message tag; kMark: the step
     std::uint32_t epoch = 0;  ///< kSend/kRecv: the recorder's barrier epoch
-    std::uint64_t n = 0;      ///< message seq, park seq, op id
+    std::uint64_t n = 0;      ///< message seq or park seq
     std::uint64_t bytes = 0;  ///< kSend/kRecv: payload size
   };
 
@@ -130,10 +127,13 @@ class EventLog {
   void send(int actor, int dst, const Message& m);
   /// The message (src, seq) left `actor`'s queue: the happens-before edge.
   void match(int actor, int src, std::uint64_t seq);
-  /// `actor` charged the receive of `m`, at the receiver's `epoch`: a
-  /// matched pair whose epochs disagree straddled a barrier.  Batch
-  /// completions charge, and so record, in (send_time, src, seq) order.
-  void recv(int actor, const Message& m, std::uint32_t epoch);
+  /// `actor` charged the receive of `m` (`bytes` of payload), at the
+  /// receiver's `epoch`: a matched pair whose epochs disagree straddled a
+  /// barrier.  A batched receive (Context::recv_batch) charges, and so
+  /// records, in (send_time, src, seq) order, after it has released the
+  /// payloads.
+  void recv(int actor, const Message& m, std::size_t bytes,
+            std::uint32_t epoch);
 
   // --- scheduler synchronization ---
 
@@ -142,16 +142,6 @@ class EventLog {
   void park(int actor, std::uint64_t park_seq);
   void wake(int actor, int target, std::uint64_t park_seq);
   void woken(int actor, std::uint64_t park_seq);
-
-  /// Nonblocking-operation window: `post` marks the posting of an irecv
-  /// (the destination buffer is handed to the machine) and `complete` its
-  /// completion at a wait point.  `opid` is the rank-local operation id,
-  /// so (actor, opid) pairs each post with exactly one completion; the
-  /// analyzer flags an unpaired or doubled id as a dangling edge.  Compute
-  /// accesses to the buffer from any other actor between the pair are the
-  /// in-flight races the analyzer exists to catch (HbObj::kBuf).
-  void post(int actor, std::uint64_t opid);
-  void complete(int actor, std::uint64_t opid);
 
   // --- shared-state accesses ---
   void read(int actor, HbObj obj, int owner);

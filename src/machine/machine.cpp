@@ -1,7 +1,9 @@
 #include "machine/machine.hpp"
 
 #include <atomic>
+#include <cstdint>
 #include <mutex>
+#include <string>
 
 #include "machine/context.hpp"
 #include "machine/deadlock.hpp"
@@ -11,6 +13,20 @@
 #include "support/check.hpp"
 
 namespace kali {
+
+namespace {
+
+// Out of line, so the base frame of every fiber stack holds no message
+// text.
+[[noreturn, gnu::noinline]] void unfinished_exchange(int rank,
+                                                     std::uint32_t open) {
+  throw Error("split-phase exchange never finished: rank " +
+              std::to_string(rank) + " returned with " + std::to_string(open) +
+              " exchange(s) begun and not finished (every _begin handle "
+              "must be finish()ed)");
+}
+
+}  // namespace
 
 Machine::Machine(int nprocs, MachineConfig cfg) : cfg_(cfg) {
   KALI_CHECK(nprocs >= 1, "machine needs at least one processor");
@@ -56,7 +72,7 @@ void Machine::run(const std::function<void(Context&)>& program) {
   std::mutex error_mu;
 
   // One fiber per rank on a fixed worker pool; an unmatched recv parks
-  // its fiber (Mailbox::await_matches) instead of blocking a host thread.
+  // its fiber (Mailbox::recv) instead of blocking a host thread.
   FiberScheduler sched(p, cfg_.sim_workers, cfg_.fiber_stack_bytes);
   if (cfg_.sim_hook != nullptr) {
     sched.set_hook(cfg_.sim_hook);
@@ -83,12 +99,13 @@ void Machine::run(const std::function<void(Context&)>& program) {
       Context ctx(*this, *procs_[static_cast<std::size_t>(r)]);
       try {
         program(ctx);
-        // Dropped-handle check: a nonblocking receive posted and never
-        // completed when the rank program returns means a handle went out
-        // of scope without wait() — its matched message (if any) would rot
-        // in the queue and its buffer was never filled.  Out of line, so
-        // this frame, the base of every fiber stack, holds no message text.
-        ctx.proc().mailbox().check_no_pending_ops(r);
+        // Dropped-exchange check: a split-phase exchange begun and never
+        // finished means a handle went out of scope without finish() — its
+        // messages would rot in the queue and its unpack never ran.
+        if (const std::uint32_t open = ctx.unfinished_exchanges();
+            open != 0) {
+          unfinished_exchange(r, open);
+        }
       } catch (...) {
         {
           std::lock_guard<std::mutex> lk(error_mu);
@@ -115,9 +132,6 @@ void Machine::run(const std::function<void(Context&)>& program) {
   }
   for (auto& q : procs_) {
     q->mailbox().attach_scheduler(nullptr, -1);
-    // A failed run may leave incomplete nonblocking operations behind;
-    // drop them so they cannot poison a later run.
-    q->mailbox().clear_pending_ops();
   }
   if (sched_error) {
     std::rethrow_exception(sched_error);

@@ -39,15 +39,10 @@ std::optional<Message> Mailbox::try_pop_locked(int src, int tag) {
   return std::nullopt;
 }
 
-std::size_t Mailbox::count_matches_locked(int src, int tag,
-                                          std::size_t limit) const {
-  std::size_t n = 0;
-  for (auto it = queue_.begin(); it != queue_.end() && n < limit; ++it) {
-    if (it->src == src && it->tag == tag) {
-      ++n;
-    }
-  }
-  return n;
+bool Mailbox::has_match_locked(int src, int tag) const {
+  return std::any_of(queue_.begin(), queue_.end(), [&](const Message& m) {
+    return m.src == src && m.tag == tag;
+  });
 }
 
 std::optional<Message> Mailbox::try_pop(int src, int tag) {
@@ -75,15 +70,12 @@ void Mailbox::attach_scheduler(FiberScheduler* sched, int owner_rank) {
 }
 
 Message Mailbox::recv(int src, int tag) {
-  await_matches(src, tag, 1);
+  await_match(src, tag);
   // Only the owner fiber consumes this queue, so the match is still there.
   return std::move(*try_pop(src, tag));
 }
 
-void Mailbox::await_matches(int src, int tag, std::size_t n) {
-  if (n == 0) {
-    return;
-  }
+void Mailbox::await_match(int src, int tag) {
   FiberScheduler* sched = sched_;
   KALI_CHECK(sched != nullptr && FiberScheduler::current() == sched,
              "Mailbox: blocking receive outside a fiber of the attached "
@@ -100,7 +92,7 @@ void Mailbox::await_matches(int src, int tag, std::size_t n) {
       if (aborted_) {
         throw Error("recv aborted: a peer processor failed");
       }
-      if (count_matches_locked(src, tag, n) >= n) {
+      if (has_match_locked(src, tag)) {
         return;
       }
     }
@@ -112,11 +104,11 @@ void Mailbox::await_matches(int src, int tag, std::size_t n) {
     bool parked = true;
     {
       std::lock_guard<std::mutex> lk(mu_);
-      if (aborted_ || count_matches_locked(src, tag, n) >= n) {
+      if (aborted_ || has_match_locked(src, tag)) {
         parked = false;  // already satisfiable: don't suspend
       } else {
-        // Each push consumes the publication and wakes the owner once; the
-        // loop re-parks until the lane is deep enough.
+        // The matching push consumes the publication and wakes the owner
+        // once; the loop re-checks the queue after the wake.
         waiting_src_ = src;
         waiting_tag_ = tag;
         waiting_active_ = true;
@@ -144,48 +136,6 @@ std::optional<std::pair<int, int>> Mailbox::published_wait() const {
     return std::nullopt;
   }
   return std::make_pair(waiting_src_, waiting_tag_);
-}
-
-std::uint64_t Mailbox::post_op(int src, int tag, std::byte* dest,
-                               std::size_t bytes, double post_clock) {
-  const std::uint64_t id = next_op_id_++;
-  pending_ops_.push_back({id, src, tag, dest, bytes, post_clock});
-  return id;
-}
-
-void Mailbox::erase_op(std::uint64_t id) {
-  for (auto it = pending_ops_.begin(); it != pending_ops_.end(); ++it) {
-    if (it->id == id) {
-      pending_ops_.erase(it);
-      return;
-    }
-  }
-  KALI_FAIL("erase_op: unknown nonblocking operation id");
-}
-
-bool Mailbox::op_pending(std::uint64_t id) const {
-  for (const auto& op : pending_ops_) {
-    if (op.id == id) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void Mailbox::check_no_pending_ops(int owner) const {
-  if (pending_ops_.empty()) {
-    return;
-  }
-  std::string out =
-      "nonblocking operation never completed: the rank program returned "
-      "with pending handles (every irecv handle must be waited):\n";
-  for (const auto& op : pending_ops_) {
-    out += "  rank " + std::to_string(owner) + ": irecv(src=" +
-           std::to_string(op.src) + ", tag=" + std::to_string(op.tag) + ", " +
-           std::to_string(op.bytes) +
-           " bytes) posted and never completed (dropped handle?)\n";
-  }
-  throw Error(out);
 }
 
 std::vector<PendingMessage> Mailbox::snapshot() const {

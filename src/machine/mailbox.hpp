@@ -18,7 +18,6 @@
 #include <deque>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -37,20 +36,6 @@ struct PendingMessage {
   std::uint32_t epoch = 0;
 };
 
-/// One posted-but-incomplete nonblocking receive (Context::irecv).  The
-/// operation table lives in the mailbox because completion consumes its
-/// queue, but unlike the queue it is touched only by the owner rank's fiber
-/// — posting, waiting and completing all run on that fiber — so it
-/// needs no lock (see Mailbox's fiber-integration comment).
-struct PendingOp {
-  std::uint64_t id = 0;        ///< rank-local operation id (1-based, never reused)
-  int src = -1;                ///< matched source rank
-  int tag = 0;
-  std::byte* dest = nullptr;   ///< caller-owned destination buffer
-  std::size_t bytes = 0;       ///< expected payload size
-  double post_clock = 0.0;     ///< owner's simulated clock at post time
-};
-
 class Mailbox {
  public:
   /// Deposit a message (called from the sender's execution context).
@@ -63,46 +48,13 @@ class Mailbox {
 
   /// Pop the first queued match without blocking (nullopt if none), and
   /// record its match in the attached event log.  The consuming half of
-  /// every receive: blocking recv and nonblocking completion alike.
+  /// recv.
   std::optional<Message> try_pop(int src, int tag);
 
-  /// Park the calling fiber until at least `n` messages matching (src, tag)
-  /// are queued — the one park point of every blocking receive (recv and
-  /// nonblocking completion).  Nothing is consumed.  Throws like recv().
-  void await_matches(int src, int tag, std::size_t n);
-
   /// The (src, tag) the parked owner waits on, or nullopt when it is not
-  /// parked in recv/await_matches.  Read by the full-stall deadlock
-  /// diagnosis, when no push can race it.
+  /// parked in recv.  Read by the full-stall deadlock diagnosis, when no
+  /// push can race it.
   [[nodiscard]] std::optional<std::pair<int, int>> published_wait() const;
-
-  // --- nonblocking-operation table (owner fiber only; no lock) ---
-
-  /// Register a posted irecv; returns its rank-local operation id.
-  std::uint64_t post_op(int src, int tag, std::byte* dest, std::size_t bytes,
-                        double post_clock);
-
-  /// The posted-but-incomplete operations, in post (= id) order.
-  [[nodiscard]] const std::vector<PendingOp>& pending_ops() const {
-    return pending_ops_;
-  }
-
-  /// Remove a completed operation from the table.
-  void erase_op(std::uint64_t id);
-
-  /// True while `id` names a posted-but-incomplete operation.  Completed
-  /// (erased) ids never come back — ids are monotone — so "not found"
-  /// means "already complete".
-  [[nodiscard]] bool op_pending(std::uint64_t id) const;
-
-  /// The dropped-handle check at the end of a rank program (Machine::run):
-  /// if any operation is incomplete, throws kali::Error listing each one
-  /// ("rank R: irecv(src=S, tag=T, N bytes) posted and never completed").
-  void check_no_pending_ops(int owner) const;
-
-  /// Drop all pending operations (Machine::run teardown: a failed run must
-  /// not poison the table for the next one).
-  void clear_pending_ops() { pending_ops_.clear(); }
 
   /// Copy of the queued messages' metadata (src, tag, size, epoch), in
   /// queue order.  Diagnostics and leak accounting only.
@@ -131,11 +83,12 @@ class Mailbox {
   void reset_peak();
 
  private:
+  /// Park the calling fiber until a message matching (src, tag) is queued
+  /// — recv's park point.  Nothing is consumed.  Throws like recv().
+  void await_match(int src, int tag);
   std::optional<Message> try_pop_locked(int src, int tag);
-  /// Queued messages matching (src, tag), counting no further than
-  /// `limit`.
-  [[nodiscard]] std::size_t count_matches_locked(int src, int tag,
-                                                 std::size_t limit) const;
+  /// True when a message matching (src, tag) is queued.
+  [[nodiscard]] bool has_match_locked(int src, int tag) const;
 
   mutable std::mutex mu_;
   std::deque<Message> queue_;
@@ -150,11 +103,6 @@ class Mailbox {
   bool waiting_active_ = false;
   int waiting_src_ = 0;
   int waiting_tag_ = 0;
-
-  // Nonblocking-operation table (owner fiber only — never locked; see
-  // PendingOp).  Ids are monotone so table order is post order.
-  std::vector<PendingOp> pending_ops_;
-  std::uint64_t next_op_id_ = 1;
 };
 
 }  // namespace kali

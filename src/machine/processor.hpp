@@ -26,17 +26,18 @@ struct ProcCounters {
   double edge_wait_time = 0.0;       ///< time queued on busy topology edges
   std::uint64_t contended_msgs = 0;  ///< busy-port/edge encounters
 
-  /// Communication/computation overlap ledger, filled only by nonblocking
-  /// completions (Context::irecv + wait).  For each completed operation the
-  /// in-flight window is the modeled time from its post to its message's
-  /// arrival; `overlap_wire_time` accumulates the windows and
-  /// `overlap_hidden_time` the portion of each window this rank spent doing
-  /// other work (compute, sends, earlier completions) instead of idling —
-  /// i.e. wire time actually hidden behind local progress.  Blocking
-  /// receives leave both at zero, so overlap_hidden / overlap_wire is the
-  /// overlap_ratio the scaling bench records (BENCH_scaling.json).
+  /// Communication/computation overlap ledger, filled only by the batched
+  /// receive that finishes a split-phase exchange (Context::recv_batch).
+  /// For each such receive the in-flight window is the modeled time from
+  /// the exchange's start to the message's arrival; `overlap_wire_time`
+  /// accumulates the windows and `overlap_hidden_time` the portion of each
+  /// window this rank spent doing other work (compute, sends, earlier
+  /// receives of the batch) instead of idling — i.e. wire time actually
+  /// hidden behind local progress.  Blocking receives leave both at zero,
+  /// so overlap_hidden / overlap_wire is the overlap_ratio the scaling
+  /// bench records (BENCH_scaling.json).
   double overlap_hidden_time = 0.0;  ///< in-flight wire time hidden by work
-  double overlap_wire_time = 0.0;    ///< total post-to-arrival window time
+  double overlap_wire_time = 0.0;    ///< total begin-to-arrival window time
 
   /// Matched send/recv ledgers, by tag: how many messages this rank sent on
   /// each tag, and how many it received.  Summed machine-wide
@@ -266,7 +267,6 @@ class Processor {
     counters_ = ProcCounters{};
     barrier_epoch_ = 0;
     mailbox_.reset_peak();
-    mailbox_.clear_pending_ops();
   }
 
  private:

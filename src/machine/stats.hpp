@@ -59,8 +59,8 @@ struct MachineStats {
   /// Busy-port/edge encounters across all messages.
   [[nodiscard]] std::uint64_t contended_msgs() const;
 
-  /// Total post-to-arrival window time of nonblocking receives, summed over
-  /// processors; zero for purely blocking runs (see
+  /// Total begin-to-arrival window time of split-phase receives, summed
+  /// over processors; zero for purely blocking runs (see
   /// ProcCounters::overlap_wire_time).
   [[nodiscard]] double overlap_wire_time() const;
 
@@ -69,7 +69,7 @@ struct MachineStats {
   [[nodiscard]] double overlap_hidden_time() const;
 
   /// overlap_hidden_time / overlap_wire_time: the fraction of in-flight
-  /// wire time hidden behind compute (0 when no nonblocking receives ran).
+  /// wire time hidden behind compute (0 when no split-phase receives ran).
   /// The per-case column BENCH_scaling.json records.
   [[nodiscard]] double overlap_ratio() const;
 

@@ -25,7 +25,10 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -74,6 +77,68 @@ template <class T>
   return v;
 }
 
+/// Handle of an in-flight split-phase exchange, returned by
+/// DistArray::exchange_halo_begin and by the _begin forms of
+/// runtime/redistribute.hpp and runtime/remap.hpp: every send is on the
+/// wire, and the pack compute (plus any self-overlap copy) has been charged
+/// inside the wire window.  Run whatever local work should hide the wire,
+/// then finish(): one Context::recv_batch over the exchange's lanes that
+/// charges the receives in canonical (send_time, src, seq) order, then the
+/// unpack straight from the payloads, at the same rate the blocking path
+/// charges.  The arrays and the Context must outlive the handle.
+///
+/// Move-only, since a copy would finish the same receives twice; a
+/// moved-from handle is inactive.  Receives match FIFO per (src, tag) lane
+/// and open exchanges may share lanes, so every build fails with a
+/// kali::Error when open exchanges finish out of the order they began,
+/// when another receive would take an open exchange's lane, and when the
+/// rank program returns with an exchange still open (Machine::run).
+class PendingExchange {
+ public:
+  PendingExchange() = default;
+
+  /// Built by the _begin forms once their sends are out: opens an exchange
+  /// on `ctx` that receives on `lanes`, which finish() hands to `fin`.
+  PendingExchange(Context& ctx, std::vector<RecvLane> lanes,
+                  std::function<void(std::span<const RecvLane>)> fin)
+      : ctx_(&ctx), lanes_(std::move(lanes)), fin_(std::move(fin)) {
+    stamp_ = ctx_->begin_exchange(lanes_);
+  }
+
+  PendingExchange(PendingExchange&& o) noexcept
+      : ctx_(std::exchange(o.ctx_, nullptr)),
+        stamp_(o.stamp_),
+        lanes_(std::move(o.lanes_)),
+        fin_(std::exchange(o.fin_, nullptr)) {}
+  PendingExchange& operator=(PendingExchange&& o) noexcept {
+    ctx_ = std::exchange(o.ctx_, nullptr);
+    stamp_ = o.stamp_;
+    lanes_ = std::move(o.lanes_);
+    fin_ = std::exchange(o.fin_, nullptr);
+    return *this;
+  }
+  PendingExchange(const PendingExchange&) = delete;
+  PendingExchange& operator=(const PendingExchange&) = delete;
+
+  /// Take the receives and unpack.  A no-op on an inactive handle.
+  void finish() {
+    if (fin_) {
+      const auto f = std::exchange(fin_, nullptr);
+      ctx_->finish_exchange(stamp_, lanes_.size());
+      f(lanes_);
+    }
+  }
+
+  /// True while the exchange is open (begun, finish() not yet called).
+  [[nodiscard]] bool active() const { return static_cast<bool>(fin_); }
+
+ private:
+  Context* ctx_ = nullptr;
+  std::uint32_t stamp_ = 0;  // this exchange's begin order on ctx_
+  std::vector<RecvLane> lanes_;
+  std::function<void(std::span<const RecvLane>)> fin_;
+};
+
 template <class T, int R>
 class DistArray {
   static_assert(R >= 1 && R <= 3, "DistArray supports ranks 1..3");
@@ -96,6 +161,7 @@ class DistArray {
     int pd = 0;
     for (int d = 0; d < R; ++d) {
       const auto ud = static_cast<std::size_t>(d);
+      KALI_CHECK(halo_[ud] >= 0, "halo width must be non-negative");
       if (dists_[ud].kind == DistKind::kStar) {
         proc_dim_[ud] = -1;
         maps_[ud] = DimMap(dists_[ud], extents_[ud], 1);
@@ -421,56 +487,20 @@ class DistArray {
     }
   }
 
-  /// In-flight split-phase halo exchange: returned by
-  /// exchange_halo_begin() with all receives posted and all sends fired;
-  /// finish() completes the receives and unpacks the ghost margins.
-  /// Between the two calls the owner may freely compute on anything except
-  /// the ghost cells (the interior of the owned slab in particular) —
-  /// that work runs while the wire drains, which is the entire point.
-  /// finish() must be called before the ghosts are read and before the
-  /// rank program returns; a dropped exchange is a dropped handle, which
-  /// the KALI_CHECK_INVARIANTS build diagnoses at end of program.
-  class HaloExchange {
-   public:
-    HaloExchange() = default;
-
-    /// Complete the posted receives (canonical key order, one wait point)
-    /// and unpack them into the ghost margins; charges the unpack compute.
-    /// Idempotent: a second call is a no-op.
-    void finish() {
-      if (arr_ != nullptr) {
-        DistArray* a = arr_;
-        arr_ = nullptr;
-        a->finish_halo(*this);
-      }
-    }
-
-    /// True while receives are still in flight (finish() not yet called).
-    [[nodiscard]] bool active() const { return arr_ != nullptr; }
-
-   private:
-    friend class DistArray;
-    struct Pend {
-      int dim = 0;
-      int side = 0;  ///< 0: low ghost face, 1: high ghost face
-      std::vector<T> buf;
-      CommHandle h;
-    };
-    DistArray* arr_ = nullptr;
-    std::vector<Pend> pend_;
-  };
-
-  /// Post/compute/wait form of the face-mode halo exchange: posts a
-  /// nonblocking receive for every incoming ghost face, then fires the same
-  /// sends as exchange_halo (same tags, same payloads, same order — the
-  /// message ledger is bit-identical to the blocking oracle) and returns
-  /// without waiting.  Corner mode has no split-phase form (its ghost
-  /// regions feed diagonal dependencies that rarely leave useful interior
-  /// work); use exchange_halo(HaloCorners::kYes) there.
-  [[nodiscard]] HaloExchange exchange_halo_begin() {
-    HaloExchange ex;
+  /// Split-phase form of the face-mode halo exchange: fires the same sends
+  /// as exchange_halo (same tags, same payloads, same order — the message
+  /// ledger is bit-identical to the blocking oracle) and returns without
+  /// receiving.  Between begin and finish() the owner may compute on
+  /// anything except the ghost cells (the interior of the owned slab in
+  /// particular) — that work runs while the wire drains, which is the
+  /// entire point.  finish() must run before the ghosts are read and
+  /// before the rank program returns; see PendingExchange.  Corner mode
+  /// has no split-phase form (its ghost regions feed diagonal dependencies
+  /// that rarely leave useful interior work); use
+  /// exchange_halo(HaloCorners::kYes) there.
+  [[nodiscard]] PendingExchange exchange_halo_begin() {
     if (!member_) {
-      return ex;
+      return {};
     }
     for (int d = 0; d < R; ++d) {
       const auto ud = static_cast<std::size_t>(d);
@@ -479,45 +509,33 @@ class DistArray {
                    "slab thinner than halo; increase extent or reduce procs");
       }
     }
-    ex.arr_ = this;
-    // Post every receive first — the in-flight window opens before the
-    // first send, so all wire time is eligible for hiding.
-    for (int d = 0; d < R; ++d) {
-      const auto ud = static_cast<std::size_t>(d);
-      if (halo_[ud] == 0) {
-        continue;
-      }
-      const int tag_lo = kTagHaloBase + 4 * d;
-      const int tag_hi = kTagHaloBase + 4 * d + 1;
-      const int left = neighbor_rank(d, -1);
-      const int right = neighbor_rank(d, +1);
-      std::size_t volume = static_cast<std::size_t>(halo_[ud]);
-      for (int o = 0; o < R; ++o) {
-        if (o != d) {
-          volume *= static_cast<std::size_t>(lcount_[static_cast<std::size_t>(o)]);
-        }
-      }
-      if (left >= 0) {
-        auto& p = ex.pend_.emplace_back();
-        p.dim = d;
-        p.side = 0;
-        p.buf.resize(volume);
-        p.h = ctx_->irecv_into<T>(left, tag_lo, p.buf);
-      }
-      if (right >= 0) {
-        auto& p = ex.pend_.emplace_back();
-        p.dim = d;
-        p.side = 1;
-        p.buf.resize(volume);
-        p.h = ctx_->irecv_into<T>(right, tag_hi, p.buf);
-      }
-    }
+    // The in-flight window opens before the first send, so all wire time
+    // is eligible for hiding.
+    const double window_start = ctx_->clock();
     for (int d = 0; d < R; ++d) {
       if (halo_[static_cast<std::size_t>(d)] > 0) {
         exchange_dim_sends(d);
       }
     }
-    return ex;
+    std::vector<RecvLane> lanes;
+    std::vector<std::pair<int, int>> faces;  // (dim, side) per lane
+    for (int d = 0; d < R; ++d) {
+      if (halo_[static_cast<std::size_t>(d)] == 0) {
+        continue;
+      }
+      if (const int left = neighbor_rank(d, -1); left >= 0) {
+        lanes.push_back({left, kTagHaloBase + 4 * d});
+        faces.emplace_back(d, 0);
+      }
+      if (const int right = neighbor_rank(d, +1); right >= 0) {
+        lanes.push_back({right, kTagHaloBase + 4 * d + 1});
+        faces.emplace_back(d, 1);
+      }
+    }
+    return PendingExchange(
+        *ctx_, std::move(lanes),
+        [this, window_start, faces = std::move(faces)](
+            std::span<const RecvLane> l) { finish_halo(l, faces, window_start); });
   }
 
   // ---- slicing ---------------------------------------------------------------
@@ -876,31 +894,34 @@ class DistArray {
     ctx_->compute(packed);  // unpack cost
   }
 
-  /// Second half of the split-phase halo: complete every posted receive at
-  /// one wait point (the completion batch applies its cost algebra in
-  /// canonical (send_time, src, seq) order; see Context::wait_all), then
-  /// unpack the staged faces into the ghost margins and charge the same
-  /// per-element unpack cost the blocking path charges.
-  void finish_halo(HaloExchange& ex) {
-    std::vector<CommHandle> hs;
-    hs.reserve(ex.pend_.size());
-    for (auto& p : ex.pend_) {
-      hs.push_back(p.h);
-    }
-    ctx_->wait_all(hs);
-    double packed = 0;
-    for (auto& p : ex.pend_) {
+  /// Second half of the split-phase halo: take the incoming ghost face of
+  /// every lane (faces[i] is lane i's (dim, side)) in one batched receive
+  /// (charged in canonical (send_time, src, seq) order; see
+  /// Context::recv_batch), then unpack each face straight from its payload
+  /// and charge the same per-element unpack cost the blocking path charges.
+  void finish_halo(std::span<const RecvLane> lanes,
+                   const std::vector<std::pair<int, int>>& faces,
+                   double window_start) {
+    double unpacked = 0;
+    // kali-lint: allow(raw-exchange) — bounded-degree neighbor receive
+    // (<= 2 lanes per dim), batched at the split-phase wait point.
+    ctx_->recv_batch(lanes, window_start, [&](std::size_t i, Message m) {
+      const auto [d, side] = faces[i];
+      const std::vector<T> in = payload_values<T>(std::move(m));
+      std::size_t volume = static_cast<std::size_t>(halo_[static_cast<std::size_t>(d)]);
+      for (int o = 0; o < R; ++o) {
+        if (o != d) {
+          volume *= static_cast<std::size_t>(lcount_[static_cast<std::size_t>(o)]);
+        }
+      }
+      KALI_CHECK(in.size() == volume, "halo size mismatch (split-phase)");
       std::size_t k = 0;
-      visit_face(p.dim, p.side, /*owned_side=*/false,
-                 [&](const GIndex<R>& rel) {
-                   (*store_)[static_cast<std::size_t>(rel_flat(rel))] =
-                       p.buf[k++];
-                 });
-      KALI_CHECK(k == p.buf.size(), "halo size mismatch (split-phase)");
-      packed += static_cast<double>(k);
-    }
-    ex.pend_.clear();
-    ctx_->compute(packed);  // unpack cost, same rate as the blocking path
+      visit_face(d, side, /*owned_side=*/false, [&](const GIndex<R>& rel) {
+        (*store_)[static_cast<std::size_t>(rel_flat(rel))] = in[k++];
+      });
+      unpacked += static_cast<double>(k);
+    });
+    ctx_->compute(unpacked);  // unpack cost, same rate as the blocking path
   }
 
   /// The HaloCorners::kYes implementation: one scheduled exchange over the

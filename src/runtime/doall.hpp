@@ -170,7 +170,7 @@ void doall3(const DistArray3<T>& A, Range ri, Range rj, Range rk, Body body,
 /// Which part of the ring partition a doall2_ring call visits.
 enum class Ring {
   kInterior,  ///< ≥ margin from every halo-bearing slab face; ghost-free
-  kBoundary,  ///< the rest of the owned set; run after HaloExchange::finish
+  kBoundary,  ///< the rest of the owned set; run after PendingExchange::finish
 };
 
 namespace detail {

@@ -53,8 +53,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -66,40 +64,6 @@
 #include "runtime/dist_array.hpp"
 
 namespace kali {
-
-/// Handle of an in-flight split-phase exchange returned by the _begin forms
-/// (redistribute_begin, copy_strided_dim_begin, copy_strided_dim_halo_begin):
-/// every send is on the wire, every receive is posted nonblocking, and the
-/// pack compute plus the self-overlap local copy have already been charged
-/// inside the wire window.  Run whatever local work should hide the wire,
-/// then finish() — one wait point that completes the receives in canonical
-/// (send_time, src, seq) order and unpacks (charging the same unpack compute
-/// the blocking path charges).  The source array, destination array, and
-/// Context must outlive the handle.  Dropping an active handle leaks the
-/// posted operations, which the KALI_CHECK_INVARIANTS build diagnoses when
-/// the rank program returns.
-class PendingExchange {
- public:
-  PendingExchange() = default;
-
-  /// Internal: built by the _begin functions with their completion closure.
-  explicit PendingExchange(std::function<void()> fin) : fin_(std::move(fin)) {}
-
-  /// Complete the posted receives and unpack.  Idempotent.
-  void finish() {
-    if (fin_) {
-      std::function<void()> f = std::move(fin_);
-      fin_ = nullptr;
-      f();
-    }
-  }
-
-  /// True while receives are still in flight (finish() not yet called).
-  [[nodiscard]] bool active() const { return static_cast<bool>(fin_); }
-
- private:
-  std::function<void()> fin_;
-};
 
 namespace detail {
 
@@ -492,11 +456,11 @@ void exchange_blocking(Context& ctx, const DistArray<T, R>& src,
       [&] { ctx.compute(packed); }, [&] { ctx.compute(unpacked); }, order);
 }
 
-/// Split-phase form of a planned exchange: post a nonblocking receive for
-/// every incoming slab (round order, zero model cost), fire the sends the
-/// blocking form fires in the same round order, charge the pack compute,
-/// copy and charge the self-overlap inside the wire window, and return a
-/// handle whose finish() waits and unpacks.
+/// Split-phase form of a planned exchange: fire the sends the blocking
+/// form fires, in the same round order, charge the pack compute, copy and
+/// charge the self-overlap inside the wire window, and return a handle
+/// whose finish() takes every incoming slab in one batched receive and
+/// unpacks it straight from the payloads.
 template <class T, int R>
 [[nodiscard]] PendingExchange exchange_begin(Context& ctx,
                                              const DistArray<T, R>& src,
@@ -506,40 +470,37 @@ template <class T, int R>
   if (p.members.empty()) {
     return {};
   }
-  // shared_ptr storage: the completion closure must be copyable
-  // (std::function) and owns the staging.
-  round_sort(p.in, p.members, ctx.rank());
-  auto stage = std::make_shared<std::vector<std::vector<T>>>(p.in.size());
-  auto hs = std::make_shared<std::vector<CommHandle>>();
-  hs->reserve(p.in.size());
-  for (std::size_t i = 0; i < p.in.size(); ++i) {
-    (*stage)[i].resize(static_cast<std::size_t>(p.in[i].second.volume()));
-    hs->push_back(
-        ctx.irecv_into<T>(p.in[i].first, c.tag, std::span<T>((*stage)[i])));
-  }
-
+  const double window_start = ctx.clock();
   round_sort(p.out, p.members, ctx.rank());
   std::vector<T> buf;
   double packed = 0;
   for (const auto& [rank, slab] : p.out) {
     pack_slab(src, c, slab, buf);
-    // kali-lint: allow(raw-exchange) — split-phase form: receives are already
-    // posted as irecvs above, so there is no recv_one closure to pair with.
+    // kali-lint: allow(raw-exchange) — split-phase form: finish() takes the
+    // receives in one recv_batch, so there is no recv_one closure to pair
+    // with.
     ctx.send_span<T>(rank, c.tag, std::span<const T>(buf));
     packed += static_cast<double>(buf.size());
   }
   ctx.compute(packed);
   ctx.compute(copy_self(src, dst, c, p));
 
-  auto slabs =
-      std::make_shared<std::vector<std::pair<int, Box<R>>>>(std::move(p.in));
-  return PendingExchange([&ctx, &dst, stage, hs, slabs, c] {
-    ctx.wait_all(std::span<CommHandle>(*hs));
+  round_sort(p.in, p.members, ctx.rank());
+  std::vector<RecvLane> lanes;
+  lanes.reserve(p.in.size());
+  for (const auto& [rank, slab] : p.in) {
+    lanes.push_back({rank, c.tag});
+  }
+  return PendingExchange(ctx, std::move(lanes),
+                         [&ctx, &dst, c, in = std::move(p.in),
+                          window_start](std::span<const RecvLane> in_lanes) {
     double unpacked = 0;
-    for (std::size_t i = 0; i < slabs->size(); ++i) {
-      unpacked += unpack_slab(dst, c, (*slabs)[i].second,
-                              std::span<const T>((*stage)[i]));
-    }
+    // kali-lint: allow(raw-exchange) — split-phase wait point: one batched
+    // receive over the round-sorted peers, charged in canonical key order.
+    ctx.recv_batch(in_lanes, window_start, [&](std::size_t i, Message m) {
+      const std::vector<T> vals = payload_values<T>(std::move(m));
+      unpacked += unpack_slab(dst, c, in[i].second, std::span<const T>(vals));
+    });
     ctx.compute(unpacked);
   });
 }
@@ -680,9 +641,9 @@ void redistribute(Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst
 }
 
 /// Split-phase redistribute (box layouts only: block/star on every dim of
-/// both arrays): the blocking form's plan, with its receives posted
-/// nonblocking, its sends fired, and the pack and self-overlap copy charged
-/// inside the wire window.  Run the work to hide, then finish().  See
+/// both arrays): the blocking form's plan, with its sends fired and the
+/// pack and self-overlap copy charged inside the wire window.  Run the work
+/// to hide, then finish(), which takes the receives in one batch.  See
 /// PendingExchange.
 template <class T, int R>
 [[nodiscard]] PendingExchange redistribute_begin(Context& ctx,

@@ -136,9 +136,10 @@ void copy_strided_dim(Context& ctx, const DistArray<T, R>& src,
   detail::exchange_blocking(ctx, src, dst, c, plan, copied);
 }
 
-/// Split-phase copy_strided_dim (box layouts only): sends fired, receives
-/// posted, pack and self-overlap already charged inside the wire window;
-/// run the work to hide, then finish().  See PendingExchange.
+/// Split-phase copy_strided_dim (box layouts only): sends fired, pack and
+/// self-overlap already charged inside the wire window; run the work to
+/// hide, then finish(), which takes the receives in one batch.  See
+/// PendingExchange.
 template <class T, int R>
 [[nodiscard]] PendingExchange copy_strided_dim_begin(
     Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst, int dim,

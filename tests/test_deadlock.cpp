@@ -12,6 +12,7 @@
 #include "machine/context.hpp"
 #include "machine/machine.hpp"
 #include "machine/message.hpp"
+#include "runtime/dist_array.hpp"
 #include "support/check.hpp"
 
 namespace kali {
@@ -102,56 +103,25 @@ TEST(Deadlock, QueuedMatchKeepsWaiterAliveWhenSenderRetires) {
   });
 }
 
-TEST(Deadlock, WaitOnNeverSentIrecvDiagnosedByGraph) {
-  // A nonblocking receive whose message is never sent deadlocks at the
-  // wait(), not at the post: CommHandle::wait publishes the same wait-for
-  // edge a blocking recv does, so the stall diagnoses it at once.
+TEST(Deadlock, SplitPhaseFinishOnNeverSentFaceDiagnosedByGraph) {
+  // A split-phase halo whose neighbour returns without sending deadlocks
+  // at finish(), not at begin: the batched receive parks on each lane and
+  // publishes the same wait-for edge a blocking recv does, so the stall
+  // diagnoses it at once.
   Machine m(2);
   const std::string what = run_expecting_error(m, [](Context& ctx) {
     if (ctx.rank() == 0) {
-      int got = 0;
-      CommHandle h = ctx.irecv<int>(1, /*tag=*/5, got);
-      ctx.wait(h);  // rank 1 returns without sending: provably dead
+      DistArray1<double> a(ctx, ProcView::grid1(2), {8},
+                           {DimDist::block_dist()}, {1});
+      auto ex = a.exchange_halo_begin();
+      ex.finish();  // rank 1 returns without sending: provably dead
     }
     // rank 1 returns immediately.
   });
   EXPECT_NE(what.find("wait-for-graph"), std::string::npos) << what;
-  EXPECT_NE(what.find("STUCK in recv(src=1, tag=5"), std::string::npos)
-      << what;
-  EXPECT_EQ(what.find("timed out"), std::string::npos) << what;
-}
-
-TEST(Deadlock, WaitAllCycleDiagnosedByGraph) {
-  // Both ranks post irecvs for each other and wait before either sends —
-  // the async version of the classic two-rank cycle.
-  Machine m(2);
-  const std::string what = run_expecting_error(m, [](Context& ctx) {
-    int got = 0;
-    CommHandle h = ctx.irecv<int>(1 - ctx.rank(), /*tag=*/6, got);
-    ctx.wait(h);
-    ctx.send<int>(1 - ctx.rank(), /*tag=*/6, 1);  // too late, never reached
-  });
-  EXPECT_NE(what.find("wait-for-graph"), std::string::npos) << what;
-  EXPECT_NE(what.find("STUCK"), std::string::npos) << what;
-}
-
-TEST(Deadlock, LaneOneMessageShortDiagnosed) {
-  // Waiting on two irecvs of one lane needs two queued matches; one queued
-  // message must not count as "live".  Rank 1 sends once and returns.
-  Machine m(2);
-  const std::string what = run_expecting_error(m, [](Context& ctx) {
-    if (ctx.rank() == 0) {
-      int a = 0;
-      int b = 0;
-      CommHandle ha = ctx.irecv<int>(1, /*tag=*/5, a);
-      CommHandle hb = ctx.irecv<int>(1, /*tag=*/5, b);
-      ctx.wait(hb);  // completes the lane prefix: needs both messages
-      ctx.wait(ha);
-    } else {
-      ctx.send<int>(0, /*tag=*/5, 1);
-    }
-  });
-  EXPECT_NE(what.find("STUCK in recv(src=1, tag=5"), std::string::npos)
+  EXPECT_NE(what.find("STUCK in recv(src=1, tag=" +
+                      std::to_string(kTagHaloBase + 1)),
+            std::string::npos)
       << what;
   EXPECT_EQ(what.find("timed out"), std::string::npos) << what;
 }

@@ -562,6 +562,22 @@ TEST(DistArray, HaloRequiresBlockDim) {
                Error);
 }
 
+TEST(DistArray, NegativeHaloRejected) {
+  // A negative width would size the slab short and send faces read past
+  // it; the constructor rejects it before anything is allocated.
+  Machine m(4);
+  EXPECT_TRUE(throws_with(
+      [&] {
+        m.run([](Context& ctx) {
+          DistArray2<double> a(ctx, ProcView::grid2(2, 2), {8, 8},
+                               {DimDist::block_dist(), DimDist::block_dist()},
+                               {-1, 1});
+          a.exchange_halo();
+        });
+      },
+      "halo width must be non-negative"));
+}
+
 TEST(DistArray, BoundaryFrameReadsZeroAndIsWritable) {
   // Listing 2 semantics: the ghost frame extends past the global domain at
   // physical boundaries, carrying Dirichlet data (zero by default).

@@ -5,6 +5,7 @@
 // test skips itself (the regression tests still run).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstddef>
 #include <span>
 #include <string>
@@ -15,6 +16,8 @@
 #include "machine/machine.hpp"
 #include "machine/message.hpp"
 #include "machine/processor.hpp"
+#include "runtime/dist_array.hpp"
+#include "runtime/redistribute.hpp"
 #include "support/check.hpp"
 
 namespace kali {
@@ -249,47 +252,134 @@ TEST(Invariants, BalancedTrafficPassesBothLeakChecks) {
   EXPECT_TRUE(m.stats().unmatched_by_tag().empty());
 }
 
-TEST(Invariants, DroppedIrecvHandleDiagnosedAtReturn) {
-  // An irecv whose handle is dropped without wait() is a leak even when the
-  // matching message eventually arrives: the destination span may dangle
-  // and the completion algebra never ran.  The check runs in every build
-  // and names the pending operation when the rank program returns.
+TEST(Invariants, DroppedSplitPhaseExchangeDiagnosedAtReturn) {
+  // A split-phase exchange whose handle is dropped without finish() is a
+  // leak even when its messages arrive: the unpack never ran and the
+  // messages rot in the queue.  The check runs in every build and names
+  // the rank when its program returns.
   Machine m(2);
   try {
     m.run([&](Context& ctx) {
+      DistArray1<double> a(ctx, ProcView::grid1(2), {8},
+                           {DimDist::block_dist()}, {1});
+      PendingExchange ex = a.exchange_halo_begin();
       if (ctx.rank() == 0) {
-        ctx.send(1, /*tag=*/5, 3.0);
-      } else {
-        double got = 0.0;
-        CommHandle h = ctx.irecv<double>(0, 5, got);
-        (void)h;  // dropped: never waited
+        ex.finish();
       }
     });
-    ADD_FAILURE() << "leaked handle not diagnosed";
+    ADD_FAILURE() << "dropped exchange not diagnosed";
   } catch (const Error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("nonblocking operation never completed"),
+    EXPECT_NE(what.find("split-phase exchange never finished: rank 1"),
               std::string::npos)
         << what;
-    EXPECT_NE(what.find("tag=5"), std::string::npos) << what;
+  }
+  // A failed run leaves nothing open for the next run on the same machine
+  // (one rank: its halo has no neighbour, so no message is left behind).
+  Machine solo(1);
+  auto drop = [](Context& ctx) {
+    DistArray1<double> a(ctx, ProcView::grid1(1), {8},
+                         {DimDist::block_dist()}, {1});
+    PendingExchange ex = a.exchange_halo_begin();
+    EXPECT_TRUE(ex.active());
+  };
+  EXPECT_THROW(solo.run(drop), Error);
+  solo.run([](Context&) {});
+}
+
+TEST(Invariants, FinishedExchangePassesTheLeakCheck) {
+  // Regression guard in both build modes: a finished split-phase exchange
+  // leaves nothing open and nothing queued for the teardown checks.
+  Machine m(2);
+  m.run([&](Context& ctx) {
+    DistArray1<double> a(ctx, ProcView::grid1(2), {8},
+                         {DimDist::block_dist()}, {1});
+    a.fill([](std::array<int, 1> g) { return 1.0 + g[0]; });
+    auto ex = a.exchange_halo_begin();
+    ex.finish();
+    EXPECT_EQ(a.at_halo({ctx.rank() == 0 ? 4 : 3}),
+              ctx.rank() == 0 ? 5.0 : 4.0);
+  });
+  EXPECT_TRUE(m.stats().unmatched_by_tag().empty());
+}
+
+// Two same-shape transposes on 4 ranks (rows -> columns): the exchanges
+// share every (src, tag) lane (kTagRedistData), and their slabs have equal
+// sizes, so a receive that took the other exchange's message would pass
+// the unpack's size check and swap the results silently.
+struct TwoTransposes {
+  using D2 = DistArray2<double>;
+  D2 x, xt, y, yt;
+  explicit TwoTransposes(Context& ctx)
+      : x(ctx, ProcView::grid1(4), {8, 8}, {DimDist::block_dist(), DimDist::star()}),
+        xt(ctx, ProcView::grid1(4), {8, 8}, {DimDist::star(), DimDist::block_dist()}),
+        y(ctx, ProcView::grid1(4), {8, 8}, {DimDist::block_dist(), DimDist::star()}),
+        yt(ctx, ProcView::grid1(4), {8, 8}, {DimDist::star(), DimDist::block_dist()}) {
+    x.fill([](std::array<int, 2> g) { return 8.0 * g[0] + g[1]; });
+    y.fill([](std::array<int, 2> g) { return -8.0 * g[0] - g[1] - 1.0; });
+  }
+  void expect_transposed() const {
+    xt.for_each_owned([&](std::array<int, 2> g) {
+      EXPECT_EQ(xt.at(g), 8.0 * g[0] + g[1]);
+    });
+    yt.for_each_owned([&](std::array<int, 2> g) {
+      EXPECT_EQ(yt.at(g), -8.0 * g[0] - g[1] - 1.0);
+    });
+  }
+};
+
+TEST(Invariants, SplitPhaseExchangesMustFinishInBeginOrder) {
+  // Finishing the later of two open exchanges first would hand it the
+  // earlier one's messages.  Every build rejects the out-of-order finish()
+  // before it receives anything; the in-order program is correct.
+  Machine ok(4);
+  ok.run([](Context& ctx) {
+    TwoTransposes t(ctx);
+    PendingExchange a = redistribute_begin(ctx, t.x, t.xt);
+    PendingExchange b = redistribute_begin(ctx, t.y, t.yt);
+    a.finish();
+    b.finish();
+    t.expect_transposed();
+  });
+  Machine m(4);
+  try {
+    m.run([](Context& ctx) {
+      TwoTransposes t(ctx);
+      PendingExchange a = redistribute_begin(ctx, t.x, t.xt);
+      PendingExchange b = redistribute_begin(ctx, t.y, t.yt);
+      b.finish();
+      a.finish();
+    });
+    ADD_FAILURE() << "out-of-order finish not diagnosed";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("split-phase exchanges must finish in the order they "
+                        "began"),
+              std::string::npos)
+        << what;
   }
 }
 
-TEST(Invariants, WaitedHandlePassesTheLeakCheck) {
-  // Regression guard in both build modes: a properly waited irecv leaves no
-  // pending-operation residue for the teardown check to trip on.
-  Machine m(2);
-  m.run([&](Context& ctx) {
-    if (ctx.rank() == 0) {
-      ctx.send(1, /*tag=*/5, 3.0);
-    } else {
-      double got = 0.0;
-      CommHandle h = ctx.irecv<double>(0, 5, got);
-      ctx.wait(h);
-      EXPECT_EQ(got, 3.0);
-    }
-  });
-  EXPECT_TRUE(m.stats().unmatched_by_tag().empty());
+TEST(Invariants, ReceiveOnAnOpenExchangeLaneRejected) {
+  // A blocking transpose between the begin and the finish of a split-phase
+  // one receives on the open exchange's lanes and would take its messages.
+  // Every build rejects that receive.
+  Machine m(4);
+  try {
+    m.run([](Context& ctx) {
+      TwoTransposes t(ctx);
+      PendingExchange a = redistribute_begin(ctx, t.x, t.xt);
+      redistribute(ctx, t.y, t.yt);
+      a.finish();
+    });
+    ADD_FAILURE() << "receive on an open exchange's lane not diagnosed";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("would take a message an open split-phase exchange "
+                        "expects"),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST(Invariants, BarrierSeparatedPhasesPassTheStraddleCheck) {

@@ -195,26 +195,26 @@ TEST(Machine, RecvRejectsBadSourceRank) {
   // past the machine fails at once with a clean error, not a stall.
   for (const bool blocking : {true, false}) {
     for (const int src : {-1, 3}) {
-      SCOPED_TRACE((blocking ? "recv from " : "irecv from ") +
-                   std::to_string(src));
+      const std::string op = blocking ? "recv" : "recv_batch";
+      SCOPED_TRACE(op + " from " + std::to_string(src));
       Machine m(3, MachineConfig{});
       try {
         m.run([=](Context& ctx) {
           if (ctx.rank() != 0) {
             return;
           }
-          int got = 0;
           if (blocking) {
-            got = ctx.recv<int>(src, 9);
+            (void)ctx.recv<int>(src, 9);
           } else {
-            CommHandle h = ctx.irecv<int>(src, 9, got);
-            ctx.wait(h);
+            const RecvLane lane{src, 9};
+            ctx.recv_batch(std::span<const RecvLane>(&lane, 1), ctx.clock(),
+                           [](std::size_t, Message) {});
           }
         });
         ADD_FAILURE() << "bad source rank accepted";
       } catch (const Error& e) {
         const std::string what = e.what();
-        EXPECT_NE(what.find("recv: bad source rank " + std::to_string(src)),
+        EXPECT_NE(what.find(op + ": bad source rank " + std::to_string(src)),
                   std::string::npos)
             << what;
         EXPECT_EQ(what.find("full stall"), std::string::npos) << what;

@@ -69,7 +69,7 @@ TEST(EventLog, RecordsPerRankInProgramOrder) {
   EventLog log(3);
   log.send(0, 1, msg(0, 5, /*seq=*/0, /*bytes=*/8));
   log.send(0, 2, msg(0, 5, 1, 8));
-  log.recv(1, msg(0, 5, 0, 8), /*epoch=*/0);
+  log.recv(1, msg(0, 5, 0, 8), /*bytes=*/8, /*epoch=*/0);
   log.park(EventLog::kMachineActor, 1);
   EXPECT_EQ(log.nprocs(), 3);
   EXPECT_EQ(log.total_events(), 4u);
@@ -88,7 +88,7 @@ TEST(EventLog, RecordsPerRankInProgramOrder) {
 TEST(EventLog, WriteTraceEmitsVerifierFormat) {
   EventLog log(2);
   log.send(0, 1, msg(0, 5, 0, 16));
-  log.recv(1, msg(0, 5, 0, 16), 0);
+  log.recv(1, msg(0, 5, 0, 16), 16, 0);
   std::ostringstream os;
   log.write_trace(os);
   const std::string text = os.str();
@@ -105,7 +105,7 @@ TEST(EventLog, OneSendRecordFeedsBothWriters) {
   EventLog log(2);
   log.send(0, 1, msg(0, 5, 0, 16));
   log.match(1, 0, 0);
-  log.recv(1, msg(0, 5, 0, 16), 0);
+  log.recv(1, msg(0, 5, 0, 16), 16, 0);
   log.mark(1, 0, 1, 'R');
   std::ostringstream trace, hb;
   log.write_trace(trace);
@@ -146,7 +146,7 @@ TEST(EventLog, MachineRunRecordsMatchedTraffic) {
 
 TEST(EventLog, DetachedRunRecordsNothing) {
   // A log that was attached and then detached sees none of the later
-  // run's sends, receives, parks, nonblocking windows, barriers or marks.
+  // run's sends, receives, parks, barriers or marks.
   MachineConfig cfg;
   cfg.link_contention = LinkContention::kStoreForward;
   Machine m(4, cfg);
@@ -157,13 +157,10 @@ TEST(EventLog, DetachedRunRecordsNothing) {
   m.run([](Context& ctx) {
     const int right = (ctx.rank() + 1) % 4;
     const int left = (ctx.rank() + 3) % 4;
-    int got = -1;
-    CommHandle h = ctx.irecv<int>(left, 6, got);
     ctx.send(right, 5, ctx.rank());
     ctx.send(right, 6, ctx.rank());
     EXPECT_EQ(ctx.recv<int>(left, 5), left);
-    ctx.wait(h);
-    EXPECT_EQ(got, left);
+    EXPECT_EQ(ctx.recv<int>(left, 6), left);
     ctx.mark(0, ctx.rank(), 'x');
     sync_clocks(ctx, Group({0, 1, 2, 3}, ctx.rank()));
   });

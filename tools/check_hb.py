@@ -25,35 +25,25 @@ the actor-local sequence number, dense from 0 per actor):
     park   <actor> <aseq> <parkseq>
     wake   <actor> <aseq> <target> <parkseq>
     woken  <actor> <aseq> <parkseq>
-    ipost  <actor> <aseq> <opid>
-    icomp  <actor> <aseq> <opid>
     r      <actor> <aseq> <obj>:<owner>
     w      <actor> <aseq> <obj>:<owner>
 
-with <obj> one of clock, link, ledger, ctr, epoch, mbox, buf.
+with <obj> one of clock, link, ledger, ctr, epoch, mbox.
 
 Happens-before edges:
   - program order within each actor (aseq ascending);
   - send (src, mseq) -> recv (src, mseq) on the receiver;
-  - wake (target, parkseq) -> woken (target, parkseq) on the target;
-  - ipost (actor, opid) -> icomp (actor, opid): a nonblocking
-    operation's in-flight window (machine/event_log.hpp post/complete).
-    An ipost with no matching icomp is a leaked handle (the runtime
-    diagnoses the same condition at rank return); duplicates of either end are dangling-edge
-    findings.  The completion's buffer fill is a `w buf:<rank>` access,
-    so compute reading an in-flight irecv buffer without an ordering
-    edge to the completion is an unordered-read-write.
+  - wake (target, parkseq) -> woken (target, parkseq) on the target.
 
 Rules (all self-tested against tools/hb_fixtures; `--list-rules` prints
 this table, docs/static-analysis.md embeds it):
 
   hb-format            malformed header/event lines, unknown object
                        classes, non-dense actor sequence numbers
-  dangling-edge        a consumer event (recv / woken / icomp) with no
-                       matching producer, duplicate producers for one
-                       edge key, or an ipost never completed
+  dangling-edge        a consumer event (recv / woken) with no matching
+                       producer, or duplicate producers for one edge key
   foreign-access       an actor touching another actor's non-mailbox
-                       state (clock / link / ledger / ctr / epoch / buf)
+                       state (clock / link / ledger / ctr / epoch)
                        -- the sharding contract forbids it outright,
                        conflict or not
   unordered-write      two writes to the same object not ordered by
@@ -75,23 +65,22 @@ from pathlib import Path
 RULES = {
     "hb-format": "malformed header or event line, unknown object, "
                  "or non-dense actor sequence numbers",
-    "dangling-edge": "edge consumer (recv/woken/icomp) without a "
-                     "matching producer, duplicate producers, or an "
-                     "ipost never completed",
+    "dangling-edge": "edge consumer (recv/woken) without a matching "
+                     "producer, or duplicate producers",
     "foreign-access": "non-owner access to non-mailbox state "
-                      "(clock/link/ledger/ctr/epoch/buf)",
+                      "(clock/link/ledger/ctr/epoch)",
     "unordered-write": "two writes to one object unordered by "
                        "happens-before (mbox exempt: inserts commute)",
     "unordered-read-write": "read and write of one object unordered by "
                             "happens-before",
 }
 
-OBJS = {"clock", "link", "ledger", "ctr", "epoch", "mbox", "buf"}
+OBJS = {"clock", "link", "ledger", "ctr", "epoch", "mbox"}
 
 # kind -> number of argument fields after "<kind> <actor> <aseq>"
 ARITY = {
     "send": 2, "recv": 2, "park": 1, "wake": 2, "woken": 1,
-    "ipost": 1, "icomp": 1, "r": 1, "w": 1,
+    "r": 1, "w": 1,
 }
 
 
@@ -213,8 +202,6 @@ def build_edges(path: Path, actors, findings: list[Finding]):
     findings for consumers with no producer and duplicated producers."""
     sends: dict[tuple[int, int], Event] = {}
     wakes: dict[tuple[int, int], Event] = {}
-    iposts: dict[tuple[int, int], Event] = {}
-    icomps: set[tuple[int, int]] = set()
 
     def put_unique(table, key, ev, what):
         if key in table:
@@ -233,9 +220,6 @@ def build_edges(path: Path, actors, findings: list[Finding]):
             elif ev.kind == "wake":
                 put_unique(wakes, (int(ev.args[0]), int(ev.args[1])), ev,
                            "wake producer")
-            elif ev.kind == "ipost":
-                put_unique(iposts, (ev.actor, int(ev.args[0])), ev,
-                           "ipost producer")
 
     edges: list[tuple[Event, Event]] = []
     for evs in actors.values():
@@ -260,31 +244,6 @@ def build_edges(path: Path, actors, findings: list[Finding]):
                         f"with no matching wake"))
                 else:
                     edges.append((src, ev))
-            elif ev.kind == "icomp":
-                key = (ev.actor, int(ev.args[0]))
-                src = iposts.get(key)
-                if src is None:
-                    findings.append(Finding(
-                        "dangling-edge", f"{path}:{ev.line}",
-                        f"icomp (actor={key[0]}, opid={key[1]}) "
-                        f"with no matching ipost"))
-                elif key in icomps:
-                    findings.append(Finding(
-                        "dangling-edge", f"{path}:{ev.line}",
-                        f"duplicate icomp for (actor={key[0]}, "
-                        f"opid={key[1]})"))
-                else:
-                    icomps.add(key)
-                    edges.append((src, ev))
-    # A posted operation never completed is a leaked handle: the in-flight
-    # window never closed, so nothing downstream can be ordered after it.
-    for key, ev in sorted(iposts.items(),
-                          key=lambda kv: kv[1].line):
-        if key not in icomps:
-            findings.append(Finding(
-                "dangling-edge", f"{path}:{ev.line}",
-                f"ipost (actor={key[0]}, opid={key[1]}) never completed "
-                f"(no matching icomp: leaked handle)"))
     return edges
 
 
