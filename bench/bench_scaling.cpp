@@ -23,7 +23,7 @@
 //    the message-count win).
 //
 //  * split-phase halo — face-mode exchange_halo_begin with the interior
-//    5-point stencil computed between post and wait, gated
+//    5-point stencil computed between post and wait (doall_overlap), gated
 //    bit-identical against its blocking oracle and required to hide a
 //    nonzero fraction of in-flight wire time (overlap_ratio > 0) at every
 //    point, including the P=1024 CI smoke step.
@@ -42,6 +42,7 @@
 #include "machine/schedule.hpp"
 #include "metrics/predictor.hpp"
 #include "runtime/dist_array.hpp"
+#include "oracles/blocking_exchange.hpp"
 #include "runtime/doall.hpp"
 
 namespace kali {
@@ -150,8 +151,8 @@ std::uint64_t expected_halo_msgs(int nprocs) {
 // --- split-phase halo: face exchange overlapped with the interior stencil
 
 /// Face-mode halo + 5-point stencil, `split` running the exchange
-/// split-phase (exchange_halo_begin, interior ring, finish, boundary ring)
-/// and !split the blocking oracle.  `digests` gets one FNV-1a hash
+/// split-phase with the interior inside the window (doall_overlap) and
+/// !split the blocking oracle (tests/oracles/blocking_exchange.hpp).  `digests` gets one FNV-1a hash
 /// of each rank's result bits, so run_point can gate bit-identity between
 /// the two forms without shipping the full fields around.
 RunStats run_overlap_halo(int nprocs, bool split,
@@ -176,14 +177,10 @@ RunStats run_overlap_halo(int nprocs, bool split,
                 a.at_halo({i, j + 1});
     };
     if (split) {
-      auto ex = a.exchange_halo_begin();
-      doall2_ring(a, Range{0, n - 1}, Range{0, n - 1}, 1, Ring::kInterior,
-                  body, 6.0);
-      ex.finish();
-      doall2_ring(a, Range{0, n - 1}, Range{0, n - 1}, 1, Ring::kBoundary,
-                  body, 6.0);
+      doall_overlap(a.exchange_halo_begin(), a,
+                    {Range{0, n - 1}, Range{0, n - 1}}, body, 6.0);
     } else {
-      a.exchange_halo();
+      oracles::blocking_halo(a);
       doall2(r, Range{0, n - 1}, Range{0, n - 1}, body, 6.0);
     }
     std::uint64_t h = 1469598103934665603ull;  // FNV-1a over result bits
@@ -230,7 +227,7 @@ struct SweepPoint {
   std::uint64_t ag_dense_msgs = 0;
   double ag_dense_predicted = 0.0;
   RunStats overlap_halo;           ///< split-phase (exchange_halo_begin)
-  RunStats overlap_halo_blocking;  ///< the blocking oracle (exchange_halo)
+  RunStats overlap_halo_blocking;  ///< the blocking oracle (blocking_halo)
 };
 
 SweepPoint run_point(int nprocs) {

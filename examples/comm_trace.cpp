@@ -80,8 +80,9 @@ int main(int argc, char** argv) {
     sync_clocks(ctx, everyone);
 
     // Phase 5: the async leg — a split-phase halo exchange overlapping a
-    // 5-point interior stencil (exchange_halo_begin / finish, whose batched
-    // receive charges in canonical key order), then a raw ring exchange of
+    // 5-point interior stencil (doall_overlap: exchange_halo_begin, interior,
+    // finish, whose batched receive charges in canonical key order, then the
+    // boundary), then a raw ring exchange of
     // two messages on one (src, dst, tag) lane: the receives pair with the
     // sends in FIFO order, which the trace verifier checks.
     D2 r(ctx, grid, {kN, kN}, dists);
@@ -90,12 +91,8 @@ int main(int argc, char** argv) {
                 u.at_halo({i + 1, j}) - u.at_halo({i, j - 1}) -
                 u.at_halo({i, j + 1});
     };
-    auto ex = u.exchange_halo_begin();
-    doall2_ring(u, Range{0, kN - 1}, Range{0, kN - 1}, 1, Ring::kInterior,
-                stencil, 6.0);
-    ex.finish();
-    doall2_ring(u, Range{0, kN - 1}, Range{0, kN - 1}, 1, Ring::kBoundary,
-                stencil, 6.0);
+    doall_overlap(u.exchange_halo_begin(), u,
+                  {Range{0, kN - 1}, Range{0, kN - 1}}, stencil, 6.0);
     sync_clocks(ctx, everyone);
 
     constexpr int kAsyncTag = 77;  // user band

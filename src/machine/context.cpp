@@ -1,7 +1,6 @@
 #include "machine/context.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <string>
 #include <utility>
 
@@ -17,11 +16,12 @@ namespace {
   KALI_FAIL(std::string(op) + ": bad source rank " + std::to_string(src));
 }
 
-[[noreturn, gnu::noinline]] void lane_held_open(int src, int tag) {
-  KALI_FAIL("recv(src=" + std::to_string(src) + ", tag=" +
+[[noreturn, gnu::noinline]] void lane_held_open(const char* op, int src,
+                                                int tag, const char* fix) {
+  KALI_FAIL(std::string(op) + "(src=" + std::to_string(src) + ", tag=" +
             std::to_string(tag) +
-            ") would take a message an open split-phase exchange expects; "
-            "finish() the exchange first");
+            ") would take a message an open split-phase exchange expects; " +
+            fix);
 }
 
 }  // namespace
@@ -125,7 +125,7 @@ Message Context::recv_message(int src, int tag) {
   }
   if (std::any_of(open_lanes_.begin(), open_lanes_.end(),
                   [&](const RecvLane& l) { return l.src == src && l.tag == tag; })) {
-    lane_held_open(src, tag);
+    lane_held_open("recv", src, tag, "finish() the exchange first");
   }
   Message m = self_->mailbox().recv(src, tag);
   finish_receive(m, m.size_bytes());
@@ -228,37 +228,35 @@ double Context::finish_receive(const Message& m, std::size_t bytes) {
 }
 
 void Context::recv_batch(std::span<const RecvLane> lanes, double window_start,
-                         const std::function<void(std::size_t, Message)>& take) {
-  std::vector<std::pair<int, int>> keys;
-  keys.reserve(lanes.size());
+                         const Take& take) {
+  batch_keys_.clear();
   for (const RecvLane& l : lanes) {
     if (l.src < 0 || l.src >= nprocs()) {
       bad_source_rank("recv_batch", l.src);
     }
-    keys.emplace_back(l.src, l.tag);
+    batch_keys_.emplace_back(l.src, l.tag);
   }
-  std::sort(keys.begin(), keys.end());
-  KALI_CHECK(std::adjacent_find(keys.begin(), keys.end()) == keys.end(),
+  std::sort(batch_keys_.begin(), batch_keys_.end());
+  KALI_CHECK(std::adjacent_find(batch_keys_.begin(), batch_keys_.end()) ==
+                 batch_keys_.end(),
              "recv_batch: a (src, tag) lane appears twice");
   // Each lane's wait is a park like a blocking recv's, publishing its
   // (src, tag); its message goes to the caller before the next lane's
   // wait, and only its header stays behind for the charge.
-  std::vector<Message> msgs(lanes.size());
-  std::vector<std::size_t> bytes(lanes.size());
+  batch_.clear();
   for (std::size_t i = 0; i < lanes.size(); ++i) {
     Message m = self_->mailbox().recv(lanes[i].src, lanes[i].tag);
-    msgs[i] = {m.src, m.tag, m.send_time, m.seq, m.epoch, {}};
-    bytes[i] = m.size_bytes();
-    take(i, std::move(m));
+    Taken t{{m.src, m.tag, m.send_time, m.seq, m.epoch, {}}, m.size_bytes(), 0.0};
+    t.unpacked = take(i, std::move(m));
+    batch_.push_back(std::move(t));
   }
   // Charge the batch in ascending (send_time, src, seq) — the edge
   // ledgers' canonical serialization key — so the clocks are a pure
-  // function of the program, never of host arrival order.
-  std::vector<std::size_t> order(msgs.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const Message& x = msgs[a];
-    const Message& y = msgs[b];
+  // function of the program, never of host arrival order.  Each message's
+  // unpack follows its receive, as in a blocking receive loop.
+  std::sort(batch_.begin(), batch_.end(), [](const Taken& a, const Taken& b) {
+    const Message& x = a.head;
+    const Message& y = b.head;
     if (x.send_time != y.send_time) {
       return x.send_time < y.send_time;
     }
@@ -268,9 +266,9 @@ void Context::recv_batch(std::span<const RecvLane> lanes, double window_start,
     return x.seq < y.seq;
   });
   auto& cnt = self_->counters();
-  for (const std::size_t i : order) {
+  for (const Taken& t : batch_) {
     const double before = self_->clock();
-    const double arrival = finish_receive(msgs[i], bytes[i]);
+    const double arrival = finish_receive(t.head, t.bytes);
     // Overlap ledger: the in-flight window ran from the exchange's start
     // to the modeled arrival; whatever of it this rank's clock had already
     // covered when the receive ran was spent on other work — wire time
@@ -280,7 +278,36 @@ void Context::recv_batch(std::span<const RecvLane> lanes, double window_start,
         std::clamp(std::min(before, arrival) - window_start, 0.0, window);
     cnt.overlap_wire_time += window;
     cnt.overlap_hidden_time += hidden;
+    compute(t.unpacked);
   }
+}
+
+void Context::finish_exchange(std::uint32_t stamp, double window_start,
+                              const Take& take) {
+  std::size_t k = 0;
+  std::size_t first = 0;  // this exchange's run starts past the older ones'
+  for (; open_[k].stamp != stamp; ++k) {
+    first += open_[k].nlanes;
+  }
+  const std::span<const RecvLane> mine(open_lanes_.data() + first,
+                                       open_[k].nlanes);
+  // Only an older open exchange sharing a lane can be handed this one's
+  // messages (FIFO per lane); exchanges on disjoint lanes finish in any
+  // order.
+  for (const RecvLane& l : mine) {
+    for (std::size_t i = 0; i < first; ++i) {
+      if (open_lanes_[i].src == l.src && open_lanes_[i].tag == l.tag) {
+        lane_held_open("finish", l.src, l.tag,
+                       "split-phase exchanges must finish in the order they "
+                       "began");
+      }
+    }
+  }
+  recv_batch(mine, window_start, take);
+  const auto at = open_lanes_.begin() + static_cast<std::ptrdiff_t>(first);
+  open_lanes_.erase(at, at + static_cast<std::ptrdiff_t>(open_[k].nlanes));
+  open_.erase(open_.begin() + static_cast<std::ptrdiff_t>(k));
+  ++exchanges_finished_;
 }
 
 }  // namespace kali

@@ -46,6 +46,7 @@
 #include <functional>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "machine/event_log.hpp"
@@ -153,47 +154,49 @@ class Context {
 
   // --- batched receive: the wait point of a split-phase exchange ---------
   //
-  // A split-phase exchange (DistArray::exchange_halo_begin and the _begin
-  // forms of runtime/redistribute.hpp and runtime/remap.hpp) fires its
+  // Every runtime face halo and box exchange (DistArray::exchange_halo and
+  // the forms of runtime/redistribute.hpp and runtime/remap.hpp) fires its
   // sends, runs the caller's work, and finishes with one recv_batch over
   // the lanes it expects.  Posting a receive costs nothing in the model, so
   // receiving at the wait point is the whole receive.
 
+  /// The unpack of lane i's message: writes it into its destination and
+  /// returns the number of elements unpacked (charged one op each).
+  using Take = std::function<double(std::size_t, Message)>;
+
   /// Take one message from every lane in `lanes` (each (src, tag) at most
   /// once), in lane order: park until the lane has a queued match, pop it,
-  /// and hand it to `take(i, m)` for lane i.  The caller unpacks there
-  /// (payload_values), before the next lane's wait — so a batch holds no
-  /// more payload than a blocking receive loop.  Then charge the receives
-  /// in ascending (send_time, src, seq) of the messages — the edge ledgers'
-  /// canonical key — never in host arrival order.  Each receive also
+  /// and hand it to `take(i, m)` for lane i, which unpacks it before the
+  /// next lane's wait — so a batch holds no more payload than a blocking
+  /// receive loop.  Then, in ascending (send_time, src, seq) of the
+  /// messages — the edge ledgers' canonical key, never host arrival order —
+  /// charge each message's receive and then its unpack.  Each receive also
   /// enters the overlap ledger: its in-flight window runs from
   /// `window_start` (the clock at which the exchange began) to its modeled
   /// arrival.
   void recv_batch(std::span<const RecvLane> lanes, double window_start,
-                  const std::function<void(std::size_t, Message)>& take);
+                  const Take& take);
 
   // --- split-phase exchange state (PendingExchange) ---------------------
   //
   // Receives match FIFO per (src, tag) lane, and open exchanges may share
-  // lanes (every redistribute_begin uses kTagRedistData), so the exchanges
-  // must finish in the order they began, and no other receive may take a
-  // lane an open one expects — either would hand one exchange another's
-  // messages.  Both are checked in every build, and so is the dropped
-  // exchange: Machine::run fails a rank that returns with one still open.
+  // lanes (every redistribute uses kTagRedistData), so an exchange may not
+  // finish while an older open one shares one of its lanes, and no other
+  // receive may take a lane an open one expects — either would hand one
+  // exchange another's messages.  Both are checked in every build, and so
+  // is the dropped exchange: Machine::run fails a rank that returns with
+  // one still open.
 
-  /// Open an exchange that will receive on `lanes`; returns its begin stamp.
+  /// Open an exchange that will receive on `lanes`; returns its stamp.
   std::uint32_t begin_exchange(std::span<const RecvLane> lanes) {
     open_lanes_.insert(open_lanes_.end(), lanes.begin(), lanes.end());
+    open_.push_back({exchanges_begun_, static_cast<std::uint32_t>(lanes.size())});
     return exchanges_begun_++;
   }
-  /// Close the exchange stamped `stamp`, which opened `nlanes` lanes.
-  void finish_exchange(std::uint32_t stamp, std::size_t nlanes) {
-    KALI_CHECK(stamp == exchanges_finished_,
-               "split-phase exchanges must finish in the order they began");
-    ++exchanges_finished_;
-    open_lanes_.erase(open_lanes_.begin(),
-                      open_lanes_.begin() + static_cast<std::ptrdiff_t>(nlanes));
-  }
+  /// Receive and unpack the open exchange stamped `stamp` (recv_batch over
+  /// its lanes), then close it.  `take` must not begin or finish exchanges.
+  void finish_exchange(std::uint32_t stamp, double window_start,
+                       const Take& take);
   [[nodiscard]] std::uint32_t unfinished_exchanges() const {
     return exchanges_begun_ - exchanges_finished_;
   }
@@ -207,11 +210,26 @@ class Context {
   /// modeled arrival time (for the overlap ledger).
   double finish_receive(const Message& m, std::size_t bytes);
 
+  /// One message of a batch once its payload has gone to `take`.
+  struct Taken {
+    Message head;  ///< header only; the payload went to take
+    std::size_t bytes = 0;
+    double unpacked = 0.0;
+  };
+  struct OpenExchange {
+    std::uint32_t stamp = 0;
+    std::uint32_t nlanes = 0;  ///< its run of open_lanes_
+  };
+
   Machine* machine_;
   Processor* self_;
   std::uint32_t exchanges_begun_ = 0;
   std::uint32_t exchanges_finished_ = 0;
-  std::vector<RecvLane> open_lanes_;  // of the open exchanges, oldest first
+  std::vector<OpenExchange> open_;    // oldest first
+  std::vector<RecvLane> open_lanes_;  // their lanes, in the same order
+  // recv_batch scratch, reused so a steady-state batch allocates nothing.
+  std::vector<std::pair<int, int>> batch_keys_;
+  std::vector<Taken> batch_;
 };
 
 }  // namespace kali

@@ -77,44 +77,47 @@ template <class T>
   return v;
 }
 
-/// Handle of an in-flight split-phase exchange, returned by
+/// Handle of an in-flight exchange, returned by
 /// DistArray::exchange_halo_begin and by the _begin forms of
 /// runtime/redistribute.hpp and runtime/remap.hpp: every send is on the
 /// wire, and the pack compute (plus any self-overlap copy) has been charged
 /// inside the wire window.  Run whatever local work should hide the wire,
 /// then finish(): one Context::recv_batch over the exchange's lanes that
-/// charges the receives in canonical (send_time, src, seq) order, then the
-/// unpack straight from the payloads, at the same rate the blocking path
-/// charges.  The arrays and the Context must outlive the handle.
+/// charges each receive and then its unpack, in canonical (send_time, src,
+/// seq) order.  The blocking forms are _begin(...).finish().  The arrays
+/// and the Context must outlive the handle.
 ///
 /// Move-only, since a copy would finish the same receives twice; a
 /// moved-from handle is inactive.  Receives match FIFO per (src, tag) lane
 /// and open exchanges may share lanes, so every build fails with a
-/// kali::Error when open exchanges finish out of the order they began,
-/// when another receive would take an open exchange's lane, and when the
-/// rank program returns with an exchange still open (Machine::run).
+/// kali::Error when an exchange finishes while an older open one shares
+/// one of its lanes, when another receive would take an open exchange's
+/// lane, and when the rank program returns with an exchange still open
+/// (Machine::run).
 class PendingExchange {
  public:
   PendingExchange() = default;
 
   /// Built by the _begin forms once their sends are out: opens an exchange
-  /// on `ctx` that receives on `lanes`, which finish() hands to `fin`.
-  PendingExchange(Context& ctx, std::vector<RecvLane> lanes,
-                  std::function<void(std::span<const RecvLane>)> fin)
-      : ctx_(&ctx), lanes_(std::move(lanes)), fin_(std::move(fin)) {
-    stamp_ = ctx_->begin_exchange(lanes_);
-  }
+  /// on `ctx` whose wire window began at `window_start`, receiving on
+  /// `lanes`; finish() hands lane i's message to `take`.
+  PendingExchange(Context& ctx, double window_start,
+                  std::span<const RecvLane> lanes, Context::Take take)
+      : ctx_(&ctx),
+        stamp_(ctx.begin_exchange(lanes)),
+        window_start_(window_start),
+        take_(std::move(take)) {}
 
   PendingExchange(PendingExchange&& o) noexcept
       : ctx_(std::exchange(o.ctx_, nullptr)),
         stamp_(o.stamp_),
-        lanes_(std::move(o.lanes_)),
-        fin_(std::exchange(o.fin_, nullptr)) {}
+        window_start_(o.window_start_),
+        take_(std::exchange(o.take_, nullptr)) {}
   PendingExchange& operator=(PendingExchange&& o) noexcept {
     ctx_ = std::exchange(o.ctx_, nullptr);
     stamp_ = o.stamp_;
-    lanes_ = std::move(o.lanes_);
-    fin_ = std::exchange(o.fin_, nullptr);
+    window_start_ = o.window_start_;
+    take_ = std::exchange(o.take_, nullptr);
     return *this;
   }
   PendingExchange(const PendingExchange&) = delete;
@@ -122,21 +125,20 @@ class PendingExchange {
 
   /// Take the receives and unpack.  A no-op on an inactive handle.
   void finish() {
-    if (fin_) {
-      const auto f = std::exchange(fin_, nullptr);
-      ctx_->finish_exchange(stamp_, lanes_.size());
-      f(lanes_);
+    if (take_) {
+      const Context::Take take = std::exchange(take_, nullptr);
+      ctx_->finish_exchange(stamp_, window_start_, take);
     }
   }
 
   /// True while the exchange is open (begun, finish() not yet called).
-  [[nodiscard]] bool active() const { return static_cast<bool>(fin_); }
+  [[nodiscard]] bool active() const { return static_cast<bool>(take_); }
 
  private:
   Context* ctx_ = nullptr;
-  std::uint32_t stamp_ = 0;  // this exchange's begin order on ctx_
-  std::vector<RecvLane> lanes_;
-  std::function<void(std::span<const RecvLane>)> fin_;
+  std::uint32_t stamp_ = 0;  // this exchange's begin stamp on ctx_
+  double window_start_ = 0.0;
+  Context::Take take_;
 };
 
 template <class T, int R>
@@ -444,7 +446,8 @@ class DistArray {
   /// HaloCorners::kNo (default): faces cover the owned extent of the other
   /// dims; all sends are posted before any receive — one latency round,
   /// exactly the message pattern of the hand-coded Listing 2.  Sufficient
-  /// for star-shaped stencils (all of the paper's algorithms).
+  /// for star-shaped stencils (all of the paper's algorithms).  This is
+  /// exchange_halo_begin().finish().
   ///
   /// HaloCorners::kYes: diagonal corner ghosts are valid afterwards too
   /// (needed for 9-point-style stencils).  One *single scheduled exchange*
@@ -461,81 +464,61 @@ class DistArray {
   /// (kPeerOrder is the naive baseline); it is ignored in face mode.
   void exchange_halo(HaloCorners corners = HaloCorners::kNo,
                      IssueOrder order = IssueOrder::kRoundSchedule) {
-    if (!member_) {
-      return;
-    }
-    for (int d = 0; d < R; ++d) {
-      const auto ud = static_cast<std::size_t>(d);
-      if (halo_[ud] > 0) {
-        KALI_CHECK(lcount_[ud] >= halo_[ud],
-                   "slab thinner than halo; increase extent or reduce procs");
-      }
-    }
-    if (corners == HaloCorners::kYes) {
+    if (corners == HaloCorners::kNo) {
+      exchange_halo_begin().finish();
+    } else if (member_) {
+      require_halo_fits();
       exchange_halo_corners(order);
-    } else {
-      for (int d = 0; d < R; ++d) {
-        if (halo_[static_cast<std::size_t>(d)] > 0) {
-          exchange_dim_sends(d);
-        }
-      }
-      for (int d = 0; d < R; ++d) {
-        if (halo_[static_cast<std::size_t>(d)] > 0) {
-          exchange_dim_recvs(d);
-        }
-      }
     }
   }
 
-  /// Split-phase form of the face-mode halo exchange: fires the same sends
-  /// as exchange_halo (same tags, same payloads, same order — the message
-  /// ledger is bit-identical to the blocking oracle) and returns without
-  /// receiving.  Between begin and finish() the owner may compute on
-  /// anything except the ghost cells (the interior of the owned slab in
-  /// particular) — that work runs while the wire drains, which is the
-  /// entire point.  finish() must run before the ghosts are read and
+  /// Split-phase form of the face-mode halo exchange: fires the sends and
+  /// returns without receiving.  Between begin and finish() the owner may
+  /// compute on anything except the ghost cells (the interior of the owned
+  /// slab in particular) — that work runs while the wire drains, which is
+  /// the entire point; doall_overlap (runtime/doall.hpp) runs a stencil
+  /// loop that way.  finish() must run before the ghosts are read and
   /// before the rank program returns; see PendingExchange.  Corner mode
-  /// has no split-phase form (its ghost regions feed diagonal dependencies
-  /// that rarely leave useful interior work); use
-  /// exchange_halo(HaloCorners::kYes) there.
+  /// has no split-phase form; use exchange_halo(HaloCorners::kYes) there.
   [[nodiscard]] PendingExchange exchange_halo_begin() {
     if (!member_) {
       return {};
     }
-    for (int d = 0; d < R; ++d) {
-      const auto ud = static_cast<std::size_t>(d);
-      if (halo_[ud] > 0) {
-        KALI_CHECK(lcount_[ud] >= halo_[ud],
-                   "slab thinner than halo; increase extent or reduce procs");
-      }
-    }
+    require_halo_fits();
     // The in-flight window opens before the first send, so all wire time
     // is eligible for hiding.
     const double window_start = ctx_->clock();
-    for (int d = 0; d < R; ++d) {
-      if (halo_[static_cast<std::size_t>(d)] > 0) {
-        exchange_dim_sends(d);
-      }
-    }
-    std::vector<RecvLane> lanes;
-    std::vector<std::pair<int, int>> faces;  // (dim, side) per lane
+    std::array<RecvLane, 2 * UR> lanes{};
+    std::size_t nlanes = 0;
+    std::vector<T> buf;
     for (int d = 0; d < R; ++d) {
       if (halo_[static_cast<std::size_t>(d)] == 0) {
         continue;
       }
-      if (const int left = neighbor_rank(d, -1); left >= 0) {
-        lanes.push_back({left, kTagHaloBase + 4 * d});
-        faces.emplace_back(d, 0);
+      // Side 0 is the low face: the owned low face travels to the left
+      // neighbour, which receives it as its high ghost face.
+      buf.reserve(face_volume(d));
+      double packed = 0;
+      for (int side = 0; side < 2; ++side) {
+        const int peer = neighbor_rank(d, side == 0 ? -1 : +1);
+        if (peer < 0) {
+          continue;
+        }
+        buf.clear();
+        visit_face(d, side, /*owned_side=*/true, [&](const GIndex<R>& rel) {
+          buf.push_back((*store_)[static_cast<std::size_t>(rel_flat(rel))]);
+        });
+        // kali-lint: allow(raw-exchange) — bounded-degree neighbor send (<= 2
+        // peers per dim), not a dense exchange; no schedule needed.
+        ctx_->send_span<T>(peer, face_tag(d, 1 - side), buf);
+        packed += static_cast<double>(buf.size());
+        lanes[nlanes++] = {peer, face_tag(d, side)};
       }
-      if (const int right = neighbor_rank(d, +1); right >= 0) {
-        lanes.push_back({right, kTagHaloBase + 4 * d + 1});
-        faces.emplace_back(d, 1);
-      }
+      ctx_->compute(packed);  // pack cost, one op per element moved
     }
     return PendingExchange(
-        *ctx_, std::move(lanes),
-        [this, window_start, faces = std::move(faces)](
-            std::span<const RecvLane> l) { finish_halo(l, faces, window_start); });
+        *ctx_, window_start, std::span<const RecvLane>(lanes.data(), nlanes),
+        [this](std::size_t, Message m) { return unpack_face(std::move(m)); });
   }
 
   // ---- slicing ---------------------------------------------------------------
@@ -831,97 +814,44 @@ class DistArray {
     return view_.rank_of(coord);
   }
 
-  void exchange_dim_sends(int d) {
-    const int tag_lo = kTagHaloBase + 4 * d;      // data travelling low->high
-    const int tag_hi = kTagHaloBase + 4 * d + 1;  // data travelling high->low
-    const int left = neighbor_rank(d, -1);
-    const int right = neighbor_rank(d, +1);
-    std::vector<T> buf;
-    double packed = 0;
-    // Send owned low face to left neighbour, owned high face to right.
-    if (left >= 0) {
-      buf.clear();
-      visit_face(d, 0, /*owned_side=*/true,
-                 [&](const GIndex<R>& rel) {
-                   buf.push_back((*store_)[static_cast<std::size_t>(rel_flat(rel))]);
-                 });
-      // kali-lint: allow(raw-exchange) — bounded-degree neighbor send (≤2
-      // peers per dim), not a dense exchange; no schedule needed.
-      ctx_->send_span<T>(left, tag_hi, buf);
-      packed += static_cast<double>(buf.size());
-    }
-    if (right >= 0) {
-      buf.clear();
-      visit_face(d, 1, /*owned_side=*/true,
-                 [&](const GIndex<R>& rel) {
-                   buf.push_back((*store_)[static_cast<std::size_t>(rel_flat(rel))]);
-                 });
-      // kali-lint: allow(raw-exchange) — bounded-degree neighbor send.
-      ctx_->send_span<T>(right, tag_lo, buf);
-      packed += static_cast<double>(buf.size());
-    }
-    ctx_->compute(packed);  // pack cost, one op per element moved
-  }
+  /// Tag of the face message that fills a receiver's ghost face at `side`
+  /// of dim d (side 0: low, data travelling low -> high).
+  static int face_tag(int d, int side) { return kTagHaloBase + 4 * d + side; }
 
-  void exchange_dim_recvs(int d) {
-    const int tag_lo = kTagHaloBase + 4 * d;
-    const int tag_hi = kTagHaloBase + 4 * d + 1;
-    const int left = neighbor_rank(d, -1);
-    const int right = neighbor_rank(d, +1);
-    double packed = 0;
-    if (left >= 0) {
-      // kali-lint: allow(raw-exchange) — bounded-degree neighbor receive.
-      auto in = ctx_->recv_vec<T>(left, tag_lo);
-      std::size_t k = 0;
-      visit_face(d, 0, /*owned_side=*/false,
-                 [&](const GIndex<R>& rel) {
-                   (*store_)[static_cast<std::size_t>(rel_flat(rel))] = in[k++];
-                 });
-      KALI_CHECK(k == in.size(), "halo size mismatch (low)");
-      packed += static_cast<double>(k);
-    }
-    if (right >= 0) {
-      // kali-lint: allow(raw-exchange) — bounded-degree neighbor receive.
-      auto in = ctx_->recv_vec<T>(right, tag_hi);
-      std::size_t k = 0;
-      visit_face(d, 1, /*owned_side=*/false,
-                 [&](const GIndex<R>& rel) {
-                   (*store_)[static_cast<std::size_t>(rel_flat(rel))] = in[k++];
-                 });
-      KALI_CHECK(k == in.size(), "halo size mismatch (high)");
-      packed += static_cast<double>(k);
-    }
-    ctx_->compute(packed);  // unpack cost
-  }
-
-  /// Second half of the split-phase halo: take the incoming ghost face of
-  /// every lane (faces[i] is lane i's (dim, side)) in one batched receive
-  /// (charged in canonical (send_time, src, seq) order; see
-  /// Context::recv_batch), then unpack each face straight from its payload
-  /// and charge the same per-element unpack cost the blocking path charges.
-  void finish_halo(std::span<const RecvLane> lanes,
-                   const std::vector<std::pair<int, int>>& faces,
-                   double window_start) {
-    double unpacked = 0;
-    // kali-lint: allow(raw-exchange) — bounded-degree neighbor receive
-    // (<= 2 lanes per dim), batched at the split-phase wait point.
-    ctx_->recv_batch(lanes, window_start, [&](std::size_t i, Message m) {
-      const auto [d, side] = faces[i];
-      const std::vector<T> in = payload_values<T>(std::move(m));
-      std::size_t volume = static_cast<std::size_t>(halo_[static_cast<std::size_t>(d)]);
-      for (int o = 0; o < R; ++o) {
-        if (o != d) {
-          volume *= static_cast<std::size_t>(lcount_[static_cast<std::size_t>(o)]);
-        }
+  void require_halo_fits() const {
+    for (int d = 0; d < R; ++d) {
+      const auto ud = static_cast<std::size_t>(d);
+      if (halo_[ud] > 0) {
+        KALI_CHECK(lcount_[ud] >= halo_[ud],
+                   "slab thinner than halo; increase extent or reduce procs");
       }
-      KALI_CHECK(in.size() == volume, "halo size mismatch (split-phase)");
-      std::size_t k = 0;
-      visit_face(d, side, /*owned_side=*/false, [&](const GIndex<R>& rel) {
-        (*store_)[static_cast<std::size_t>(rel_flat(rel))] = in[k++];
-      });
-      unpacked += static_cast<double>(k);
+    }
+  }
+
+  /// Cells in one face of dim d (halo_[d] planes over the owned extent of
+  /// the other dims).
+  [[nodiscard]] std::size_t face_volume(int d) const {
+    std::size_t volume = static_cast<std::size_t>(halo_[static_cast<std::size_t>(d)]);
+    for (int o = 0; o < R; ++o) {
+      if (o != d) {
+        volume *= static_cast<std::size_t>(lcount_[static_cast<std::size_t>(o)]);
+      }
+    }
+    return volume;
+  }
+
+  /// The face-mode halo's unpack: the message's tag names the ghost face
+  /// (face_tag) it fills.  Returns the element count for the charge.
+  double unpack_face(Message m) {
+    const int d = (m.tag - kTagHaloBase) / 4;
+    const int side = (m.tag - kTagHaloBase) % 4;
+    const std::vector<T> in = payload_values<T>(std::move(m));
+    KALI_CHECK(in.size() == face_volume(d), "halo size mismatch");
+    std::size_t k = 0;
+    visit_face(d, side, /*owned_side=*/false, [&](const GIndex<R>& rel) {
+      (*store_)[static_cast<std::size_t>(rel_flat(rel))] = in[k++];
     });
-    ctx_->compute(unpacked);  // unpack cost, same rate as the blocking path
+    return static_cast<double>(k);
   }
 
   /// The HaloCorners::kYes implementation: one scheduled exchange over the

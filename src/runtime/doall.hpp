@@ -21,9 +21,12 @@
 // body (the KF1 compiler knows the statement cost; here the caller states
 // it).  Communication for right-hand-side reads is made explicit by the
 // caller via DistArray::copy_in()/exchange_halo() — the code the compiler
-// would generate for copy-in/copy-out semantics.
+// would generate for copy-in/copy-out semantics — or hidden behind the
+// loop's interior by doall_overlap.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <vector>
 
 #include "runtime/dist_array.hpp"
@@ -146,69 +149,54 @@ void doall3(const DistArray3<T>& A, Range ri, Range rj, Range rk, Body body,
                       static_cast<double>(ks.size()));
 }
 
-// --- split-phase ring partition ----------------------------------------
+// --- copy-in hidden behind the interior ------------------------------------
 //
-// Companion to DistArray::exchange_halo_begin(): each doall2_ring call
-// visits exactly the subset of the blocking doall's iteration space named
-// by `part`, and the two parts form an exact partition — running kInterior
-// then kBoundary applies the identical body to the identical index set as
-// the blocking loop, so any computation with one write per index produces
-// bit-identical data regardless of the split.  Only the compute *charge*
-// is split in two (which can move clocks by an ulp, never values).
+// A stencil doall's copy-in is communication the compiler generates, so the
+// runtime chooses when its wire time is paid.  doall_overlap charges the
+// iterations that read no ghost cell while the halo exchange is in flight:
 //
-// The canonical overlap shape:
+//   doall_overlap(H.exchange_halo_begin(), H, {ri, rj}, body, flops);
 //
-//   auto ex = A.exchange_halo_begin();
-//   doall2_ring(A, ri, rj, margin, Ring::kInterior, body, flops);  // no ghosts
-//   ex.finish();
-//   doall2_ring(A, ri, rj, margin, Ring::kBoundary, body, flops);  // ghosts ok
-//
-// `margin` is the body's stencil reach: an interior index keeps at least
-// `margin` owned cells between itself and every slab face that carries a
-// halo, so the body cannot touch the ghost cells still in flight.
+// The body computes bit-identical data, since every index is still written
+// once; only the compute charge is split in two, around the wait.
 
-/// Which part of the ring partition a doall2_ring call visits.
-enum class Ring {
-  kInterior,  ///< ≥ margin from every halo-bearing slab face; ghost-free
-  kBoundary,  ///< the rest of the owned set; run after PendingExchange::finish
-};
-
-namespace detail {
-
-/// True when global index `i` sits at least `margin` cells inside this
-/// rank's owned slab along dim `d`.  Dims with no halo (or not distributed)
-/// impose no restriction — they have no in-flight ghosts to avoid.
-template <class T, int R>
-bool ring_interior(const DistArray<T, R>& A, int d, int i, int margin) {
-  if (A.halo(d) == 0 || A.map(d).kind() == DistKind::kStar) {
-    return true;
-  }
-  return i - A.own_lower(d) >= margin && A.own_upper(d) - i >= margin;
-}
-
-}  // namespace detail
-
-/// doall2 restricted to one part of the ring partition (see above).
-template <class T, class Body>
-void doall2_ring(const DistArray2<T>& A, Range ri, Range rj, int margin,
-                 Ring part, Body body, double flops_per_iter = 0.0) {
-  if (!A.participating()) {
+/// doall over the product of `ranges` on owner(H), for a body that reads
+/// H's ghost cells, with H's halo exchange `ex` in flight.  Charges the
+/// iterations at least halo(d) cells inside the owned slab along every dim
+/// d (they read no ghost), then ex.finish(), then the rest.  The host runs
+/// the body after the finish, in plain row-major order: the model is what
+/// overlaps, and the body must charge nothing itself.
+template <class T, int R, class Body>
+void doall_overlap(PendingExchange ex, const DistArray<T, R>& H,
+                   const std::array<Range, static_cast<std::size_t>(R)>& ranges,
+                   Body body, double flops_per_iter = 0.0) {
+  if (!H.participating()) {
+    ex.finish();
     return;
   }
-  const auto is = detail::owned_in_range(A.map(0), A.my_coord(0), ri);
-  const auto js = detail::owned_in_range(A.map(1), A.my_coord(1), rj);
-  double n = 0.0;
-  for (int i : is) {
-    const bool ii = detail::ring_interior(A, 0, i, margin);
-    for (int j : js) {
-      const bool interior = ii && detail::ring_interior(A, 1, j, margin);
-      if ((part == Ring::kInterior) == interior) {
-        body(i, j);
-        n += 1.0;
-      }
-    }
+  double all = 1.0;
+  double interior = 1.0;
+  for (int d = 0; d < R; ++d) {
+    const auto ud = static_cast<std::size_t>(d);
+    const std::vector<int> is =
+        detail::owned_in_range(H.map(d), H.my_coord(d), ranges[ud]);
+    const int h = H.halo(d);
+    all *= static_cast<double>(is.size());
+    interior *= static_cast<double>(std::count_if(is.begin(), is.end(), [&](int i) {
+      return h == 0 || (i - H.own_lower(d) >= h && H.own_upper(d) - i >= h);
+    }));
   }
-  A.context().compute(flops_per_iter * n);
+  Context& ctx = H.context();
+  ctx.compute(flops_per_iter * interior);
+  ex.finish();
+  if constexpr (R == 1) {
+    doall(H, ranges[0], body);
+  } else if constexpr (R == 2) {
+    doall2(H, ranges[0], ranges[1], body);
+  } else {
+    doall3(H, ranges[0], ranges[1], ranges[2], body);
+  }
+  ctx.compute(flops_per_iter * (all - interior));
 }
 
 /// doall i = r on owner(A(..., i, ...)) where dim `fixed_dim` is fixed at i

@@ -21,9 +21,9 @@
 //    Peers are enumerated from per-dim owner-coordinate ranges — O(peers),
 //    independent of both the element count and the machine size — and
 //    payloads are packed as contiguous row-major slabs.  It is the identity
-//    case of detail::BoxCopy, whose one planner (plan_exchange) feeds both
-//    the blocking form and redistribute_begin, and which copy_strided_dim
-//    (runtime/remap.hpp) shares.
+//    case of detail::BoxCopy, whose one planner (plan_exchange) and one
+//    split-phase path (exchange_begin) copy_strided_dim (runtime/remap.hpp)
+//    shares; the blocking redistribute() finishes that exchange at once.
 //
 //  * Per-dim owner binning (any cyclic/block-cyclic dim): each side walks
 //    its own elements once, computing the unique opposite owner rank in
@@ -326,7 +326,7 @@ struct ExchangePlan {
   std::optional<Box<R>> self;               ///< copied locally, never sent
 };
 
-/// The one planner behind every box exchange, blocking and split-phase.
+/// The one planner behind every box exchange.
 template <class T, int R>
 ExchangePlan<R> plan_exchange(const Context& ctx, const DistArray<T, R>& src,
                               const DistArray<T, R>& dst, const BoxCopy& c) {
@@ -407,8 +407,8 @@ double unpack_slab(DistArray<T, R>& dst, const BoxCopy& c, const Box<R>& slab,
   return static_cast<double>(k);
 }
 
-/// Copy the plan's self-overlap locally; returns the element count, which
-/// each caller charges where its blocking clock order puts it.
+/// Copy the plan's self-overlap locally; returns the element count for the
+/// charge.
 template <class T, int R>
 double copy_self(const DistArray<T, R>& src, DistArray<T, R>& dst,
                  const BoxCopy& c, const ExchangePlan<R>& p) {
@@ -429,80 +429,45 @@ double copy_self(const DistArray<T, R>& src, DistArray<T, R>& dst,
   return static_cast<double>(p.self->volume());
 }
 
-/// Blocking form of a planned exchange, dispatched through issue_exchange.
-/// The self-overlap has already been copied; `unpacked` seeds the final
-/// unpack charge (the strided copies fold their self copy into it).
+/// A planned exchange: fire the sends in round order (raw enumeration
+/// order under kPeerOrder), charge the pack compute, copy and charge the
+/// self-overlap inside the wire window, and return a handle whose finish()
+/// takes every incoming slab in one batched receive and unpacks it
+/// straight from the payloads.  The blocking forms finish it at once.
 template <class T, int R>
-void exchange_blocking(Context& ctx, const DistArray<T, R>& src,
-                       DistArray<T, R>& dst, const BoxCopy& c,
-                       ExchangePlan<R>& p, double unpacked,
-                       IssueOrder order = IssueOrder::kRoundSchedule) {
-  if (p.members.empty()) {
-    return;
-  }
-  std::vector<T> buf;
-  double packed = 0;
-  auto send_one = [&](int rank, const Box<R>& slab) {
-    pack_slab(src, c, slab, buf);
-    ctx.send_span<T>(rank, c.tag, std::span<const T>(buf));
-    packed += static_cast<double>(buf.size());
-  };
-  auto recv_one = [&](int rank, const Box<R>& slab) {
-    const auto vals = ctx.recv_vec<T>(rank, c.tag);
-    unpacked += unpack_slab(dst, c, slab, std::span<const T>(vals));
-  };
-  issue_exchange(
-      p.members, ctx.rank(), p.out, p.in, send_one, recv_one,
-      [&] { ctx.compute(packed); }, [&] { ctx.compute(unpacked); }, order);
-}
-
-/// Split-phase form of a planned exchange: fire the sends the blocking
-/// form fires, in the same round order, charge the pack compute, copy and
-/// charge the self-overlap inside the wire window, and return a handle
-/// whose finish() takes every incoming slab in one batched receive and
-/// unpacks it straight from the payloads.
-template <class T, int R>
-[[nodiscard]] PendingExchange exchange_begin(Context& ctx,
-                                             const DistArray<T, R>& src,
-                                             DistArray<T, R>& dst,
-                                             const BoxCopy& c,
-                                             ExchangePlan<R> p) {
+[[nodiscard]] PendingExchange exchange_begin(
+    Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst,
+    const BoxCopy& c, ExchangePlan<R> p,
+    IssueOrder order = IssueOrder::kRoundSchedule) {
   if (p.members.empty()) {
     return {};
   }
   const double window_start = ctx.clock();
-  round_sort(p.out, p.members, ctx.rank());
+  round_sort(p.out, p.members, ctx.rank(), order);
   std::vector<T> buf;
   double packed = 0;
   for (const auto& [rank, slab] : p.out) {
     pack_slab(src, c, slab, buf);
-    // kali-lint: allow(raw-exchange) — split-phase form: finish() takes the
-    // receives in one recv_batch, so there is no recv_one closure to pair
-    // with.
+    // kali-lint: allow(raw-exchange) — finish() takes the receives in one
+    // recv_batch, so there is no recv_one closure to pair with.
     ctx.send_span<T>(rank, c.tag, std::span<const T>(buf));
     packed += static_cast<double>(buf.size());
   }
   ctx.compute(packed);
   ctx.compute(copy_self(src, dst, c, p));
 
-  round_sort(p.in, p.members, ctx.rank());
+  round_sort(p.in, p.members, ctx.rank(), order);
   std::vector<RecvLane> lanes;
   lanes.reserve(p.in.size());
   for (const auto& [rank, slab] : p.in) {
     lanes.push_back({rank, c.tag});
   }
-  return PendingExchange(ctx, std::move(lanes),
-                         [&ctx, &dst, c, in = std::move(p.in),
-                          window_start](std::span<const RecvLane> in_lanes) {
-    double unpacked = 0;
-    // kali-lint: allow(raw-exchange) — split-phase wait point: one batched
-    // receive over the round-sorted peers, charged in canonical key order.
-    ctx.recv_batch(in_lanes, window_start, [&](std::size_t i, Message m) {
-      const std::vector<T> vals = payload_values<T>(std::move(m));
-      unpacked += unpack_slab(dst, c, in[i].second, std::span<const T>(vals));
-    });
-    ctx.compute(unpacked);
-  });
+  return PendingExchange(
+      ctx, window_start, lanes,
+      [&dst, c, in = std::move(p.in)](std::size_t i, Message m) {
+        const std::vector<T> vals = payload_values<T>(std::move(m));
+        return unpack_slab(dst, c, in[i].second, std::span<const T>(vals));
+      });
 }
 
 /// The cyclic binner behind every exchange with a cyclic or block-cyclic
@@ -608,55 +573,52 @@ void exchange_binned(Context& ctx, const DistArray<T, R>& src,
       [&] { ctx.compute(unpacked); }, order);
 }
 
-/// The identity BoxCopy of a redistribute.
+/// The identity BoxCopy of a redistribute from src to dst.
 template <class T, int R>
-BoxCopy redistribute_copy(const DistArray<T, R>& src) {
+BoxCopy redistribute_copy(const DistArray<T, R>& src,
+                          const DistArray<T, R>& dst) {
+  for (int d = 0; d < R; ++d) {
+    KALI_CHECK(src.extent(d) == dst.extent(d), "redistribute: extent mismatch");
+  }
   return BoxCopy{"redistribute", kTagRedistData, /*dim=*/0, 1, 0, 1, 0,
                  src.extent(0), /*fuse_halo=*/false};
 }
 
 }  // namespace detail
 
-/// Copy src's contents into dst (same global extents, any distributions /
-/// views — the views may even be disjoint rank sets).  Collective over the
-/// union of both views' members.  Remote messages are issued in
-/// round-schedule order by default; kPeerOrder keeps the raw enumeration
-/// order (the naive baseline under link contention).  Callers with local
-/// work to hide behind the wire use redistribute_begin()/finish() instead.
-template <class T, int R>
-void redistribute(Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst,
-                  IssueOrder order = IssueOrder::kRoundSchedule) {
-  for (int d = 0; d < R; ++d) {
-    KALI_CHECK(src.extent(d) == dst.extent(d), "redistribute: extent mismatch");
-  }
-  const detail::BoxCopy c = detail::redistribute_copy(src);
-  if (!detail::box_eligible(src) || !detail::box_eligible(dst)) {
-    detail::exchange_binned(ctx, src, dst, c, order);
-    return;
-  }
-  detail::ExchangePlan<R> plan = detail::plan_exchange(ctx, src, dst, c);
-  // Self-overlap stays off the network: local copy, charged up front.
-  ctx.compute(detail::copy_self(src, dst, c, plan));
-  detail::exchange_blocking(ctx, src, dst, c, plan, 0.0, order);
-}
-
 /// Split-phase redistribute (box layouts only: block/star on every dim of
-/// both arrays): the blocking form's plan, with its sends fired and the
-/// pack and self-overlap copy charged inside the wire window.  Run the work
-/// to hide, then finish(), which takes the receives in one batch.  See
-/// PendingExchange.
+/// both arrays): sends fired in round-schedule order, pack and self-overlap
+/// copy charged inside the wire window.  Run the work to hide, then
+/// finish(), which takes the receives in one batch.  See PendingExchange.
 template <class T, int R>
 [[nodiscard]] PendingExchange redistribute_begin(Context& ctx,
                                                  const DistArray<T, R>& src,
                                                  DistArray<T, R>& dst) {
-  for (int d = 0; d < R; ++d) {
-    KALI_CHECK(src.extent(d) == dst.extent(d), "redistribute: extent mismatch");
-  }
+  const detail::BoxCopy c = detail::redistribute_copy(src, dst);
   KALI_CHECK(detail::box_eligible(src) && detail::box_eligible(dst),
              "redistribute_begin: requires block/star layouts");
-  const detail::BoxCopy c = detail::redistribute_copy(src);
   return detail::exchange_begin(ctx, src, dst, c,
                                 detail::plan_exchange(ctx, src, dst, c));
+}
+
+/// Copy src's contents into dst (same global extents, any distributions /
+/// views — the views may even be disjoint rank sets).  Collective over the
+/// union of both views' members.  Box layouts run redistribute_begin's
+/// exchange and finish it at once; cyclic layouts take the binner.  Remote
+/// messages are issued in round-schedule order by default; kPeerOrder
+/// keeps the raw enumeration order (the naive baseline under link
+/// contention).
+template <class T, int R>
+void redistribute(Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst,
+                  IssueOrder order = IssueOrder::kRoundSchedule) {
+  const detail::BoxCopy c = detail::redistribute_copy(src, dst);
+  if (!detail::box_eligible(src) || !detail::box_eligible(dst)) {
+    detail::exchange_binned(ctx, src, dst, c, order);
+    return;
+  }
+  detail::exchange_begin(ctx, src, dst, c,
+                         detail::plan_exchange(ctx, src, dst, c), order)
+      .finish();
 }
 
 }  // namespace kali

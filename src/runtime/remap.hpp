@@ -28,8 +28,9 @@
 //    boxes — so peers are enumerated in O(peers) from per-dim owner ranges
 //    and payloads are contiguous slabs, with no per-element owner lookups.
 //    It is a strided detail::BoxCopy (runtime/redistribute.hpp): one
-//    planner feeds the blocking forms and the _begin split-phase forms,
-//    with or without the fused halo.
+//    planner and one split-phase path (detail::exchange_begin), with or
+//    without the fused halo; each blocking form is its _begin form
+//    finished at once.
 //
 //  * Per-element owner binning (any cyclic/block-cyclic dim): each side
 //    walks its own elements once, computing the unique opposite owner in
@@ -115,27 +116,6 @@ void copy_strided_dim_binned(Context& ctx, const DistArray<T, R>& src,
                            d_stride, d_off, count));
 }
 
-/// Blocking strided copy.  Box layouts (block/star on every dim of both
-/// arrays) take the slab path; cyclic layouts fall back to the binned path.
-template <class T, int R>
-void copy_strided_dim(Context& ctx, const DistArray<T, R>& src,
-                      DistArray<T, R>& dst, int dim, int s_stride, int s_off,
-                      int d_stride, int d_off, int count) {
-  if (!detail::box_eligible(src) || !detail::box_eligible(dst)) {
-    copy_strided_dim_binned(ctx, src, dst, dim, s_stride, s_off, d_stride,
-                            d_off, count);
-    return;
-  }
-  const detail::BoxCopy c =
-      detail::strided_box_copy("copy_strided_dim", src, dst, dim, s_stride,
-                               s_off, d_stride, d_off, count,
-                               /*fuse_halo=*/false);
-  detail::ExchangePlan<R> plan = detail::plan_exchange(ctx, src, dst, c);
-  // The self-overlap copy is charged with the final unpack.
-  const double copied = detail::copy_self(src, dst, c, plan);
-  detail::exchange_blocking(ctx, src, dst, c, plan, copied);
-}
-
 /// Split-phase copy_strided_dim (box layouts only): sends fired, pack and
 /// self-overlap already charged inside the wire window; run the work to
 /// hide, then finish(), which takes the receives in one batch.  See
@@ -145,9 +125,40 @@ template <class T, int R>
     Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst, int dim,
     int s_stride, int s_off, int d_stride, int d_off, int count) {
   const detail::BoxCopy c =
-      detail::strided_box_copy("copy_strided_dim_begin", src, dst, dim,
-                               s_stride, s_off, d_stride, d_off, count,
+      detail::strided_box_copy("copy_strided_dim", src, dst, dim, s_stride,
+                               s_off, d_stride, d_off, count,
                                /*fuse_halo=*/false);
+  return detail::exchange_begin(ctx, src, dst, c,
+                                detail::plan_exchange(ctx, src, dst, c));
+}
+
+/// Blocking strided copy.  Box layouts (block/star on every dim of both
+/// arrays) are copy_strided_dim_begin(...).finish(); cyclic layouts fall
+/// back to the binned path.
+template <class T, int R>
+void copy_strided_dim(Context& ctx, const DistArray<T, R>& src,
+                      DistArray<T, R>& dst, int dim, int s_stride, int s_off,
+                      int d_stride, int d_off, int count) {
+  if (!detail::box_eligible(src) || !detail::box_eligible(dst)) {
+    copy_strided_dim_binned(ctx, src, dst, dim, s_stride, s_off, d_stride,
+                            d_off, count);
+    return;
+  }
+  copy_strided_dim_begin(ctx, src, dst, dim, s_stride, s_off, d_stride, d_off,
+                         count)
+      .finish();
+}
+
+/// Split-phase copy_strided_dim_halo: the fused remap+halo transfer with
+/// its wait point exposed.
+template <class T, int R>
+[[nodiscard]] PendingExchange copy_strided_dim_halo_begin(
+    Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst, int dim,
+    int s_stride, int s_off, int d_stride, int d_off, int count) {
+  const detail::BoxCopy c =
+      detail::strided_box_copy("copy_strided_dim_halo", src, dst, dim,
+                               s_stride, s_off, d_stride, d_off, count,
+                               /*fuse_halo=*/true);
   return detail::exchange_begin(ctx, src, dst, c,
                                 detail::plan_exchange(ctx, src, dst, c));
 }
@@ -158,7 +169,8 @@ template <class T, int R>
 /// ghost cell whose global index lies in the strided image arrives in the
 /// same messages as the owned cells: one redistribution per level switch
 /// instead of a remap round followed by a halo round, roughly halving the
-/// level-switch message count.
+/// level-switch message count.  This is
+/// copy_strided_dim_halo_begin(...).finish().
 ///
 /// Semantics: identical to `copy_strided_dim(...); dst.exchange_halo();` on
 /// a freshly constructed dst (which is how multigrid uses it — mg2/mg3's
@@ -171,29 +183,9 @@ template <class T, int R>
 void copy_strided_dim_halo(Context& ctx, const DistArray<T, R>& src,
                            DistArray<T, R>& dst, int dim, int s_stride,
                            int s_off, int d_stride, int d_off, int count) {
-  const detail::BoxCopy c =
-      detail::strided_box_copy("copy_strided_dim_halo", src, dst, dim,
-                               s_stride, s_off, d_stride, d_off, count,
-                               /*fuse_halo=*/true);
-  detail::ExchangePlan<R> plan = detail::plan_exchange(ctx, src, dst, c);
-  // The self-overlap copy (ghost targets included) is charged with the
-  // final unpack.
-  const double copied = detail::copy_self(src, dst, c, plan);
-  detail::exchange_blocking(ctx, src, dst, c, plan, copied);
-}
-
-/// Split-phase copy_strided_dim_halo: the fused remap+halo transfer with
-/// its wait point exposed.
-template <class T, int R>
-[[nodiscard]] PendingExchange copy_strided_dim_halo_begin(
-    Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst, int dim,
-    int s_stride, int s_off, int d_stride, int d_off, int count) {
-  const detail::BoxCopy c =
-      detail::strided_box_copy("copy_strided_dim_halo_begin", src, dst, dim,
-                               s_stride, s_off, d_stride, d_off, count,
-                               /*fuse_halo=*/true);
-  return detail::exchange_begin(ctx, src, dst, c,
-                                detail::plan_exchange(ctx, src, dst, c));
+  copy_strided_dim_halo_begin(ctx, src, dst, dim, s_stride, s_off, d_stride,
+                              d_off, count)
+      .finish();
 }
 
 }  // namespace kali

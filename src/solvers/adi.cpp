@@ -16,7 +16,8 @@ namespace {
 
 /// r = tau * (L u - f): the pseudo-time defect of u_t = L u - f, whose
 /// steady state is L u = f.  (L is negative definite, so the increment
-/// carries this sign; see the header comment.)  Does u's copy-in itself.
+/// carries this sign; see the header comment.)  Does u's copy-in itself,
+/// hidden behind the interior points.
 void residual_scaled(const Op2& op, double tau, const DistArray2<double>& u,
                      const DistArray2<double>& f, DistArray2<double>& r) {
   const int nx = f.extent(0), ny = f.extent(1);
@@ -28,8 +29,8 @@ void residual_scaled(const Op2& op, double tau, const DistArray2<double>& u,
                       dg * uin.at_halo({i, j});
     r(i, j) = tau * (lu - f(i, j));
   };
-  uin.exchange_halo();
-  doall2(r, Range{0, nx - 1}, Range{0, ny - 1}, body, 10.0);
+  doall_overlap(uin.exchange_halo_begin(), uin,
+                {Range{0, nx - 1}, Range{0, ny - 1}}, body, 10.0);
 }
 
 /// The view's members as a 1-D line view (transpose mode redistributes

@@ -22,7 +22,6 @@ void mg2_zebra_sweep(const Op2& op, DistArray2<double>& u,
   if (!u.participating()) {
     return;
   }
-  Context& ctx = u.context();
   const int nx = u.extent(0) - 1;
   const int ny = u.extent(1) - 1;
   const double cx = op.cx(), cy = op.cy(), dg = op.diag();
@@ -41,18 +40,20 @@ void mg2_zebra_sweep(const Op2& op, DistArray2<double>& u,
     for (int i = 1; i <= nx - 1; ++i) {
       u(i, j) = sol[static_cast<std::size_t>(i - 1)];
     }
-    ctx.compute((kThomasFlopsPerRow + 4.0) * (nx - 1));
   };
   // Lines of the other colour feed the right-hand side; this colour's
-  // lines never read each other, so the solve order is free.
-  u.exchange_halo();
-  doall_slice_owner(u, 1, lines, solve_line);
+  // lines never read each other, so the solve order is free, and the lines
+  // away from the slab faces solve while the halo is in flight.  One
+  // iteration per line: dim 0 is the line itself.
+  doall_overlap(u.exchange_halo_begin(), u, {Range{0, 0}, lines},
+                [&](int, int j) { solve_line(j); },
+                (kThomasFlopsPerRow + 4.0) * (nx - 1));
 }
 
 namespace {
 
 /// r = f - A u on interior points (r's boundary stays zero).  Does u's
-/// copy-in itself.
+/// copy-in itself, hidden behind the interior points.
 void resid2(const Op2& op, const DistArray2<double>& u,
             const DistArray2<double>& f, DistArray2<double>& r) {
   const int nx = f.extent(0) - 1, ny = f.extent(1) - 1;
@@ -64,8 +65,8 @@ void resid2(const Op2& op, const DistArray2<double>& u,
                       dg * uin.at_halo({i, j});
     r(i, j) = f(i, j) - au;
   };
-  uin.exchange_halo();
-  doall2(r, Range{1, nx - 1}, Range{1, ny - 1}, body, 10.0);
+  doall_overlap(uin.exchange_halo_begin(), uin,
+                {Range{1, nx - 1}, Range{1, ny - 1}}, body, 10.0);
 }
 
 }  // namespace

@@ -12,7 +12,7 @@ namespace kali {
 namespace {
 
 /// r = f - A u on interior points; r's boundary planes stay zero.  Does u's
-/// copy-in itself.
+/// copy-in itself, hidden behind the interior points.
 void resid3(const Op3& op, const DistArray3<double>& u,
             const DistArray3<double>& f, DistArray3<double>& r) {
   const int nx = f.extent(0) - 1, ny = f.extent(1) - 1, nz = f.extent(2) - 1;
@@ -26,8 +26,9 @@ void resid3(const Op3& op, const DistArray3<double>& u,
         dg * uin.at_halo({i, j, k});
     r(i, j, k) = f(i, j, k) - au;
   };
-  uin.exchange_halo();
-  doall3(r, Range{1, nx - 1}, Range{1, ny - 1}, Range{1, nz - 1}, body, 14.0);
+  doall_overlap(uin.exchange_halo_begin(), uin,
+                {Range{1, nx - 1}, Range{1, ny - 1}, Range{1, nz - 1}}, body,
+                14.0);
 }
 
 }  // namespace

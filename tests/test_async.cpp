@@ -1,13 +1,16 @@
-// Differential tests for the split-phase runtime exchanges
-// (exchange_halo_begin, redistribute_begin, copy_strided_dim_begin,
-// copy_strided_dim_halo_begin), each finished by one batched receive
-// (Context::recv_batch).  The contract under test is the one
+// Differential tests for the one exchange path: every face halo and box
+// exchange (exchange_halo, redistribute, copy_strided_dim,
+// copy_strided_dim_halo and their _begin forms) is a split-phase exchange
+// finished by one batched receive (Context::recv_batch); each blocking form
+// is its _begin form finished at once.  The contract under test is the one
 // docs/machine-model.md states: overlapping communication with compute
 // changes *when* wire time is paid, never *what* is computed or sent — so
-// every split-phase form must produce byte-identical results, identical
-// per-tag message ledgers, and (being built from the same deterministic
-// batch algebra) traces that are bit-identical across host worker counts
-// and all three link-contention tiers.
+// the one path, with or without work in its window, must produce
+// byte-identical results and identical per-tag message ledgers to the
+// blocking loops it replaced (tests/oracles/blocking_exchange.hpp), and
+// (being built from the same deterministic batch algebra) traces that are
+// bit-identical across host worker counts and all three link-contention
+// tiers.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,6 +25,7 @@
 #include "machine/context.hpp"
 #include "machine/event_log.hpp"
 #include "machine/machine.hpp"
+#include "oracles/blocking_exchange.hpp"
 #include "runtime/dist_array.hpp"
 #include "runtime/doall.hpp"
 #include "runtime/redistribute.hpp"
@@ -58,16 +62,23 @@ std::vector<int> worker_counts() {
   return {1, 4, hw == 0 ? 2 : static_cast<int>(hw)};
 }
 
+/// How a workload runs its exchanges.
+enum class Path {
+  kOracle,    ///< the blocking loops of tests/oracles/blocking_exchange.hpp
+  kBlocking,  ///< the runtime's blocking forms (_begin(...).finish())
+  kSplit,     ///< the runtime's _begin forms, with work in the window
+};
+
 struct RunResult {
   std::vector<double> values;  // all ranks' owned values, rank-major
   MachineStats stats;
   std::string trace;
 };
 
-/// Run `prog(ctx, split, out)` on `nprocs` ranks; out collects this rank's
+/// Run `prog(ctx, path, out)` on `nprocs` ranks; out collects this rank's
 /// result values (each rank writes its own slot — no host race).
 template <class Prog>
-RunResult run_case(int nprocs, LinkContention lc, int workers, bool split,
+RunResult run_case(int nprocs, LinkContention lc, int workers, Path path,
                    Prog&& prog) {
   Machine m(nprocs, make_config(lc, workers));
   EventLog log(m.size());
@@ -75,7 +86,7 @@ RunResult run_case(int nprocs, LinkContention lc, int workers, bool split,
   std::vector<std::vector<double>> per_rank(
       static_cast<std::size_t>(nprocs));
   m.run([&](Context& ctx) {
-    prog(ctx, split, per_rank[static_cast<std::size_t>(ctx.rank())]);
+    prog(ctx, path, per_rank[static_cast<std::size_t>(ctx.rank())]);
   });
   RunResult r;
   for (const auto& v : per_rank) {
@@ -120,29 +131,32 @@ void expect_ledgers_identical(const RunResult& a, const RunResult& b) {
 }
 
 /// The full differential matrix for one workload: for every contention
-/// tier, the split-phase run must match the blocking oracle's result bytes
-/// and ledgers, and split-phase traces/ledgers must be bit-identical across
-/// host worker counts.
+/// tier, both runtime paths must match the blocking oracle's result bytes
+/// and ledgers, and their traces/ledgers must be bit-identical across host
+/// worker counts.
 template <class Prog>
 void run_differential_matrix(int nprocs, Prog&& prog) {
   for (LinkContention lc : kTiers) {
     SCOPED_TRACE(std::string("tier=") + tier_name(lc));
-    const RunResult oracle = run_case(nprocs, lc, 1, /*split=*/false, prog);
+    const RunResult oracle = run_case(nprocs, lc, 1, Path::kOracle, prog);
     EXPECT_EQ(oracle.stats.overlap_wire_time(), 0.0);
-    RunResult first_on;
-    bool have_first = false;
-    for (int workers : worker_counts()) {
-      SCOPED_TRACE("workers=" + std::to_string(workers));
-      RunResult on = run_case(nprocs, lc, workers, /*split=*/true, prog);
-      expect_values_byte_identical(on, oracle);
-      expect_ledgers_identical(on, oracle);
-      EXPECT_GT(on.stats.overlap_wire_time(), 0.0);
-      if (!have_first) {
-        first_on = std::move(on);
-        have_first = true;
-      } else {
-        EXPECT_EQ(on.trace, first_on.trace);
-        expect_ledgers_identical(on, first_on);
+    for (Path path : {Path::kBlocking, Path::kSplit}) {
+      SCOPED_TRACE(path == Path::kSplit ? "split" : "blocking");
+      RunResult first;
+      bool have_first = false;
+      for (int workers : worker_counts()) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        RunResult on = run_case(nprocs, lc, workers, path, prog);
+        expect_values_byte_identical(on, oracle);
+        expect_ledgers_identical(on, oracle);
+        EXPECT_GT(on.stats.overlap_wire_time(), 0.0);
+        if (!have_first) {
+          first = std::move(on);
+          have_first = true;
+        } else {
+          EXPECT_EQ(on.trace, first.trace);
+          expect_ledgers_identical(on, first);
+        }
       }
     }
   }
@@ -150,9 +164,9 @@ void run_differential_matrix(int nprocs, Prog&& prog) {
 
 // --- workloads -------------------------------------------------------------
 
-/// Raw split-phase halo: a 5-point stencil over a (block, block) array,
-/// interior ring between post and wait, boundary ring after.
-void halo_prog(Context& ctx, bool split, std::vector<double>& out) {
+/// A 5-point stencil over a (block, block) array: split, the interior
+/// runs while the halo is in flight.
+void halo_prog(Context& ctx, Path path, std::vector<double>& out) {
   const int n = 24;
   ProcView pv = ProcView::grid2(2, 2);
   using D2 = DistArray2<double>;
@@ -167,18 +181,41 @@ void halo_prog(Context& ctx, bool split, std::vector<double>& out) {
               u.at_halo({i + 1, j}) - u.at_halo({i, j - 1}) -
               u.at_halo({i, j + 1});
   };
-  if (split) {
-    auto ex = u.exchange_halo_begin();
-    doall2_ring(u, Range{0, n - 1}, Range{0, n - 1}, 1, Ring::kInterior, body,
-                6.0);
-    ex.finish();
-    doall2_ring(u, Range{0, n - 1}, Range{0, n - 1}, 1, Ring::kBoundary, body,
-                6.0);
+  if (path == Path::kSplit) {
+    doall_overlap(u.exchange_halo_begin(), u, {Range{0, n - 1}, Range{0, n - 1}},
+                  body, 6.0);
   } else {
-    u.exchange_halo();
+    if (path == Path::kOracle) {
+      oracles::blocking_halo(u);
+    } else {
+      u.exchange_halo();
+    }
     doall2(r, Range{0, n - 1}, Range{0, n - 1}, body, 6.0);
   }
   r.for_each_owned([&](std::array<int, 2> g) { out.push_back(r.at(g)); });
+}
+
+/// A 3-D face halo on a 2 x 2 grid of (star, block, block) slabs, as mg3's
+/// residual uses it.
+void halo3_prog(Context& ctx, Path path, std::vector<double>& out) {
+  const int n = 9;
+  using D3 = DistArray3<double>;
+  const typename D3::Dists dists{DimDist::star(), DimDist::block_dist(),
+                                 DimDist::block_dist()};
+  D3 u(ctx, ProcView::grid2(2, 2), {n, n, n}, dists, {0, 1, 1});
+  u.fill([](std::array<int, 3> g) { return g[0] + 0.5 * g[1] - 0.25 * g[2]; });
+  if (path == Path::kOracle) {
+    oracles::blocking_halo(u);
+  } else {
+    u.exchange_halo();
+  }
+  for (int i = 0; i < n; ++i) {
+    for (int j = u.own_lower(1) - 1; j <= u.own_upper(1) + 1; ++j) {
+      for (int k = u.own_lower(2) - 1; k <= u.own_upper(2) + 1; ++k) {
+        out.push_back(u.at_halo({i, j, k}));
+      }
+    }
+  }
 }
 
 /// Owned-cell work run between begin and finish (or after the blocking
@@ -195,7 +232,7 @@ void owned_work(const DistArray<T, R>& a, std::vector<double>& out) {
 
 /// The ADI transpose chain: (block, block) -> (block, *) -> (*, block),
 /// each redistribution split-phase with owned-cell work in its window.
-void transpose_prog(Context& ctx, bool split, std::vector<double>& out) {
+void transpose_prog(Context& ctx, Path path, std::vector<double>& out) {
   const int n = 24;
   using D2 = DistArray2<double>;
   const ProcView grid = ProcView::grid2(2, 2);
@@ -205,17 +242,22 @@ void transpose_prog(Context& ctx, bool split, std::vector<double>& out) {
   D2 cols(ctx, line, {n, n}, {DimDist::star(), DimDist::block_dist()});
   a.fill([](std::array<int, 2> g) { return 0.5 * g[0] - std::cos(0.2 * g[1]); });
   std::vector<double> work;
-  if (split) {
+  if (path == Path::kSplit) {
     auto ex = redistribute_begin(ctx, a, rows);
     owned_work(a, work);
     ex.finish();
     auto ex2 = redistribute_begin(ctx, rows, cols);
     owned_work(rows, work);
     ex2.finish();
-  } else {
+  } else if (path == Path::kBlocking) {
     redistribute(ctx, a, rows);
     owned_work(a, work);
     redistribute(ctx, rows, cols);
+    owned_work(rows, work);
+  } else {
+    oracles::blocking_redistribute(ctx, a, rows);
+    owned_work(a, work);
+    oracles::blocking_redistribute(ctx, rows, cols);
     owned_work(rows, work);
   }
   cols.for_each_owned([&](std::array<int, 2> g) { out.push_back(cols.at(g)); });
@@ -229,7 +271,7 @@ const Mg2Dists kMg2Dists{DimDist::star(), DimDist::block_dist()};
 /// onto the coarse layout, re by stride-2 copy_strided_dim and ro by
 /// copy_strided_dim_halo (ghosts fused in), both posted before either is
 /// drained, then the full-weighting stencil over re and ro's ghosts.
-void restriction_prog(Context& ctx, bool split, std::vector<double>& out) {
+void restriction_prog(Context& ctx, Path path, std::vector<double>& out) {
   const int nx = 16, ny = 32, nyc = ny / 2;
   using D2 = DistArray2<double>;
   const ProcView pv = ProcView::grid1(ctx.nprocs());
@@ -239,7 +281,7 @@ void restriction_prog(Context& ctx, bool split, std::vector<double>& out) {
   D2 g(ctx, pv, {nx + 1, nyc + 1}, kMg2Dists);
   r.fill([](std::array<int, 2> x) { return std::sin(0.4 * x[0] + 0.7 * x[1]); });
   std::vector<double> work;
-  if (split) {
+  if (path == Path::kSplit) {
     auto ex_re = copy_strided_dim_begin(ctx, r, re, 1, /*s_stride=*/2,
                                         /*s_off=*/0, /*d_stride=*/1,
                                         /*d_off=*/0, nyc + 1);
@@ -249,11 +291,16 @@ void restriction_prog(Context& ctx, bool split, std::vector<double>& out) {
     owned_work(r, work);
     ex_re.finish();
     ex_ro.finish();
-  } else {
+  } else if (path == Path::kBlocking) {
     copy_strided_dim(ctx, r, re, 1, /*s_stride=*/2, /*s_off=*/0,
                      /*d_stride=*/1, /*d_off=*/0, nyc + 1);
     copy_strided_dim_halo(ctx, r, ro, 1, /*s_stride=*/2, /*s_off=*/1,
                           /*d_stride=*/1, /*d_off=*/0, nyc);
+    owned_work(r, work);
+  } else {
+    oracles::blocking_copy_strided_dim(ctx, r, re, 1, 2, 0, 1, 0, nyc + 1);
+    oracles::blocking_copy_strided_dim(ctx, r, ro, 1, 2, 1, 1, 0, nyc,
+                                       /*fuse_halo=*/true);
     owned_work(r, work);
   }
   doall2(
@@ -270,7 +317,7 @@ void restriction_prog(Context& ctx, bool split, std::vector<double>& out) {
 /// mg2's interpolation level switch: the coarse correction spread onto the
 /// fine even lines with its ghosts fused in, then the odd lines averaged
 /// from those ghosts.
-void interpolation_prog(Context& ctx, bool split, std::vector<double>& out) {
+void interpolation_prog(Context& ctx, Path path, std::vector<double>& out) {
   const int nx = 16, ny = 32, nyc = ny / 2;
   using D2 = DistArray2<double>;
   const ProcView pv = ProcView::grid1(ctx.nprocs());
@@ -280,15 +327,19 @@ void interpolation_prog(Context& ctx, bool split, std::vector<double>& out) {
   v.fill([](std::array<int, 2> x) { return 1.0 + 0.1 * x[0] * x[1]; });
   u.fill([](std::array<int, 2> x) { return std::cos(0.3 * x[0] - 0.5 * x[1]); });
   std::vector<double> work;
-  if (split) {
+  if (path == Path::kSplit) {
     auto ex = copy_strided_dim_halo_begin(ctx, v, vtmp, 1, /*s_stride=*/1,
                                           /*s_off=*/0, /*d_stride=*/2,
                                           /*d_off=*/0, nyc + 1);
     owned_work(u, work);
     ex.finish();
-  } else {
+  } else if (path == Path::kBlocking) {
     copy_strided_dim_halo(ctx, v, vtmp, 1, /*s_stride=*/1, /*s_off=*/0,
                           /*d_stride=*/2, /*d_off=*/0, nyc + 1);
+    owned_work(u, work);
+  } else {
+    oracles::blocking_copy_strided_dim(ctx, v, vtmp, 1, 1, 0, 2, 0, nyc + 1,
+                                       /*fuse_halo=*/true);
     owned_work(u, work);
   }
   doall2(
@@ -306,19 +357,23 @@ void interpolation_prog(Context& ctx, bool split, std::vector<double>& out) {
 
 // --- the differential matrix ----------------------------------------------
 
-TEST(AsyncDifferential, SplitPhaseHaloMatchesBlocking) {
+TEST(AsyncDifferential, HaloMatchesBlockingOracle) {
   run_differential_matrix(4, halo_prog);
 }
 
-TEST(AsyncDifferential, TransposeRedistributeMatchesBlocking) {
+TEST(AsyncDifferential, Halo3dMatchesBlockingOracle) {
+  run_differential_matrix(4, halo3_prog);
+}
+
+TEST(AsyncDifferential, TransposeRedistributeMatchesBlockingOracle) {
   run_differential_matrix(4, transpose_prog);
 }
 
-TEST(AsyncDifferential, RestrictionRemapPairMatchesBlocking) {
+TEST(AsyncDifferential, RestrictionRemapPairMatchesBlockingOracle) {
   run_differential_matrix(4, restriction_prog);
 }
 
-TEST(AsyncDifferential, InterpolationRemapMatchesBlocking) {
+TEST(AsyncDifferential, InterpolationRemapMatchesBlockingOracle) {
   run_differential_matrix(4, interpolation_prog);
 }
 
@@ -400,7 +455,7 @@ TEST(AsyncExchange, OverlapLedgerSeesHiddenWireTime) {
 
 // --- clocks pinned to recorded values --------------------------------------
 
-/// Every split-phase form on 16 ranks: a halo with its interior ring in the
+/// Every split-phase form on 16 ranks: a halo with its interior in the
 /// window, a two-step transpose chain, and a restriction level switch with
 /// both remaps open at once.
 void pinned_prog(Context& ctx) {
@@ -419,10 +474,8 @@ void pinned_prog(Context& ctx) {
               u.at_halo({i + 1, j}) - u.at_halo({i, j - 1}) -
               u.at_halo({i, j + 1});
   };
-  auto ex = u.exchange_halo_begin();
-  doall2_ring(u, Range{0, n - 1}, Range{0, n - 1}, 1, Ring::kInterior, body, 6.0);
-  ex.finish();
-  doall2_ring(u, Range{0, n - 1}, Range{0, n - 1}, 1, Ring::kBoundary, body, 6.0);
+  doall_overlap(u.exchange_halo_begin(), u, {Range{0, n - 1}, Range{0, n - 1}},
+                body, 6.0);
 
   D2 rows(ctx, line, {n, n}, {blk, star});
   D2 cols(ctx, line, {n, n}, {star, blk});
@@ -450,125 +503,124 @@ struct RankPin {
 };
 
 // Per rank: final clock, overlap_wire_time, overlap_hidden_time, wait_time.
-// Recorded (printf "%a", Release build, sim_workers = 1) from the
-// implementation this batched receive replaced, in which every split-phase
-// form posted its receives into a mailbox operation table at begin and
-// completed them together at finish.  The batch algebra must reproduce
-// them bit for bit.
+// Recorded (printf "%a", Release build, sim_workers = 1) from the batch
+// charge rule: each message's receive, then its unpack, in ascending
+// (send_time, src, seq) order.  HaloChargesLikeHandWrittenBatch below checks
+// the halo phase against a hand-written send + recv_batch program.
 constexpr RankPin kPinned[6][16] = {
     // LinkContention::kNone, Topology::kHypercube
     {
-      {0x1.5db3397dd00fcp-10, 0x1.4df8b1572580fp-8, 0x1.494e27ab3fb47p-8, 0x1.2aa26af9731e4p-14},
-      {0x1.66b7c4fdcb72cp-10, 0x1.65cce373017f9p-8, 0x1.628cbd1244a65p-8, 0x1.a013305e6c9d8p-15},
-      {0x1.669ced0b30b61p-10, 0x1.66d952ed0cde6p-8, 0x1.639fe288f6b44p-8, 0x1.9cb8320b15074p-15},
-      {0x1.664c6533608p-10, 0x1.62c922f420cfp-8, 0x1.5e1e99483b028p-8, 0x1.2aa26af9731e2p-14},
-      {0x1.6c61522a6f3fcp-10, 0x1.53c3cc730ab9ap-8, 0x1.4f1942c724ed4p-8, 0x1.2aa26af9731ecp-14},
-      {0x1.6cb1da023f75cp-10, 0x1.588fe40e31f24p-8, 0x1.555673aa1bc84p-8, 0x1.9cb8320b1506p-15},
-      {0x1.6cb1da023f75cp-10, 0x1.59161bcb37a1cp-8, 0x1.55dcab672177ap-8, 0x1.9cb8320b1506p-15},
-      {0x1.6bdb1a6d69905p-10, 0x1.586e561ef0863p-8, 0x1.53e55a624c259p-8, 0x1.223eef291827ap-14},
-      {0x1.6c61522a6f3fcp-10, 0x1.5677051a1b345p-8, 0x1.51cc7b6e3567dp-8, 0x1.2aa26af9731ecp-14},
-      {0x1.6cb1da023f75cp-10, 0x1.5937a9ba790dap-8, 0x1.55fe395662e38p-8, 0x1.9cb8320b1506p-15},
-      {0x1.6cb1da023f75cp-10, 0x1.59bde1777ebdp-8, 0x1.568471136893p-8, 0x1.9cb8320b1506p-15},
-      {0x1.6bdb1a6d69905p-10, 0x1.56e91ae12cd64p-8, 0x1.52601f248875ap-8, 0x1.223eef291827ap-14},
-      {0x1.664c6533608p-10, 0x1.63a698859d639p-8, 0x1.5efc0ed9b7971p-8, 0x1.2aa26af9731e4p-14},
-      {0x1.66b7c4fdcb72cp-10, 0x1.670196d8f4f97p-8, 0x1.63c1707838203p-8, 0x1.a013305e6c9d8p-15},
-      {0x1.669ced0b30b61p-10, 0x1.67f32e60659b9p-8, 0x1.64b9bdfc4f717p-8, 0x1.9cb8320b15074p-15},
-      {0x1.5d47d9b3651dp-10, 0x1.4ef7b4d7e381ap-8, 0x1.4a68031e9871dp-8, 0x1.23ec6e52c3f22p-14},
+      {0x1.5b9a5a89b9524p-10, 0x1.4d9abd8607ecbp-8, 0x1.49766b9727cfap-8, 0x1.09147bb807428p-14},
+      {0x1.6341eeb7d9204p-10, 0x1.6b2c9ec47bc5ap-8, 0x1.68c9edf53b811p-8, 0x1.315867a02249p-15},
+      {0x1.6341eeb7d9204p-10, 0x1.6c3fc43b2dd3bp-8, 0x1.69dd136bed8f2p-8, 0x1.315867a02249p-15},
+      {0x1.65e10568f58d6p-10, 0x1.5b49d2b1e91bfp-8, 0x1.56ba20f89e0c2p-8, 0x1.23ec6e52c3f2p-14},
+      {0x1.6bdb1a6d69907p-10, 0x1.4c73761961d0fp-8, 0x1.47ea7a5cbd705p-8, 0x1.223eef291827cp-14},
+      {0x1.6956dbaee7ep-10, 0x1.5df6555c52e76p-8, 0x1.5b93a48d12a2ep-8, 0x1.315867a02249p-15},
+      {0x1.6956dbaee7ep-10, 0x1.5e9e1b089a02cp-8, 0x1.5c3b6a3959be2p-8, 0x1.315867a02249p-15},
+      {0x1.6bdb1a6d69907p-10, 0x1.4f4186b30d084p-8, 0x1.4ab88af668a7ap-8, 0x1.223eef291827cp-14},
+      {0x1.6bdb1a6d69907p-10, 0x1.4f4186b30d084p-8, 0x1.4ab88af668a7ap-8, 0x1.223eef291827cp-14},
+      {0x1.6956dbaee7ep-10, 0x1.5e9e1b089a02cp-8, 0x1.5c3b6a3959be2p-8, 0x1.315867a02249p-15},
+      {0x1.6956dbaee7ep-10, 0x1.5f45e0b4e11ep-8, 0x1.5ce32fe5a0d96p-8, 0x1.315867a02249p-15},
+      {0x1.6bdb1a6d69907p-10, 0x1.4d57a1a78514cp-8, 0x1.48cea5eae0b42p-8, 0x1.223eef291827cp-14},
+      {0x1.6433863f49c27p-10, 0x1.637e5499b548ap-8, 0x1.5f5a02aad52bap-8, 0x1.09147bb807428p-14},
+      {0x1.6341eeb7d9204p-10, 0x1.6c7c2a1d09fc3p-8, 0x1.6a19794dc9b7ap-8, 0x1.315867a02249p-15},
+      {0x1.6341eeb7d9204p-10, 0x1.6d23efc951178p-8, 0x1.6ac13efa10d2fp-8, 0x1.315867a02249p-15},
+      {0x1.5b9a5a89b9524p-10, 0x1.4cf2f7d9c0d17p-8, 0x1.48cea5eae0b46p-8, 0x1.09147bb807428p-14},
     },
     // LinkContention::kNone, Topology::kMesh2D
     {
-      {0x1.6052502eec7cep-10, 0x1.4dddd9648ac44p-8, 0x1.488b8a0c5ddc8p-8, 0x1.5493d60b39f04p-14},
-      {0x1.63fdd65a1448fp-10, 0x1.75ec15677051dp-8, 0x1.735a6aafa1431p-8, 0x1.48d55be787638p-15},
-      {0x1.63fdd65a1448fp-10, 0x1.7693db13b76d2p-8, 0x1.7402305be85e6p-8, 0x1.48d55be787638p-15},
-      {0x1.68eb7be47ced2p-10, 0x1.635cc6aa73dcbp-8, 0x1.5e0a775246f4fp-8, 0x1.5493d60b39f02p-14},
-      {0x1.6f0068db8bacdp-10, 0x1.4e78331784812p-8, 0x1.4925e3bf57997p-8, 0x1.5493d60b39f04p-14},
-      {0x1.6a12c3512308ap-10, 0x1.62570d2d0f2d2p-8, 0x1.5fc56275401e4p-8, 0x1.48d55be78762p-15},
-      {0x1.6a12c3512308ap-10, 0x1.62dd44ea14dc8p-8, 0x1.604b9a3245cdcp-8, 0x1.48d55be78762p-15},
-      {0x1.6e7a311e85fd6p-10, 0x1.527af71723326p-8, 0x1.4d4a35ae37b68p-8, 0x1.4c305a3adef92p-14},
-      {0x1.6f0068db8bacdp-10, 0x1.5083a6124de08p-8, 0x1.4b3156ba20f8cp-8, 0x1.5493d60b39f04p-14},
-      {0x1.6a12c3512308ap-10, 0x1.62fed2d956486p-8, 0x1.606d28218739ap-8, 0x1.48d55be78762p-15},
-      {0x1.6a12c3512308ap-10, 0x1.63850a965bf7ep-8, 0x1.60f35fde8ce9p-8, 0x1.48d55be78762p-15},
-      {0x1.6e7a311e85fd6p-10, 0x1.519d8185a69dcp-8, 0x1.4c6cc01cbb21ep-8, 0x1.4c305a3adef92p-14},
-      {0x1.68eb7be47ced2p-10, 0x1.6433863f49c22p-8, 0x1.5ee136e71cda6p-8, 0x1.5493d60b39f04p-14},
-      {0x1.63fdd65a1448fp-10, 0x1.7720c8cd63cbcp-8, 0x1.748f1e1594bcep-8, 0x1.48d55be787638p-15},
-      {0x1.63fdd65a1448fp-10, 0x1.77adb687102a5p-8, 0x1.751c0bcf411b9p-8, 0x1.48d55be787638p-15},
-      {0x1.5fe6f064818a2p-10, 0x1.4ee392e1ef74p-8, 0x1.49ac1b7c5d49p-8, 0x1.4dddd9648ac42p-14},
+      {0x1.5e39713ad5bf6p-10, 0x1.4e8c550d788ecp-8, 0x1.49c03d7251566p-8, 0x1.3305e6c9ce148p-14},
+      {0x1.61946f8e2d555p-10, 0x1.775d2eaf3ff46p-8, 0x1.7565ddaa6aa28p-8, 0x1.f75104d551d4p-16},
+      {0x1.60a2d806bcb33p-10, 0x1.7cebe3e949048p-8, 0x1.7b30f8c64fdb4p-8, 0x1.baeb22f9294cp-16},
+      {0x1.68801c1a11fa8p-10, 0x1.5ca6ca03c4b0dp-8, 0x1.576f529e3285cp-8, 0x1.4dddd9648ac4p-14},
+      {0x1.6e7a311e85fd9p-10, 0x1.47ea7a5cbd707p-8, 0x1.42b9b8f3d1f48p-8, 0x1.4c305a3adef94p-14},
+      {0x1.66b7c4fdcb72ep-10, 0x1.68801c1a11fa3p-8, 0x1.66c530f718d0fp-8, 0x1.baeb22f9294ap-16},
+      {0x1.66b7c4fdcb72ep-10, 0x1.6927e1c659158p-8, 0x1.676cf6a35fec3p-8, 0x1.baeb22f9294ap-16},
+      {0x1.6e7a311e85fd9p-10, 0x1.4a10c54a218c8p-8, 0x1.44e003e13610ap-8, 0x1.4c305a3adef94p-14},
+      {0x1.6e7a311e85fd9p-10, 0x1.4a10c54a218c8p-8, 0x1.44e003e136108p-8, 0x1.4c305a3adef94p-14},
+      {0x1.66b7c4fdcb72ep-10, 0x1.6927e1c659157p-8, 0x1.676cf6a35fec3p-8, 0x1.baeb22f9294ap-16},
+      {0x1.66b7c4fdcb72ep-10, 0x1.69cfa772a030cp-8, 0x1.6814bc4fa7077p-8, 0x1.baeb22f9294ap-16},
+      {0x1.6e7a311e85fd9p-10, 0x1.48cea5eae0b44p-8, 0x1.439de481f5386p-8, 0x1.4c305a3adef94p-14},
+      {0x1.66d29cf0662f9p-10, 0x1.6517b1cd6d05ep-8, 0x1.604b9a3245cdap-8, 0x1.3305e6c9ce148p-14},
+      {0x1.61946f8e2d555p-10, 0x1.78e91fe9aa536p-8, 0x1.76f1cee4d501ap-8, 0x1.f75104d551d4p-16},
+      {0x1.61946f8e2d555p-10, 0x1.7990e595f16ecp-8, 0x1.779994911c1cep-8, 0x1.f75104d551d4p-16},
+      {0x1.5e39713ad5bf6p-10, 0x1.4de48f6131738p-8, 0x1.491877c60a3b2p-8, 0x1.3305e6c9ce148p-14},
     },
     // LinkContention::kPorts, Topology::kHypercube
     {
-      {0x1.357cb98f0266dp-9, 0x1.5e65102511315p-7, 0x1.3a67041b17b35p-7, 0x1.1ff0604fcbefcp-10},
-      {0x1.4d9abd8607ec4p-9, 0x1.6b2ff9c2cf1cep-7, 0x1.43002fd0a8237p-7, 0x1.417e4f9137caep-10},
-      {0x1.4d9abd8607ec4p-9, 0x1.721ba64eb3c2p-7, 0x1.49ebdc5c8cc8ap-7, 0x1.417e4f9137caep-10},
-      {0x1.4eea48de9622ep-9, 0x1.6c10ca529f092p-7, 0x1.42ca7feb72aa1p-7, 0x1.4a32533962f7ep-10},
-      {0x1.4d9abd8607ec4p-9, 0x1.6100cbd7da46cp-7, 0x1.38d101e5b34d7p-7, 0x1.417e4f9137caep-10},
-      {0x1.4eea48de9622cp-9, 0x1.5dbd4a78ca16p-7, 0x1.35fc3b4f6166fp-7, 0x1.3e08794b45782p-10},
-      {0x1.4eea48de9622cp-9, 0x1.60ba54fb04177p-7, 0x1.38f945d19b687p-7, 0x1.3e08794b45783p-10},
-      {0x1.5039d43724596p-9, 0x1.5e4d9330c9cc3p-7, 0x1.357603925bb79p-7, 0x1.46bc7cf370a52p-10},
-      {0x1.5039d43724596p-9, 0x1.6154aeadfdd47p-7, 0x1.387d1f0f8fbfdp-7, 0x1.46bc7cf370a52p-10},
-      {0x1.4eea48de9622cp-9, 0x1.611192cf7afccp-7, 0x1.395083a6124dbp-7, 0x1.3e08794b45783p-10},
-      {0x1.4d9abd8607ec4p-9, 0x1.61c36976bc1edp-7, 0x1.3a563d2376fd6p-7, 0x1.3b69629a290b3p-10},
-      {0x1.4d9abd8607ec4p-9, 0x1.5df9b05aa63e8p-7, 0x1.35c9e6687f453p-7, 0x1.417e4f9137caep-10},
-      {0x1.4eea48de9622ep-9, 0x1.623f9038c7c76p-7, 0x1.38f945d19b687p-7, 0x1.4a32533962f7ep-10},
-      {0x1.4d9abd8607ec4p-9, 0x1.5fa72f8452096p-7, 0x1.377765922b101p-7, 0x1.417e4f9137caep-10},
-      {0x1.4d9abd8607ec4p-9, 0x1.5fa72f8452096p-7, 0x1.377765922b101p-7, 0x1.417e4f9137caep-10},
-      {0x1.357cb98f0266dp-9, 0x1.50e4f4e1becc1p-7, 0x1.2ce6e8d7c54e2p-7, 0x1.1ff0604fcbefcp-10},
+      {0x1.303e8c2cc98c9p-9, 0x1.5d9bbc8988aa2p-7, 0x1.3aed3bd81d62cp-7, 0x1.1574058b5a3b2p-10},
+      {0x1.4785d08ef92c9p-9, 0x1.6aa9c205c96d8p-7, 0x1.43ff33516624p-7, 0x1.355475a31a4b4p-10},
+      {0x1.4785d08ef92c9p-9, 0x1.71956e91ae12ap-7, 0x1.4aeadfdd4ac92p-7, 0x1.355475a31a4b4p-10},
+      {0x1.48d55be787633p-9, 0x1.6b4776b71682p-7, 0x1.4386678dadd3p-7, 0x1.3e08794b45784p-10},
+      {0x1.4785d08ef92c9p-9, 0x1.60d887ebf22bcp-7, 0x1.3a2df9378ee25p-7, 0x1.355475a31a4b4p-10},
+      {0x1.48d55be787631p-9, 0x1.5de58e64b231p-7, 0x1.37a9ba790d31fp-7, 0x1.31de9f5d27f89p-10},
+      {0x1.48d55be787631p-9, 0x1.60e298e6ec328p-7, 0x1.3aa6c4fb47338p-7, 0x1.31de9f5d27f89p-10},
+      {0x1.4a24e7401599bp-9, 0x1.5e254f44e1b13p-7, 0x1.36d2fae4374c7p-7, 0x1.3a92a30553258p-10},
+      {0x1.4a24e7401599bp-9, 0x1.612c6ac215b97p-7, 0x1.39da16616b54bp-7, 0x1.3a92a30553258p-10},
+      {0x1.48d55be787631p-9, 0x1.612c6ac215b96p-7, 0x1.3af096d670ba5p-7, 0x1.31de9f5d27f89p-10},
+      {0x1.4785d08ef92c9p-9, 0x1.61de416956db8p-7, 0x1.3bf65053d56a1p-7, 0x1.2f3f88ac0b8b9p-10},
+      {0x1.4785d08ef92c9p-9, 0x1.5dd16c6ebe238p-7, 0x1.3726ddba5ada1p-7, 0x1.355475a31a4b4p-10},
+      {0x1.48d55be787633p-9, 0x1.61763c9d3f406p-7, 0x1.39b52d73d6915p-7, 0x1.3e08794b45784p-10},
+      {0x1.4785d08ef92c9p-9, 0x1.5f20f7c74c5a2p-7, 0x1.38766912e910bp-7, 0x1.355475a31a4b4p-10},
+      {0x1.4785d08ef92c9p-9, 0x1.5f20f7c74c5a2p-7, 0x1.38766912e910bp-7, 0x1.355475a31a4b4p-10},
+      {0x1.303e8c2cc98c9p-9, 0x1.501ba14636451p-7, 0x1.2d6d2094cafdap-7, 0x1.1574058b5a3b2p-10},
     },
     // LinkContention::kPorts, Topology::kMesh2D
     {
-      {0x1.3935abb377912p-9, 0x1.5def9f5fac37cp-7, 0x1.390356cc956f4p-7, 0x1.27624498b6446p-10},
-      {0x1.4eb498f960a98p-9, 0x1.73789da08f56cp-7, 0x1.4b025cd1922e5p-7, 0x1.43b20677e9456p-10},
-      {0x1.4eb498f960a98p-9, 0x1.7a538334d3464p-7, 0x1.51dd4265d61d9p-7, 0x1.43b20677e9456p-10},
-      {0x1.5153afaa7d16ap-9, 0x1.71a99087a2203p-7, 0x1.47c8ec6d7c044p-7, 0x1.4f0520d130df6p-10},
-      {0x1.52a33b030b4d2p-9, 0x1.6213f14e8c54dp-7, 0x1.38a207fd24833p-7, 0x1.4b8f4a8b3e8cap-10},
-      {0x1.4d650da0d273p-9, 0x1.664c6533607f7p-7, 0x1.3eeca4d968bc6p-7, 0x1.3afe02cfbe18bp-10},
-      {0x1.4d650da0d273p-9, 0x1.6d274ac7a46edp-7, 0x1.45c78a6dacabbp-7, 0x1.3afe02cfbe18bp-10},
-      {0x1.5039d43724596p-9, 0x1.5f4285b68dc6p-7, 0x1.366af6181fb16p-7, 0x1.46bc7cf370a53p-10},
-      {0x1.5153afaa7d16ap-9, 0x1.618a5e93334ddp-7, 0x1.386c5817ef09dp-7, 0x1.48f033da221fap-10},
-      {0x1.4c4b322d79b5cp-9, 0x1.654350b7a8782p-7, 0x1.3e2a073a86e47p-7, 0x1.38ca4be90c9e2p-10},
-      {0x1.4d650da0d273p-9, 0x1.6bd7bf6f16384p-7, 0x1.4477ff151e753p-7, 0x1.3afe02cfbe18bp-10},
-      {0x1.51895f8fb28fep-9, 0x1.633127c03869bp-7, 0x1.3a05b54ba6c76p-7, 0x1.495b93a48d123p-10},
-      {0x1.5153afaa7d16ap-9, 0x1.62b1a5ffd9694p-7, 0x1.38d101e5b34d6p-7, 0x1.4f0520d130df6p-10},
-      {0x1.4d9abd8607ec4p-9, 0x1.660ca45330ff2p-7, 0x1.3ddcda610a05dp-7, 0x1.417e4f9137caep-10},
-      {0x1.4d650da0d273p-9, 0x1.6798958d9b5e6p-7, 0x1.3f763794c1c35p-7, 0x1.4112efc6ccd86p-10},
-      {0x1.37e6205ae95aap-9, 0x1.528f190d173f8p-7, 0x1.2df6b3502404ap-7, 0x1.24c32de799d75p-10},
+      {0x1.342d2e3674304p-9, 0x1.5ca014071e014p-7, 0x1.38f5ead34810ep-7, 0x1.1d51499eaf828p-10},
+      {0x1.48d55be787633p-9, 0x1.728706191eb4dp-7, 0x1.4b88948e97ddcp-7, 0x1.37f38c5436b88p-10},
+      {0x1.48d55be787633p-9, 0x1.7a6e5b276e02fp-7, 0x1.536fe99ce72bep-7, 0x1.37f38c5436b88p-10},
+      {0x1.4b747298a3d03p-9, 0x1.71814c9bba05p-7, 0x1.491877c60a3adp-7, 0x1.4346a6ad7e524p-10},
+      {0x1.4cc3fdf13206dp-9, 0x1.61804d9839471p-7, 0x1.3986338b47c71p-7, 0x1.3fd0d0678bffcp-10},
+      {0x1.4785d08ef92c9p-9, 0x1.6616b54e2b06p-7, 0x1.402ec438a9949p-7, 0x1.2f3f88ac0b8b9p-10},
+      {0x1.4785d08ef92c9p-9, 0x1.6dfe0a5c7a542p-7, 0x1.48161946f8e2bp-7, 0x1.2f3f88ac0b8b9p-10},
+      {0x1.4a24e7401599bp-9, 0x1.5fc8bd7393756p-7, 0x1.38766912e910bp-7, 0x1.3a92a30553258p-10},
+      {0x1.4b747298a3d03p-9, 0x1.612c6ac215b96p-7, 0x1.3986338b47c72p-7, 0x1.3d31b9b66f928p-10},
+      {0x1.463645366af61p-9, 0x1.651b0ccbc05d2p-7, 0x1.3f86fe8c62796p-7, 0x1.2ca071faef1e9p-10},
+      {0x1.4785d08ef92c9p-9, 0x1.6cae7f03ec1dap-7, 0x1.46c68dee6aac3p-7, 0x1.2f3f88ac0b8b9p-10},
+      {0x1.4b747298a3d03p-9, 0x1.63b75f7d3e191p-7, 0x1.3c1128467026bp-7, 0x1.3d31b9b66f928p-10},
+      {0x1.4b747298a3d03p-9, 0x1.621e0249865bap-7, 0x1.39b52d73d6915p-7, 0x1.4346a6ad7e524p-10},
+      {0x1.4785d08ef92c9p-9, 0x1.65aeb082136aep-7, 0x1.3f0421cdb0217p-7, 0x1.355475a31a4b4p-10},
+      {0x1.4785d08ef92c9p-9, 0x1.67a60186e8bccp-7, 0x1.40fb72d285735p-7, 0x1.355475a31a4b4p-10},
+      {0x1.32dda2dde5f9bp-9, 0x1.5266d5212f248p-7, 0x1.2f108ec37cc1dp-7, 0x1.1ab232ed93156p-10},
     },
     // LinkContention::kStoreForward, Topology::kHypercube
     {
-      {0x1.14d2f5dbb9cf9p-9, 0x1.0455d0162d68dp-7, 0x1.d10469f20c215p-8, 0x1.bd39b1d275828p-11},
-      {0x1.4983d790752dap-9, 0x1.04a9b2ec50f67p-7, 0x1.baff44ef1d597p-8, 0x1.395083a6124d8p-10},
-      {0x1.46796114edcdcp-9, 0x1.0e52a91a401d1p-7, 0x1.cfd66c88bf56dp-8, 0x1.333b96af038dcp-10},
-      {0x1.64261a45fc63ap-9, 0x1.3b66079bd5b3fp-7, 0x1.0cd0c8dacfc4cp-7, 0x1.74a9f6082f794p-10},
-      {0x1.5ef558dd10e7cp-9, 0x1.1cc45be503247p-7, 0x1.e07bd63a33d86p-8, 0x1.6433863f49c1cp-10},
-      {0x1.4b3ec2b36e56ep-9, 0x1.ee59e54ea3d1fp-8, 0x1.a0ad8a116659ep-8, 0x1.36b16cf4f5e06p-10},
-      {0x1.48344c37e6f72p-9, 0x1.0c00bf42a08e8p-7, 0x1.cbda5e85c754bp-8, 0x1.309c7ffde720cp-10},
-      {0x1.819d2391d58p-9, 0x1.27d7b55e1b3e5p-7, 0x1.e54ea3d201c01p-8, 0x1.a9831ba8d2f24p-10},
-      {0x1.819d2391d58p-9, 0x1.0ff61748f1e13p-7, 0x1.b58b67a7af061p-8, 0x1.a9831ba8d2f24p-10},
-      {0x1.4b3ec2b36e56ep-9, 0x1.052934acaff6cp-7, 0x1.bca60e1c22757p-8, 0x1.36b16cf4f5e04p-10},
-      {0x1.4488c60cbf2b2p-9, 0x1.04160f35fde8cp-7, 0x1.bddac18215ef3p-8, 0x1.294573a79788cp-10},
-      {0x1.5d701d9f4d37cp-9, 0x1.0986917f18e4cp-7, 0x1.bac2df0d4130fp-8, 0x1.61290fc3c261bp-10},
-      {0x1.5f2b08c24661p-9, 0x1.20a591f56069bp-7, 0x1.e69e2f2a8ff66p-8, 0x1.6ab3d300c374p-10},
-      {0x1.4983d790752dap-9, 0x1.03bb766333abep-7, 0x1.b922cbdce2c45p-8, 0x1.395083a6124d7p-10},
-      {0x1.42cddae9c601cp-9, 0x1.07faa044ae85ap-7, 0x1.c4fc1df3300dfp-8, 0x1.2be48a58b3f5cp-10},
-      {0x1.11ada76d97b31p-9, 0x1.0cb295e9e1b08p-7, 0x1.e3509cd085beep-8, 0x1.b0a47819ed108p-11},
+      {0x1.10002843ebe82p-9, 0x1.03cf985927b96p-7, 0x1.d2616143e7b62p-8, 0x1.a9ee7b733de44p-11},
+      {0x1.43a49a7e9be75p-9, 0x1.05227eb00947ap-7, 0x1.bee07aff7a9f1p-8, 0x1.2d9209825fc08p-10},
+      {0x1.40cfd3e84a00dp-9, 0x1.0ebe08e4ab0fcp-7, 0x1.d381f2b3e722bp-8, 0x1.27e87c55bbf39p-10},
+      {0x1.5e46dd34231d5p-9, 0x1.3a7470146511cp-7, 0x1.0d570097d5743p-7, 0x1.68eb7be47cec4p-10},
+      {0x1.59161bcb37a17p-9, 0x1.1c814006804cbp-7, 0x1.e2e53d061acc3p-8, 0x1.58750c1b9734ep-10},
+      {0x1.4529d5bc5f975p-9, 0x1.f06558496d313p-8, 0x1.a5c37387b7192p-8, 0x1.2a879306d860ep-10},
+      {0x1.421f5f40d8377p-9, 0x1.0d5db6947c236p-7, 0x1.d19ec3a505de8p-8, 0x1.2472a60fc9a12p-10},
+      {0x1.7bf3966531b31p-9, 0x1.26e61dd6aa9c2p-7, 0x1.e6403b5972623p-8, 0x1.9e30014f8b582p-10},
+      {0x1.7bf3966531b31p-9, 0x1.0f1f57b41bfbcp-7, 0x1.b6b2af145521ap-8, 0x1.9e30014f8b581p-10},
+      {0x1.4529d5bc5f975p-9, 0x1.06a103f126484p-7, 0x1.c2a0232096787p-8, 0x1.2a879306d860cp-10},
+      {0x1.3e73d915b06b7p-9, 0x1.0580728126dcp-7, 0x1.c3b9fe93ef35bp-8, 0x1.1d1b99b97a092p-10},
+      {0x1.57c69072a96adp-9, 0x1.093609a748aedp-7, 0x1.bcf695f3f2abbp-8, 0x1.55d5f56a7ac78p-10},
+      {0x1.594bcbb06d1abp-9, 0x1.2011ee3f0d5bfp-7, 0x1.e8668646d67e1p-8, 0x1.5ef558dd10e7p-10},
+      {0x1.43a49a7e9be75p-9, 0x1.04196a3451405p-7, 0x1.bcce52080a907p-8, 0x1.2d9209825fc09p-10},
+      {0x1.3cee9dd7ecbb9p-9, 0x1.0781d480f634bp-7, 0x1.c6fa24f4ac0f3p-8, 0x1.2026103501691p-10},
+      {0x1.0ca529f094523p-9, 0x1.0bf6ae47a6879p-7, 0x1.e45d0c4a911d8p-8, 0x1.9c828225df8c8p-11},
     },
     // LinkContention::kStoreForward, Topology::kMesh2D
     {
-      {0x1.6be88666b6ee3p-9, 0x1.b7e7627a489b4p-8, 0x1.54b563fa7b5bcp-8, 0x1.8cc7f9ff34fe8p-10},
-      {0x1.668f8111e3574p-9, 0x1.a54096c904c1p-7, 0x1.76d39bf3e6edp-7, 0x1.7367d6a8eea0fp-10},
-      {0x1.66c530f718d0ap-9, 0x1.aa999c1dd857ep-7, 0x1.7c1f354f6d257p-7, 0x1.73d336735993bp-10},
-      {0x1.c7805cb1b1be6p-9, 0x1.00e6afcce1c57p-7, 0x1.72f5c0e1dcff4p-8, 0x1.1daf3d6fcd177p-9},
-      {0x1.d6139d6bb6318p-9, 0x1.e9581dce472p-8, 0x1.54bc19f7220acp-8, 0x1.293807ae4a2acp-9},
-      {0x1.5831f03d145d8p-9, 0x1.92d98bf7f066dp-7, 0x1.68c692f6e8292p-7, 0x1.5097c80841edcp-10},
-      {0x1.58750c1b97354p-9, 0x1.94368349cbfbdp-7, 0x1.6a12c35123083p-7, 0x1.511dffc5479d4p-10},
-      {0x1.c7805cb1b1be6p-9, 0x1.e39a6eabaf45bp-8, 0x1.56480b318c69fp-8, 0x1.1aa4c6f445b79p-9},
-      {0x1.c7c3789034962p-9, 0x1.e24ae353210f2p-8, 0x1.54d6f1e9bcc78p-8, 0x1.1ae7e2d2c88f6p-9},
-      {0x1.5831f03d145d8p-9, 0x1.92e6f7f13dc54p-7, 0x1.68d3fef035879p-7, 0x1.5097c80841edcp-10},
-      {0x1.58750c1b97354p-9, 0x1.948a661fef898p-7, 0x1.6a66a6274695dp-7, 0x1.511dffc5479d3p-10},
-      {0x1.d4c4121327fbp-9, 0x1.eae40f08b17f4p-8, 0x1.56efd0ddd3853p-8, 0x1.27e87c55bbf43p-9},
-      {0x1.c7c3789034962p-9, 0x1.fa47595ae528dp-8, 0x1.6b4e2cb3bd313p-8, 0x1.1df2594e4fef3p-9},
-      {0x1.6575a59e8a9a2p-9, 0x1.a6216758d4ad6p-7, 0x1.77fae3608d089p-7, 0x1.71341fc23d26bp-10},
-      {0x1.66c530f718d0ap-9, 0x1.a63f9a49c2c1ap-7, 0x1.77c5337b578f1p-7, 0x1.73d336735993bp-10},
-      {0x1.6c1e364bec679p-9, 0x1.b94459cc24304p-8, 0x1.55f78359bc33ep-8, 0x1.8d3359c99ff14p-10},
+      {0x1.674b68b41e801p-9, 0x1.bc04fe6c8209p-8, 0x1.5b218ec60100ap-8, 0x1.838dbe9a04222p-10},
+      {0x1.611ba3ca7503bp-9, 0x1.a3a08398a6546p-7, 0x1.7690801564151p-7, 0x1.68801c1a11f9ap-10},
+      {0x1.611ba3ca7503bp-9, 0x1.a93293d102bc4p-7, 0x1.7c22904dc07d1p-7, 0x1.68801c1a11f9ap-10},
+      {0x1.c20c7f6a436adp-9, 0x1.02daa5d363bfbp-7, 0x1.79979b92981d8p-8, 0x1.183b60285ec3cp-9},
+      {0x1.d06a103f12649p-9, 0x1.eb9940ae45f91p-8, 0x1.59d2036d72ca3p-8, 0x1.238e7a81a65dap-9},
+      {0x1.52be12f5a609fp-9, 0x1.9194119a5c371p-7, 0x1.68de0feb2f8e5p-7, 0x1.45b00d7965465p-10},
+      {0x1.52be12f5a609fp-9, 0x1.91e7f4707fc4bp-7, 0x1.6931f2c1531bfp-7, 0x1.45b00d7965465p-10},
+      {0x1.c20c7f6a436adp-9, 0x1.e5123df025977p-8, 0x1.5a79c919b9e57p-8, 0x1.1530e9acd763fp-9},
+      {0x1.c20c7f6a436adp-9, 0x1.e46a7843de7c3p-8, 0x1.59d2036d72ca3p-8, 0x1.1530e9acd763fp-9},
+      {0x1.52be12f5a609fp-9, 0x1.9194119a5c371p-7, 0x1.68de0feb2f8e6p-7, 0x1.45b00d7965465p-10},
+      {0x1.52be12f5a609fp-9, 0x1.923bd746a3525p-7, 0x1.6985d59776a99p-7, 0x1.45b00d7965465p-10},
+      {0x1.cf1a84e6842e1p-9, 0x1.ec2ce4649906fp-8, 0x1.5b0d6cd00cf34p-8, 0x1.223eef2918273p-9},
+      {0x1.c20c7f6a436adp-9, 0x1.fd6ca7c907454p-8, 0x1.714ef7b4d7e37p-8, 0x1.183b60285ec3cp-9},
+      {0x1.5fcc1871e6cd3p-9, 0x1.a49c2c1b10fd4p-7, 0x1.77e00b6df24bcp-7, 0x1.65e10568f58cap-10},
+      {0x1.611ba3ca7503bp-9, 0x1.a3f4666ec9e2p-7, 0x1.76e462eb87a2dp-7, 0x1.68801c1a11f9ap-10},
+      {0x1.674b68b41e801p-9, 0x1.bc04fe6c82092p-8, 0x1.5b218ec60100ap-8, 0x1.838dbe9a04222p-10},
     },
 };
 
@@ -593,6 +645,67 @@ TEST(AsyncPinned, SplitPhaseClocksMatchRecordedValues) {
         EXPECT_EQ(s.per_proc[r].wait_time, pin.wait);
       }
       ++k;
+    }
+  }
+}
+
+TEST(AsyncPinned, HaloChargesLikeHandWrittenBatch) {
+  // pinned_prog's halo phase on the 4 x 4 grid (16 x 16 owned cells per
+  // rank, halo 1): the library's clocks and overlap ledger must equal this
+  // hand-written program under every contention tier — per dim, send both
+  // owned faces and charge their pack; compute the 14 x 14 interior; take
+  // the ghost faces in one recv_batch (each receive, then its unpack);
+  // compute the 60-cell boundary.
+  constexpr int n = 64;
+  auto run = [](LinkContention lc, auto prog) {
+    Machine m(16, make_config(lc, 1));
+    m.run(prog);
+    return m.stats();
+  };
+  for (LinkContention lc : kTiers) {
+    SCOPED_TRACE(std::string("tier=") + tier_name(lc));
+    const MachineStats got = run(lc, [](Context& ctx) {
+      using D2 = DistArray2<double>;
+      const D2::Dists bb{DimDist::block_dist(), DimDist::block_dist()};
+      D2 u(ctx, ProcView::grid2(4, 4), {n, n}, bb, {1, 1});
+      D2 r(ctx, ProcView::grid2(4, 4), {n, n}, bb);
+      doall_overlap(u.exchange_halo_begin(), u,
+                    {Range{0, n - 1}, Range{0, n - 1}},
+                    [&](int i, int j) { r(i, j) = u.at_halo({i - 1, j}); }, 6.0);
+    });
+    const MachineStats want = run(lc, [](Context& ctx) {
+      const int row = ctx.rank() / 4;
+      const int col = ctx.rank() % 4;
+      const std::vector<double> face(16, 0.0);
+      const double window_start = ctx.clock();
+      std::vector<RecvLane> lanes;
+      for (int d = 0; d < 2; ++d) {
+        const int c = d == 0 ? row : col;
+        const int step = d == 0 ? 4 : 1;
+        double packed = 0;
+        for (int side = 0; side < 2; ++side) {
+          if ((side == 0 && c == 0) || (side == 1 && c == 3)) {
+            continue;
+          }
+          const int peer = ctx.rank() + (side == 0 ? -step : step);
+          ctx.send_span<double>(peer, kTagHaloBase + 4 * d + 1 - side,
+                                std::span<const double>(face));
+          packed += 16.0;
+          lanes.push_back({peer, kTagHaloBase + 4 * d + side});
+        }
+        ctx.compute(packed);
+      }
+      ctx.compute(6.0 * 14 * 14);
+      ctx.recv_batch(lanes, window_start,
+                     [](std::size_t, Message) { return 16.0; });
+      ctx.compute(6.0 * (16 * 16 - 14 * 14));
+    });
+    EXPECT_EQ(got.clocks, want.clocks);
+    for (std::size_t k = 0; k < 16; ++k) {
+      EXPECT_EQ(got.per_proc[k].overlap_wire_time,
+                want.per_proc[k].overlap_wire_time);
+      EXPECT_EQ(got.per_proc[k].overlap_hidden_time,
+                want.per_proc[k].overlap_hidden_time);
     }
   }
 }

@@ -18,6 +18,7 @@
 #include "machine/processor.hpp"
 #include "runtime/dist_array.hpp"
 #include "runtime/redistribute.hpp"
+#include "runtime/remap.hpp"
 #include "support/check.hpp"
 
 namespace kali {
@@ -380,6 +381,35 @@ TEST(Invariants, ReceiveOnAnOpenExchangeLaneRejected) {
               std::string::npos)
         << what;
   }
+}
+
+TEST(Invariants, NestedExchangeOnDisjointLanesSucceeds) {
+  // Blocking exchanges between the begin and the finish of a split-phase
+  // transpose are legal when their lanes differ from the transpose's
+  // (kTagRedistData): a face halo (kTagHaloBase lanes) and a strided copy
+  // (kTagRemap) each receive only their own messages.
+  Machine m(4);
+  m.run([](Context& ctx) {
+    TwoTransposes t(ctx);
+    DistArray1<double> a(ctx, ProcView::grid1(4), {16},
+                         {DimDist::block_dist()}, {1});
+    DistArray1<double> b(ctx, ProcView::grid1(4), {8},
+                         {DimDist::block_dist()});
+    a.fill([](std::array<int, 1> g) { return 2.0 * g[0]; });
+    PendingExchange x = redistribute_begin(ctx, t.x, t.xt);
+    a.exchange_halo();
+    copy_strided_dim(ctx, a, b, 0, /*s_stride=*/2, 0, /*d_stride=*/1, 0, 8);
+    x.finish();
+    redistribute(ctx, t.y, t.yt);
+    t.expect_transposed();
+    if (ctx.rank() > 0) {
+      EXPECT_EQ(a.at_halo({a.own_lower(0) - 1}), 2.0 * (a.own_lower(0) - 1));
+    }
+    b.for_each_owned([&](std::array<int, 1> g) {
+      EXPECT_EQ(b.at(g), 4.0 * g[0]);
+    });
+  });
+  EXPECT_TRUE(m.stats().unmatched_by_tag().empty());
 }
 
 TEST(Invariants, BarrierSeparatedPhasesPassTheStraddleCheck) {

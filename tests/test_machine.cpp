@@ -208,7 +208,7 @@ TEST(Machine, RecvRejectsBadSourceRank) {
           } else {
             const RecvLane lane{src, 9};
             ctx.recv_batch(std::span<const RecvLane>(&lane, 1), ctx.clock(),
-                           [](std::size_t, Message) {});
+                           [](std::size_t, Message) { return 0.0; });
           }
         });
         ADD_FAILURE() << "bad source rank accepted";

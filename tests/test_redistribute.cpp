@@ -447,11 +447,12 @@ std::vector<double> clocks_after(Prog&& prog) {
   return clocks;
 }
 
-TEST(Redistribute, BlockingChargesSelfCopyBeforeSends) {
+TEST(Redistribute, ChargesSelfCopyInsideTheWireWindow) {
   // (block, *) -> (*, block) on 2 ranks, 4x4: each rank keeps a 2x2
-  // self-overlap and trades a 2x2 slab with its peer.  The blocking box
-  // path charges the self copy, sends, charges the pack, receives, then
-  // charges the unpack; the modeled clocks pin that order exactly.
+  // self-overlap and trades a 2x2 slab with its peer.  The box path sends,
+  // charges the pack, charges the self copy while the slab is on the wire,
+  // then takes the receive in one batch and charges its unpack; the
+  // modeled clocks pin that order exactly.
   const auto got = clocks_after([](Context& ctx) {
     ProcView pv = ProcView::grid1(2);
     DistArray2<double> rows(ctx, pv, {4, 4},
@@ -464,11 +465,13 @@ TEST(Redistribute, BlockingChargesSelfCopyBeforeSends) {
   const auto want = clocks_after([](Context& ctx) {
     const int peer = 1 - ctx.rank();
     const std::vector<double> slab(4, 1.0);
-    ctx.compute(4.0);  // self copy
+    const double window_start = ctx.clock();
     ctx.send_span<double>(peer, kTagRedistData, std::span<const double>(slab));
     ctx.compute(4.0);  // pack
-    (void)ctx.recv_vec<double>(peer, kTagRedistData);
-    ctx.compute(4.0);  // unpack
+    ctx.compute(4.0);  // self copy
+    const RecvLane lane{peer, kTagRedistData};
+    ctx.recv_batch(std::span<const RecvLane>(&lane, 1), window_start,
+                   [](std::size_t, Message) { return 4.0; });  // unpack
   });
   EXPECT_EQ(got, want);
 }

@@ -320,10 +320,11 @@ TEST(Remap, ZeroStrideThrows) {
                Error);
 }
 
-TEST(Remap, BlockingFoldsSelfCopyIntoUnpackCharge) {
-  // The redistribute shape of BlockingChargesSelfCopyBeforeSends as an
-  // identity strided copy: the blocking strided copies charge the pack
-  // after the sends and the self copy together with the unpack.
+TEST(Remap, ChargesSelfCopyInsideTheWireWindow) {
+  // The redistribute shape of Redistribute.ChargesSelfCopyInsideTheWireWindow
+  // as an identity strided copy: the strided copies charge the pack after
+  // the sends and the self copy inside the wire window, then the batched
+  // receive and its unpack.
   auto clocks_after = [](auto prog) {
     Machine m(2);
     std::vector<double> clocks(2);
@@ -345,10 +346,13 @@ TEST(Remap, BlockingFoldsSelfCopyIntoUnpackCharge) {
   const auto want = clocks_after([](Context& ctx) {
     const int peer = 1 - ctx.rank();
     const std::vector<double> slab(4, 1.0);
+    const double window_start = ctx.clock();
     ctx.send_span<double>(peer, kTagRemap, std::span<const double>(slab));
     ctx.compute(4.0);  // pack
-    (void)ctx.recv_vec<double>(peer, kTagRemap);
-    ctx.compute(8.0);  // self copy + unpack
+    ctx.compute(4.0);  // self copy
+    const RecvLane lane{peer, kTagRemap};
+    ctx.recv_batch(std::span<const RecvLane>(&lane, 1), window_start,
+                   [](std::size_t, Message) { return 4.0; });  // unpack
   });
   EXPECT_EQ(got, want);
 }
