@@ -1,7 +1,8 @@
 // Message-trace demo: run a mixed communication workload — corner-mode
 // halo exchange, redistribution, an inspector/executor gather, an
-// all_gather, a split-phase halo and a FIFO lane, one mg3 V-cycle, and
-// sync_clocks barriers — on 8 ranks with an EventLog attached, then write
+// all_gather, a split-phase halo and a FIFO lane, one mg3 V-cycle, a line
+// pass pipelined into a transpose (several open exchanges on one lane),
+// and sync_clocks barriers — on 8 ranks with an EventLog attached, then write
 // its message trace for the offline protocol verifier:
 //
 //   build/comm_trace /tmp/run.trace
@@ -119,6 +120,23 @@ int main(int argc, char** argv) {
       return rhs3(op, g[0] * op.hx, g[1] * op.hy, g[2] * op.hz);
     });
     mg3_cycle(op, u3, f3);
+    sync_clocks(ctx, everyone);
+
+    // Phase 7: a line pass pipelined into a transpose (redistribute_lines).
+    // Each rank's five rows leave in four strided slices, so a receiver
+    // holds up to four open exchanges on one (src, kTagRedistData) lane
+    // and finishes them in the order they began.
+    constexpr int kLines = 5 * kProcs;
+    D2 rows(ctx, row, {kLines, kN}, {DimDist::block_dist(), DimDist::star()});
+    D2 cols(ctx, row, {kLines, kN}, {DimDist::star(), DimDist::block_dist()});
+    rows.fill([](std::array<int, 2> g) { return 0.5 * g[0] - g[1]; });
+    redistribute_lines(ctx, rows, cols, 0, [&](int i) {
+      const Strided<double> s = rows.fix(0, i).local_strided();
+      for (int j = 0; j < s.n; ++j) {
+        s[j] *= 2.0;
+      }
+      ctx.compute(s.n);
+    });
     sync_clocks(ctx, everyone);
   });
 

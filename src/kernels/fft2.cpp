@@ -9,47 +9,62 @@
 
 namespace kali {
 
+namespace {
+
+/// The FFT along `dim` of one line of `a`, as a callable taking the
+/// line's index along the other dim; it owns its scratch line.
+auto line_fft(DistArray2<Complex>& a, int dim, bool inverse) {
+  std::vector<Complex> buf(static_cast<std::size_t>(a.extent(dim)));
+  return [&a, dim, inverse, buf = std::move(buf)](int r) mutable {
+    const Strided<Complex> s = a.fix(1 - dim, r).local_strided();
+    for (int k = 0; k < s.n; ++k) {
+      buf[static_cast<std::size_t>(k)] = s[k];
+    }
+    fft_inplace(buf, inverse);
+    a.context().compute(fft_flops(s.n));
+    for (int k = 0; k < s.n; ++k) {
+      s[k] = buf[static_cast<std::size_t>(k)];
+    }
+  };
+}
+
+/// One 2-D transform: the FFTs along `dim` of `a`, pipelined into the
+/// distributed transpose a -> b (each slice of finished lines is on the
+/// wire while the next slice transforms), then the FFTs along the other
+/// dim of b.
+void fft2(Context& ctx, DistArray2<Complex>& a, DistArray2<Complex>& b,
+          int dim, bool inverse) {
+  KALI_CHECK(a.dist_kind(dim) == DistKind::kStar &&
+                 b.dist_kind(1 - dim) == DistKind::kStar,
+             "fft2: rows must be (block, *), cols (*, block)");
+  redistribute_lines(ctx, a, b, 1 - dim, line_fft(a, dim, inverse));
+  fft_lines(b, 1 - dim, inverse);
+}
+
+}  // namespace
+
 void fft_lines(DistArray2<Complex>& a, int dim, bool inverse) {
   if (!a.participating()) {
     return;
   }
   KALI_CHECK(a.dist_kind(dim) == DistKind::kStar,
              "fft_lines: transform dimension must be local (*)");
-  const int other = 1 - dim;
-  const int n = a.extent(dim);
-  Context& ctx = a.context();
-  std::vector<Complex> line(static_cast<std::size_t>(n));
-  for (int r : a.owned(other)) {
-    const Strided<Complex> s = a.fix(other, r).local_strided();
-    for (int k = 0; k < n; ++k) {
-      line[static_cast<std::size_t>(k)] = s[k];
-    }
-    fft_inplace(line, inverse);
-    ctx.compute(fft_flops(n));
-    for (int k = 0; k < n; ++k) {
-      s[k] = line[static_cast<std::size_t>(k)];
-    }
+  auto fft = line_fft(a, dim, inverse);
+  for (int r : a.owned(1 - dim)) {
+    fft(r);
   }
 }
 
 void fft2_forward(Context& ctx, DistArray2<Complex>& rows,
                   DistArray2<Complex>& cols) {
-  KALI_CHECK(rows.dist_kind(1) == DistKind::kStar &&
-                 cols.dist_kind(0) == DistKind::kStar,
-             "fft2: rows must be (block, *), cols (*, block)");
-  fft_lines(rows, 1, /*inverse=*/false);
-  // The distributed transpose: (block, *) -> (*, block) is box-eligible, so
-  // redistribute() exchanges contiguous slabs between intersecting rank
-  // pairs only — no per-element index metadata on the wire.
-  redistribute(ctx, rows, cols);
-  fft_lines(cols, 0, /*inverse=*/false);
+  // The distributed transpose (block, *) -> (*, block) is box-eligible:
+  // contiguous slabs between intersecting rank pairs only.
+  fft2(ctx, rows, cols, 1, /*inverse=*/false);
 }
 
 void fft2_inverse(Context& ctx, DistArray2<Complex>& cols,
                   DistArray2<Complex>& rows) {
-  fft_lines(cols, 0, /*inverse=*/true);
-  redistribute(ctx, cols, rows);
-  fft_lines(rows, 1, /*inverse=*/true);
+  fft2(ctx, cols, rows, 0, /*inverse=*/true);
 }
 
 }  // namespace kali

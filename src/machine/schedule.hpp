@@ -28,11 +28,16 @@
 // of the ~2(n-1) that naive per-peer issue order costs under contention
 // (every member hammering the same low-ranked ejection ports first).
 //
-// Every dense exchange (redistribute, copy_strided_dim, the corner-mode
-// halo exchange, all_gather, the inspector) collects its per-peer messages
-// and issues them through issue_exchange(), which puts them in round order.
-// IssueOrder::kPeerOrder keeps the raw enumeration order instead: the naive
-// baseline bench_redistribute measures the schedule against.
+// Every dense exchange puts its per-peer messages in round order with
+// round_sort().  The blocking ones — the cyclic binner behind redistribute
+// and copy_strided_dim on cyclic layouts, the corner-mode halo exchange,
+// all_gather and the inspector — issue them through issue_exchange().  The
+// split-phase box exchange (detail::exchange_begin, runtime/redistribute.hpp)
+// behind every box-layout redistribute, copy_strided_dim and pipelined line
+// pass fires its sends in round order and takes its receives in one batch
+// when it finishes.  IssueOrder::kPeerOrder keeps the raw enumeration order
+// instead: the naive baseline bench_redistribute measures the schedule
+// against.
 #pragma once
 
 #include <algorithm>
@@ -163,13 +168,15 @@ void round_sort(std::vector<std::pair<int, Payload>>& msgs,
                    });
 }
 
-/// The one issue-order dispatch shared by every dense exchange
-/// (redistribute box/general, copy_strided_dim box/binned/halo-fused,
-/// corner-mode halo exchange, collectives all_gather, the inspector): sort
-/// and fire all sends, charge the pack compute, then drain all receives and
-/// charge the unpack compute.  `charge_sends`/`charge_recvs` are thunks so
-/// each caller keeps its own accounting; on a member with nothing to send
-/// or receive the corresponding steps are no-ops (compute(0) included).
+/// The issue-order dispatch of the blocking dense exchanges (the cyclic
+/// binner behind redistribute and copy_strided_dim_binned, the corner-mode
+/// halo exchange, collectives all_gather, the inspector): sort and fire all
+/// sends, charge the pack compute, then drain all receives and charge the
+/// unpack compute.  Box exchanges are split-phase instead
+/// (detail::exchange_begin) and call round_sort themselves.
+/// `charge_sends`/`charge_recvs` are thunks so each caller keeps its own
+/// accounting; on a member with nothing to send or receive the
+/// corresponding steps are no-ops (compute(0) included).
 template <class Out, class In, class SendFn, class RecvFn, class ChargeS,
           class ChargeR>
 void issue_exchange(std::span<const int> members, int self_rank,

@@ -41,6 +41,14 @@
 // MachineStats::self_msgs(kTagRedistData) lets tests assert none slip
 // through.
 //
+// A line pass and the redistribution after it — fft2's row FFTs and its
+// transpose, an ADI sweep and its direction switch — pipeline through
+// redistribute_lines(): the pass runs in kLineSlices strided slices of
+// lines, and each slice's share of the exchange goes on the wire as soon
+// as its lines are done, so the transpose hides behind the lines still to
+// compute.  The exchange is planned once; each slice cuts the plan's slabs
+// to its lines.
+//
 // Remote messages are issued through the round-structured schedules of
 // machine/schedule.hpp (XOR pairwise exchange for power-of-two
 // communicators, latin-square ordering otherwise), so each round is a
@@ -64,6 +72,12 @@
 #include "runtime/dist_array.hpp"
 
 namespace kali {
+
+/// Slices a pipelined line pass is cut into (redistribute_lines): slice k
+/// holds the lines r = k (mod kLineSlices).  More slices hide more of the
+/// redistribution behind the line work, but each costs one more message,
+/// pack and edge-ledger entry per peer.
+inline constexpr int kLineSlices = 4;
 
 namespace detail {
 
@@ -573,15 +587,43 @@ void exchange_binned(Context& ctx, const DistArray<T, R>& src,
       [&] { ctx.compute(unpacked); }, order);
 }
 
-/// The identity BoxCopy of a redistribute from src to dst.
+/// The identity BoxCopy of a redistribute from src to dst, walked along
+/// `dim`.
 template <class T, int R>
 BoxCopy redistribute_copy(const DistArray<T, R>& src,
-                          const DistArray<T, R>& dst) {
+                          const DistArray<T, R>& dst, int dim = 0) {
   for (int d = 0; d < R; ++d) {
     KALI_CHECK(src.extent(d) == dst.extent(d), "redistribute: extent mismatch");
   }
-  return BoxCopy{"redistribute", kTagRedistData, /*dim=*/0, 1, 0, 1, 0,
-                 src.extent(0), /*fuse_halo=*/false};
+  return BoxCopy{"redistribute", kTagRedistData, dim, 1, 0, 1, 0,
+                 src.extent(dim), /*fuse_halo=*/false};
+}
+
+/// Slice k of a line pass's identity exchange (`c` along c.dim, planned
+/// as `p`): the strided BoxCopy of lines r = k (mod kLineSlices) and p's
+/// slabs cut to those lines — O(1) per peer, the plan plan_exchange would
+/// build for the slice.  A peer whose slab holds none of the slice's lines
+/// drops out, so no empty message is sent.
+template <int R>
+std::pair<BoxCopy, ExchangePlan<R>> line_slice(BoxCopy c, ExchangePlan<R> p,
+                                               int k) {
+  const auto ud = static_cast<std::size_t>(c.dim);
+  auto cut = [&](Box<R>& b) {
+    b.lo[ud] = ceil_div(b.lo[ud] - k, kLineSlices);
+    b.hi[ud] = floor_div(b.hi[ud] - k, kLineSlices);
+    return b.empty();
+  };
+  for (auto* slabs : {&p.out, &p.in}) {
+    std::ranges::for_each(*slabs, cut, &std::pair<int, Box<R>>::second);
+    std::erase_if(*slabs, [](const auto& e) { return e.second.empty(); });
+  }
+  if (p.self && cut(*p.self)) {
+    p.self.reset();
+  }
+  c.s_stride = c.d_stride = kLineSlices;
+  c.s_off = c.d_off = k;
+  c.count = std::max(0, ceil_div(c.count - k, kLineSlices));
+  return {c, std::move(p)};
 }
 
 }  // namespace detail
@@ -619,6 +661,38 @@ void redistribute(Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst
   detail::exchange_begin(ctx, src, dst, c,
                          detail::plan_exchange(ctx, src, dst, c), order)
       .finish();
+}
+
+/// A line pass pipelined into the redistribution after it: `line(r)` for
+/// every index r src owns along `line_dim` (line r must be local to its
+/// owner, and line(r) may write only line r), in kLineSlices strided
+/// slices.  Once slice k's lines are done, slice k's share of
+/// redistribute(src, dst) goes on the wire while slice k+1 computes; after
+/// the last slice the exchanges finish in the order they began.  Values
+/// land exactly where `for r: line(r); redistribute(ctx, src, dst)` puts
+/// them.  The exchange is planned once; each slice cuts the plan's slabs.
+/// Box layouts only; collective over the union of both views' members.
+template <class T, int R, class Fn>
+void redistribute_lines(Context& ctx, const DistArray<T, R>& src,
+                        DistArray<T, R>& dst, int line_dim, Fn&& line) {
+  KALI_CHECK(detail::box_eligible(src) && detail::box_eligible(dst),
+             "redistribute_lines: requires block/star layouts");
+  const detail::BoxCopy full = detail::redistribute_copy(src, dst, line_dim);
+  const auto plan = detail::plan_exchange(ctx, src, dst, full);
+  const int lo = src.participating() ? src.own_lower(line_dim) : 0;
+  const int hi = src.participating() ? src.own_upper(line_dim) : -1;
+  std::vector<PendingExchange> slices;
+  for (int k = 0; k < kLineSlices; ++k) {
+    const int first = lo + (k + kLineSlices - lo % kLineSlices) % kLineSlices;
+    for (int r = first; r <= hi; r += kLineSlices) {
+      line(r);
+    }
+    auto [c, p] = detail::line_slice(full, plan, k);
+    slices.push_back(detail::exchange_begin(ctx, src, dst, c, std::move(p)));
+  }
+  for (PendingExchange& s : slices) {
+    s.finish();
+  }
 }
 
 }  // namespace kali

@@ -39,6 +39,7 @@
 //    layouts and the differential-test oracle for the box path.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "machine/message.hpp"  // kTagRemap (reserved-tag registry)
@@ -63,8 +64,10 @@ BoxCopy strided_copy(const char* what, const DistArray<T, R>& src,
   KALI_CHECK(s_stride >= 1 && d_stride >= 1,
              "copy_strided_dim: strides must be positive");
   KALI_CHECK(count >= 0, "copy_strided_dim: bad count");
-  KALI_CHECK(count == 0 || (s_off + (count - 1) * s_stride < src.extent(dim) &&
-                            d_off + (count - 1) * d_stride < dst.extent(dim)),
+  // The last index in 64 bits: (count - 1) * stride may overflow int.
+  const std::int64_t last = count - 1;
+  KALI_CHECK(count == 0 || (s_off + last * s_stride < src.extent(dim) &&
+                            d_off + last * d_stride < dst.extent(dim)),
              "copy_strided_dim: range out of bounds");
   KALI_CHECK(count == 0 || (s_off >= 0 && d_off >= 0),
              "copy_strided_dim: negative offset");

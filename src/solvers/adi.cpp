@@ -91,48 +91,38 @@ void adi_iterate(const AdiOptions& opts, DistArray2<double>& u,
 
   if (opts.transpose) {
     // Direction switch by redistribution: remap r to (block, *) so every
-    // y-line is a local Thomas sweep, transpose-redistribute to (*, block)
-    // for the x-lines, then land back in (block, block).  All three
-    // redistributions are box-intersection slab exchanges, issued through
-    // the round-structured schedule (machine/schedule.hpp) with each
-    // rank's self-overlap copied locally, never sent.
+    // y-line is a local Thomas sweep, transpose to (*, block) for the
+    // x-lines, then land back in (block, block).  Each sweep is pipelined
+    // into the redistribution after it (redistribute_lines): a slice of
+    // solved lines is on the wire while the next slice solves.  All three
+    // redistributions are box-intersection slab exchanges, issued in
+    // round-schedule order (machine/schedule.hpp) with each rank's
+    // self-overlap copied locally, never sent.
     const ProcView line = row_major_line(u.view());
-    const typename D2::Dists row_dists{DimDist::block_dist(), DimDist::star()};
-    const typename D2::Dists col_dists{DimDist::star(), DimDist::block_dist()};
-    D2 rrows(ctx, line, {nx, ny}, row_dists);
-    D2 vcols(ctx, line, {nx, ny}, col_dists);
+    D2 rrows(ctx, line, {nx, ny}, {DimDist::block_dist(), DimDist::star()});
+    D2 vcols(ctx, line, {nx, ny}, {DimDist::star(), DimDist::block_dist()});
 
-    // Each line is fully read into fline before its solution is written, so
-    // both sweeps can land in place — two transposed temporaries suffice.
+    // Thomas solves along `dim` of a's lines, sent on into b.  Each line is
+    // fully read into fline before its solution is written, so both sweeps
+    // land in place — two transposed temporaries suffice.
+    auto sweep = [&](D2& a, D2& b, int dim, double off, double diag) {
+      const int n = a.extent(dim);
+      std::vector<double> fline(static_cast<std::size_t>(n)), xline(fline);
+      redistribute_lines(ctx, a, b, 1 - dim, [&](int k) {
+        const Strided<double> s = a.fix(1 - dim, k).local_strided();
+        for (int q = 0; q < n; ++q) {
+          fline[static_cast<std::size_t>(q)] = s[q];
+        }
+        thomas_solve_const(off, diag, off, fline, xline);
+        ctx.compute(kThomasFlopsPerRow * n);
+        for (int q = 0; q < n; ++q) {
+          s[q] = xline[static_cast<std::size_t>(q)];
+        }
+      });
+    };
     redistribute(ctx, r, rrows);
-    std::vector<double> fline(static_cast<std::size_t>(ny));
-    std::vector<double> xline(static_cast<std::size_t>(ny));
-    for (int i : rrows.owned(0)) {
-      const Strided<double> row = rrows.fix(0, i).local_strided();
-      for (int j = 0; j < ny; ++j) {
-        fline[static_cast<std::size_t>(j)] = row[j];
-      }
-      thomas_solve_const(oy, dy, oy, fline, xline);
-      ctx.compute(kThomasFlopsPerRow * ny);
-      for (int j = 0; j < ny; ++j) {
-        row[j] = xline[static_cast<std::size_t>(j)];
-      }
-    }
-    redistribute(ctx, rrows, vcols);
-    fline.resize(static_cast<std::size_t>(nx));
-    xline.resize(static_cast<std::size_t>(nx));
-    for (int j : vcols.owned(1)) {
-      const Strided<double> col = vcols.fix(1, j).local_strided();
-      for (int i = 0; i < nx; ++i) {
-        fline[static_cast<std::size_t>(i)] = col[i];
-      }
-      thomas_solve_const(ox, dx, ox, fline, xline);
-      ctx.compute(kThomasFlopsPerRow * nx);
-      for (int i = 0; i < nx; ++i) {
-        col[i] = xline[static_cast<std::size_t>(i)];
-      }
-    }
-    redistribute(ctx, vcols, w);
+    sweep(rrows, vcols, 1, oy, dy);
+    sweep(vcols, w, 0, ox, dx);
   } else if (!opts.pipelined) {
     // Listing 7: perform tridiagonal solves in the y direction ...
     D2 v(ctx, u.view(), {nx, ny}, dists);

@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numbers>
+#include <vector>
 
 #include "machine/context.hpp"
 #include "runtime/io.hpp"
+#include "runtime/redistribute.hpp"
 #include "support/rng.hpp"
 
 namespace kali {
@@ -120,8 +123,10 @@ TEST(Fft2, MatchesSequentialTransform) {
 
 TEST(Fft2, BitIdenticalUnderEveryContentionTier) {
   // The contention models change clocks only: the distributed FFT's
-  // transpose moves the same payloads in the same per-pair order, so the
-  // spectrum is bit-identical with ports or store-and-forward queueing on.
+  // pipelined transpose sends the same slice payloads between the same
+  // pairs, each slice on a lane after the one before and unpacked into its
+  // fixed place, so the spectrum is bit-identical with ports or
+  // store-and-forward queueing on.
   const int p = 4, n = 16;
   auto run = [&](LinkContention mode) {
     MachineConfig cfg;
@@ -155,6 +160,43 @@ TEST(Fft2, BitIdenticalUnderEveryContentionTier) {
     }
     EXPECT_GE(clock_on, clock_off);
   }
+}
+
+TEST(Fft2, PipelinedTransposeBeatsRowPassThenRedistribute) {
+  // fft2_sf's smoke shape: 128^2 on a 16-rank mesh under store-and-forward.
+  // Sending each slice of finished rows while the next slice transforms
+  // must lower the makespan below the row FFTs, one redistribute and the
+  // column FFTs run one after the other — with a bit-identical spectrum.
+  const int p = 16, n = 128;
+  auto run = [&](bool pipelined) {
+    MachineConfig cfg;
+    cfg.topology = Topology::kMesh2D;
+    cfg.link_contention = LinkContention::kStoreForward;
+    Machine m(p, cfg);
+    std::vector<Complex> spectrum(static_cast<std::size_t>(n * n));
+    m.run([&](Context& ctx) {
+      ProcView pv = ProcView::grid1(p);
+      auto [rows, cols] = make(ctx, pv, n);
+      rows.fill([&](std::array<int, 2> g) {
+        return Complex(std::sin(0.3 * g[0] + 0.1 * g[1]), 0.01 * g[0] * g[1]);
+      });
+      if (pipelined) {
+        fft2_forward(ctx, rows, cols);
+      } else {
+        fft_lines(rows, 1, /*inverse=*/false);
+        redistribute(ctx, rows, cols);
+        fft_lines(cols, 0, /*inverse=*/false);
+      }
+      cols.for_each_owned([&](std::array<int, 2> g) {
+        spectrum[static_cast<std::size_t>(g[0] * n + g[1])] = cols.at(g);
+      });
+    });
+    return std::pair{spectrum, m.stats().max_clock()};
+  };
+  const auto [want, oracle_clock] = run(false);
+  const auto [got, clock] = run(true);
+  EXPECT_EQ(got, want);  // bit-identical
+  EXPECT_LT(clock, oracle_clock);
 }
 
 TEST(Fft2, RejectsDistributedTransformDim) {

@@ -381,5 +381,26 @@ TEST(Remap, RangeOverflowThrows) {
                Error);
 }
 
+TEST(Remap, RangeCheckDoesNotOverflowInt) {
+  // (count - 1) * stride = 65535 * 65536 wraps a 32-bit int negative; the
+  // bound must still reject the copy with the range error.
+  Machine m(2);
+  try {
+    m.run([](Context& ctx) {
+      ProcView pv = ProcView::grid1(2);
+      using D2 = DistArray2<double>;
+      const typename D2::Dists dists{DimDist::block_dist(), DimDist::star()};
+      D2 a(ctx, pv, {8, 8}, dists);
+      D2 b(ctx, pv, {8, 8}, dists);
+      copy_strided_dim(ctx, a, b, 0, 65536, 0, 65536, 0, 65536);
+    });
+    ADD_FAILURE() << "the out-of-range copy was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("copy_strided_dim: range out of bounds"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace kali
