@@ -1,8 +1,10 @@
 // Message-trace demo: run a mixed communication workload — corner-mode
 // halo exchange, redistribution, an inspector/executor gather, an
 // all_gather, a split-phase halo and a FIFO lane, one mg3 V-cycle, a line
-// pass pipelined into a transpose (several open exchanges on one lane),
-// and sync_clocks barriers — on 8 ranks with an EventLog attached, then write
+// pass pipelined into a transpose (several open exchanges on one lane), a
+// split-phase corner halo under a 9-point stencil and a split-phase
+// cyclic redistribution, and sync_clocks barriers — on 8 ranks with an
+// EventLog attached, then write
 // its message trace for the offline protocol verifier:
 //
 //   build/comm_trace /tmp/run.trace
@@ -137,6 +139,31 @@ int main(int argc, char** argv) {
       }
       ctx.compute(s.n);
     });
+    sync_clocks(ctx, everyone);
+
+    // Phase 8: the corner halo split-phase — a 9-point stencil's interior
+    // runs while the kTagHaloCornerPack messages are in flight — then a
+    // cyclic -> block-cyclic redistribution (the binner) with owned-cell
+    // work in its window.
+    D2 nine(ctx, grid, {kN, kN}, dists);
+    auto stencil9 = [&](int i, int j) {
+      double acc = 0.0;
+      for (int di = -1; di <= 1; ++di) {
+        for (int dj = -1; dj <= 1; ++dj) {
+          acc += u.at_halo({i + di, j + dj});
+        }
+      }
+      nine(i, j) = acc / 9.0;
+    };
+    doall_overlap(u.exchange_halo_begin(HaloCorners::kYes), u,
+                  {Range{0, kN - 1}, Range{0, kN - 1}}, stencil9, 9.0);
+    DistArray1<double> cyc(ctx, row, {kProcs * 16}, {DimDist::cyclic()});
+    DistArray1<double> bcyc(ctx, row, {kProcs * 16},
+                            {DimDist::block_cyclic(3)});
+    cyc.fill([](std::array<int, 1> g) { return 0.25 * g[0]; });
+    auto ex = redistribute_begin(ctx, cyc, bcyc);
+    ctx.compute(static_cast<double>(cyc.local_count(0)));
+    ex.finish();
     sync_clocks(ctx, everyone);
   });
 

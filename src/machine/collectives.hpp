@@ -300,21 +300,21 @@ std::vector<T> all_gather(Context& ctx, const Group& g, std::span<const T> mine,
     out.emplace_back(g.rank_at(i), i);
     in.emplace_back(g.rank_at(i), i);
   }
-  double merged = static_cast<double>(mine.size());  // own segment copy
-  auto send_one = [&](int rank, int) {
-    // Contributions are sent as-is; no packing pass is needed.
-    ctx.send_span<T>(rank, kTagAllGather, mine);
-  };
-  auto recv_one = [&](int rank, int gi) {
-    auto& seg = segs[static_cast<std::size_t>(gi)];
-    seg = ctx.recv_vec<T>(rank, kTagAllGather);
-    merged += static_cast<double>(seg.size());
-  };
-  detail::issue_exchange(
-      members, ctx.rank(), out, in, send_one, recv_one, [] {},
-      [&] { ctx.compute(merged); },  // concatenation copy cost
+  // Contributions are sent as-is, with no packing pass; the own segment's
+  // copy is charged inside the wire window, each received one as its
+  // unpack.
+  PendingExchange ex = detail::exchange_begin<T>(
+      ctx, members, kTagAllGather, std::move(out), std::move(in),
+      [&](int) { return mine; },
+      [&](int gi, std::vector<T> seg) {
+        auto& slot = segs[static_cast<std::size_t>(gi)];
+        slot = std::move(seg);
+        return static_cast<double>(slot.size());
+      },
       order);
   segs[static_cast<std::size_t>(g.index())].assign(mine.begin(), mine.end());
+  ctx.compute(static_cast<double>(mine.size()));
+  ex.finish();
   std::vector<T> result;
   std::size_t total = 0;
   for (const auto& seg : segs) {

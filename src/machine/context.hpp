@@ -154,11 +154,12 @@ class Context {
 
   // --- batched receive: the wait point of a split-phase exchange ---------
   //
-  // Every runtime face halo and box exchange (DistArray::exchange_halo and
-  // the forms of runtime/redistribute.hpp and runtime/remap.hpp) fires its
-  // sends, runs the caller's work, and finishes with one recv_batch over
-  // the lanes it expects.  Posting a receive costs nothing in the model, so
-  // receiving at the wait point is the whole receive.
+  // Every runtime exchange and the dense all_gather fire their sends, run
+  // the caller's work, and finish with one recv_batch over the lanes they
+  // expect: the face halo directly, every other exchange through
+  // detail::exchange_begin (machine/schedule.hpp).  Posting a receive
+  // costs nothing in the model, so receiving at the wait point is the whole
+  // receive.
 
   /// The unpack of lane i's message: writes it into its destination and
   /// returns the number of elements unpacked (charged one op each).
@@ -230,6 +231,70 @@ class Context {
   // recv_batch scratch, reused so a steady-state batch allocates nothing.
   std::vector<std::pair<int, int>> batch_keys_;
   std::vector<Taken> batch_;
+};
+
+/// Handle of an in-flight exchange, returned by detail::exchange_begin
+/// (machine/schedule.hpp), by the face halo and by every runtime _begin
+/// form built on that primitive: every send is on the wire, and the
+/// caller has charged its pack and any local copy inside the wire window.
+/// Run whatever local work should hide the wire, then finish(): one
+/// Context::recv_batch over the exchange's lanes that charges each receive
+/// and then its unpack, in canonical (send_time, src, seq) order.  The
+/// blocking forms are _begin(...).finish().  Whatever the unpack writes
+/// and the Context must outlive the handle.
+///
+/// Move-only, since a copy would finish the same receives twice; a
+/// moved-from handle is inactive.  Receives match FIFO per (src, tag) lane
+/// and open exchanges may share lanes, so every build fails with a
+/// kali::Error when an exchange finishes while an older open one shares
+/// one of its lanes, when another receive would take an open exchange's
+/// lane, and when the rank program returns with an exchange still open
+/// (Machine::run).
+class PendingExchange {
+ public:
+  PendingExchange() = default;
+
+  /// Built once the exchange's sends are out: opens an exchange
+  /// on `ctx` whose wire window began at `window_start`, receiving on
+  /// `lanes`; finish() hands lane i's message to `take`.
+  PendingExchange(Context& ctx, double window_start,
+                  std::span<const RecvLane> lanes, Context::Take take)
+      : ctx_(&ctx),
+        stamp_(ctx.begin_exchange(lanes)),
+        window_start_(window_start),
+        take_(std::move(take)) {}
+
+  PendingExchange(PendingExchange&& o) noexcept
+      : ctx_(std::exchange(o.ctx_, nullptr)),
+        stamp_(o.stamp_),
+        window_start_(o.window_start_),
+        take_(std::exchange(o.take_, nullptr)) {}
+  PendingExchange& operator=(PendingExchange&& o) noexcept {
+    ctx_ = std::exchange(o.ctx_, nullptr);
+    stamp_ = o.stamp_;
+    window_start_ = o.window_start_;
+    take_ = std::exchange(o.take_, nullptr);
+    return *this;
+  }
+  PendingExchange(const PendingExchange&) = delete;
+  PendingExchange& operator=(const PendingExchange&) = delete;
+
+  /// Take the receives and unpack.  A no-op on an inactive handle.
+  void finish() {
+    if (take_) {
+      const Context::Take take = std::exchange(take_, nullptr);
+      ctx_->finish_exchange(stamp_, window_start_, take);
+    }
+  }
+
+  /// True while the exchange is open (begun, finish() not yet called).
+  [[nodiscard]] bool active() const { return static_cast<bool>(take_); }
+
+ private:
+  Context* ctx_ = nullptr;
+  std::uint32_t stamp_ = 0;  // this exchange's begin stamp on ctx_
+  double window_start_ = 0.0;
+  Context::Take take_;
 };
 
 }  // namespace kali

@@ -28,22 +28,25 @@
 // of the ~2(n-1) that naive per-peer issue order costs under contention
 // (every member hammering the same low-ranked ejection ports first).
 //
-// Every dense exchange puts its per-peer messages in round order with
-// round_sort().  The blocking ones — the cyclic binner behind redistribute
-// and copy_strided_dim on cyclic layouts, the corner-mode halo exchange,
-// all_gather and the inspector — issue them through issue_exchange().  The
-// split-phase box exchange (detail::exchange_begin, runtime/redistribute.hpp)
-// behind every box-layout redistribute, copy_strided_dim and pipelined line
-// pass fires its sends in round order and takes its receives in one batch
-// when it finishes.  IssueOrder::kPeerOrder keeps the raw enumeration order
-// instead: the naive baseline bench_redistribute measures the schedule
-// against.
+// Every dense exchange — the box exchange and the cyclic binner behind
+// redistribute and copy_strided_dim, the corner-mode halo exchange, the
+// dense all_gather and both inspector passes — runs through one primitive,
+// detail::exchange_begin(): it puts the per-peer messages in round order
+// with round_sort(), fires the sends, and returns a PendingExchange whose
+// finish() takes every receive in one Context::recv_batch.  So the machine
+// has one charge rule (each receive, then its unpack, in canonical
+// (send_time, src, seq) order), and the blocking forms are
+// _begin(...).finish().  IssueOrder::kPeerOrder keeps the raw enumeration
+// order instead: the naive baseline bench_redistribute measures the
+// schedule against.
 #pragma once
 
 #include <algorithm>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "machine/context.hpp"
 #include "machine/event_log.hpp"
 #include "support/check.hpp"
 
@@ -168,33 +171,39 @@ void round_sort(std::vector<std::pair<int, Payload>>& msgs,
                    });
 }
 
-/// The issue-order dispatch of the blocking dense exchanges (the cyclic
-/// binner behind redistribute and copy_strided_dim_binned, the corner-mode
-/// halo exchange, collectives all_gather, the inspector): sort and fire all
-/// sends, charge the pack compute, then drain all receives and charge the
-/// unpack compute.  Box exchanges are split-phase instead
-/// (detail::exchange_begin) and call round_sort themselves.
-/// `charge_sends`/`charge_recvs` are thunks so each caller keeps its own
-/// accounting; on a member with nothing to send or receive the
-/// corresponding steps are no-ops (compute(0) included).
-template <class Out, class In, class SendFn, class RecvFn, class ChargeS,
-          class ChargeR>
-void issue_exchange(std::span<const int> members, int self_rank,
-                    std::vector<std::pair<int, Out>>& out,
-                    std::vector<std::pair<int, In>>& in, SendFn&& send_one,
-                    RecvFn&& recv_one, ChargeS&& charge_sends,
-                    ChargeR&& charge_recvs,
-                    IssueOrder order = IssueOrder::kRoundSchedule) {
-  round_sort(out, members, self_rank, order);
-  for (auto& [rank, payload] : out) {
-    send_one(rank, payload);
+/// The one dense-exchange primitive: fire one `tag` message per entry of
+/// `out` — (machine rank, what to send) — in round order within the
+/// sorted communicator `members`, each payload the span `pack(what)`
+/// returns, and return the open exchange receiving one message per entry
+/// of `in` — (machine rank, where it goes).  Its finish() is one
+/// recv_batch that hands each message's values to `unpack(where, values)`,
+/// which returns the element count charged for the unpack.  The wire
+/// window opens before the first send; the caller charges its pack and any
+/// local copy after this returns, inside the window.  Self-messages must
+/// have been peeled off into local copies before this point.
+template <class T, class Out, class In, class Pack, class Unpack>
+[[nodiscard]] PendingExchange exchange_begin(
+    Context& ctx, std::span<const int> members, int tag,
+    std::vector<std::pair<int, Out>> out, std::vector<std::pair<int, In>> in,
+    Pack&& pack, Unpack unpack,
+    IssueOrder order = IssueOrder::kRoundSchedule) {
+  const double window_start = ctx.clock();
+  round_sort(out, members, ctx.rank(), order);
+  for (const auto& [rank, what] : out) {
+    ctx.send_span<T>(rank, tag, pack(what));
   }
-  charge_sends();
-  round_sort(in, members, self_rank, order);
-  for (auto& [rank, payload] : in) {
-    recv_one(rank, payload);
+  round_sort(in, members, ctx.rank(), order);
+  std::vector<RecvLane> lanes;
+  lanes.reserve(in.size());
+  for (const auto& e : in) {
+    lanes.push_back({e.first, tag});
   }
-  charge_recvs();
+  return PendingExchange(
+      ctx, window_start, lanes,
+      [in = std::move(in), unpack = std::move(unpack)](std::size_t i,
+                                                       Message m) {
+        return unpack(in[i].second, payload_values<T>(std::move(m)));
+      });
 }
 
 }  // namespace detail

@@ -36,7 +36,7 @@
 #include "machine/collectives.hpp"
 #include "machine/context.hpp"
 #include "machine/message.hpp"   // kTagHaloBase (reserved-tag registry)
-#include "machine/schedule.hpp"  // corner-mode halo issues through rounds
+#include "machine/schedule.hpp"  // corner-mode halo: detail::exchange_begin
 #include "runtime/distribution.hpp"
 #include "runtime/proc_view.hpp"
 
@@ -76,70 +76,6 @@ template <class T>
   }
   return v;
 }
-
-/// Handle of an in-flight exchange, returned by
-/// DistArray::exchange_halo_begin and by the _begin forms of
-/// runtime/redistribute.hpp and runtime/remap.hpp: every send is on the
-/// wire, and the pack compute (plus any self-overlap copy) has been charged
-/// inside the wire window.  Run whatever local work should hide the wire,
-/// then finish(): one Context::recv_batch over the exchange's lanes that
-/// charges each receive and then its unpack, in canonical (send_time, src,
-/// seq) order.  The blocking forms are _begin(...).finish().  The arrays
-/// and the Context must outlive the handle.
-///
-/// Move-only, since a copy would finish the same receives twice; a
-/// moved-from handle is inactive.  Receives match FIFO per (src, tag) lane
-/// and open exchanges may share lanes, so every build fails with a
-/// kali::Error when an exchange finishes while an older open one shares
-/// one of its lanes, when another receive would take an open exchange's
-/// lane, and when the rank program returns with an exchange still open
-/// (Machine::run).
-class PendingExchange {
- public:
-  PendingExchange() = default;
-
-  /// Built by the _begin forms once their sends are out: opens an exchange
-  /// on `ctx` whose wire window began at `window_start`, receiving on
-  /// `lanes`; finish() hands lane i's message to `take`.
-  PendingExchange(Context& ctx, double window_start,
-                  std::span<const RecvLane> lanes, Context::Take take)
-      : ctx_(&ctx),
-        stamp_(ctx.begin_exchange(lanes)),
-        window_start_(window_start),
-        take_(std::move(take)) {}
-
-  PendingExchange(PendingExchange&& o) noexcept
-      : ctx_(std::exchange(o.ctx_, nullptr)),
-        stamp_(o.stamp_),
-        window_start_(o.window_start_),
-        take_(std::exchange(o.take_, nullptr)) {}
-  PendingExchange& operator=(PendingExchange&& o) noexcept {
-    ctx_ = std::exchange(o.ctx_, nullptr);
-    stamp_ = o.stamp_;
-    window_start_ = o.window_start_;
-    take_ = std::exchange(o.take_, nullptr);
-    return *this;
-  }
-  PendingExchange(const PendingExchange&) = delete;
-  PendingExchange& operator=(const PendingExchange&) = delete;
-
-  /// Take the receives and unpack.  A no-op on an inactive handle.
-  void finish() {
-    if (take_) {
-      const Context::Take take = std::exchange(take_, nullptr);
-      ctx_->finish_exchange(stamp_, window_start_, take);
-    }
-  }
-
-  /// True while the exchange is open (begun, finish() not yet called).
-  [[nodiscard]] bool active() const { return static_cast<bool>(take_); }
-
- private:
-  Context* ctx_ = nullptr;
-  std::uint32_t stamp_ = 0;  // this exchange's begin stamp on ctx_
-  double window_start_ = 0.0;
-  Context::Take take_;
-};
 
 template <class T, int R>
 class DistArray {
@@ -441,13 +377,25 @@ class DistArray {
   }
 
   /// Exchange ghost margins with grid neighbours along every block dim with
-  /// halo > 0.  Collective over the view.
+  /// halo > 0: exchange_halo_begin(corners, order).finish().  Collective
+  /// over the view.
+  void exchange_halo(HaloCorners corners = HaloCorners::kNo,
+                     IssueOrder order = IssueOrder::kRoundSchedule) {
+    exchange_halo_begin(corners, order).finish();
+  }
+
+  /// Split-phase halo exchange: fires the sends and returns without
+  /// receiving.  Between begin and finish() the owner may compute on
+  /// anything except the ghost cells (the interior of the owned slab in
+  /// particular) — that work runs while the wire drains, which is the
+  /// entire point; doall_overlap (runtime/doall.hpp) runs a stencil loop
+  /// that way.  finish() must run before the ghosts are read and before the
+  /// rank program returns; see PendingExchange.
   ///
   /// HaloCorners::kNo (default): faces cover the owned extent of the other
   /// dims; all sends are posted before any receive — one latency round,
   /// exactly the message pattern of the hand-coded Listing 2.  Sufficient
-  /// for star-shaped stencils (all of the paper's algorithms).  This is
-  /// exchange_halo_begin().finish().
+  /// for star-shaped stencils (all of the paper's algorithms).
   ///
   /// HaloCorners::kYes: diagonal corner ghosts are valid afterwards too
   /// (needed for 9-point-style stencils).  One *single scheduled exchange*
@@ -455,36 +403,22 @@ class DistArray {
   /// vector delta in {-1, 0, +1}^R names one ghost region, sourced straight
   /// from the rank delta away (along the dims that have a neighbour; at a
   /// domain boundary the same-coordinate rank's frame margin is sourced
-  /// instead, which is what the old serialized dimension rounds propagated
-  /// into the out-of-domain corners).  Cell contents are bit-identical to
-  /// the former per-dim implementation, but the messages now issue through
-  /// the round-structured CommSchedule (machine/schedule.hpp) in one round
+  /// instead, which is what serialized dimension rounds would propagate
+  /// into the out-of-domain corners).  The messages issue through the
+  /// round-structured CommSchedule (machine/schedule.hpp) in one round
   /// trip instead of R serialized rounds, one kTagHaloCornerPack message
-  /// per peer.  `order` selects the issue order under link contention
+  /// per peer.  `order` selects that issue order under link contention
   /// (kPeerOrder is the naive baseline); it is ignored in face mode.
-  void exchange_halo(HaloCorners corners = HaloCorners::kNo,
-                     IssueOrder order = IssueOrder::kRoundSchedule) {
-    if (corners == HaloCorners::kNo) {
-      exchange_halo_begin().finish();
-    } else if (member_) {
-      require_halo_fits();
-      exchange_halo_corners(order);
-    }
-  }
-
-  /// Split-phase form of the face-mode halo exchange: fires the sends and
-  /// returns without receiving.  Between begin and finish() the owner may
-  /// compute on anything except the ghost cells (the interior of the owned
-  /// slab in particular) — that work runs while the wire drains, which is
-  /// the entire point; doall_overlap (runtime/doall.hpp) runs a stencil
-  /// loop that way.  finish() must run before the ghosts are read and
-  /// before the rank program returns; see PendingExchange.  Corner mode
-  /// has no split-phase form; use exchange_halo(HaloCorners::kYes) there.
-  [[nodiscard]] PendingExchange exchange_halo_begin() {
+  [[nodiscard]] PendingExchange exchange_halo_begin(
+      HaloCorners corners = HaloCorners::kNo,
+      IssueOrder order = IssueOrder::kRoundSchedule) {
     if (!member_) {
       return {};
     }
     require_halo_fits();
+    if (corners == HaloCorners::kYes) {
+      return corner_halo_begin(order);
+    }
     // The in-flight window opens before the first send, so all wire time
     // is eligible for hiding.
     const double window_start = ctx_->clock();
@@ -873,19 +807,35 @@ class DistArray {
   /// dim, the receiver either sits at coord - delta_d (E, gets my owned
   /// face) or at my own coordinate with no rank beyond it (U, gets my
   /// frame margin) — every valid combination with at least one E choice is
-  /// a receiver.  Both ends enumerate delta codes ascending and issue
-  /// through detail::issue_exchange, so the whole exchange is one
-  /// round-scheduled trip instead of R serialized dimension rounds, and no
-  /// member ever messages itself.  A peer's pieces travel concatenated — in
-  /// that shared ascending-code order, so no per-piece header is needed —
-  /// as one kTagHaloCornerPack message per peer.
-  void exchange_halo_corners(IssueOrder order) {
+  /// a receiver.  Both ends enumerate delta codes ascending and begin one
+  /// detail::exchange_begin, so the whole exchange is one round-scheduled
+  /// trip instead of R serialized dimension rounds, and no member ever
+  /// messages itself.  A peer's pieces travel concatenated — in that
+  /// shared ascending-code order, so no per-piece header is needed — as
+  /// one kTagHaloCornerPack message per peer.  The pack is charged inside
+  /// the wire window.
+  PendingExchange corner_halo_begin(IssueOrder order) {
     struct Piece {
       GIndex<R> lo{};  ///< slab-relative box, hi exclusive
       GIndex<R> hi{};
     };
-    std::vector<std::pair<int, Piece>> out;
-    std::vector<std::pair<int, Piece>> in;
+    // Each endpoint's pieces grouped by peer, in ascending-code order.  A
+    // pair exchanges at most one piece per code (distinct masks name
+    // distinct receiver coordinates), so both sides agree on the
+    // concatenation order and the receiver can split the pack by its known
+    // piece volumes alone.
+    using ByPeer = std::vector<std::pair<int, std::vector<Piece>>>;
+    ByPeer out;
+    ByPeer in;
+    auto add = [](ByPeer& grouped, int rank, const Piece& piece) {
+      for (auto& [r, pieces] : grouped) {
+        if (r == rank) {
+          pieces.push_back(piece);
+          return;
+        }
+      }
+      grouped.emplace_back(rank, std::vector<Piece>{piece});
+    };
 
     int ncodes = 1;
     for (int d = 0; d < R; ++d) {
@@ -935,7 +885,7 @@ class DistArray {
           }
         }
         if (any_e && !empty) {
-          in.emplace_back(view_.rank_of(coord), p);
+          add(in, view_.rank_of(coord), p);
         }
       }
 
@@ -975,77 +925,50 @@ class DistArray {
           }
         }
         if (valid && any_e && !empty) {
-          out.emplace_back(view_.rank_of(coord), p);
+          add(out, view_.rank_of(coord), p);
         }
       }
     }
-
-    // Group each endpoint's pieces by peer, preserving the ascending-code
-    // build order above.  A pair exchanges at most one piece per code
-    // (distinct masks name distinct receiver coordinates), so both sides
-    // agree on the concatenation order and the receiver can split the pack
-    // by its known piece volumes alone.
-    std::vector<std::pair<int, std::vector<Piece>>> gout;
-    std::vector<std::pair<int, std::vector<Piece>>> gin;
-    auto group = [](const std::vector<std::pair<int, Piece>>& flat,
-                    std::vector<std::pair<int, std::vector<Piece>>>& grouped) {
-      for (const auto& [rank, piece] : flat) {
-        std::vector<Piece>* bucket = nullptr;
-        for (auto& e : grouped) {
-          if (e.first == rank) {
-            bucket = &e.second;
-            break;
-          }
-        }
-        if (bucket == nullptr) {
-          grouped.emplace_back(rank, std::vector<Piece>{});
-          bucket = &grouped.back().second;
-        }
-        bucket->push_back(piece);
-      }
-    };
-    group(out, gout);
-    group(in, gin);
 
     std::vector<int> members = view_.ranks();
     std::sort(members.begin(), members.end());
     std::vector<T> buf;
     double packed = 0;
-    double unpacked = 0;
-    auto send_one = [&](int rank, const std::vector<Piece>& pieces) {
-      buf.clear();
-      for (const Piece& p : pieces) {
-        visit_rel_box(p.lo, p.hi, [&](const GIndex<R>& rel) {
-          buf.push_back((*store_)[static_cast<std::size_t>(rel_flat(rel))]);
-        });
-      }
-      ctx_->send_span<T>(rank, kTagHaloCornerPack, std::span<const T>(buf));
-      packed += static_cast<double>(buf.size());
-    };
-    auto recv_one = [&](int rank, const std::vector<Piece>& pieces) {
-      auto vals = ctx_->recv_vec<T>(rank, kTagHaloCornerPack);
-      std::size_t total = 0;
-      for (const Piece& p : pieces) {
-        std::size_t volume = 1;
-        for (int d = 0; d < R; ++d) {
-          const auto ud = static_cast<std::size_t>(d);
-          volume *= static_cast<std::size_t>(p.hi[ud] - p.lo[ud]);
-        }
-        total += volume;
-      }
-      KALI_CHECK(vals.size() == total, "corner halo pack size mismatch");
-      std::size_t k = 0;
-      for (const Piece& p : pieces) {
-        visit_rel_box(p.lo, p.hi, [&](const GIndex<R>& rel) {
-          (*store_)[static_cast<std::size_t>(rel_flat(rel))] = vals[k++];
-        });
-      }
-      unpacked += static_cast<double>(k);
-    };
-    detail::issue_exchange(
-        members, ctx_->rank(), gout, gin, send_one, recv_one,
-        [&] { ctx_->compute(packed); }, [&] { ctx_->compute(unpacked); },
+    PendingExchange ex = detail::exchange_begin<T>(
+        *ctx_, members, kTagHaloCornerPack, std::move(out), std::move(in),
+        [&](const std::vector<Piece>& pieces) {
+          buf.clear();
+          for (const Piece& p : pieces) {
+            visit_rel_box(p.lo, p.hi, [&](const GIndex<R>& rel) {
+              buf.push_back(
+                  (*store_)[static_cast<std::size_t>(rel_flat(rel))]);
+            });
+          }
+          packed += static_cast<double>(buf.size());
+          return std::span<const T>(buf);
+        },
+        [this](const std::vector<Piece>& pieces, const std::vector<T>& vals) {
+          std::size_t total = 0;
+          for (const Piece& p : pieces) {
+            std::size_t volume = 1;
+            for (int d = 0; d < R; ++d) {
+              const auto ud = static_cast<std::size_t>(d);
+              volume *= static_cast<std::size_t>(p.hi[ud] - p.lo[ud]);
+            }
+            total += volume;
+          }
+          KALI_CHECK(vals.size() == total, "corner halo pack size mismatch");
+          std::size_t k = 0;
+          for (const Piece& p : pieces) {
+            visit_rel_box(p.lo, p.hi, [&](const GIndex<R>& rel) {
+              (*store_)[static_cast<std::size_t>(rel_flat(rel))] = vals[k++];
+            });
+          }
+          return static_cast<double>(k);
+        },
         order);
+    ctx_->compute(packed);
+    return ex;
   }
 
   Context* ctx_ = nullptr;

@@ -7,9 +7,10 @@
 // which global indices each processor wants, builds a reusable
 // communication schedule, and the *executor* replays it cheaply every
 // iteration.  Both passes are pairwise exchanges over the view's ranks,
-// issued in round order through detail::issue_exchange like every other
-// dense exchange in the runtime; their tags are registered in the runtime
-// band of machine/message.hpp.
+// begun in round order through detail::exchange_begin (machine/schedule.hpp)
+// like every other dense exchange in the runtime and finished by its one
+// batched receive; their tags are registered in the runtime band of
+// machine/message.hpp.
 //
 // Pairs with nothing to say are skipped entirely: the inspector
 // all_gathers a tiny presence matrix (one byte per peer pair) so both
@@ -78,8 +79,7 @@ class GatherPlan {
         ctx, g, std::span<const std::uint8_t>(presence));
     const std::size_t my_pi = static_cast<std::size_t>(g.index());
 
-    // Exchange the non-empty request lists pairwise (self handled locally),
-    // issued through the shared schedule dispatch.
+    // Exchange the non-empty request lists pairwise (self handled locally).
     plan.send_indices_.assign(np, {});
     const std::vector<int> members = detail::union_members(plan.peers_, {});
     std::vector<std::pair<int, std::size_t>> out;
@@ -96,15 +96,14 @@ class GatherPlan {
         in.emplace_back(plan.peers_[pi], pi);
       }
     }
-    auto send_one = [&](int rank, std::size_t pi) {
-      ctx.send_span<int>(rank, kTagInspReq,
-                         std::span<const int>(requests[pi]));
-    };
-    auto recv_one = [&](int rank, std::size_t pi) {
-      plan.send_indices_[pi] = ctx.recv_vec<int>(rank, kTagInspReq);
-    };
-    detail::issue_exchange(members, plan.self_rank_, out, in, send_one,
-                           recv_one, [] {}, [] {});
+    detail::exchange_begin<int>(
+        ctx, members, kTagInspReq, std::move(out), std::move(in),
+        [&](std::size_t pi) { return std::span<const int>(requests[pi]); },
+        [&](std::size_t pi, std::vector<int> idxs) {
+          plan.send_indices_[pi] = std::move(idxs);
+          return 0.0;  // the inspector's index math is charged above
+        })
+        .finish();
     plan.recv_slots_ = std::move(slots);
     return plan;
   }
@@ -121,18 +120,6 @@ class GatherPlan {
     Context& ctx = A.context();
     const std::size_t np = peers_.size();
 
-    // Self-requests are local copies, charged like a peer unpack.
-    for (std::size_t pi = 0; pi < np; ++pi) {
-      if (peers_[pi] != self_rank_) {
-        continue;
-      }
-      const auto& spots = recv_slots_[pi];
-      for (std::size_t k = 0; k < spots.size(); ++k) {
-        result[spots[k]] = A.at({send_indices_[pi][k]});
-      }
-      ctx.compute(static_cast<double>(spots.size()));
-    }
-
     // Only pairs with traffic: send_indices_[pi] is non-empty exactly when
     // peer pi's request list reached us in the inspector (their presence
     // bit), and recv_slots_[pi] exactly when we requested from pi — the two
@@ -140,8 +127,10 @@ class GatherPlan {
     const std::vector<int> members = detail::union_members(peers_, {});
     std::vector<std::pair<int, std::size_t>> out;
     std::vector<std::pair<int, std::size_t>> in;
+    std::size_t self_pi = np;
     for (std::size_t pi = 0; pi < np; ++pi) {
       if (peers_[pi] == self_rank_) {
+        self_pi = pi;
         continue;
       }
       if (!send_indices_[pi].empty()) {
@@ -153,27 +142,35 @@ class GatherPlan {
     }
     std::vector<T> buf;
     double packed = 0;
-    double unpacked = 0;
-    auto send_one = [&](int rank, std::size_t pi) {
-      buf.clear();
-      for (int g : send_indices_[pi]) {
-        buf.push_back(A.at({g}));
-      }
-      ctx.send_span<T>(rank, kTagInspData, std::span<const T>(buf));
-      packed += static_cast<double>(buf.size());
-    };
-    auto recv_one = [&](int rank, std::size_t pi) {
-      auto vals = ctx.recv_vec<T>(rank, kTagInspData);
-      const auto& spots = recv_slots_[pi];
-      KALI_CHECK(vals.size() == spots.size(), "executor size mismatch");
+    PendingExchange ex = detail::exchange_begin<T>(
+        ctx, members, kTagInspData, std::move(out), std::move(in),
+        [&](std::size_t pi) {
+          buf.clear();
+          for (int g : send_indices_[pi]) {
+            buf.push_back(A.at({g}));
+          }
+          packed += static_cast<double>(buf.size());
+          return std::span<const T>(buf);
+        },
+        [&](std::size_t pi, const std::vector<T>& vals) {
+          const auto& spots = recv_slots_[pi];
+          KALI_CHECK(vals.size() == spots.size(), "executor size mismatch");
+          for (std::size_t k = 0; k < spots.size(); ++k) {
+            result[spots[k]] = vals[k];
+          }
+          return static_cast<double>(spots.size());
+        });
+    ctx.compute(packed);
+    // Self-requests are local copies inside the wire window, charged like
+    // a peer unpack.
+    if (self_pi < np) {
+      const auto& spots = recv_slots_[self_pi];
       for (std::size_t k = 0; k < spots.size(); ++k) {
-        result[spots[k]] = vals[k];
+        result[spots[k]] = A.at({send_indices_[self_pi][k]});
       }
-      unpacked += static_cast<double>(spots.size());
-    };
-    detail::issue_exchange(
-        members, self_rank_, out, in, send_one, recv_one,
-        [&] { ctx.compute(packed); }, [&] { ctx.compute(unpacked); });
+      ctx.compute(static_cast<double>(spots.size()));
+    }
+    ex.finish();
     return result;
   }
 

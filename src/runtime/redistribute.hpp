@@ -22,8 +22,8 @@
 //    independent of both the element count and the machine size — and
 //    payloads are packed as contiguous row-major slabs.  It is the identity
 //    case of detail::BoxCopy, whose one planner (plan_exchange) and one
-//    split-phase path (exchange_begin) copy_strided_dim (runtime/remap.hpp)
-//    shares; the blocking redistribute() finishes that exchange at once.
+//    begin (box_exchange_begin) copy_strided_dim (runtime/remap.hpp)
+//    shares.
 //
 //  * Per-dim owner binning (any cyclic/block-cyclic dim): each side walks
 //    its own elements once, computing the unique opposite owner rank in
@@ -31,15 +31,19 @@
 //    peer.  O(local n + peers) — never the O(local n × P) all-pairs
 //    ownership scan of the original implementation, which survives only as
 //    the test oracle tests/oracles/redistribute_reference.hpp.  It is the
-//    identity case of detail::exchange_binned, the one cyclic binner that
-//    copy_strided_dim shares too.
+//    identity case of detail::binned_exchange_begin, the one cyclic binner
+//    that copy_strided_dim shares too.
+//
+// Both paths are split-phase on the one primitive of machine/schedule.hpp
+// (detail::exchange_begin): redistribute_begin() picks the path, and the
+// blocking redistribute() is redistribute_begin(...).finish().
 //
 // A rank's overlap with *itself* never touches the network: all paths peel
-// the self-intersection off into a direct local copy (one op per element)
-// before any message is issued — a self-message would charge send/recv
-// overhead plus wire latency for data the rank already owns, and
-// MachineStats::self_msgs(kTagRedistData) lets tests assert none slip
-// through.
+// the self-intersection off into a direct local copy (one op per element),
+// made inside the wire window once the sends are out — a self-message
+// would charge send/recv overhead plus wire latency for data the rank
+// already owns, and MachineStats::self_msgs(kTagRedistData) lets tests
+// assert none slip through.
 //
 // A line pass and the redistribution after it — fft2's row FFTs and its
 // transpose, an ADI sweep and its direction switch — pipeline through
@@ -54,7 +58,7 @@
 // communicators, latin-square ordering otherwise), so each round is a
 // perfect matching over the union of the two views and, with
 // MachineConfig::link_contention, no injection or ejection link is
-// oversubscribed.  The blocking redistribute() also takes
+// oversubscribed.  redistribute() and redistribute_begin() also take
 // IssueOrder::kPeerOrder, which keeps the raw enumeration order: the naive
 // baseline bench_redistribute compares the schedule against.
 #pragma once
@@ -443,63 +447,52 @@ double copy_self(const DistArray<T, R>& src, DistArray<T, R>& dst,
   return static_cast<double>(p.self->volume());
 }
 
-/// A planned exchange: fire the sends in round order (raw enumeration
-/// order under kPeerOrder), charge the pack compute, copy and charge the
-/// self-overlap inside the wire window, and return a handle whose finish()
-/// takes every incoming slab in one batched receive and unpacks it
-/// straight from the payloads.  The blocking forms finish it at once.
+/// A planned box exchange begun: the sends fired in round order (raw
+/// enumeration order under kPeerOrder), the pack and the self-overlap copy
+/// charged inside the wire window; finish() unpacks each incoming slab
+/// straight from its payload.
 template <class T, int R>
-[[nodiscard]] PendingExchange exchange_begin(
+[[nodiscard]] PendingExchange box_exchange_begin(
     Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst,
     const BoxCopy& c, ExchangePlan<R> p,
     IssueOrder order = IssueOrder::kRoundSchedule) {
   if (p.members.empty()) {
     return {};
   }
-  const double window_start = ctx.clock();
-  round_sort(p.out, p.members, ctx.rank(), order);
   std::vector<T> buf;
   double packed = 0;
-  for (const auto& [rank, slab] : p.out) {
-    pack_slab(src, c, slab, buf);
-    // kali-lint: allow(raw-exchange) — finish() takes the receives in one
-    // recv_batch, so there is no recv_one closure to pair with.
-    ctx.send_span<T>(rank, c.tag, std::span<const T>(buf));
-    packed += static_cast<double>(buf.size());
-  }
+  PendingExchange ex = exchange_begin<T>(
+      ctx, p.members, c.tag, std::move(p.out), std::move(p.in),
+      [&](const Box<R>& slab) {
+        pack_slab(src, c, slab, buf);
+        packed += static_cast<double>(buf.size());
+        return std::span<const T>(buf);
+      },
+      [&dst, c](const Box<R>& slab, const std::vector<T>& vals) {
+        return unpack_slab(dst, c, slab, std::span<const T>(vals));
+      },
+      order);
   ctx.compute(packed);
   ctx.compute(copy_self(src, dst, c, p));
-
-  round_sort(p.in, p.members, ctx.rank(), order);
-  std::vector<RecvLane> lanes;
-  lanes.reserve(p.in.size());
-  for (const auto& [rank, slab] : p.in) {
-    lanes.push_back({rank, c.tag});
-  }
-  return PendingExchange(
-      ctx, window_start, lanes,
-      [&dst, c, in = std::move(p.in)](std::size_t i, Message m) {
-        const std::vector<T> vals = payload_values<T>(std::move(m));
-        return unpack_slab(dst, c, in[i].second, std::span<const T>(vals));
-      });
+  return ex;
 }
 
 /// The cyclic binner behind every exchange with a cyclic or block-cyclic
-/// dim: the BoxCopy's transfer on any layouts.  Each side walks its own
-/// elements once in row-major order, keeps those inside the strided
+/// dim, begun: the BoxCopy's transfer on any layouts.  Each side walks its
+/// own elements once in row-major order, keeps those inside the strided
 /// transfer set and bins them by the unique opposite owner (O(R) per
 /// element), so the per-peer value sequences agree element for element
-/// without index metadata or a count exchange.  Elements whose source and
-/// destination owner are both this rank are copied locally and charged
-/// with the final unpack.
+/// without index metadata or a count exchange.  The bins go out as they
+/// are, charged as the pack; elements whose source and destination owner
+/// are both this rank are then copied locally inside the wire window.
 template <class T, int R>
-void exchange_binned(Context& ctx, const DistArray<T, R>& src,
-                     DistArray<T, R>& dst, const BoxCopy& c,
-                     IssueOrder order = IssueOrder::kRoundSchedule) {
+[[nodiscard]] PendingExchange binned_exchange_begin(
+    Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst,
+    const BoxCopy& c, IssueOrder order = IssueOrder::kRoundSchedule) {
   const bool in_src = src.participating();
   const bool in_dst = dst.participating();
   if (c.count == 0 || (!in_src && !in_dst)) {
-    return;
+    return {};
   }
   const auto ud = static_cast<std::size_t>(c.dim);
   // Step t of a global index along dim under (off, stride), or -1 when the
@@ -513,7 +506,7 @@ void exchange_binned(Context& ctx, const DistArray<T, R>& src,
 
   std::vector<std::pair<int, std::vector<T>>> out;
   std::vector<std::pair<int, std::vector<GIndex<R>>>> in;
-  double unpacked = 0;
+  std::vector<GIndex<R>> self;  // destination indices copied locally
   if (in_src) {
     const std::vector<int> dst_ranks = dst.view().ranks();
     const std::size_t self_di =
@@ -543,48 +536,59 @@ void exchange_binned(Context& ctx, const DistArray<T, R>& src,
     std::vector<std::vector<GIndex<R>>> expect(src_ranks.size());
     dst.for_each_owned([&](GIndex<R> g) {
       const int t = step_of(g[ud], c.d_off, c.d_stride);
-      if (t < 0) {
-        return;
+      if (t >= 0) {
+        GIndex<R> gs = g;
+        gs[ud] = c.s_off + t * c.s_stride;
+        expect[owner_index(src, gs)].push_back(g);
       }
-      GIndex<R> gs = g;
-      gs[ud] = c.s_off + t * c.s_stride;
-      expect[owner_index(src, gs)].push_back(g);
     });
     for (std::size_t pi = 0; pi < expect.size(); ++pi) {
-      if (expect[pi].empty()) {
-        continue;
-      }
       if (src_ranks[pi] == ctx.rank()) {
-        // Self-overlap: both owners are this rank — local copy.
-        for (const GIndex<R>& g : expect[pi]) {
-          GIndex<R> gs = g;
-          gs[ud] = c.s_off + step_of(g[ud], c.d_off, c.d_stride) * c.s_stride;
-          dst.at(g) = src.at(gs);
-        }
-        unpacked += static_cast<double>(expect[pi].size());
-        continue;
+        self = std::move(expect[pi]);
+      } else if (!expect[pi].empty()) {
+        in.emplace_back(src_ranks[pi], std::move(expect[pi]));
       }
-      in.emplace_back(src_ranks[pi], std::move(expect[pi]));
     }
   }
   double packed = 0;
-  auto send_one = [&](int rank, const std::vector<T>& vals) {
-    ctx.send_span<T>(rank, c.tag, std::span<const T>(vals));
-    packed += static_cast<double>(vals.size());
-  };
-  auto recv_one = [&](int rank, const std::vector<GIndex<R>>& idxs) {
-    auto vals = ctx.recv_vec<T>(rank, c.tag);
-    KALI_CHECK(vals.size() == idxs.size(),
-               std::string(c.what) + ": bin size mismatch");
-    for (std::size_t k = 0; k < vals.size(); ++k) {
-      dst.at(idxs[k]) = vals[k];
-    }
-    unpacked += static_cast<double>(vals.size());
-  };
-  issue_exchange(
-      union_members(src.view().ranks(), dst.view().ranks()), ctx.rank(), out,
-      in, send_one, recv_one, [&] { ctx.compute(packed); },
-      [&] { ctx.compute(unpacked); }, order);
+  PendingExchange ex = exchange_begin<T>(
+      ctx, union_members(src.view().ranks(), dst.view().ranks()), c.tag,
+      std::move(out), std::move(in),
+      [&](const std::vector<T>& vals) {
+        packed += static_cast<double>(vals.size());
+        return std::span<const T>(vals);
+      },
+      [&dst, what = c.what](const std::vector<GIndex<R>>& idxs,
+                            const std::vector<T>& vals) {
+        KALI_CHECK(vals.size() == idxs.size(),
+                   std::string(what) + ": bin size mismatch");
+        for (std::size_t k = 0; k < vals.size(); ++k) {
+          dst.at(idxs[k]) = vals[k];
+        }
+        return static_cast<double>(vals.size());
+      },
+      order);
+  ctx.compute(packed);
+  for (const GIndex<R>& g : self) {
+    GIndex<R> gs = g;
+    gs[ud] = c.s_off + step_of(g[ud], c.d_off, c.d_stride) * c.s_stride;
+    dst.at(g) = src.at(gs);
+  }
+  ctx.compute(static_cast<double>(self.size()));
+  return ex;
+}
+
+/// The one begin of a BoxCopy's transfer: the box exchange when both
+/// arrays have box layouts, the cyclic binner otherwise.
+template <class T, int R>
+[[nodiscard]] PendingExchange copy_begin(
+    Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst,
+    const BoxCopy& c, IssueOrder order = IssueOrder::kRoundSchedule) {
+  if (!box_eligible(src) || !box_eligible(dst)) {
+    return binned_exchange_begin(ctx, src, dst, c, order);
+  }
+  return box_exchange_begin(ctx, src, dst, c, plan_exchange(ctx, src, dst, c),
+                            order);
 }
 
 /// The identity BoxCopy of a redistribute from src to dst, walked along
@@ -628,39 +632,28 @@ std::pair<BoxCopy, ExchangePlan<R>> line_slice(BoxCopy c, ExchangePlan<R> p,
 
 }  // namespace detail
 
-/// Split-phase redistribute (box layouts only: block/star on every dim of
-/// both arrays): sends fired in round-schedule order, pack and self-overlap
-/// copy charged inside the wire window.  Run the work to hide, then
-/// finish(), which takes the receives in one batch.  See PendingExchange.
+/// Split-phase redistribute: copy src's contents into dst (same global
+/// extents, any distributions / views — the views may even be disjoint
+/// rank sets).  Collective over the union of both views' members.  Box
+/// layouts take the box exchange, cyclic layouts the binner; either way
+/// the sends are fired and the pack and self-overlap copy charged inside
+/// the wire window.  Run the work to hide, then finish(), which takes the
+/// receives in one batch.  See PendingExchange.  Remote messages are issued
+/// in round-schedule order by default; kPeerOrder keeps the raw
+/// enumeration order (the naive baseline under link contention).
 template <class T, int R>
-[[nodiscard]] PendingExchange redistribute_begin(Context& ctx,
-                                                 const DistArray<T, R>& src,
-                                                 DistArray<T, R>& dst) {
-  const detail::BoxCopy c = detail::redistribute_copy(src, dst);
-  KALI_CHECK(detail::box_eligible(src) && detail::box_eligible(dst),
-             "redistribute_begin: requires block/star layouts");
-  return detail::exchange_begin(ctx, src, dst, c,
-                                detail::plan_exchange(ctx, src, dst, c));
+[[nodiscard]] PendingExchange redistribute_begin(
+    Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst,
+    IssueOrder order = IssueOrder::kRoundSchedule) {
+  return detail::copy_begin(ctx, src, dst, detail::redistribute_copy(src, dst),
+                            order);
 }
 
-/// Copy src's contents into dst (same global extents, any distributions /
-/// views — the views may even be disjoint rank sets).  Collective over the
-/// union of both views' members.  Box layouts run redistribute_begin's
-/// exchange and finish it at once; cyclic layouts take the binner.  Remote
-/// messages are issued in round-schedule order by default; kPeerOrder
-/// keeps the raw enumeration order (the naive baseline under link
-/// contention).
+/// Blocking redistribute: redistribute_begin(...).finish().
 template <class T, int R>
 void redistribute(Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst,
                   IssueOrder order = IssueOrder::kRoundSchedule) {
-  const detail::BoxCopy c = detail::redistribute_copy(src, dst);
-  if (!detail::box_eligible(src) || !detail::box_eligible(dst)) {
-    detail::exchange_binned(ctx, src, dst, c, order);
-    return;
-  }
-  detail::exchange_begin(ctx, src, dst, c,
-                         detail::plan_exchange(ctx, src, dst, c), order)
-      .finish();
+  redistribute_begin(ctx, src, dst, order).finish();
 }
 
 /// A line pass pipelined into the redistribution after it: `line(r)` for
@@ -688,7 +681,8 @@ void redistribute_lines(Context& ctx, const DistArray<T, R>& src,
       line(r);
     }
     auto [c, p] = detail::line_slice(full, plan, k);
-    slices.push_back(detail::exchange_begin(ctx, src, dst, c, std::move(p)));
+    slices.push_back(
+        detail::box_exchange_begin(ctx, src, dst, c, std::move(p)));
   }
   for (PendingExchange& s : slices) {
     s.finish();

@@ -28,15 +28,17 @@
 //    boxes — so peers are enumerated in O(peers) from per-dim owner ranges
 //    and payloads are contiguous slabs, with no per-element owner lookups.
 //    It is a strided detail::BoxCopy (runtime/redistribute.hpp): one
-//    planner and one split-phase path (detail::exchange_begin), with or
-//    without the fused halo; each blocking form is its _begin form
-//    finished at once.
+//    planner and one begin (detail::box_exchange_begin), with or without
+//    the fused halo.
 //
 //  * Per-element owner binning (any cyclic/block-cyclic dim): each side
 //    walks its own elements once, computing the unique opposite owner in
-//    O(R) per element — detail::exchange_binned, the binner redistribute()
-//    shares.  Exposed as copy_strided_dim_binned(): the fallback for cyclic
-//    layouts and the differential-test oracle for the box path.
+//    O(R) per element — detail::binned_exchange_begin, the binner
+//    redistribute() shares.  Exposed as copy_strided_dim_binned(): the
+//    differential-test oracle for the box path.
+//
+// copy_strided_dim_begin() picks the path; each blocking form is its
+// _begin form finished at once.
 #pragma once
 
 #include <cstdint>
@@ -106,47 +108,40 @@ BoxCopy strided_box_copy(const char* what, const DistArray<T, R>& src,
 
 /// The owner-binning implementation of copy_strided_dim: each side walks
 /// its own elements once, computing the unique opposite owner per element.
-/// Handles every distribution kind; used directly by copy_strided_dim for
-/// cyclic/block-cyclic layouts and kept callable as the differential-test
-/// oracle for the box fast path.
+/// Handles every distribution kind; copy_strided_dim takes it for
+/// cyclic/block-cyclic layouts, and it stays callable as the
+/// differential-test oracle for the box fast path.
 template <class T, int R>
 void copy_strided_dim_binned(Context& ctx, const DistArray<T, R>& src,
                              DistArray<T, R>& dst, int dim, int s_stride,
                              int s_off, int d_stride, int d_off, int count) {
-  detail::exchange_binned(
+  detail::binned_exchange_begin(
+      ctx, src, dst,
+      detail::strided_copy("copy_strided_dim", src, dst, dim, s_stride, s_off,
+                           d_stride, d_off, count))
+      .finish();
+}
+
+/// Split-phase copy_strided_dim (any layouts: the box path when both
+/// arrays are block/star on every dim, the binner otherwise): sends fired,
+/// pack and self-overlap already charged inside the wire window; run the
+/// work to hide, then finish(), which takes the receives in one batch.
+/// See PendingExchange.
+template <class T, int R>
+[[nodiscard]] PendingExchange copy_strided_dim_begin(
+    Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst, int dim,
+    int s_stride, int s_off, int d_stride, int d_off, int count) {
+  return detail::copy_begin(
       ctx, src, dst,
       detail::strided_copy("copy_strided_dim", src, dst, dim, s_stride, s_off,
                            d_stride, d_off, count));
 }
 
-/// Split-phase copy_strided_dim (box layouts only): sends fired, pack and
-/// self-overlap already charged inside the wire window; run the work to
-/// hide, then finish(), which takes the receives in one batch.  See
-/// PendingExchange.
-template <class T, int R>
-[[nodiscard]] PendingExchange copy_strided_dim_begin(
-    Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst, int dim,
-    int s_stride, int s_off, int d_stride, int d_off, int count) {
-  const detail::BoxCopy c =
-      detail::strided_box_copy("copy_strided_dim", src, dst, dim, s_stride,
-                               s_off, d_stride, d_off, count,
-                               /*fuse_halo=*/false);
-  return detail::exchange_begin(ctx, src, dst, c,
-                                detail::plan_exchange(ctx, src, dst, c));
-}
-
-/// Blocking strided copy.  Box layouts (block/star on every dim of both
-/// arrays) are copy_strided_dim_begin(...).finish(); cyclic layouts fall
-/// back to the binned path.
+/// Blocking strided copy: copy_strided_dim_begin(...).finish().
 template <class T, int R>
 void copy_strided_dim(Context& ctx, const DistArray<T, R>& src,
                       DistArray<T, R>& dst, int dim, int s_stride, int s_off,
                       int d_stride, int d_off, int count) {
-  if (!detail::box_eligible(src) || !detail::box_eligible(dst)) {
-    copy_strided_dim_binned(ctx, src, dst, dim, s_stride, s_off, d_stride,
-                            d_off, count);
-    return;
-  }
   copy_strided_dim_begin(ctx, src, dst, dim, s_stride, s_off, d_stride, d_off,
                          count)
       .finish();
@@ -162,8 +157,8 @@ template <class T, int R>
       detail::strided_box_copy("copy_strided_dim_halo", src, dst, dim,
                                s_stride, s_off, d_stride, d_off, count,
                                /*fuse_halo=*/true);
-  return detail::exchange_begin(ctx, src, dst, c,
-                                detail::plan_exchange(ctx, src, dst, c));
+  return detail::box_exchange_begin(ctx, src, dst, c,
+                                    detail::plan_exchange(ctx, src, dst, c));
 }
 
 /// copy_strided_dim + dst.exchange_halo() fused into one scheduled exchange

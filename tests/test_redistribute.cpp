@@ -483,8 +483,9 @@ TEST(Redistribute, GeneralPathChargesLikeHandWrittenProgram) {
   // cyclic -> block_cyclic(3) on 8 ranks under port contention takes the
   // cyclic binner.  Its clocks and per-tag ledgers must equal this
   // hand-written program: bin by destination owner, send the non-empty
-  // bins in round order, charge the pack, receive in round order, then
-  // charge the unpack with the self copy included.
+  // bins in round order, charge the pack, copy and charge the self-overlap
+  // inside the wire window, then take the bins in one recv_batch (each
+  // receive, then its unpack).
   const int p = 8;
   const int n = 61;
   auto run = [&](auto prog) {
@@ -519,6 +520,7 @@ TEST(Redistribute, GeneralPathChargesLikeHandWrittenProgram) {
       }
     }
     const std::vector<int> peers = round_order(CommSchedule(p), me);
+    const double window_start = ctx.clock();
     double packed = 0;
     for (int q : peers) {
       const auto& bin = bins[static_cast<std::size_t>(q)];
@@ -528,15 +530,16 @@ TEST(Redistribute, GeneralPathChargesLikeHandWrittenProgram) {
       }
     }
     ctx.compute(packed);
-    double unpacked =
-        static_cast<double>(expect[static_cast<std::size_t>(me)]);
+    ctx.compute(static_cast<double>(expect[static_cast<std::size_t>(me)]));
+    std::vector<RecvLane> lanes;
     for (int q : peers) {
       if (expect[static_cast<std::size_t>(q)] > 0) {
-        unpacked += static_cast<double>(
-            ctx.recv_vec<double>(q, kTagRedistData).size());
+        lanes.push_back({q, kTagRedistData});
       }
     }
-    ctx.compute(unpacked);
+    ctx.recv_batch(lanes, window_start, [](std::size_t, Message m) {
+      return static_cast<double>(m.size_bytes() / sizeof(double));
+    });
   });
   EXPECT_EQ(got.clocks, want.clocks);
   for (std::size_t r = 0; r < got.per_proc.size(); ++r) {

@@ -25,10 +25,11 @@ compiler never checks.  This linter enforces the written rules:
                  cooperatively scheduled fibers, and stray OS-thread
                  machinery either breaks determinism or silently revives
                  the thread-per-rank model the scheduler replaced.
-  raw-exchange   In src/runtime/, ctx.send*/recv* calls must flow through
-                 detail::issue_exchange (i.e. live inside the send_one /
-                 recv_one closures it dispatches), so every dense exchange
-                 obeys the round-structured CommSchedule.
+  raw-exchange   No ctx.send*/recv* call in src/runtime/: every dense
+                 exchange goes through detail::exchange_begin
+                 (machine/schedule.hpp), so it obeys the round-structured
+                 CommSchedule and finishes in one batched receive.  A
+                 bounded-degree neighbour loop carries a reasoned waiver.
   collective-symmetry
                  In src/runtime/, src/kernels/, and src/solvers/, no
                  collective or barrier call (barrier/sync_clocks/
@@ -112,11 +113,10 @@ WALL_CLOCK_RES = (
     re.compile(r"(?<![\w:.])time\s*\(\s*(?:NULL|nullptr|0)?\s*\)"),
 )
 CTX_CALL_RE = re.compile(r"\bctx_?(?:\.|->)\s*(?:send|recv)\w*\s*(?:<[^()]*>)?\(")
-EXCHANGE_LAMBDA_RE = re.compile(r"\bauto\s+(send_one|recv_one)\s*=\s*\[")
 # A call into the collectives layer (or a collective-shaped runtime entry
-# point).  `gather` is anchored so `all_gather` is not double-counted and
-# `exchange_halo` does not swallow `exchange_halo_corners` (an internal
-# helper, not an entry point).
+# point).  `gather` is anchored so `all_gather` is not double-counted, and
+# the call parenthesis keeps `exchange_halo` from matching
+# `exchange_halo_begin`.
 COLLECTIVE_CALL_RE = re.compile(
     r"\b(?:barrier|sync_clocks|allreduce(?:_sum|_max)?|broadcast|reduce"
     r"|gather|all_gather|exchange_halo)\s*\(")
@@ -366,21 +366,12 @@ def lint_file(root, relpath, findings):
 
     # --- raw-exchange (runtime only) ----------------------------------------
     if layer == "runtime":
-        in_lambda_until_depth = None
-        depth = 0
         for i, line in enumerate(code):
-            starts_lambda = EXCHANGE_LAMBDA_RE.search(line)
-            if starts_lambda and in_lambda_until_depth is None:
-                in_lambda_until_depth = depth
-            if in_lambda_until_depth is None and CTX_CALL_RE.search(line):
+            if CTX_CALL_RE.search(line):
                 report(i, "raw-exchange",
                        "direct ctx send/recv in runtime code: dense "
-                       "exchanges must flow through detail::issue_exchange "
-                       "(send_one/recv_one closures)")
-            depth += line.count("{") - line.count("}")
-            if in_lambda_until_depth is not None and \
-                    depth <= in_lambda_until_depth and "}" in line:
-                in_lambda_until_depth = None
+                       "exchanges must go through detail::exchange_begin "
+                       "(machine/schedule.hpp)")
 
 
 def collect_sources(root):
