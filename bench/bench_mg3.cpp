@@ -102,7 +102,8 @@ int main() {
   Table t({"grid", "procs", "time/cycle", "zebra share", "util",
            "residual factors per cycle"});
   for (int n : {16, 32}) {
-    for (auto [px, py] : {std::pair{1, 1}, std::pair{2, 2}, std::pair{4, 2}}) {
+    for (auto [px, py] : {std::pair{1, 1}, std::pair{2, 2}, std::pair{4, 2},
+                          std::pair{4, 4}}) {
       Outcome o = run(px, py, n, cycles);
       std::string factors;
       for (std::size_t c = 1; c < o.residuals.size(); ++c) {

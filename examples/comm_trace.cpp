@@ -3,9 +3,10 @@
 // all_gather, a split-phase halo and a FIFO lane, one mg3 V-cycle, a line
 // pass pipelined into a transpose (several open exchanges on one lane), a
 // split-phase corner halo under a 9-point stencil and a split-phase
-// cyclic redistribution, and sync_clocks barriers — on 8 ranks with an
-// EventLog attached, then write
-// its message trace for the offline protocol verifier:
+// cyclic redistribution, a 16^3 mg3 V-cycle whose coarse z levels
+// agglomerate onto three of four processor columns, and sync_clocks
+// barriers — on 8 ranks with an EventLog attached, then write its message
+// trace for the offline protocol verifier:
 //
 //   build/comm_trace /tmp/run.trace
 //   tools/check_trace.py /tmp/run.trace
@@ -164,6 +165,18 @@ int main(int argc, char** argv) {
     auto ex = redistribute_begin(ctx, cyc, bcyc);
     ctx.compute(static_cast<double>(cyc.local_count(0)));
     ex.finish();
+    sync_clocks(ctx, everyone);
+
+    // Phase 9: one 16^3 mg3 V-cycle on a 2x4 grid.  Its 9-plane z level
+    // does not fit four columns, so the coarse levels agglomerate onto the
+    // first three and their plane solves run there side by side.
+    ProcView tall = ProcView::grid2(2, 4);
+    D3 v3(ctx, tall, {kMg + 1, kMg + 1, kMg + 1}, dists3, {0, 1, 1});
+    D3 g3(ctx, tall, {kMg + 1, kMg + 1, kMg + 1}, dists3);
+    g3.fill([&](std::array<int, 3> g) {
+      return rhs3(op, g[0] * op.hx, g[1] * op.hy, g[2] * op.hz);
+    });
+    mg3_cycle(op, v3, g3);
     sync_clocks(ctx, everyone);
   });
 

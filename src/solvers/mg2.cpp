@@ -15,6 +15,19 @@ bool coarsenable(int npts, int nprocs) {
   DimMap m(DimDist::block_dist(), npts, nprocs);
   return m.count(nprocs - 1) >= 1;
 }
+
+int agglomeration_width(int n, int nprocs) {
+  for (int c = nprocs - 1; c > 1; --c) {
+    bool fits = true;
+    for (int m = n; m >= 2 && fits; m /= 2) {
+      fits = coarsenable(m + 1, c);
+    }
+    if (fits) {
+      return c;
+    }
+  }
+  return 1;
+}
 }  // namespace detail
 
 void mg2_zebra_sweep(const Op2& op, DistArray2<double>& u,
@@ -123,6 +136,11 @@ void mg2_cycle(const Op2& op, DistArray2<double>& u, const DistArray2<double>& f
     // Block misalignment would leave a processor without rows: agglomerate
     // the correction problem A v = r onto one processor and run the
     // remaining levels there (standard practice on distributed memory).
+    // mg3 widens its z agglomeration (detail::agglomeration_width); mg2
+    // keeps one rank.  On the benchmark's mg3 (64^3 on 4x4, kPorts) a
+    // widened mg2 agglomeration raised mg3's makespan 2.153 -> 2.288 s, and
+    // a replicated coarse solve (all-gather, then solve on every rank) cut
+    // it to 2.044 s but cost about 35% more host time.
     D2 r(ctx, pv, {nx + 1, ny + 1}, dists, {0, 1});
     resid2(op, u, f, r);
     ProcView pv1 = ProcView::grid1(1, pv.rank_of1(0));

@@ -48,6 +48,14 @@ namespace detail {
 /// True if a block distribution of `npts` points over `nprocs` leaves every
 /// processor at least one point (so halos stay well-formed).
 bool coarsenable(int npts, int nprocs);
+
+/// The widest processor count below `nprocs` over which a block
+/// distribution of n + 1 points, and of every coarser semicoarsened level's
+/// n/2 + 1, ..., 3 points, is coarsenable; 1 if no wider count is.  mg3
+/// agglomerates its coarse z levels onto that many processor columns, so
+/// the recursion there never needs to agglomerate again.  n is a power of
+/// two >= 2.
+int agglomeration_width(int n, int nprocs);
 }  // namespace detail
 
 }  // namespace kali

@@ -121,11 +121,15 @@ void mg3_cycle(const Op3& op, DistArray3<double>& u, const DistArray3<double>& f
                                   DimDist::block_dist()};
 
   if (!detail::coarsenable(nzc + 1, pv.extent(1)) && pv.extent(1) > 1) {
-    // Agglomerate the correction problem onto the first processor column
-    // (z becomes single-owner; y stays distributed) and continue there.
+    // The next level would leave a processor column without planes.
+    // Agglomerate the correction problem onto the widest leading column
+    // range that holds this level and every coarser one (y keeps its rows)
+    // and continue there: the recursion never agglomerates again, so the
+    // arithmetic is the one-column path's, but each zebra half-sweep's
+    // plane solves still spread over several columns.
     D3 r(ctx, pv, {nx + 1, ny + 1, nz + 1}, dists3);
     resid3(op, u, f, r);
-    ProcView pvz = pv.sub(1, 0, 1);
+    ProcView pvz = pv.sub(1, 0, detail::agglomeration_width(nz, pv.extent(1)));
     D3 r1(ctx, pvz, {nx + 1, ny + 1, nz + 1}, dists3);
     redistribute(ctx, r, r1);
     D3 v1(ctx, pvz, {nx + 1, ny + 1, nz + 1}, dists3, {0, 1, 1});

@@ -12,6 +12,14 @@
 // multigrid algorithm: a call to mg2 on the plane slice u(*, *, k), which
 // inherits the one-dimensional processor view procs(*, kp) — exactly the
 // composition the paper's section 5 is about.
+//
+// When the next z level would leave a processor column without planes, the
+// coarse-grid correction is agglomerated onto the widest leading column
+// range that holds that level and every coarser one
+// (detail::agglomeration_width), and the remaining levels run there without
+// agglomerating again.  The arithmetic is the same as on one column, so the
+// results are bit-identical to it; the range's plane solves run side by
+// side.
 #pragma once
 
 #include "runtime/dist_array.hpp"

@@ -14,6 +14,12 @@
 // So the solutions must match the solvers' byte for byte while sending more
 // messages.  mg3_cycle_unfused unfuses only the z-level switch; its plane
 // solves are the library's own mg3_zebra_sweep.
+//
+// mg3_cycle_unfused is also the one-column reference: where the next z level
+// no longer fits the view's columns it agglomerates onto the first column
+// (pv.sub(1, 0, 1)), while mg3_cycle takes the widest column range that
+// holds every coarser level.  Both do the same arithmetic, so they still
+// match byte for byte.
 #pragma once
 
 #include "runtime/doall.hpp"

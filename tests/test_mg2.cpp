@@ -233,5 +233,32 @@ TEST(Mg2, CoarsenableGuardsDegenerateBlocks) {
   EXPECT_TRUE(detail::coarsenable(17, 4));  // 5, 5, 5, 2
 }
 
+TEST(Mg2, AgglomerationWidthHoldsEveryCoarserLevel) {
+  // 17, 9, 5, 3 points over 3: 6,6,5 / 3,3,3 / 2,2,1 / 1,1,1.
+  EXPECT_EQ(detail::agglomeration_width(16, 4), 3);
+  // Over 4..7 one of 17, 9, 5, 3 points leaves a processor empty.
+  EXPECT_EQ(detail::agglomeration_width(16, 8), 3);
+  EXPECT_EQ(detail::agglomeration_width(8, 4), 3);  // 9, 5, 3 over 3
+  auto holds_all = [](int nz, int c) {
+    for (int m = nz; m >= 2; m /= 2) {
+      if (!detail::coarsenable(m + 1, c)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (int nz = 4; nz <= 64; nz *= 2) {
+    for (int p = 2; p <= 8; ++p) {
+      const int w = detail::agglomeration_width(nz, p);
+      EXPECT_GE(w, 1) << nz << " over " << p;
+      EXPECT_LT(w, p) << nz << " over " << p;
+      EXPECT_TRUE(holds_all(nz, w)) << nz << " over " << p;
+      for (int c = w + 1; c < p; ++c) {
+        EXPECT_FALSE(holds_all(nz, c)) << nz << " over " << p << ", " << c;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace kali
