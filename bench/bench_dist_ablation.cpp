@@ -97,9 +97,11 @@ int main() {
   t2.add_row({"dist (*, block, block)", "procs(4, 1)", fmt_time(mg3_time(4, 1, n3, cycles))});
   t2.add_row({"dist (*, block, block)", "procs(1, 4)", fmt_time(mg3_time(1, 4, n3, cycles))});
   t2.print(std::cout);
-  std::cout << "procs(4,1) keeps whole planes on processor subsets (parallel\n"
-            << "plane solves, serial z); procs(1,4) parallelizes across planes\n"
-            << "but each plane solve is sequential — the paper's mg3/mg2\n"
-            << "dimensionality discussion, reproduced by changing one line.\n";
+  std::cout << "procs(4,1) splits every plane over the four ranks and relaxes\n"
+            << "a colour's planes as one stacked mg2, whose coarse levels\n"
+            << "spread whole planes over them; procs(1,4) parallelizes across\n"
+            << "planes but each plane solve is sequential — the paper's\n"
+            << "mg3/mg2 dimensionality discussion, reproduced by changing one\n"
+            << "line.\n";
   return 0;
 }

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Trace-verifier gate: proves the verifier itself (self-test over
 # tools/trace_fixtures/), then runs the comm_trace example (runtime
-# exchanges plus one mg3 V-cycle) and verifies the real trace it emits.
+# exchanges plus mg3 V-cycles) twice and verifies the real trace it emits.
+# The two runs must write byte-identical traces and the same summary line:
+# both count only message records, which do not depend on host scheduling.
 # Same entry points as the ctest targets `trace_selftest` /
 # `trace_check` and the CI step.
 #
@@ -13,7 +15,19 @@ BUILD="${1:-${ROOT}/build}"
 
 python3 "${ROOT}/tools/check_trace.py" --self-test
 
-TRACE="$(mktemp /tmp/kali_comm_trace.XXXXXX)"
-trap 'rm -f "${TRACE}"' EXIT
-"${BUILD}/comm_trace" "${TRACE}"
-python3 "${ROOT}/tools/check_trace.py" "${TRACE}"
+DIR="$(mktemp -d /tmp/kali_comm_trace.XXXXXX)"
+trap 'rm -rf "${DIR}"' EXIT
+for run in 1 2; do
+  "${BUILD}/comm_trace" "${DIR}/trace${run}" 2> "${DIR}/summary${run}"
+done
+if ! cmp -s "${DIR}/trace1" "${DIR}/trace2"; then
+  echo "check_trace: two comm_trace runs wrote different traces" >&2
+  exit 1
+fi
+if ! cmp -s "${DIR}/summary1" "${DIR}/summary2"; then
+  echo "check_trace: two comm_trace runs printed different summaries:" >&2
+  cat "${DIR}/summary1" "${DIR}/summary2" >&2
+  exit 1
+fi
+cat "${DIR}/summary1"
+python3 "${ROOT}/tools/check_trace.py" "${DIR}/trace1"

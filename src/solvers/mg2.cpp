@@ -30,8 +30,46 @@ int agglomeration_width(int n, int nprocs) {
 }
 }  // namespace detail
 
-void mg2_zebra_sweep(const Op2& op, DistArray2<double>& u,
-                     const DistArray2<double>& f, int parity) {
+namespace {
+
+using D3 = DistArray3<double>;
+
+/// Whether the stack's rows are split over the view: (*, block, *).  The
+/// agglomerated levels run on (*, *, block), where each member holds whole
+/// planes.
+bool split_rows(const D3& u) { return u.dist_kind(1) == DistKind::kBlock; }
+
+/// A fresh stack on u's view and layout with ny + 1 rows; `ghosts` adds a
+/// y halo where the rows are split.
+D3 stack_like(const D3& u, int ny, bool ghosts) {
+  const bool rows = split_rows(u);
+  const DimDist block = DimDist::block_dist(), star = DimDist::star();
+  return D3(u.context(), u.view(), {u.extent(0), ny + 1, u.extent(2)},
+            {star, rows ? block : star, rows ? star : block},
+            {0, ghosts && rows ? 1 : 0, 0});
+}
+
+/// r = f - A u on every plane's interior points (r's boundary stays zero).
+/// Does u's copy-in itself, hidden behind the interior points.
+void resid2(const Op2& op, const D3& u, const D3& f, D3& r) {
+  const int nx = f.extent(0) - 1, ny = f.extent(1) - 1;
+  const double cx = op.cx(), cy = op.cy(), dg = op.diag();
+  auto uin = u.clone();
+  auto body = [&](int i, int j, int b) {
+    const double au =
+        cx * (uin.at_halo({i - 1, j, b}) + uin.at_halo({i + 1, j, b})) +
+        cy * (uin.at_halo({i, j - 1, b}) + uin.at_halo({i, j + 1, b})) +
+        dg * uin.at_halo({i, j, b});
+    r(i, j, b) = f(i, j, b) - au;
+  };
+  doall_overlap(uin.exchange_halo_begin(), uin,
+                {Range{1, nx - 1}, Range{1, ny - 1}, Range{0, f.extent(2) - 1}},
+                body, 10.0);
+}
+
+}  // namespace
+
+void mg2_zebra_sweep(const Op2& op, D3& u, const D3& f, int parity) {
   if (!u.participating()) {
     return;
   }
@@ -43,68 +81,51 @@ void mg2_zebra_sweep(const Op2& op, DistArray2<double>& u,
   const Range lines{first, ny - 1, 2};
   std::vector<double> rhs(static_cast<std::size_t>(nx - 1));
   std::vector<double> sol(rhs.size());
-  auto solve_line = [&](int j) {
+  auto solve_line = [&](int j, int b) {
     // Line system along x:  cx u(i-1,j) + dg u(i,j) + cx u(i+1,j) = rhs.
     for (int i = 1; i <= nx - 1; ++i) {
       rhs[static_cast<std::size_t>(i - 1)] =
-          f(i, j) - cy * (u.at_halo({i, j - 1}) + u.at_halo({i, j + 1}));
+          f(i, j, b) - cy * (u.at_halo({i, j - 1, b}) + u.at_halo({i, j + 1, b}));
     }
     thomas_solve_const(cx, dg, cx, rhs, sol);
     for (int i = 1; i <= nx - 1; ++i) {
-      u(i, j) = sol[static_cast<std::size_t>(i - 1)];
+      u(i, j, b) = sol[static_cast<std::size_t>(i - 1)];
     }
   };
   // Lines of the other colour feed the right-hand side; this colour's
   // lines never read each other, so the solve order is free, and the lines
   // away from the slab faces solve while the halo is in flight.  One
-  // iteration per line: dim 0 is the line itself.
-  doall_overlap(u.exchange_halo_begin(), u, {Range{0, 0}, lines},
-                [&](int, int j) { solve_line(j); },
+  // iteration per line of every plane: dim 0 is the line itself.
+  doall_overlap(u.exchange_halo_begin(), u,
+                {Range{0, 0}, lines, Range{0, u.extent(2) - 1}},
+                [&](int, int j, int b) { solve_line(j, b); },
                 (kThomasFlopsPerRow + 4.0) * (nx - 1));
 }
 
-namespace {
-
-/// r = f - A u on interior points (r's boundary stays zero).  Does u's
-/// copy-in itself, hidden behind the interior points.
-void resid2(const Op2& op, const DistArray2<double>& u,
-            const DistArray2<double>& f, DistArray2<double>& r) {
-  const int nx = f.extent(0) - 1, ny = f.extent(1) - 1;
-  const double cx = op.cx(), cy = op.cy(), dg = op.diag();
-  auto uin = u.clone();
-  auto body = [&](int i, int j) {
-    const double au = cx * (uin.at_halo({i - 1, j}) + uin.at_halo({i + 1, j})) +
-                      cy * (uin.at_halo({i, j - 1}) + uin.at_halo({i, j + 1})) +
-                      dg * uin.at_halo({i, j});
-    r(i, j) = f(i, j) - au;
-  };
-  doall_overlap(uin.exchange_halo_begin(), uin,
-                {Range{1, nx - 1}, Range{1, ny - 1}}, body, 10.0);
-}
-
-}  // namespace
-
-double mg2_residual_norm(const Op2& op, const DistArray2<double>& u,
-                         const DistArray2<double>& f) {
+double mg2_residual_norm(const Op2& op, const D3& u, const D3& f) {
   if (!u.participating()) {
     return 0.0;
   }
   auto uin = u.copy_in();
   const int nx = f.extent(0) - 1, ny = f.extent(1) - 1;
   const double cx = op.cx(), cy = op.cy(), dg = op.diag();
-  const double s =
-      doall2_sum(u, Range{1, nx - 1}, Range{1, ny - 1}, [&](int i, int j) {
-        const double au = cx * (uin.at_halo({i - 1, j}) + uin.at_halo({i + 1, j})) +
-                          cy * (uin.at_halo({i, j - 1}) + uin.at_halo({i, j + 1})) +
-                          dg * uin.at_halo({i, j});
-        const double res = f(i, j) - au;
-        return res * res;
-      });
-  return std::sqrt(s);
+  double local = 0.0;
+  doall3(
+      u, Range{1, nx - 1}, Range{1, ny - 1}, Range{0, f.extent(2) - 1},
+      [&](int i, int j, int b) {
+        const double au =
+            cx * (uin.at_halo({i - 1, j, b}) + uin.at_halo({i + 1, j, b})) +
+            cy * (uin.at_halo({i, j - 1, b}) + uin.at_halo({i, j + 1, b})) +
+            dg * uin.at_halo({i, j, b});
+        const double res = f(i, j, b) - au;
+        local += res * res;
+      },
+      1.0);
+  Group g = u.group();
+  return std::sqrt(allreduce_sum(u.context(), g, local));
 }
 
-void mg2_cycle(const Op2& op, DistArray2<double>& u, const DistArray2<double>& f,
-               const Mg2Options& opts) {
+void mg2_cycle(const Op2& op, D3& u, const D3& f, const Mg2Options& opts) {
   const int ny = u.extent(1) - 1;  // the coarsened extent
   KALI_CHECK(ny >= 1 && (ny & (ny - 1)) == 0,
              "mg2_cycle: ny must be a power of two");
@@ -114,6 +135,7 @@ void mg2_cycle(const Op2& op, DistArray2<double>& u, const DistArray2<double>& f
   Context& ctx = u.context();
   const ProcView& pv = u.view();
   const int nx = u.extent(0) - 1;
+  const Range planes{0, u.extent(2) - 1};
 
   // perform zebra relaxation on even lines, then odd lines
   mg2_zebra_sweep(op, u, f, 0);
@@ -127,39 +149,35 @@ void mg2_cycle(const Op2& op, DistArray2<double>& u, const DistArray2<double>& f
     }
     return;
   }
-
-  using D2 = DistArray2<double>;
-  const typename D2::Dists dists{DimDist::star(), DimDist::block_dist()};
   const int nyc = ny / 2;
 
-  if (!detail::coarsenable(nyc + 1, pv.extent(0)) && pv.count() > 1) {
+  if (split_rows(u) && pv.count() > 1 &&
+      !detail::coarsenable(nyc + 1, pv.extent(0))) {
     // Block misalignment would leave a processor without rows: agglomerate
-    // the correction problem A v = r onto one processor and run the
-    // remaining levels there (standard practice on distributed memory).
-    // mg3 widens its z agglomeration (detail::agglomeration_width); mg2
-    // keeps one rank.  On the benchmark's mg3 (64^3 on 4x4, kPorts) a
-    // widened mg2 agglomeration raised mg3's makespan 2.153 -> 2.288 s, and
-    // a replicated coarse solve (all-gather, then solve on every rank) cut
-    // it to 2.044 s but cost about 35% more host time.
-    D2 r(ctx, pv, {nx + 1, ny + 1}, dists, {0, 1});
+    // the correction problem A v = r by planes.  Redistributed to
+    // (*, *, block), each member holds whole planes and runs the remaining
+    // levels on them without messages; one plane lands on the first member
+    // alone (standard practice on distributed memory).  Spreading the
+    // planes keeps every member busy when mg3 stacks a column's planes: on
+    // the benchmark's mg3 (64^3 on 4x4, kPorts) the stacked cycle reads
+    // 1.547 s spread and 2.038 s with every plane on the first member.
+    D3 r = stack_like(u, ny, false);
     resid2(op, u, f, r);
-    ProcView pv1 = ProcView::grid1(1, pv.rank_of1(0));
-    const typename D2::Dists dists1{DimDist::star(), DimDist::block_dist()};
-    D2 r1(ctx, pv1, {nx + 1, ny + 1}, dists1);
+    const D3::Dists spread{DimDist::star(), DimDist::star(),
+                           DimDist::block_dist()};
+    D3 r1(ctx, pv, {nx + 1, ny + 1, u.extent(2)}, spread);
     redistribute(ctx, r, r1);
-    D2 v1(ctx, pv1, {nx + 1, ny + 1}, dists1, {0, 1});
-    if (v1.participating()) {
-      mg2_cycle(op, v1, r1, opts);
-    }
-    D2 v(ctx, pv, {nx + 1, ny + 1}, dists);
+    D3 v1(ctx, pv, {nx + 1, ny + 1, u.extent(2)}, spread);
+    mg2_cycle(op, v1, r1, opts);
+    D3 v = stack_like(u, ny, false);
     redistribute(ctx, v1, v);
-    doall2(
-        u, Range{1, nx - 1}, Range{1, ny - 1},
-        [&](int i, int j) { u(i, j) += v(i, j); }, 1.0);
+    doall3(
+        u, Range{1, nx - 1}, Range{1, ny - 1}, planes,
+        [&](int i, int j, int b) { u(i, j, b) += v(i, j, b); }, 1.0);
     return;
   }
 
-  D2 r(ctx, pv, {nx + 1, ny + 1}, dists, {0, 1});
+  D3 r = stack_like(u, ny, false);
   resid2(op, u, f, r);
 
   // rest2: full weighting in y at even fine lines, injected to coarse.
@@ -169,24 +187,24 @@ void mg2_cycle(const Op2& op, DistArray2<double>& u, const DistArray2<double>& f
   // copy_strided_dim_halo, which delivers those ghosts inside the remap
   // messages — no fine-grid halo exchange of r and no full-size temporary.
   // g(i,K) = 0.25 r(2K-1) + 0.5 r(2K) + 0.25 r(2K+1).
-  D2 g(ctx, pv, {nx + 1, nyc + 1}, dists);
+  D3 g = stack_like(u, nyc, false);
   {
-    D2 re(ctx, pv, {nx + 1, nyc + 1}, dists);
-    D2 ro(ctx, pv, {nx + 1, nyc + 1}, dists, {0, 1});
+    D3 re = stack_like(u, nyc, false);
+    D3 ro = stack_like(u, nyc, true);
     copy_strided_dim(ctx, r, re, 1, /*s_stride=*/2, /*s_off=*/0,
                      /*d_stride=*/1, /*d_off=*/0, nyc + 1);
     copy_strided_dim_halo(ctx, r, ro, 1, /*s_stride=*/2, /*s_off=*/1,
                           /*d_stride=*/1, /*d_off=*/0, nyc);
-    doall2(
-        g, Range{1, nx - 1}, Range{1, nyc - 1},
-        [&](int i, int K) {
-          g(i, K) = 0.25 * ro.at_halo({i, K - 1}) + 0.5 * re(i, K) +
-                    0.25 * ro.at_halo({i, K});
+    doall3(
+        g, Range{1, nx - 1}, Range{1, nyc - 1}, planes,
+        [&](int i, int K, int b) {
+          g(i, K, b) = 0.25 * ro.at_halo({i, K - 1, b}) + 0.5 * re(i, K, b) +
+                       0.25 * ro.at_halo({i, K, b});
         },
         4.0);
   }
 
-  D2 v(ctx, pv, {nx + 1, nyc + 1}, dists, {0, 1});
+  D3 v = stack_like(u, nyc, true);
   Op2 coarse = op;
   coarse.hy = 2.0 * op.hy;
   mg2_cycle(coarse, v, g, opts);
@@ -195,16 +213,17 @@ void mg2_cycle(const Op2& op, DistArray2<double>& u, const DistArray2<double>& f
   // remap delivers vtmp's even-line ghosts in its own messages — one
   // redistribution per level switch instead of a remap round plus a halo
   // round.
-  D2 vtmp(ctx, pv, {nx + 1, ny + 1}, dists, {0, 1});
+  D3 vtmp = stack_like(u, ny, true);
   copy_strided_dim_halo(ctx, v, vtmp, 1, /*s_stride=*/1, /*s_off=*/0,
                         /*d_stride=*/2, /*d_off=*/0, nyc + 1);
-  doall2(
-      u, Range{1, nx - 1}, Range{2, ny - 2, 2},
-      [&](int i, int j) { u(i, j) += vtmp(i, j); }, 1.0);
-  doall2(
-      u, Range{1, nx - 1}, Range{1, ny - 1, 2},
-      [&](int i, int j) {
-        u(i, j) += 0.5 * (vtmp.at_halo({i, j - 1}) + vtmp.at_halo({i, j + 1}));
+  doall3(
+      u, Range{1, nx - 1}, Range{2, ny - 2, 2}, planes,
+      [&](int i, int j, int b) { u(i, j, b) += vtmp(i, j, b); }, 1.0);
+  doall3(
+      u, Range{1, nx - 1}, Range{1, ny - 1, 2}, planes,
+      [&](int i, int j, int b) {
+        u(i, j, b) +=
+            0.5 * (vtmp.at_halo({i, j - 1, b}) + vtmp.at_halo({i, j + 1, b}));
       },
       3.0);
 }

@@ -2,11 +2,15 @@
 // — the paper's mg2 (Listing 11), used standalone and as the plane solver
 // inside mg3.
 //
-// Arrays are boundary-inclusive, u(0:nx, 0:ny), dist (*, block) over a 1-D
+// mg2 solves a *stack* of independent planes at once: u(0:nx, 0:ny, 0:nb-1)
+// holds nb boundary-inclusive planes, dist (*, block, *) over a 1-D
 // processor view with halo 1 on the y dimension; boundary values are held
-// at zero (homogeneous Dirichlet).  ny must be a power of two (checked:
-// the y-semicoarsening halves it at every level); nx is not coarsened and
-// may be any size.
+// at zero (homogeneous Dirichlet).  A single plane is a stack with nb = 1.
+// The planes share nothing but their messages: every halo and level switch
+// carries all nb planes in one message per peer, as mtri batches its lines
+// (the paper's Listing 8).  ny must be a power of two (checked: the
+// y-semicoarsening halves it at every level); nx is not coarsened and may
+// be any size.
 //
 // One cycle =
 //   zebra relaxation on even lines   (tridiagonal solves along x: seqtri)
@@ -16,8 +20,12 @@
 //     Listing 10's 2-D analogue); each level switch is one scheduled
 //     redistribution that also delivers the ghosts the stencil needs
 //     (copy_strided_dim_halo)
-// Recursion stops when the coarse grid would leave a processor without
-// rows; the coarsest level compensates with extra zebra sweeps.
+// When the coarse grid would leave a processor without rows, the remaining
+// levels are agglomerated by planes instead: the correction problem is
+// redistributed to (*, *, block), so whole planes spread over the view's
+// members (with nb = 1, onto its first member alone), and the levels below
+// run on that layout without messages.  The coarsest level compensates
+// with extra zebra sweeps.
 #pragma once
 
 #include "runtime/dist_array.hpp"
@@ -29,20 +37,22 @@ struct Mg2Options {
   int coarsest_sweeps = 4;  ///< extra zebra sweeps when recursion stops
 };
 
-/// One V-cycle on A u = f for the operator `op` (hx, hy are this level's
-/// spacings).  Collective over u's view.  Throws kali::Error unless ny is
-/// a power of two.
-void mg2_cycle(const Op2& op, DistArray2<double>& u, const DistArray2<double>& f,
+/// One V-cycle on A u = f, plane by plane, for the operator `op` (hx, hy
+/// are this level's spacings).  Collective over u's view.  Throws
+/// kali::Error unless ny is a power of two.
+void mg2_cycle(const Op2& op, DistArray3<double>& u, const DistArray3<double>& f,
                const Mg2Options& opts = {});
 
-/// ||f - A u||_2 over interior points (replicated on all members).
-double mg2_residual_norm(const Op2& op, const DistArray2<double>& u,
-                         const DistArray2<double>& f);
+/// ||f - A u||_2 over the interior points of every plane (replicated on
+/// all members).
+double mg2_residual_norm(const Op2& op, const DistArray3<double>& u,
+                         const DistArray3<double>& f);
 
-/// One zebra half-sweep (parity 0: even lines, 1: odd lines).  Lines of
-/// one parity are mutually independent (each reads only the other colour).
-void mg2_zebra_sweep(const Op2& op, DistArray2<double>& u,
-                     const DistArray2<double>& f, int parity);
+/// One zebra half-sweep over every plane (parity 0: even lines, 1: odd
+/// lines).  Lines of one parity are mutually independent (each reads only
+/// the other colour).
+void mg2_zebra_sweep(const Op2& op, DistArray3<double>& u,
+                     const DistArray3<double>& f, int parity);
 
 namespace detail {
 /// True if a block distribution of `npts` points over `nprocs` leaves every

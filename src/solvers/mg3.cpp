@@ -1,6 +1,7 @@
 #include "solvers/mg3.hpp"
 
 #include <cmath>
+#include <vector>
 
 #include "machine/context.hpp"
 #include "runtime/doall.hpp"
@@ -11,11 +12,14 @@ namespace kali {
 
 namespace {
 
-/// r = f - A u on interior points; r's boundary planes stay zero.  Does u's
-/// copy-in itself, hidden behind the interior points.
+/// r = f - A u on the interior points of the z-planes `planes`, handed to
+/// `store(i, j, k, r)`.  Does u's copy-in itself, hidden behind the
+/// interior points; every member joins the halo exchange, whether it holds
+/// planes of `planes` or not.
+template <class Store>
 void resid3(const Op3& op, const DistArray3<double>& u,
-            const DistArray3<double>& f, DistArray3<double>& r) {
-  const int nx = f.extent(0) - 1, ny = f.extent(1) - 1, nz = f.extent(2) - 1;
+            const DistArray3<double>& f, Range planes, Store store) {
+  const int nx = f.extent(0) - 1, ny = f.extent(1) - 1;
   const double cx = op.cx(), cy = op.cy(), cz = op.cz(), dg = op.diag();
   auto uin = u.clone();
   auto body = [&](int i, int j, int k) {
@@ -24,11 +28,17 @@ void resid3(const Op3& op, const DistArray3<double>& u,
         cy * (uin.at_halo({i, j - 1, k}) + uin.at_halo({i, j + 1, k})) +
         cz * (uin.at_halo({i, j, k - 1}) + uin.at_halo({i, j, k + 1})) +
         dg * uin.at_halo({i, j, k});
-    r(i, j, k) = f(i, j, k) - au;
+    store(i, j, k, f(i, j, k) - au);
   };
   doall_overlap(uin.exchange_halo_begin(), uin,
-                {Range{1, nx - 1}, Range{1, ny - 1}, Range{1, nz - 1}}, body,
-                14.0);
+                {Range{1, nx - 1}, Range{1, ny - 1}, planes}, body, 14.0);
+}
+
+/// resid3 on every interior plane into r (r's boundary planes stay zero).
+void resid3(const Op3& op, const DistArray3<double>& u,
+            const DistArray3<double>& f, DistArray3<double>& r) {
+  resid3(op, u, f, Range{1, f.extent(2) - 2},
+         [&](int i, int j, int k, double v) { r(i, j, k) = v; });
 }
 
 }  // namespace
@@ -43,30 +53,38 @@ void mg3_zebra_sweep(const Op3& op, DistArray3<double>& u,
   const int nx = u.extent(0) - 1, ny = u.extent(1) - 1, nz = u.extent(2) - 1;
 
   // perform zebra relaxation on planes of this parity:
-  //   call resid3(r, u, f; procs)
   //   doall k on owner(u(*, *, k)):  call mg2(u(*,*,k), r(*,*,k); ...)
-  using D3 = DistArray3<double>;
-  const typename D3::Dists dists3{DimDist::star(), DimDist::block_dist(),
-                                  DimDist::block_dist()};
-  D3 r(ctx, u.view(), {nx + 1, ny + 1, nz + 1}, dists3, {0, 1, 0});
-  resid3(op, u, f, r);
+  // as one mg2 per processor column on the stack of its planes: plane b of
+  // the stack is z-plane ks[b], and the column's view is procs(*, kp).
+  const Range planes{parity == 0 ? 2 : 1, nz - 1, 2};
+  const std::vector<int> ks =
+      detail::owned_in_range(u.map(2), u.my_coord(2), planes);
+  const int nb = static_cast<int>(ks.size());
+  const DistArray3<double>::Dists dists{DimDist::star(), DimDist::block_dist(),
+                                        DimDist::star()};
+  const ProcView col = u.view().fix(u.proc_dim(2), u.my_coord(2));
+  auto plane = [&](int k) { return (k - ks.front()) / 2; };
 
+  // Correction form: the plane equation for the update delta is
+  // A_plane delta = r|plane (off-plane couplings are already in r), so the
+  // residual is needed on this parity's planes only.
+  DistArray3<double> r;
+  if (nb > 0) {
+    r = DistArray3<double>(ctx, col, {nx + 1, ny + 1, nb}, dists);
+  }
+  resid3(op, u, f, planes,
+         [&](int i, int j, int k, double v) { r(i, j, plane(k)) = v; });
+  if (nb == 0) {
+    return;
+  }
+  DistArray3<double> delta(ctx, col, {nx + 1, ny + 1, nb}, dists, {0, 1, 0});
   const Op2 pop = op.plane_op();
-  const int first = parity == 0 ? 2 : 1;
-  doall_slice_owner(u, 2, Range{first, nz - 1, 2}, [&](int k) {
-    auto uplane = u.fix(2, k);
-    auto rplane = r.fix(2, k);
-    // Correction form: the plane equation for the update delta is
-    // A_plane delta = r|plane (off-plane couplings are already in r).
-    DistArray2<double> delta(ctx, uplane.view(), {nx + 1, ny + 1},
-                             {DimDist::star(), DimDist::block_dist()}, {0, 1});
-    for (int cyc = 0; cyc < opts.plane_cycles; ++cyc) {
-      mg2_cycle(pop, delta, rplane, opts.plane_mg2);
-    }
-    doall2(
-        uplane, Range{1, nx - 1}, Range{1, ny - 1},
-        [&](int i, int j) { uplane(i, j) += delta(i, j); }, 1.0);
-  });
+  for (int cyc = 0; cyc < opts.plane_cycles; ++cyc) {
+    mg2_cycle(pop, delta, r, opts.plane_mg2);
+  }
+  doall3(
+      u, Range{1, nx - 1}, Range{1, ny - 1}, planes,
+      [&](int i, int j, int k) { u(i, j, k) += delta(i, j, plane(k)); }, 1.0);
 }
 
 double mg3_residual_norm(const Op3& op, const DistArray3<double>& u,

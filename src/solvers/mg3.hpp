@@ -9,9 +9,14 @@
 // zebra relaxation visits even z-planes then odd z-planes, and each z-level
 // switch is one scheduled redistribution that also delivers the stencil's
 // ghosts (copy_strided_dim_halo).  Each plane solve is itself a tensor product
-// multigrid algorithm: a call to mg2 on the plane slice u(*, *, k), which
-// inherits the one-dimensional processor view procs(*, kp) — exactly the
-// composition the paper's section 5 is about.
+// multigrid algorithm: mg2 on the plane u(*, *, k), which inherits the
+// one-dimensional processor view procs(*, kp) — exactly the composition the
+// paper's section 5 is about.  The planes of one colour are independent, so
+// each processor column solves all of its planes of that colour as one
+// stacked mg2 (the planes a third tensor dimension, as mtri batches lines):
+// one message per peer carries every plane, and mg2's coarse levels spread
+// whole planes over the column.  The half-sweep's residual is computed on
+// those planes only, straight into the column's stack.
 //
 // When the next z level would leave a processor column without planes, the
 // coarse-grid correction is agglomerated onto the widest leading column
@@ -29,7 +34,7 @@
 namespace kali {
 
 struct Mg3Options {
-  int plane_cycles = 1;    ///< mg2 V-cycles per plane solve
+  int plane_cycles = 1;    ///< stacked mg2 V-cycles per half-sweep
   int gamma = 1;           ///< coarse-grid visits per cycle (1 = V, 2 = W)
   bool post_zebra = true;  ///< zebra sweep after the coarse correction
   Mg2Options plane_mg2{};  ///< settings for the inner mg2
@@ -45,8 +50,10 @@ void mg3_cycle(const Op3& op, DistArray3<double>& u, const DistArray3<double>& f
 double mg3_residual_norm(const Op3& op, const DistArray3<double>& u,
                          const DistArray3<double>& f);
 
-/// Zebra plane half-sweep (parity 0: even planes, 1: odd planes); exposed
-/// for tests and the smoother ablation bench.
+/// Zebra plane half-sweep (parity 0: even planes, 1: odd planes): one
+/// stacked mg2 per processor column.  Collective over u's view, columns
+/// without planes of this parity included.  Exposed for tests and the
+/// smoother ablation bench.
 void mg3_zebra_sweep(const Op3& op, DistArray3<double>& u,
                      const DistArray3<double>& f, int parity,
                      const Mg3Options& opts);

@@ -12,8 +12,10 @@
 //                 lines, then exchange_halo for the odd lines' ghosts.
 //
 // So the solutions must match the solvers' byte for byte while sending more
-// messages.  mg3_cycle_unfused unfuses only the z-level switch; its plane
-// solves are the library's own mg3_zebra_sweep.
+// messages.  mg2_cycle_unfused works on one plane (mg_per_plane.hpp's 2-D
+// form, against the library's nb = 1 stack); mg3_cycle_unfused unfuses
+// only the z-level switch, and its plane solves are the library's own
+// mg3_zebra_sweep.
 //
 // mg3_cycle_unfused is also the one-column reference: where the next z level
 // no longer fits the view's columns it agglomerates onto the first column
@@ -28,9 +30,12 @@
 #include "solvers/mg2.hpp"
 #include "solvers/mg3.hpp"
 
+#include "mg_per_plane.hpp"
+
 namespace kali::oracles {
 
-/// mg2_cycle with separate remap and halo rounds at every level switch.
+/// plane_mg2_cycle with separate remap and halo rounds at every level
+/// switch.
 inline void mg2_cycle_unfused(const Op2& op, DistArray2<double>& u,
                               const DistArray2<double>& f,
                               const Mg2Options& opts = {}) {
@@ -41,11 +46,11 @@ inline void mg2_cycle_unfused(const Op2& op, DistArray2<double>& u,
   const ProcView& pv = u.view();
   const int nx = u.extent(0) - 1;
   const int ny = u.extent(1) - 1;
-  mg2_zebra_sweep(op, u, f, 0);
-  mg2_zebra_sweep(op, u, f, 1);
+  plane_zebra_sweep(op, u, f, 0);
+  plane_zebra_sweep(op, u, f, 1);
   if (ny <= 2) {
     for (int s = 0; s < opts.coarsest_sweeps; ++s) {
-      mg2_zebra_sweep(op, u, f, 1);
+      plane_zebra_sweep(op, u, f, 1);
     }
     return;
   }

@@ -19,19 +19,25 @@ Op2 model_op(int nx, int ny, double sigma = 0.0) {
   return op;
 }
 
+using D3 = DistArray3<double>;
+
 struct Setup {
-  DistArray2<double> u;
-  DistArray2<double> f;
+  D3 u;
+  D3 f;
 };
 
+/// A stack of nb planes, dist (*, block, *) over pv.  Plane b's right-hand
+/// side is the manufactured one scaled by 1 + b/4 plus b/10 x y, so every
+/// plane of a stack solves a different problem.
 Setup make_problem(Context& ctx, const ProcView& pv, const Op2& op, int nx,
-                   int ny) {
-  using D2 = DistArray2<double>;
-  const typename D2::Dists dists{DimDist::star(), DimDist::block_dist()};
-  D2 u(ctx, pv, {nx + 1, ny + 1}, dists, {0, 1});
-  D2 f(ctx, pv, {nx + 1, ny + 1}, dists);
-  f.fill([&](std::array<int, 2> g) {
-    return rhs2(op, g[0] * op.hx, g[1] * op.hy);
+                   int ny, int nb = 1) {
+  const D3::Dists dists{DimDist::star(), DimDist::block_dist(),
+                        DimDist::star()};
+  D3 u(ctx, pv, {nx + 1, ny + 1, nb}, dists, {0, 1, 0});
+  D3 f(ctx, pv, {nx + 1, ny + 1, nb}, dists);
+  f.fill([&](std::array<int, 3> g) {
+    const double x = g[0] * op.hx, y = g[1] * op.hy;
+    return (1.0 + 0.25 * g[2]) * rhs2(op, x, y) + 0.1 * g[2] * x * y;
   });
   return {std::move(u), std::move(f)};
 }
@@ -53,10 +59,11 @@ TEST(Mg2, ZebraSweepReducesError) {
     auto [u, f2] = make_problem(ctx, pv, op, nx, ny);
     auto err = [&]() {
       double local = 0.0;
-      doall2(u, Range{1, nx - 1}, Range{1, ny - 1}, [&](int i, int j) {
-        const double e = u(i, j) - ustar(i, j);
-        local += e * e;
-      });
+      doall3(u, Range{1, nx - 1}, Range{1, ny - 1}, Range{0, 0},
+             [&](int i, int j, int b) {
+               const double e = u(i, j, b) - ustar(i, j, b);
+               local += e * e;
+             });
       Group g = u.group();
       return std::sqrt(allreduce_sum(ctx, g, local));
     };
@@ -83,15 +90,16 @@ TEST(Mg2, ZebraLinesSolveExactlyOnTheirColour) {
     mg2_zebra_sweep(op, u, f, 0);
     auto uin = u.copy_in();
     const double cx = op.cx(), cy = op.cy(), dg = op.diag();
-    u.for_each_owned([&](std::array<int, 2> g) {
+    u.for_each_owned([&](std::array<int, 3> g) {
       const int i = g[0], j = g[1];
       if (i < 1 || i > nx - 1 || j < 2 || j > ny - 2 || j % 2 != 0) {
         return;
       }
-      const double au = cx * (uin.at_halo({i - 1, j}) + uin.at_halo({i + 1, j})) +
-                        cy * (uin.at_halo({i, j - 1}) + uin.at_halo({i, j + 1})) +
-                        dg * uin.at_halo({i, j});
-      EXPECT_NEAR(au, f(i, j), 1e-10) << i << "," << j;
+      const double au =
+          cx * (uin.at_halo({i - 1, j, 0}) + uin.at_halo({i + 1, j, 0})) +
+          cy * (uin.at_halo({i, j - 1, 0}) + uin.at_halo({i, j + 1, 0})) +
+          dg * uin.at_halo({i, j, 0});
+      EXPECT_NEAR(au, f(i, j, 0), 1e-10) << i << "," << j;
     });
   });
 }
@@ -139,7 +147,7 @@ TEST(Mg2, SolutionMatchesManufactured) {
       mg2_cycle(op, u, f);
     }
     double max_err = 0.0;
-    u.for_each_owned([&](std::array<int, 2> g) {
+    u.for_each_owned([&](std::array<int, 3> g) {
       max_err = std::max(
           max_err, std::abs(u.at(g) - exact2(g[0] * op.hx, g[1] * op.hy)));
     });
@@ -166,9 +174,9 @@ TEST(Mg2, HelmholtzShiftConverges) {
 TEST(Mg2, FusedLevelSwitchBitIdenticalWithFewerMessages) {
   // The batched level switch (one scheduled redistribution per switch,
   // copy_strided_dim_halo) must reproduce the separate remap + halo rounds
-  // of the unfused oracle bit for bit while cutting the cycle's message
-  // count.  At p = 4 the second level switch agglomerates, so the oracle's
-  // redistribute path is exercised too.
+  // of the unfused one-plane oracle bit for bit while cutting the cycle's
+  // message count.  At p = 4 the second level switch agglomerates, so the
+  // oracle's redistribute path is exercised too.
   const int nx = 32, ny = 32, p = 4;
   auto run = [&](bool fused) {
     Machine m(p);
@@ -177,16 +185,24 @@ TEST(Mg2, FusedLevelSwitchBitIdenticalWithFewerMessages) {
       ProcView pv = ProcView::grid1(p);
       Op2 op = model_op(nx, ny);
       auto [u, f] = make_problem(ctx, pv, op, nx, ny);
-      for (int cyc = 0; cyc < 3; ++cyc) {
-        if (fused) {
+      auto keep = [&](const auto& a) {
+        a.for_each_owned([&](const auto& g) {
+          sol[static_cast<std::size_t>(ctx.rank())].push_back(a.at(g));
+        });
+      };
+      if (fused) {
+        for (int cyc = 0; cyc < 3; ++cyc) {
           mg2_cycle(op, u, f);
-        } else {
-          oracles::mg2_cycle_unfused(op, u, f);
         }
+        keep(u);
+        return;
       }
-      u.for_each_owned([&](std::array<int, 2> g) {
-        sol[static_cast<std::size_t>(ctx.rank())].push_back(u.at(g));
-      });
+      auto u0 = u.fix(2, 0);
+      const auto f0 = f.fix(2, 0);
+      for (int cyc = 0; cyc < 3; ++cyc) {
+        oracles::mg2_cycle_unfused(op, u0, f0);
+      }
+      keep(u0);
     });
     return std::pair{sol, m.stats().totals().msgs_sent};
   };
@@ -194,6 +210,86 @@ TEST(Mg2, FusedLevelSwitchBitIdenticalWithFewerMessages) {
   const auto [sol_fused, msgs_fused] = run(true);
   EXPECT_EQ(sol_fused, sol_sep);     // bit-identical solutions
   EXPECT_LT(msgs_fused, msgs_sep);   // batched switches send fewer messages
+}
+
+TEST(Mg2, StackSolvesEachPlaneAsAlone) {
+  // nb planes with distinct right-hand sides, relaxed as one stack, solve
+  // to exactly the nb one-plane results.  At p = 4 the coarse levels
+  // agglomerate: five planes spread 2, 2, 1, 0 over the members.
+  const int nx = 32, ny = 32, p = 4, nb = 5;
+  for (int q : {2, p}) {
+    Machine m(q);
+    m.run([&](Context& ctx) {
+      ProcView pv = ProcView::grid1(q);
+      Op2 op = model_op(nx, ny);
+      auto [u, f] = make_problem(ctx, pv, op, nx, ny, nb);
+      for (int cyc = 0; cyc < 2; ++cyc) {
+        mg2_cycle(op, u, f);
+      }
+      for (int b = 0; b < nb; ++b) {
+        auto [ub, fb] = make_problem(ctx, pv, op, nx, ny);
+        fb.fill([&](std::array<int, 3> g) { return f.at({g[0], g[1], b}); });
+        for (int cyc = 0; cyc < 2; ++cyc) {
+          mg2_cycle(op, ub, fb);
+        }
+        int mismatches = 0;
+        ub.for_each_owned([&](std::array<int, 3> g) {
+          mismatches += u.at({g[0], g[1], b}) != ub.at(g) ? 1 : 0;
+        });
+        EXPECT_EQ(mismatches, 0) << "p " << q << ", plane " << b;
+      }
+    });
+  }
+}
+
+TEST(Mg2, MessageCountIndependentOfStackDepth) {
+  // Every zebra halo, residual halo and level switch carries all planes in
+  // one message per peer, so eight planes cost the messages of one.  On
+  // two ranks every level keeps both busy (no agglomeration).
+  const int nx = 16, ny = 32, p = 2;
+  auto msgs = [&](int nb) {
+    Machine m(p);
+    m.run([&](Context& ctx) {
+      ProcView pv = ProcView::grid1(p);
+      Op2 op = model_op(nx, ny);
+      auto [u, f] = make_problem(ctx, pv, op, nx, ny, nb);
+      mg2_cycle(op, u, f);
+    });
+    return m.stats().totals().msgs_sent;
+  };
+  const auto one = msgs(1);
+  EXPECT_GT(one, 0U);
+  EXPECT_EQ(msgs(8), one);
+}
+
+TEST(Mg2, AgglomerationSpreadsPlanesOverTheView) {
+  // At ny = 16 on four ranks the first level switch agglomerates.  With
+  // one plane the coarse levels run on the first member alone, so the
+  // others do fine-level work only.  With four planes each member takes a
+  // whole plane through the coarse levels too: its flops exceed four
+  // times its one-plane work by half again.
+  const int nx = 16, ny = 16, p = 4;
+  auto flops = [&](int nb) {
+    Machine m(p);
+    m.run([&](Context& ctx) {
+      ProcView pv = ProcView::grid1(p);
+      Op2 op = model_op(nx, ny);
+      auto [u, f] = make_problem(ctx, pv, op, nx, ny, nb);
+      mg2_cycle(op, u, f);
+    });
+    std::vector<double> out;
+    for (const auto& c : m.stats().per_proc) {
+      out.push_back(c.flops);
+    }
+    return out;
+  };
+  const auto one = flops(1);
+  const auto four = flops(p);
+  for (int r = 1; r < p; ++r) {
+    const auto ur = static_cast<std::size_t>(r);
+    EXPECT_GT(one[0], 1.5 * one[ur]) << r;  // one plane: member 0 alone
+    EXPECT_GT(four[ur], 1.5 * p * one[ur]) << r;
+  }
 }
 
 TEST(Mg2, RejectsNonPowerOfTwoNy) {
