@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
     sync_clocks(ctx, everyone);
 
     // Phase 8: the corner halo split-phase — a 9-point stencil's interior
-    // runs while the kTagHaloCornerPack messages are in flight — then a
+    // runs while the kTagHalo messages are in flight — then a
     // cyclic -> block-cyclic redistribution (the binner) with owned-cell
     // work in its window.
     D2 nine(ctx, grid, {kN, kN}, dists);

@@ -154,10 +154,10 @@ class Context {
 
   // --- batched receive: the wait point of a split-phase exchange ---------
   //
-  // Every runtime exchange and the dense all_gather fire their sends, run
-  // the caller's work, and finish with one recv_batch over the lanes they
-  // expect: the face halo directly, every other exchange through
-  // detail::exchange_begin (machine/schedule.hpp).  Posting a receive
+  // Every runtime exchange and the dense all_gather fire their sends
+  // through detail::exchange_begin (machine/schedule.hpp), run the
+  // caller's work, and finish with one recv_batch over the lanes they
+  // expect.  Posting a receive
   // costs nothing in the model, so receiving at the wait point is the whole
   // receive.
 
@@ -234,8 +234,8 @@ class Context {
 };
 
 /// Handle of an in-flight exchange, returned by detail::exchange_begin
-/// (machine/schedule.hpp), by the face halo and by every runtime _begin
-/// form built on that primitive: every send is on the wire, and the
+/// (machine/schedule.hpp) and by every runtime _begin form built on that
+/// primitive: every send is on the wire, and the
 /// caller has charged its pack and any local copy inside the wire window.
 /// Run whatever local work should hide the wire, then finish(): one
 /// Context::recv_batch over the exchange's lanes that charges each receive

@@ -40,9 +40,10 @@ inline constexpr int kCollectiveTagBase = 1 << 24;
 
 // Runtime band allocations ---------------------------------------------------
 
-/// Halo exchange, face mode (HaloCorners::kNo): 4 tags per array dimension
-/// (low/high faces × send direction), dims 0..2 — occupies [base, base + 12).
-inline constexpr int kTagHaloBase = kRuntimeTagBase;
+/// Halo exchange (DistArray::exchange_halo, both HaloCorners modes): all
+/// direction pieces bound for one peer travel as a single message,
+/// concatenated in ascending direction-code order.
+inline constexpr int kTagHalo = kRuntimeTagBase;
 
 /// redistribute() slab/bin payloads (runtime/redistribute.hpp).
 inline constexpr int kTagRedistData = kRuntimeTagBase + 16;
@@ -50,11 +51,6 @@ inline constexpr int kTagRedistData = kRuntimeTagBase + 16;
 /// copy_strided_dim() packets (runtime/remap.hpp), including the halo-fused
 /// variant copy_strided_dim_halo().
 inline constexpr int kTagRemap = kRuntimeTagBase + 17;
-
-/// Halo exchange, corner mode (HaloCorners::kYes): all direction pieces
-/// bound for one peer travel as a single packed message, concatenated in
-/// ascending direction-code order.
-inline constexpr int kTagHaloCornerPack = kRuntimeTagBase + 60;
 
 /// Inspector/executor gather (runtime/inspector.hpp): request-index lists.
 inline constexpr int kTagInspReq = kRuntimeTagBase + 64;
@@ -70,10 +66,9 @@ inline constexpr int kTagInspData = kRuntimeTagBase + 65;
 /// the runtime registry.  Register new runtime tags by adding a constant
 /// above AND a row here.
 #define KALI_RUNTIME_TAG_ALLOCS(X) \
-  X(kTagHaloBase, 12)              \
+  X(kTagHalo, 1)                   \
   X(kTagRedistData, 1)             \
   X(kTagRemap, 1)                  \
-  X(kTagHaloCornerPack, 1)         \
   X(kTagInspReq, 1)                \
   X(kTagInspData, 1)
 

@@ -28,8 +28,8 @@
 // of the ~2(n-1) that naive per-peer issue order costs under contention
 // (every member hammering the same low-ranked ejection ports first).
 //
-// Every dense exchange — the box exchange and the cyclic binner behind
-// redistribute and copy_strided_dim, the corner-mode halo exchange, the
+// Every exchange — the box exchange and the cyclic binner behind
+// redistribute and copy_strided_dim, the halo exchange in both modes, the
 // dense all_gather and both inspector passes — runs through one primitive,
 // detail::exchange_begin(): it puts the per-peer messages in round order
 // with round_sort(), fires the sends, and returns a PendingExchange whose
@@ -38,7 +38,8 @@
 // (send_time, src, seq) order), and the blocking forms are
 // _begin(...).finish().  IssueOrder::kPeerOrder keeps the raw enumeration
 // order instead: the naive baseline bench_redistribute measures the
-// schedule against.
+// schedule against, and the face-mode halo's order (ascending direction
+// code; it needs no member list).
 #pragma once
 
 #include <algorithm>

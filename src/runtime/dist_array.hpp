@@ -35,8 +35,8 @@
 
 #include "machine/collectives.hpp"
 #include "machine/context.hpp"
-#include "machine/message.hpp"   // kTagHaloBase (reserved-tag registry)
-#include "machine/schedule.hpp"  // corner-mode halo: detail::exchange_begin
+#include "machine/message.hpp"   // kTagHalo (reserved-tag registry)
+#include "machine/schedule.hpp"  // the halo: detail::exchange_begin
 #include "runtime/distribution.hpp"
 #include "runtime/proc_view.hpp"
 
@@ -392,23 +392,24 @@ class DistArray {
   /// that way.  finish() must run before the ghosts are read and before the
   /// rank program returns; see PendingExchange.
   ///
-  /// HaloCorners::kNo (default): faces cover the owned extent of the other
-  /// dims; all sends are posted before any receive — one latency round,
-  /// exactly the message pattern of the hand-coded Listing 2.  Sufficient
-  /// for star-shaped stencils (all of the paper's algorithms).
+  /// Both modes are one detail::exchange_begin over the view: one kTagHalo
+  /// message per peer, every send posted before any receive — one latency
+  /// round, the message pattern of the hand-coded Listing 2.  Each
+  /// direction vector delta in {-1, 0, +1}^R names one ghost region (see
+  /// plan_halo).
   ///
-  /// HaloCorners::kYes: diagonal corner ghosts are valid afterwards too
-  /// (needed for 9-point-style stencils).  One *single scheduled exchange*
-  /// whose peer list includes the diagonal grid neighbours: each direction
-  /// vector delta in {-1, 0, +1}^R names one ghost region, sourced straight
-  /// from the rank delta away (along the dims that have a neighbour; at a
-  /// domain boundary the same-coordinate rank's frame margin is sourced
-  /// instead, which is what serialized dimension rounds would propagate
-  /// into the out-of-domain corners).  The messages issue through the
-  /// round-structured CommSchedule (machine/schedule.hpp) in one round
-  /// trip instead of R serialized rounds, one kTagHaloCornerPack message
-  /// per peer.  `order` selects that issue order under link contention
-  /// (kPeerOrder is the naive baseline); it is ignored in face mode.
+  /// HaloCorners::kNo (default): only the face directions (one nonzero dim
+  /// of delta), so faces cover the owned extent of the other dims.
+  /// Sufficient for star-shaped stencils (all of the paper's algorithms).
+  /// The sends issue in ascending direction-code order (kPeerOrder): each
+  /// face peer gets one message, and no member list is built.
+  ///
+  /// HaloCorners::kYes: every direction, so diagonal corner ghosts are
+  /// valid afterwards too (needed for 9-point-style stencils), in one
+  /// round trip instead of R serialized dimension rounds.  `order` selects
+  /// the issue order under link contention: the round-structured
+  /// CommSchedule (machine/schedule.hpp) by default, kPeerOrder as the
+  /// naive baseline.  It is ignored in face mode.
   [[nodiscard]] PendingExchange exchange_halo_begin(
       HaloCorners corners = HaloCorners::kNo,
       IssueOrder order = IssueOrder::kRoundSchedule) {
@@ -416,43 +417,52 @@ class DistArray {
       return {};
     }
     require_halo_fits();
-    if (corners == HaloCorners::kYes) {
-      return corner_halo_begin(order);
+    const bool faces = corners == HaloCorners::kNo;
+    Pieces sends;
+    Pieces recvs;
+    plan_halo(faces, sends, recvs);
+    auto out = runs_by_peer(sends);
+    auto in = runs_by_peer(recvs);
+    std::vector<int> members;
+    if (faces) {
+      order = IssueOrder::kPeerOrder;
+    } else if (order == IssueOrder::kRoundSchedule) {
+      members = view_.ranks();
+      std::sort(members.begin(), members.end());
     }
-    // The in-flight window opens before the first send, so all wire time
-    // is eligible for hiding.
-    const double window_start = ctx_->clock();
-    std::array<RecvLane, 2 * UR> lanes{};
-    std::size_t nlanes = 0;
     std::vector<T> buf;
-    for (int d = 0; d < R; ++d) {
-      if (halo_[static_cast<std::size_t>(d)] == 0) {
-        continue;
-      }
-      // Side 0 is the low face: the owned low face travels to the left
-      // neighbour, which receives it as its high ghost face.
-      buf.reserve(face_volume(d));
-      double packed = 0;
-      for (int side = 0; side < 2; ++side) {
-        const int peer = neighbor_rank(d, side == 0 ? -1 : +1);
-        if (peer < 0) {
-          continue;
-        }
-        buf.clear();
-        visit_face(d, side, /*owned_side=*/true, [&](const GIndex<R>& rel) {
-          buf.push_back((*store_)[static_cast<std::size_t>(rel_flat(rel))]);
-        });
-        // kali-lint: allow(raw-exchange) — bounded-degree neighbor send (<= 2
-        // peers per dim), not a dense exchange; no schedule needed.
-        ctx_->send_span<T>(peer, face_tag(d, 1 - side), buf);
-        packed += static_cast<double>(buf.size());
-        lanes[nlanes++] = {peer, face_tag(d, side)};
-      }
-      ctx_->compute(packed);  // pack cost, one op per element moved
-    }
-    return PendingExchange(
-        *ctx_, window_start, std::span<const RecvLane>(lanes.data(), nlanes),
-        [this](std::size_t, Message m) { return unpack_face(std::move(m)); });
+    double packed = 0;
+    PendingExchange ex = detail::exchange_begin<T>(
+        *ctx_, members, kTagHalo, std::move(out), std::move(in),
+        [&](const PieceRun& run) {
+          buf.clear();
+          buf.reserve(volume(sends, run));
+          for (std::size_t k = run.first; k < run.first + run.count; ++k) {
+            visit_rel_box(sends[k].second.lo, sends[k].second.hi,
+                          [&](const GIndex<R>& rel) {
+                            buf.push_back((*store_)[static_cast<std::size_t>(
+                                rel_flat(rel))]);
+                          });
+          }
+          packed += static_cast<double>(buf.size());
+          return std::span<const T>(buf);
+        },
+        [this, recvs = std::move(recvs)](const PieceRun& run,
+                                         const std::vector<T>& vals) {
+          KALI_CHECK(vals.size() == volume(recvs, run), "halo size mismatch");
+          std::size_t v = 0;
+          for (std::size_t k = run.first; k < run.first + run.count; ++k) {
+            visit_rel_box(recvs[k].second.lo, recvs[k].second.hi,
+                          [&](const GIndex<R>& rel) {
+                            (*store_)[static_cast<std::size_t>(rel_flat(rel))] =
+                                vals[v++];
+                          });
+          }
+          return static_cast<double>(v);
+        },
+        order);
+    ctx_->compute(packed);  // pack cost, one op per element moved
+    return ex;
   }
 
   // ---- slicing ---------------------------------------------------------------
@@ -655,32 +665,14 @@ class DistArray {
   /// Visit all slab-relative coordinates including halo margins.
   template <class Fn>
   void visit_slab(Fn fn) const {
-    GIndex<R> rel{};
     GIndex<R> lo{};
     GIndex<R> hi{};
     for (int d = 0; d < R; ++d) {
       const auto ud = static_cast<std::size_t>(d);
       lo[ud] = -halo_[ud];
       hi[ud] = lcount_[ud] + halo_[ud];  // exclusive
-      rel[ud] = lo[ud];
-      if (lo[ud] >= hi[ud]) {
-        return;  // empty slab
-      }
     }
-    for (;;) {
-      fn(rel);
-      int d = R - 1;
-      for (; d >= 0; --d) {
-        const auto ud = static_cast<std::size_t>(d);
-        if (++rel[ud] < hi[ud]) {
-          break;
-        }
-        rel[ud] = lo[ud];
-      }
-      if (d < 0) {
-        return;
-      }
-    }
+    visit_rel_box(lo, hi, fn);
   }
 
   /// Visit every slab-relative coordinate in [lo, hi) (hi exclusive) in
@@ -711,31 +703,6 @@ class DistArray {
     }
   }
 
-  /// Visit the slab face of thickness `halo_[dim]` at `side` (0: low, 1:
-  /// high) — `owned_side` selects owned planes (to send) vs ghost planes
-  /// (to receive).  Faces cover the owned extent of the other dims (the
-  /// HaloCorners::kNo message pattern).
-  template <class Fn>
-  void visit_face(int dim, int side, bool owned_side, Fn fn) const {
-    const auto ud = static_cast<std::size_t>(dim);
-    const int h = halo_[ud];
-    GIndex<R> lo{};
-    GIndex<R> hi{};
-    for (int d = 0; d < R; ++d) {
-      const auto sd = static_cast<std::size_t>(d);
-      lo[sd] = 0;
-      hi[sd] = lcount_[sd];
-    }
-    if (owned_side) {
-      lo[ud] = side == 0 ? 0 : lcount_[ud] - h;
-      hi[ud] = side == 0 ? h : lcount_[ud];
-    } else {
-      lo[ud] = side == 0 ? -h : lcount_[ud];
-      hi[ud] = side == 0 ? 0 : lcount_[ud] + h;
-    }
-    visit_rel_box(lo, hi, fn);
-  }
-
   [[nodiscard]] int neighbor_rank(int dim, int delta) const {
     const auto ud = static_cast<std::size_t>(dim);
     const int pd = proc_dim_[ud];
@@ -748,10 +715,6 @@ class DistArray {
     return view_.rank_of(coord);
   }
 
-  /// Tag of the face message that fills a receiver's ghost face at `side`
-  /// of dim d (side 0: low, data travelling low -> high).
-  static int face_tag(int d, int side) { return kTagHaloBase + 4 * d + side; }
-
   void require_halo_fits() const {
     for (int d = 0; d < R; ++d) {
       const auto ud = static_cast<std::size_t>(d);
@@ -762,35 +725,40 @@ class DistArray {
     }
   }
 
-  /// Cells in one face of dim d (halo_[d] planes over the owned extent of
-  /// the other dims).
-  [[nodiscard]] std::size_t face_volume(int d) const {
-    std::size_t volume = static_cast<std::size_t>(halo_[static_cast<std::size_t>(d)]);
-    for (int o = 0; o < R; ++o) {
-      if (o != d) {
-        volume *= static_cast<std::size_t>(lcount_[static_cast<std::size_t>(o)]);
+  /// One box of a halo exchange: slab-relative, hi exclusive.
+  struct Piece {
+    GIndex<R> lo{};
+    GIndex<R> hi{};
+  };
+
+  /// A flat piece list: (peer, box) entries.
+  using Pieces = std::vector<std::pair<int, Piece>>;
+
+  /// A peer's pieces: entries [first, first + count) of a flat piece list.
+  struct PieceRun {
+    std::size_t first = 0;
+    std::size_t count = 0;
+  };
+
+  /// Cells in a peer's pieces: the length of its message.
+  static std::size_t volume(const Pieces& pieces, const PieceRun& run) {
+    std::size_t total = 0;
+    for (std::size_t k = run.first; k < run.first + run.count; ++k) {
+      std::size_t v = 1;
+      for (int d = 0; d < R; ++d) {
+        const auto ud = static_cast<std::size_t>(d);
+        v *= static_cast<std::size_t>(pieces[k].second.hi[ud] -
+                                      pieces[k].second.lo[ud]);
       }
+      total += v;
     }
-    return volume;
+    return total;
   }
 
-  /// The face-mode halo's unpack: the message's tag names the ghost face
-  /// (face_tag) it fills.  Returns the element count for the charge.
-  double unpack_face(Message m) {
-    const int d = (m.tag - kTagHaloBase) / 4;
-    const int side = (m.tag - kTagHaloBase) % 4;
-    const std::vector<T> in = payload_values<T>(std::move(m));
-    KALI_CHECK(in.size() == face_volume(d), "halo size mismatch");
-    std::size_t k = 0;
-    visit_face(d, side, /*owned_side=*/false, [&](const GIndex<R>& rel) {
-      (*store_)[static_cast<std::size_t>(rel_flat(rel))] = in[k++];
-    });
-    return static_cast<double>(k);
-  }
-
-  /// The HaloCorners::kYes implementation: one scheduled exchange over the
-  /// view covering every ghost region at once, diagonal neighbours
-  /// included.
+  /// The halo's pieces, (peer, box) in ascending direction-code order:
+  /// what this member sends (owned faces and frame margins) and the ghost
+  /// regions it receives.  `faces` keeps only the codes with one nonzero
+  /// dim (HaloCorners::kNo).
   ///
   /// Each direction vector delta in {-1, 0, +1}^R (nonzero only on dims
   /// with halo > 0) names one disjoint ghost region of the slab margin.
@@ -799,48 +767,26 @@ class DistArray {
   ///            that side's *owned face* of the rank one step away,
   ///   U dims — the domain boundary; the region lies outside the global
   ///            index space and carries the *frame margin* of the rank at
-  ///            the same coordinate (the value the old serialized per-dim
-  ///            rounds propagated into out-of-domain corners).
+  ///            the same coordinate (the value serialized per-dim rounds
+  ///            would propagate into out-of-domain corners).
   /// The region's unique source is therefore the rank at coord + delta|E;
   /// regions with E empty stay untouched (pure frame).  Senders enumerate
   /// the same pairs from the other end: for each delta and each nonzero
   /// dim, the receiver either sits at coord - delta_d (E, gets my owned
   /// face) or at my own coordinate with no rank beyond it (U, gets my
   /// frame margin) — every valid combination with at least one E choice is
-  /// a receiver.  Both ends enumerate delta codes ascending and begin one
-  /// detail::exchange_begin, so the whole exchange is one round-scheduled
-  /// trip instead of R serialized dimension rounds, and no member ever
-  /// messages itself.  A peer's pieces travel concatenated — in that
-  /// shared ascending-code order, so no per-piece header is needed — as
-  /// one kTagHaloCornerPack message per peer.  The pack is charged inside
-  /// the wire window.
-  PendingExchange corner_halo_begin(IssueOrder order) {
-    struct Piece {
-      GIndex<R> lo{};  ///< slab-relative box, hi exclusive
-      GIndex<R> hi{};
-    };
-    // Each endpoint's pieces grouped by peer, in ascending-code order.  A
-    // pair exchanges at most one piece per code (distinct masks name
-    // distinct receiver coordinates), so both sides agree on the
-    // concatenation order and the receiver can split the pack by its known
-    // piece volumes alone.
-    using ByPeer = std::vector<std::pair<int, std::vector<Piece>>>;
-    ByPeer out;
-    ByPeer in;
-    auto add = [](ByPeer& grouped, int rank, const Piece& piece) {
-      for (auto& [r, pieces] : grouped) {
-        if (r == rank) {
-          pieces.push_back(piece);
-          return;
-        }
-      }
-      grouped.emplace_back(rank, std::vector<Piece>{piece});
-    };
-
+  /// a receiver.  No member ever messages itself.  A face code has one
+  /// nonzero dim, so it has no U choice: a face piece is an owned face
+  /// sent to the grid neighbour, and each face peer gets one piece.
+  void plan_halo(bool faces, Pieces& sends, Pieces& recvs) const {
     int ncodes = 1;
+    std::size_t max_sends = 1;  // sum over codes of 2^nnz
     for (int d = 0; d < R; ++d) {
       ncodes *= 3;
+      max_sends *= 5;
     }
+    sends.reserve(faces ? 2 * UR : max_sends);
+    recvs.reserve(faces ? 2 * UR : static_cast<std::size_t>(ncodes));
     std::array<int, UR> nz{};  // nonzero dims of the current delta
     for (int code = 0; code < ncodes; ++code) {
       GIndex<R> delta{};
@@ -859,23 +805,30 @@ class DistArray {
           nz[static_cast<std::size_t>(nnz++)] = d;
         }
       }
-      if (!eligible || nnz == 0) {
+      if (!eligible || nnz == 0 || (faces && nnz != 1)) {
+        continue;
+      }
+      // Delta's zero dims span the owned extent.
+      Piece rest_of_slab;
+      bool empty = false;
+      for (int d = 0; d < R; ++d) {
+        const auto ud = static_cast<std::size_t>(d);
+        if (delta[ud] == 0) {
+          rest_of_slab.hi[ud] = lcount_[ud];
+          empty = empty || lcount_[ud] == 0;
+        }
+      }
+      if (empty) {
         continue;
       }
       // Receive side: source = coord + delta along E dims.
       {
         auto coord = view_coord_;
         bool any_e = false;
-        bool empty = false;
-        Piece p;
-        for (int d = 0; d < R; ++d) {
+        Piece p = rest_of_slab;
+        for (int b = 0; b < nnz; ++b) {
+          const int d = nz[static_cast<std::size_t>(b)];
           const auto ud = static_cast<std::size_t>(d);
-          if (delta[ud] == 0) {
-            p.lo[ud] = 0;
-            p.hi[ud] = lcount_[ud];
-            empty = empty || lcount_[ud] == 0;
-            continue;
-          }
           const int h = halo_[ud];
           p.lo[ud] = delta[ud] < 0 ? -h : lcount_[ud];
           p.hi[ud] = delta[ud] < 0 ? 0 : lcount_[ud] + h;
@@ -884,27 +837,17 @@ class DistArray {
             coord[static_cast<std::size_t>(proc_dim_[ud])] += delta[ud];
           }
         }
-        if (any_e && !empty) {
-          add(in, view_.rank_of(coord), p);
+        if (any_e) {
+          recvs.emplace_back(view_.rank_of(coord), p);
         }
       }
-
       // Send side: every valid E/U choice combination with >= 1 E choice
       // names one receiver pulling direction `delta` from this member.
       for (int mask = 0; mask < (1 << nnz); ++mask) {
         auto coord = view_coord_;
         bool valid = true;
         bool any_e = false;
-        bool empty = false;
-        Piece p;
-        for (int d = 0; d < R; ++d) {
-          const auto ud = static_cast<std::size_t>(d);
-          if (delta[ud] == 0) {
-            p.lo[ud] = 0;
-            p.hi[ud] = lcount_[ud];
-            empty = empty || lcount_[ud] == 0;
-          }
-        }
+        Piece p = rest_of_slab;
         for (int b = 0; b < nnz && valid; ++b) {
           const int d = nz[static_cast<std::size_t>(b)];
           const auto ud = static_cast<std::size_t>(d);
@@ -924,51 +867,41 @@ class DistArray {
             p.hi[ud] = delta[ud] > 0 ? lcount_[ud] + h : 0;
           }
         }
-        if (valid && any_e && !empty) {
-          add(out, view_.rank_of(coord), p);
+        if (valid && any_e) {
+          sends.emplace_back(view_.rank_of(coord), p);
         }
       }
     }
+  }
 
-    std::vector<int> members = view_.ranks();
-    std::sort(members.begin(), members.end());
-    std::vector<T> buf;
-    double packed = 0;
-    PendingExchange ex = detail::exchange_begin<T>(
-        *ctx_, members, kTagHaloCornerPack, std::move(out), std::move(in),
-        [&](const std::vector<Piece>& pieces) {
-          buf.clear();
-          for (const Piece& p : pieces) {
-            visit_rel_box(p.lo, p.hi, [&](const GIndex<R>& rel) {
-              buf.push_back(
-                  (*store_)[static_cast<std::size_t>(rel_flat(rel))]);
-            });
-          }
-          packed += static_cast<double>(buf.size());
-          return std::span<const T>(buf);
-        },
-        [this](const std::vector<Piece>& pieces, const std::vector<T>& vals) {
-          std::size_t total = 0;
-          for (const Piece& p : pieces) {
-            std::size_t volume = 1;
-            for (int d = 0; d < R; ++d) {
-              const auto ud = static_cast<std::size_t>(d);
-              volume *= static_cast<std::size_t>(p.hi[ud] - p.lo[ud]);
-            }
-            total += volume;
-          }
-          KALI_CHECK(vals.size() == total, "corner halo pack size mismatch");
-          std::size_t k = 0;
-          for (const Piece& p : pieces) {
-            visit_rel_box(p.lo, p.hi, [&](const GIndex<R>& rel) {
-              (*store_)[static_cast<std::size_t>(rel_flat(rel))] = vals[k++];
-            });
-          }
-          return static_cast<double>(k);
-        },
-        order);
-    ctx_->compute(packed);
-    return ex;
+  /// Group a flat (peer, piece) list by peer in place — peers in order of
+  /// first appearance, each peer's pieces in list order, so both ends
+  /// concatenate a pair's pieces in ascending-code order and the receiver
+  /// splits a message by its known piece volumes alone (a pair exchanges
+  /// at most one piece per code: distinct masks name distinct receivers) —
+  /// and return each peer's run, the exchange's one entry per peer.
+  static std::vector<std::pair<int, PieceRun>> runs_by_peer(Pieces& pieces) {
+    std::vector<std::pair<int, PieceRun>> runs;
+    runs.reserve(pieces.size());
+    for (std::size_t k = 0; k < pieces.size(); ++k) {
+      const int peer = pieces[k].first;
+      auto it = std::find_if(runs.begin(), runs.end(),
+                             [&](const auto& r) { return r.first == peer; });
+      if (it == runs.end()) {
+        runs.push_back({peer, {k, 1}});
+        continue;
+      }
+      // Move the piece to the end of its peer's run; later runs shift.
+      const std::size_t end = it->second.first + it->second.count;
+      std::rotate(pieces.begin() + static_cast<std::ptrdiff_t>(end),
+                  pieces.begin() + static_cast<std::ptrdiff_t>(k),
+                  pieces.begin() + static_cast<std::ptrdiff_t>(k + 1));
+      ++it->second.count;
+      for (++it; it != runs.end(); ++it) {
+        ++it->second.first;
+      }
+    }
+    return runs;
   }
 
   Context* ctx_ = nullptr;

@@ -8,15 +8,13 @@
 // order) and receives with plain blocking recv_vec calls, charging as the
 // old loops did:
 //
-//  * blocking_halo: per dim, send both owned faces and charge the pack;
-//    then per dim, receive both ghost faces and charge their unpack
-//    together.
-//  * the rest run through issue_exchange: send in round order, charge the
-//    pack, receive in round order and charge the unpack once at the end.
+//  * each runs through issue_exchange: send in round order (the face
+//    halo in ascending direction-code order), charge the pack, receive in
+//    the same order and charge the unpack once at the end.
 //    blocking_redistribute charges a box self copy before the sends; the
-//    strided copies, the binner, the corner halo and all_gather fold their
-//    local copies into the final unpack charge, and blocking_gather's
-//    executor charges its self copies before the sends.
+//    strided copies, the binner and all_gather fold their local copies
+//    into the final unpack charge, and blocking_gather's executor charges
+//    its self copies before the sends.
 //
 // Values and per-tag ledgers must match the one path exactly; clocks may
 // not, since the one path charges each message's unpack right after its
@@ -79,78 +77,7 @@ int neighbor(const DistArray<T, R>& a, int d, int delta) {
   return a.view().rank_of(coord);
 }
 
-/// The face of thickness halo(d) at `side` (0: low) along d, over the owned
-/// extent of the other dims: owned planes or ghost planes, global indices.
-template <class T, int R>
-kali::detail::Box<R> face(const DistArray<T, R>& a, int d, int side,
-                          bool owned_side) {
-  kali::detail::Box<R> b = kali::detail::owned_box(a);
-  const auto ud = static_cast<std::size_t>(d);
-  const int h = a.halo(d);
-  const int lo = b.lo[ud];
-  const int hi = b.hi[ud];
-  if (owned_side) {
-    b.lo[ud] = side == 0 ? lo : hi - h + 1;
-    b.hi[ud] = side == 0 ? lo + h - 1 : hi;
-  } else {
-    b.lo[ud] = side == 0 ? lo - h : hi + 1;
-    b.hi[ud] = side == 0 ? lo - 1 : hi + h;
-  }
-  return b;
-}
-
 }  // namespace detail_blocking
-
-/// The blocking face-mode halo exchange (HaloCorners::kNo).
-template <class T, int R>
-void blocking_halo(DistArray<T, R>& a) {
-  if (!a.participating()) {
-    return;
-  }
-  Context& ctx = a.context();
-  for (int d = 0; d < R; ++d) {
-    if (a.halo(d) == 0) {
-      continue;
-    }
-    double packed = 0;
-    for (int side = 0; side < 2; ++side) {
-      const int peer = detail_blocking::neighbor(a, d, side == 0 ? -1 : +1);
-      const auto box = detail_blocking::face(a, d, side, /*owned_side=*/true);
-      if (peer < 0 || box.empty()) {
-        continue;
-      }
-      std::vector<T> buf;
-      kali::detail::for_each_in_box(
-          box, [&](const GIndex<R>& g) { buf.push_back(a.at(g)); });
-      // Side 0's owned face travels low-ward: it fills the left
-      // neighbour's high ghost face (tag 4d + 1).
-      ctx.send_span<T>(peer, kTagHaloBase + 4 * d + 1 - side,
-                       std::span<const T>(buf));
-      packed += static_cast<double>(buf.size());
-    }
-    ctx.compute(packed);
-  }
-  for (int d = 0; d < R; ++d) {
-    if (a.halo(d) == 0) {
-      continue;
-    }
-    double unpacked = 0;
-    for (int side = 0; side < 2; ++side) {
-      const int peer = detail_blocking::neighbor(a, d, side == 0 ? -1 : +1);
-      const auto box = detail_blocking::face(a, d, side, /*owned_side=*/false);
-      if (peer < 0 || box.empty()) {
-        continue;
-      }
-      const std::vector<T> in = ctx.recv_vec<T>(peer, kTagHaloBase + 4 * d + side);
-      std::size_t k = 0;
-      kali::detail::for_each_in_box(
-          box, [&](const GIndex<R>& g) { a.frame(g) = in.at(k++); });
-      KALI_CHECK(k == in.size(), "oracle halo size mismatch");
-      unpacked += static_cast<double>(k);
-    }
-    ctx.compute(unpacked);
-  }
-}
 
 /// The blocking box exchange: `unpacked` seeds the final unpack charge.
 template <class T, int R>
@@ -307,18 +234,23 @@ void blocking_copy_strided_dim(Context& ctx, const DistArray<T, R>& src,
   blocking_box(ctx, src, dst, c, plan, copied, IssueOrder::kRoundSchedule);
 }
 
-/// The blocking corner-mode halo exchange (HaloCorners::kYes) on a
-/// block/star array, in global indices: each direction vector delta in
-/// {-1, 0, +1}^R names one ghost region, sourced from the rank at
-/// coord + delta along the dims with a neighbour (an owned face), or at
-/// the same coordinate beside the domain boundary (a frame margin).  A
-/// peer's pieces travel concatenated in ascending delta-code order, one
-/// kTagHaloCornerPack message per peer.
+/// The blocking halo exchange on a block/star array, in global indices:
+/// each direction vector delta in {-1, 0, +1}^R names one ghost region,
+/// sourced from the rank at coord + delta along the dims with a neighbour
+/// (an owned face), or at the same coordinate beside the domain boundary
+/// (a frame margin).  A peer's pieces travel concatenated in ascending
+/// delta-code order, one kTagHalo message per peer.  HaloCorners::kNo
+/// keeps the face codes only (one nonzero dim) and issues in ascending
+/// code order, whatever `order` says.
 template <class T, int R>
-void blocking_corner_halo(DistArray<T, R>& a,
-                          IssueOrder order = IssueOrder::kRoundSchedule) {
+void blocking_halo(DistArray<T, R>& a, HaloCorners corners = HaloCorners::kNo,
+                   IssueOrder order = IssueOrder::kRoundSchedule) {
   if (!a.participating()) {
     return;
+  }
+  const bool faces = corners == HaloCorners::kNo;
+  if (faces) {
+    order = IssueOrder::kPeerOrder;
   }
   Context& ctx = a.context();
   using Box = kali::detail::Box<R>;
@@ -362,7 +294,7 @@ void blocking_corner_halo(DistArray<T, R>& a,
         nz.push_back(d);
       }
     }
-    if (!eligible || nz.empty()) {
+    if (!eligible || nz.empty() || (faces && nz.size() != 1)) {
       continue;
     }
     Box owned_rest;  // delta's zero dims span the owned extent
@@ -425,11 +357,11 @@ void blocking_corner_halo(DistArray<T, R>& a,
       kali::detail::for_each_in_box(
           b, [&](const GIndex<R>& g) { buf.push_back(a.at_halo(g)); });
     }
-    ctx.send_span<T>(rank, kTagHaloCornerPack, std::span<const T>(buf));
+    ctx.send_span<T>(rank, kTagHalo, std::span<const T>(buf));
     packed += static_cast<double>(buf.size());
   };
   auto recv_one = [&](int rank, const Pieces& pieces) {
-    const auto vals = ctx.recv_vec<T>(rank, kTagHaloCornerPack);
+    const auto vals = ctx.recv_vec<T>(rank, kTagHalo);
     std::size_t k = 0;
     for (const Box& b : pieces) {
       KALI_CHECK(k + static_cast<std::size_t>(b.volume()) <= vals.size(),

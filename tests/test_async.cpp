@@ -510,117 +510,117 @@ struct RankPin {
 constexpr RankPin kPinned[6][16] = {
     // LinkContention::kNone, Topology::kHypercube
     {
-      {0x1.5b9a5a89b9524p-10, 0x1.4d9abd8607ecbp-8, 0x1.49766b9727cfap-8, 0x1.09147bb807428p-14},
-      {0x1.6341eeb7d9204p-10, 0x1.6b2c9ec47bc5ap-8, 0x1.68c9edf53b811p-8, 0x1.315867a02249p-15},
-      {0x1.6341eeb7d9204p-10, 0x1.6c3fc43b2dd3bp-8, 0x1.69dd136bed8f2p-8, 0x1.315867a02249p-15},
-      {0x1.65e10568f58d6p-10, 0x1.5b49d2b1e91bfp-8, 0x1.56ba20f89e0c2p-8, 0x1.23ec6e52c3f2p-14},
-      {0x1.6bdb1a6d69907p-10, 0x1.4c73761961d0fp-8, 0x1.47ea7a5cbd705p-8, 0x1.223eef291827cp-14},
-      {0x1.6956dbaee7ep-10, 0x1.5df6555c52e76p-8, 0x1.5b93a48d12a2ep-8, 0x1.315867a02249p-15},
-      {0x1.6956dbaee7ep-10, 0x1.5e9e1b089a02cp-8, 0x1.5c3b6a3959be2p-8, 0x1.315867a02249p-15},
-      {0x1.6bdb1a6d69907p-10, 0x1.4f4186b30d084p-8, 0x1.4ab88af668a7ap-8, 0x1.223eef291827cp-14},
-      {0x1.6bdb1a6d69907p-10, 0x1.4f4186b30d084p-8, 0x1.4ab88af668a7ap-8, 0x1.223eef291827cp-14},
-      {0x1.6956dbaee7ep-10, 0x1.5e9e1b089a02cp-8, 0x1.5c3b6a3959be2p-8, 0x1.315867a02249p-15},
-      {0x1.6956dbaee7ep-10, 0x1.5f45e0b4e11ep-8, 0x1.5ce32fe5a0d96p-8, 0x1.315867a02249p-15},
-      {0x1.6bdb1a6d69907p-10, 0x1.4d57a1a78514cp-8, 0x1.48cea5eae0b42p-8, 0x1.223eef291827cp-14},
-      {0x1.6433863f49c27p-10, 0x1.637e5499b548ap-8, 0x1.5f5a02aad52bap-8, 0x1.09147bb807428p-14},
-      {0x1.6341eeb7d9204p-10, 0x1.6c7c2a1d09fc3p-8, 0x1.6a19794dc9b7ap-8, 0x1.315867a02249p-15},
-      {0x1.6341eeb7d9204p-10, 0x1.6d23efc951178p-8, 0x1.6ac13efa10d2fp-8, 0x1.315867a02249p-15},
-      {0x1.5b9a5a89b9524p-10, 0x1.4cf2f7d9c0d17p-8, 0x1.48cea5eae0b46p-8, 0x1.09147bb807428p-14},
+      {0x1.5d47d9b3651d3p-10, 0x1.44e003e136109p-8, 0x1.40505227eb00dp-8, 0x1.23ec6e52c3f2p-14},
+      {0x1.6341eeb7d9204p-10, 0x1.6d0fcdd35d0a1p-8, 0x1.6aad1d041cc57p-8, 0x1.315867a02248cp-15},
+      {0x1.65251dc6ba649p-10, 0x1.65907d9125572p-8, 0x1.62b500fe2cc17p-8, 0x1.6dbe497c4ad3p-15},
+      {0x1.66d29cf0662f9p-10, 0x1.5b2844c2a7b02p-8, 0x1.565c2d278077cp-8, 0x1.3305e6c9ce148p-14},
+      {0x1.6bdb1a6d69907p-10, 0x1.4e56a52843154p-8, 0x1.49cda96b9eb4ap-8, 0x1.223eef2918276p-14},
+      {0x1.6956dbaee7ep-10, 0x1.5ffb125a7597ap-8, 0x1.5d98618b3553p-8, 0x1.315867a02249p-15},
+      {0x1.6956dbaee7ep-10, 0x1.5ee136e71cda8p-8, 0x1.5c7e8617dc95ep-8, 0x1.315867a02249p-15},
+      {0x1.6a12c3512308dp-10, 0x1.56e264e486273p-8, 0x1.52cb7eeef3687p-8, 0x1.05b97d64afadp-14},
+      {0x1.6bdb1a6d69907p-10, 0x1.4ed626e8a2158p-8, 0x1.4a4d2b2bfdb4fp-8, 0x1.223eef2918278p-14},
+      {0x1.6956dbaee7ep-10, 0x1.5f6e24a0c939p-8, 0x1.5d0b73d188f48p-8, 0x1.315867a02249p-15},
+      {0x1.6956dbaee7ep-10, 0x1.5e54492d707bep-8, 0x1.5bf1985e30374p-8, 0x1.315867a02249p-15},
+      {0x1.6a12c3512308dp-10, 0x1.542f2c3d75ac8p-8, 0x1.50184647e2edcp-8, 0x1.05b97d64afadp-14},
+      {0x1.65e10568f58d6p-10, 0x1.5c0c7050caf3fp-8, 0x1.577cbe977fe43p-8, 0x1.23ec6e52c3f2p-14},
+      {0x1.6341eeb7d9204p-10, 0x1.6cb1da023f759p-8, 0x1.6a4f2932ff31p-8, 0x1.315867a02249p-15},
+      {0x1.6341eeb7d9204p-10, 0x1.6b9eb48b8d67ap-8, 0x1.693c03bc4d23p-8, 0x1.315867a02249p-15},
+      {0x1.5b9a5a89b9524p-10, 0x1.4d7fe5936d3p-8, 0x1.495b93a48d12fp-8, 0x1.09147bb807428p-14},
     },
     // LinkContention::kNone, Topology::kMesh2D
     {
-      {0x1.5e39713ad5bf6p-10, 0x1.4e8c550d788ecp-8, 0x1.49c03d7251566p-8, 0x1.3305e6c9ce148p-14},
-      {0x1.61946f8e2d555p-10, 0x1.775d2eaf3ff46p-8, 0x1.7565ddaa6aa28p-8, 0x1.f75104d551d4p-16},
-      {0x1.60a2d806bcb33p-10, 0x1.7cebe3e949048p-8, 0x1.7b30f8c64fdb4p-8, 0x1.baeb22f9294cp-16},
-      {0x1.68801c1a11fa8p-10, 0x1.5ca6ca03c4b0dp-8, 0x1.576f529e3285cp-8, 0x1.4dddd9648ac4p-14},
-      {0x1.6e7a311e85fd9p-10, 0x1.47ea7a5cbd707p-8, 0x1.42b9b8f3d1f48p-8, 0x1.4c305a3adef94p-14},
-      {0x1.66b7c4fdcb72ep-10, 0x1.68801c1a11fa3p-8, 0x1.66c530f718d0fp-8, 0x1.baeb22f9294ap-16},
-      {0x1.66b7c4fdcb72ep-10, 0x1.6927e1c659158p-8, 0x1.676cf6a35fec3p-8, 0x1.baeb22f9294ap-16},
-      {0x1.6e7a311e85fd9p-10, 0x1.4a10c54a218c8p-8, 0x1.44e003e13610ap-8, 0x1.4c305a3adef94p-14},
-      {0x1.6e7a311e85fd9p-10, 0x1.4a10c54a218c8p-8, 0x1.44e003e136108p-8, 0x1.4c305a3adef94p-14},
-      {0x1.66b7c4fdcb72ep-10, 0x1.6927e1c659157p-8, 0x1.676cf6a35fec3p-8, 0x1.baeb22f9294ap-16},
-      {0x1.66b7c4fdcb72ep-10, 0x1.69cfa772a030cp-8, 0x1.6814bc4fa7077p-8, 0x1.baeb22f9294ap-16},
-      {0x1.6e7a311e85fd9p-10, 0x1.48cea5eae0b44p-8, 0x1.439de481f5386p-8, 0x1.4c305a3adef94p-14},
-      {0x1.66d29cf0662f9p-10, 0x1.6517b1cd6d05ep-8, 0x1.604b9a3245cdap-8, 0x1.3305e6c9ce148p-14},
-      {0x1.61946f8e2d555p-10, 0x1.78e91fe9aa536p-8, 0x1.76f1cee4d501ap-8, 0x1.f75104d551d4p-16},
-      {0x1.61946f8e2d555p-10, 0x1.7990e595f16ecp-8, 0x1.779994911c1cep-8, 0x1.f75104d551d4p-16},
-      {0x1.5e39713ad5bf6p-10, 0x1.4de48f6131738p-8, 0x1.491877c60a3b2p-8, 0x1.3305e6c9ce148p-14},
+      {0x1.5fe6f064818a5p-10, 0x1.462f8f39c4472p-8, 0x1.40f817d4321c1p-8, 0x1.4dddd9648ac4p-14},
+      {0x1.6341eeb7d9205p-10, 0x1.73f4c4629afffp-8, 0x1.719213935abb5p-8, 0x1.315867a0224ap-15},
+      {0x1.6433863f49c27p-10, 0x1.6dfaaf5e26fd2p-8, 0x1.6b5b98ad0a9p-8, 0x1.4f8b588e368ep-15},
+      {0x1.65251dc6ba649p-10, 0x1.703bd23e25d5ep-8, 0x1.6bdb1a6d69905p-8, 0x1.182df42f1165p-14},
+      {0x1.6e7a311e85fd9p-10, 0x1.4a90470a808c8p-8, 0x1.455f85a19510ap-8, 0x1.4c305a3adef98p-14},
+      {0x1.66b7c4fdcb72ep-10, 0x1.6a776d1ee74c1p-8, 0x1.68bc81fbee22cp-8, 0x1.baeb22f9294ap-16},
+      {0x1.66b7c4fdcb72ep-10, 0x1.69cfa772a030cp-8, 0x1.6814bc4fa7078p-8, 0x1.baeb22f9294ap-16},
+      {0x1.6e7a311e85fd9p-10, 0x1.499eaf830fea6p-8, 0x1.446dee1a246e8p-8, 0x1.4c305a3adef98p-14},
+      {0x1.6e7a311e85fd9p-10, 0x1.4c3dc6342c578p-8, 0x1.470d04cb40dbap-8, 0x1.4c305a3adef98p-14},
+      {0x1.66b7c4fdcb72ep-10, 0x1.69cfa772a030dp-8, 0x1.6814bc4fa7078p-8, 0x1.baeb22f9294ap-16},
+      {0x1.66b7c4fdcb72ep-10, 0x1.6927e1c659158p-8, 0x1.676cf6a35fec4p-8, 0x1.baeb22f9294ap-16},
+      {0x1.6e7a311e85fd9p-10, 0x1.47786495abce6p-8, 0x1.4247a32cc0528p-8, 0x1.4c305a3adef98p-14},
+      {0x1.68801c1a11fa8p-10, 0x1.5e46dd34231d7p-8, 0x1.590f65ce90f26p-8, 0x1.4dddd9648ac4p-14},
+      {0x1.60a2d806bcb33p-10, 0x1.7dc9597ac5992p-8, 0x1.7c0e6e57cc6fep-8, 0x1.baeb22f9294cp-16},
+      {0x1.61946f8e2d555p-10, 0x1.783aa440bc89p-8, 0x1.7643533be7374p-8, 0x1.f75104d551d4p-16},
+      {0x1.5e39713ad5bf6p-10, 0x1.4edcdce548c4ep-8, 0x1.4a10c54a218c8p-8, 0x1.3305e6c9ce148p-14},
     },
     // LinkContention::kPorts, Topology::kHypercube
     {
-      {0x1.303e8c2cc98c9p-9, 0x1.5d9bbc8988aa2p-7, 0x1.3aed3bd81d62cp-7, 0x1.1574058b5a3b2p-10},
-      {0x1.4785d08ef92c9p-9, 0x1.6aa9c205c96d8p-7, 0x1.43ff33516624p-7, 0x1.355475a31a4b4p-10},
-      {0x1.4785d08ef92c9p-9, 0x1.71956e91ae12ap-7, 0x1.4aeadfdd4ac92p-7, 0x1.355475a31a4b4p-10},
-      {0x1.48d55be787633p-9, 0x1.6b4776b71682p-7, 0x1.4386678dadd3p-7, 0x1.3e08794b45784p-10},
-      {0x1.4785d08ef92c9p-9, 0x1.60d887ebf22bcp-7, 0x1.3a2df9378ee25p-7, 0x1.355475a31a4b4p-10},
-      {0x1.48d55be787631p-9, 0x1.5de58e64b231p-7, 0x1.37a9ba790d31fp-7, 0x1.31de9f5d27f89p-10},
-      {0x1.48d55be787631p-9, 0x1.60e298e6ec328p-7, 0x1.3aa6c4fb47338p-7, 0x1.31de9f5d27f89p-10},
-      {0x1.4a24e7401599bp-9, 0x1.5e254f44e1b13p-7, 0x1.36d2fae4374c7p-7, 0x1.3a92a30553258p-10},
-      {0x1.4a24e7401599bp-9, 0x1.612c6ac215b97p-7, 0x1.39da16616b54bp-7, 0x1.3a92a30553258p-10},
-      {0x1.48d55be787631p-9, 0x1.612c6ac215b96p-7, 0x1.3af096d670ba5p-7, 0x1.31de9f5d27f89p-10},
-      {0x1.4785d08ef92c9p-9, 0x1.61de416956db8p-7, 0x1.3bf65053d56a1p-7, 0x1.2f3f88ac0b8b9p-10},
-      {0x1.4785d08ef92c9p-9, 0x1.5dd16c6ebe238p-7, 0x1.3726ddba5ada1p-7, 0x1.355475a31a4b4p-10},
-      {0x1.48d55be787633p-9, 0x1.61763c9d3f406p-7, 0x1.39b52d73d6915p-7, 0x1.3e08794b45784p-10},
-      {0x1.4785d08ef92c9p-9, 0x1.5f20f7c74c5a2p-7, 0x1.38766912e910bp-7, 0x1.355475a31a4b4p-10},
-      {0x1.4785d08ef92c9p-9, 0x1.5f20f7c74c5a2p-7, 0x1.38766912e910bp-7, 0x1.355475a31a4b4p-10},
-      {0x1.303e8c2cc98c9p-9, 0x1.501ba14636451p-7, 0x1.2d6d2094cafdap-7, 0x1.1574058b5a3b2p-10},
+      {0x1.318e178557c32p-9, 0x1.4dc65c70435ecp-7, 0x1.2ac3f8e8b489cp-7, 0x1.18131c3c76a84p-10},
+      {0x1.4785d08ef92c9p-9, 0x1.675c2fabbf35ep-7, 0x1.40b1a0f75bec7p-7, 0x1.355475a31a4b4p-10},
+      {0x1.4785d08ef92c9p-9, 0x1.5b863893c544p-7, 0x1.34dba9df61faap-7, 0x1.355475a31a4b4p-10},
+      {0x1.4a24e7401599bp-9, 0x1.5f2b08c24660dp-7, 0x1.371616c2ba244p-7, 0x1.40a78ffc61e54p-10},
+      {0x1.4785d08ef92c9p-9, 0x1.63cb817332268p-7, 0x1.3d20f2becedd2p-7, 0x1.355475a31a4b4p-10},
+      {0x1.48d55be787631p-9, 0x1.6381af98089fap-7, 0x1.3d45dbac63a09p-7, 0x1.31de9f5d27f89p-10},
+      {0x1.48d55be787631p-9, 0x1.627bf61aa3effp-7, 0x1.3c40222efef0fp-7, 0x1.31de9f5d27f89p-10},
+      {0x1.4b747298a3d03p-9, 0x1.6030c23fab107p-7, 0x1.388a8b08dd1e3p-7, 0x1.3d31b9b66f928p-10},
+      {0x1.4a24e7401599bp-9, 0x1.627bf61aa3fp-7, 0x1.3b29a1b9f98b4p-7, 0x1.3a92a30553258p-10},
+      {0x1.48d55be787631p-9, 0x1.6232243f7a691p-7, 0x1.3bf65053d56ap-7, 0x1.31de9f5d27f89p-10},
+      {0x1.48d55be787631p-9, 0x1.5fdcdf698782ep-7, 0x1.39a10b7de283cp-7, 0x1.31de9f5d27f89p-10},
+      {0x1.48d55be787633p-9, 0x1.5e39713ad5bebp-7, 0x1.373affb04ee7bp-7, 0x1.37f38c5436b88p-10},
+      {0x1.48d55be787633p-9, 0x1.703bd23e25d55p-7, 0x1.487ac314bd265p-7, 0x1.3e08794b45784p-10},
+      {0x1.4785d08ef92c9p-9, 0x1.6da6cc88036eep-7, 0x1.46fc3dd3a0259p-7, 0x1.355475a31a4b4p-10},
+      {0x1.48d55be787631p-9, 0x1.6d9cbb8d09682p-7, 0x1.469e4a0282913p-7, 0x1.37f38c5436b84p-10},
+      {0x1.318e178557c32p-9, 0x1.5eeb47e216e0cp-7, 0x1.3be8e45a880bap-7, 0x1.18131c3c76a84p-10},
     },
     // LinkContention::kPorts, Topology::kMesh2D
     {
-      {0x1.342d2e3674304p-9, 0x1.5ca014071e014p-7, 0x1.38f5ead34810ep-7, 0x1.1d51499eaf828p-10},
-      {0x1.48d55be787633p-9, 0x1.728706191eb4dp-7, 0x1.4b88948e97ddcp-7, 0x1.37f38c5436b88p-10},
-      {0x1.48d55be787633p-9, 0x1.7a6e5b276e02fp-7, 0x1.536fe99ce72bep-7, 0x1.37f38c5436b88p-10},
-      {0x1.4b747298a3d03p-9, 0x1.71814c9bba05p-7, 0x1.491877c60a3adp-7, 0x1.4346a6ad7e524p-10},
-      {0x1.4cc3fdf13206dp-9, 0x1.61804d9839471p-7, 0x1.3986338b47c71p-7, 0x1.3fd0d0678bffcp-10},
+      {0x1.32dda2dde5f9bp-9, 0x1.569f4906034f1p-7, 0x1.334902a850ec7p-7, 0x1.1ab232ed93156p-10},
+      {0x1.4785d08ef92c9p-9, 0x1.69fb465cdba2fp-7, 0x1.4350b7a878599p-7, 0x1.355475a31a4b4p-10},
+      {0x1.4785d08ef92c9p-9, 0x1.616c2ba245398p-7, 0x1.3ac19cede1f03p-7, 0x1.355475a31a4b4p-10},
+      {0x1.4b747298a3d03p-9, 0x1.5c8bf21129f3cp-7, 0x1.34231d3b7a297p-7, 0x1.4346a6ad7e524p-10},
+      {0x1.4b747298a3d03p-9, 0x1.67125dd095aefp-7, 0x1.3f6c2699c7bcap-7, 0x1.3d31b9b66f928p-10},
+      {0x1.4785d08ef92c9p-9, 0x1.6f4d95b5088acp-7, 0x1.4965a49f87195p-7, 0x1.2f3f88ac0b8b9p-10},
+      {0x1.463645366af61p-9, 0x1.656eefa1e3eacp-7, 0x1.3fdae1628607p-7, 0x1.2ca071faef1e9p-10},
+      {0x1.4cc3fdf13206dp-9, 0x1.5ee136e71cdap-7, 0x1.36e71cda2b5ap-7, 0x1.3fd0d0678bffcp-10},
+      {0x1.4a24e7401599bp-9, 0x1.64c729f59ccf8p-7, 0x1.3d74d594f26adp-7, 0x1.3a92a30553258p-10},
+      {0x1.48d55be787633p-9, 0x1.6ff55b614fa61p-7, 0x1.49b98775aaa7p-7, 0x1.31de9f5d27f8dp-10},
       {0x1.4785d08ef92c9p-9, 0x1.6616b54e2b06p-7, 0x1.402ec438a9949p-7, 0x1.2f3f88ac0b8b9p-10},
-      {0x1.4785d08ef92c9p-9, 0x1.6dfe0a5c7a542p-7, 0x1.48161946f8e2bp-7, 0x1.2f3f88ac0b8b9p-10},
-      {0x1.4a24e7401599bp-9, 0x1.5fc8bd7393756p-7, 0x1.38766912e910bp-7, 0x1.3a92a30553258p-10},
-      {0x1.4b747298a3d03p-9, 0x1.612c6ac215b96p-7, 0x1.3986338b47c72p-7, 0x1.3d31b9b66f928p-10},
-      {0x1.463645366af61p-9, 0x1.651b0ccbc05d2p-7, 0x1.3f86fe8c62796p-7, 0x1.2ca071faef1e9p-10},
-      {0x1.4785d08ef92c9p-9, 0x1.6cae7f03ec1dap-7, 0x1.46c68dee6aac3p-7, 0x1.2f3f88ac0b8b9p-10},
-      {0x1.4b747298a3d03p-9, 0x1.63b75f7d3e191p-7, 0x1.3c1128467026bp-7, 0x1.3d31b9b66f928p-10},
-      {0x1.4b747298a3d03p-9, 0x1.621e0249865bap-7, 0x1.39b52d73d6915p-7, 0x1.4346a6ad7e524p-10},
-      {0x1.4785d08ef92c9p-9, 0x1.65aeb082136aep-7, 0x1.3f0421cdb0217p-7, 0x1.355475a31a4b4p-10},
-      {0x1.4785d08ef92c9p-9, 0x1.67a60186e8bccp-7, 0x1.40fb72d285735p-7, 0x1.355475a31a4b4p-10},
-      {0x1.32dda2dde5f9bp-9, 0x1.5266d5212f248p-7, 0x1.2f108ec37cc1dp-7, 0x1.1ab232ed93156p-10},
+      {0x1.4e138949c03d5p-9, 0x1.60d887ebf22bcp-7, 0x1.388a8b08dd1e3p-7, 0x1.426fe718a86ccp-10},
+      {0x1.4a24e7401599bp-9, 0x1.72dae8ef42426p-7, 0x1.4ac5f6efb605cp-7, 0x1.40a78ffc61e54p-10},
+      {0x1.4a24e7401599bp-9, 0x1.7b1620d3b51e2p-7, 0x1.53c3cc730ab97p-7, 0x1.3a92a30553258p-10},
+      {0x1.48d55be787633p-9, 0x1.728706191eb4cp-7, 0x1.4b88948e97ddbp-7, 0x1.37f38c5436b88p-10},
+      {0x1.32dda2dde5f9bp-9, 0x1.5ca014071e014p-7, 0x1.3949cda96b9e8p-7, 0x1.1ab232ed93156p-10},
     },
     // LinkContention::kStoreForward, Topology::kHypercube
     {
-      {0x1.10002843ebe82p-9, 0x1.03cf985927b96p-7, 0x1.d2616143e7b62p-8, 0x1.a9ee7b733de44p-11},
-      {0x1.43a49a7e9be75p-9, 0x1.05227eb00947ap-7, 0x1.bee07aff7a9f1p-8, 0x1.2d9209825fc08p-10},
-      {0x1.40cfd3e84a00dp-9, 0x1.0ebe08e4ab0fcp-7, 0x1.d381f2b3e722bp-8, 0x1.27e87c55bbf39p-10},
-      {0x1.5e46dd34231d5p-9, 0x1.3a7470146511cp-7, 0x1.0d570097d5743p-7, 0x1.68eb7be47cec4p-10},
-      {0x1.59161bcb37a17p-9, 0x1.1c814006804cbp-7, 0x1.e2e53d061acc3p-8, 0x1.58750c1b9734ep-10},
-      {0x1.4529d5bc5f975p-9, 0x1.f06558496d313p-8, 0x1.a5c37387b7192p-8, 0x1.2a879306d860ep-10},
-      {0x1.421f5f40d8377p-9, 0x1.0d5db6947c236p-7, 0x1.d19ec3a505de8p-8, 0x1.2472a60fc9a12p-10},
-      {0x1.7bf3966531b31p-9, 0x1.26e61dd6aa9c2p-7, 0x1.e6403b5972623p-8, 0x1.9e30014f8b582p-10},
-      {0x1.7bf3966531b31p-9, 0x1.0f1f57b41bfbcp-7, 0x1.b6b2af145521ap-8, 0x1.9e30014f8b581p-10},
-      {0x1.4529d5bc5f975p-9, 0x1.06a103f126484p-7, 0x1.c2a0232096787p-8, 0x1.2a879306d860cp-10},
-      {0x1.3e73d915b06b7p-9, 0x1.0580728126dcp-7, 0x1.c3b9fe93ef35bp-8, 0x1.1d1b99b97a092p-10},
-      {0x1.57c69072a96adp-9, 0x1.093609a748aedp-7, 0x1.bcf695f3f2abbp-8, 0x1.55d5f56a7ac78p-10},
-      {0x1.594bcbb06d1abp-9, 0x1.2011ee3f0d5bfp-7, 0x1.e8668646d67e1p-8, 0x1.5ef558dd10e7p-10},
-      {0x1.43a49a7e9be75p-9, 0x1.04196a3451405p-7, 0x1.bcce52080a907p-8, 0x1.2d9209825fc09p-10},
-      {0x1.3cee9dd7ecbb9p-9, 0x1.0781d480f634bp-7, 0x1.c6fa24f4ac0f3p-8, 0x1.2026103501691p-10},
-      {0x1.0ca529f094523p-9, 0x1.0bf6ae47a6879p-7, 0x1.e45d0c4a911d8p-8, 0x1.9c828225df8c8p-11},
+      {0x1.0b1feeb2d0a23p-9, 0x1.08d15fd9846afp-7, 0x1.ded50d0d2ebc6p-8, 0x1.966d952ed0cc8p-11},
+      {0x1.3e73d915b06b7p-9, 0x1.094375a0960d3p-7, 0x1.c9bac99509e81p-8, 0x1.233086b088c8dp-10},
+      {0x1.421f5f40d8377p-9, 0x1.025e7f115817p-7, 0x1.ba1b1960fa15dp-8, 0x1.2a879306d860cp-10},
+      {0x1.5beae2618987dp-9, 0x1.1f3b2eaa37767p-7, 0x1.e5697bc49c7cap-8, 0x1.6433863f49c14p-10},
+      {0x1.57c69072a96adp-9, 0x1.0cc001e32f0eep-7, 0x1.c40a866bbf6bdp-8, 0x1.55d5f56a7ac78p-10},
+      {0x1.3ff91453741b5p-9, 0x1.00aa49eb059cep-7, 0x1.b94b0fc8cadf8p-8, 0x1.202610350168ep-10},
+      {0x1.421f5f40d8377p-9, 0x1.008205ff1d81ep-7, 0x1.b7e7627a489b8p-8, 0x1.2472a60fc9a1p-10},
+      {0x1.7bbde67ffc39bp-9, 0x1.0fcdd35d09c64p-7, 0x1.b82a7e58cb734p-8, 0x1.9dc4a18520654p-10},
+      {0x1.76c2d4fc46373p-9, 0x1.20afa2f05a709p-7, 0x1.dc6ba64147c92p-8, 0x1.93ce7e7db4605p-10},
+      {0x1.436eea99666dfp-9, 0x1.0ba9816e29a94p-7, 0x1.cd8e93ac19cfp-8, 0x1.2711bcc0e60e2p-10},
+      {0x1.43a49a7e9be75p-9, 0x1.01b003686a4cap-7, 0x1.b980bfae0059p-8, 0x1.277d1c8b5100ep-10},
+      {0x1.59161bcb37a17p-9, 0x1.12414b23eac0cp-7, 0x1.ce655340efb46p-8, 0x1.58750c1b9734ep-10},
+      {0x1.5e46dd34231d5p-9, 0x1.3af3f1d4c412p-7, 0x1.0dd6825834747p-7, 0x1.68eb7be47cec4p-10},
+      {0x1.40cfd3e84a00dp-9, 0x1.0a3f1e2300b6p-7, 0x1.ca841d30926f1p-8, 0x1.27e87c55bbf39p-10},
+      {0x1.43a49a7e9be75p-9, 0x1.08d4bad7d7c2cp-7, 0x1.c644f34f17955p-8, 0x1.2d9209825fc08p-10},
+      {0x1.10002843ebe82p-9, 0x1.06614310f6c81p-7, 0x1.d784b6b385d3cp-8, 0x1.a9ee7b733de43p-11},
     },
     // LinkContention::kStoreForward, Topology::kMesh2D
     {
-      {0x1.674b68b41e801p-9, 0x1.bc04fe6c8209p-8, 0x1.5b218ec60100ap-8, 0x1.838dbe9a04222p-10},
-      {0x1.611ba3ca7503bp-9, 0x1.a3a08398a6546p-7, 0x1.7690801564151p-7, 0x1.68801c1a11f9ap-10},
-      {0x1.611ba3ca7503bp-9, 0x1.a93293d102bc4p-7, 0x1.7c22904dc07d1p-7, 0x1.68801c1a11f9ap-10},
-      {0x1.c20c7f6a436adp-9, 0x1.02daa5d363bfbp-7, 0x1.79979b92981d8p-8, 0x1.183b60285ec3cp-9},
-      {0x1.d06a103f12649p-9, 0x1.eb9940ae45f91p-8, 0x1.59d2036d72ca3p-8, 0x1.238e7a81a65dap-9},
-      {0x1.52be12f5a609fp-9, 0x1.9194119a5c371p-7, 0x1.68de0feb2f8e5p-7, 0x1.45b00d7965465p-10},
-      {0x1.52be12f5a609fp-9, 0x1.91e7f4707fc4bp-7, 0x1.6931f2c1531bfp-7, 0x1.45b00d7965465p-10},
-      {0x1.c20c7f6a436adp-9, 0x1.e5123df025977p-8, 0x1.5a79c919b9e57p-8, 0x1.1530e9acd763fp-9},
-      {0x1.c20c7f6a436adp-9, 0x1.e46a7843de7c3p-8, 0x1.59d2036d72ca3p-8, 0x1.1530e9acd763fp-9},
-      {0x1.52be12f5a609fp-9, 0x1.9194119a5c371p-7, 0x1.68de0feb2f8e6p-7, 0x1.45b00d7965465p-10},
-      {0x1.52be12f5a609fp-9, 0x1.923bd746a3525p-7, 0x1.6985d59776a99p-7, 0x1.45b00d7965465p-10},
-      {0x1.cf1a84e6842e1p-9, 0x1.ec2ce4649906fp-8, 0x1.5b0d6cd00cf34p-8, 0x1.223eef2918273p-9},
-      {0x1.c20c7f6a436adp-9, 0x1.fd6ca7c907454p-8, 0x1.714ef7b4d7e37p-8, 0x1.183b60285ec3cp-9},
-      {0x1.5fcc1871e6cd3p-9, 0x1.a49c2c1b10fd4p-7, 0x1.77e00b6df24bcp-7, 0x1.65e10568f58cap-10},
-      {0x1.611ba3ca7503bp-9, 0x1.a3f4666ec9e2p-7, 0x1.76e462eb87a2dp-7, 0x1.68801c1a11f9ap-10},
-      {0x1.674b68b41e801p-9, 0x1.bc04fe6c82092p-8, 0x1.5b218ec60100ap-8, 0x1.838dbe9a04222p-10},
+      {0x1.674b68b41e801p-9, 0x1.c1d019886741ep-8, 0x1.60eca9e1e6396p-8, 0x1.838dbe9a04222p-10},
+      {0x1.611ba3ca7503bp-9, 0x1.a917bbde67ffap-7, 0x1.7c07b85b25c07p-7, 0x1.68801c1a11f9ap-10},
+      {0x1.5fcc1871e6cd3p-9, 0x1.9f4326c63d667p-7, 0x1.728706191eb4dp-7, 0x1.65e10568f58cap-10},
+      {0x1.c20c7f6a436adp-9, 0x1.f76bdcc7ec931p-8, 0x1.6b4e2cb3bd311p-8, 0x1.183b60285ec3cp-9},
+      {0x1.cf1a84e6842e1p-9, 0x1.ed46bfd7f1c41p-8, 0x1.5c27484365b06p-8, 0x1.223eef2918273p-9},
+      {0x1.52be12f5a609fp-9, 0x1.920627616dd8fp-7, 0x1.695025b241304p-7, 0x1.45b00d7965465p-10},
+      {0x1.52be12f5a609fp-9, 0x1.915e61b526bdcp-7, 0x1.68a86005fa14fp-7, 0x1.45b00d7965465p-10},
+      {0x1.c20c7f6a436adp-9, 0x1.e2e53d061acc3p-8, 0x1.584cc82faf1a5p-8, 0x1.1530e9acd763ep-9},
+      {0x1.c20c7f6a436adp-9, 0x1.e7b154a142049p-8, 0x1.5d18dfcad6529p-8, 0x1.1530e9acd763fp-9},
+      {0x1.52be12f5a609fp-9, 0x1.920627616dd9p-7, 0x1.695025b241302p-7, 0x1.45b00d7965465p-10},
+      {0x1.52be12f5a609fp-9, 0x1.9146e4c0df589p-7, 0x1.6890e311b2afdp-7, 0x1.45b00d7965466p-10},
+      {0x1.d1b99b97a09b3p-9, 0x1.eabbcb1cc9646p-8, 0x1.584cc82faf1a5p-8, 0x1.24de05da34944p-9},
+      {0x1.c20c7f6a436adp-9, 0x1.041cc532a497ep-7, 0x1.7c1bda5119cdfp-8, 0x1.183b60285ec3cp-9},
+      {0x1.626b2f23033a5p-9, 0x1.a81c135bfd56ap-7, 0x1.7ab82d029789cp-7, 0x1.6b1f32cb2e66ep-10},
+      {0x1.5fcc1871e6cd3p-9, 0x1.a48154287640ap-7, 0x1.77c5337b578f1p-7, 0x1.65e10568f58cap-10},
+      {0x1.65fbdd5b90498p-9, 0x1.ba00416e5f58ep-8, 0x1.59c49774256bbp-8, 0x1.80eea7e8e7b5p-10},
     },
 };
 
@@ -652,10 +652,10 @@ TEST(AsyncPinned, SplitPhaseClocksMatchRecordedValues) {
 TEST(AsyncPinned, HaloChargesLikeHandWrittenBatch) {
   // pinned_prog's halo phase on the 4 x 4 grid (16 x 16 owned cells per
   // rank, halo 1): the library's clocks and overlap ledger must equal this
-  // hand-written program under every contention tier — per dim, send both
-  // owned faces and charge their pack; compute the 14 x 14 interior; take
-  // the ghost faces in one recv_batch (each receive, then its unpack);
-  // compute the 60-cell boundary.
+  // hand-written program under every contention tier — send the owned
+  // faces in ascending direction-code order and charge their pack once;
+  // compute the 14 x 14 interior; take the ghost faces in one recv_batch
+  // (each receive, then its unpack); compute the 60-cell boundary.
   constexpr int n = 64;
   auto run = [](LinkContention lc, auto prog) {
     Machine m(16, make_config(lc, 1));
@@ -677,23 +677,29 @@ TEST(AsyncPinned, HaloChargesLikeHandWrittenBatch) {
       const int row = ctx.rank() / 4;
       const int col = ctx.rank() % 4;
       const std::vector<double> face(16, 0.0);
+      // The face directions in ascending direction code: a direction's
+      // owned face goes to the rank one step against it, and its ghost
+      // face comes from the rank one step along it.
+      constexpr int kDirs[4][2] = {{0, -1}, {-1, 0}, {1, 0}, {0, 1}};
+      auto rank_at = [](int r, int c) {
+        return r < 0 || r > 3 || c < 0 || c > 3 ? -1 : 4 * r + c;
+      };
       const double window_start = ctx.clock();
-      std::vector<RecvLane> lanes;
-      for (int d = 0; d < 2; ++d) {
-        const int c = d == 0 ? row : col;
-        const int step = d == 0 ? 4 : 1;
-        double packed = 0;
-        for (int side = 0; side < 2; ++side) {
-          if ((side == 0 && c == 0) || (side == 1 && c == 3)) {
-            continue;
-          }
-          const int peer = ctx.rank() + (side == 0 ? -step : step);
-          ctx.send_span<double>(peer, kTagHaloBase + 4 * d + 1 - side,
-                                std::span<const double>(face));
+      double packed = 0;
+      for (const auto& dir : kDirs) {
+        const int peer = rank_at(row - dir[0], col - dir[1]);
+        if (peer >= 0) {
+          ctx.send_span<double>(peer, kTagHalo, std::span<const double>(face));
           packed += 16.0;
-          lanes.push_back({peer, kTagHaloBase + 4 * d + side});
         }
-        ctx.compute(packed);
+      }
+      ctx.compute(packed);
+      std::vector<RecvLane> lanes;
+      for (const auto& dir : kDirs) {
+        const int peer = rank_at(row + dir[0], col + dir[1]);
+        if (peer >= 0) {
+          lanes.push_back({peer, kTagHalo});
+        }
       }
       ctx.compute(6.0 * 14 * 14);
       ctx.recv_batch(lanes, window_start,

@@ -120,7 +120,7 @@ TEST(Deadlock, SplitPhaseFinishOnNeverSentFaceDiagnosedByGraph) {
   });
   EXPECT_NE(what.find("wait-for-graph"), std::string::npos) << what;
   EXPECT_NE(what.find("STUCK in recv(src=1, tag=" +
-                      std::to_string(kTagHaloBase + 1)),
+                      std::to_string(kTagHalo)),
             std::string::npos)
       << what;
   EXPECT_EQ(what.find("timed out"), std::string::npos) << what;

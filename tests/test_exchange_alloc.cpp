@@ -103,8 +103,10 @@ TEST(ExchangeAlloc, SteadyStateHaloAllocatesNoMoreThanBlockingLoops) {
   RecordProperty("allocs_per_exchange_per_rank", std::to_string(per_exchange));
   // The blocking send/receive loops made 11.17375 per exchange per rank on
   // this shape, most of them the pack buffer growing element by element.
-  // The one path makes 4.17375: one pack buffer, per face one payload and
-  // one typed receive copy, and the mailbox's queue blocks.
+  // The one path makes 10.17125: the planner's two flat piece lists and
+  // their two per-peer run lists, the receive lanes, the unpack closure,
+  // one pack buffer, per face one payload and one typed receive copy, and
+  // the mailbox's queue blocks.
   EXPECT_LE(per_exchange, 11.17375);
 }
 
@@ -112,10 +114,11 @@ TEST(ExchangeAlloc, SteadyStateCornerHaloAllocatesNoMoreThanBlockingLoops) {
   const double per_exchange = allocs_per_exchange(corner_allocs_of_run);
   RecordProperty("allocs_per_exchange_per_rank", std::to_string(per_exchange));
   // The blocking corner loop made 48.835625 per exchange per rank on this
-  // shape.  The split-phase form makes 42.835625: it adds the receive lanes
-  // and the unpack closure, but groups each piece straight into its peer's
-  // list instead of building a flat list first.
-  EXPECT_LE(per_exchange, 48.835625);
+  // shape, and a planner with one piece vector per peer 42.835625.  The
+  // flat planner makes 21.335625: the face mode's fixed lists, the member
+  // list and round_sort's two sort buffers that the round schedule needs,
+  // and a payload and a typed receive copy per peer (up to eight).
+  EXPECT_LE(per_exchange, 21.335625);
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
 // Seeded differential test for the one exchange primitive
-// (detail::exchange_begin, machine/schedule.hpp): every dense exchange —
-// the corner-mode halo, the box exchange and the cyclic binner behind
-// redistribute and copy_strided_dim, the dense all_gather and the
-// inspector gather — must deliver the values and the per-tag message
-// ledgers of the blocking loops it replaced (tests/oracles/
-// blocking_exchange.hpp), in all three link-contention tiers, whether it is
-// finished at once or with work in its window; and its clocks must be
-// identical across host worker counts.
+// (detail::exchange_begin, machine/schedule.hpp): every exchange — the
+// halo in both HaloCorners modes, the box exchange and the cyclic binner
+// behind redistribute and copy_strided_dim, the halo-fused
+// copy_strided_dim_halo, the dense all_gather and the inspector gather —
+// must deliver the values and the per-tag message ledgers of the blocking
+// loops it replaced (tests/oracles/blocking_exchange.hpp), in all three
+// link-contention tiers, whether it is finished at once or with work in
+// its window; and its clocks must be identical across host worker counts.
 //
 // Each seed draws P, the processor-grid shape, extents, halo widths, the
 // block / cyclic / block-cyclic kind of every distributed dim, strides,
@@ -53,7 +53,7 @@ struct Shape {
   int px = 1;  ///< processor grid px x py
   int py = 1;
   IssueOrder order = IssueOrder::kRoundSchedule;
-  // Corner halo: (block, block) on the grid.
+  // Halo, both modes: (block, block) on the grid.
   std::array<int, 2> halo_n{};
   std::array<int, 2> halo_w{};
   // Redistribute: src on the grid, dst on the transposed grid or a line.
@@ -71,6 +71,9 @@ struct Shape {
   // Gather over a 1-D array on a line of P ranks.
   int gather_n = 1;
   DimDist gather_dist{};
+  // copy_strided_dim_halo with copy's extents and strides, (block, block)
+  // on both sides, dst's halo widths no wider than its thinnest block.
+  std::array<int, 2> fuse_w{};
   std::uint64_t seed = 0;
 
   [[nodiscard]] int nprocs() const { return px * py; }
@@ -139,6 +142,16 @@ Shape draw_shape(std::uint64_t seed) {
             1;
   s.gather_n = s.nprocs() * rng.uniform_int(1, 5);
   s.gather_dist = draw_dist(rng);
+  // Drawn last, so the draws above match the shapes earlier seeds gave.
+  const std::array<int, 2> tgrid{s.py, s.px};
+  for (std::size_t d = 0; d < 2; ++d) {
+    const DimMap map(DimDist::block_dist(), s.copy_dst_n[d], tgrid[d]);
+    int thinnest = map.count(0);
+    for (int k = 1; k < tgrid[d]; ++k) {
+      thinnest = std::min(thinnest, map.count(k));
+    }
+    s.fuse_w[d] = std::min(rng.uniform_int(0, 2), thinnest);
+  }
   return s;
 }
 
@@ -162,7 +175,8 @@ std::string describe(const Shape& s) {
   two(os, s.copy_dst);
   os << " stride " << s.s_stride << "/" << s.d_stride << " off " << s.s_off
      << "/" << s.d_off << " count " << s.count << "; gather n " << s.gather_n
-     << " " << dist_name(s.gather_dist);
+     << " " << dist_name(s.gather_dist) << "; fused halo w " << s.fuse_w[0]
+     << "," << s.fuse_w[1];
   return os.str();
 }
 
@@ -185,6 +199,17 @@ void owned_values(const DistArray<double, R>& a, std::vector<double>& out) {
 
 double value_of(int i, int j) { return 0.5 * i - 0.125 * j + 0.03 * i * j; }
 
+/// `a`'s owned cells and ghost margins, row-major.
+void slab_values(const D2& a, std::vector<double>& out) {
+  const int w0 = a.halo(0);
+  const int w1 = a.halo(1);
+  for (int i = a.own_lower(0) - w0; i <= a.own_upper(0) + w0; ++i) {
+    for (int j = a.own_lower(1) - w1; j <= a.own_upper(1) + w1; ++j) {
+      out.push_back(a.at_halo({i, j}));
+    }
+  }
+}
+
 /// One seed's workload on this rank; `out` collects its values.
 void fuzz_prog(Context& ctx, const Shape& s, Path path,
                std::vector<double>& out) {
@@ -206,21 +231,23 @@ void fuzz_prog(Context& ctx, const Shape& s, Path path,
       }
     }
   }
-  if (path == Path::kOracle) {
-    oracles::blocking_corner_halo(h, s.order);
-    owned_work(h, work);
-  } else if (path == Path::kBlocking) {
-    h.exchange_halo(HaloCorners::kYes, s.order);
-    owned_work(h, work);
-  } else {
-    PendingExchange ex = h.exchange_halo_begin(HaloCorners::kYes, s.order);
-    owned_work(h, work);
-    ex.finish();
-  }
-  for (int i = h.own_lower(0) - w0; i <= h.own_upper(0) + w0; ++i) {
-    for (int j = h.own_lower(1) - w1; j <= h.own_upper(1) + w1; ++j) {
-      out.push_back(h.at_halo({i, j}));
+  // The face halo on a copy of the same array: face mode ignores the
+  // drawn order and leaves the corner and frame cells alone.
+  D2 f = h.clone();
+  for (const HaloCorners corners : {HaloCorners::kYes, HaloCorners::kNo}) {
+    D2& a = corners == HaloCorners::kYes ? h : f;
+    if (path == Path::kOracle) {
+      oracles::blocking_halo(a, corners, s.order);
+      owned_work(a, work);
+    } else if (path == Path::kBlocking) {
+      a.exchange_halo(corners, s.order);
+      owned_work(a, work);
+    } else {
+      PendingExchange ex = a.exchange_halo_begin(corners, s.order);
+      owned_work(a, work);
+      ex.finish();
     }
+    slab_values(a, out);
   }
 
   // Redistribute between any layouts.
@@ -261,6 +288,29 @@ void fuzz_prog(Context& ctx, const Shape& s, Path path,
     ex.finish();
   }
   owned_values(cd, out);
+
+  // The same strided copy with dst's ghosts fused in, block layouts only.
+  const D2::Dists bb{DimDist::block_dist(), DimDist::block_dist()};
+  D2 fs(ctx, grid, s.copy_src_n, bb);
+  D2 fd(ctx, ProcView::grid2(s.py, s.px), s.copy_dst_n, bb, s.fuse_w);
+  fs.fill([](std::array<int, 2> g) { return value_of(g[0], g[1]); });
+  if (path == Path::kOracle) {
+    oracles::blocking_copy_strided_dim(ctx, fs, fd, s.copy_dim, s.s_stride,
+                                       s.s_off, s.d_stride, s.d_off, s.count,
+                                       /*fuse_halo=*/true);
+    owned_work(fs, work);
+  } else if (path == Path::kBlocking) {
+    copy_strided_dim_halo(ctx, fs, fd, s.copy_dim, s.s_stride, s.s_off,
+                          s.d_stride, s.d_off, s.count);
+    owned_work(fs, work);
+  } else {
+    PendingExchange ex =
+        copy_strided_dim_halo_begin(ctx, fs, fd, s.copy_dim, s.s_stride,
+                                    s.s_off, s.d_stride, s.d_off, s.count);
+    owned_work(fs, work);
+    ex.finish();
+  }
+  slab_values(fd, out);
 
   // Dense all_gather of per-rank contributions of differing lengths.
   const Group everyone = line.group(ctx.rank());
@@ -340,12 +390,20 @@ TEST(ExchangeFuzz, OnePrimitiveMatchesBlockingOracles) {
   constexpr std::uint64_t kSeeds = 24;
   // Messages per exchange tag over every seed's oracle runs: each exchange
   // must have carried traffic somewhere, or the comparison proves nothing.
-  const int tags[] = {kTagHaloCornerPack, kTagRedistData, kTagRemap,
-                      kTagAllGather,      kTagInspReq,    kTagInspData};
+  const int tags[] = {kTagHalo,      kTagRedistData, kTagRemap,
+                      kTagAllGather, kTagInspReq,    kTagInspData};
   std::vector<std::uint64_t> traffic(std::size(tags), 0);
+  // The face halo and the fused copy share their tags with the corner halo
+  // and the plain copy, so count the seeds whose draw gives them a ghost to
+  // send: a face halo with a neighbour along a haloed dim, a fused copy
+  // with a halo.
+  int face_seeds = 0;
+  int fused_seeds = 0;
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     const Shape s = draw_shape(seed);
     SCOPED_TRACE(describe(s));
+    face_seeds += (s.px > 1 && s.halo_w[0] > 0) || (s.py > 1 && s.halo_w[1] > 0);
+    fused_seeds += s.fuse_w[0] > 0 || s.fuse_w[1] > 0;
     bool ok = true;
     for (LinkContention lc : kTiers) {
       SCOPED_TRACE("tier " + std::to_string(static_cast<int>(lc)));
@@ -372,6 +430,8 @@ TEST(ExchangeFuzz, OnePrimitiveMatchesBlockingOracles) {
   for (std::size_t k = 0; k < std::size(tags); ++k) {
     EXPECT_GT(traffic[k], 0u) << "no traffic on tag " << tags[k];
   }
+  EXPECT_GT(face_seeds, 0);
+  EXPECT_GT(fused_seeds, 0);
 }
 
 }  // namespace

@@ -125,7 +125,7 @@ TEST(Invariants, SendAcceptsRegisteredTagsInEveryBand) {
   // tag check.  One tag per band: user, runtime, kernel.
   Machine m(2);
   m.run([&](Context& ctx) {
-    for (int tag : {42, kTagHaloBase + 2, kTagRedistData, kTagTriBase + 4}) {
+    for (int tag : {42, kTagHalo, kTagRedistData, kTagTriBase + 4}) {
       if (ctx.rank() == 0) {
         ctx.send(1, tag, tag);
       } else {
@@ -386,7 +386,7 @@ TEST(Invariants, ReceiveOnAnOpenExchangeLaneRejected) {
 TEST(Invariants, NestedExchangeOnDisjointLanesSucceeds) {
   // Blocking exchanges between the begin and the finish of a split-phase
   // transpose are legal when their lanes differ from the transpose's
-  // (kTagRedistData): a face halo (kTagHaloBase lanes) and a strided copy
+  // (kTagRedistData): a face halo (kTagHalo lanes) and a strided copy
   // (kTagRemap) each receive only their own messages.
   Machine m(4);
   m.run([](Context& ctx) {

@@ -10,7 +10,7 @@ struct FakeCtx {
 
 void push(FakeCtx& ctx, const void* p, unsigned long n) {
   ctx.send_bytes(0, 7, p, n);  // LINT-EXPECT: raw-tag
-  ctx.send_bytes(0, kTagHaloBase, p, n);  // registered constant: clean
+  ctx.send_bytes(0, kTagHalo, p, n);  // registered constant: clean
 }
 
 }  // namespace kali

@@ -6,6 +6,6 @@
 namespace kali {
 
 inline constexpr int kRuntimeTagBase = 1 << 20;
-inline constexpr int kTagHaloBase = kRuntimeTagBase;
+inline constexpr int kTagHalo = kRuntimeTagBase;
 
 }  // namespace kali

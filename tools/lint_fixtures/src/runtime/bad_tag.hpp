@@ -6,6 +6,6 @@
 namespace kali {
 
 constexpr int kTagAdHoc = 1234567;  // LINT-EXPECT: raw-tag
-constexpr int kTagDerived = kTagHaloBase + 3;  // registry-derived: clean
+constexpr int kTagDerived = kTagHalo + 3;  // registry-derived: clean
 
 }  // namespace kali

@@ -25,11 +25,12 @@ compiler never checks.  This linter enforces the written rules:
                  cooperatively scheduled fibers, and stray OS-thread
                  machinery either breaks determinism or silently revives
                  the thread-per-rank model the scheduler replaced.
-  raw-exchange   No ctx.send*/recv* call in src/runtime/: every dense
-                 exchange goes through detail::exchange_begin
-                 (machine/schedule.hpp), so it obeys the round-structured
-                 CommSchedule and finishes in one batched receive.  A
-                 bounded-degree neighbour loop carries a reasoned waiver.
+  raw-exchange   No ctx.send*/recv* call in src/runtime/: every exchange
+                 goes through detail::exchange_begin
+                 (machine/schedule.hpp), so it obeys one issue-order rule
+                 and finishes in one batched receive.  Not waivable: a
+                 waiver pragma naming this rule in src/runtime/ is itself
+                 a finding.
   collective-symmetry
                  In src/runtime/, src/kernels/, and src/solvers/, no
                  collective or barrier call (barrier/sync_clocks/
@@ -50,10 +51,10 @@ compiler never checks.  This linter enforces the written rules:
                  run time.  Name-based, so it also catches mutations of
                  foreign processors via Machine::proc(r).
 
-A finding can be waived in place with a reasoned pragma on the same line
-or the line above:
+A finding (of any rule but raw-exchange) can be waived in place with a
+reasoned pragma on the same line or the line above:
 
-    // kali-lint: allow(raw-exchange) — bounded-degree neighbor send
+    // kali-lint: allow(raw-thread) — harness-side watchdog, outside any rank
 
 Modes:
     lint_kali.py [--root DIR]      lint DIR/src (default: repo root)
@@ -364,14 +365,20 @@ def lint_file(root, relpath, findings):
                        "processor.hpp): rank-sharded simulator state must "
                        "not be poked ad hoc")
 
-    # --- raw-exchange (runtime only) ----------------------------------------
+    # --- raw-exchange (runtime only; no waiver) ------------------------------
     if layer == "runtime":
         for i, line in enumerate(code):
+            m = ALLOW_RE.search(raw[i])
             if CTX_CALL_RE.search(line):
-                report(i, "raw-exchange",
-                       "direct ctx send/recv in runtime code: dense "
-                       "exchanges must go through detail::exchange_begin "
-                       "(machine/schedule.hpp)")
+                findings.append(Finding(
+                    relpath, i + 1, "raw-exchange",
+                    "direct ctx send/recv in runtime code: exchanges must "
+                    "go through detail::exchange_begin "
+                    "(machine/schedule.hpp)"))
+            elif m and m.group(1) == "raw-exchange":
+                findings.append(Finding(
+                    relpath, i + 1, "raw-exchange",
+                    "raw-exchange cannot be waived in src/runtime/"))
 
 
 def collect_sources(root):
