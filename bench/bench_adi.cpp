@@ -37,7 +37,7 @@ Outcome run(int px, int py, int n, bool pipelined, int iters) {
     opts.op = op;
     opts.tau = adi_default_tau(op, n);
     opts.pipelined = pipelined;
-    PhaseTimer timer(ctx, pv.group(ctx.rank()));
+    PhaseTimer timer(ctx, pv);
     for (int it = 0; it < iters; ++it) {
       adi_iterate(opts, u, f);
     }

@@ -28,7 +28,7 @@ Traffic halo_traffic(int p_side, int n) {
     const typename D2::Dists dists{DimDist::block_dist(), DimDist::block_dist()};
     D2 a(ctx, pv, {n, n}, dists, {1, 1});
     a.fill([](std::array<int, 2> g) { return 1.0 * g[0] + g[1]; });
-    PhaseTimer timer(ctx, pv.group(ctx.rank()));
+    PhaseTimer timer(ctx, pv);
     a.exchange_halo();
     PhaseStats s = timer.finish();
     if (ctx.rank() == 0) {
@@ -46,7 +46,7 @@ Traffic tri_traffic(int p, int n) {
     DistArray1<double> f(ctx, pv, {n}, {DimDist::block_dist()});
     DistArray1<double> x(ctx, pv, {n}, {DimDist::block_dist()});
     f.fill([](std::array<int, 1> g) { return 1.0 + g[0]; });
-    PhaseTimer timer(ctx, pv.group(ctx.rank()));
+    PhaseTimer timer(ctx, pv);
     tric(-1.0, 4.0, -1.0, f, x);
     PhaseStats s = timer.finish();
     if (ctx.rank() == 0) {

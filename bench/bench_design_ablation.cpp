@@ -29,7 +29,7 @@ double halo_time(int p_side, int n, HaloCorners mode, int rounds) {
     const typename D2::Dists dists{DimDist::block_dist(), DimDist::block_dist()};
     D2 a(ctx, pv, {n, n}, dists, {1, 1});
     a.fill([](std::array<int, 2> g) { return 1.0 * g[0] + g[1]; });
-    PhaseTimer timer(ctx, pv.group(ctx.rank()));
+    PhaseTimer timer(ctx, pv);
     for (int r = 0; r < rounds; ++r) {
       a.exchange_halo(mode);
     }
@@ -68,7 +68,7 @@ CycleOutcome mg3_shape(int gamma, bool post, int plane_cycles) {
     opts.post_zebra = post;
     opts.plane_cycles = plane_cycles;
     const double r0 = mg3_residual_norm(op, u, f);
-    PhaseTimer timer(ctx, pv.group(ctx.rank()));
+    PhaseTimer timer(ctx, pv);
     for (int c = 0; c < cycles; ++c) {
       mg3_cycle(op, u, f, opts);
     }
@@ -100,7 +100,7 @@ double gather_loop(int p, int n, int iters, bool reuse) {
     for (int l = 0; l < x.local_count(0) * 4; ++l) {
       wants.push_back(rng.uniform_int(0, n - 1));
     }
-    PhaseTimer timer(ctx, pv.group(ctx.rank()));
+    PhaseTimer timer(ctx, pv);
     if (reuse) {
       GatherPlan plan = GatherPlan::build(x, wants);
       for (int it = 0; it < iters; ++it) {

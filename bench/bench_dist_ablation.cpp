@@ -32,7 +32,7 @@ double adi_time(int px, int py, int n, int iters) {
     AdiOptions opts;
     opts.op = op;
     opts.tau = adi_default_tau(op, n);
-    PhaseTimer timer(ctx, pv.group(ctx.rank()));
+    PhaseTimer timer(ctx, pv);
     for (int it = 0; it < iters; ++it) {
       adi_iterate(opts, u, f);
     }
@@ -59,7 +59,7 @@ double mg3_time(int px, int py, int n, int cycles) {
     f.fill([&](std::array<int, 3> g) {
       return rhs3(op, g[0] * op.hx, g[1] * op.hy, g[2] * op.hz);
     });
-    PhaseTimer timer(ctx, pv.group(ctx.rank()));
+    PhaseTimer timer(ctx, pv);
     for (int c = 0; c < cycles; ++c) {
       mg3_cycle(op, u, f);
     }

@@ -38,7 +38,7 @@ Outcome run(int px, int py, int n, int cycles) {
     });
     std::vector<double> res;
     res.push_back(mg3_residual_norm(op, u, f));
-    PhaseTimer timer(ctx, pv.group(ctx.rank()));
+    PhaseTimer timer(ctx, pv);
     for (int c = 0; c < cycles; ++c) {
       mg3_cycle(op, u, f);
     }
@@ -74,7 +74,7 @@ Outcome run(int px, int py, int n, int cycles) {
     f.fill([&](std::array<int, 3> g) {
       return rhs3(op, g[0] * op.hx, g[1] * op.hy, g[2] * op.hz);
     });
-    PhaseTimer timer(ctx, pv.group(ctx.rank()));
+    PhaseTimer timer(ctx, pv);
     Mg3Options opts;
     mg3_zebra_sweep(op, u, f, 0, opts);
     mg3_zebra_sweep(op, u, f, 1, opts);

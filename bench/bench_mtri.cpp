@@ -30,7 +30,7 @@ Outcome run(int p, int nsys, int n, bool pipelined) {
     F.fill([](std::array<int, 2> g) {
       return 1.0 + 0.01 * g[1] + 0.37 * g[0];
     });
-    PhaseTimer timer(ctx, pv.group(ctx.rank()));
+    PhaseTimer timer(ctx, pv);
     if (pipelined) {
       mtri_const(-1.0, 4.0, -1.0, F, X, 0);
     } else {

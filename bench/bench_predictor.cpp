@@ -27,13 +27,13 @@ double sim_jacobi(int n, int p_side) {
   const int iters = 5;
   m.run([&](Context& ctx) {
     if (p_side <= 1) {
-      PhaseTimer timer(ctx, Group({0}, 0));
+      PhaseTimer timer(ctx, ProcView::grid1(1));
       (void)jacobi_seq(ctx, n, [](int, int) { return 0.0; }, iters);
       out = timer.finish().makespan / iters;
       return;
     }
     ProcView pv = ProcView::grid2(p_side, p_side);
-    PhaseTimer timer(ctx, pv.group(ctx.rank()));
+    PhaseTimer timer(ctx, pv);
     (void)jacobi_kf1(ctx, pv, n, [](int, int) { return 0.0; }, iters,
                      /*collect=*/false);
     const double t = timer.finish().makespan / iters;
@@ -52,7 +52,7 @@ double sim_tri(int n, int p) {
     DistArray1<double> f(ctx, pv, {n}, {DimDist::block_dist()});
     DistArray1<double> x(ctx, pv, {n}, {DimDist::block_dist()});
     f.fill([](std::array<int, 1> g) { return 1.0 + 0.1 * g[0]; });
-    PhaseTimer timer(ctx, pv.group(ctx.rank()));
+    PhaseTimer timer(ctx, pv);
     tric(-1.0, 4.0, -1.0, f, x);
     const double t = timer.finish().makespan;
     if (ctx.rank() == 0) {
@@ -71,7 +71,7 @@ double sim_mtri(int nsys, int n, int p) {
     const typename D2::Dists dists{DimDist::star(), DimDist::block_dist()};
     D2 F(ctx, pv, {nsys, n}, dists), X(ctx, pv, {nsys, n}, dists);
     F.fill([](std::array<int, 2> g) { return 1.0 + 0.01 * g[1] + g[0]; });
-    PhaseTimer timer(ctx, pv.group(ctx.rank()));
+    PhaseTimer timer(ctx, pv);
     mtri_const(-1.0, 4.0, -1.0, F, X, 0);
     const double t = timer.finish().makespan;
     if (ctx.rank() == 0) {
@@ -98,7 +98,7 @@ double sim_adi(int n, int px, int py, bool pipelined) {
     opts.op = op;
     opts.tau = adi_default_tau(op, n);
     opts.pipelined = pipelined;
-    PhaseTimer timer(ctx, pv.group(ctx.rank()));
+    PhaseTimer timer(ctx, pv);
     for (int it = 0; it < iters; ++it) {
       adi_iterate(opts, u, f);
     }

@@ -22,7 +22,6 @@
 // to 16 bytes, so the raw-value slab protocol moves 4x fewer wire bytes.
 #include <cstdint>
 #include <iostream>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -163,12 +162,10 @@ RunStats run_all_gather(int nprocs, int count, const RunMode& mode) {
   cfg.allgather_tree_max_bytes = 0;
   Machine m(nprocs, cfg);
   m.run([&](Context& ctx) {
-    std::vector<int> ranks(static_cast<std::size_t>(nprocs));
-    std::iota(ranks.begin(), ranks.end(), 0);
-    Group g(std::move(ranks), ctx.rank());
     std::vector<float> mine(static_cast<std::size_t>(count),
                             static_cast<float>(ctx.rank()));
-    (void)all_gather(ctx, g, std::span<const float>(mine), mode.order);
+    (void)all_gather(ctx, ProcView::grid1(nprocs),
+                     std::span<const float>(mine), mode.order);
   });
   return measure(m);
 }

@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <cstring>
 #include <iostream>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -202,10 +201,7 @@ RunStats run_all_gather_tree(int nprocs) {
   Machine m(nprocs, scaling_config());
   m.run([&](Context& ctx) {
     const int g = group_side(ctx.nprocs());
-    const int base = ctx.rank() - ctx.rank() % g;
-    std::vector<int> ranks(static_cast<std::size_t>(g));
-    std::iota(ranks.begin(), ranks.end(), base);
-    Group grp(std::move(ranks), ctx.rank());
+    const ProcView grp = ProcView::grid1(g, ctx.rank() - ctx.rank() % g);
     const double mine = static_cast<double>(ctx.rank());
     // 8-byte contribution: far under allgather_tree_max_bytes, so the
     // hybrid rides the gather+broadcast tree — O(g) messages per group.

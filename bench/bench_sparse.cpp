@@ -77,23 +77,22 @@ Outcome run(int p, int side, bool scrambled) {
   Outcome out{};
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid1(p);
-    Group g = pv.group(ctx.rank());
     DistArray1<double> x(ctx, pv, {n}, {DimDist::block_dist()});
     DistArray1<double> y(ctx, pv, {n}, {DimDist::block_dist()});
     DistArray1<double> b(ctx, pv, {n}, {DimDist::block_dist()});
     b.fill([](std::array<int, 1> gi) { return 1.0 + gi[0] % 5; });
 
-    PhaseTimer tb(ctx, g);
+    PhaseTimer tb(ctx, pv);
     DistCsrMatrix A(x, num.row_fn());
     const double build = tb.finish().makespan;
 
     x.fill([](std::array<int, 1> gi) { return 0.1 * gi[0]; });
-    PhaseTimer tm(ctx, g);
+    PhaseTimer tm(ctx, pv);
     A.multiply(x, y);
     const PhaseStats sm = tm.finish();
 
     x.fill_value(0.0);
-    PhaseTimer tc(ctx, g);
+    PhaseTimer tc(ctx, pv);
     const int iters = sparse_cg(A, b, x, 1e-8, 1000);
     const double cg_time = tc.finish().makespan;
 

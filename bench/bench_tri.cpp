@@ -52,7 +52,7 @@ double solve_time(const System& s, int n, int p, EventLog* log) {
     a.fill([&](std::array<int, 1> g) { return s.a[static_cast<std::size_t>(g[0])]; });
     c.fill([&](std::array<int, 1> g) { return s.c[static_cast<std::size_t>(g[0])]; });
     f.fill([&](std::array<int, 1> g) { return s.f[static_cast<std::size_t>(g[0])]; });
-    PhaseTimer timer(ctx, pv.group(ctx.rank()));
+    PhaseTimer timer(ctx, pv);
     tri(b, a, c, f, x);
     const double t = timer.finish().makespan;
     if (ctx.rank() == 0) {

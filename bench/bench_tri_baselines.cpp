@@ -52,7 +52,7 @@ double run(const System& s, int n, int p, int which, const MachineConfig& cfg) {
     a.fill([&](std::array<int, 1> g) { return s.a[static_cast<std::size_t>(g[0])]; });
     c.fill([&](std::array<int, 1> g) { return s.c[static_cast<std::size_t>(g[0])]; });
     f.fill([&](std::array<int, 1> g) { return s.f[static_cast<std::size_t>(g[0])]; });
-    PhaseTimer timer(ctx, pv.group(ctx.rank()));
+    PhaseTimer timer(ctx, pv);
     switch (which) {
       case 0:
         tri(b, a, c, f, x);

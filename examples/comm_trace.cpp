@@ -54,14 +54,13 @@ int main(int argc, char** argv) {
       return std::sin(0.1 * g[0]) + std::cos(0.2 * g[1]);
     });
     u.exchange_halo(HaloCorners::kYes);
-    Group everyone = grid.group(ctx.rank());
-    sync_clocks(ctx, everyone);
+    sync_clocks(ctx, grid);
 
     // Phase 2: redistribute the 2-D block slab onto a 1-D row of owners.
     ProcView col = ProcView::grid2(1, kProcs);
     D2 v(ctx, col, {kN, kN}, dists);
     redistribute(ctx, u, v);
-    sync_clocks(ctx, everyone);
+    sync_clocks(ctx, grid);
 
     // Phase 3: inspector/executor gather of a strided remote section.
     DistArray1<double> a(ctx, row, {kProcs * 16}, {DimDist::block_dist()});
@@ -79,9 +78,9 @@ int main(int argc, char** argv) {
       digest += x;
     }
     std::vector<double> digests = all_gather(
-        ctx, everyone, std::span<const double>(&digest, 1));
+        ctx, grid, std::span<const double>(&digest, 1));
     (void)digests;
-    sync_clocks(ctx, everyone);
+    sync_clocks(ctx, grid);
 
     // Phase 5: the async leg — a split-phase halo exchange overlapping a
     // 5-point interior stencil (doall_overlap: exchange_halo_begin, interior,
@@ -97,7 +96,7 @@ int main(int argc, char** argv) {
     };
     doall_overlap(u.exchange_halo_begin(), u,
                   {Range{0, kN - 1}, Range{0, kN - 1}}, stencil, 6.0);
-    sync_clocks(ctx, everyone);
+    sync_clocks(ctx, grid);
 
     constexpr int kAsyncTag = 77;  // user band
     const int next = (ctx.rank() + 1) % kProcs;
@@ -106,7 +105,7 @@ int main(int argc, char** argv) {
     ctx.send<double>(next, kAsyncTag, 2.0 * digest);  // same lane
     (void)ctx.recv<double>(prev, kAsyncTag);
     (void)ctx.recv<double>(prev, kAsyncTag);  // lane FIFO: the 2x payload
-    sync_clocks(ctx, everyone);
+    sync_clocks(ctx, grid);
 
     // Phase 6: one small mg3 V-cycle on the 4x2 grid — the solver path of
     // the benchmark's mg3 workload: halo exchanges, the z-level switches
@@ -124,7 +123,7 @@ int main(int argc, char** argv) {
       return rhs3(op, g[0] * op.hx, g[1] * op.hy, g[2] * op.hz);
     });
     mg3_cycle(op, u3, f3);
-    sync_clocks(ctx, everyone);
+    sync_clocks(ctx, grid);
 
     // Phase 7: a line pass pipelined into a transpose (redistribute_lines).
     // Each rank's five rows leave in four strided slices, so a receiver
@@ -141,7 +140,7 @@ int main(int argc, char** argv) {
       }
       ctx.compute(s.n);
     });
-    sync_clocks(ctx, everyone);
+    sync_clocks(ctx, grid);
 
     // Phase 8: the corner halo split-phase — a 9-point stencil's interior
     // runs while the kTagHalo messages are in flight — then a
@@ -166,7 +165,7 @@ int main(int argc, char** argv) {
     auto ex = redistribute_begin(ctx, cyc, bcyc);
     ctx.compute(static_cast<double>(cyc.local_count(0)));
     ex.finish();
-    sync_clocks(ctx, everyone);
+    sync_clocks(ctx, grid);
 
     // Phase 9: one 16^3 mg3 V-cycle on a 2x4 grid.  Its 9-plane z level
     // does not fit four columns, so the coarse levels agglomerate onto the
@@ -178,7 +177,7 @@ int main(int argc, char** argv) {
       return rhs3(op, g[0] * op.hx, g[1] * op.hy, g[2] * op.hz);
     });
     mg3_cycle(op, v3, g3);
-    sync_clocks(ctx, everyone);
+    sync_clocks(ctx, grid);
   });
 
   if (argc > 1) {

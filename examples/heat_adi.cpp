@@ -35,7 +35,7 @@ int main() {
       opts.tau = adi_default_tau(op, kN);
       opts.pipelined = pipelined;
 
-      PhaseTimer timer(ctx, procs.group(ctx.rank()));
+      PhaseTimer timer(ctx, procs);
       std::vector<double> res;
       for (int block = 0; block < 6; ++block) {
         for (int it = 0; it < 15; ++it) {
@@ -50,8 +50,7 @@ int main() {
         e = std::max(e, std::abs(u.at(g) - exact2((g[0] + 1) * op.hx,
                                                   (g[1] + 1) * op.hy)));
       });
-      Group grp = procs.group(ctx.rank());
-      e = allreduce_max(ctx, grp, e);
+      e = allreduce_max(ctx, procs, e);
       if (ctx.rank() == 0) {
         err = e;
         makespan = t;

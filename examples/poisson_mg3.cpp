@@ -39,8 +39,7 @@ int main() {
       e = std::max(e, std::abs(u.at(g) - exact3(g[0] * op.hx, g[1] * op.hy,
                                                 g[2] * op.hz)));
     });
-    Group grp = procs.group(ctx.rank());
-    e = allreduce_max(ctx, grp, e);
+    e = allreduce_max(ctx, procs, e);
     if (ctx.rank() == 0) {
       history = res;
       err = e;

@@ -50,8 +50,7 @@ int main() {
           },
           6.0);
     }
-    Group g = procs.group(ctx.rank());
-    delta = allreduce_max(ctx, g, delta);
+    delta = allreduce_max(ctx, procs, delta);
     if (ctx.rank() == 0) {
       final_change = delta;
     }

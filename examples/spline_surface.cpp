@@ -76,8 +76,7 @@ int main() {
         err = std::max(err, std::abs(s - surface(xq, yq)));
       }
     }
-    Group grp = procs.group(ctx.rank());
-    err = allreduce_max(ctx, grp, err);
+    err = allreduce_max(ctx, procs, err);
     if (ctx.rank() == 0) {
       max_err = err;
     }

@@ -54,7 +54,6 @@ int main() {
     rows.fill([&](std::array<int, 2> g) {
       return cd(image(g[0], g[1], kN), 0.0);
     });
-    Group grp = procs.group(ctx.rank());
 
     // Round trip: transform there and back, compare with the image.
     fft2_forward(ctx, rows, cols);
@@ -63,7 +62,7 @@ int main() {
     rows.for_each_owned([&](std::array<int, 2> g) {
       rt = std::max(rt, std::abs(rows.at(g) - cd(image(g[0], g[1], kN), 0.0)));
     });
-    rt = allreduce_max(ctx, grp, rt);
+    rt = allreduce_max(ctx, procs, rt);
 
     // Forward transform: rows, distributed transpose, columns.
     fft2_forward(ctx, rows, cols);
@@ -97,9 +96,9 @@ int main() {
           std::exp(-8.0 * ((x - 0.5) * (x - 0.5) + (y - 0.5) * (y - 0.5)));
       err = std::max(err, std::abs(rows.at(g).real() - smooth));
     });
-    err = allreduce_max(ctx, grp, err);
-    removed = allreduce_sum(ctx, grp, removed);
-    total = allreduce_sum(ctx, grp, total);
+    err = allreduce_max(ctx, procs, err);
+    removed = allreduce_sum(ctx, procs, removed);
+    total = allreduce_sum(ctx, procs, total);
     if (ctx.rank() == 0) {
       removed_energy = removed / total;
       smooth_err = err;

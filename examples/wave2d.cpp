@@ -41,12 +41,11 @@ int main() {
     auto energy = [&]() {
       double local = 0.0;
       u.for_each_owned([&](std::array<int, 2> g) { local += u.at(g) * u.at(g); });
-      Group grp = procs.group(ctx.rank());
-      return allreduce_sum(ctx, grp, local);
+      return allreduce_sum(ctx, procs, local);
     };
     const double e0 = energy();
 
-    PhaseTimer timer(ctx, procs.group(ctx.rank()));
+    PhaseTimer timer(ctx, procs);
     for (int step = 0; step < kSteps; ++step) {
       u.exchange_halo();
       doall2(

@@ -36,25 +36,25 @@ void gather_thomas(const DistArray1<double>& b, const DistArray1<double>& a,
     return;
   }
   Context& ctx = x.context();
-  Group g = x.group();
+  const ProcView& pv = x.view();
   const int n = x.extent(0);
 
-  auto bb = gather(ctx, g, 0, std::span<const double>(to_vector(b.local_strided())));
-  auto aa = gather(ctx, g, 0, std::span<const double>(to_vector(a.local_strided())));
-  auto cc = gather(ctx, g, 0, std::span<const double>(to_vector(c.local_strided())));
-  auto ff = gather(ctx, g, 0, std::span<const double>(to_vector(f.local_strided())));
+  auto bb = gather(ctx, pv, 0, std::span<const double>(to_vector(b.local_strided())));
+  auto aa = gather(ctx, pv, 0, std::span<const double>(to_vector(a.local_strided())));
+  auto cc = gather(ctx, pv, 0, std::span<const double>(to_vector(c.local_strided())));
+  auto ff = gather(ctx, pv, 0, std::span<const double>(to_vector(f.local_strided())));
 
   std::vector<double> sol;
-  if (g.index() == 0) {
+  if (ctx.rank() == pv.rank_at(0)) {
     KALI_CHECK(static_cast<int>(aa.size()) == n, "gather_thomas: bad gather");
     sol.resize(static_cast<std::size_t>(n));
     thomas_solve(bb, aa, cc, ff, sol);
     ctx.compute(kThomasFlopsPerRow * n);
-    // Scatter each member's block back (group order == block order).
+    // Scatter each member's block back (view order == block order).
     std::size_t off = static_cast<std::size_t>(x.local_count(0));
-    for (int i = 1; i < g.size(); ++i) {
+    for (int i = 1; i < pv.count(); ++i) {
       const auto cnt = static_cast<std::size_t>(x.map(0).count(i));
-      ctx.send_span<double>(g.rank_at(i), kTagScatter,
+      ctx.send_span<double>(pv.rank_at(i), kTagScatter,
                             std::span<const double>(sol.data() + off, cnt));
       off += cnt;
     }
@@ -63,7 +63,7 @@ void gather_thomas(const DistArray1<double>& b, const DistArray1<double>& a,
       xs[i] = sol[static_cast<std::size_t>(i)];
     }
   } else {
-    auto mine = ctx.recv_vec<double>(g.rank_at(0), kTagScatter);
+    auto mine = ctx.recv_vec<double>(pv.rank_at(0), kTagScatter);
     auto xs = x.local_strided();
     KALI_CHECK(static_cast<int>(mine.size()) == xs.n, "gather_thomas: scatter");
     for (int i = 0; i < xs.n; ++i) {

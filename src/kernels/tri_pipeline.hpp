@@ -30,7 +30,7 @@
 #include "kernels/reduce_block.hpp"
 #include "kernels/thomas.hpp"
 #include "machine/message.hpp"  // kKernelTagBase (reserved-tag registry)
-#include "runtime/proc_view.hpp"
+#include "machine/proc_view.hpp"
 
 namespace kali::detail {
 

@@ -8,28 +8,29 @@
 
 namespace kali {
 
-void barrier(Context& ctx, const Group& g) {
-  const int me = g.index();
+void barrier(Context& ctx, const ProcView& v) {
+  const int n = v.count();
+  const int me = v.linear_index_of(ctx.rank());
   char token = 0;
   for (int which = 1; which >= 0; --which) {
     const int c = detail::tree_child(me, which);
-    if (c < g.size()) {
-      (void)ctx.recv<char>(g.rank_at(c), kTagBarrierUp);
+    if (c < n) {
+      (void)ctx.recv<char>(v.rank_at(c), kTagBarrierUp);
     }
   }
   if (me != 0) {
-    ctx.send(g.rank_at(detail::tree_parent(me)), kTagBarrierUp, token);
-    token = ctx.recv<char>(g.rank_at(detail::tree_parent(me)), kTagBarrierDown);
+    ctx.send(v.rank_at(detail::tree_parent(me)), kTagBarrierUp, token);
+    token = ctx.recv<char>(v.rank_at(detail::tree_parent(me)), kTagBarrierDown);
   }
   for (int which = 0; which < 2; ++which) {
     const int c = detail::tree_child(me, which);
-    if (c < g.size()) {
-      ctx.send(g.rank_at(c), kTagBarrierDown, token);
+    if (c < n) {
+      ctx.send(v.rank_at(c), kTagBarrierDown, token);
     }
   }
 }
 
-double sync_clocks(Context& ctx, const Group& g) {
+double sync_clocks(Context& ctx, const ProcView& v) {
   // A *measurement* barrier: every member's clock is set to the maximum of
   // the clocks at entry.  The synchronization traffic itself is excluded
   // from the model (clocks may be pulled back to the aligned value), so
@@ -38,7 +39,7 @@ double sync_clocks(Context& ctx, const Group& g) {
   // any traffic before it) advanced this member's port clocks and edge
   // ledgers, and leaving them advanced would leak busy time into the next
   // measured phase under contention.
-  const double aligned = allreduce_max(ctx, g, ctx.clock());
+  const double aligned = allreduce_max(ctx, v, ctx.clock());
   ctx.proc().realign_clock(aligned);  // sanctioned pull-back: see Processor
   ctx.proc().clear_link_state();
   if (EventLog* log = ctx.machine().event_log(); log != nullptr) {
@@ -51,15 +52,15 @@ double sync_clocks(Context& ctx, const Group& g) {
     log->write(ctx.rank(), HbObj::kLink, ctx.rank());
     log->write(ctx.rank(), HbObj::kLedger, ctx.rank());
   }
-  // Message-leak check: when the group spans the machine, the allreduce is
+  // Message-leak check: when the view spans the machine, the allreduce is
   // a full synchronization, so every message of the ending phase addressed
   // to this member has been pushed by now — anything still queued that was
   // stamped with this phase's epoch was sent and never received (a faster
   // peer may already have sent into the *next* phase with a bumped epoch;
-  // the filter skips those).  A subgroup barrier proves nothing about
+  // the filter skips those).  A sub-view barrier proves nothing about
   // non-members' traffic, so the check only arms machine-wide.
   KALI_INVARIANT(
-      g.size() < ctx.nprocs() ||
+      v.count() < ctx.nprocs() ||
           stale_pending(ctx.proc().mailbox(), ctx.proc().barrier_epoch()) ==
               0,
       "message leak at sync_clocks: sent this phase but never received:\n" +

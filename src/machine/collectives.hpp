@@ -1,8 +1,10 @@
-// Tree-based collectives over a Group, built purely from point-to-point
-// messages — exactly what a KF1 compiler would emit for replicated control
-// flow on a loosely coupled machine.
+// Tree-based collectives over a processor view (ProcView), built purely
+// from point-to-point messages — exactly what a KF1 compiler would emit for
+// replicated control flow on a loosely coupled machine.  A member's index
+// is its row-major position in the view (linear_index_of), and the caller
+// must be a member.
 //
-// All members of the group must call the same collective in the same order
+// All members of the view must call the same collective in the same order
 // (standard SPMD discipline).  Tags live in the collectives band of the
 // reserved-tag registry (machine/message.hpp), so user, runtime, and kernel
 // point-to-point traffic can never collide with them.
@@ -15,8 +17,8 @@
 #include <vector>
 
 #include "machine/context.hpp"
-#include "machine/group.hpp"
 #include "machine/message.hpp"   // kCollectiveTagBase (reserved-tag registry)
+#include "machine/proc_view.hpp"
 #include "machine/schedule.hpp"  // CommSchedule rounds for all_gather
 
 namespace kali {
@@ -59,26 +61,27 @@ inline std::vector<int> tree_subtree_sorted(int i, int n) {
 }
 }  // namespace detail
 
-/// Synchronize all group members (empty-payload reduce + broadcast).
-void barrier(Context& ctx, const Group& g);
+/// Synchronize all view members (empty-payload reduce + broadcast).
+void barrier(Context& ctx, const ProcView& v);
 
 /// Broadcast `data` from the member at `root_index` to all members.
 template <class T>
-void broadcast(Context& ctx, const Group& g, int root_index, std::span<T> data) {
+void broadcast(Context& ctx, const ProcView& v, int root_index, std::span<T> data) {
   static_assert(std::is_trivially_copyable_v<T>);
-  KALI_CHECK(root_index >= 0 && root_index < g.size(), "broadcast: bad root");
+  const int n = v.count();
+  KALI_CHECK(root_index >= 0 && root_index < n, "broadcast: bad root");
   // Re-index the tree so the root is node 0.
-  auto pos = [&](int i) { return (i - root_index + g.size()) % g.size(); };
-  auto unpos = [&](int i) { return (i + root_index) % g.size(); };
-  const int me = pos(g.index());
+  auto pos = [&](int i) { return (i - root_index + n) % n; };
+  auto unpos = [&](int i) { return (i + root_index) % n; };
+  const int me = pos(v.linear_index_of(ctx.rank()));
   if (me != 0) {
-    ctx.recv_into(g.rank_at(unpos(detail::tree_parent(me))), kTagBcastDown,
+    ctx.recv_into(v.rank_at(unpos(detail::tree_parent(me))), kTagBcastDown,
                   data);
   }
   for (int which = 0; which < 2; ++which) {
     const int c = detail::tree_child(me, which);
-    if (c < g.size()) {
-      ctx.send_span(g.rank_at(unpos(c)), kTagBcastDown,
+    if (c < n) {
+      ctx.send_span(v.rank_at(unpos(c)), kTagBcastDown,
                     std::span<const T>(data.data(), data.size()));
     }
   }
@@ -87,16 +90,17 @@ void broadcast(Context& ctx, const Group& g, int root_index, std::span<T> data) 
 /// Element-wise tree reduction of `data` into the member at `root_index`.
 /// On return, only the root's `data` holds the reduced values.
 template <class T, class Op>
-void reduce(Context& ctx, const Group& g, int root_index, std::span<T> data, Op op) {
+void reduce(Context& ctx, const ProcView& v, int root_index, std::span<T> data, Op op) {
   static_assert(std::is_trivially_copyable_v<T>);
-  KALI_CHECK(root_index >= 0 && root_index < g.size(), "reduce: bad root");
-  auto pos = [&](int i) { return (i - root_index + g.size()) % g.size(); };
-  auto unpos = [&](int i) { return (i + root_index) % g.size(); };
-  const int me = pos(g.index());
+  const int n = v.count();
+  KALI_CHECK(root_index >= 0 && root_index < n, "reduce: bad root");
+  auto pos = [&](int i) { return (i - root_index + n) % n; };
+  auto unpos = [&](int i) { return (i + root_index) % n; };
+  const int me = pos(v.linear_index_of(ctx.rank()));
   for (int which = 1; which >= 0; --which) {
     const int c = detail::tree_child(me, which);
-    if (c < g.size()) {
-      std::vector<T> incoming = ctx.recv_vec<T>(g.rank_at(unpos(c)), kTagReduceUp);
+    if (c < n) {
+      std::vector<T> incoming = ctx.recv_vec<T>(v.rank_at(unpos(c)), kTagReduceUp);
       KALI_CHECK(incoming.size() == data.size(), "reduce size mismatch");
       for (std::size_t k = 0; k < data.size(); ++k) {
         data[k] = op(data[k], incoming[k]);
@@ -105,52 +109,53 @@ void reduce(Context& ctx, const Group& g, int root_index, std::span<T> data, Op 
     }
   }
   if (me != 0) {
-    ctx.send_span(g.rank_at(unpos(detail::tree_parent(me))), kTagReduceUp,
+    ctx.send_span(v.rank_at(unpos(detail::tree_parent(me))), kTagReduceUp,
                   std::span<const T>(data.data(), data.size()));
   }
 }
 
 /// Reduce to member 0, then broadcast: all members end with the result.
 template <class T, class Op>
-void allreduce(Context& ctx, const Group& g, std::span<T> data, Op op) {
-  reduce(ctx, g, 0, data, op);
-  broadcast(ctx, g, 0, data);
+void allreduce(Context& ctx, const ProcView& v, std::span<T> data, Op op) {
+  reduce(ctx, v, 0, data, op);
+  broadcast(ctx, v, 0, data);
 }
 
 template <class T>
-T allreduce_sum(Context& ctx, const Group& g, T value) {
-  allreduce(ctx, g, std::span<T>(&value, 1), [](T a, T b) { return a + b; });
+T allreduce_sum(Context& ctx, const ProcView& v, T value) {
+  allreduce(ctx, v, std::span<T>(&value, 1), [](T a, T b) { return a + b; });
   return value;
 }
 
 template <class T>
-T allreduce_max(Context& ctx, const Group& g, T value) {
-  allreduce(ctx, g, std::span<T>(&value, 1),
+T allreduce_max(Context& ctx, const ProcView& v, T value) {
+  allreduce(ctx, v, std::span<T>(&value, 1),
             [](T a, T b) { return a > b ? a : b; });
   return value;
 }
 
 /// Gather variable-length contributions to `root_index`.  Returns, on the
-/// root only, the concatenation in group order; elsewhere an empty vector.
+/// root only, the concatenation in view order; elsewhere an empty vector.
 ///
 /// Tree-structured like reduce: each node merges its children's subtrees
 /// and forwards one (counts, payload) message pair to its parent, so the
 /// root drains two children in O(log P) depth instead of paying P - 1
 /// serial receive latencies.  Counts travel as an explicit header because
 /// contributions are variable-length and heap subtrees interleave member
-/// indices — the root needs them to reassemble group order.
+/// indices — the root needs them to reassemble view order.
 template <class T>
-std::vector<T> gather(Context& ctx, const Group& g, int root_index,
+std::vector<T> gather(Context& ctx, const ProcView& v, int root_index,
                       std::span<const T> mine) {
   static_assert(std::is_trivially_copyable_v<T>);
-  KALI_CHECK(root_index >= 0 && root_index < g.size(), "gather: bad root");
-  if (g.size() == 1) {
+  const int n = v.count();
+  KALI_CHECK(root_index >= 0 && root_index < n, "gather: bad root");
+  // Re-index the tree so the root is node 0.
+  auto pos = [&](int i) { return (i - root_index + n) % n; };
+  auto unpos = [&](int i) { return (i + root_index) % n; };
+  const int me = pos(v.linear_index_of(ctx.rank()));
+  if (n == 1) {
     return std::vector<T>(mine.begin(), mine.end());
   }
-  // Re-index the tree so the root is node 0.
-  auto pos = [&](int i) { return (i - root_index + g.size()) % g.size(); };
-  auto unpos = [&](int i) { return (i + root_index) % g.size(); };
-  const int me = pos(g.index());
 
   // This subtree's contributions: member (pos-)indices sorted ascending,
   // one count per member, payload segments concatenated in the same order.
@@ -159,11 +164,11 @@ std::vector<T> gather(Context& ctx, const Group& g, int root_index,
   std::vector<T> data(mine.begin(), mine.end());
   for (int which = 1; which >= 0; --which) {
     const int c = detail::tree_child(me, which);
-    if (c >= g.size()) {
+    if (c >= n) {
       continue;
     }
-    const int crank = g.rank_at(unpos(c));
-    const std::vector<int> csub = detail::tree_subtree_sorted(c, g.size());
+    const int crank = v.rank_at(unpos(c));
+    const std::vector<int> csub = detail::tree_subtree_sorted(c, n);
     const auto ccounts = ctx.recv_vec<std::int64_t>(crank, kTagGatherCounts);
     const auto cdata = ctx.recv_vec<T>(crank, kTagGather);
     KALI_CHECK(ccounts.size() == csub.size(), "gather: counts mismatch");
@@ -180,20 +185,20 @@ std::vector<T> gather(Context& ctx, const Group& g, int root_index,
           bi == csub.size() ||
           (ai < members.size() && members[ai] < csub[bi]);
       if (take_mine) {
-        const auto n = static_cast<std::size_t>(counts[ai]);
+        const auto len = static_cast<std::size_t>(counts[ai]);
         m2.push_back(members[ai]);
         c2.push_back(counts[ai]);
         d2.insert(d2.end(), data.begin() + static_cast<std::ptrdiff_t>(aoff),
-                  data.begin() + static_cast<std::ptrdiff_t>(aoff + n));
-        aoff += n;
+                  data.begin() + static_cast<std::ptrdiff_t>(aoff + len));
+        aoff += len;
         ++ai;
       } else {
-        const auto n = static_cast<std::size_t>(ccounts[bi]);
+        const auto len = static_cast<std::size_t>(ccounts[bi]);
         m2.push_back(csub[bi]);
         c2.push_back(ccounts[bi]);
         d2.insert(d2.end(), cdata.begin() + static_cast<std::ptrdiff_t>(boff),
-                  cdata.begin() + static_cast<std::ptrdiff_t>(boff + n));
-        boff += n;
+                  cdata.begin() + static_cast<std::ptrdiff_t>(boff + len));
+        boff += len;
         ++bi;
       }
     }
@@ -203,21 +208,21 @@ std::vector<T> gather(Context& ctx, const Group& g, int root_index,
     ctx.compute(static_cast<double>(data.size()));  // merge copy cost
   }
   if (me != 0) {
-    const int prank = g.rank_at(unpos(detail::tree_parent(me)));
+    const int prank = v.rank_at(unpos(detail::tree_parent(me)));
     ctx.send_span<std::int64_t>(prank, kTagGatherCounts,
                                 std::span<const std::int64_t>(counts));
     ctx.send_span<T>(prank, kTagGather, std::span<const T>(data));
     return {};
   }
   // Root: `members` now covers every pos index 0..n-1; re-emit segments in
-  // group order (pos order is group order rotated by root_index).
+  // view order (pos order is view order rotated by root_index).
   std::vector<std::size_t> offset(members.size() + 1, 0);
   for (std::size_t i = 0; i < members.size(); ++i) {
     offset[i + 1] = offset[i] + static_cast<std::size_t>(counts[i]);
   }
   std::vector<T> out;
   out.reserve(data.size());
-  for (int j = 0; j < g.size(); ++j) {
+  for (int j = 0; j < n; ++j) {
     const auto p = static_cast<std::size_t>(pos(j));
     out.insert(out.end(), data.begin() + static_cast<std::ptrdiff_t>(offset[p]),
                data.begin() + static_cast<std::ptrdiff_t>(offset[p + 1]));
@@ -234,21 +239,21 @@ namespace detail {
 /// the win for latency-bound payloads; for large ones the root's 2x
 /// bandwidth funnel loses, which is why the hybrid crossover exists.
 template <class T>
-std::vector<T> all_gather_tree(Context& ctx, const Group& g,
+std::vector<T> all_gather_tree(Context& ctx, const ProcView& v,
                                std::span<const T> mine) {
-  std::vector<T> all = gather(ctx, g, 0, mine);
+  std::vector<T> all = gather(ctx, v, 0, mine);
   std::uint64_t total =
-      g.index() == 0 ? static_cast<std::uint64_t>(all.size()) : 0;
-  broadcast(ctx, g, 0, std::span<std::uint64_t>(&total, 1));
+      ctx.rank() == v.rank_at(0) ? static_cast<std::uint64_t>(all.size()) : 0;
+  broadcast(ctx, v, 0, std::span<std::uint64_t>(&total, 1));
   all.resize(static_cast<std::size_t>(total));
-  broadcast(ctx, g, 0, std::span<T>(all.data(), all.size()));
+  broadcast(ctx, v, 0, std::span<T>(all.data(), all.size()));
   return all;
 }
 
 }  // namespace detail
 
 /// All-gather variable-length contributions: every member returns the
-/// concatenation of all members' `mine` spans in group order.
+/// concatenation of all members' `mine` spans in view order.
 ///
 /// A *hybrid* collective.  The default (bandwidth-bound) algorithm is a
 /// dense pairwise exchange (every ordered pair of members carries one
@@ -256,7 +261,7 @@ std::vector<T> all_gather_tree(Context& ctx, const Group& g,
 /// machine/schedule.hpp: each round is a perfect matching, so under
 /// MachineConfig::link_contention no injection or ejection link is
 /// oversubscribed and the exchange completes in ~n-1 wire slots instead of
-/// the ~2(n-1) that rank-order issue costs.  Tiny payloads (group-max
+/// the ~2(n-1) that rank-order issue costs.  Tiny payloads (view-max
 /// contribution <= MachineConfig::allgather_tree_max_bytes, agreed by a
 /// scalar allreduce so every member deterministically picks the same
 /// algorithm) instead ride a binary gather + broadcast tree: O(n)
@@ -270,35 +275,37 @@ std::vector<T> all_gather_tree(Context& ctx, const Group& g,
 /// self-sizing) and no member ever sends to itself, whichever algorithm
 /// runs.
 template <class T>
-std::vector<T> all_gather(Context& ctx, const Group& g, std::span<const T> mine,
+std::vector<T> all_gather(Context& ctx, const ProcView& v, std::span<const T> mine,
                           IssueOrder order = IssueOrder::kRoundSchedule) {
   static_assert(std::is_trivially_copyable_v<T>);
-  if (g.size() == 1) {
+  const int n = v.count();
+  const int me = v.linear_index_of(ctx.rank());
+  if (n == 1) {
     return std::vector<T>(mine.begin(), mine.end());
   }
   const std::size_t cutoff = ctx.config().allgather_tree_max_bytes;
   if (cutoff > 0) {
     const auto max_bytes = allreduce_max(
-        ctx, g, static_cast<std::uint64_t>(mine.size_bytes()));
+        ctx, v, static_cast<std::uint64_t>(mine.size_bytes()));
     if (max_bytes <= cutoff) {
-      return detail::all_gather_tree(ctx, g, mine);
+      return detail::all_gather_tree(ctx, v, mine);
     }
   }
-  // The schedule's communicator: the group's ranks, sorted so both
-  // endpoints of every transfer derive the same round numbering.
-  const std::vector<int> members = detail::union_members(g.ranks(), {});
-  // Per-peer segment slots, keyed by group index (= output order).
-  std::vector<std::vector<T>> segs(static_cast<std::size_t>(g.size()));
-  std::vector<std::pair<int, int>> out;  // (machine rank, peer group index)
+  // The schedule's communicator: the view's ranks, already ascending, so
+  // both endpoints of every transfer derive the same round numbering.
+  const std::vector<int> members = v.ranks();
+  // Per-peer segment slots, keyed by view index (= output order).
+  std::vector<std::vector<T>> segs(static_cast<std::size_t>(n));
+  std::vector<std::pair<int, int>> out;  // (machine rank, peer view index)
   std::vector<std::pair<int, int>> in;
-  out.reserve(static_cast<std::size_t>(g.size() - 1));
-  in.reserve(static_cast<std::size_t>(g.size() - 1));
-  for (int i = 0; i < g.size(); ++i) {
-    if (i == g.index()) {
+  out.reserve(static_cast<std::size_t>(n - 1));
+  in.reserve(static_cast<std::size_t>(n - 1));
+  for (int i = 0; i < n; ++i) {
+    if (i == me) {
       continue;
     }
-    out.emplace_back(g.rank_at(i), i);
-    in.emplace_back(g.rank_at(i), i);
+    out.emplace_back(members[static_cast<std::size_t>(i)], i);
+    in.emplace_back(members[static_cast<std::size_t>(i)], i);
   }
   // Contributions are sent as-is, with no packing pass; the own segment's
   // copy is charged inside the wire window, each received one as its
@@ -312,7 +319,7 @@ std::vector<T> all_gather(Context& ctx, const Group& g, std::span<const T> mine,
         return static_cast<double>(slot.size());
       },
       order);
-  segs[static_cast<std::size_t>(g.index())].assign(mine.begin(), mine.end());
+  segs[static_cast<std::size_t>(me)].assign(mine.begin(), mine.end());
   ctx.compute(static_cast<double>(mine.size()));
   ex.finish();
   std::vector<T> result;
@@ -329,6 +336,6 @@ std::vector<T> all_gather(Context& ctx, const Group& g, std::span<const T> mine,
 
 /// Align the simulated clocks of all members to their maximum (a barrier in
 /// model time).  Returns the aligned clock value.
-double sync_clocks(Context& ctx, const Group& g);
+double sync_clocks(Context& ctx, const ProcView& v);
 
 }  // namespace kali

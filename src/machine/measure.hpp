@@ -3,7 +3,7 @@
 // Machine::reset_stats() may only be used between runs (from the host
 // thread).  Inside a program, a phase is measured collectively: clocks are
 // aligned at the start (a cost-free "timer barrier"), each member snapshots
-// its own counters, and at the end the group-maximum clock and the summed
+// its own counters, and at the end the view-maximum clock and the summed
 // counter deltas are reduced.  The measurement traffic itself never
 // contaminates the reported interval.
 #pragma once
@@ -29,10 +29,10 @@ struct PhaseStats {
 
 class PhaseTimer {
  public:
-  /// Collective over `g`: aligns clocks and snapshots this member's
+  /// Collective over `v`: aligns clocks and snapshots this member's
   /// counters.  All members must construct and finish in lockstep.
-  PhaseTimer(Context& ctx, const Group& g)
-      : ctx_(&ctx), group_(g), start_clock_(sync_clocks(ctx, g)) {
+  PhaseTimer(Context& ctx, const ProcView& v)
+      : ctx_(&ctx), view_(v), start_clock_(sync_clocks(ctx, v)) {
     before_ = ctx.proc().counters();
   }
 
@@ -41,14 +41,14 @@ class PhaseTimer {
     // Snapshot by value first: the measurement collectives below would
     // otherwise count themselves.
     const ProcCounters now = ctx_->proc().counters();
-    const double end = allreduce_max(*ctx_, group_, ctx_->clock());
+    const double end = allreduce_max(*ctx_, view_, ctx_->clock());
     std::uint64_t counts[2] = {now.msgs_sent - before_.msgs_sent,
                                now.bytes_sent - before_.bytes_sent};
-    allreduce(*ctx_, group_, std::span<std::uint64_t>(counts, 2),
+    allreduce(*ctx_, view_, std::span<std::uint64_t>(counts, 2),
               [](std::uint64_t a, std::uint64_t b) { return a + b; });
     double sums[2] = {now.flops - before_.flops,
                       now.compute_time - before_.compute_time};
-    allreduce(*ctx_, group_, std::span<double>(sums, 2),
+    allreduce(*ctx_, view_, std::span<double>(sums, 2),
               [](double a, double b) { return a + b; });
     PhaseStats s;
     s.makespan = end - start_clock_;
@@ -61,7 +61,7 @@ class PhaseTimer {
 
  private:
   Context* ctx_;
-  Group group_;
+  ProcView view_;
   double start_clock_;
   ProcCounters before_;
 };

@@ -1,4 +1,4 @@
-#include "runtime/proc_view.hpp"
+#include "machine/proc_view.hpp"
 
 #include "support/check.hpp"
 
@@ -66,24 +66,11 @@ std::optional<std::array<int, kMaxProcDims>> ProcView::coord_of(int rank) const 
   if (ndims_ == 0) {
     return std::nullopt;
   }
-  // Strides are positive and descending in row-major construction, but
-  // slices can reorder them; solve greedily over dims sorted by stride.
-  std::array<int, kMaxProcDims> order{};
-  for (int d = 0; d < ndims_; ++d) {
-    order[static_cast<std::size_t>(d)] = d;
-  }
-  for (int a = 0; a < ndims_; ++a) {  // insertion sort by descending stride
-    for (int b = a + 1; b < ndims_; ++b) {
-      if (strides_[static_cast<std::size_t>(order[static_cast<std::size_t>(b)])] >
-          strides_[static_cast<std::size_t>(order[static_cast<std::size_t>(a)])]) {
-        std::swap(order[static_cast<std::size_t>(a)], order[static_cast<std::size_t>(b)]);
-      }
-    }
-  }
+  // Strides descend in dimension order (see the header), so solving one
+  // dimension at a time from the outermost is exact.
   int rem = rank - base_;
   std::array<int, kMaxProcDims> coord{};
-  for (int idx = 0; idx < ndims_; ++idx) {
-    const int d = order[static_cast<std::size_t>(idx)];
+  for (int d = 0; d < ndims_; ++d) {
     const auto ud = static_cast<std::size_t>(d);
     const int stride = strides_[ud];
     KALI_CHECK(stride > 0, "coord_of: degenerate stride");
@@ -165,7 +152,21 @@ int ProcView::linear_index_of(int rank) const {
   return idx;
 }
 
-Group ProcView::group(int self_rank) const { return Group(ranks(), self_rank); }
+int ProcView::rank_at(int i) const {
+  KALI_CHECK(i >= 0 && i < count(), "rank_at: index out of range");
+  int r = base_;
+  for (int d = ndims_ - 1; d >= 0; --d) {
+    const auto ud = static_cast<std::size_t>(d);
+    r += i % extents_[ud] * strides_[ud];
+    i /= extents_[ud];
+  }
+  return r;
+}
+
+const ProcView& ProcView::group(int self_rank) const {
+  KALI_CHECK(contains(self_rank), "calling rank is not a view member");
+  return *this;
+}
 
 bool operator==(const ProcView& a, const ProcView& b) {
   if (a.ndims_ != b.ndims_ || a.base_ != b.base_) {

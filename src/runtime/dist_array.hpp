@@ -36,9 +36,9 @@
 #include "machine/collectives.hpp"
 #include "machine/context.hpp"
 #include "machine/message.hpp"   // kTagHalo (reserved-tag registry)
+#include "machine/proc_view.hpp"
 #include "machine/schedule.hpp"  // the halo: detail::exchange_begin
 #include "runtime/distribution.hpp"
-#include "runtime/proc_view.hpp"
 
 namespace kali {
 
@@ -164,10 +164,11 @@ class DistArray {
     return my_coord_[idx(d)];
   }
 
-  /// Communication group over the view (collective helpers).
-  [[nodiscard]] Group group() const {
+  /// The view, once the caller is checked to be a member.  Kept only for
+  /// the benchmark harness (benchmark/); collectives take view() directly.
+  [[nodiscard]] const ProcView& group() const {
     require_member();
-    return view_.group(ctx_->rank());
+    return view_;
   }
 
   // ---- ownership & indexing ----------------------------------------------
@@ -428,7 +429,6 @@ class DistArray {
       order = IssueOrder::kPeerOrder;
     } else if (order == IssueOrder::kRoundSchedule) {
       members = view_.ranks();
-      std::sort(members.begin(), members.end());
     }
     std::vector<T> buf;
     double packed = 0;

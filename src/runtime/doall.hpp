@@ -237,8 +237,7 @@ double doall2_sum(const DistArray2<T>& A, Range ri, Range rj, Fn per_element) {
   if (!A.participating()) {
     return 0.0;
   }
-  Group g = A.group();
-  return allreduce_sum(A.context(), g, local);
+  return allreduce_sum(A.context(), A.view(), local);
 }
 
 }  // namespace kali

@@ -64,24 +64,23 @@ class GatherPlan {
     ctx.compute(static_cast<double>(wants.size()));  // inspector index math
 
     // Presence matrix: one byte per peer saying "I will request from you",
-    // all_gathered in view order (Group preserves it, so matrix row j is
-    // member j's row).  One tiny collective buys both endpoints of every
-    // empty pair certain agreement to skip it — without it each pair would
-    // have to exchange its emptiness, which is the message we are deleting.
+    // all_gathered in view order, so matrix row j is member j's row.  One
+    // tiny collective buys both endpoints of every empty pair certain
+    // agreement to skip it — without it each pair would have to exchange
+    // its emptiness, which is the message we are deleting.
     std::vector<std::uint8_t> presence(np, 0);
     for (std::size_t pi = 0; pi < np; ++pi) {
       presence[pi] =
           (plan.peers_[pi] != plan.self_rank_ && !requests[pi].empty()) ? 1
                                                                         : 0;
     }
-    const Group g(plan.peers_, plan.self_rank_);
     const std::vector<std::uint8_t> matrix = all_gather(
-        ctx, g, std::span<const std::uint8_t>(presence));
-    const std::size_t my_pi = static_cast<std::size_t>(g.index());
+        ctx, A.view(), std::span<const std::uint8_t>(presence));
+    const auto my_pi =
+        static_cast<std::size_t>(A.view().linear_index_of(ctx.rank()));
 
     // Exchange the non-empty request lists pairwise (self handled locally).
     plan.send_indices_.assign(np, {});
-    const std::vector<int> members = detail::union_members(plan.peers_, {});
     std::vector<std::pair<int, std::size_t>> out;
     std::vector<std::pair<int, std::size_t>> in;
     for (std::size_t pi = 0; pi < np; ++pi) {
@@ -97,7 +96,7 @@ class GatherPlan {
       }
     }
     detail::exchange_begin<int>(
-        ctx, members, kTagInspReq, std::move(out), std::move(in),
+        ctx, plan.peers_, kTagInspReq, std::move(out), std::move(in),
         [&](std::size_t pi) { return std::span<const int>(requests[pi]); },
         [&](std::size_t pi, std::vector<int> idxs) {
           plan.send_indices_[pi] = std::move(idxs);
@@ -124,7 +123,6 @@ class GatherPlan {
     // peer pi's request list reached us in the inspector (their presence
     // bit), and recv_slots_[pi] exactly when we requested from pi — the two
     // sides of each skipped pair agreed on emptiness at plan build.
-    const std::vector<int> members = detail::union_members(peers_, {});
     std::vector<std::pair<int, std::size_t>> out;
     std::vector<std::pair<int, std::size_t>> in;
     std::size_t self_pi = np;
@@ -143,7 +141,7 @@ class GatherPlan {
     std::vector<T> buf;
     double packed = 0;
     PendingExchange ex = detail::exchange_begin<T>(
-        ctx, members, kTagInspData, std::move(out), std::move(in),
+        ctx, peers_, kTagInspData, std::move(out), std::move(in),
         [&](std::size_t pi) {
           buf.clear();
           for (int g : send_indices_[pi]) {

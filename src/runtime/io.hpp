@@ -70,9 +70,8 @@ std::vector<T> gather_global(const DistArray<T, R>& A) {
   }
   Context& ctx = A.context();
   const std::vector<detail::IdxVal<T>> mine = detail::pack_owned(A);
-  Group grp = A.group();
-  auto all = gather(ctx, grp, 0, std::span<const detail::IdxVal<T>>(mine));
-  if (grp.index() != 0) {
+  auto all = gather(ctx, A.view(), 0, std::span<const detail::IdxVal<T>>(mine));
+  if (ctx.rank() != A.view().rank_at(0)) {
     return {};
   }
   return detail::scatter_idxval(A, all);
@@ -90,9 +89,8 @@ std::vector<T> gather_all(const DistArray<T, R>& A) {
   }
   Context& ctx = A.context();
   const std::vector<detail::IdxVal<T>> mine = detail::pack_owned(A);
-  Group grp = A.group();
   const auto all =
-      all_gather(ctx, grp, std::span<const detail::IdxVal<T>>(mine));
+      all_gather(ctx, A.view(), std::span<const detail::IdxVal<T>>(mine));
   return detail::scatter_idxval(A, all);
 }
 

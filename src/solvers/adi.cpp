@@ -35,13 +35,14 @@ void residual_scaled(const Op2& op, double tau, const DistArray2<double>& u,
 
 /// The view's members as a 1-D line view (transpose mode redistributes
 /// between 2-D (block, block) and 1-D (block, *) / (*, block) layouts over
-/// the same processors, which requires the ranks to be contiguous).
+/// the same processors, which requires the ranks to be contiguous).  A
+/// view's ranks ascend, so they are contiguous exactly when the last is
+/// count - 1 past the first.
 ProcView row_major_line(const ProcView& pv) {
-  const std::vector<int> ranks = pv.ranks();
-  ProcView line = ProcView::grid1(static_cast<int>(ranks.size()), ranks.front());
-  KALI_CHECK(line.ranks() == ranks,
+  const int n = pv.count();
+  KALI_CHECK(pv.rank_at(n - 1) - pv.rank_at(0) == n - 1,
              "adi transpose: view must be a contiguous rank range");
-  return line;
+  return ProcView::grid1(n, pv.rank_at(0));
 }
 
 }  // namespace

@@ -161,8 +161,7 @@ double adi_var_default_tau(const AdiVarWorkspace& ws) {
   ca.for_each_owned([&](std::array<int, 2> g) {
     cmax = std::max({cmax, ca.at(g), ws.cb.at(g)});
   });
-  Group g = ca.group();
-  cmax = allreduce_max(ca.context(), g, cmax);
+  cmax = allreduce_max(ca.context(), ca.view(), cmax);
   const double pi2 = std::numbers::pi * std::numbers::pi;
   const double lmin = pi2;  // smooth-mode estimate for unit-order a, b
   const double lmax = 4.0 * cmax;

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "machine/context.hpp"
-#include "runtime/proc_view.hpp"
+#include "machine/proc_view.hpp"
 
 namespace kali {
 

@@ -132,9 +132,8 @@ std::vector<double> jacobi_mp(Context& ctx, const ProcView& procs, int n,
       mine[static_cast<std::size_t>(i * m + j)] = X(i + 1, j + 1);
     }
   }
-  Group g = procs.group(ctx.rank());
-  auto blocks = gather(ctx, g, 0, std::span<const double>(mine));
-  if (g.index() != 0) {
+  auto blocks = gather(ctx, procs, 0, std::span<const double>(mine));
+  if (ctx.rank() != procs.rank_at(0)) {
     return {};
   }
   std::vector<double> full(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));

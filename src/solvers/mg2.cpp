@@ -121,8 +121,7 @@ double mg2_residual_norm(const Op2& op, const D3& u, const D3& f) {
         local += res * res;
       },
       1.0);
-  Group g = u.group();
-  return std::sqrt(allreduce_sum(u.context(), g, local));
+  return std::sqrt(allreduce_sum(u.context(), u.view(), local));
 }
 
 void mg2_cycle(const Op2& op, D3& u, const D3& f, const Mg2Options& opts) {

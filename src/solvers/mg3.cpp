@@ -108,8 +108,7 @@ double mg3_residual_norm(const Op3& op, const DistArray3<double>& u,
         local += res * res;
       },
       15.0);
-  Group g = u.group();
-  return std::sqrt(allreduce_sum(u.context(), g, local));
+  return std::sqrt(allreduce_sum(u.context(), u.view(), local));
 }
 
 void mg3_cycle(const Op3& op, DistArray3<double>& u, const DistArray3<double>& f,

@@ -64,7 +64,7 @@ void DistCsrMatrix::multiply(const DistArray1<double>& x,
 
 namespace {
 
-double dot(Context& ctx, const Group& g, const DistArray1<double>& a,
+double dot(Context& ctx, const ProcView& pv, const DistArray1<double>& a,
            const DistArray1<double>& b) {
   auto as = a.local_strided();
   auto bs = b.local_strided();
@@ -73,7 +73,7 @@ double dot(Context& ctx, const Group& g, const DistArray1<double>& a,
     local += as[l] * bs[l];
   }
   ctx.compute(2.0 * as.n);
-  return allreduce_sum(ctx, g, local);
+  return allreduce_sum(ctx, pv, local);
 }
 
 }  // namespace
@@ -84,7 +84,7 @@ double sparse_jacobi(const DistCsrMatrix& A, const DistArray1<double>& b,
     return 0.0;
   }
   Context& ctx = x.context();
-  Group g = x.group();
+  const ProcView& pv = x.view();
   DistArray1<double> ax = x.clone();
   const auto& diag = A.diagonal();
   for (int it = 0; it < iters; ++it) {
@@ -108,7 +108,7 @@ double sparse_jacobi(const DistCsrMatrix& A, const DistArray1<double>& b,
     local += r * r;
   }
   ctx.compute(2.0 * axs.n);
-  return std::sqrt(allreduce_sum(ctx, g, local));
+  return std::sqrt(allreduce_sum(ctx, pv, local));
 }
 
 int sparse_cg(const DistCsrMatrix& A, const DistArray1<double>& b,
@@ -117,7 +117,7 @@ int sparse_cg(const DistCsrMatrix& A, const DistArray1<double>& b,
     return 0;
   }
   Context& ctx = x.context();
-  Group g = x.group();
+  const ProcView& pv = x.view();
 
   DistArray1<double> r = b.clone();
   DistArray1<double> p = b.clone();
@@ -140,13 +140,13 @@ int sparse_cg(const DistCsrMatrix& A, const DistArray1<double>& b,
       ps[l] = rs[l];
     }
   }
-  const double bnorm = std::sqrt(dot(ctx, g, b, b));
-  double rr = dot(ctx, g, r, r);
+  const double bnorm = std::sqrt(dot(ctx, pv, b, b));
+  double rr = dot(ctx, pv, r, r);
   const double stop = rtol * (bnorm > 0.0 ? bnorm : 1.0);
   int it = 0;
   while (it < max_iters && std::sqrt(rr) > stop) {
     A.multiply(p, ap);
-    const double pap = dot(ctx, g, p, ap);
+    const double pap = dot(ctx, pv, p, ap);
     KALI_CHECK(pap > 0.0, "sparse_cg: matrix not positive definite");
     const double alpha = rr / pap;
     auto xs = x.local_strided();
@@ -158,7 +158,7 @@ int sparse_cg(const DistCsrMatrix& A, const DistArray1<double>& b,
       rs[l] -= alpha * aps[l];
     }
     ctx.compute(4.0 * xs.n);
-    const double rr_new = dot(ctx, g, r, r);
+    const double rr_new = dot(ctx, pv, r, r);
     const double beta = rr_new / rr;
     for (int l = 0; l < ps.n; ++l) {
       ps[l] = rs[l] + beta * ps[l];

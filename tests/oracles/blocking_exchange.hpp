@@ -347,8 +347,7 @@ void blocking_halo(DistArray<T, R>& a, HaloCorners corners = HaloCorners::kNo,
       }
     }
   }
-  std::vector<int> members = a.view().ranks();
-  std::sort(members.begin(), members.end());
+  const std::vector<int> members = a.view().ranks();
   double packed = 0;
   double unpacked = 0;
   auto send_one = [&](int rank, const Pieces& pieces) {
@@ -382,16 +381,17 @@ void blocking_halo(DistArray<T, R>& a, HaloCorners corners = HaloCorners::kNo,
 /// charged with the final unpack.
 template <class T>
 std::vector<T> blocking_all_gather(
-    Context& ctx, const Group& g, std::span<const T> mine,
+    Context& ctx, const ProcView& v, std::span<const T> mine,
     IssueOrder order = IssueOrder::kRoundSchedule) {
-  const std::vector<int> members = kali::detail::union_members(g.ranks(), {});
-  std::vector<std::vector<T>> segs(static_cast<std::size_t>(g.size()));
+  const std::vector<int> members = v.ranks();
+  const int me = v.linear_index_of(ctx.rank());
+  std::vector<std::vector<T>> segs(members.size());
   std::vector<std::pair<int, int>> out;
   std::vector<std::pair<int, int>> in;
-  for (int i = 0; i < g.size(); ++i) {
-    if (i != g.index()) {
-      out.emplace_back(g.rank_at(i), i);
-      in.emplace_back(g.rank_at(i), i);
+  for (int i = 0; i < v.count(); ++i) {
+    if (i != me) {
+      out.emplace_back(members[static_cast<std::size_t>(i)], i);
+      in.emplace_back(members[static_cast<std::size_t>(i)], i);
     }
   }
   double merged = static_cast<double>(mine.size());
@@ -406,7 +406,7 @@ std::vector<T> blocking_all_gather(
   issue_exchange(
       members, ctx.rank(), out, in, send_one, recv_one, [] {},
       [&] { ctx.compute(merged); }, order);
-  segs[static_cast<std::size_t>(g.index())].assign(mine.begin(), mine.end());
+  segs[static_cast<std::size_t>(me)].assign(mine.begin(), mine.end());
   std::vector<T> result;
   for (const auto& seg : segs) {
     result.insert(result.end(), seg.begin(), seg.end());
@@ -427,7 +427,6 @@ std::vector<T> blocking_gather(const DistArray1<T>& A,
   Context& ctx = A.context();
   const std::vector<int> peers = A.view().ranks();
   const std::size_t np = peers.size();
-  const std::vector<int> members = kali::detail::union_members(peers, {});
   std::vector<std::vector<int>> requests(np);
   std::vector<std::vector<std::size_t>> slots(np);
   for (std::size_t w = 0; w < wants.size(); ++w) {
@@ -441,10 +440,10 @@ std::vector<T> blocking_gather(const DistArray1<T>& A,
   for (std::size_t pi = 0; pi < np; ++pi) {
     presence[pi] = peers[pi] != ctx.rank() && !requests[pi].empty() ? 1 : 0;
   }
-  const Group g(peers, ctx.rank());
   const std::vector<std::uint8_t> matrix =
-      all_gather(ctx, g, std::span<const std::uint8_t>(presence));
-  const auto my_pi = static_cast<std::size_t>(g.index());
+      all_gather(ctx, A.view(), std::span<const std::uint8_t>(presence));
+  const auto my_pi =
+      static_cast<std::size_t>(A.view().linear_index_of(ctx.rank()));
 
   // Inspector: exchange the non-empty request lists, charging nothing.
   std::vector<std::vector<int>> send_indices(np);
@@ -463,7 +462,7 @@ std::vector<T> blocking_gather(const DistArray1<T>& A,
     }
   }
   issue_exchange(
-      members, ctx.rank(), out, in,
+      peers, ctx.rank(), out, in,
       [&](int rank, std::size_t pi) {
         ctx.send_span<int>(rank, kTagInspReq,
                            std::span<const int>(requests[pi]));
@@ -494,7 +493,7 @@ std::vector<T> blocking_gather(const DistArray1<T>& A,
   double packed = 0;
   double unpacked = 0;
   issue_exchange(
-      members, ctx.rank(), out, in,
+      peers, ctx.rank(), out, in,
       [&](int rank, std::size_t pi) {
         std::vector<T> buf;
         for (int gi : send_indices[pi]) {

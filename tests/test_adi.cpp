@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "machine/context.hpp"
 #include "machine/measure.hpp"
@@ -196,7 +197,7 @@ TEST(Adi, PipelinedIsFasterInSimulatedTime) {
       opts.op = op;
       opts.tau = adi_default_tau(op, n);
       opts.pipelined = pipelined;
-      PhaseTimer timer(ctx, pv.group(ctx.rank()));
+      PhaseTimer timer(ctx, pv);
       for (int it = 0; it < iters; ++it) {
         adi_iterate(opts, u, f);
       }
@@ -266,6 +267,33 @@ TEST(Adi, RequiresHalo) {
     adi_iterate(opts, u, f);
   }),
                Error);
+}
+
+TEST(Adi, TransposeRejectsNonContiguousView) {
+  // Transpose mode re-lays the view's ranks out as a 1-D line, so they must
+  // form one contiguous range; the left half-columns of a 2 x 4 grid,
+  // {0, 1, 4, 5}, do not.
+  Machine m(8);
+  try {
+    m.run([&](Context& ctx) {
+      const ProcView pv = ProcView::grid2(2, 4).sub(1, 0, 2);
+      if (!pv.contains(ctx.rank())) {
+        return;
+      }
+      using D2 = DistArray2<double>;
+      const typename D2::Dists dists{DimDist::block_dist(), DimDist::block_dist()};
+      D2 u(ctx, pv, {16, 16}, dists, {1, 1});
+      D2 f(ctx, pv, {16, 16}, dists, {1, 1});
+      AdiOptions opts;
+      opts.transpose = true;
+      adi_iterate(opts, u, f);
+    });
+    FAIL() << "a non-contiguous view did not throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("contiguous rank range"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

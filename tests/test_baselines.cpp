@@ -123,7 +123,7 @@ TEST(Baselines, CyclicReductionCommunicatesMoreThanPipelined) {
       a.fill([&](std::array<int, 1> g) { return s.a[static_cast<std::size_t>(g[0])]; });
       c.fill([&](std::array<int, 1> g) { return s.c[static_cast<std::size_t>(g[0])]; });
       f.fill([&](std::array<int, 1> g) { return s.f[static_cast<std::size_t>(g[0])]; });
-      PhaseTimer timer(ctx, pv.group(ctx.rank()));
+      PhaseTimer timer(ctx, pv);
       solver(b, a, c, f, x);
       const PhaseStats ps = timer.finish();
       if (ctx.rank() == 0) {

@@ -2,19 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <numeric>
+#include <vector>
 
 #include "machine/context.hpp"
-#include "runtime/proc_view.hpp"
+#include "machine/measure.hpp"
+#include "machine/proc_view.hpp"
 
 namespace kali {
 namespace {
-
-Group whole_machine(Context& ctx) {
-  std::vector<int> ranks(static_cast<std::size_t>(ctx.nprocs()));
-  std::iota(ranks.begin(), ranks.end(), 0);
-  return Group(std::move(ranks), ctx.rank());
-}
 
 class CollectivesP : public ::testing::TestWithParam<int> {};
 
@@ -22,7 +21,7 @@ TEST_P(CollectivesP, BroadcastReachesAllMembers) {
   const int p = GetParam();
   Machine m(p);
   m.run([&](Context& ctx) {
-    Group g = whole_machine(ctx);
+    const ProcView g = ProcView::grid1(ctx.nprocs());
     std::vector<double> data(5, ctx.rank() == 2 % p ? 3.5 : 0.0);
     broadcast(ctx, g, 2 % p, std::span<double>(data));
     for (double v : data) {
@@ -35,7 +34,8 @@ TEST_P(CollectivesP, AllreduceSumMatchesClosedForm) {
   const int p = GetParam();
   Machine m(p);
   m.run([&](Context& ctx) {
-    const int total = allreduce_sum(ctx, whole_machine(ctx), ctx.rank() + 1);
+    const int total =
+        allreduce_sum(ctx, ProcView::grid1(ctx.nprocs()), ctx.rank() + 1);
     EXPECT_EQ(total, p * (p + 1) / 2);
   });
 }
@@ -44,7 +44,7 @@ TEST_P(CollectivesP, AllreduceMax) {
   const int p = GetParam();
   Machine m(p);
   m.run([&](Context& ctx) {
-    const double v = allreduce_max(ctx, whole_machine(ctx),
+    const double v = allreduce_max(ctx, ProcView::grid1(ctx.nprocs()),
                                    static_cast<double>(ctx.rank()));
     EXPECT_DOUBLE_EQ(v, static_cast<double>(p - 1));
   });
@@ -54,25 +54,25 @@ TEST_P(CollectivesP, ReduceOnlyRootHoldsResult) {
   const int p = GetParam();
   Machine m(p);
   m.run([&](Context& ctx) {
-    Group g = whole_machine(ctx);
+    const ProcView g = ProcView::grid1(ctx.nprocs());
     std::vector<int> data{ctx.rank(), 1};
     reduce(ctx, g, 0, std::span<int>(data), [](int a, int b) { return a + b; });
-    if (g.index() == 0) {
+    if (ctx.rank() == 0) {
       EXPECT_EQ(data[0], p * (p - 1) / 2);
       EXPECT_EQ(data[1], p);
     }
   });
 }
 
-TEST_P(CollectivesP, GatherConcatenatesInGroupOrder) {
+TEST_P(CollectivesP, GatherConcatenatesInViewOrder) {
   const int p = GetParam();
   Machine m(p);
   m.run([&](Context& ctx) {
-    Group g = whole_machine(ctx);
+    const ProcView g = ProcView::grid1(ctx.nprocs());
     // Member i contributes i+1 copies of its rank.
     std::vector<int> mine(static_cast<std::size_t>(ctx.rank() + 1), ctx.rank());
     auto all = gather(ctx, g, 0, std::span<const int>(mine));
-    if (g.index() == 0) {
+    if (ctx.rank() == 0) {
       std::vector<int> expect;
       for (int i = 0; i < p; ++i) {
         expect.insert(expect.end(), static_cast<std::size_t>(i + 1), i);
@@ -90,7 +90,7 @@ TEST_P(CollectivesP, AllGatherConcatenatesEverywhere) {
   cfg.allgather_tree_max_bytes = 0;  // pin the dense pairwise algorithm
   Machine m(p, cfg);
   m.run([&](Context& ctx) {
-    Group g = whole_machine(ctx);
+    const ProcView g = ProcView::grid1(ctx.nprocs());
     // Member i contributes i+1 copies of its rank — variable lengths, no
     // counts on the wire.
     std::vector<int> mine(static_cast<std::size_t>(ctx.rank() + 1), ctx.rank());
@@ -118,7 +118,7 @@ TEST(Collectives, AllGatherIssueOrdersAgree) {
     cfg.allgather_tree_max_bytes = 0;  // the orders govern the dense path
     Machine m(6, cfg);
     m.run([&](Context& ctx) {
-      Group g = whole_machine(ctx);
+      const ProcView g = ProcView::grid1(ctx.nprocs());
       std::vector<double> mine(3, 1.5 * ctx.rank());
       auto all = all_gather(ctx, g, std::span<const double>(mine), order);
       ASSERT_EQ(all.size(), 18u);
@@ -129,22 +129,6 @@ TEST(Collectives, AllGatherIssueOrdersAgree) {
       }
     });
   }
-}
-
-TEST(Collectives, AllGatherOverStridedColumnViews) {
-  // Independent all_gathers on the strided column slices of a 2-D grid,
-  // running concurrently (the schedule communicator is the sorted member
-  // set, not a dense rank prefix).
-  Machine m(6);
-  m.run([](Context& ctx) {
-    ProcView pv = ProcView::grid2(3, 2);  // columns {0,2,4} and {1,3,5}
-    const auto coord = *pv.coord_of(ctx.rank());
-    Group g = pv.fix(1, coord[1]).group(ctx.rank());
-    std::vector<int> mine{ctx.rank()};
-    auto all = all_gather(ctx, g, std::span<const int>(mine));
-    // Column jp holds ranks jp, jp+2, jp+4 in group order.
-    EXPECT_EQ(all, (std::vector<int>{coord[1], coord[1] + 2, coord[1] + 4}));
-  });
 }
 
 TEST(Collectives, HybridAllGatherTreeMatchesDenseForTinyPayloads) {
@@ -162,7 +146,7 @@ TEST(Collectives, HybridAllGatherTreeMatchesDenseForTinyPayloads) {
     Machine m(p, cfg);
     std::vector<int> result;
     m.run([&](Context& ctx) {
-      Group g = whole_machine(ctx);
+      const ProcView g = ProcView::grid1(ctx.nprocs());
       // Variable lengths to exercise the tree's count plumbing.
       std::vector<int> mine(static_cast<std::size_t>(ctx.rank() % 3 + 1),
                             ctx.rank());
@@ -192,7 +176,7 @@ TEST(Collectives, HybridAllGatherKeepsDensePathForLargePayloads) {
   MachineConfig cfg;  // default crossover (1024 bytes)
   Machine m(p, cfg);
   m.run([&](Context& ctx) {
-    Group g = whole_machine(ctx);
+    const ProcView g = ProcView::grid1(ctx.nprocs());
     std::vector<double> mine(300, 1.0 * ctx.rank());  // 2400 B > crossover
     auto all = all_gather(ctx, g, std::span<const double>(mine));
     ASSERT_EQ(all.size(), static_cast<std::size_t>(p) * 300);
@@ -211,7 +195,7 @@ TEST_P(CollectivesP, BarrierCompletes) {
   const int p = GetParam();
   Machine m(p);
   m.run([&](Context& ctx) {
-    Group g = whole_machine(ctx);
+    const ProcView g = ProcView::grid1(ctx.nprocs());
     for (int round = 0; round < 3; ++round) {
       barrier(ctx, g);
     }
@@ -224,7 +208,7 @@ TEST_P(CollectivesP, SyncClocksAlignsToMax) {
   Machine m(p);
   m.run([&](Context& ctx) {
     ctx.compute(1000.0 * (ctx.rank() + 1));
-    const double t = sync_clocks(ctx, whole_machine(ctx));
+    const double t = sync_clocks(ctx, ProcView::grid1(ctx.nprocs()));
     EXPECT_DOUBLE_EQ(t, ctx.clock());
   });
   // After sync, no processor's clock may be below the pre-sync max.
@@ -234,53 +218,160 @@ TEST_P(CollectivesP, SyncClocksAlignsToMax) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(GroupSizes, CollectivesP,
+INSTANTIATE_TEST_SUITE_P(ViewSizes, CollectivesP,
                          ::testing::Values(1, 2, 3, 4, 7, 8, 16));
 
 TEST(Collectives, SubgroupDoesNotDisturbOutsiders) {
   Machine m(4);
   m.run([](Context& ctx) {
     if (ctx.rank() < 2) {
-      Group g({0, 1}, ctx.rank());
-      EXPECT_EQ(allreduce_sum(ctx, g, 10), 20);
+      EXPECT_EQ(allreduce_sum(ctx, ProcView::grid1(2), 10), 20);
     }
     // Ranks 2,3 do nothing; run must still terminate cleanly.
   });
 }
 
-TEST(Collectives, WorkOverStridedColumnViews) {
-  // The ADI/mg3 pattern: independent collectives on the strided column
-  // slices procs(*, jp) of a 2-D grid, running concurrently.
-  Machine m(6);
-  m.run([](Context& ctx) {
-    ProcView pv = ProcView::grid2(3, 2);  // columns {0,2,4} and {1,3,5}
-    const auto coord = *pv.coord_of(ctx.rank());
-    ProcView col = pv.fix(1, coord[1]);
-    Group g = col.group(ctx.rank());
-    EXPECT_EQ(g.size(), 3);
-    const int sum = allreduce_sum(ctx, g, ctx.rank());
-    // Column jp holds ranks jp, jp+2, jp+4.
-    EXPECT_EQ(sum, 3 * coord[1] + 6);
-    std::vector<double> data{static_cast<double>(ctx.rank())};
-    broadcast(ctx, g, 0, std::span<double>(data));
-    EXPECT_DOUBLE_EQ(data[0], static_cast<double>(coord[1]));
-  });
+/// Disjoint views of a `p`-rank machine: each rank runs the collectives on
+/// the view that holds it, concurrently with the other views; ranks in no
+/// view idle.
+struct ViewCase {
+  const char* name;
+  int p;
+  std::vector<ProcView> views;
+  /// Messages sent per collective tag, machine-wide — the counts the
+  /// list-based process sets these views replaced produced for the same
+  /// program.
+  std::map<int, std::uint64_t> sent_by_tag;
+};
+
+std::vector<ProcView> slices(const ProcView& pv, int dim) {
+  std::vector<ProcView> out;
+  for (int i = 0; i < pv.extent(dim); ++i) {
+    out.push_back(pv.fix(dim, i));
+  }
+  return out;
 }
 
-TEST(Collectives, NonMemberConstructionThrows) {
-  EXPECT_THROW(Group({0, 1}, 5), Error);
+std::vector<ViewCase> view_cases() {
+  const ProcView g2 = ProcView::grid2(3, 4);
+  const ProcView g3 = ProcView::grid3(2, 3, 2);
+  // A gather sends one counts and one payload message per edge, and a
+  // barrier one up and one down.
+  auto counts = [](std::uint64_t reduce_up, std::uint64_t bcast_down,
+                   std::uint64_t gather, std::uint64_t barrier,
+                   std::uint64_t all_gather) {
+    return std::map<int, std::uint64_t>{
+        {kTagReduceUp, reduce_up},   {kTagBcastDown, bcast_down},
+        {kTagGather, gather},        {kTagBarrierUp, barrier},
+        {kTagBarrierDown, barrier},  {kTagGatherCounts, gather},
+        {kTagAllGather, all_gather}};
+  };
+  return {
+      {"grid2 rows", 12, slices(g2, 0), counts(117, 135, 45, 9, 36)},
+      {"grid2 columns", 12, slices(g2, 1), counts(96, 112, 32, 8, 24)},
+      {"grid3 fix(1, j) planes", 12, slices(g3, 1), counts(117, 135, 45, 9, 36)},
+      {"sub with nonzero base", 12,
+       {ProcView::grid1(4, 8).sub(0, 1, 3), g2.sub(0, 0, 2).sub(1, 1, 2)},
+       counts(63, 73, 23, 5, 18)},
+      {"sub of fix", 12, {g3.fix(2, 0).sub(1, 1, 2), g3.fix(2, 1).sub(0, 1, 1)},
+       counts(63, 73, 23, 5, 18)},
+  };
+}
+
+/// Every collective on the view `v` that holds the caller, checked against
+/// values derived from v.ranks().
+void run_every_collective(Context& ctx, const ProcView& v) {
+  const std::vector<int> rks = v.ranks();
+  const int n = static_cast<int>(rks.size());
+  const int me = static_cast<int>(std::find(rks.begin(), rks.end(), ctx.rank()) -
+                                  rks.begin());
+  const int sum = std::accumulate(rks.begin(), rks.end(), 0);
+  // Variable-length contributions: member r sends r % 3 + 1 copies of r,
+  // or 300 copies (over the all_gather tree crossover) when `big`.
+  auto contribution = [](int r, bool big) {
+    return std::vector<int>(big ? 300u : static_cast<std::size_t>(r % 3 + 1), r);
+  };
+  auto concatenation = [&](bool big) {
+    std::vector<int> out;
+    for (int r : rks) {
+      const auto c = contribution(r, big);
+      out.insert(out.end(), c.begin(), c.end());
+    }
+    return out;
+  };
+
+  barrier(ctx, v);
+  for (int root = 0; root < n; ++root) {
+    const int root_rank = rks[static_cast<std::size_t>(root)];
+    std::vector<double> data(2, ctx.rank() == root_rank ? root_rank + 0.5 : -1.0);
+    broadcast(ctx, v, root, std::span<double>(data));
+    EXPECT_EQ(data, std::vector<double>(2, root_rank + 0.5));
+
+    std::vector<int> acc{ctx.rank(), 1};
+    reduce(ctx, v, root, std::span<int>(acc), [](int a, int b) { return a + b; });
+    if (me == root) {
+      EXPECT_EQ(acc, (std::vector<int>{sum, n}));
+    }
+
+    const auto mine = contribution(ctx.rank(), false);
+    const auto all = gather(ctx, v, root, std::span<const int>(mine));
+    EXPECT_EQ(all, me == root ? concatenation(false) : std::vector<int>{});
+  }
+  EXPECT_EQ(allreduce_sum(ctx, v, ctx.rank()), sum);
+  EXPECT_EQ(allreduce_max(ctx, v, ctx.rank()), rks.back());
+  for (bool big : {false, true}) {  // the tree path, then the dense path
+    const auto mine = contribution(ctx.rank(), big);
+    EXPECT_EQ(all_gather(ctx, v, std::span<const int>(mine)), concatenation(big));
+  }
+
+  PhaseTimer timer(ctx, v);
+  ctx.compute(1000.0 * (me + 1));
+  const PhaseStats st = timer.finish();
+  EXPECT_EQ(st.flops, 500.0 * n * (n + 1));
+  EXPECT_EQ(st.msgs, 0u);
+  const double aligned = sync_clocks(ctx, v);
+  EXPECT_EQ(aligned, ctx.clock());
+}
+
+TEST(Collectives, EveryOperationRunsOnSlicedViews) {
+  // The ADI/mg3 pattern and its generalizations: independent collectives
+  // on strided fix/sub slices of a grid, running concurrently.
+  for (const ViewCase& vc : view_cases()) {
+    SCOPED_TRACE(vc.name);
+    Machine m(vc.p);
+    m.run([&](Context& ctx) {
+      const auto it = std::find_if(
+          vc.views.begin(), vc.views.end(),
+          [&](const ProcView& v) { return v.contains(ctx.rank()); });
+      if (it != vc.views.end()) {
+        run_every_collective(ctx, *it);
+      }
+    });
+    EXPECT_EQ(m.stats().totals().sent_by_tag, vc.sent_by_tag);
+    EXPECT_EQ(m.stats().self_msgs_total(), 0u);
+  }
+}
+
+TEST(Collectives, CallerOutsideTheViewThrows) {
+  Machine m(4);
+  EXPECT_THROW(m.run([](Context& ctx) {
+                 if (ctx.rank() == 3) {
+                   (void)allreduce_sum(ctx, ProcView::grid2(2, 2).sub(1, 0, 1), 1);
+                 }
+               }),
+               Error);
 }
 
 TEST(Collectives, GatherWorksForEveryRoot) {
   const int p = 7;
   Machine m(p);
   m.run([&](Context& ctx) {
-    Group g = whole_machine(ctx);
+    const ProcView g = ProcView::grid1(ctx.nprocs());
     for (int root = 0; root < p; ++root) {
       std::vector<int> mine(static_cast<std::size_t>(ctx.rank() % 3),
                             10 * ctx.rank());
       auto all = gather(ctx, g, root, std::span<const int>(mine));
-      if (g.index() == root) {
+      if (ctx.rank() == root) {
         std::vector<int> expect;
         for (int i = 0; i < p; ++i) {
           expect.insert(expect.end(), static_cast<std::size_t>(i % 3), 10 * i);
@@ -301,7 +392,7 @@ TEST(Collectives, GatherDrainsChildrenThroughTree) {
   const int p = 16;
   Machine m(p);
   m.run([&](Context& ctx) {
-    Group g = whole_machine(ctx);
+    const ProcView g = ProcView::grid1(ctx.nprocs());
     std::vector<double> mine(4, 1.0 * ctx.rank());
     (void)gather(ctx, g, 0, std::span<const double>(mine));
   });
@@ -326,7 +417,7 @@ TEST(Collectives, SyncClocksDoesNotLeakLinkStateAcrossPhases) {
       std::vector<double> waits(8, 0.0);
       std::vector<double> spans(8, 0.0);
       m.run([&](Context& ctx) {
-        Group g = whole_machine(ctx);
+        const ProcView g = ProcView::grid1(ctx.nprocs());
         std::vector<double> v(2000, 1.0);
         auto hot_exchange = [&] {
           // Everyone floods rank 0 — heavy port and edge queueing.
@@ -385,7 +476,7 @@ TEST(Collectives, SyncClocksChargesNoPhantomWaitToStraddlingMessages) {
     cfg.link_contention = mode;
     Machine m(4, cfg);
     m.run([](Context& ctx) {
-      Group g = whole_machine(ctx);
+      const ProcView g = ProcView::grid1(ctx.nprocs());
       if (ctx.rank() == 3) {
         ctx.send<int>(2, 5, 42);   // in flight across the barrier
         ctx.compute(1.0e6);        // push the aligned clock far past it
@@ -405,8 +496,8 @@ TEST(Collectives, DisjointSubgroupsRunConcurrently) {
   Machine m(4);
   m.run([](Context& ctx) {
     const bool low = ctx.rank() < 2;
-    Group g(low ? std::vector<int>{0, 1} : std::vector<int>{2, 3}, ctx.rank());
-    const int sum = allreduce_sum(ctx, g, ctx.rank());
+    const int sum =
+        allreduce_sum(ctx, ProcView::grid1(2, low ? 0 : 2), ctx.rank());
     EXPECT_EQ(sum, low ? 1 : 5);
   });
 }

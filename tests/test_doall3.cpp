@@ -132,8 +132,7 @@ TEST(Doall3, BodyExceptionPropagatesAndAbortsRun) {
       }
     });
     // Peers proceed to a collective that would deadlock without abort.
-    Group g = pv.group(ctx.rank());
-    barrier(ctx, g);
+    barrier(ctx, pv);
   }),
                Error);
 }

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <numeric>
 #include <vector>
 
 #include "machine/collectives.hpp"
@@ -53,12 +52,6 @@ std::size_t total_ledger_entries(Machine& m) {
   return n;
 }
 
-Group whole_machine(Context& ctx) {
-  std::vector<int> ranks(static_cast<std::size_t>(ctx.nprocs()));
-  std::iota(ranks.begin(), ranks.end(), 0);
-  return Group(std::move(ranks), ctx.rank());
-}
-
 TEST(EdgeLedger, UnbarrieredPhaseHoldsOneEntryPerInteriorEdgeResolution) {
   Machine m(4, sf_ring_config());
   m.run(antipode_phase);
@@ -71,7 +64,7 @@ TEST(EdgeLedger, SyncClocksEmptiesEveryLedger) {
     antipode_phase(ctx);
     // A rank reads only its own ledger inside the run.
     EXPECT_EQ(ledger_entries(ctx.proc()), static_cast<std::size_t>(kIters));
-    sync_clocks(ctx, whole_machine(ctx));
+    sync_clocks(ctx, ProcView::grid1(ctx.nprocs()));
     EXPECT_EQ(ledger_entries(ctx.proc()), 0u);
   });
   EXPECT_EQ(total_ledger_entries(m), 0u);

@@ -9,6 +9,11 @@
 // row per side.  The corner-mode shape is a 9-point stencil's copy-in: a
 // 64 x 64 (block, block) array on the 4 x 4 grid with one ghost cell per
 // side.
+//
+// The same counter, in bytes, guards the collectives' process sets: a
+// reduction over an array's view, timed by a PhaseTimer, must allocate no
+// more bytes per message on 1024 ranks than on 64 — a view is O(1)
+// arithmetic, never a copied member list.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,14 +21,17 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <utility>
 
 #include "machine/context.hpp"
 #include "machine/machine.hpp"
+#include "machine/measure.hpp"
 #include "runtime/dist_array.hpp"
 
 namespace {
 
 std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::uint64_t> g_bytes{0};
 
 }  // namespace
 
@@ -31,6 +39,7 @@ std::atomic<std::uint64_t> g_allocs{0};
 // operator delete (or free() with operator new) and warns of a mismatch.
 [[gnu::noinline]] void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(n, std::memory_order_relaxed);
   if (void* p = std::malloc(n == 0 ? 1 : n)) {
     return p;
   }
@@ -42,6 +51,7 @@ std::atomic<std::uint64_t> g_allocs{0};
 [[gnu::noinline]] void* operator new(std::size_t n,
                                      const std::nothrow_t&) noexcept {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(n, std::memory_order_relaxed);
   return std::malloc(n == 0 ? 1 : n);
 }
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
@@ -119,6 +129,43 @@ TEST(ExchangeAlloc, SteadyStateCornerHaloAllocatesNoMoreThanBlockingLoops) {
   // list and round_sort's two sort buffers that the round schedule needs,
   // and a payload and a typed receive copy per peer (up to eight).
   EXPECT_LE(per_exchange, 21.335625);
+}
+
+/// Heap bytes per message sent of timed allreduce_sum rounds over a 1-D
+/// array's view on `p` ranks.  The difference of two runs cancels the
+/// machine and array set-up; dividing by messages rather than ranks
+/// cancels the tree's (p - 1) / p messages per rank and round.
+double reduction_bytes_per_msg(int p) {
+  auto run = [p](int rounds) {
+    MachineConfig cfg;
+    cfg.sim_workers = 1;
+    Machine m(p, cfg);
+    const std::uint64_t before = g_bytes.load();
+    m.run([&](Context& ctx) {
+      DistArray1<double> a(ctx, ProcView::grid1(p), {p}, {DimDist::block_dist()});
+      for (int k = 0; k < rounds; ++k) {
+        PhaseTimer timer(ctx, a.view());
+        (void)allreduce_sum(ctx, a.view(), a.at({ctx.rank()}));
+        (void)timer.finish();
+      }
+    });
+    return std::pair{g_bytes.load() - before, m.stats().totals().msgs_sent};
+  };
+  const auto [short_bytes, short_msgs] = run(4);
+  const auto [long_bytes, long_msgs] = run(12);
+  return static_cast<double>(long_bytes - short_bytes) /
+         static_cast<double>(long_msgs - short_msgs);
+}
+
+TEST(ExchangeAlloc, ViewReductionBytesDoNotGrowWithP) {
+  const double small = reduction_bytes_per_msg(64);
+  const double large = reduction_bytes_per_msg(1024);
+  RecordProperty("bytes_per_msg_p64", std::to_string(small));
+  RecordProperty("bytes_per_msg_p1024", std::to_string(large));
+  // About 49 bytes per message at both sizes.  A process set that copied
+  // its member list on every collective would add 4 * p bytes per rank and
+  // call.
+  EXPECT_LE(large, small);
 }
 
 }  // namespace

@@ -313,7 +313,6 @@ void fuzz_prog(Context& ctx, const Shape& s, Path path,
   slab_values(fd, out);
 
   // Dense all_gather of per-rank contributions of differing lengths.
-  const Group everyone = line.group(ctx.rank());
   std::vector<double> mine(
       static_cast<std::size_t>((ctx.rank() * 7 + static_cast<int>(s.seed)) % 5),
       0.0);
@@ -322,9 +321,9 @@ void fuzz_prog(Context& ctx, const Shape& s, Path path,
   }
   const std::vector<double> all =
       path == Path::kOracle
-          ? oracles::blocking_all_gather(ctx, everyone,
+          ? oracles::blocking_all_gather(ctx, line,
                                          std::span<const double>(mine), s.order)
-          : all_gather(ctx, everyone, std::span<const double>(mine), s.order);
+          : all_gather(ctx, line, std::span<const double>(mine), s.order);
   out.insert(out.end(), all.begin(), all.end());
 
   // Inspector/executor gather of random indices.

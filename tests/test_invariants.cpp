@@ -37,14 +37,6 @@ constexpr bool kInvariantsOn = false;
     }                                                               \
   } while (0)
 
-Group whole_machine(Context& ctx) {
-  std::vector<int> ranks(static_cast<std::size_t>(ctx.nprocs()));
-  for (int r = 0; r < ctx.nprocs(); ++r) {
-    ranks[static_cast<std::size_t>(r)] = r;
-  }
-  return Group(ranks, ctx.rank());
-}
-
 // --- clock monotonicity ----------------------------------------------------
 
 TEST(Invariants, ProcessorClockMayNotMoveBackwards) {
@@ -167,7 +159,7 @@ TEST(Invariants, SyncClocksRejectsLeakedMessage) {
   Machine m(2);
   try {
     m.run([&](Context& ctx) {
-      Group g = whole_machine(ctx);
+      const ProcView g = ProcView::grid1(ctx.nprocs());
       if (ctx.rank() == 0) {
         ctx.send(1, /*tag=*/5, 1.0);  // nobody ever receives this
       }
@@ -203,7 +195,7 @@ TEST(Invariants, SubgroupSyncClocksSkipsLeakCheck) {
         (void)ctx.recv<double>(2, 6);
       }
       if (ctx.rank() != 2) {
-        Group g({0, 1}, ctx.rank());
+        const ProcView g = ProcView::grid1(2);
         sync_clocks(ctx, g);
       }
       if (ctx.rank() == 0) {
@@ -242,7 +234,7 @@ TEST(Invariants, BalancedTrafficPassesBothLeakChecks) {
   // balance exactly.
   Machine m(2);
   m.run([&](Context& ctx) {
-    Group g = whole_machine(ctx);
+    const ProcView g = ProcView::grid1(ctx.nprocs());
     if (ctx.rank() == 0) {
       ctx.send(1, /*tag=*/5, 3.0);
     } else {
@@ -417,7 +409,7 @@ TEST(Invariants, BarrierSeparatedPhasesPassTheStraddleCheck) {
   // each sync_clocks, fresh traffic after) is legal in both build modes.
   Machine m(2);
   m.run([&](Context& ctx) {
-    Group g = whole_machine(ctx);
+    const ProcView g = ProcView::grid1(ctx.nprocs());
     for (int phase = 0; phase < 3; ++phase) {
       if (ctx.rank() == 0) {
         ctx.send(1, /*tag=*/5, static_cast<double>(phase));

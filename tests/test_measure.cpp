@@ -7,19 +7,11 @@
 namespace kali {
 namespace {
 
-Group whole(Context& ctx) {
-  std::vector<int> ranks(static_cast<std::size_t>(ctx.nprocs()));
-  for (int i = 0; i < ctx.nprocs(); ++i) {
-    ranks[static_cast<std::size_t>(i)] = i;
-  }
-  return Group(std::move(ranks), ctx.rank());
-}
-
 TEST(PhaseTimer, MeasuresComputeMakespan) {
   Machine m(4);
   m.run([&](Context& ctx) {
     ctx.compute(500.0 * (ctx.rank() + 1));  // pre-phase skew
-    PhaseTimer timer(ctx, whole(ctx));
+    PhaseTimer timer(ctx, ProcView::grid1(ctx.nprocs()));
     ctx.compute(1000.0);  // the phase: equal work
     PhaseStats s = timer.finish();
     EXPECT_NEAR(s.makespan, 1000.0 * ctx.config().flop_time, 1e-12);
@@ -31,7 +23,7 @@ TEST(PhaseTimer, MeasuresComputeMakespan) {
 TEST(PhaseTimer, MakespanIsSlowestMember) {
   Machine m(4);
   m.run([&](Context& ctx) {
-    PhaseTimer timer(ctx, whole(ctx));
+    PhaseTimer timer(ctx, ProcView::grid1(ctx.nprocs()));
     ctx.compute(100.0 * (ctx.rank() + 1));  // rank 3 does 400
     PhaseStats s = timer.finish();
     EXPECT_NEAR(s.makespan, 400.0 * ctx.config().flop_time, 1e-12);
@@ -48,7 +40,7 @@ TEST(PhaseTimer, CountsOnlyPhaseTraffic) {
     } else {
       (void)ctx.recv<int>(0, 5);
     }
-    PhaseTimer timer(ctx, whole(ctx));
+    PhaseTimer timer(ctx, ProcView::grid1(ctx.nprocs()));
     if (ctx.rank() == 0) {
       std::vector<double> v(10, 1.0);
       ctx.send_span<double>(1, 6, v);
@@ -64,10 +56,10 @@ TEST(PhaseTimer, CountsOnlyPhaseTraffic) {
 TEST(PhaseTimer, NestedPhasesCompose) {
   Machine m(2);
   m.run([&](Context& ctx) {
-    PhaseTimer outer(ctx, whole(ctx));
+    PhaseTimer outer(ctx, ProcView::grid1(ctx.nprocs()));
     double inner_total = 0.0;
     for (int k = 0; k < 3; ++k) {
-      PhaseTimer inner(ctx, whole(ctx));
+      PhaseTimer inner(ctx, ProcView::grid1(ctx.nprocs()));
       ctx.compute(100.0);
       inner_total += inner.finish().makespan;
     }
@@ -82,7 +74,7 @@ TEST(SyncClocks, AlignsExactly) {
   Machine m(4);
   m.run([&](Context& ctx) {
     ctx.compute(250.0 * ctx.rank());
-    const double t = sync_clocks(ctx, whole(ctx));
+    const double t = sync_clocks(ctx, ProcView::grid1(ctx.nprocs()));
     EXPECT_DOUBLE_EQ(t, 750.0 * ctx.config().flop_time);
     EXPECT_DOUBLE_EQ(ctx.clock(), t);
   });

@@ -64,8 +64,7 @@ TEST(Mg2, ZebraSweepReducesError) {
                const double e = u(i, j, b) - ustar(i, j, b);
                local += e * e;
              });
-      Group g = u.group();
-      return std::sqrt(allreduce_sum(ctx, g, local));
+      return std::sqrt(allreduce_sum(ctx, u.view(), local));
     };
     double prev = err();
     for (int sweep = 0; sweep < 3; ++sweep) {

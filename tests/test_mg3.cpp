@@ -68,8 +68,7 @@ TEST(Mg3, ZebraPlaneSweepNearlySolvesItsColour) {
                const double res = f(i, j, k) - au;
                local += res * res;
              });
-      Group g = u.group();
-      return std::sqrt(allreduce_sum(ctx, g, local));
+      return std::sqrt(allreduce_sum(ctx, u.view(), local));
     };
     const double even_before = plane_residual(2);
     Mg3Options opts;
@@ -288,7 +287,7 @@ TEST(Mg3, StackedZebraSweepMatchesPerPlaneOracle) {
             auto [u, f] = make_problem(ctx, pv, op, n, n, n);
             // A first sweep of the other parity leaves a non-trivial u.
             mg3_zebra_sweep(op, u, f, 1 - parity, Mg3Options{});
-            sync_clocks(ctx, pv.group(ctx.rank()));
+            sync_clocks(ctx, pv);
             if (stacked) {
               mg3_zebra_sweep(op, u, f, parity, Mg3Options{});
             } else {

@@ -114,7 +114,7 @@ TEST(Mtri, PipelineBeatsSerialTriCalls) {
       const typename D2::Dists dists{DimDist::star(), DimDist::block_dist()};
       D2 F(ctx, pv, {nsys, n}, dists), X(ctx, pv, {nsys, n}, dists);
       F.fill([&](std::array<int, 2> g) { return coef_f(g[0], g[1]); });
-      PhaseTimer timer(ctx, pv.group(ctx.rank()));
+      PhaseTimer timer(ctx, pv);
       if (pipelined) {
         mtri_const(-1.0, 4.0, -1.0, F, X, 0);
       } else {

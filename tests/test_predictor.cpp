@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <span>
 #include <vector>
 
@@ -26,7 +25,7 @@ double sim_tri(int n, int p) {
     DistArray1<double> f(ctx, pv, {n}, {DimDist::block_dist()});
     DistArray1<double> x(ctx, pv, {n}, {DimDist::block_dist()});
     f.fill([](std::array<int, 1> g) { return 1.0 + 0.1 * g[0]; });
-    PhaseTimer timer(ctx, pv.group(ctx.rank()));
+    PhaseTimer timer(ctx, pv);
     tric(-1.0, 4.0, -1.0, f, x);
     const double t = timer.finish().makespan;
     if (ctx.rank() == 0) {
@@ -41,7 +40,7 @@ double sim_jacobi(int n, int p_side) {
   double out = 0.0;
   m.run([&](Context& ctx) {
     ProcView pv = ProcView::grid2(p_side, p_side);
-    PhaseTimer timer(ctx, pv.group(ctx.rank()));
+    PhaseTimer timer(ctx, pv);
     (void)jacobi_kf1(ctx, pv, n, [](int, int) { return 0.0; }, 4,
                      /*collect=*/false);
     const double t = timer.finish().makespan / 4.0;
@@ -316,12 +315,9 @@ double sim_all_gather(int count, int p, LinkContention contention,
   cfg.topology = topo;
   Machine m(p, cfg);
   m.run([&](Context& ctx) {
-    std::vector<int> ranks(static_cast<std::size_t>(p));
-    std::iota(ranks.begin(), ranks.end(), 0);
-    Group g(std::move(ranks), ctx.rank());
     std::vector<double> mine(static_cast<std::size_t>(count),
                              1.0 * ctx.rank());
-    (void)all_gather(ctx, g, std::span<const double>(mine));
+    (void)all_gather(ctx, ProcView::grid1(p), std::span<const double>(mine));
   });
   return m.stats().max_clock();
 }

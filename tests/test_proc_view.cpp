@@ -1,8 +1,12 @@
-#include "runtime/proc_view.hpp"
+#include "machine/proc_view.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "support/check.hpp"
+#include "support/rng.hpp"
 
 namespace kali {
 namespace {
@@ -111,6 +115,65 @@ TEST(ProcView, EmptyViewContainsNothing) {
   EXPECT_EQ(v.ndims(), 0);
   EXPECT_EQ(v.count(), 0);
   EXPECT_FALSE(v.contains(0));
+}
+
+TEST(ProcView, RankAtInvertsLinearIndex) {
+  ProcView v = ProcView::grid3(2, 3, 4, 5).fix(1, 1).sub(1, 1, 2);
+  EXPECT_EQ(v.ranks(), (std::vector<int>{10, 11, 22, 23}));
+  EXPECT_EQ(v.rank_at(2), 22);
+  EXPECT_EQ(v.linear_index_of(22), 2);
+  EXPECT_THROW((void)v.rank_at(4), Error);
+  EXPECT_THROW((void)v.rank_at(-1), Error);
+  EXPECT_THROW((void)v.linear_index_of(12), Error);
+}
+
+/// A random view as the runtime builds them: a grid1/2/3 root with a
+/// random base, then a random chain of fix and sub slices.
+ProcView random_view(Rng& rng) {
+  const int nd = rng.uniform_int(1, 3);
+  const int base = rng.uniform_int(0, 9);
+  const int a = rng.uniform_int(1, 5);
+  const int b = rng.uniform_int(1, 5);
+  const int c = rng.uniform_int(1, 5);
+  ProcView v = nd == 1   ? ProcView::grid1(a, base)
+               : nd == 2 ? ProcView::grid2(a, b, base)
+                         : ProcView::grid3(a, b, c, base);
+  for (int step = rng.uniform_int(0, 3); step > 0; --step) {
+    const int d = rng.uniform_int(0, v.ndims() - 1);
+    const int e = v.extent(d);
+    if (rng.uniform_int(0, 1) == 0) {
+      v = v.fix(d, rng.uniform_int(0, e - 1));
+    } else {
+      const int lo = rng.uniform_int(0, e - 1);
+      v = v.sub(d, lo, rng.uniform_int(1, e - lo));
+    }
+  }
+  return v;
+}
+
+TEST(ProcView, RandomSlicesKeepViewArithmeticConsistent) {
+  // The collectives index members by view arithmetic alone, and the dense
+  // exchanges take ranks() as their sorted communicator; both rest on
+  // these properties holding for every view the slicing operations build.
+  Rng rng(2024);
+  for (int trial = 0; trial < 400; ++trial) {
+    const ProcView v = random_view(rng);
+    SCOPED_TRACE(trial);
+    const std::vector<int> rks = v.ranks();
+    ASSERT_EQ(static_cast<int>(rks.size()), v.count());
+    for (int i = 0; i < v.count(); ++i) {
+      const auto ui = static_cast<std::size_t>(i);
+      EXPECT_EQ(v.rank_at(i), rks[ui]);
+      EXPECT_EQ(v.linear_index_of(v.rank_at(i)), i);
+      if (i > 0) {
+        EXPECT_LT(rks[ui - 1], rks[ui]) << "ranks() must strictly ascend";
+      }
+    }
+    for (int r = 0; r < rks.back() + 2; ++r) {
+      EXPECT_EQ(v.contains(r), std::find(rks.begin(), rks.end(), r) != rks.end())
+          << "rank " << r;
+    }
+  }
 }
 
 TEST(ProcView, EqualityComparesShape) {

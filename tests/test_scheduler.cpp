@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <sstream>
 #include <string>
 #include <thread>  // hardware_concurrency: host-side harness knob only
@@ -22,12 +21,6 @@
 namespace kali {
 namespace {
 
-Group whole_machine(Context& ctx) {
-  std::vector<int> ranks(static_cast<std::size_t>(ctx.nprocs()));
-  std::iota(ranks.begin(), ranks.end(), 0);
-  return Group(std::move(ranks), ctx.rank());
-}
-
 /// A communication-heavy SPMD workload exercising every yield point: ring
 /// shifts (parked recvs), rank-skewed compute (fibers park in different
 /// orders under different worker counts), an all_gather (collective tree +
@@ -38,7 +31,7 @@ void workload(Context& ctx) {
   const int me = ctx.rank();
   const int next = (me + 1) % p;
   const int prev = (me + p - 1) % p;
-  Group g = whole_machine(ctx);
+  const ProcView g = ProcView::grid1(ctx.nprocs());
   double acc = 0.0;
   for (int iter = 0; iter < 6; ++iter) {
     ctx.compute(100.0 * (1 + (me + iter) % 5));  // skewed progress

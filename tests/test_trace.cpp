@@ -162,7 +162,7 @@ TEST(EventLog, DetachedRunRecordsNothing) {
     EXPECT_EQ(ctx.recv<int>(left, 5), left);
     EXPECT_EQ(ctx.recv<int>(left, 6), left);
     ctx.mark(0, ctx.rank(), 'x');
-    sync_clocks(ctx, Group({0, 1, 2, 3}, ctx.rank()));
+    sync_clocks(ctx, ProcView::grid1(4));
   });
   EXPECT_EQ(log.total_events(), 0u);
   EXPECT_EQ(m.stats().sent_msgs(6), 4u);

@@ -183,7 +183,7 @@ TEST(Tri, SimulatedTimeBeatsGatherForLargeN) {
       a.fill([&](std::array<int, 1> g) { return s.a[static_cast<std::size_t>(g[0])]; });
       c.fill([&](std::array<int, 1> g) { return s.c[static_cast<std::size_t>(g[0])]; });
       f.fill([&](std::array<int, 1> g) { return s.f[static_cast<std::size_t>(g[0])]; });
-      PhaseTimer timer(ctx, pv.group(ctx.rank()));  // ignore setup
+      PhaseTimer timer(ctx, pv);  // ignore setup
       if (substructured) {
         tri(b, a, c, f, x);
       } else {
@@ -227,7 +227,7 @@ TEST(Tri, SimulatedTimeIsBitReproducible) {
       a.fill([&](std::array<int, 1> g) { return s.a[static_cast<std::size_t>(g[0])]; });
       c.fill([&](std::array<int, 1> g) { return s.c[static_cast<std::size_t>(g[0])]; });
       f.fill([&](std::array<int, 1> g) { return s.f[static_cast<std::size_t>(g[0])]; });
-      PhaseTimer timer(ctx, pv.group(ctx.rank()));
+      PhaseTimer timer(ctx, pv);
       tri(b, a, c, f, x);
       const double t = timer.finish().makespan;
       if (ctx.rank() == 0) {

@@ -188,15 +188,10 @@ std::vector<Program> make_programs() {
     // size-agreement allreduce uses the same tree edges.
     p.peers = {{0, 1}, {0, 2}, {1, 3}};
     p.body = [](Context& ctx) {
-      std::vector<int> ranks(static_cast<std::size_t>(ctx.nprocs()));
-      for (int i = 0; i < ctx.nprocs(); ++i) {
-        ranks[static_cast<std::size_t>(i)] = i;
-      }
-      Group g(ranks, ctx.rank());
       ctx.compute(50.0 * (ctx.rank() + 1));
       const double mine = ctx.clock();
-      std::vector<double> all =
-          all_gather(ctx, g, std::span<const double>(&mine, 1));
+      std::vector<double> all = all_gather(ctx, ProcView::grid1(ctx.nprocs()),
+                                           std::span<const double>(&mine, 1));
       double sum = 0.0;
       for (double v : all) {
         sum += v;

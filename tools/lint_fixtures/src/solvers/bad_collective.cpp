@@ -6,7 +6,7 @@
 
 namespace kali {
 
-struct FakeGroup {
+struct FakeView {
   int size;
 };
 
@@ -15,18 +15,18 @@ struct FakeCtx {
   void send(int peer, int tag, double v);
 };
 
-void barrier(FakeCtx& ctx, const FakeGroup& g);
-double allreduce_max(FakeCtx& ctx, const FakeGroup& g, double v);
+void barrier(FakeCtx& ctx, const FakeView& g);
+double allreduce_max(FakeCtx& ctx, const FakeView& g, double v);
 void exchange_halo(FakeCtx& ctx);
 
-void symmetric_phase(FakeCtx& ctx, const FakeGroup& g) {
+void symmetric_phase(FakeCtx& ctx, const FakeView& g) {
   barrier(ctx, g);  // unconditional: clean
   if (ctx.rank() == 0) {
     ctx.send(1, kTagDemo, 1.0);  // point-to-point under a rank guard: clean
   }
 }
 
-void asymmetric_phase(FakeCtx& ctx, const FakeGroup& g) {
+void asymmetric_phase(FakeCtx& ctx, const FakeView& g) {
   if (ctx.rank() == 0) {
     barrier(ctx, g);  // LINT-EXPECT: collective-symmetry
   } else {
@@ -39,7 +39,7 @@ void asymmetric_phase(FakeCtx& ctx, const FakeGroup& g) {
   }
 }
 
-void waived_phase(FakeCtx& ctx, const FakeGroup& g) {
+void waived_phase(FakeCtx& ctx, const FakeView& g) {
   if (ctx.rank() < g.size) {
     // Every rank of this machine is a member; the guard is vacuous.
     // kali-lint: allow(collective-symmetry)

@@ -135,10 +135,10 @@ SHARED_STATE_SANCTIONED = {
     "src/machine/collectives.cpp",
     "src/machine/processor.hpp",
 }
-# Tokens that make a conditional rank-dependent: the SPMD rank, a group
-# index, or a processor-grid coordinate.  Group membership alone
-# (g.contains(...)) is deliberately not matched — calling a collective on a
-# group one participates in is the correct pattern.
+# Tokens that make a conditional rank-dependent: the SPMD rank, a member
+# index, or a processor-grid coordinate.  View membership alone
+# (v.contains(...)) is deliberately not matched — calling a collective on a
+# view one belongs to is the correct pattern.
 RANK_TOKEN_RE = re.compile(
     r"\brank\b|\.rank\s*\(\)|->rank\s*\(\)|\.index\s*\(\)|"
     r"\bmy_coord\b|\bview_coord\b")
