@@ -34,18 +34,24 @@ namespace {
 
 using D3 = DistArray3<double>;
 
-/// Whether the stack's rows are split over the view: (*, block, *).  The
-/// agglomerated levels run on (*, *, block), where each member holds whole
-/// planes.
+/// A stack's two layouts over a 1-D view: rows split, (*, block, *), or
+/// whole planes per member, (*, *, block), where the agglomerated levels
+/// run.
+const D3::Dists kRows{DimDist::star(), DimDist::block_dist(), DimDist::star()};
+const D3::Dists kPlanes{DimDist::star(), DimDist::star(),
+                        DimDist::block_dist()};
+
+/// Whether the stack's rows are split over the view: (*, block, *).
 bool split_rows(const D3& u) { return u.dist_kind(1) == DistKind::kBlock; }
 
-/// A fresh stack on u's view and layout with ny + 1 rows; `ghosts` adds a
-/// y halo where the rows are split.
-D3 stack_like(const D3& u, int ny, bool ghosts) {
-  const bool rows = split_rows(u);
-  const DimDist block = DimDist::block_dist(), star = DimDist::star();
-  return D3(u.context(), u.view(), {u.extent(0), ny + 1, u.extent(2)},
-            {star, rows ? block : star, rows ? star : block},
+/// u's own layout, kRows or kPlanes.
+const D3::Dists& layout(const D3& u) { return split_rows(u) ? kRows : kPlanes; }
+
+/// A fresh stack on u's view in layout `dists` with ny + 1 rows; `ghosts`
+/// adds a y halo where the rows are split.
+D3 stack_like(const D3& u, const D3::Dists& dists, int ny, bool ghosts) {
+  const bool rows = dists[1].kind == DistKind::kBlock;
+  return D3(u.context(), u.view(), {u.extent(0), ny + 1, u.extent(2)}, dists,
             {0, ghosts && rows ? 1 : 0, 0});
 }
 
@@ -65,6 +71,65 @@ void resid2(const Op2& op, const D3& u, const D3& f, D3& r) {
   doall_overlap(uin.exchange_halo_begin(), uin,
                 {Range{1, nx - 1}, Range{1, ny - 1}, Range{0, f.extent(2) - 1}},
                 body, 10.0);
+}
+
+/// The coarse-grid correction: restrict the fine residual r onto layout
+/// `coarse` of u's view, run one cycle on the y-semicoarsened grid there,
+/// interpolate the correction back and add it to u.  The level switches
+/// plan across the two layouts, so agglomerating needs no redistribution
+/// of its own.
+void correct2(const Op2& op, D3& u, const D3& r, const D3::Dists& coarse,
+              const Mg2Options& opts) {
+  Context& ctx = u.context();
+  const int nx = u.extent(0) - 1, ny = u.extent(1) - 1, nyc = ny / 2;
+  const Range planes{0, u.extent(2) - 1};
+
+  // rest2: full weighting in y at even fine lines, injected to coarse.
+  // Split the fine residual by line parity onto the coarse layout first,
+  // then weight on the coarse side: re(K) = r(2K) and ro(K) = r(2K+1).  The
+  // weighting stencil needs ro at K-1 and K, so ro travels through
+  // copy_strided_dim_halo, which delivers those ghosts inside the remap
+  // messages — no fine-grid halo exchange of r and no full-size temporary.
+  // g(i,K) = 0.25 r(2K-1) + 0.5 r(2K) + 0.25 r(2K+1).
+  D3 g = stack_like(u, coarse, nyc, false);
+  {
+    D3 re = stack_like(u, coarse, nyc, false);
+    D3 ro = stack_like(u, coarse, nyc, true);
+    copy_strided_dim(ctx, r, re, 1, /*s_stride=*/2, /*s_off=*/0,
+                     /*d_stride=*/1, /*d_off=*/0, nyc + 1);
+    copy_strided_dim_halo(ctx, r, ro, 1, /*s_stride=*/2, /*s_off=*/1,
+                          /*d_stride=*/1, /*d_off=*/0, nyc);
+    doall3(
+        g, Range{1, nx - 1}, Range{1, nyc - 1}, planes,
+        [&](int i, int K, int b) {
+          g(i, K, b) = 0.25 * ro.at_halo({i, K - 1, b}) + 0.5 * re(i, K, b) +
+                       0.25 * ro.at_halo({i, K, b});
+        },
+        4.0);
+  }
+
+  D3 v = stack_like(u, coarse, nyc, true);
+  Op2 cop = op;
+  cop.hy = 2.0 * op.hy;
+  mg2_cycle(cop, v, g, opts);
+
+  // intrp2: linear interpolation in y (Listing 10's 2-D analogue).  The
+  // remap delivers vtmp's even-line ghosts in its own messages — one
+  // redistribution per level switch instead of a remap round plus a halo
+  // round.
+  D3 vtmp = stack_like(u, layout(u), ny, true);
+  copy_strided_dim_halo(ctx, v, vtmp, 1, /*s_stride=*/1, /*s_off=*/0,
+                        /*d_stride=*/2, /*d_off=*/0, nyc + 1);
+  doall3(
+      u, Range{1, nx - 1}, Range{2, ny - 2, 2}, planes,
+      [&](int i, int j, int b) { u(i, j, b) += vtmp(i, j, b); }, 1.0);
+  doall3(
+      u, Range{1, nx - 1}, Range{1, ny - 1, 2}, planes,
+      [&](int i, int j, int b) {
+        u(i, j, b) +=
+            0.5 * (vtmp.at_halo({i, j - 1, b}) + vtmp.at_halo({i, j + 1, b}));
+      },
+      3.0);
 }
 
 }  // namespace
@@ -131,10 +196,6 @@ void mg2_cycle(const Op2& op, D3& u, const D3& f, const Mg2Options& opts) {
   if (!u.participating()) {
     return;
   }
-  Context& ctx = u.context();
-  const ProcView& pv = u.view();
-  const int nx = u.extent(0) - 1;
-  const Range planes{0, u.extent(2) - 1};
 
   // perform zebra relaxation on even lines, then odd lines
   mg2_zebra_sweep(op, u, f, 0);
@@ -148,83 +209,21 @@ void mg2_cycle(const Op2& op, D3& u, const D3& f, const Mg2Options& opts) {
     }
     return;
   }
-  const int nyc = ny / 2;
 
-  if (split_rows(u) && pv.count() > 1 &&
-      !detail::coarsenable(nyc + 1, pv.extent(0))) {
-    // Block misalignment would leave a processor without rows: agglomerate
-    // the correction problem A v = r by planes.  Redistributed to
-    // (*, *, block), each member holds whole planes and runs the remaining
-    // levels on them without messages; one plane lands on the first member
-    // alone (standard practice on distributed memory).  Spreading the
-    // planes keeps every member busy when mg3 stacks a column's planes: on
-    // the benchmark's mg3 (64^3 on 4x4, kPorts) the stacked cycle reads
-    // 1.547 s spread and 2.038 s with every plane on the first member.
-    D3 r = stack_like(u, ny, false);
-    resid2(op, u, f, r);
-    const D3::Dists spread{DimDist::star(), DimDist::star(),
-                           DimDist::block_dist()};
-    D3 r1(ctx, pv, {nx + 1, ny + 1, u.extent(2)}, spread);
-    redistribute(ctx, r, r1);
-    D3 v1(ctx, pv, {nx + 1, ny + 1, u.extent(2)}, spread);
-    mg2_cycle(op, v1, r1, opts);
-    D3 v = stack_like(u, ny, false);
-    redistribute(ctx, v1, v);
-    doall3(
-        u, Range{1, nx - 1}, Range{1, ny - 1}, planes,
-        [&](int i, int j, int b) { u(i, j, b) += v(i, j, b); }, 1.0);
-    return;
-  }
-
-  D3 r = stack_like(u, ny, false);
+  D3 r = stack_like(u, layout(u), ny, false);
   resid2(op, u, f, r);
-
-  // rest2: full weighting in y at even fine lines, injected to coarse.
-  // Split the fine residual by line parity onto the coarse layout first,
-  // then weight on the coarse side: re(K) = r(2K) and ro(K) = r(2K+1).  The
-  // weighting stencil needs ro at K-1 and K, so ro travels through
-  // copy_strided_dim_halo, which delivers those ghosts inside the remap
-  // messages — no fine-grid halo exchange of r and no full-size temporary.
-  // g(i,K) = 0.25 r(2K-1) + 0.5 r(2K) + 0.25 r(2K+1).
-  D3 g = stack_like(u, nyc, false);
-  {
-    D3 re = stack_like(u, nyc, false);
-    D3 ro = stack_like(u, nyc, true);
-    copy_strided_dim(ctx, r, re, 1, /*s_stride=*/2, /*s_off=*/0,
-                     /*d_stride=*/1, /*d_off=*/0, nyc + 1);
-    copy_strided_dim_halo(ctx, r, ro, 1, /*s_stride=*/2, /*s_off=*/1,
-                          /*d_stride=*/1, /*d_off=*/0, nyc);
-    doall3(
-        g, Range{1, nx - 1}, Range{1, nyc - 1}, planes,
-        [&](int i, int K, int b) {
-          g(i, K, b) = 0.25 * ro.at_halo({i, K - 1, b}) + 0.5 * re(i, K, b) +
-                       0.25 * ro.at_halo({i, K, b});
-        },
-        4.0);
-  }
-
-  D3 v = stack_like(u, nyc, true);
-  Op2 coarse = op;
-  coarse.hy = 2.0 * op.hy;
-  mg2_cycle(coarse, v, g, opts);
-
-  // intrp2: linear interpolation in y (Listing 10's 2-D analogue).  The
-  // remap delivers vtmp's even-line ghosts in its own messages — one
-  // redistribution per level switch instead of a remap round plus a halo
-  // round.
-  D3 vtmp = stack_like(u, ny, true);
-  copy_strided_dim_halo(ctx, v, vtmp, 1, /*s_stride=*/1, /*s_off=*/0,
-                        /*d_stride=*/2, /*d_off=*/0, nyc + 1);
-  doall3(
-      u, Range{1, nx - 1}, Range{2, ny - 2, 2}, planes,
-      [&](int i, int j, int b) { u(i, j, b) += vtmp(i, j, b); }, 1.0);
-  doall3(
-      u, Range{1, nx - 1}, Range{1, ny - 1, 2}, planes,
-      [&](int i, int j, int b) {
-        u(i, j, b) +=
-            0.5 * (vtmp.at_halo({i, j - 1, b}) + vtmp.at_halo({i, j + 1, b}));
-      },
-      3.0);
+  // Where block misalignment would leave a processor without coarse rows,
+  // the coarse levels agglomerate by planes: on (*, *, block) each member
+  // holds whole planes and runs the remaining levels on them without
+  // messages, and one plane lands on the first member alone (standard
+  // practice on distributed memory).  Spreading the planes keeps every
+  // member busy when mg3 stacks a column's planes: on the benchmark's mg3
+  // (64^3 on 4x4, kPorts) the V-cycle reads 1.306 s spread and 1.609 s
+  // with every plane on the first member.  Only the coarse layout changes,
+  // so the values do not depend on the view.
+  const bool rows =
+      split_rows(u) && detail::coarsenable(ny / 2 + 1, u.view().extent(0));
+  correct2(op, u, r, rows ? kRows : kPlanes, opts);
 }
 
 }  // namespace kali

@@ -21,11 +21,12 @@
 //     redistribution that also delivers the ghosts the stencil needs
 //     (copy_strided_dim_halo)
 // When the coarse grid would leave a processor without rows, the remaining
-// levels are agglomerated by planes instead: the correction problem is
-// redistributed to (*, *, block), so whole planes spread over the view's
+// levels are agglomerated by planes instead: the level switch restricts
+// onto the layout (*, *, block), so whole planes spread over the view's
 // members (with nb = 1, onto its first member alone), and the levels below
-// run on that layout without messages.  The coarsest level compensates
-// with extra zebra sweeps.
+// run on that layout without messages.  Only the coarse layout changes, so
+// the results are bit-identical to one rank's.  The coarsest level
+// compensates with extra zebra sweeps.
 #pragma once
 
 #include "runtime/dist_array.hpp"

@@ -12,6 +12,12 @@ namespace kali {
 
 namespace {
 
+using D3 = DistArray3<double>;
+
+/// u's layout on every level: (*, block, block).
+const D3::Dists kDists3{DimDist::star(), DimDist::block_dist(),
+                        DimDist::block_dist()};
+
 /// r = f - A u on the interior points of the z-planes `planes`, handed to
 /// `store(i, j, k, r)`.  Does u's copy-in itself, hidden behind the
 /// interior points; every member joins the halo exchange, whether it holds
@@ -39,6 +45,66 @@ void resid3(const Op3& op, const DistArray3<double>& u,
             const DistArray3<double>& f, DistArray3<double>& r) {
   resid3(op, u, f, Range{1, f.extent(2) - 2},
          [&](int i, int j, int k, double v) { r(i, j, k) = v; });
+}
+
+/// The coarse-grid correction: restrict the fine residual r onto the view
+/// `cv` (u's view or a leading column range of it), run opts.gamma cycles
+/// on the z-semicoarsened grid there, interpolate the correction back and
+/// add it to u.  The level switches plan across the two views, so
+/// restriction writes straight onto cv and interpolation reads straight
+/// back from it.
+void correct3(const Op3& op, D3& u, const D3& r, const ProcView& cv,
+              const Mg3Options& opts) {
+  Context& ctx = u.context();
+  const int nx = u.extent(0) - 1, ny = u.extent(1) - 1, nz = u.extent(2) - 1;
+  const int nzc = nz / 2;
+
+  // rest3: full weighting in z at even fine planes, injected to coarse.
+  // Split the fine residual by plane parity onto the coarse layout, then
+  // weight on the coarse side (mirror of intrp3 below): re(K) = r(2K),
+  // ro(K) = r(2K+1); ro rides copy_strided_dim_halo so the stencil's K-1/K
+  // ghosts arrive inside the remap messages — no fine-grid halo exchange of
+  // r and no full-size temporary.
+  D3 g(ctx, cv, {nx + 1, ny + 1, nzc + 1}, kDists3);
+  {
+    D3 re(ctx, cv, {nx + 1, ny + 1, nzc + 1}, kDists3);
+    D3 ro(ctx, cv, {nx + 1, ny + 1, nzc + 1}, kDists3, {0, 0, 1});
+    copy_strided_dim(ctx, r, re, 2, /*s_stride=*/2, /*s_off=*/0,
+                     /*d_stride=*/1, /*d_off=*/0, nzc + 1);
+    copy_strided_dim_halo(ctx, r, ro, 2, /*s_stride=*/2, /*s_off=*/1,
+                          /*d_stride=*/1, /*d_off=*/0, nzc);
+    doall3(
+        g, Range{1, nx - 1}, Range{1, ny - 1}, Range{1, nzc - 1},
+        [&](int i, int j, int K) {
+          g(i, j, K) = 0.25 * ro.at_halo({i, j, K - 1}) + 0.5 * re(i, j, K) +
+                       0.25 * ro.at_halo({i, j, K});
+        },
+        4.0);
+  }
+
+  D3 v(ctx, cv, {nx + 1, ny + 1, nzc + 1}, kDists3, {0, 1, 1});
+  Op3 cop = op;
+  cop.hz = 2.0 * op.hz;
+  for (int c = 0; c < opts.gamma; ++c) {
+    mg3_cycle(cop, v, g, opts);
+  }
+
+  // intrp3 (Listing 10): modify even planes, then odd planes.  The remap
+  // delivers vtmp's even-plane ghosts in its own messages — one
+  // redistribution per level switch instead of remap + halo rounds.
+  D3 vtmp(ctx, u.view(), {nx + 1, ny + 1, nz + 1}, kDists3, {0, 0, 1});
+  copy_strided_dim_halo(ctx, v, vtmp, 2, /*s_stride=*/1, /*s_off=*/0,
+                        /*d_stride=*/2, /*d_off=*/0, nzc + 1);
+  doall3(
+      u, Range{1, nx - 1}, Range{1, ny - 1}, Range{2, nz - 2, 2},
+      [&](int i, int j, int k) { u(i, j, k) += vtmp(i, j, k); }, 1.0);
+  doall3(
+      u, Range{1, nx - 1}, Range{1, ny - 1}, Range{1, nz - 1, 2},
+      [&](int i, int j, int k) {
+        u(i, j, k) +=
+            0.5 * (vtmp.at_halo({i, j, k - 1}) + vtmp.at_halo({i, j, k + 1}));
+      },
+      3.0);
 }
 
 }  // namespace
@@ -119,9 +185,7 @@ void mg3_cycle(const Op3& op, DistArray3<double>& u, const DistArray3<double>& f
   if (!u.participating()) {
     return;
   }
-  Context& ctx = u.context();
   const ProcView& pv = u.view();
-  const int nx = u.extent(0) - 1, ny = u.extent(1) - 1;
 
   // perform zebra relaxation on even planes, then odd planes
   mg3_zebra_sweep(op, u, f, 0, opts);
@@ -131,85 +195,21 @@ void mg3_cycle(const Op3& op, DistArray3<double>& u, const DistArray3<double>& f
   if (nz <= 2) {
     return;  // the plane solve above already handled the single plane
   }
-  const int nzc = nz / 2;
-
-  using D3 = DistArray3<double>;
-  const typename D3::Dists dists3{DimDist::star(), DimDist::block_dist(),
-                                  DimDist::block_dist()};
-
-  if (!detail::coarsenable(nzc + 1, pv.extent(1)) && pv.extent(1) > 1) {
-    // The next level would leave a processor column without planes.
-    // Agglomerate the correction problem onto the widest leading column
-    // range that holds this level and every coarser one (y keeps its rows)
-    // and continue there: the recursion never agglomerates again, so the
-    // arithmetic is the one-column path's, but each zebra half-sweep's
-    // plane solves still spread over several columns.
-    D3 r(ctx, pv, {nx + 1, ny + 1, nz + 1}, dists3);
-    resid3(op, u, f, r);
-    ProcView pvz = pv.sub(1, 0, detail::agglomeration_width(nz, pv.extent(1)));
-    D3 r1(ctx, pvz, {nx + 1, ny + 1, nz + 1}, dists3);
-    redistribute(ctx, r, r1);
-    D3 v1(ctx, pvz, {nx + 1, ny + 1, nz + 1}, dists3, {0, 1, 1});
-    if (v1.participating()) {
-      for (int c = 0; c < opts.gamma; ++c) {
-        mg3_cycle(op, v1, r1, opts);
-      }
-    }
-    D3 v(ctx, pv, {nx + 1, ny + 1, nz + 1}, dists3);
-    redistribute(ctx, v1, v);
-    doall3(
-        u, Range{1, nx - 1}, Range{1, ny - 1}, Range{1, nz - 1},
-        [&](int i, int j, int k) { u(i, j, k) += v(i, j, k); }, 1.0);
-    return;
-  }
-  D3 r(ctx, pv, {nx + 1, ny + 1, nz + 1}, dists3, {0, 0, 1});
+  const int nx = u.extent(0) - 1, ny = u.extent(1) - 1;
+  D3 r(u.context(), pv, {nx + 1, ny + 1, nz + 1}, kDists3);
   resid3(op, u, f, r);
-
-  // rest3: full weighting in z at even fine planes, injected to coarse.
-  // Split the fine residual by plane parity onto the coarse layout, then
-  // weight on the coarse side (mirror of intrp3 below): re(K) = r(2K),
-  // ro(K) = r(2K+1); ro rides copy_strided_dim_halo so the stencil's K-1/K
-  // ghosts arrive inside the remap messages — no fine-grid halo exchange of
-  // r and no full-size temporary.
-  D3 g(ctx, pv, {nx + 1, ny + 1, nzc + 1}, dists3);
-  {
-    D3 re(ctx, pv, {nx + 1, ny + 1, nzc + 1}, dists3);
-    D3 ro(ctx, pv, {nx + 1, ny + 1, nzc + 1}, dists3, {0, 0, 1});
-    copy_strided_dim(ctx, r, re, 2, /*s_stride=*/2, /*s_off=*/0,
-                     /*d_stride=*/1, /*d_off=*/0, nzc + 1);
-    copy_strided_dim_halo(ctx, r, ro, 2, /*s_stride=*/2, /*s_off=*/1,
-                          /*d_stride=*/1, /*d_off=*/0, nzc);
-    doall3(
-        g, Range{1, nx - 1}, Range{1, ny - 1}, Range{1, nzc - 1},
-        [&](int i, int j, int K) {
-          g(i, j, K) = 0.25 * ro.at_halo({i, j, K - 1}) + 0.5 * re(i, j, K) +
-                       0.25 * ro.at_halo({i, j, K});
-        },
-        4.0);
-  }
-
-  D3 v(ctx, pv, {nx + 1, ny + 1, nzc + 1}, dists3, {0, 1, 1});
-  Op3 coarse = op;
-  coarse.hz = 2.0 * op.hz;
-  for (int c = 0; c < opts.gamma; ++c) {
-    mg3_cycle(coarse, v, g, opts);
-  }
-
-  // intrp3 (Listing 10): modify even planes, then odd planes.  The remap
-  // delivers vtmp's even-plane ghosts in its own messages — one
-  // redistribution per level switch instead of remap + halo rounds.
-  D3 vtmp(ctx, pv, {nx + 1, ny + 1, nz + 1}, dists3, {0, 0, 1});
-  copy_strided_dim_halo(ctx, v, vtmp, 2, /*s_stride=*/1, /*s_off=*/0,
-                        /*d_stride=*/2, /*d_off=*/0, nzc + 1);
-  doall3(
-      u, Range{1, nx - 1}, Range{1, ny - 1}, Range{2, nz - 2, 2},
-      [&](int i, int j, int k) { u(i, j, k) += vtmp(i, j, k); }, 1.0);
-  doall3(
-      u, Range{1, nx - 1}, Range{1, ny - 1}, Range{1, nz - 1, 2},
-      [&](int i, int j, int k) {
-        u(i, j, k) += 0.5 * (vtmp.at_halo({i, j, k - 1}) + vtmp.at_halo({i, j, k + 1}));
-      },
-      3.0);
+  // Where the next level would leave a processor column without planes,
+  // the coarse levels agglomerate onto the widest leading column range that
+  // holds them all (y keeps its rows), so the recursion never agglomerates
+  // again and each zebra half-sweep's plane solves still spread over
+  // several columns.  Only the coarse view changes, so the values do not
+  // depend on the processor grid.
+  const int nzc = nz / 2;
+  correct3(op, u, r,
+           detail::coarsenable(nzc + 1, pv.extent(1))
+               ? pv
+               : pv.sub(1, 0, detail::agglomeration_width(nzc, pv.extent(1))),
+           opts);
 
   if (opts.post_zebra) {
     mg3_zebra_sweep(op, u, f, 0, opts);

@@ -19,12 +19,13 @@
 // those planes only, straight into the column's stack.
 //
 // When the next z level would leave a processor column without planes, the
-// coarse-grid correction is agglomerated onto the widest leading column
-// range that holds that level and every coarser one
-// (detail::agglomeration_width), and the remaining levels run there without
-// agglomerating again.  The arithmetic is the same as on one column, so the
-// results are bit-identical to it; the range's plane solves run side by
-// side.
+// coarse levels are agglomerated onto the widest leading column range that
+// holds that level and every coarser one (detail::agglomeration_width): the
+// level switch restricts straight onto that range and interpolates straight
+// back, and the remaining levels run there without agglomerating again.
+// Agglomeration chooses only where the coarse grid lives, so the results
+// are bit-identical to one rank's on every processor grid; the range's
+// plane solves run side by side.
 #pragma once
 
 #include "runtime/dist_array.hpp"

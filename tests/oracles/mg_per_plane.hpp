@@ -19,7 +19,6 @@
 
 #include "kernels/thomas.hpp"
 #include "runtime/doall.hpp"
-#include "runtime/redistribute.hpp"
 #include "runtime/remap.hpp"
 #include "solvers/mg2.hpp"
 #include "solvers/mg3.hpp"
@@ -72,7 +71,8 @@ inline void plane_resid2(const Op2& op, const DistArray2<double>& u,
 }
 
 /// One mg2 V-cycle on a single plane u(0:nx, 0:ny), dist (*, block) with
-/// y halo 1; the levels that no longer fit the view run on its first rank.
+/// y halo 1; the coarse levels that no longer fit the view run on its
+/// first rank, restricted straight onto it.
 inline void plane_mg2_cycle(const Op2& op, DistArray2<double>& u,
                             const DistArray2<double>& f,
                             const Mg2Options& opts = {}) {
@@ -97,30 +97,17 @@ inline void plane_mg2_cycle(const Op2& op, DistArray2<double>& u,
   const D2::Dists dists{DimDist::star(), DimDist::block_dist()};
   const int nyc = ny / 2;
 
-  if (!detail::coarsenable(nyc + 1, pv.extent(0)) && pv.count() > 1) {
-    D2 r(ctx, pv, {nx + 1, ny + 1}, dists, {0, 1});
-    plane_resid2(op, u, f, r);
-    const ProcView pv1 = ProcView::grid1(1, pv.rank_of1(0));
-    D2 r1(ctx, pv1, {nx + 1, ny + 1}, dists);
-    redistribute(ctx, r, r1);
-    D2 v1(ctx, pv1, {nx + 1, ny + 1}, dists, {0, 1});
-    if (v1.participating()) {
-      plane_mg2_cycle(op, v1, r1, opts);
-    }
-    D2 v(ctx, pv, {nx + 1, ny + 1}, dists);
-    redistribute(ctx, v1, v);
-    doall2(
-        u, Range{1, nx - 1}, Range{1, ny - 1},
-        [&](int i, int j) { u(i, j) += v(i, j); }, 1.0);
-    return;
-  }
-
+  // The coarse levels run on the first rank where nyc + 1 rows leave one
+  // without any.
+  const ProcView cv = detail::coarsenable(nyc + 1, pv.extent(0))
+                          ? pv
+                          : ProcView::grid1(1, pv.rank_of1(0));
   D2 r(ctx, pv, {nx + 1, ny + 1}, dists, {0, 1});
   plane_resid2(op, u, f, r);
-  D2 g(ctx, pv, {nx + 1, nyc + 1}, dists);
+  D2 g(ctx, cv, {nx + 1, nyc + 1}, dists);
   {
-    D2 re(ctx, pv, {nx + 1, nyc + 1}, dists);
-    D2 ro(ctx, pv, {nx + 1, nyc + 1}, dists, {0, 1});
+    D2 re(ctx, cv, {nx + 1, nyc + 1}, dists);
+    D2 ro(ctx, cv, {nx + 1, nyc + 1}, dists, {0, 1});
     copy_strided_dim(ctx, r, re, 1, /*s_stride=*/2, /*s_off=*/0,
                      /*d_stride=*/1, /*d_off=*/0, nyc + 1);
     copy_strided_dim_halo(ctx, r, ro, 1, /*s_stride=*/2, /*s_off=*/1,
@@ -134,7 +121,7 @@ inline void plane_mg2_cycle(const Op2& op, DistArray2<double>& u,
         4.0);
   }
 
-  D2 v(ctx, pv, {nx + 1, nyc + 1}, dists, {0, 1});
+  D2 v(ctx, cv, {nx + 1, nyc + 1}, dists, {0, 1});
   Op2 coarse = op;
   coarse.hy = 2.0 * op.hy;
   plane_mg2_cycle(coarse, v, g, opts);

@@ -17,15 +17,16 @@
 // only the z-level switch, and its plane solves are the library's own
 // mg3_zebra_sweep.
 //
-// mg3_cycle_unfused is also the one-column reference: where the next z level
-// no longer fits the view's columns it agglomerates onto the first column
-// (pv.sub(1, 0, 1)), while mg3_cycle takes the widest column range that
-// holds every coarser level.  Both do the same arithmetic, so they still
-// match byte for byte.
+// Both are also agglomeration references.  Where the coarse level no longer
+// fits the view, their coarse grids live on the first rank
+// (mg2_cycle_unfused) or the first processor column (mg3_cycle_unfused,
+// pv.sub(1, 0, 1)), while the solvers spread whole planes over the view or
+// take the widest column range that holds every coarser level.  Only the
+// coarse view differs, and the arithmetic is the one-rank cycle's, so they
+// still match byte for byte.
 #pragma once
 
 #include "runtime/doall.hpp"
-#include "runtime/redistribute.hpp"
 #include "runtime/remap.hpp"
 #include "solvers/mg2.hpp"
 #include "solvers/mg3.hpp"
@@ -73,27 +74,14 @@ inline void mg2_cycle_unfused(const Op2& op, DistArray2<double>& u,
         10.0);
   };
 
-  if (!detail::coarsenable(nyc + 1, pv.extent(0)) && pv.count() > 1) {
-    D2 r(ctx, pv, {nx + 1, ny + 1}, dists, {0, 1});
-    resid(r);
-    const ProcView pv1 = ProcView::grid1(1, pv.rank_of1(0));
-    D2 r1(ctx, pv1, {nx + 1, ny + 1}, dists);
-    redistribute(ctx, r, r1);
-    D2 v1(ctx, pv1, {nx + 1, ny + 1}, dists, {0, 1});
-    if (v1.participating()) {
-      mg2_cycle_unfused(op, v1, r1, opts);
-    }
-    D2 v(ctx, pv, {nx + 1, ny + 1}, dists);
-    redistribute(ctx, v1, v);
-    doall2(
-        u, Range{1, nx - 1}, Range{1, ny - 1},
-        [&](int i, int j) { u(i, j) += v(i, j); }, 1.0);
-    return;
-  }
-
+  // The coarse levels run on the first rank where nyc + 1 rows leave one
+  // without any.
+  const ProcView cv = detail::coarsenable(nyc + 1, pv.extent(0))
+                          ? pv
+                          : ProcView::grid1(1, pv.rank_of1(0));
   D2 r(ctx, pv, {nx + 1, ny + 1}, dists, {0, 1});
   resid(r);
-  D2 g(ctx, pv, {nx + 1, nyc + 1}, dists);
+  D2 g(ctx, cv, {nx + 1, nyc + 1}, dists);
   r.exchange_halo();
   D2 gtmp(ctx, pv, {nx + 1, ny + 1}, dists);
   doall2(
@@ -106,7 +94,7 @@ inline void mg2_cycle_unfused(const Op2& op, DistArray2<double>& u,
   copy_strided_dim(ctx, gtmp, g, 1, /*s_stride=*/2, /*s_off=*/0,
                    /*d_stride=*/1, /*d_off=*/0, nyc + 1);
 
-  D2 v(ctx, pv, {nx + 1, nyc + 1}, dists, {0, 1});
+  D2 v(ctx, cv, {nx + 1, nyc + 1}, dists, {0, 1});
   Op2 coarse = op;
   coarse.hy = 2.0 * op.hy;
   mg2_cycle_unfused(coarse, v, g, opts);
@@ -162,29 +150,14 @@ inline void mg3_cycle_unfused(const Op3& op, DistArray3<double>& u,
         14.0);
   };
 
-  if (!detail::coarsenable(nzc + 1, pv.extent(1)) && pv.extent(1) > 1) {
-    D3 r(ctx, pv, {nx + 1, ny + 1, nz + 1}, dists);
-    resid(r);
-    const ProcView pvz = pv.sub(1, 0, 1);
-    D3 r1(ctx, pvz, {nx + 1, ny + 1, nz + 1}, dists);
-    redistribute(ctx, r, r1);
-    D3 v1(ctx, pvz, {nx + 1, ny + 1, nz + 1}, dists, {0, 1, 1});
-    if (v1.participating()) {
-      for (int c = 0; c < opts.gamma; ++c) {
-        mg3_cycle_unfused(op, v1, r1, opts);
-      }
-    }
-    D3 v(ctx, pv, {nx + 1, ny + 1, nz + 1}, dists);
-    redistribute(ctx, v1, v);
-    doall3(
-        u, Range{1, nx - 1}, Range{1, ny - 1}, Range{1, nz - 1},
-        [&](int i, int j, int k) { u(i, j, k) += v(i, j, k); }, 1.0);
-    return;
-  }
-
+  // The coarse levels run on the first column where nzc + 1 planes leave
+  // one without any.
+  const ProcView cv = detail::coarsenable(nzc + 1, pv.extent(1))
+                          ? pv
+                          : pv.sub(1, 0, 1);
   D3 r(ctx, pv, {nx + 1, ny + 1, nz + 1}, dists, {0, 0, 1});
   resid(r);
-  D3 g(ctx, pv, {nx + 1, ny + 1, nzc + 1}, dists);
+  D3 g(ctx, cv, {nx + 1, ny + 1, nzc + 1}, dists);
   r.exchange_halo();
   D3 gtmp(ctx, pv, {nx + 1, ny + 1, nz + 1}, dists);
   doall3(
@@ -198,7 +171,7 @@ inline void mg3_cycle_unfused(const Op3& op, DistArray3<double>& u,
   copy_strided_dim(ctx, gtmp, g, 2, /*s_stride=*/2, /*s_off=*/0,
                    /*d_stride=*/1, /*d_off=*/0, nzc + 1);
 
-  D3 v(ctx, pv, {nx + 1, ny + 1, nzc + 1}, dists, {0, 1, 1});
+  D3 v(ctx, cv, {nx + 1, ny + 1, nzc + 1}, dists, {0, 1, 1});
   Op3 coarse = op;
   coarse.hz = 2.0 * op.hz;
   for (int c = 0; c < opts.gamma; ++c) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
+#include <vector>
 
 #include "machine/context.hpp"
 #include "oracles/mg_unfused.hpp"
@@ -175,11 +177,13 @@ TEST(Mg2, FusedLevelSwitchBitIdenticalWithFewerMessages) {
   // copy_strided_dim_halo) must reproduce the separate remap + halo rounds
   // of the unfused one-plane oracle bit for bit while cutting the cycle's
   // message count.  At p = 4 the second level switch agglomerates, so the
-  // oracle's redistribute path is exercised too.
-  const int nx = 32, ny = 32, p = 4;
-  auto run = [&](bool fused) {
+  // switch onto the coarse layout is exercised too; both sides must also
+  // match the one-rank cycle, which never agglomerates.
+  const int nx = 32, ny = 32;
+  auto run = [&](bool fused, int p) {
     Machine m(p);
     std::vector<std::vector<double>> sol(static_cast<std::size_t>(p));
+    std::vector<double> global(static_cast<std::size_t>((nx + 1) * (ny + 1)));
     m.run([&](Context& ctx) {
       ProcView pv = ProcView::grid1(p);
       Op2 op = model_op(nx, ny);
@@ -187,6 +191,7 @@ TEST(Mg2, FusedLevelSwitchBitIdenticalWithFewerMessages) {
       auto keep = [&](const auto& a) {
         a.for_each_owned([&](const auto& g) {
           sol[static_cast<std::size_t>(ctx.rank())].push_back(a.at(g));
+          global[static_cast<std::size_t>(g[0] * (ny + 1) + g[1])] = a.at(g);
         });
       };
       if (fused) {
@@ -203,12 +208,15 @@ TEST(Mg2, FusedLevelSwitchBitIdenticalWithFewerMessages) {
       }
       keep(u0);
     });
-    return std::pair{sol, m.stats().totals().msgs_sent};
+    return std::tuple{sol, global, m.stats().totals().msgs_sent};
   };
-  const auto [sol_sep, msgs_sep] = run(false);
-  const auto [sol_fused, msgs_fused] = run(true);
+  const auto [sol_sep, global_sep, msgs_sep] = run(false, 4);
+  const auto [sol_fused, global_fused, msgs_fused] = run(true, 4);
   EXPECT_EQ(sol_fused, sol_sep);     // bit-identical solutions
   EXPECT_LT(msgs_fused, msgs_sep);   // batched switches send fewer messages
+  const auto global_one = std::get<1>(run(true, 1));
+  EXPECT_EQ(global_fused, global_one);
+  EXPECT_EQ(global_sep, global_one);
 }
 
 TEST(Mg2, StackSolvesEachPlaneAsAlone) {

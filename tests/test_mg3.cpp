@@ -6,9 +6,11 @@
 #include <cmath>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "machine/context.hpp"
 #include "machine/message.hpp"
+#include "runtime/io.hpp"
 #include "oracles/mg_per_plane.hpp"
 #include "oracles/mg_unfused.hpp"
 
@@ -181,38 +183,50 @@ TEST(Mg3, FusedLevelSwitchBitIdenticalWithFewerMessages) {
 }
 
 TEST(Mg3, CoarseLevelsSpreadOverWidestColumnRange) {
-  // At n = 16 on four columns the 9-plane level does not fit four columns,
-  // so mg3_cycle agglomerates onto the widest column range that holds it
-  // and every coarser level (three columns); the oracle keeps one column.
-  // The arithmetic is the same, so the solutions match byte for byte, and
-  // the coarse levels' plane solves run on three columns side by side.  The
-  // oracle's unfused level switches alone cost it about 1% (one column on
-  // both sides reads 0.991x and 0.997x), so the 0.8x bound is the widening.
-  const int n = 16;
-  for (const auto& [px, py] : {std::pair{4, 4}, std::pair{1, 4}}) {
-    auto run = [&, px = px, py = py](bool widened) {
-      Machine m(px * py);
-      std::vector<std::vector<double>> sol(static_cast<std::size_t>(px * py));
-      m.run([&](Context& ctx) {
-        ProcView pv = ProcView::grid2(px, py);
-        Op3 op = model_op(n, n, n);
-        auto [u, f] = make_problem(ctx, pv, op, n, n, n);
-        for (int cyc = 0; cyc < 2; ++cyc) {
-          if (widened) {
-            mg3_cycle(op, u, f);
-          } else {
-            oracles::mg3_cycle_unfused(op, u, f);
-          }
+  // At 16 x 16 x 64 on eight columns the 33-plane level does not fit eight
+  // columns, so mg3_cycle restricts onto the widest column range that holds
+  // it and every coarser level (three columns); the oracle keeps one
+  // column.  The arithmetic is the one-rank cycle's, so both match it byte
+  // for byte, and the coarse levels' plane solves run on three columns side
+  // by side.  The agglomerated levels (33 planes and coarser) outweigh the
+  // fine level's 9 planes per column, so the widening shows in the whole
+  // cycle (0.65x on 4x8, 0.62x on 1x8).  The level switches' fusion alone
+  // moves it by a few percent at most (one column on both sides reads
+  // 0.977x and 1.006x), so the 0.8x bound is the widening.  At 16^3 on
+  // four columns only the 9-plane and coarser levels agglomerate, and the
+  // widening saves just 10-12% of the cycle there.
+  const int nx = 16, ny = 16, nz = 64;
+  auto run = [&](int px, int py, bool widened) {
+    Machine m(px * py);
+    std::vector<std::vector<double>> sol(static_cast<std::size_t>(px * py));
+    std::vector<double> global(
+        static_cast<std::size_t>((nx + 1) * (ny + 1) * (nz + 1)));
+    m.run([&](Context& ctx) {
+      ProcView pv = ProcView::grid2(px, py);
+      Op3 op = model_op(nx, ny, nz);
+      auto [u, f] = make_problem(ctx, pv, op, nx, ny, nz);
+      for (int cyc = 0; cyc < 2; ++cyc) {
+        if (widened) {
+          mg3_cycle(op, u, f);
+        } else {
+          oracles::mg3_cycle_unfused(op, u, f);
         }
-        u.for_each_owned([&](std::array<int, 3> g) {
-          sol[static_cast<std::size_t>(ctx.rank())].push_back(u.at(g));
-        });
+      }
+      u.for_each_owned([&](std::array<int, 3> g) {
+        sol[static_cast<std::size_t>(ctx.rank())].push_back(u.at(g));
+        global[static_cast<std::size_t>(linearize(u, g))] = u.at(g);
       });
-      return std::pair{sol, m.stats().max_clock()};
-    };
-    const auto [sol_one, t_one] = run(false);
-    const auto [sol_wide, t_wide] = run(true);
+    });
+    return std::tuple{sol, global, m.stats().max_clock()};
+  };
+  const auto global_one_rank = std::get<1>(run(1, 1, true));
+  for (const auto& [px, py] : {std::pair{4, 8}, std::pair{1, 8}}) {
+    ASSERT_EQ(detail::agglomeration_width(nz / 2, py), 3);
+    const auto [sol_one, global_one, t_one] = run(px, py, false);
+    const auto [sol_wide, global_wide, t_wide] = run(px, py, true);
     EXPECT_EQ(sol_wide, sol_one) << px << "x" << py;
+    EXPECT_EQ(global_wide, global_one_rank) << px << "x" << py;
+    EXPECT_EQ(global_one, global_one_rank) << px << "x" << py;
     EXPECT_LT(t_wide, 0.8 * t_one) << px << "x" << py;
   }
 }
@@ -268,44 +282,54 @@ TEST(Mg3, StackedZebraSweepMatchesPerPlaneOracle) {
   // arithmetic is the same, so the sweeps match byte for byte, and the
   // stack finishes no later.  Where a column holds two or more planes on
   // more than one rank (so its plane solves send at all) it sends fewer
-  // messages; elsewhere it sends the same messages.  n = 8 lays
-  // out on 2x2 only: 9 points over 4 leave a processor without any.
-  for (const auto& [px, py] : {std::pair{1, 4}, std::pair{2, 2},
-                               std::pair{2, 4}, std::pair{4, 4}}) {
-    for (int n : {8, 16, 32}) {
-      if (!detail::coarsenable(n + 1, px) || !detail::coarsenable(n + 1, py)) {
-        continue;
-      }
-      for (int parity : {0, 1}) {
-        auto run = [&, px = px, py = py](bool stacked) {
-          Machine m(px * py);
-          std::vector<std::vector<double>> sol(
-              static_cast<std::size_t>(px * py));
-          m.run([&](Context& ctx) {
-            ProcView pv = ProcView::grid2(px, py);
-            Op3 op = model_op(n, n, n);
-            auto [u, f] = make_problem(ctx, pv, op, n, n, n);
-            // A first sweep of the other parity leaves a non-trivial u.
-            mg3_zebra_sweep(op, u, f, 1 - parity, Mg3Options{});
-            sync_clocks(ctx, pv);
-            if (stacked) {
-              mg3_zebra_sweep(op, u, f, parity, Mg3Options{});
-            } else {
-              oracles::mg3_zebra_sweep_per_plane(op, u, f, parity);
-            }
-            u.for_each_owned([&](std::array<int, 3> g) {
-              sol[static_cast<std::size_t>(ctx.rank())].push_back(u.at(g));
-            });
+  // messages; elsewhere it sends the same messages.  Both match the
+  // one-rank sweeps byte for byte.  n = 8 lays out on 2x2 only: 9 points
+  // over 4 leave a processor without any.
+  for (int n : {8, 16, 32}) {
+    for (int parity : {0, 1}) {
+      auto run = [&](int px, int py, bool stacked) {
+        Machine m(px * py);
+        std::vector<std::vector<double>> sol(
+            static_cast<std::size_t>(px * py));
+        std::vector<double> global(
+            static_cast<std::size_t>((n + 1) * (n + 1) * (n + 1)));
+        m.run([&](Context& ctx) {
+          ProcView pv = ProcView::grid2(px, py);
+          Op3 op = model_op(n, n, n);
+          auto [u, f] = make_problem(ctx, pv, op, n, n, n);
+          // A first sweep of the other parity leaves a non-trivial u.
+          mg3_zebra_sweep(op, u, f, 1 - parity, Mg3Options{});
+          sync_clocks(ctx, pv);
+          if (stacked) {
+            mg3_zebra_sweep(op, u, f, parity, Mg3Options{});
+          } else {
+            oracles::mg3_zebra_sweep_per_plane(op, u, f, parity);
+          }
+          u.for_each_owned([&](std::array<int, 3> g) {
+            sol[static_cast<std::size_t>(ctx.rank())].push_back(u.at(g));
+            global[static_cast<std::size_t>(linearize(u, g))] = u.at(g);
           });
-          return std::tuple{sol, m.stats().totals().msgs_sent,
-                            m.stats().max_clock()};
-        };
-        const auto [sol_plane, msgs_plane, t_plane] = run(false);
-        const auto [sol_stack, msgs_stack, t_stack] = run(true);
+        });
+        return std::tuple{sol, global, m.stats().totals().msgs_sent,
+                          m.stats().max_clock()};
+      };
+      const auto global_one_rank = std::get<1>(run(1, 1, true));
+      for (const auto& [px, py] : {std::pair{1, 4}, std::pair{2, 2},
+                                   std::pair{2, 4}, std::pair{4, 4}}) {
+        if (!detail::coarsenable(n + 1, px) ||
+            !detail::coarsenable(n + 1, py)) {
+          continue;
+        }
+        const auto [sol_plane, global_plane, msgs_plane, t_plane] =
+            run(px, py, false);
+        const auto [sol_stack, global_stack, msgs_stack, t_stack] =
+            run(px, py, true);
         const std::string at = std::to_string(px) + "x" + std::to_string(py) +
                                " n " + std::to_string(n) + " parity " +
                                std::to_string(parity);
         EXPECT_EQ(sol_stack, sol_plane) << at;
+        EXPECT_EQ(global_stack, global_one_rank) << at;
+        EXPECT_EQ(global_plane, global_one_rank) << at;
         // The most planes of this parity any column holds.
         const DimMap cols(DimDist::block_dist(), n + 1, py);
         int most = 0;
@@ -321,7 +345,6 @@ TEST(Mg3, StackedZebraSweepMatchesPerPlaneOracle) {
         } else {
           EXPECT_EQ(msgs_stack, msgs_plane) << at;
         }
-
       }
     }
   }
