@@ -257,14 +257,15 @@ std::vector<T> all_gather_tree(Context& ctx, const ProcView& v,
 ///
 /// A *hybrid* collective.  The default (bandwidth-bound) algorithm is a
 /// dense pairwise exchange (every ordered pair of members carries one
-/// message) issued through the round-structured CommSchedule of
-/// machine/schedule.hpp: each round is a perfect matching, so under
-/// MachineConfig::link_contention no injection or ejection link is
-/// oversubscribed and the exchange completes in ~n-1 wire slots instead of
-/// the ~2(n-1) that rank-order issue costs.  Tiny payloads (view-max
-/// contribution <= MachineConfig::allgather_tree_max_bytes, agreed by a
-/// scalar allreduce so every member deterministically picks the same
-/// algorithm) instead ride a binary gather + broadcast tree: O(n)
+/// message) issued through the machine-wide round schedule of
+/// machine/schedule.hpp: a pair's round depends only on the two machine
+/// ranks, and each round restricted to the view's ranks is still a
+/// matching, so under MachineConfig::link_contention no injection or
+/// ejection link is oversubscribed and the exchange completes in ~n-1 wire
+/// slots instead of the ~2(n-1) that rank-order issue costs.  Tiny
+/// payloads (view-max contribution <=
+/// MachineConfig::allgather_tree_max_bytes, agreed by a scalar allreduce
+/// so every member deterministically picks the same algorithm) instead ride a binary gather + broadcast tree: O(n)
 /// messages instead of n(n-1), cutting the network load and aggregate
 /// overhead a quadratic message count costs when each payload fits in one
 /// packet (e.g. per-iteration residual norms) — at the price of the
@@ -291,9 +292,6 @@ std::vector<T> all_gather(Context& ctx, const ProcView& v, std::span<const T> mi
       return detail::all_gather_tree(ctx, v, mine);
     }
   }
-  // The schedule's communicator: the view's ranks, already ascending, so
-  // both endpoints of every transfer derive the same round numbering.
-  const std::vector<int> members = v.ranks();
   // Per-peer segment slots, keyed by view index (= output order).
   std::vector<std::vector<T>> segs(static_cast<std::size_t>(n));
   std::vector<std::pair<int, int>> out;  // (machine rank, peer view index)
@@ -304,14 +302,14 @@ std::vector<T> all_gather(Context& ctx, const ProcView& v, std::span<const T> mi
     if (i == me) {
       continue;
     }
-    out.emplace_back(members[static_cast<std::size_t>(i)], i);
-    in.emplace_back(members[static_cast<std::size_t>(i)], i);
+    out.emplace_back(v.rank_at(i), i);
+    in.emplace_back(v.rank_at(i), i);
   }
   // Contributions are sent as-is, with no packing pass; the own segment's
   // copy is charged inside the wire window, each received one as its
   // unpack.
   PendingExchange ex = detail::exchange_begin<T>(
-      ctx, members, kTagAllGather, std::move(out), std::move(in),
+      ctx, kTagAllGather, std::move(out), std::move(in),
       [&](int) { return mine; },
       [&](int gi, std::vector<T> seg) {
         auto& slot = segs[static_cast<std::size_t>(gi)];

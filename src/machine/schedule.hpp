@@ -28,6 +28,15 @@
 // of the ~2(n-1) that naive per-peer issue order costs under contention
 // (every member hammering the same low-ranked ejection ports first).
 //
+// Exchanges use one machine-wide schedule: a pair's round is
+// CommSchedule(nprocs).round_of(rank, peer), a function of the two machine
+// ranks alone, so no exchange builds, merges or searches a member list.
+// That is exact for any slice of the processor array, because restricted
+// to any rank subset each round of the machine-wide schedule is still a
+// matching (a rank has at most one partner per round; some ranks idle).
+// On a whole-machine view it is the n-member order itself, and on an
+// aligned power-of-two slice XOR keeps the slice's own relative order.
+//
 // Every exchange — the box exchange and the cyclic binner behind
 // redistribute and copy_strided_dim, the halo exchange in both modes, the
 // dense all_gather and both inspector passes — runs through one primitive,
@@ -39,11 +48,10 @@
 // _begin(...).finish().  IssueOrder::kPeerOrder keeps the raw enumeration
 // order instead: the naive baseline bench_redistribute measures the
 // schedule against, and the face-mode halo's order (ascending direction
-// code; it needs no member list).
+// code).
 #pragma once
 
 #include <algorithm>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -60,8 +68,8 @@ enum class IssueOrder {
 };
 
 /// Round/partner algebra of an n-member all-to-all schedule.  Members are
-/// dense indices 0..n-1 (a communicator's linearized ranks, not machine
-/// ranks).
+/// dense indices 0..n-1; the exchanges use n = nprocs, so members are
+/// machine ranks.
 class CommSchedule {
  public:
   explicit CommSchedule(int nranks) : n_(nranks) {
@@ -134,49 +142,32 @@ inline ActivityTrace schedule_trace(const CommSchedule& s) {
 
 namespace detail {
 
-/// Sorted union of two rank sets: the common communicator both endpoints of
-/// a redistribution derive the schedule from.
-inline std::vector<int> union_members(std::vector<int> a,
-                                      const std::vector<int>& b) {
-  a.insert(a.end(), b.begin(), b.end());
-  std::sort(a.begin(), a.end());
-  a.erase(std::unique(a.begin(), a.end()), a.end());
-  return a;
-}
-
-/// Dense index of `rank` within sorted `members`.
-inline int member_index(std::span<const int> members, int rank) {
-  const auto it = std::lower_bound(members.begin(), members.end(), rank);
-  KALI_CHECK(it != members.end() && *it == rank,
-             "rank not a member of the schedule");
-  return static_cast<int>(it - members.begin());
-}
-
 /// Reorder per-peer messages (machine rank, payload) into round order for
-/// `self_rank` within the sorted communicator `members`.  kPeerOrder leaves
-/// the enumeration order untouched.  Self-messages must have been peeled
-/// off into local copies before this point.
+/// `self_rank` within the machine-wide schedule of `nprocs` ranks: a pair's
+/// round is CommSchedule(nprocs).round_of(self_rank, peer), a function of
+/// the two machine ranks alone, so both endpoints agree on it without a
+/// member list.  kPeerOrder leaves the enumeration order untouched.
+/// Self-messages must have been peeled off into local copies before this
+/// point.
 template <class Payload>
-void round_sort(std::vector<std::pair<int, Payload>>& msgs,
-                std::span<const int> members, int self_rank,
-                IssueOrder order = IssueOrder::kRoundSchedule) {
+void round_sort(std::vector<std::pair<int, Payload>>& msgs, int nprocs,
+                int self_rank, IssueOrder order = IssueOrder::kRoundSchedule) {
   if (order == IssueOrder::kPeerOrder || msgs.size() < 2) {
     return;
   }
-  const CommSchedule sched(static_cast<int>(members.size()));
-  const int me = member_index(members, self_rank);
+  const CommSchedule sched(nprocs);
   std::stable_sort(msgs.begin(), msgs.end(),
                    [&](const auto& a, const auto& b) {
-                     return sched.round_of(me, member_index(members, a.first)) <
-                            sched.round_of(me, member_index(members, b.first));
+                     return sched.round_of(self_rank, a.first) <
+                            sched.round_of(self_rank, b.first);
                    });
 }
 
 /// The one dense-exchange primitive: fire one `tag` message per entry of
-/// `out` — (machine rank, what to send) — in round order within the
-/// sorted communicator `members`, each payload the span `pack(what)`
-/// returns, and return the open exchange receiving one message per entry
-/// of `in` — (machine rank, where it goes).  Its finish() is one
+/// `out` — (machine rank, what to send) — in the machine-wide round order
+/// (round_sort), each payload the span `pack(what)` returns, and return
+/// the open exchange receiving one message per entry of `in` — (machine
+/// rank, where it goes).  Its finish() is one
 /// recv_batch that hands each message's values to `unpack(where, values)`,
 /// which returns the element count charged for the unpack.  The wire
 /// window opens before the first send; the caller charges its pack and any
@@ -184,16 +175,15 @@ void round_sort(std::vector<std::pair<int, Payload>>& msgs,
 /// have been peeled off into local copies before this point.
 template <class T, class Out, class In, class Pack, class Unpack>
 [[nodiscard]] PendingExchange exchange_begin(
-    Context& ctx, std::span<const int> members, int tag,
-    std::vector<std::pair<int, Out>> out, std::vector<std::pair<int, In>> in,
-    Pack&& pack, Unpack unpack,
+    Context& ctx, int tag, std::vector<std::pair<int, Out>> out,
+    std::vector<std::pair<int, In>> in, Pack&& pack, Unpack unpack,
     IssueOrder order = IssueOrder::kRoundSchedule) {
   const double window_start = ctx.clock();
-  round_sort(out, members, ctx.rank(), order);
+  round_sort(out, ctx.nprocs(), ctx.rank(), order);
   for (const auto& [rank, what] : out) {
     ctx.send_span<T>(rank, tag, pack(what));
   }
-  round_sort(in, members, ctx.rank(), order);
+  round_sort(in, ctx.nprocs(), ctx.rank(), order);
   std::vector<RecvLane> lanes;
   lanes.reserve(in.size());
   for (const auto& e : in) {

@@ -403,7 +403,7 @@ class DistArray {
   /// of delta), so faces cover the owned extent of the other dims.
   /// Sufficient for star-shaped stencils (all of the paper's algorithms).
   /// The sends issue in ascending direction-code order (kPeerOrder): each
-  /// face peer gets one message, and no member list is built.
+  /// face peer gets one message.
   ///
   /// HaloCorners::kYes: every direction, so diagonal corner ghosts are
   /// valid afterwards too (needed for 9-point-style stencils), in one
@@ -424,16 +424,13 @@ class DistArray {
     plan_halo(faces, sends, recvs);
     auto out = runs_by_peer(sends);
     auto in = runs_by_peer(recvs);
-    std::vector<int> members;
     if (faces) {
       order = IssueOrder::kPeerOrder;
-    } else if (order == IssueOrder::kRoundSchedule) {
-      members = view_.ranks();
     }
     std::vector<T> buf;
     double packed = 0;
     PendingExchange ex = detail::exchange_begin<T>(
-        *ctx_, members, kTagHalo, std::move(out), std::move(in),
+        *ctx_, kTagHalo, std::move(out), std::move(in),
         [&](const PieceRun& run) {
           buf.clear();
           buf.reserve(volume(sends, run));

@@ -6,11 +6,11 @@
 // scheme).  GatherPlan is that runtime code: an *inspector* pass records
 // which global indices each processor wants, builds a reusable
 // communication schedule, and the *executor* replays it cheaply every
-// iteration.  Both passes are pairwise exchanges over the view's ranks,
-// begun in round order through detail::exchange_begin (machine/schedule.hpp)
-// like every other dense exchange in the runtime and finished by its one
-// batched receive; their tags are registered in the runtime band of
-// machine/message.hpp.
+// iteration.  Both passes are pairwise exchanges over the view, peers
+// named by its arithmetic (rank_at), begun in the machine-wide round order
+// of detail::exchange_begin (machine/schedule.hpp) like every other dense
+// exchange in the runtime and finished by its one batched receive; their
+// tags are registered in the runtime band of machine/message.hpp.
 //
 // Pairs with nothing to say are skipped entirely: the inspector
 // all_gathers a tiny presence matrix (one byte per peer pair) so both
@@ -45,11 +45,12 @@ class GatherPlan {
       return plan;
     }
     Context& ctx = A.context();
-    plan.self_rank_ = ctx.rank();
-    plan.peers_ = A.view().ranks();
+    plan.view_ = A.view();
+    plan.self_pi_ =
+        static_cast<std::size_t>(A.view().linear_index_of(ctx.rank()));
     plan.n_wants_ = wants.size();
 
-    const std::size_t np = plan.peers_.size();
+    const auto np = static_cast<std::size_t>(A.view().count());
     std::vector<std::vector<int>> requests(np);   // indices I ask from peer
     std::vector<std::vector<std::size_t>> slots(np);  // their spots in `wants`
     for (std::size_t w = 0; w < wants.size(); ++w) {
@@ -70,33 +71,29 @@ class GatherPlan {
     // its emptiness, which is the message we are deleting.
     std::vector<std::uint8_t> presence(np, 0);
     for (std::size_t pi = 0; pi < np; ++pi) {
-      presence[pi] =
-          (plan.peers_[pi] != plan.self_rank_ && !requests[pi].empty()) ? 1
-                                                                        : 0;
+      presence[pi] = (pi != plan.self_pi_ && !requests[pi].empty()) ? 1 : 0;
     }
     const std::vector<std::uint8_t> matrix = all_gather(
         ctx, A.view(), std::span<const std::uint8_t>(presence));
-    const auto my_pi =
-        static_cast<std::size_t>(A.view().linear_index_of(ctx.rank()));
 
     // Exchange the non-empty request lists pairwise (self handled locally).
     plan.send_indices_.assign(np, {});
     std::vector<std::pair<int, std::size_t>> out;
     std::vector<std::pair<int, std::size_t>> in;
     for (std::size_t pi = 0; pi < np; ++pi) {
-      if (plan.peers_[pi] == plan.self_rank_) {
+      if (pi == plan.self_pi_) {
         plan.send_indices_[pi] = requests[pi];  // local "sends" to myself
         continue;
       }
       if (presence[pi] != 0) {
-        out.emplace_back(plan.peers_[pi], pi);
+        out.emplace_back(plan.peer(pi), pi);
       }
-      if (matrix[pi * np + my_pi] != 0) {
-        in.emplace_back(plan.peers_[pi], pi);
+      if (matrix[pi * np + plan.self_pi_] != 0) {
+        in.emplace_back(plan.peer(pi), pi);
       }
     }
     detail::exchange_begin<int>(
-        ctx, plan.peers_, kTagInspReq, std::move(out), std::move(in),
+        ctx, kTagInspReq, std::move(out), std::move(in),
         [&](std::size_t pi) { return std::span<const int>(requests[pi]); },
         [&](std::size_t pi, std::vector<int> idxs) {
           plan.send_indices_[pi] = std::move(idxs);
@@ -117,7 +114,7 @@ class GatherPlan {
       return result;
     }
     Context& ctx = A.context();
-    const std::size_t np = peers_.size();
+    const std::size_t np = send_indices_.size();
 
     // Only pairs with traffic: send_indices_[pi] is non-empty exactly when
     // peer pi's request list reached us in the inspector (their presence
@@ -125,23 +122,21 @@ class GatherPlan {
     // sides of each skipped pair agreed on emptiness at plan build.
     std::vector<std::pair<int, std::size_t>> out;
     std::vector<std::pair<int, std::size_t>> in;
-    std::size_t self_pi = np;
     for (std::size_t pi = 0; pi < np; ++pi) {
-      if (peers_[pi] == self_rank_) {
-        self_pi = pi;
+      if (pi == self_pi_) {
         continue;
       }
       if (!send_indices_[pi].empty()) {
-        out.emplace_back(peers_[pi], pi);
+        out.emplace_back(peer(pi), pi);
       }
       if (!recv_slots_[pi].empty()) {
-        in.emplace_back(peers_[pi], pi);
+        in.emplace_back(peer(pi), pi);
       }
     }
     std::vector<T> buf;
     double packed = 0;
     PendingExchange ex = detail::exchange_begin<T>(
-        ctx, peers_, kTagInspData, std::move(out), std::move(in),
+        ctx, kTagInspData, std::move(out), std::move(in),
         [&](std::size_t pi) {
           buf.clear();
           for (int g : send_indices_[pi]) {
@@ -161,10 +156,10 @@ class GatherPlan {
     ctx.compute(packed);
     // Self-requests are local copies inside the wire window, charged like
     // a peer unpack.
-    if (self_pi < np) {
-      const auto& spots = recv_slots_[self_pi];
+    if (self_pi_ < np) {
+      const auto& spots = recv_slots_[self_pi_];
       for (std::size_t k = 0; k < spots.size(); ++k) {
-        result[spots[k]] = A.at({send_indices_[self_pi][k]});
+        result[spots[k]] = A.at({send_indices_[self_pi_][k]});
       }
       ctx.compute(static_cast<double>(spots.size()));
     }
@@ -177,8 +172,8 @@ class GatherPlan {
   /// Total values this member must ship to peers per execution (diagnostic).
   [[nodiscard]] std::size_t send_volume() const {
     std::size_t n = 0;
-    for (std::size_t pi = 0; pi < peers_.size(); ++pi) {
-      if (peers_[pi] != self_rank_) {
+    for (std::size_t pi = 0; pi < send_indices_.size(); ++pi) {
+      if (pi != self_pi_) {
         n += send_indices_[pi].size();
       }
     }
@@ -186,9 +181,14 @@ class GatherPlan {
   }
 
  private:
-  int self_rank_ = -1;
+  /// Machine rank of the member at view index `pi`.
+  [[nodiscard]] int peer(std::size_t pi) const {
+    return view_.rank_at(static_cast<int>(pi));
+  }
+
+  ProcView view_;
+  std::size_t self_pi_ = 0;  // this member's view index
   std::size_t n_wants_ = 0;
-  std::vector<int> peers_;
   std::vector<std::vector<int>> send_indices_;        // per peer: globals to send
   std::vector<std::vector<std::size_t>> recv_slots_;  // per peer: slots in wants
 };

@@ -53,14 +53,15 @@
 // compute.  The exchange is planned once; each slice cuts the plan's slabs
 // to its lines.
 //
-// Remote messages are issued through the round-structured schedules of
-// machine/schedule.hpp (XOR pairwise exchange for power-of-two
-// communicators, latin-square ordering otherwise), so each round is a
-// perfect matching over the union of the two views and, with
-// MachineConfig::link_contention, no injection or ejection link is
-// oversubscribed.  redistribute() and redistribute_begin() also take
-// IssueOrder::kPeerOrder, which keeps the raw enumeration order: the naive
-// baseline bench_redistribute compares the schedule against.
+// Remote messages are issued through the machine-wide round schedule of
+// machine/schedule.hpp (XOR pairwise exchange for a power-of-two machine,
+// latin-square ordering otherwise): a pair's round depends only on the two
+// machine ranks, and each round restricted to the ranks of both views is
+// still a matching, so with MachineConfig::link_contention no injection or
+// ejection link is oversubscribed and no member list is built.
+// redistribute() and redistribute_begin() also take IssueOrder::kPeerOrder,
+// which keeps the raw enumeration order: the naive baseline
+// bench_redistribute compares the schedule against.
 #pragma once
 
 #include <algorithm>
@@ -85,7 +86,7 @@ inline constexpr int kLineSlices = 4;
 
 namespace detail {
 
-/// Row-major linear index (within A.view().ranks()) of the rank owning g,
+/// Row-major linear index (within A.view()) of the rank owning g,
 /// computable by any processor, member or not — descriptors are replicated.
 /// Ownership is unique: every grid dimension of the view is bound to
 /// exactly one distributed array dimension.  One owner() per dim — the
@@ -334,11 +335,11 @@ void for_each_slab_element(const Box<R>& slab, const BoxCopy& c, Fn fn) {
 /// from the replicated descriptors: remote slabs in each direction (no
 /// self-messages) and the self-overlap slab this rank copies locally (each
 /// peer, this rank included, shares at most one slab).  An inactive
-/// exchange (count 0, or this rank in neither view) has no members.  Slabs
+/// exchange (count 0, or this rank in neither view) begins nothing.  Slabs
 /// are in the form strided_peer_walk hands out.
 template <int R>
 struct ExchangePlan {
-  std::vector<int> members;  ///< sorted union of both views' ranks
+  bool active = false;  ///< this rank takes part in the exchange
   std::vector<std::pair<int, Box<R>>> out;  ///< (dst rank, slab) to send
   std::vector<std::pair<int, Box<R>>> in;   ///< (src rank, slab) to receive
   std::optional<Box<R>> self;               ///< copied locally, never sent
@@ -354,7 +355,7 @@ ExchangePlan<R> plan_exchange(const Context& ctx, const DistArray<T, R>& src,
   if (c.count == 0 || (!in_src && !in_dst)) {
     return p;
   }
-  p.members = union_members(src.view().ranks(), dst.view().ranks());
+  p.active = true;
   const auto ud = static_cast<std::size_t>(c.dim);
   if (in_src) {
     const Box<R> mine = owned_box(src);
@@ -456,13 +457,13 @@ template <class T, int R>
     Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst,
     const BoxCopy& c, ExchangePlan<R> p,
     IssueOrder order = IssueOrder::kRoundSchedule) {
-  if (p.members.empty()) {
+  if (!p.active) {
     return {};
   }
   std::vector<T> buf;
   double packed = 0;
   PendingExchange ex = exchange_begin<T>(
-      ctx, p.members, c.tag, std::move(p.out), std::move(p.in),
+      ctx, c.tag, std::move(p.out), std::move(p.in),
       [&](const Box<R>& slab) {
         pack_slab(src, c, slab, buf);
         packed += static_cast<double>(buf.size());
@@ -508,11 +509,11 @@ template <class T, int R>
   std::vector<std::pair<int, std::vector<GIndex<R>>>> in;
   std::vector<GIndex<R>> self;  // destination indices copied locally
   if (in_src) {
-    const std::vector<int> dst_ranks = dst.view().ranks();
+    const auto ndst = static_cast<std::size_t>(dst.view().count());
     const std::size_t self_di =
         in_dst ? static_cast<std::size_t>(dst.view().linear_index_of(ctx.rank()))
-               : dst_ranks.size();  // sentinel: matches no bin
-    std::vector<std::vector<T>> bins(dst_ranks.size());
+               : ndst;  // sentinel: matches no bin
+    std::vector<std::vector<T>> bins(ndst);
     src.for_each_owned([&](GIndex<R> g) {
       const int t = step_of(g[ud], c.s_off, c.s_stride);
       if (t < 0) {
@@ -527,13 +528,14 @@ template <class T, int R>
     });
     for (std::size_t pi = 0; pi < bins.size(); ++pi) {
       if (!bins[pi].empty()) {
-        out.emplace_back(dst_ranks[pi], std::move(bins[pi]));
+        out.emplace_back(dst.view().rank_at(static_cast<int>(pi)),
+                         std::move(bins[pi]));
       }
     }
   }
   if (in_dst) {
-    const std::vector<int> src_ranks = src.view().ranks();
-    std::vector<std::vector<GIndex<R>>> expect(src_ranks.size());
+    std::vector<std::vector<GIndex<R>>> expect(
+        static_cast<std::size_t>(src.view().count()));
     dst.for_each_owned([&](GIndex<R> g) {
       const int t = step_of(g[ud], c.d_off, c.d_stride);
       if (t >= 0) {
@@ -542,18 +544,21 @@ template <class T, int R>
         expect[owner_index(src, gs)].push_back(g);
       }
     });
+    const std::size_t self_si =
+        in_src ? static_cast<std::size_t>(src.view().linear_index_of(ctx.rank()))
+               : expect.size();  // sentinel: matches no bin
     for (std::size_t pi = 0; pi < expect.size(); ++pi) {
-      if (src_ranks[pi] == ctx.rank()) {
+      if (pi == self_si) {
         self = std::move(expect[pi]);
       } else if (!expect[pi].empty()) {
-        in.emplace_back(src_ranks[pi], std::move(expect[pi]));
+        in.emplace_back(src.view().rank_at(static_cast<int>(pi)),
+                        std::move(expect[pi]));
       }
     }
   }
   double packed = 0;
   PendingExchange ex = exchange_begin<T>(
-      ctx, union_members(src.view().ranks(), dst.view().ranks()), c.tag,
-      std::move(out), std::move(in),
+      ctx, c.tag, std::move(out), std::move(in),
       [&](const std::vector<T>& vals) {
         packed += static_cast<double>(vals.size());
         return std::span<const T>(vals);

@@ -38,23 +38,24 @@
 namespace kali::oracles {
 
 /// The blocking dispatch every dense exchange used: sort and fire all
-/// sends, charge the pack compute, then drain all receives and charge the
-/// unpack compute.  `charge_sends`/`charge_recvs` are thunks so each
-/// caller keeps its own accounting.
+/// sends in the machine-wide round order, charge the pack compute, then
+/// drain all receives and charge the unpack compute.
+/// `charge_sends`/`charge_recvs` are thunks so each caller keeps its own
+/// accounting.
 template <class Out, class In, class SendFn, class RecvFn, class ChargeS,
           class ChargeR>
-void issue_exchange(std::span<const int> members, int self_rank,
+void issue_exchange(const Context& ctx,
                     std::vector<std::pair<int, Out>>& out,
                     std::vector<std::pair<int, In>>& in, SendFn&& send_one,
                     RecvFn&& recv_one, ChargeS&& charge_sends,
                     ChargeR&& charge_recvs,
                     IssueOrder order = IssueOrder::kRoundSchedule) {
-  kali::detail::round_sort(out, members, self_rank, order);
+  kali::detail::round_sort(out, ctx.nprocs(), ctx.rank(), order);
   for (auto& [rank, payload] : out) {
     send_one(rank, payload);
   }
   charge_sends();
-  kali::detail::round_sort(in, members, self_rank, order);
+  kali::detail::round_sort(in, ctx.nprocs(), ctx.rank(), order);
   for (auto& [rank, payload] : in) {
     recv_one(rank, payload);
   }
@@ -85,7 +86,7 @@ void blocking_box(Context& ctx, const DistArray<T, R>& src,
                   DistArray<T, R>& dst, const kali::detail::BoxCopy& c,
                   kali::detail::ExchangePlan<R>& p, double unpacked,
                   IssueOrder order) {
-  if (p.members.empty()) {
+  if (!p.active) {
     return;
   }
   std::vector<T> buf;
@@ -101,7 +102,7 @@ void blocking_box(Context& ctx, const DistArray<T, R>& src,
         kali::detail::unpack_slab(dst, c, slab, std::span<const T>(vals));
   };
   issue_exchange(
-      p.members, ctx.rank(), p.out, p.in, send_one, recv_one,
+      ctx, p.out, p.in, send_one, recv_one,
       [&] { ctx.compute(packed); }, [&] { ctx.compute(unpacked); }, order);
 }
 
@@ -188,8 +189,7 @@ void blocking_binned(Context& ctx, const DistArray<T, R>& src,
     unpacked += static_cast<double>(vals.size());
   };
   issue_exchange(
-      kali::detail::union_members(src.view().ranks(), dst.view().ranks()),
-      ctx.rank(), out, in, send_one, recv_one, [&] { ctx.compute(packed); },
+      ctx, out, in, send_one, recv_one, [&] { ctx.compute(packed); },
       [&] { ctx.compute(unpacked); }, order);
 }
 
@@ -347,7 +347,6 @@ void blocking_halo(DistArray<T, R>& a, HaloCorners corners = HaloCorners::kNo,
       }
     }
   }
-  const std::vector<int> members = a.view().ranks();
   double packed = 0;
   double unpacked = 0;
   auto send_one = [&](int rank, const Pieces& pieces) {
@@ -372,7 +371,7 @@ void blocking_halo(DistArray<T, R>& a, HaloCorners corners = HaloCorners::kNo,
     unpacked += static_cast<double>(k);
   };
   issue_exchange(
-      members, ctx.rank(), out, in, send_one, recv_one,
+      ctx, out, in, send_one, recv_one,
       [&] { ctx.compute(packed); }, [&] { ctx.compute(unpacked); }, order);
 }
 
@@ -383,15 +382,14 @@ template <class T>
 std::vector<T> blocking_all_gather(
     Context& ctx, const ProcView& v, std::span<const T> mine,
     IssueOrder order = IssueOrder::kRoundSchedule) {
-  const std::vector<int> members = v.ranks();
   const int me = v.linear_index_of(ctx.rank());
-  std::vector<std::vector<T>> segs(members.size());
+  std::vector<std::vector<T>> segs(static_cast<std::size_t>(v.count()));
   std::vector<std::pair<int, int>> out;
   std::vector<std::pair<int, int>> in;
   for (int i = 0; i < v.count(); ++i) {
     if (i != me) {
-      out.emplace_back(members[static_cast<std::size_t>(i)], i);
-      in.emplace_back(members[static_cast<std::size_t>(i)], i);
+      out.emplace_back(v.rank_at(i), i);
+      in.emplace_back(v.rank_at(i), i);
     }
   }
   double merged = static_cast<double>(mine.size());
@@ -404,7 +402,7 @@ std::vector<T> blocking_all_gather(
     merged += static_cast<double>(seg.size());
   };
   issue_exchange(
-      members, ctx.rank(), out, in, send_one, recv_one, [] {},
+      ctx, out, in, send_one, recv_one, [] {},
       [&] { ctx.compute(merged); }, order);
   segs[static_cast<std::size_t>(me)].assign(mine.begin(), mine.end());
   std::vector<T> result;
@@ -462,7 +460,7 @@ std::vector<T> blocking_gather(const DistArray1<T>& A,
     }
   }
   issue_exchange(
-      peers, ctx.rank(), out, in,
+      ctx, out, in,
       [&](int rank, std::size_t pi) {
         ctx.send_span<int>(rank, kTagInspReq,
                            std::span<const int>(requests[pi]));
@@ -493,7 +491,7 @@ std::vector<T> blocking_gather(const DistArray1<T>& A,
   double packed = 0;
   double unpacked = 0;
   issue_exchange(
-      peers, ctx.rank(), out, in,
+      ctx, out, in,
       [&](int rank, std::size_t pi) {
         std::vector<T> buf;
         for (int gi : send_indices[pi]) {

@@ -13,7 +13,13 @@
 // The same counter, in bytes, guards the collectives' process sets: a
 // reduction over an array's view, timed by a PhaseTimer, must allocate no
 // more bytes per message on 1024 ranks than on 64 — a view is O(1)
-// arithmetic, never a copied member list.
+// arithmetic, never a copied member list.  It guards the dense exchanges'
+// planning too: a corner halo and a two-view redistribute, each on shapes
+// where every rank has the same peers at any P, must allocate no more
+// bytes per exchange per rank on 1024 ranks than on 64, apart from the
+// fiber scheduler's run-queue blocks — a pair's round is a function of
+// two machine ranks, so no exchange copies, merges or searches a view's
+// rank list.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -27,6 +33,7 @@
 #include "machine/machine.hpp"
 #include "machine/measure.hpp"
 #include "runtime/dist_array.hpp"
+#include "runtime/redistribute.hpp"
 
 namespace {
 
@@ -124,11 +131,12 @@ TEST(ExchangeAlloc, SteadyStateCornerHaloAllocatesNoMoreThanBlockingLoops) {
   const double per_exchange = allocs_per_exchange(corner_allocs_of_run);
   RecordProperty("allocs_per_exchange_per_rank", std::to_string(per_exchange));
   // The blocking corner loop made 48.835625 per exchange per rank on this
-  // shape, and a planner with one piece vector per peer 42.835625.  The
-  // flat planner makes 21.335625: the face mode's fixed lists, the member
-  // list and round_sort's two sort buffers that the round schedule needs,
-  // and a payload and a typed receive copy per peer (up to eight).
-  EXPECT_LE(per_exchange, 21.335625);
+  // shape, a planner with one piece vector per peer 42.835625, and the
+  // flat planner with a copied member list 21.335625.  Without the list it
+  // makes 20.335625: the face mode's fixed lists, round_sort's two sort
+  // buffers that the round schedule needs, and a payload and a typed
+  // receive copy per peer (up to eight).
+  EXPECT_LE(per_exchange, 20.335625);
 }
 
 /// Heap bytes per message sent of timed allreduce_sum rounds over a 1-D
@@ -166,6 +174,77 @@ TEST(ExchangeAlloc, ViewReductionBytesDoNotGrowWithP) {
   // its member list on every collective would add 4 * p bytes per rank and
   // call.
   EXPECT_LE(large, small);
+}
+
+/// Heap bytes per exchange per rank of `exchange(ctx, k)` steps on `p`
+/// ranks: the difference of a 12-step and a 4-step run cancels the
+/// machine and array set-up.
+template <class Exchange>
+double bytes_per_exchange_per_rank(int p, Exchange exchange) {
+  auto run = [&](int steps) {
+    MachineConfig cfg;
+    cfg.sim_workers = 1;
+    Machine m(p, cfg);
+    const std::uint64_t before = g_bytes.load();
+    m.run([&](Context& ctx) { exchange(ctx, steps); });
+    return g_bytes.load() - before;
+  };
+  constexpr int kShort = 4;
+  constexpr int kLong = 12;
+  const std::uint64_t extra = run(kLong) - run(kShort);
+  return static_cast<double>(extra) / (p * (kLong - kShort));
+}
+
+/// Corner halos of a 3-D (block, block, block) array on a (p/16) x 4 x 4
+/// grid with one ghost cell per side in dims 1 and 2 only: each rank's
+/// peers (up to eight, diagonals included) depend on its place in its
+/// 4 x 4 plane alone, so every P has the same mix of peer sets.
+void corner_halos(Context& ctx, int steps) {
+  const int p = ctx.nprocs();
+  DistArray3<double> u(ctx, ProcView::grid3(p / 16, 4, 4), {p / 8, 16, 16},
+                       {DimDist::block_dist(), DimDist::block_dist(),
+                        DimDist::block_dist()},
+                       {0, 1, 1});
+  u.fill([](std::array<int, 3> g) { return g[0] + 0.5 * g[1] - g[2]; });
+  for (int k = 0; k < steps; ++k) {
+    u.exchange_halo(HaloCorners::kYes);
+  }
+}
+
+/// Redistributions of a p x 16 array from (block, block) on a
+/// (p/4) x 4 grid to (block, *) on a line of p ranks: each rank sends
+/// three slabs, receives three and copies one, whatever P is.
+void grid2_to_grid1(Context& ctx, int steps) {
+  const int p = ctx.nprocs();
+  DistArray2<double> a(ctx, ProcView::grid2(p / 4, 4), {p, 16},
+                       {DimDist::block_dist(), DimDist::block_dist()});
+  DistArray2<double> b(ctx, ProcView::grid1(p), {p, 16},
+                       {DimDist::block_dist(), DimDist::star()});
+  a.fill([](std::array<int, 2> g) { return g[0] + 0.5 * g[1]; });
+  for (int k = 0; k < steps; ++k) {
+    redistribute(ctx, a, b);
+  }
+}
+
+TEST(ExchangeAlloc, ExchangeBytesPerRankDoNotGrowWithP) {
+  const double halo_small = bytes_per_exchange_per_rank(64, corner_halos);
+  const double halo_large = bytes_per_exchange_per_rank(1024, corner_halos);
+  const double redist_small = bytes_per_exchange_per_rank(64, grid2_to_grid1);
+  const double redist_large =
+      bytes_per_exchange_per_rank(1024, grid2_to_grid1);
+  RecordProperty("corner_halo_bytes_p64", std::to_string(halo_small));
+  RecordProperty("corner_halo_bytes_p1024", std::to_string(halo_large));
+  RecordProperty("redistribute_bytes_p64", std::to_string(redist_small));
+  RecordProperty("redistribute_bytes_p1024", std::to_string(redist_large));
+  // A copied view rank list costs 4 * p bytes per rank and exchange (4096
+  // at p = 1024), and a sorted union of two views' lists more than that.
+  // The only allowance is the fiber scheduler's ready queue: one 512-byte
+  // block per 128 wakes, under 4 bytes per rank and exchange on these
+  // shapes, which the dispatch order splits a little differently at each
+  // p.
+  constexpr double kReadyQueueSlack = 4.0;
+  EXPECT_LE(halo_large, halo_small + kReadyQueueSlack);
+  EXPECT_LE(redist_large, redist_small + kReadyQueueSlack);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "random_view.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -127,34 +128,10 @@ TEST(ProcView, RankAtInvertsLinearIndex) {
   EXPECT_THROW((void)v.linear_index_of(12), Error);
 }
 
-/// A random view as the runtime builds them: a grid1/2/3 root with a
-/// random base, then a random chain of fix and sub slices.
-ProcView random_view(Rng& rng) {
-  const int nd = rng.uniform_int(1, 3);
-  const int base = rng.uniform_int(0, 9);
-  const int a = rng.uniform_int(1, 5);
-  const int b = rng.uniform_int(1, 5);
-  const int c = rng.uniform_int(1, 5);
-  ProcView v = nd == 1   ? ProcView::grid1(a, base)
-               : nd == 2 ? ProcView::grid2(a, b, base)
-                         : ProcView::grid3(a, b, c, base);
-  for (int step = rng.uniform_int(0, 3); step > 0; --step) {
-    const int d = rng.uniform_int(0, v.ndims() - 1);
-    const int e = v.extent(d);
-    if (rng.uniform_int(0, 1) == 0) {
-      v = v.fix(d, rng.uniform_int(0, e - 1));
-    } else {
-      const int lo = rng.uniform_int(0, e - 1);
-      v = v.sub(d, lo, rng.uniform_int(1, e - lo));
-    }
-  }
-  return v;
-}
-
 TEST(ProcView, RandomSlicesKeepViewArithmeticConsistent) {
-  // The collectives index members by view arithmetic alone, and the dense
-  // exchanges take ranks() as their sorted communicator; both rest on
-  // these properties holding for every view the slicing operations build.
+  // The collectives and the dense exchanges name members by view
+  // arithmetic alone (rank_at, linear_index_of), which rests on these
+  // properties holding for every view the slicing operations build.
   Rng rng(2024);
   for (int trial = 0; trial < 400; ++trial) {
     const ProcView v = random_view(rng);

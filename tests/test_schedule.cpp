@@ -1,16 +1,25 @@
 // The schedule generator must produce perfect matchings: per round every
 // member exchanges with at most one partner (involution), and across
 // rounds every ordered pair appears exactly once — the property that keeps
-// links conflict-free under MachineConfig::link_contention.
+// links conflict-free under MachineConfig::link_contention.  Exchanges use
+// the machine-wide schedule on any slice of the machine, so a seeded
+// property test checks that its rounds stay matchings on random views and
+// on unions of two views.
 #include "machine/schedule.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "machine/proc_view.hpp"
+#include "random_view.hpp"
 #include "support/check.hpp"
+#include "support/rng.hpp"
 
 namespace kali {
 namespace {
@@ -105,31 +114,93 @@ TEST(Schedule, TraceShowsMatchingsPerRound) {
 }
 
 TEST(Schedule, RoundSortOrdersMessagesByRound) {
-  // Communicator {10, 11, 12, 13}: member indices 0..3; self rank 10.
-  const std::vector<int> members{10, 11, 12, 13};
-  std::vector<std::pair<int, char>> msgs{{13, 'c'}, {11, 'a'}, {12, 'b'}};
-  detail::round_sort(msgs, members, /*self_rank=*/10,
+  // A 16-rank machine, self rank 10: XOR rounds 10^11-1 = 0, 10^8-1 = 1,
+  // 10^13-1 = 6, whatever view the three peers belong to.
+  std::vector<std::pair<int, char>> msgs{{13, 'c'}, {11, 'a'}, {8, 'b'}};
+  detail::round_sort(msgs, /*nprocs=*/16, /*self_rank=*/10,
                      IssueOrder::kRoundSchedule);
-  // XOR schedule from member 0: round 0 -> 1 (rank 11), round 1 -> 2
-  // (rank 12), round 2 -> 3 (rank 13).
   EXPECT_EQ(msgs[0].first, 11);
-  EXPECT_EQ(msgs[1].first, 12);
+  EXPECT_EQ(msgs[1].first, 8);
   EXPECT_EQ(msgs[2].first, 13);
 
-  std::vector<std::pair<int, char>> naive{{13, 'c'}, {11, 'a'}, {12, 'b'}};
-  detail::round_sort(naive, members, 10, IssueOrder::kPeerOrder);
+  // A 6-rank machine, self rank 1: latin-square rounds (1 + peer) mod 6.
+  std::vector<std::pair<int, char>> latin{{3, 'd'}, {0, 'b'}, {5, 'a'}};
+  detail::round_sort(latin, 6, 1, IssueOrder::kRoundSchedule);
+  EXPECT_EQ(latin[0].first, 5);
+  EXPECT_EQ(latin[1].first, 0);
+  EXPECT_EQ(latin[2].first, 3);
+
+  std::vector<std::pair<int, char>> naive{{13, 'c'}, {11, 'a'}, {8, 'b'}};
+  detail::round_sort(naive, 16, 10, IssueOrder::kPeerOrder);
   EXPECT_EQ(naive[0].first, 13);  // peer order: untouched
 }
 
-TEST(Schedule, MemberIndexRejectsNonMembers) {
-  const std::vector<int> members{2, 4, 6};
-  EXPECT_EQ(detail::member_index(members, 4), 1);
-  EXPECT_THROW((void)detail::member_index(members, 5), Error);
-}
-
-TEST(Schedule, UnionMembersSortsAndDedupes) {
-  const std::vector<int> u = detail::union_members({3, 1, 2}, {2, 5});
-  EXPECT_EQ(u, (std::vector<int>{1, 2, 3, 5}));
+TEST(Schedule, MachineWideRoundsAreMatchingsOnEveryViewAndUnion) {
+  // Each exchange orders its messages by CommSchedule(nprocs).round_of of
+  // two machine ranks.  On any rank set an exchange can span — one view,
+  // or the union of a redistribution's two views — every rank must have at
+  // most one partner per round, and both endpoints must compute the same
+  // round.
+  constexpr int kMaxProcs = 64;
+  int checked = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    std::vector<int> ranks = random_view(rng).ranks();
+    if (rng.uniform_int(0, 1) == 0) {
+      const std::vector<int> b = random_view(rng).ranks();
+      ranks.insert(ranks.end(), b.begin(), b.end());
+      std::sort(ranks.begin(), ranks.end());
+      ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
+    }
+    const int need = ranks.back() + 1;
+    if (need > kMaxProcs) {
+      continue;
+    }
+    // The smallest power of two that holds the ranks, or any size that
+    // does.
+    int p = 1;
+    while (p < need) {
+      p *= 2;
+    }
+    if (rng.uniform_int(0, 1) == 0) {
+      p = rng.uniform_int(need, kMaxProcs);
+    }
+    ++checked;
+    const CommSchedule sched(p);
+    SCOPED_TRACE("seed=" + std::to_string(seed) + " p=" + std::to_string(p) +
+                 " ranks=" + std::to_string(ranks.size()));
+    for (int me : ranks) {
+      std::vector<std::pair<int, int>> msgs;
+      for (int peer : ranks) {
+        if (peer != me) {
+          msgs.emplace_back(peer, 0);
+        }
+      }
+      detail::round_sort(msgs, p, me);
+      std::set<int> rounds;
+      for (const auto& m : msgs) {
+        const int r = sched.round_of(me, m.first);
+        ASSERT_GE(r, 0);
+        ASSERT_LT(r, sched.rounds());
+        EXPECT_EQ(sched.round_of(m.first, me), r);  // both endpoints agree
+        EXPECT_EQ(sched.partner(r, me), m.first);
+        EXPECT_TRUE(rounds.insert(r).second)  // one partner per round
+            << "rank " << me << " has two partners in round " << r;
+      }
+      // round_sort issues in ascending round order.
+      for (std::size_t k = 1; k < msgs.size(); ++k) {
+        EXPECT_LT(sched.round_of(me, msgs[k - 1].first),
+                  sched.round_of(me, msgs[k].first));
+      }
+    }
+    // A peer outside the machine has no round.
+    if (p >= 2) {
+      EXPECT_THROW((void)sched.round_of(0, p), Error);
+      std::vector<std::pair<int, int>> bad{{p, 0}, {1, 0}};
+      EXPECT_THROW(detail::round_sort(bad, p, 0), Error);
+    }
+  }
+  EXPECT_GE(checked, 200);
 }
 
 }  // namespace

@@ -50,6 +50,11 @@ compiler never checks.  This linter enforces the written rules:
                  happens-before analyzer (tools/check_hb.py) checks at
                  run time.  Name-based, so it also catches mutations of
                  foreign processors via Machine::proc(r).
+  member-list    No ProcView::ranks() call in src/ outside
+                 machine/proc_view.{hpp,cpp}: a view names its members by
+                 arithmetic (rank_at, linear_index_of) and an exchange
+                 orders its pairs by machine rank, so a planner that copies
+                 an O(P) rank list into every member has no excuse.
 
 A finding (of any rule but raw-exchange) can be waived in place with a
 reasoned pragma on the same line or the line above:
@@ -78,6 +83,7 @@ RULES = (
     "raw-exchange",
     "collective-symmetry",
     "shared-state",
+    "member-list",
 )
 
 # Layer DAG: which layers each layer's headers may include.  `support` is
@@ -134,6 +140,13 @@ SHARED_STATE_SANCTIONED = {
     "src/machine/context.cpp",
     "src/machine/collectives.cpp",
     "src/machine/processor.hpp",
+}
+# A view's full rank list, materialized.
+RANKS_CALL_RE = re.compile(r"(?:\.|->)\s*ranks\s*\(\s*\)")
+# The view itself, which defines ranks().
+MEMBER_LIST_SANCTIONED = {
+    "src/machine/proc_view.hpp",
+    "src/machine/proc_view.cpp",
 }
 # Tokens that make a conditional rank-dependent: the SPMD rank, a member
 # index, or a processor-grid coordinate.  View membership alone
@@ -364,6 +377,15 @@ def lint_file(root, relpath, findings):
                        "files (context.cpp/collectives.cpp/machine.cpp/"
                        "processor.hpp): rank-sharded simulator state must "
                        "not be poked ad hoc")
+
+    # --- member-list (everywhere except the view itself) ---------------------
+    if relpath.replace(os.sep, "/") not in MEMBER_LIST_SANCTIONED:
+        for i, line in enumerate(code):
+            if RANKS_CALL_RE.search(line):
+                report(i, "member-list",
+                       "ranks() copies a view's O(P) rank list into this "
+                       "member: name peers with rank_at/linear_index_of "
+                       "instead")
 
     # --- raw-exchange (runtime only; no waiver) ------------------------------
     if layer == "runtime":
