@@ -338,6 +338,29 @@ int main(int argc, char** argv) {
     results.push_back(c);
   }
   {
+    // ADI's direction switch back to the grid: (*, block) on a line of 16
+    // -> (block, block) 4x4.  Four senders meet four receivers in each of
+    // four components, one rank on both sides; ordered by the
+    // exchange's own pair graph, no receiver's port is left with its
+    // four messages for last.
+    CaseResult c;
+    c.name = "adi_switch_cols_to_4x4";
+    c.path = "box";
+    c.nprocs = p;
+    c.extents = {n, n};
+    const Dists2 cols{DimDist::star(), DimDist::block_dist()};
+    const Dists2 bb{DimDist::block_dist(), DimDist::block_dist()};
+    const ProcView spv = ProcView::grid1(p);
+    const ProcView dpv = ProcView::grid2(4, 4);
+    c.fast = run2(p, n, spv, cols, dpv, bb, kFast);
+    c.ref = run2(p, n, spv, cols, dpv, bb, kRef);
+    c.sched = run2(p, n, spv, cols, dpv, bb, kSched);
+    c.naive = run2(p, n, spv, cols, dpv, bb, kNaive);
+    c.sf_sched = run2(p, n, spv, cols, dpv, bb, kSfSched);
+    c.sf_naive = run2(p, n, spv, cols, dpv, bb, kSfNaive);
+    results.push_back(c);
+  }
+  {
     // Identity layout: the degenerate best case — every rank's slab is its
     // own, so the fast path sends nothing at all, while the reference
     // still floods the 240 non-self pairs.

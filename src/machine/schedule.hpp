@@ -23,10 +23,18 @@
 // round-r partner is me) and cover every ordered pair exactly once, so a
 // sender issuing in round order and a receiver posting receives in round
 // order agree on a common global order without any extra synchronization:
-// round r's messages are injected while round r-1's drain, links stay
-// conflict-free, and the all-to-all completes in (n-1) wire slots instead
-// of the ~2(n-1) that naive per-peer issue order costs under contention
-// (every member hammering the same low-ranked ejection ports first).
+// in a dense all-to-all round r's messages are injected while round r-1's
+// drain, no link carries two messages of one round, and the exchange
+// completes in (n-1) wire slots instead of the ~2(n-1) that naive
+// per-peer issue order costs under contention (every member hammering the
+// same low-ranked ejection ports first).  A sparse pair set keeps the
+// rounds' order but not their slots: each sender issues its own pairs
+// back to back, skipping the rounds it has no partner in, so its k-th
+// send need not be its round-k message, and senders whose compacted
+// sequences end on the same receiver still collide at its ejection port.
+// The box exchange (runtime/redistribute.hpp) therefore orders by an edge
+// colouring of its own pair graph instead (detail::pair_graph_sort), with
+// the round as tie-break.
 //
 // Exchanges use one machine-wide schedule: a pair's round is
 // CommSchedule(nprocs).round_of(rank, peer), a function of the two machine
@@ -40,8 +48,10 @@
 // Every exchange — the box exchange and the cyclic binner behind
 // redistribute and copy_strided_dim, the halo exchange in both modes, the
 // dense all_gather and both inspector passes — runs through one primitive,
-// detail::exchange_begin(): it puts the per-peer messages in round order
-// with round_sort(), fires the sends, and returns a PendingExchange whose
+// detail::exchange_begin(): it puts the sends in round order with
+// round_sort() (or in the order a caller's send-order function gives: the
+// box exchange's pair-graph order) and the receives in round order, fires
+// the sends, and returns a PendingExchange whose
 // finish() takes every receive in one Context::recv_batch.  So the machine
 // has one charge rule (each receive, then its unpack, in canonical
 // (send_time, src, seq) order), and the blocking forms are
@@ -63,7 +73,8 @@ namespace kali {
 
 /// How a runtime exchange orders its per-peer messages.
 enum class IssueOrder {
-  kRoundSchedule,  ///< round-structured (default; contention-safe)
+  kRoundSchedule,  ///< scheduled (default): round order; a box
+                   ///< exchange's sends in pair-graph order
   kPeerOrder,      ///< raw peer-enumeration order (naive baseline)
 };
 
@@ -164,26 +175,31 @@ void round_sort(std::vector<std::pair<int, Payload>>& msgs, int nprocs,
 }
 
 /// The one dense-exchange primitive: fire one `tag` message per entry of
-/// `out` — (machine rank, what to send) — in the machine-wide round order
-/// (round_sort), each payload the span `pack(what)` returns, and return
-/// the open exchange receiving one message per entry of `in` — (machine
-/// rank, where it goes).  Its finish() is one
+/// `out` — (machine rank, what to send) — each payload the span
+/// `pack(what)` returns, and return the open exchange receiving one
+/// message per entry of `in` — (machine rank, where it goes).  Under
+/// kRoundSchedule the sends go out in the order `order_sends(out)` leaves
+/// them in and the receives are posted in round order (round_sort);
+/// kPeerOrder keeps both lists' enumeration order.  Its finish() is one
 /// recv_batch that hands each message's values to `unpack(where, values)`,
 /// which returns the element count charged for the unpack.  The wire
 /// window opens before the first send; the caller charges its pack and any
 /// local copy after this returns, inside the window.  Self-messages must
 /// have been peeled off into local copies before this point.
-template <class T, class Out, class In, class Pack, class Unpack>
+template <class T, class Out, class In, class Pack, class Unpack,
+          class OrderSends>
 [[nodiscard]] PendingExchange exchange_begin(
     Context& ctx, int tag, std::vector<std::pair<int, Out>> out,
     std::vector<std::pair<int, In>> in, Pack&& pack, Unpack unpack,
-    IssueOrder order = IssueOrder::kRoundSchedule) {
+    IssueOrder order, OrderSends order_sends) {
   const double window_start = ctx.clock();
-  round_sort(out, ctx.nprocs(), ctx.rank(), order);
+  if (order == IssueOrder::kRoundSchedule) {
+    order_sends(out);
+    round_sort(in, ctx.nprocs(), ctx.rank());
+  }
   for (const auto& [rank, what] : out) {
     ctx.send_span<T>(rank, tag, pack(what));
   }
-  round_sort(in, ctx.nprocs(), ctx.rank(), order);
   std::vector<RecvLane> lanes;
   lanes.reserve(in.size());
   for (const auto& e : in) {
@@ -194,6 +210,20 @@ template <class T, class Out, class In, class Pack, class Unpack>
       [in = std::move(in), unpack = std::move(unpack)](std::size_t i,
                                                        Message m) {
         return unpack(in[i].second, payload_values<T>(std::move(m)));
+      });
+}
+
+/// exchange_begin with the sends in round order too.
+template <class T, class Out, class In, class Pack, class Unpack>
+[[nodiscard]] PendingExchange exchange_begin(
+    Context& ctx, int tag, std::vector<std::pair<int, Out>> out,
+    std::vector<std::pair<int, In>> in, Pack&& pack, Unpack unpack,
+    IssueOrder order = IssueOrder::kRoundSchedule) {
+  return exchange_begin<T>(
+      ctx, tag, std::move(out), std::move(in), std::forward<Pack>(pack),
+      std::move(unpack), order,
+      [&ctx](std::vector<std::pair<int, Out>>& msgs) {
+        round_sort(msgs, ctx.nprocs(), ctx.rank());
       });
 }
 

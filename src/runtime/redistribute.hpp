@@ -28,9 +28,10 @@
 //  * Per-dim owner binning (any cyclic/block-cyclic dim): each side walks
 //    its own elements once, computing the unique opposite owner rank in
 //    O(R) per element (owner() per dim + one rank_of), and bins values by
-//    peer.  O(local n + peers) — never the O(local n × P) all-pairs
-//    ownership scan of the original implementation, which survives only as
-//    the test oracle tests/oracles/redistribute_reference.hpp.  It is the
+//    peer, holding bins only for the peers it meets.  O(local n + peers)
+//    — never the O(local n × P) all-pairs ownership scan of the
+//    original implementation, which survives only as the test oracle
+//    tests/oracles/redistribute_reference.hpp.  It is the
 //    identity case of detail::binned_exchange_begin, the one cyclic binner
 //    that copy_strided_dim shares too.
 //
@@ -53,19 +54,30 @@
 // compute.  The exchange is planned once; each slice cuts the plan's slabs
 // to its lines.
 //
-// Remote messages are issued through the machine-wide round schedule of
-// machine/schedule.hpp (XOR pairwise exchange for a power-of-two machine,
-// latin-square ordering otherwise): a pair's round depends only on the two
-// machine ranks, and each round restricted to the ranks of both views is
-// still a matching, so with MachineConfig::link_contention no injection or
-// ejection link is oversubscribed and no member list is built.
-// redistribute() and redistribute_begin() also take IssueOrder::kPeerOrder,
-// which keeps the raw enumeration order: the naive baseline
-// bench_redistribute compares the schedule against.
+// Issue order.  The machine-wide round schedule of machine/schedule.hpp
+// (XOR pairwise exchange for a power-of-two machine, latin-square ordering
+// otherwise) numbers a pair's round from the two machine ranks alone, and
+// restricted to the ranks of both views each round is still a matching.
+// But a sender with few peers compacts its rounds, so on a sparse pair set
+// its k-th send is not its round-k message: on ADI's (*, block) ->
+// (block, block) switch the four senders to each of ranks 3, 6, 9 and 12
+// all put them last, and those ejection ports drained three wire times
+// after the ports of ranks 0, 5, 10 and 15.  The box exchange therefore
+// gives exchange_begin its own send order, an edge colouring of its pair
+// graph (pair_graph_sort): each sender's send to receiver d gets colour a ^ b
+// from d's position b among its destinations and its own position a among
+// d's sources, computed from the two layouts' arithmetic in O(R) per peer.
+// On a whole-machine power-of-two all-to-all that is the XOR order itself;
+// on a complete-bipartite component with power-of-two sides it is a latin
+// square.  The receives are posted in round order, and the binner keeps
+// the round order.  redistribute() and redistribute_begin() also take
+// IssueOrder::kPeerOrder, which keeps the raw enumeration order: the naive
+// baseline bench_redistribute compares the orders against.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <span>
 #include <string>
@@ -170,18 +182,6 @@ bool box_eligible(const DistArray<T, R>& A) {
   return true;
 }
 
-/// The calling member's owned box (block/star dims; paper's lower/upper).
-template <class T, int R>
-Box<R> owned_box(const DistArray<T, R>& A) {
-  Box<R> b;
-  for (int d = 0; d < R; ++d) {
-    const auto ud = static_cast<std::size_t>(d);
-    b.lo[ud] = A.own_lower(d);
-    b.hi[ud] = A.own_upper(d);
-  }
-  return b;
-}
-
 /// Floor/ceil division for positive divisors and any-sign dividends.
 inline int floor_div(int a, int b) {
   return a >= 0 ? a / b : -((-a + b - 1) / b);
@@ -226,57 +226,76 @@ struct BoxCopy {
   bool fuse_halo = false;
 };
 
+/// Per grid dimension of box-eligible `A`'s view: the array dim bound to
+/// it and the inclusive range of owner coordinates whose receive set can
+/// meet the transfer set (`within`'s ranges on off-dims, steps `tr`
+/// through off + t * stride along `dim`) — one coordinate wider per side
+/// on a dim with a halo when `expand_halo` (the caller guarantees no halo
+/// is wider than a block).
+struct PeerRanges {
+  int nd = 0;
+  std::array<int, kMaxProcDims> adim{};  ///< grid dim -> bound array dim
+  std::array<int, kMaxProcDims> lo{};
+  std::array<int, kMaxProcDims> hi{};
+};
+
+template <class T, int R>
+PeerRanges peer_ranges(const DistArray<T, R>& A, const Box<R>& within,
+                       int dim, TRange tr, int off, int stride,
+                       bool expand_halo) {
+  PeerRanges pr;
+  pr.nd = A.view().ndims();
+  for (int d = 0; d < R; ++d) {
+    if (A.proc_dim(d) >= 0) {
+      pr.adim[static_cast<std::size_t>(A.proc_dim(d))] = d;
+    }
+  }
+  for (int pd = 0; pd < pr.nd; ++pd) {
+    const auto upd = static_cast<std::size_t>(pd);
+    const int d = pr.adim[upd];
+    if (d == dim) {
+      pr.lo[upd] = A.map(d).owner(off + tr.lo * stride);
+      pr.hi[upd] = A.map(d).owner(off + tr.hi * stride);
+    } else {
+      const auto ud = static_cast<std::size_t>(d);
+      pr.lo[upd] = A.map(d).owner(within.lo[ud]);
+      pr.hi[upd] = A.map(d).owner(within.hi[ud]);
+    }
+    if (expand_halo && A.halo(d) > 0) {  // expansion reaches one owner more
+      pr.lo[upd] = std::max(0, pr.lo[upd] - 1);
+      pr.hi[upd] = std::min(A.view().extent(pd) - 1, pr.hi[upd] + 1);
+    }
+  }
+  return pr;
+}
+
 /// Visit every rank of box-eligible `A` whose receive set intersects the
 /// transfer set (`within`'s ranges on off-dims, steps `tr` through
 /// off + t * stride along `dim`), passing the rank and the shared slab: a
 /// box whose off-dim slots are global indices and whose `dim` slot holds
 /// the shared steps.  O(peers): per grid dimension only the owner
-/// coordinates of the range bounds are enumerated; ranks whose block skips
-/// every strided step (stride larger than the block) are filtered out,
-/// identically on both endpoints.  With `expand_halo`, each rank's receive
-/// set is its owned block expanded by A's halo margins and clipped to the
-/// domain (one extra owner coordinate per side covers the expansion — the
-/// caller guarantees no halo is wider than a block); without it, exactly
-/// the owned blocks.
+/// coordinates of the range bounds are enumerated (peer_ranges), in
+/// row-major order, so ranks ascend; ranks whose block skips every strided
+/// step (stride larger than the block) are filtered out, identically on
+/// both endpoints.  With `expand_halo`, each rank's receive set is its
+/// owned block expanded by A's halo margins and clipped to the domain;
+/// without it, exactly the owned blocks.
 template <class T, int R, class Fn>
 void strided_peer_walk(const DistArray<T, R>& A, const Box<R>& within,
                        int dim, TRange tr, int off, int stride,
                        bool expand_halo, Fn fn) {
-  const int nd = A.view().ndims();
-  std::array<int, kMaxProcDims> adim{};  // grid dim -> bound array dim
-  for (int d = 0; d < R; ++d) {
-    if (A.proc_dim(d) >= 0) {
-      adim[static_cast<std::size_t>(A.proc_dim(d))] = d;
-    }
-  }
-  std::array<int, kMaxProcDims> clo{};
-  std::array<int, kMaxProcDims> chi{};
-  for (int pd = 0; pd < nd; ++pd) {
-    const auto upd = static_cast<std::size_t>(pd);
-    const int d = adim[upd];
-    if (d == dim) {
-      clo[upd] = A.map(d).owner(off + tr.lo * stride);
-      chi[upd] = A.map(d).owner(off + tr.hi * stride);
-    } else {
-      const auto ud = static_cast<std::size_t>(d);
-      clo[upd] = A.map(d).owner(within.lo[ud]);
-      chi[upd] = A.map(d).owner(within.hi[ud]);
-    }
-    if (expand_halo && A.halo(d) > 0) {  // expansion reaches one owner more
-      clo[upd] = std::max(0, clo[upd] - 1);
-      chi[upd] = std::min(A.view().extent(pd) - 1, chi[upd] + 1);
-    }
-  }
+  const PeerRanges pr =
+      peer_ranges(A, within, dim, tr, off, stride, expand_halo);
   const auto udim = static_cast<std::size_t>(dim);
-  std::array<int, kMaxProcDims> c = clo;
+  std::array<int, kMaxProcDims> c = pr.lo;
   for (;;) {
     Box<R> b = within;  // star dims of A: peer holds the whole extent
     b.lo[udim] = tr.lo;
     b.hi[udim] = tr.hi;
     bool nonempty = true;
-    for (int pd = 0; pd < nd && nonempty; ++pd) {
+    for (int pd = 0; pd < pr.nd && nonempty; ++pd) {
       const auto upd = static_cast<std::size_t>(pd);
-      const int d = adim[upd];
+      const int d = pr.adim[upd];
       const auto ud = static_cast<std::size_t>(d);
       const int h = expand_halo ? A.halo(d) : 0;
       const int blo = std::max(0, A.map(d).block_lower(c[upd]) - h);
@@ -294,18 +313,68 @@ void strided_peer_walk(const DistArray<T, R>& A, const Box<R>& within,
     if (nonempty) {
       fn(A.view().rank_of(c), b);
     }
-    int pd = nd - 1;
+    int pd = pr.nd - 1;
     for (; pd >= 0; --pd) {
       const auto upd = static_cast<std::size_t>(pd);
-      if (++c[upd] <= chi[upd]) {
+      if (++c[upd] <= pr.hi[upd]) {
         break;
       }
-      c[upd] = clo[upd];
+      c[upd] = pr.lo[upd];
     }
     if (pd < 0) {
       return;
     }
   }
+}
+
+/// The owned box (paper's lower/upper) of the rank at view coordinates
+/// `vc` of box-eligible `A`, expanded by A's halo margins and clipped to
+/// the domain when `expand_halo`: a receiver's set in a fused-halo copy.
+template <class T, int R>
+Box<R> block_box(const DistArray<T, R>& A,
+                 const std::array<int, kMaxProcDims>& vc, bool expand_halo) {
+  Box<R> b;
+  for (int d = 0; d < R; ++d) {
+    const auto ud = static_cast<std::size_t>(d);
+    b.lo[ud] = 0;
+    b.hi[ud] = A.extent(d) - 1;
+    if (A.proc_dim(d) >= 0) {
+      const int c = vc[static_cast<std::size_t>(A.proc_dim(d))];
+      const int h = expand_halo ? A.halo(d) : 0;
+      b.lo[ud] = std::max(0, A.map(d).block_lower(c) - h);
+      b.hi[ud] = std::min(b.hi[ud], A.map(d).block_upper(c) + h);
+    }
+  }
+  return b;
+}
+
+/// This rank's position among the ranks strided_peer_walk(A, within, dim,
+/// tr, off, stride, /*expand_halo=*/false) visits, in O(R) without the
+/// walk; this rank must be one of them.  The visited set is a product of
+/// per-grid-dim coordinate sets, so the position is a row-major index.
+/// Off `dim`, and along it while the stride is below the block length,
+/// every coordinate in peer_ranges holds a step; from the block length on,
+/// each step has a block of its own and coordinates between steps drop
+/// out.
+template <class T, int R>
+int walk_position(const DistArray<T, R>& A, const Box<R>& within, int dim,
+                  TRange tr, int off, int stride) {
+  const PeerRanges pr = peer_ranges(A, within, dim, tr, off, stride, false);
+  int pos = 0;
+  for (int pd = 0; pd < pr.nd; ++pd) {
+    const auto upd = static_cast<std::size_t>(pd);
+    const int d = pr.adim[upd];
+    const DimMap& m = A.map(d);
+    int before = A.my_coord(d) - pr.lo[upd];
+    int n = pr.hi[upd] - pr.lo[upd] + 1;
+    if (d == dim && stride >= m.count(0)) {
+      const int t = floor_div(m.block_lower(A.my_coord(d)) - 1 - off, stride);
+      before = std::max(0, std::min(tr.hi, t) - tr.lo + 1);
+      n = tr.hi - tr.lo + 1;
+    }
+    pos = pos * n + before;
+  }
+  return pos;
 }
 
 /// Visit a slab of `c` element by element in the agreed row-major wire
@@ -358,7 +427,8 @@ ExchangePlan<R> plan_exchange(const Context& ctx, const DistArray<T, R>& src,
   p.active = true;
   const auto ud = static_cast<std::size_t>(c.dim);
   if (in_src) {
-    const Box<R> mine = owned_box(src);
+    const Box<R> mine =
+        block_box(src, *src.view().coord_of(ctx.rank()), false);
     const TRange tm = strided_steps(mine.lo[ud], mine.hi[ud], c.s_off,
                                     c.s_stride, c.count - 1);
     if (!mine.empty() && !tm.empty()) {
@@ -371,14 +441,8 @@ ExchangePlan<R> plan_exchange(const Context& ctx, const DistArray<T, R>& src,
     }
   }
   if (in_dst) {
-    Box<R> mine = owned_box(dst);
-    if (c.fuse_halo) {
-      for (int d = 0; d < R; ++d) {
-        const auto sd = static_cast<std::size_t>(d);
-        mine.lo[sd] = std::max(0, mine.lo[sd] - dst.halo(d));
-        mine.hi[sd] = std::min(dst.extent(d) - 1, mine.hi[sd] + dst.halo(d));
-      }
-    }
+    const Box<R> mine =
+        block_box(dst, *dst.view().coord_of(ctx.rank()), c.fuse_halo);
     const TRange tm = strided_steps(mine.lo[ud], mine.hi[ud], c.d_off,
                                     c.d_stride, c.count - 1);
     if (!mine.empty() && !tm.empty()) {
@@ -394,6 +458,61 @@ ExchangePlan<R> plan_exchange(const Context& ctx, const DistArray<T, R>& src,
     }
   }
   return p;
+}
+
+/// Put a plan's sends `out` in the order of an edge colouring of the
+/// exchange's own pair graph (senders x receivers, self pairs included).
+/// The send to receiver d gets colour a ^ b, where b is d's position among
+/// this rank's destinations and a this rank's position among d's sources
+/// (both lists ascending; `has_self` says whether this rank is one of its
+/// own destinations); ties go by the machine-wide round.  Every sender
+/// computes its colours from the two layouts' arithmetic, O(R) per peer: b
+/// from the plan, a from d's receive set (block_box, walk_position).  On a
+/// complete-bipartite component with power-of-two sides the colouring is a
+/// latin square, so with no more senders than receivers no receiver takes
+/// two messages in one issue slot; on a whole-machine all-to-all of a
+/// power-of-two machine it is the machine-wide XOR order itself.
+template <class T, int R>
+void pair_graph_sort(const Context& ctx, const DistArray<T, R>& src,
+                     const DistArray<T, R>& dst, const BoxCopy& c,
+                     bool has_self, std::vector<std::pair<int, Box<R>>>& out) {
+  if (out.size() < 2) {
+    return;
+  }
+  // b of out[i] is i, or i + 1 from this rank's own slot on (the plan's
+  // destinations ascend and skip self).
+  const std::size_t self_b =
+      has_self ? static_cast<std::size_t>(
+                     std::ranges::lower_bound(out, ctx.rank(), {},
+                                              &std::pair<int, Box<R>>::first) -
+                     out.begin())
+               : out.size();
+  const auto ud = static_cast<std::size_t>(c.dim);
+  const CommSchedule sched(ctx.nprocs());
+  std::vector<std::pair<std::uint64_t, std::size_t>> keys;
+  keys.reserve(out.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const int rank = out[i].first;
+    // a: this rank's position among the sources of `rank`, from its
+    // receive set.
+    const Box<R> rb = block_box(dst, *dst.view().coord_of(rank), c.fuse_halo);
+    const TRange tr = strided_steps(rb.lo[ud], rb.hi[ud], c.d_off, c.d_stride,
+                                    c.count - 1);
+    const auto a = static_cast<std::size_t>(
+        walk_position(src, rb, c.dim, tr, c.s_off, c.s_stride));
+    const std::size_t b = i < self_b ? i : i + 1;
+    keys.emplace_back((static_cast<std::uint64_t>(a ^ b) << 32) |
+                          static_cast<std::uint64_t>(
+                              sched.round_of(ctx.rank(), rank)),
+                      i);
+  }
+  std::ranges::sort(keys);
+  std::vector<std::pair<int, Box<R>>> sorted;
+  sorted.reserve(out.size());
+  for (const auto& k : keys) {
+    sorted.push_back(out[k.second]);
+  }
+  std::ranges::copy(sorted, out.begin());  // `out` keeps its allocation
 }
 
 template <class T, int R>
@@ -448,10 +567,11 @@ double copy_self(const DistArray<T, R>& src, DistArray<T, R>& dst,
   return static_cast<double>(p.self->volume());
 }
 
-/// A planned box exchange begun: the sends fired in round order (raw
-/// enumeration order under kPeerOrder), the pack and the self-overlap copy
-/// charged inside the wire window; finish() unpacks each incoming slab
-/// straight from its payload.
+/// A planned box exchange begun: the sends fired in pair-graph order
+/// (pair_graph_sort) and the receives posted in round order (raw
+/// enumeration order for both under kPeerOrder), the pack and the
+/// self-overlap copy charged inside the wire window; finish() unpacks each
+/// incoming slab straight from its payload.
 template <class T, int R>
 [[nodiscard]] PendingExchange box_exchange_begin(
     Context& ctx, const DistArray<T, R>& src, DistArray<T, R>& dst,
@@ -472,11 +592,50 @@ template <class T, int R>
       [&dst, c](const Box<R>& slab, const std::vector<T>& vals) {
         return unpack_slab(dst, c, slab, std::span<const T>(vals));
       },
-      order);
+      order,
+      [&](std::vector<std::pair<int, Box<R>>>& out) {
+        pair_graph_sort(ctx, src, dst, c, p.self.has_value(), out);
+      });
   ctx.compute(packed);
   ctx.compute(copy_self(src, dst, c, p));
   return ex;
 }
+
+/// Items binned by view index, with a bin only for each index met — not a
+/// slot per view member.  The bin last hit and the one met after it
+/// (wrapping) are checked before the O(log peers) index lookup, so the
+/// recurring owners of a cyclic walk cost O(1) per item.
+template <class Item>
+class PeerBins {
+ public:
+  void add(std::size_t index, Item item) {
+    if (last_ >= bins_.size() || bins_[last_].first != index) {
+      const std::size_t next = last_ + 1 < bins_.size() ? last_ + 1 : 0;
+      if (next < bins_.size() && bins_[next].first == index) {
+        last_ = next;
+      } else {
+        const auto [it, fresh] = slot_.try_emplace(index, bins_.size());
+        if (fresh) {
+          bins_.emplace_back(index, std::vector<Item>{});
+        }
+        last_ = it->second;
+      }
+    }
+    bins_[last_].second.push_back(std::move(item));
+  }
+
+  /// The bins, ascending by index; each keeps its items in insertion order.
+  std::vector<std::pair<std::size_t, std::vector<Item>>> take() && {
+    std::ranges::sort(bins_, {},
+                      &std::pair<std::size_t, std::vector<Item>>::first);
+    return std::move(bins_);
+  }
+
+ private:
+  std::vector<std::pair<std::size_t, std::vector<Item>>> bins_;
+  std::map<std::size_t, std::size_t> slot_;  ///< index -> position in bins_
+  std::size_t last_ = 0;
+};
 
 /// The cyclic binner behind every exchange with a cyclic or block-cyclic
 /// dim, begun: the BoxCopy's transfer on any layouts.  Each side walks its
@@ -509,11 +668,10 @@ template <class T, int R>
   std::vector<std::pair<int, std::vector<GIndex<R>>>> in;
   std::vector<GIndex<R>> self;  // destination indices copied locally
   if (in_src) {
-    const auto ndst = static_cast<std::size_t>(dst.view().count());
-    const std::size_t self_di =
-        in_dst ? static_cast<std::size_t>(dst.view().linear_index_of(ctx.rank()))
-               : ndst;  // sentinel: matches no bin
-    std::vector<std::vector<T>> bins(ndst);
+    const auto self_di = static_cast<std::size_t>(
+        in_dst ? dst.view().linear_index_of(ctx.rank())
+               : dst.view().count());  // sentinel: matches no bin
+    PeerBins<T> bins;
     src.for_each_owned([&](GIndex<R> g) {
       const int t = step_of(g[ud], c.s_off, c.s_stride);
       if (t < 0) {
@@ -523,36 +681,33 @@ template <class T, int R>
       gd[ud] = c.d_off + t * c.d_stride;
       const std::size_t di = owner_index(dst, gd);
       if (di != self_di) {
-        bins[di].push_back(src.at(g));
+        bins.add(di, src.at(g));
       }
     });
-    for (std::size_t pi = 0; pi < bins.size(); ++pi) {
-      if (!bins[pi].empty()) {
-        out.emplace_back(dst.view().rank_at(static_cast<int>(pi)),
-                         std::move(bins[pi]));
-      }
+    for (auto& [di, vals] : std::move(bins).take()) {
+      out.emplace_back(dst.view().rank_at(static_cast<int>(di)),
+                       std::move(vals));
     }
   }
   if (in_dst) {
-    std::vector<std::vector<GIndex<R>>> expect(
-        static_cast<std::size_t>(src.view().count()));
+    const auto self_si = static_cast<std::size_t>(
+        in_src ? src.view().linear_index_of(ctx.rank())
+               : src.view().count());  // sentinel: matches no bin
+    PeerBins<GIndex<R>> expect;
     dst.for_each_owned([&](GIndex<R> g) {
       const int t = step_of(g[ud], c.d_off, c.d_stride);
       if (t >= 0) {
         GIndex<R> gs = g;
         gs[ud] = c.s_off + t * c.s_stride;
-        expect[owner_index(src, gs)].push_back(g);
+        expect.add(owner_index(src, gs), g);
       }
     });
-    const std::size_t self_si =
-        in_src ? static_cast<std::size_t>(src.view().linear_index_of(ctx.rank()))
-               : expect.size();  // sentinel: matches no bin
-    for (std::size_t pi = 0; pi < expect.size(); ++pi) {
-      if (pi == self_si) {
-        self = std::move(expect[pi]);
-      } else if (!expect[pi].empty()) {
-        in.emplace_back(src.view().rank_at(static_cast<int>(pi)),
-                        std::move(expect[pi]));
+    for (auto& [si, idxs] : std::move(expect).take()) {
+      if (si == self_si) {
+        self = std::move(idxs);
+      } else {
+        in.emplace_back(src.view().rank_at(static_cast<int>(si)),
+                        std::move(idxs));
       }
     }
   }

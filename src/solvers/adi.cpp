@@ -14,23 +14,33 @@ namespace kali {
 
 namespace {
 
-/// r = tau * (L u - f): the pseudo-time defect of u_t = L u - f, whose
-/// steady state is L u = f.  (L is negative definite, so the increment
-/// carries this sign; see the header comment.)  Does u's copy-in itself,
-/// hidden behind the interior points.
-void residual_scaled(const Op2& op, double tau, const DistArray2<double>& u,
-                     const DistArray2<double>& f, DistArray2<double>& r) {
-  const int nx = f.extent(0), ny = f.extent(1);
-  const double cx = op.cx(), cy = op.cy(), dg = op.diag();
-  auto uin = u.clone();
-  auto body = [&](int i, int j) {
+/// Flops charged per point of the residual.
+constexpr double kResidualFlops = 10.0;
+
+/// The residual at one point, r(i, j) = tau * (L u - f)(i, j), reading
+/// `uin`, whose ghosts must hold u's neighbours: the pseudo-time defect of
+/// u_t = L u - f, whose steady state is L u = f.  (L is negative definite,
+/// so the increment carries this sign; see the header comment.)
+auto residual_body(const Op2& op, double tau, const DistArray2<double>& uin,
+                   const DistArray2<double>& f, DistArray2<double>& r) {
+  return [&uin, &f, &r, tau, cx = op.cx(), cy = op.cy(),
+          dg = op.diag()](int i, int j) {
     const double lu = cx * (uin.at_halo({i - 1, j}) + uin.at_halo({i + 1, j})) +
                       cy * (uin.at_halo({i, j - 1}) + uin.at_halo({i, j + 1})) +
                       dg * uin.at_halo({i, j});
     r(i, j) = tau * (lu - f(i, j));
   };
+}
+
+/// The whole residual r = tau * (L u - f).  Does u's copy-in itself,
+/// hidden behind the interior points.
+void residual_scaled(const Op2& op, double tau, const DistArray2<double>& u,
+                     const DistArray2<double>& f, DistArray2<double>& r) {
+  const int nx = f.extent(0), ny = f.extent(1);
+  auto uin = u.clone();
   doall_overlap(uin.exchange_halo_begin(), uin,
-                {Range{0, nx - 1}, Range{0, ny - 1}}, body, 10.0);
+                {Range{0, nx - 1}, Range{0, ny - 1}},
+                residual_body(op, tau, uin, f, r), kResidualFlops);
 }
 
 /// The view's members as a 1-D line view (transpose mode redistributes
@@ -82,7 +92,9 @@ void adi_iterate(const AdiOptions& opts, DistArray2<double>& u,
   D2 r(ctx, u.view(), {nx, ny}, dists);
   D2 w(ctx, u.view(), {nx, ny}, dists);
 
-  residual_scaled(op, tau, u, f, r);
+  if (!opts.transpose) {
+    residual_scaled(op, tau, u, f, r);
+  }
 
   // Tridiagonal coefficients of (I - tau L2) and (I - tau L1).
   const double oy = -tau * op.cy();
@@ -93,12 +105,13 @@ void adi_iterate(const AdiOptions& opts, DistArray2<double>& u,
   if (opts.transpose) {
     // Direction switch by redistribution: remap r to (block, *) so every
     // y-line is a local Thomas sweep, transpose to (*, block) for the
-    // x-lines, then land back in (block, block).  Each sweep is pipelined
-    // into the redistribution after it (redistribute_lines): a slice of
-    // solved lines is on the wire while the next slice solves.  All three
-    // redistributions are box-intersection slab exchanges, issued in
-    // round-schedule order (machine/schedule.hpp) with each rank's
-    // self-overlap copied locally, never sent.
+    // x-lines, then land back in (block, block).  The residual and each
+    // sweep are pipelined into the redistribution after them
+    // (redistribute_lines): a slice of finished lines is on the wire while
+    // the next slice computes.  All three redistributions are
+    // box-intersection slab exchanges, each sender issuing in the order of
+    // its exchange's pair graph (pair_graph_sort, runtime/redistribute.hpp)
+    // with each rank's self-overlap copied locally, never sent.
     const ProcView line = row_major_line(u.view());
     D2 rrows(ctx, line, {nx, ny}, {DimDist::block_dist(), DimDist::star()});
     D2 vcols(ctx, line, {nx, ny}, {DimDist::star(), DimDist::block_dist()});
@@ -121,7 +134,17 @@ void adi_iterate(const AdiOptions& opts, DistArray2<double>& u,
         }
       });
     };
-    redistribute(ctx, r, rrows);
+    // The residual reads u's own ghosts, exchanged once up front: no copy
+    // of u is held while the rows go out.
+    u.exchange_halo();
+    const auto resid = residual_body(op, tau, u, f, r);
+    const int jlo = r.own_lower(1), jhi = r.own_upper(1);
+    redistribute_lines(ctx, r, rrows, 0, [&](int i) {
+      for (int j = jlo; j <= jhi; ++j) {
+        resid(i, j);
+      }
+      ctx.compute(kResidualFlops * (jhi - jlo + 1));
+    });
     sweep(rrows, vcols, 1, oy, dy);
     sweep(vcols, w, 0, ox, dx);
   } else if (!opts.pipelined) {

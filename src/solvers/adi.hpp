@@ -25,7 +25,12 @@
 // for the x-direction, then back to (block, block).  This is the paper's
 // "variety of distribution patterns can be tried by simple modifications"
 // made concrete, and it exercises redistribute()'s box-intersection slab
-// exchange on every iteration.
+// exchange on every iteration.  The residual and both sweeps are
+// pipelined into the switch after them (redistribute_lines): the residual
+// is computed row by row from u's own ghosts, exchanged once up front, so
+// each slice of rows is on the wire while the next computes.  The
+// transpose mode also changes u's ghost cells; the other modes leave u's
+// ghosts alone.
 //
 // Arrays hold the n x n interior with a zero Dirichlet ghost frame
 // (dist (block, block) over procs(px, py), halo 1).

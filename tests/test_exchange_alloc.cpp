@@ -19,7 +19,8 @@
 // bytes per exchange per rank on 1024 ranks than on 64, apart from the
 // fiber scheduler's run-queue blocks — a pair's round is a function of
 // two machine ranks, so no exchange copies, merges or searches a view's
-// rank list.
+// rank list.  A cyclic-to-block redistribute guards the cyclic binner the
+// same way: it keeps bins only for the peers it talks to.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -226,18 +227,38 @@ void grid2_to_grid1(Context& ctx, int steps) {
   }
 }
 
+/// Redistributions of 4p doubles from cyclic(1) to block on a line of p
+/// ranks, through the cyclic binner: each rank sends its four elements to
+/// four ranks and receives its block of four from four, whatever P is.
+void cyclic_to_block(Context& ctx, int steps) {
+  const int p = ctx.nprocs();
+  const ProcView line = ProcView::grid1(p);
+  DistArray1<double> a(ctx, line, {4 * p}, {DimDist::cyclic()});
+  DistArray1<double> b(ctx, line, {4 * p}, {DimDist::block_dist()});
+  a.fill([](std::array<int, 1> g) { return 0.5 * g[0]; });
+  for (int k = 0; k < steps; ++k) {
+    redistribute(ctx, a, b);
+  }
+}
+
 TEST(ExchangeAlloc, ExchangeBytesPerRankDoNotGrowWithP) {
   const double halo_small = bytes_per_exchange_per_rank(64, corner_halos);
   const double halo_large = bytes_per_exchange_per_rank(1024, corner_halos);
   const double redist_small = bytes_per_exchange_per_rank(64, grid2_to_grid1);
   const double redist_large =
       bytes_per_exchange_per_rank(1024, grid2_to_grid1);
+  const double binned_small = bytes_per_exchange_per_rank(64, cyclic_to_block);
+  const double binned_large =
+      bytes_per_exchange_per_rank(1024, cyclic_to_block);
   RecordProperty("corner_halo_bytes_p64", std::to_string(halo_small));
   RecordProperty("corner_halo_bytes_p1024", std::to_string(halo_large));
   RecordProperty("redistribute_bytes_p64", std::to_string(redist_small));
   RecordProperty("redistribute_bytes_p1024", std::to_string(redist_large));
+  RecordProperty("binned_bytes_p64", std::to_string(binned_small));
+  RecordProperty("binned_bytes_p1024", std::to_string(binned_large));
   // A copied view rank list costs 4 * p bytes per rank and exchange (4096
-  // at p = 1024), and a sorted union of two views' lists more than that.
+  // at p = 1024), and a sorted union of two views' lists more than that;
+  // a binner slot per view member costs 24 bytes per member and side.
   // The only allowance is the fiber scheduler's ready queue: one 512-byte
   // block per 128 wakes, under 4 bytes per rank and exchange on these
   // shapes, which the dispatch order splits a little differently at each
@@ -245,6 +266,14 @@ TEST(ExchangeAlloc, ExchangeBytesPerRankDoNotGrowWithP) {
   constexpr double kReadyQueueSlack = 4.0;
   EXPECT_LE(halo_large, halo_small + kReadyQueueSlack);
   EXPECT_LE(redist_large, redist_small + kReadyQueueSlack);
+  // The binned case also moves with the mailbox's 504-byte queue blocks:
+  // its peers' rounds differ at each p, and so does how far a rank's queue
+  // fills before it drains (0.475 blocks per rank and exchange at p = 64,
+  // 0.502 at p = 1024).  Allow a sixteenth of a block more; per-member
+  // bins cost over 46000 bytes more at p = 1024 than at 64.
+  constexpr double kMailboxBlockSlack = 504.0 / 16;
+  EXPECT_LE(binned_large,
+            binned_small + kReadyQueueSlack + kMailboxBlockSlack);
 }
 
 }  // namespace

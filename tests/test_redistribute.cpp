@@ -4,15 +4,20 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <numeric>
 #include <span>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "machine/context.hpp"
+#include "machine/event_log.hpp"
 #include "oracles/line_pass_reference.hpp"
 #include "oracles/redistribute_reference.hpp"
+#include "random_view.hpp"
 #include "runtime/io.hpp"
+#include "support/rng.hpp"
 
 namespace kali {
 namespace {
@@ -720,6 +725,306 @@ TEST(RedistributeLines, RejectsCyclicLayoutsAndBadLineDim) {
   EXPECT_NO_THROW(attempt(false, 0));
   EXPECT_THROW(attempt(true, 0), Error);
   EXPECT_THROW(attempt(false, 2), Error);
+}
+
+// ---------------------------------------------------------------------------
+// Issue order of box exchanges: each sender orders its messages by an edge
+// colouring of the exchange's own pair graph (detail::pair_graph_sort),
+// observed here through the event log.
+// ---------------------------------------------------------------------------
+
+/// Each rank's redistribute sends in issue order (destination ranks), as
+/// the event log recorded them.
+std::vector<std::vector<int>> send_sequences(const EventLog& log) {
+  std::vector<std::vector<int>> seqs(static_cast<std::size_t>(log.nprocs()));
+  for (int r = 0; r < log.nprocs(); ++r) {
+    for (const EventLog::Event& e : log.events(r)) {
+      if (e.kind == EventLog::Kind::kSend && e.tag == kTagRedistData) {
+        seqs[static_cast<std::size_t>(r)].push_back(e.peer);
+      }
+    }
+  }
+  return seqs;
+}
+
+/// A random 3-D layout over `v`: v.ndims() of the three dims block, the
+/// rest star.
+DistArray3<double>::Dists random_dists(Rng& rng, const ProcView& v) {
+  DistArray3<double>::Dists d{DimDist::star(), DimDist::star(),
+                              DimDist::star()};
+  for (int placed = 0; placed < v.ndims();) {
+    auto& slot = d[static_cast<std::size_t>(rng.uniform_int(0, 2))];
+    if (slot.kind == DistKind::kStar) {
+      slot = DimDist::block_dist();
+      ++placed;
+    }
+  }
+  return d;
+}
+
+bool power_of_two(std::size_t n) { return n > 0 && (n & (n - 1)) == 0; }
+
+TEST(RedistributeOrder, LatinSquareOnCompleteBipartiteComponents) {
+  // Box redistributes between random block/star layouts over random views.
+  // In every component of the pair graph (senders x receivers) that is
+  // complete bipartite with power-of-two sides and holds no self pair,
+  // the senders issue in a latin square: no receiver holds the same issue
+  // position in two senders' sequences when there are no more senders
+  // than receivers, and none more than #senders / #receivers times
+  // otherwise.  The machine-wide XOR order breaks this whenever the
+  // component's ranks are not an aligned block.
+  int checked = 0;
+  for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const ProcView sv = random_view(rng);
+    const ProcView dv = random_view(rng);
+    const DistArray3<double>::Dists sd = random_dists(rng, sv);
+    const DistArray3<double>::Dists dd = random_dists(rng, dv);
+    const DistArray3<double>::Extents ext{rng.uniform_int(1, 12),
+                                          rng.uniform_int(1, 12),
+                                          rng.uniform_int(1, 12)};
+    const int np = 1 + std::max(sv.rank_at(sv.count() - 1),
+                                dv.rank_at(dv.count() - 1));
+    std::vector<char> self_pair(static_cast<std::size_t>(np), 0);
+    Machine m(np);
+    EventLog log(np);
+    m.attach_event_log(&log);
+    m.run([&](Context& ctx) {
+      DistArray3<double> a(ctx, sv, ext, sd);
+      DistArray3<double> b(ctx, dv, ext, dd);
+      a.fill([](std::array<int, 3> g) { return g[0] - 0.5 * g[1] + g[2]; });
+      redistribute(ctx, a, b);
+      b.for_each_owned([&](std::array<int, 3> g) {
+        EXPECT_EQ(b.at(g), g[0] - 0.5 * g[1] + g[2]);
+      });
+      bool overlap = a.participating() && b.participating();
+      for (int d = 0; d < 3 && overlap; ++d) {
+        overlap = std::max(a.own_lower(d), b.own_lower(d)) <=
+                  std::min(a.own_upper(d), b.own_upper(d));
+      }
+      self_pair[static_cast<std::size_t>(ctx.rank())] = overlap ? 1 : 0;
+    });
+    const auto seqs = send_sequences(log);
+
+    // Components over sender nodes s and receiver nodes np + d.
+    std::vector<int> root(2 * static_cast<std::size_t>(np));
+    std::iota(root.begin(), root.end(), 0);
+    auto find = [&](int x) {
+      while (root[static_cast<std::size_t>(x)] != x) {
+        x = root[static_cast<std::size_t>(x)] =
+            root[static_cast<std::size_t>(root[static_cast<std::size_t>(x)])];
+      }
+      return x;
+    };
+    auto join = [&](int s, int d) {
+      root[static_cast<std::size_t>(find(s))] = find(np + d);
+    };
+    for (int s = 0; s < np; ++s) {
+      for (int d : seqs[static_cast<std::size_t>(s)]) {
+        join(s, d);
+      }
+      if (self_pair[static_cast<std::size_t>(s)] != 0) {
+        join(s, s);
+      }
+    }
+    struct Component {
+      std::vector<int> senders, receivers;
+      std::size_t edges = 0;
+      bool self = false;
+    };
+    std::map<int, Component> comps;
+    for (int s = 0; s < np; ++s) {
+      const auto& seq = seqs[static_cast<std::size_t>(s)];
+      const bool self = self_pair[static_cast<std::size_t>(s)] != 0;
+      if (!seq.empty() || self) {
+        Component& c = comps[find(s)];
+        c.senders.push_back(s);
+        c.edges += seq.size() + (self ? 1 : 0);
+        c.self |= self;
+      }
+    }
+    for (int d = 0; d < np; ++d) {  // a receiver without edges finds none
+      const auto it = comps.find(find(np + d));
+      if (it != comps.end()) {
+        it->second.receivers.push_back(d);
+      }
+    }
+    for (const auto& [key, c] : comps) {
+      const std::size_t ns = c.senders.size();
+      const std::size_t nr = c.receivers.size();
+      if (c.self || c.edges != ns * nr || !power_of_two(ns) ||
+          !power_of_two(nr) || ns < 2 || nr < 2) {
+        continue;
+      }
+      ++checked;
+      const std::size_t bound = std::max<std::size_t>(1, ns / nr);
+      for (int d : c.receivers) {
+        std::map<std::size_t, std::size_t> at_position;
+        for (int s : c.senders) {
+          const auto& seq = seqs[static_cast<std::size_t>(s)];
+          const auto pos = static_cast<std::size_t>(
+              std::find(seq.begin(), seq.end(), d) - seq.begin());
+          ++at_position[pos];
+        }
+        for (const auto& [pos, n] : at_position) {
+          EXPECT_LE(n, bound) << "receiver " << d << " position " << pos;
+        }
+      }
+    }
+  }
+  RecordProperty("components_checked", checked);
+  EXPECT_GE(checked, 40);
+}
+
+TEST(RedistributeOrder, AdiSwitchDrainsWithinItsHRelation) {
+  // ADI's direction switch (*, block) on grid1(16) -> (block, block) on
+  // grid2(4, 4): four K(4,4) components, each with one self pair.  Under
+  // the machine-wide XOR order, senders 12-15 all sent to rank 3 last, so
+  // its ejection port took four messages in the last two slots and
+  // drained two slots after the busiest sender.  Now every receiver's
+  // port, taking one message per slot in arrival order, drains by the
+  // exchange's h-relation: the most messages any rank sends or receives.
+  Machine m(16);
+  EventLog log(16);
+  m.attach_event_log(&log);
+  m.run([](Context& ctx) {
+    DistArray2<double> cols(ctx, ProcView::grid1(16), {64, 64},
+                            {DimDist::star(), DimDist::block_dist()});
+    DistArray2<double> grid(ctx, ProcView::grid2(4, 4), {64, 64},
+                            {DimDist::block_dist(), DimDist::block_dist()});
+    cols.fill([](std::array<int, 2> g) { return tag2(g[0], g[1]); });
+    redistribute(ctx, cols, grid);
+  });
+  const auto seqs = send_sequences(log);
+  std::vector<std::vector<std::size_t>> slots(16);  // per receiver
+  std::size_t h = 0;
+  for (std::size_t s = 0; s < 16; ++s) {
+    h = std::max(h, seqs[s].size());
+    for (std::size_t k = 0; k < seqs[s].size(); ++k) {
+      slots[static_cast<std::size_t>(seqs[s][k])].push_back(k);
+    }
+  }
+  for (const auto& in : slots) {
+    h = std::max(h, in.size());
+  }
+  EXPECT_EQ(h, 4u);
+  int last_to_3 = 0;
+  for (std::size_t s = 12; s < 16; ++s) {
+    last_to_3 += seqs[s].back() == 3 ? 1 : 0;
+  }
+  EXPECT_LE(last_to_3, 1);
+  for (std::size_t d = 0; d < 16; ++d) {
+    std::vector<std::size_t> in = slots[d];
+    std::ranges::sort(in);
+    std::size_t drained = 0;
+    for (std::size_t k : in) {
+      drained = std::max(drained, k) + 1;
+    }
+    EXPECT_LE(drained, h) << "receiver " << d;
+  }
+}
+
+TEST(RedistributeOrder, DenseExchangesKeepTheRoundOrder) {
+  // On a dense all-to-all every sender's pair-graph order is the
+  // machine-wide round order round_sort gives: transposes over a whole
+  // power-of-two machine and over an aligned half of one.
+  for (int p : {2, 4, 8, 16}) {
+    for (int base : {0, p}) {
+      SCOPED_TRACE("p=" + std::to_string(p) + " base=" + std::to_string(base));
+      const int np = base + p;
+      Machine m(np);
+      EventLog log(np);
+      m.attach_event_log(&log);
+      const ProcView pv = ProcView::grid1(p, base);
+      m.run([&](Context& ctx) {
+        DistArray2<double> rows(ctx, pv, {2 * p, 3 * p},
+                                {DimDist::block_dist(), DimDist::star()});
+        DistArray2<double> cols(ctx, pv, {2 * p, 3 * p},
+                                {DimDist::star(), DimDist::block_dist()});
+        rows.fill([](std::array<int, 2> g) { return tag2(g[0], g[1]); });
+        redistribute(ctx, rows, cols);
+      });
+      const auto seqs = send_sequences(log);
+      for (int r = base; r < np; ++r) {
+        std::vector<std::pair<int, int>> want;
+        for (int d = base; d < np; ++d) {
+          if (d != r) {
+            want.emplace_back(d, 0);
+          }
+        }
+        detail::round_sort(want, np, r);
+        std::vector<int> want_ranks;
+        for (const auto& e : want) {
+          want_ranks.push_back(e.first);
+        }
+        EXPECT_EQ(seqs[static_cast<std::size_t>(r)], want_ranks)
+            << "rank " << r;
+      }
+    }
+  }
+}
+
+TEST(RedistributeOrder, WalkPositionMatchesTheReceiversWalk) {
+  // The O(R) position a sender computes for itself among a receiver's
+  // sources equals its index in the receiver's own walk, on random
+  // strided copies (steps skipping whole blocks included) with and without
+  // the fused halo.
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const ProcView sv = random_view(rng);
+    const ProcView dv = random_view(rng);
+    const DistArray3<double>::Dists sd = random_dists(rng, sv);
+    const DistArray3<double>::Dists dd = random_dists(rng, dv);
+    detail::BoxCopy c{"copy", kTagRemap};
+    c.dim = rng.uniform_int(0, 2);
+    c.count = rng.uniform_int(1, 8);
+    c.s_stride = rng.uniform_int(1, 4);
+    c.s_off = rng.uniform_int(0, 2);
+    c.d_stride = rng.uniform_int(1, 3);
+    c.d_off = rng.uniform_int(0, 2);
+    c.fuse_halo = rng.uniform_int(0, 1) == 1;
+    DistArray3<double>::Extents se{}, de{};
+    DistArray3<double>::Halos dh{};
+    for (std::size_t d = 0; d < 3; ++d) {
+      se[d] = de[d] = rng.uniform_int(1, 12);
+      dh[d] = c.fuse_halo && dd[d].kind == DistKind::kBlock ? 1 : 0;
+    }
+    const auto ud = static_cast<std::size_t>(c.dim);
+    se[ud] = c.s_off + (c.count - 1) * c.s_stride + 1 + rng.uniform_int(0, 2);
+    de[ud] = c.d_off + (c.count - 1) * c.d_stride + 1 + rng.uniform_int(0, 2);
+    const int np = 1 + std::max(sv.rank_at(sv.count() - 1),
+                                dv.rank_at(dv.count() - 1));
+    Machine m(np);
+    m.run([&](Context& ctx) {
+      DistArray3<double> src(ctx, sv, se, sd);
+      DistArray3<double> dst(ctx, dv, de, dd, dh);
+      if (!src.participating()) {
+        return;
+      }
+      for (int i = 0; i < dv.count(); ++i) {
+        const detail::Box<3> rb = detail::block_box(
+            dst, *dv.coord_of(dv.rank_at(i)), c.fuse_halo);
+        const detail::TRange tr = detail::strided_steps(
+            rb.lo[ud], rb.hi[ud], c.d_off, c.d_stride, c.count - 1);
+        if (rb.empty() || tr.empty()) {
+          continue;
+        }
+        std::vector<int> sources;
+        detail::strided_peer_walk(src, rb, c.dim, tr, c.s_off, c.s_stride,
+                                  false, [&](int rank, const detail::Box<3>&) {
+                                    sources.push_back(rank);
+                                  });
+        const auto at = std::ranges::find(sources, ctx.rank());
+        if (at != sources.end()) {
+          EXPECT_EQ(detail::walk_position(src, rb, c.dim, tr, c.s_off,
+                                          c.s_stride),
+                    at - sources.begin());
+        }
+      }
+    });
+  }
 }
 
 }  // namespace
